@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race race-eval race-ring race-sim chaos crash-smoke live-smoke overload-smoke ingress-smoke bench bench-rpc bench-eval bench-gateway bench-store bench-sim bench-all sweep sweep-parity shard-parity examples fmt vet clean
+.PHONY: all build test race race-eval race-ring race-sim chaos crash-smoke live-smoke overload-smoke ingress-smoke bench-smoke bench-eval bench-gateway bench-store bench-sim bench-all sweep sweep-parity shard-parity examples fmt vet clean
 
 all: build vet test
 
@@ -43,7 +43,7 @@ race-sim:
 # (fixed seeds baked into the tests), so this run is deterministic.
 chaos:
 	$(GO) test -race -count=1 \
-		-run 'Chaos|Injector|Breaker|Respawn|FailAll|Reliable|Heartbeat|Failover|Replica|Checkpoint|Durable|Straggler|Orphan|Budget|Overload|Burst|Shed|Deadline|Storm|Admission|Fenced|Fence|Partition|WAL|CrashRestart|Snapshot|StepDown|Mux|Ring|Linker|Teardown' \
+		-run 'Chaos|Injector|Breaker|Respawn|FailAll|Heartbeat|Failover|Transport|Replica|Checkpoint|Durable|Straggler|Orphan|Budget|Overload|Burst|Shed|Deadline|Storm|Admission|Fenced|Fence|Partition|WAL|CrashRestart|Snapshot|StepDown|Mux|Ring|Linker|Teardown' \
 		./internal/chaos/ ./internal/rpc/ ./internal/runtime/ ./internal/store/ ./internal/controller/
 
 # Durability & split-brain lane under -race: whole-cluster crash and
@@ -85,37 +85,26 @@ ingress-smoke:
 # holds at capacity, p99 stays low, excess is shed). The HTTP-path
 # suite (1 gateway, 3-gateway queue group, 3-gateway duplicate-heavy)
 # is gated against the committed "gateway-http" medians at 10% before
-# the file is rewritten, mirroring the bench-rpc gate.
+# the file is rewritten.
 bench-gateway:
 	$(GO) run ./cmd/hivemind-loadgen -compare -duration 10s -load 2 -json BENCH_gateway.json
 	$(GO) run ./cmd/hivemind-loadgen -http -suite -duration 10s -load 1.5 -exec 10ms -workers 8 \
 		-gate BENCH_gateway.json -gate-label gateway-http -tolerance 0.10 \
 		-json BENCH_gateway.json -label gateway-http
 
-# RPC data-plane benchmarks, recorded as JSON under BENCH_LABEL
-# (default "post"). -count=5 runs are collapsed to per-benchmark
-# medians. Existing labels in BENCH_rpc.json are preserved, so the
-# committed "pre" baseline survives re-runs.
-BENCH_LABEL ?= post
-bench:
-	$(GO) test -run '^$$' -bench . -benchmem -count=5 ./internal/rpc/ > bench_rpc.out
-	$(GO) run ./cmd/hivemind-benchjson -in bench_rpc.out -out BENCH_rpc.json -label $(BENCH_LABEL) -median
-	rm -f bench_rpc.out
+# The benchmark ledger (BENCHMARK.json, benchmark/) is a Go module of
+# its own that `go build ./...` and `go test ./...` never compile, so a
+# change to an API it calls can break it unnoticed: vet and test the
+# module, then run every workload once for a moment. RPC data-plane
+# numbers live in that ledger (rpc.ring_echo_ns, rpc.tcp_echo_ns,
+# rpc.mux_echo_ns, rpc.mux_pipelined_ns, rpc.large_echo_us);
+# internal/rpc/bench_test.go remains for `go test -bench` while working.
+bench-smoke:
+	(cd benchmark && $(GO) vet ./... && $(GO) test ./...)
+	bash benchmark/run.sh --smoke
 
-# RPC regression gate: re-measure the data-plane medians (-count=5)
-# and fail if CallSync64B or PipelinedCalls — or either zero-copy fast
-# path — regressed more than 10% against the committed "post" baseline
-# in BENCH_rpc.json. Run locally before committing data-plane changes;
-# shared CI runners are too noisy to gate on wall-clock there.
-bench-rpc:
-	$(GO) test -run '^$$' -bench \
-		'^(BenchmarkCallSync64B|BenchmarkPipelinedCalls|BenchmarkRingCallSync64B|BenchmarkMuxPipelinedCallsTCP)$$' \
-		-count=5 ./internal/rpc/ > bench_gate.out
-	$(GO) run ./cmd/hivemind-benchjson -in bench_gate.out \
-		-gate BENCH_rpc.json -gate-label post -tolerance 0.10 \
-		BenchmarkCallSync64B BenchmarkPipelinedCalls \
-		BenchmarkRingCallSync64B BenchmarkMuxPipelinedCallsTCP
-	rm -f bench_gate.out
+# Label under which the bench-* targets below record a run.
+BENCH_LABEL ?= post
 
 # Evaluation-pipeline benchmarks: quick-sweep wall clock plus the
 # synthesis-explorer and DES hot-loop micro-benchmarks, recorded as
@@ -148,9 +137,9 @@ bench-store:
 # headline speedup; on a single-core host the ratio is ~1 and the
 # committed numbers say so) plus the neighbor-index build vs the naive
 # all-pairs scan it replaced. Gated against the committed "post"
-# medians at 10% before BENCH_sim.json is rewritten, mirroring the
-# bench-rpc gate; CI sets BENCH_GATE=0 because shared runners are too
-# noisy to gate on wall clock.
+# medians at 10% before BENCH_sim.json is rewritten; CI sets
+# BENCH_GATE=0 because shared runners are too noisy to gate on wall
+# clock.
 BENCH_GATE ?= 1
 bench-sim:
 	$(GO) test -run '^$$' -bench '^BenchmarkMegaSwarm10k$$' -benchtime 1x -count=5 \

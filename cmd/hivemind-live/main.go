@@ -117,11 +117,15 @@ func run(replicas, requests int, kill bool, seed int64, traceFn, walDir, httpAdd
 		return fmt.Errorf("no primary elected")
 	}
 
-	addrs := make([]string, len(nodes))
+	// The demo's client rides the same per-peer links as every other
+	// remote tier: one mux stream per gateway on a shared connection.
+	peers := make([]runtime.Peer, len(nodes))
 	for i, nd := range nodes {
-		addrs[i] = nd.gwAddr
+		peers[i] = runtime.Peer{Addr: nd.gwAddr}
 	}
-	fc := rpc.DialFailover(addrs, rpc.FailoverOptions{
+	linker := runtime.NewLinker(runtime.LinkerOptions{})
+	defer linker.Close()
+	fc := linker.Failover(peers, rpc.FailoverOptions{
 		Attempts:     20 * len(nodes),
 		RetryBackoff: 15 * time.Millisecond,
 		CallTimeout:  5 * time.Second,

@@ -67,22 +67,34 @@ func flakyDial(dial func() (net.Conn, error), bad int, cfg chaos.Config) func() 
 	}
 }
 
-// fastRetry keeps backoff small so chaos tests stay quick while still
-// exercising the schedule.
-func fastRetry(max int) rpc.RetryPolicy {
-	return rpc.RetryPolicy{Max: max, Base: 5 * time.Millisecond, Cap: 40 * time.Millisecond, Multiplier: 2, Jitter: 0.2}
+// fastRetry allows max retries on a backoff kept small so chaos tests
+// stay quick while still exercising the growing, jittered schedule, with
+// the idempotency guard on: only "echo" may be replayed.
+func fastRetry(max int) rpc.FailoverOptions {
+	return rpc.FailoverOptions{
+		Attempts:     max + 1,
+		RetryBackoff: 5 * time.Millisecond,
+		BackoffCap:   40 * time.Millisecond,
+		Jitter:       0.2,
+		Seed:         1,
+		Idempotent:   []string{"echo"},
+	}
+}
+
+// hardened builds the one-endpoint hardened client over a dial function
+// (the chaos tests wrap its conns in an injector).
+func hardened(dial func() (net.Conn, error), callers int, opts rpc.FailoverOptions) *rpc.FailoverClient {
+	return rpc.NewFailover([]func() (rpc.Transport, error){rpc.ConnEndpoint(dial, callers)}, opts)
 }
 
 // Acceptance (a), TCP: the hardened client retries through connections
 // that drop every frame and completes within the caller's deadline.
 func TestChaosRetrySurvivesDroppedConnectionsTCP(t *testing.T) {
 	addr := serveTCP(t, echoServer(t))
-	opts := rpc.ReliableOptions{Callers: 4, Retry: fastRetry(4), Seed: 1}
-	rc := rpc.NewReliableClient(flakyDial(func() (net.Conn, error) {
+	rc := hardened(flakyDial(func() (net.Conn, error) {
 		return net.Dial("tcp", addr)
-	}, 2, chaos.Config{DropProb: 1}), opts)
+	}, 2, chaos.Config{DropProb: 1}), 4, fastRetry(4))
 	defer rc.Close()
-	rc.MarkIdempotent("echo")
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
@@ -107,10 +119,8 @@ func TestChaosRetrySurvivesDroppedConnectionsInProcess(t *testing.T) {
 		srv.ServeConn(sc)
 		return cc, nil
 	}
-	opts := rpc.ReliableOptions{Callers: 4, Retry: fastRetry(4), Seed: 1}
-	rc := rpc.NewReliableClient(flakyDial(dial, 2, chaos.Config{DropProb: 1}), opts)
+	rc := hardened(flakyDial(dial, 2, chaos.Config{DropProb: 1}), 4, fastRetry(4))
 	defer rc.Close()
-	rc.MarkIdempotent("echo")
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
@@ -131,21 +141,16 @@ func TestChaosRetrySurvivesOneWayPartition(t *testing.T) {
 	addr := serveTCP(t, echoServer(t))
 	inj := chaos.NewInjector(7, chaos.Config{})
 	inj.Partition(chaos.Outbound)
-	opts := rpc.ReliableOptions{
-		Callers:     4,
-		CallTimeout: 50 * time.Millisecond,
-		Retry:       fastRetry(6),
-		Seed:        1,
-	}
-	rc := rpc.NewReliableClient(func() (net.Conn, error) {
+	opts := fastRetry(6)
+	opts.CallTimeout = 50 * time.Millisecond
+	rc := hardened(func() (net.Conn, error) {
 		c, err := net.Dial("tcp", addr)
 		if err != nil {
 			return nil, err
 		}
 		return inj.WrapConn(c), nil
-	}, opts)
+	}, 4, opts)
 	defer rc.Close()
-	rc.MarkIdempotent("echo")
 
 	// Heal as soon as the first attempt has been swallowed and retried.
 	go func() {
@@ -173,12 +178,10 @@ func TestChaosRetrySurvivesOneWayPartition(t *testing.T) {
 // the reader's framing detects it and the client recovers by redialing.
 func TestChaosTruncatedFrameRecovered(t *testing.T) {
 	addr := serveTCP(t, echoServer(t))
-	opts := rpc.ReliableOptions{Callers: 4, Retry: fastRetry(4), Seed: 1}
-	rc := rpc.NewReliableClient(flakyDial(func() (net.Conn, error) {
+	rc := hardened(flakyDial(func() (net.Conn, error) {
 		return net.Dial("tcp", addr)
-	}, 1, chaos.Config{TruncateProb: 1}), opts)
+	}, 1, chaos.Config{TruncateProb: 1}), 4, fastRetry(4))
 	defer rc.Close()
-	rc.MarkIdempotent("echo")
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
@@ -205,15 +208,12 @@ func TestChaosBreakerOpensThenRecovers(t *testing.T) {
 	go srv.Serve(ln)
 
 	const cooldown = 100 * time.Millisecond
-	opts := rpc.ReliableOptions{
-		Callers: 4,
-		Retry:   rpc.RetryPolicy{Max: 0}, // isolate the breaker from retries
-		Breaker: rpc.BreakerConfig{Threshold: 3, Cooldown: cooldown},
-		Seed:    1,
-	}
-	rc := rpc.DialReliable(addr, opts)
+	rc := rpc.DialFailover([]string{addr}, rpc.FailoverOptions{
+		Callers:  4,
+		Attempts: 1, // isolate the breaker from retries
+		Breaker:  rpc.BreakerConfig{Threshold: 3, Cooldown: cooldown},
+	})
 	defer rc.Close()
-	rc.MarkIdempotent("echo")
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
@@ -229,7 +229,7 @@ func TestChaosBreakerOpensThenRecovers(t *testing.T) {
 			t.Fatal("call succeeded against a dead server")
 		}
 	}
-	if got := rc.Breaker().State(); got != rpc.BreakerOpen {
+	if got := rc.Breaker(0).State(); got != rpc.BreakerOpen {
 		t.Fatalf("state after %d failures = %v, want open", 3, got)
 	}
 	if _, err := rc.Call(ctx, "echo", nil); !errors.Is(err, rpc.ErrCircuitOpen) {
@@ -257,11 +257,11 @@ func TestChaosBreakerOpensThenRecovers(t *testing.T) {
 	if string(out) != "probe" {
 		t.Fatalf("out = %q", out)
 	}
-	if got := rc.Breaker().State(); got != rpc.BreakerClosed {
+	if got := rc.Breaker(0).State(); got != rpc.BreakerClosed {
 		t.Fatalf("state after successful probe = %v, want closed", got)
 	}
-	if rc.Breaker().Opens() != 1 {
-		t.Fatalf("opens = %d, want 1", rc.Breaker().Opens())
+	if rc.Breaker(0).Opens() != 1 {
+		t.Fatalf("opens = %d, want 1", rc.Breaker(0).Opens())
 	}
 }
 
@@ -294,7 +294,9 @@ func TestChaosKilledFunctionMidChainRespawns(t *testing.T) {
 	defer g.Close()
 	addr := serveTCP(t, g.Server())
 
-	rc := rpc.DialReliable(addr, rpc.ReliableOptions{Callers: 4, Retry: fastRetry(2), Seed: 1})
+	opts := fastRetry(2)
+	opts.Callers = 4
+	rc := rpc.DialFailover([]string{addr}, opts)
 	defer rc.Close()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -331,21 +333,17 @@ func TestChaosTailLatencyCrossCheckedAgainstModel(t *testing.T) {
 		DelayMin:  time.Millisecond,
 		DelayMax:  4 * time.Millisecond,
 	})
-	opts := rpc.ReliableOptions{
-		Callers:     8,
-		CallTimeout: 500 * time.Millisecond,
-		Retry:       fastRetry(5),
-		Seed:        42,
-	}
-	rc := rpc.NewReliableClient(func() (net.Conn, error) {
+	opts := fastRetry(5)
+	opts.CallTimeout = 500 * time.Millisecond
+	opts.Seed = 42
+	rc := hardened(func() (net.Conn, error) {
 		c, err := net.Dial("tcp", addr)
 		if err != nil {
 			return nil, err
 		}
 		return inj.WrapConn(c), nil
-	}, opts)
+	}, 8, opts)
 	defer rc.Close()
-	rc.MarkIdempotent("echo")
 
 	const n = 60
 	latencies := make([]float64, 0, n)

@@ -153,13 +153,12 @@ func TestObservabilityE2ETraceAndBreakdown(t *testing.T) {
 	// the gateway respawns the step, the chain completes.
 	inj.At("invoke/plan", 0)
 
-	conn, err := net.Dial("tcp", primary.gwAddr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl := rpc.NewClient(conn, 4)
+	cl := rpc.DialFailover([]string{primary.gwAddr}, rpc.FailoverOptions{
+		Callers:  4,
+		Attempts: 1,
+		Observer: runtime.TraceCallObserver(live),
+	})
 	defer cl.Close()
-	cl.SetObserver(runtime.TraceCallObserver(live))
 
 	const taskID = "task-obs"
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)

@@ -214,7 +214,7 @@ type Replica struct {
 	cfg    ReplicaConfig
 	mon    *Monitor
 	srv    *rpc.Server
-	peers  map[int]*rpc.ReliableClient
+	peers  map[int]*rpc.FailoverClient
 	tracer *trace.Live // set before Start; read under mu
 
 	mu          sync.Mutex
@@ -272,7 +272,7 @@ func NewReplica(cfg ReplicaConfig, peerDials map[int]func() (net.Conn, error), m
 		cfg:      cfg,
 		mon:      mon,
 		srv:      rpc.NewServer(),
-		peers:    make(map[int]*rpc.ReliableClient, len(peerDials)),
+		peers:    make(map[int]*rpc.FailoverClient, len(peerDials)),
 		rng:      rand.New(rand.NewSource(seed + int64(cfg.ID)*7919)),
 		term:     cfg.InitialTerm,
 		votedFor: -1,
@@ -282,12 +282,11 @@ func NewReplica(cfg ReplicaConfig, peerDials map[int]func() (net.Conn, error), m
 		stop:     make(chan struct{}),
 	}
 	for id, dial := range peerDials {
-		r.peers[id] = rpc.NewReliableClient(dial, rpc.ReliableOptions{
-			Callers:     8,
-			CallTimeout: cfg.VoteTimeout,
-			Retry:       rpc.RetryPolicy{Max: 0}, // the election loop is the retry
-			Seed:        seed + int64(id) + 1,
-		})
+		// One endpoint per peer: a lazily dialled, self-redialling
+		// connection. Attempts 1 because the election loop is the retry.
+		r.peers[id] = rpc.NewFailover(
+			[]func() (rpc.Transport, error){rpc.ConnEndpoint(dial, 8)},
+			rpc.FailoverOptions{Attempts: 1, CallTimeout: cfg.VoteTimeout})
 	}
 	r.lastContact = time.Now()
 	r.timeout = r.drawTimeout()

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"net"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -26,12 +27,12 @@ func TestNotLeaderErrorRoundTrip(t *testing.T) {
 }
 
 // serveReplicaSet builds n servers where only the leader answers; the
-// others redirect to it. Returns the listeners' dial functions and a
-// setter to move leadership.
-func serveReplicaSet(t *testing.T, n int) ([]func() (net.Conn, error), *atomic.Int64, *[]*Server) {
+// others redirect to it. Returns one endpoint factory per listener and
+// a setter to move leadership.
+func serveReplicaSet(t *testing.T, n int) ([]func() (Transport, error), *atomic.Int64, *[]*Server) {
 	t.Helper()
 	var leader atomic.Int64
-	dials := make([]func() (net.Conn, error), n)
+	dials := make([]func() (Transport, error), n)
 	servers := make([]*Server, n)
 	for i := 0; i < n; i++ {
 		i := i
@@ -49,7 +50,7 @@ func serveReplicaSet(t *testing.T, n int) ([]func() (net.Conn, error), *atomic.I
 		go srv.Serve(ln)
 		t.Cleanup(srv.Close)
 		addr := ln.Addr().String()
-		dials[i] = func() (net.Conn, error) { return net.Dial("tcp", addr) }
+		dials[i] = ConnEndpoint(func() (net.Conn, error) { return net.Dial("tcp", addr) }, 8)
 		servers[i] = srv
 	}
 	return dials, &leader, &servers
@@ -58,7 +59,7 @@ func serveReplicaSet(t *testing.T, n int) ([]func() (net.Conn, error), *atomic.I
 func TestFailoverClientFollowsRedirect(t *testing.T) {
 	dials, leader, _ := serveReplicaSet(t, 3)
 	leader.Store(2)
-	fc := NewFailoverClient(dials, FailoverOptions{RetryBackoff: time.Millisecond})
+	fc := NewFailover(dials, FailoverOptions{RetryBackoff: time.Millisecond})
 	defer fc.Close()
 
 	out, err := fc.Call(context.Background(), "work", []byte("x"))
@@ -80,7 +81,7 @@ func TestFailoverClientFollowsRedirect(t *testing.T) {
 func TestFailoverClientSweepsPastDeadEndpoint(t *testing.T) {
 	dials, leader, servers := serveReplicaSet(t, 3)
 	leader.Store(0)
-	fc := NewFailoverClient(dials, FailoverOptions{RetryBackoff: time.Millisecond})
+	fc := NewFailover(dials, FailoverOptions{RetryBackoff: time.Millisecond})
 	defer fc.Close()
 	if _, err := fc.Call(context.Background(), "work", nil); err != nil {
 		t.Fatalf("warm-up call: %v", err)
@@ -114,9 +115,7 @@ func TestFailoverClientSurfacesServerErrors(t *testing.T) {
 	go srv.Serve(ln)
 	t.Cleanup(srv.Close)
 	addr := ln.Addr().String()
-	fc := NewFailoverClient([]func() (net.Conn, error){
-		func() (net.Conn, error) { return net.Dial("tcp", addr) },
-	}, FailoverOptions{RetryBackoff: time.Millisecond})
+	fc := DialFailover([]string{addr}, FailoverOptions{RetryBackoff: time.Millisecond})
 	defer fc.Close()
 
 	_, err = fc.Call(context.Background(), "work", nil)
@@ -133,14 +132,159 @@ func TestFailoverClientGivesUpWhenAllDead(t *testing.T) {
 	}
 	addr := ln.Addr().String()
 	ln.Close() // nothing listens
-	fc := NewFailoverClient([]func() (net.Conn, error){
-		func() (net.Conn, error) { return net.Dial("tcp", addr) },
-	}, FailoverOptions{Attempts: 2, RetryBackoff: time.Millisecond})
+	fc := DialFailover([]string{addr}, FailoverOptions{Attempts: 2, RetryBackoff: time.Millisecond})
 	defer fc.Close()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
 	if _, err := fc.Call(ctx, "work", nil); err == nil {
 		t.Fatal("call to dead replica set succeeded")
+	}
+}
+
+// Regression: the endpoint factory used to run under the client-wide
+// mutex, so one hung dial (a blackholed peer) froze Leader, Close and
+// every caller of every other endpoint. Building one endpoint's
+// transport must block only callers of that endpoint.
+func TestFailoverBlockedFactoryBlocksOnlyItsEndpoint(t *testing.T) {
+	srv := echoServer()
+	t.Cleanup(srv.Close)
+	entered, release := make(chan struct{}), make(chan struct{})
+	var hung atomic.Int32
+	fc := NewFailover([]func() (Transport, error){
+		func() (Transport, error) { // endpoint 0: blackholed
+			hung.Add(1)
+			close(entered)
+			<-release
+			return nil, errors.New("dial timed out")
+		},
+		func() (Transport, error) { return pipeClientServer(t, srv, 4), nil },
+	}, FailoverOptions{Attempts: 1})
+
+	stuck := make(chan error, 1)
+	go func() {
+		_, err := fc.Call(context.Background(), "echo", nil)
+		stuck <- err
+	}()
+	<-entered // the first caller is now inside endpoint 0's factory
+
+	within := func(what string, fn func()) {
+		t.Helper()
+		done := make(chan struct{})
+		go func() { fn(); close(done) }()
+		select {
+		case <-done:
+		case <-time.After(2 * time.Second):
+			t.Fatalf("%s blocked behind another endpoint's hung factory", what)
+		}
+	}
+	within("Leader()", func() { fc.Leader() })
+	// A second caller of the hung endpoint can still leave on its ctx.
+	within("a caller whose ctx expired", func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
+		defer cancel()
+		if _, err := fc.Call(ctx, "echo", nil); !errors.Is(err, context.DeadlineExceeded) {
+			t.Errorf("parked caller returned %v, want its deadline", err)
+		}
+	})
+	// A call routed to the other endpoint completes.
+	fc.route(0, 1)
+	within("a call on endpoint 1", func() {
+		if out, err := fc.Call(context.Background(), "echo", []byte("ok")); err != nil || string(out) != "ok" {
+			t.Errorf("call on the healthy endpoint: %q, %v", out, err)
+		}
+	})
+	within("Close()", fc.Close)
+
+	close(release)
+	select {
+	case err := <-stuck:
+		if err == nil {
+			t.Fatal("call through the hung factory succeeded")
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("released caller never returned")
+	}
+	if n := hung.Load(); n != 1 {
+		t.Fatalf("hung factory invoked %d times, want 1", n)
+	}
+}
+
+// Regression: Close used to set no flag, so a later Call silently
+// re-dialled every endpoint and leaked the connections.
+func TestFailoverCloseMeansClosed(t *testing.T) {
+	srv := echoServer()
+	t.Cleanup(srv.Close)
+	var builds atomic.Int32
+	fc := NewFailover([]func() (Transport, error){
+		func() (Transport, error) {
+			builds.Add(1)
+			return pipeClientServer(t, srv, 4), nil
+		},
+	}, FailoverOptions{})
+	if _, err := fc.Call(context.Background(), "echo", nil); err != nil {
+		t.Fatal(err)
+	}
+	held := fc.Endpoint(0)
+	fc.Close()
+	if held.Healthy() {
+		t.Fatal("Close left the endpoint's transport up")
+	}
+	if _, err := fc.Call(context.Background(), "echo", nil); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Call after Close = %v, want ErrClosed", err)
+	}
+	if n := builds.Load(); n != 1 {
+		t.Fatalf("factory invoked %d times, want 1: a closed client re-dialled", n)
+	}
+	if fc.Endpoint(0) != nil {
+		t.Fatal("closed client still holds a transport")
+	}
+}
+
+// Callers parked behind a build that then fails take that failure as
+// their own instead of each re-running the factory: a dead endpoint
+// under load costs one dial per wave, not one per caller (the dial storm
+// starved the election it was waiting on).
+func TestFailoverParkedCallersShareOneFailedBuild(t *testing.T) {
+	const callers = 16
+	entered, release := make(chan struct{}), make(chan struct{})
+	var builds atomic.Int32
+	fc := NewFailover([]func() (Transport, error){
+		func() (Transport, error) {
+			if builds.Add(1) == 1 {
+				close(entered)
+				<-release
+			}
+			return nil, errors.New("connection refused")
+		},
+	}, FailoverOptions{Attempts: 1})
+	defer fc.Close()
+
+	errs := make(chan error, callers)
+	call := func() {
+		_, err := fc.Call(context.Background(), "echo", nil)
+		errs <- err
+	}
+	go call()
+	<-entered
+	for i := 1; i < callers; i++ {
+		go call()
+	}
+	time.Sleep(20 * time.Millisecond) // let the rest park at the gate
+	close(release)
+	for i := 0; i < callers; i++ {
+		if err := <-errs; err == nil || !strings.Contains(err.Error(), "connection refused") {
+			t.Fatalf("caller %d: err = %v, want the build's failure", i, err)
+		}
+	}
+	if n := builds.Load(); n > 2 {
+		t.Fatalf("%d parked callers ran the factory %d times, want 1 (2 if one arrived late)", callers, n)
+	}
+	// The verdict is not cached: a caller arriving afterwards dials again.
+	before := builds.Load()
+	call()
+	<-errs
+	if builds.Load() != before+1 {
+		t.Fatal("a later caller did not re-run the factory")
 	}
 }

@@ -11,33 +11,37 @@ import (
 	"time"
 )
 
-// --- RetryPolicy ---
+// --- backoff schedule ---
 
 func TestBackoffGrowsExponentiallyAndCaps(t *testing.T) {
-	p := RetryPolicy{Max: 5, Base: 10 * time.Millisecond, Cap: 45 * time.Millisecond, Multiplier: 2}
+	p := FailoverOptions{RetryBackoff: 10 * time.Millisecond, BackoffCap: 45 * time.Millisecond}
 	want := []time.Duration{10, 20, 40, 45, 45}
 	for i, w := range want {
-		if got := p.Backoff(i, nil); got != w*time.Millisecond {
+		if got := p.backoff(i, nil); got != w*time.Millisecond {
 			t.Fatalf("backoff(%d) = %v, want %v", i, got, w*time.Millisecond)
 		}
 	}
 }
 
 func TestBackoffJitterStaysBounded(t *testing.T) {
-	p := RetryPolicy{Base: 100 * time.Millisecond, Multiplier: 2, Jitter: 0.5}
+	p := FailoverOptions{RetryBackoff: 100 * time.Millisecond, Jitter: 0.5}
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 100; i++ {
-		d := p.Backoff(0, rng)
+		d := p.backoff(0, rng)
 		if d < 50*time.Millisecond || d > 150*time.Millisecond {
 			t.Fatalf("jittered backoff %v outside ±50%% of base", d)
 		}
 	}
 }
 
-func TestZeroRetryPolicyNoBackoff(t *testing.T) {
-	var p RetryPolicy
-	if p.Backoff(3, nil) != 0 {
-		t.Fatal("zero policy produced a backoff")
+// The zero-valued schedule (no cap, no jitter) is the fixed pause the
+// leader-following client always had.
+func TestBackoffWithoutCapIsFixed(t *testing.T) {
+	p := FailoverOptions{RetryBackoff: 7 * time.Millisecond}
+	for i := 0; i < 6; i++ {
+		if got := p.backoff(i, nil); got != 7*time.Millisecond {
+			t.Fatalf("backoff(%d) = %v, want the fixed 7ms", i, got)
+		}
 	}
 }
 
@@ -127,7 +131,7 @@ func TestZeroBreakerAlwaysAllows(t *testing.T) {
 	}
 }
 
-// --- ReliableClient ---
+// --- FailoverClient over one endpoint: the reconnecting client ---
 
 // flakyDialer yields connections that die after serving `failFirst`
 // dials, then healthy ones, all against the same server.
@@ -153,23 +157,32 @@ func (d *flakyDialer) dial() (net.Conn, error) {
 	return cc, nil
 }
 
-func reliableOpts() ReliableOptions {
-	return ReliableOptions{
-		Callers:     8,
-		Retry:       RetryPolicy{Max: 4, Base: time.Millisecond, Cap: 5 * time.Millisecond, Multiplier: 2},
-		Breaker:     BreakerConfig{Threshold: 10, Cooldown: 50 * time.Millisecond},
-		Seed:        1,
-		CallTimeout: 2 * time.Second,
+// hardenedOpts turns everything on: 4 retries on a growing backoff, the
+// idempotency guard (only the listed methods replay), and a breaker.
+func hardenedOpts(idempotent ...string) FailoverOptions {
+	return FailoverOptions{
+		Attempts:     5,
+		RetryBackoff: time.Millisecond,
+		BackoffCap:   5 * time.Millisecond,
+		Idempotent:   append([]string{"some-other-method"}, idempotent...),
+		Breaker:      BreakerConfig{Threshold: 10, Cooldown: 50 * time.Millisecond},
+		Seed:         1,
+		CallTimeout:  2 * time.Second,
 	}
 }
 
-func TestReliableCallRetriesDeadConnections(t *testing.T) {
+// oneEndpoint builds the degenerate one-replica client over a dial
+// function.
+func oneEndpoint(dial func() (net.Conn, error), opts FailoverOptions) *FailoverClient {
+	return NewFailover([]func() (Transport, error){ConnEndpoint(dial, 8)}, opts)
+}
+
+func TestFailoverRetriesDeadConnections(t *testing.T) {
 	srv := echoServer()
 	defer srv.Close()
 	d := &flakyDialer{srv: srv, failFirst: 2}
-	rc := NewReliableClient(d.dial, reliableOpts())
+	rc := oneEndpoint(d.dial, hardenedOpts("echo"))
 	defer rc.Close()
-	rc.MarkIdempotent("echo")
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
@@ -185,13 +198,12 @@ func TestReliableCallRetriesDeadConnections(t *testing.T) {
 	}
 }
 
-func TestReliableServerErrorNotRetried(t *testing.T) {
+func TestFailoverServerErrorNotRetried(t *testing.T) {
 	srv := echoServer() // "fail" handler always errors
 	defer srv.Close()
 	d := &flakyDialer{srv: srv}
-	rc := NewReliableClient(d.dial, reliableOpts())
+	rc := oneEndpoint(d.dial, hardenedOpts("fail"))
 	defer rc.Close()
-	rc.MarkIdempotent("fail")
 
 	_, err := rc.Call(context.Background(), "fail", nil)
 	var se ServerError
@@ -203,14 +215,14 @@ func TestReliableServerErrorNotRetried(t *testing.T) {
 	}
 }
 
-func TestReliableNonIdempotentNotRetried(t *testing.T) {
+func TestFailoverNonIdempotentNotRetried(t *testing.T) {
 	srv := echoServer()
 	defer srv.Close()
 	d := &flakyDialer{srv: srv, failFirst: 1}
-	rc := NewReliableClient(d.dial, reliableOpts())
+	rc := oneEndpoint(d.dial, hardenedOpts())
 	defer rc.Close()
-	// "echo" not marked idempotent: the dead-connection failure must
-	// surface instead of being replayed.
+	// The guard is on and "echo" is not listed: the dead-connection
+	// failure must surface instead of being replayed.
 	if _, err := rc.Call(context.Background(), "echo", []byte("x")); err == nil {
 		t.Fatal("non-idempotent transport failure was silently retried")
 	}
@@ -219,14 +231,14 @@ func TestReliableNonIdempotentNotRetried(t *testing.T) {
 	}
 }
 
-func TestReliableBreakerShedsAndRecovers(t *testing.T) {
+func TestFailoverBreakerShedsAndRecovers(t *testing.T) {
 	srv := echoServer()
 	defer srv.Close()
 	d := &flakyDialer{srv: srv, failFirst: 1 << 30} // every dial dead for now
-	opts := reliableOpts()
-	opts.Retry = RetryPolicy{} // isolate the breaker from retries
+	opts := hardenedOpts()
+	opts.Attempts = 1 // isolate the breaker from retries
 	opts.Breaker = BreakerConfig{Threshold: 3, Cooldown: 40 * time.Millisecond}
-	rc := NewReliableClient(d.dial, opts)
+	rc := oneEndpoint(d.dial, opts)
 	defer rc.Close()
 
 	for i := 0; i < 3; i++ {
@@ -234,8 +246,8 @@ func TestReliableBreakerShedsAndRecovers(t *testing.T) {
 			t.Fatal("call on dead transport succeeded")
 		}
 	}
-	if rc.Breaker().State() != BreakerOpen {
-		t.Fatalf("breaker state = %v after 3 consecutive failures", rc.Breaker().State())
+	if rc.Breaker(0).State() != BreakerOpen {
+		t.Fatalf("breaker state = %v after 3 consecutive failures", rc.Breaker(0).State())
 	}
 	if _, err := rc.Call(context.Background(), "echo", nil); !errors.Is(err, ErrCircuitOpen) {
 		t.Fatalf("open breaker did not shed: %v", err)
@@ -253,12 +265,12 @@ func TestReliableBreakerShedsAndRecovers(t *testing.T) {
 	if err != nil || string(out) != "probe" {
 		t.Fatalf("half-open probe failed: %q %v", out, err)
 	}
-	if rc.Breaker().State() != BreakerClosed {
-		t.Fatalf("breaker did not close after successful probe: %v", rc.Breaker().State())
+	if rc.Breaker(0).State() != BreakerClosed {
+		t.Fatalf("breaker did not close after successful probe: %v", rc.Breaker(0).State())
 	}
 }
 
-func TestReliableHeartbeatTriggersReconnect(t *testing.T) {
+func TestFailoverHeartbeatTriggersReconnect(t *testing.T) {
 	srv := echoServer()
 	defer srv.Close()
 
@@ -272,12 +284,10 @@ func TestReliableHeartbeatTriggersReconnect(t *testing.T) {
 		mu.Unlock()
 		return cc, nil
 	}
-	opts := reliableOpts()
-	opts.HeartbeatInterval = 10 * time.Millisecond
-	opts.HeartbeatTimeout = 30 * time.Millisecond
-	rc := NewReliableClient(dial, opts)
+	opts := hardenedOpts("echo")
+	opts.HeartbeatInterval = 10 * time.Millisecond // a beat is missed after 30ms
+	rc := oneEndpoint(dial, opts)
 	defer rc.Close()
-	rc.MarkIdempotent("echo")
 
 	if _, err := rc.Call(context.Background(), "echo", []byte("a")); err != nil {
 		t.Fatal(err)
@@ -305,7 +315,7 @@ func TestReliableHeartbeatTriggersReconnect(t *testing.T) {
 	}
 }
 
-func TestReliableCallTimeoutRetriesWithinDeadline(t *testing.T) {
+func TestFailoverCallTimeoutRetriesWithinDeadline(t *testing.T) {
 	// First invocation hangs; the per-attempt timeout cuts it and the
 	// retry succeeds — the (a) acceptance behaviour at the unit level.
 	var calls atomic.Int32
@@ -319,11 +329,10 @@ func TestReliableCallTimeoutRetriesWithinDeadline(t *testing.T) {
 	})
 	defer srv.Close()
 	d := &flakyDialer{srv: srv}
-	opts := reliableOpts()
+	opts := hardenedOpts("sometimes")
 	opts.CallTimeout = 30 * time.Millisecond
-	rc := NewReliableClient(d.dial, opts)
+	rc := oneEndpoint(d.dial, opts)
 	defer rc.Close()
-	rc.MarkIdempotent("sometimes")
 
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
@@ -336,7 +345,7 @@ func TestReliableCallTimeoutRetriesWithinDeadline(t *testing.T) {
 	}
 }
 
-func TestReliableRespectsCallerDeadline(t *testing.T) {
+func TestFailoverRespectsCallerDeadline(t *testing.T) {
 	srv := NewServer()
 	srv.RegisterCtx("hang", func(ctx context.Context, p []byte) ([]byte, error) {
 		<-ctx.Done()
@@ -344,11 +353,10 @@ func TestReliableRespectsCallerDeadline(t *testing.T) {
 	})
 	defer srv.Close()
 	d := &flakyDialer{srv: srv}
-	opts := reliableOpts()
+	opts := hardenedOpts("hang")
 	opts.CallTimeout = 0
-	rc := NewReliableClient(d.dial, opts)
+	rc := oneEndpoint(d.dial, opts)
 	defer rc.Close()
-	rc.MarkIdempotent("hang")
 	ctx, cancel := context.WithTimeout(context.Background(), 40*time.Millisecond)
 	defer cancel()
 	start := time.Now()

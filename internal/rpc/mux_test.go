@@ -308,3 +308,36 @@ func TestMuxTeardownFailsAllStreams(t *testing.T) {
 		}
 	}
 }
+
+// Regression: Stream.Close used to be a no-op — calls on a "closed"
+// stream succeeded and Healthy stayed true, contradicting Transport's
+// contract. Closing one stream must not touch the shared connection or
+// its siblings.
+func TestStreamCloseLeavesConnAndSiblingsUp(t *testing.T) {
+	_, c := muxPair(t, 0, 4)
+	victim, sibling := c.Stream(2), c.Stream(2)
+	if _, err := victim.CallSync("echo", nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := victim.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := victim.CallSync("echo", nil); !errors.Is(err, ErrClosed) {
+		t.Fatalf("call on a closed stream = %v, want ErrClosed", err)
+	}
+	if call := victim.Go("echo", nil, nil); !errors.Is((<-call.Done).Err, ErrClosed) {
+		t.Fatalf("Go on a closed stream = %v, want ErrClosed", call.Err)
+	}
+	if victim.Healthy() {
+		t.Fatal("closed stream reports healthy")
+	}
+	if !c.Healthy() || !sibling.Healthy() {
+		t.Fatal("closing one stream took the shared connection or a sibling down")
+	}
+	if got, err := sibling.CallSync("echo", []byte("alive")); err != nil || string(got) != "alive" {
+		t.Fatalf("sibling after close: %q, %v", got, err)
+	}
+	if got, err := c.CallSync("echo", []byte("s0")); err != nil || string(got) != "s0" {
+		t.Fatalf("stream 0 after close: %q, %v", got, err)
+	}
+}

@@ -6,10 +6,10 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
-// obsLog is a goroutine-safe record of observer invocations (the client
-// invokes the done callback from its read loop).
+// obsLog is a goroutine-safe record of observer invocations.
 type obsLog struct {
 	mu      sync.Mutex
 	started []string
@@ -33,48 +33,81 @@ func (o *obsLog) snapshot() ([]string, []error) {
 	return append([]string{}, o.started...), append([]error{}, o.errs...)
 }
 
-func TestClientObserverSeesOutcomePerCall(t *testing.T) {
-	c := pipeClientServer(t, echoServer(), 4)
-	var log obsLog
-	c.SetObserver(log.observer)
-
-	if _, err := c.CallSync("echo", []byte("hi")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.CallSync("fail", nil); err == nil {
-		t.Fatal("fail call succeeded")
-	}
-	started, errs := log.snapshot()
-	if len(started) != 2 || started[0] != "echo:hi" || started[1] != "fail:" {
-		t.Fatalf("observed starts = %v", started)
-	}
-	if len(errs) != 2 || errs[0] != nil || errs[1] == nil {
-		t.Fatalf("observed outcomes = %v", errs)
+// observedEndpoints is one endpoint factory per transport kind, all
+// serving srv: the observer contract must hold on whatever an endpoint
+// builds (at the parent commit only framed connections were observed).
+func observedEndpoints(t *testing.T, srv *Server) map[string]func() (Transport, error) {
+	t.Helper()
+	t.Cleanup(srv.Close)
+	return map[string]func() (Transport, error){
+		"client": func() (Transport, error) { return pipeClientServer(t, srv, 4), nil },
+		"ring":   func() (Transport, error) { return NewRing(srv, RingOptions{}) },
+		"mux":    func() (Transport, error) { return pipeClientServer(t, srv, 4).Stream(4), nil },
 	}
 }
 
-func TestClientObserverIgnoresPings(t *testing.T) {
-	c := pipeClientServer(t, echoServer(), 4)
-	var log obsLog
-	c.SetObserver(log.observer)
-	if err := c.Ping(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if started, _ := log.snapshot(); len(started) != 0 {
-		t.Fatalf("pings observed: %v", started)
+func TestFailoverObserverSeesOutcomePerCall(t *testing.T) {
+	for kind, ep := range observedEndpoints(t, echoServer()) {
+		var log obsLog
+		fc := NewFailover([]func() (Transport, error){ep}, FailoverOptions{Observer: log.observer})
+		if _, err := fc.Call(context.Background(), "echo", []byte("hi")); err != nil {
+			t.Fatalf("%s: %v", kind, err)
+		}
+		if _, err := fc.Call(context.Background(), "fail", nil); err == nil {
+			t.Fatalf("%s: fail call succeeded", kind)
+		}
+		fc.Close()
+		started, errs := log.snapshot()
+		if len(started) != 2 || started[0] != "echo:hi" || started[1] != "fail:" {
+			t.Fatalf("%s: observed starts = %v", kind, started)
+		}
+		if len(errs) != 2 || errs[0] != nil || errs[1] == nil {
+			t.Fatalf("%s: observed outcomes = %v", kind, errs)
+		}
 	}
 }
 
-func TestClientObserverClears(t *testing.T) {
-	c := pipeClientServer(t, echoServer(), 4)
-	var log obsLog
-	c.SetObserver(log.observer)
-	c.SetObserver(nil)
-	if _, err := c.CallSync("echo", nil); err != nil {
-		t.Fatal(err)
+// One call that takes two attempts (a standby's redirect, then the
+// primary's reply) is observed twice, each time with that attempt's
+// error.
+func TestFailoverObserverFiresOncePerAttempt(t *testing.T) {
+	standby := NewServer()
+	standby.Register("echo", func([]byte) ([]byte, error) { return nil, NotLeaderError(1) })
+	primaries := observedEndpoints(t, echoServer())
+	for kind, standbyEP := range observedEndpoints(t, standby) {
+		var log obsLog
+		fc := NewFailover([]func() (Transport, error){standbyEP, primaries[kind]},
+			FailoverOptions{RetryBackoff: time.Millisecond, Observer: log.observer})
+		out, err := fc.Call(context.Background(), "echo", []byte("x"))
+		fc.Close()
+		if err != nil || string(out) != "x" {
+			t.Fatalf("%s: out=%q err=%v", kind, out, err)
+		}
+		started, errs := log.snapshot()
+		if len(started) != 2 || len(errs) != 2 {
+			t.Fatalf("%s: %d starts / %d outcomes for 2 attempts", kind, len(started), len(errs))
+		}
+		if target, ok := RedirectTarget(errs[0]); !ok || target != 1 || errs[1] != nil {
+			t.Fatalf("%s: observed outcomes = %v, want [redirect→1, nil]", kind, errs)
+		}
 	}
-	if started, _ := log.snapshot(); len(started) != 0 {
-		t.Fatalf("cleared observer still invoked: %v", started)
+}
+
+func TestFailoverObserverIgnoresPings(t *testing.T) {
+	for kind, ep := range observedEndpoints(t, echoServer()) {
+		var log obsLog
+		fc := NewFailover([]func() (Transport, error){ep}, FailoverOptions{
+			HeartbeatInterval: 2 * time.Millisecond,
+			Observer:          log.observer,
+		})
+		if _, err := fc.Call(context.Background(), "echo", nil); err != nil {
+			t.Fatalf("%s: %v", kind, err)
+		}
+		time.Sleep(20 * time.Millisecond) // several heartbeats
+		fc.Close()
+		if started, _ := log.snapshot(); len(started) != 1 {
+			t.Fatalf("%s: pings observed: %v", kind, started)
+		}
 	}
 }
 

@@ -14,7 +14,7 @@ import (
 // typed errors an overloaded server returns (shed-on-SLO and
 // deadline-expired responses, both wire-parseable like NotLeaderError),
 // and the shared retry budget that keeps layered retry loops
-// (ReliableClient, FailoverClient, gateway respawns) from multiplying
+// (FailoverClient, gateway respawns) from multiplying
 // into a retry storm when the fleet is already saturated — the classic
 // ingredient of metastable collapse the HiveMind front door must not
 // have.
@@ -114,8 +114,8 @@ var ErrRetryBudgetExhausted = errors.New("rpc: retry budget exhausted")
 // withdraws one. When the bucket is empty, retry loops give up
 // immediately instead of hammering an already-failing service. One
 // budget is meant to be shared across every retry layer of a client
-// process (ReliableClient retries, FailoverClient endpoint sweeps,
-// gateway step respawns), so stacked layers draw from one allowance
+// process (FailoverClient retries and endpoint sweeps, gateway step
+// respawns), so stacked layers draw from one allowance
 // rather than multiplying each other.
 //
 // A nil *RetryBudget disables budgeting (Withdraw always succeeds), so

@@ -328,11 +328,11 @@ func TestServerDropsExpiredQueuedWork(t *testing.T) {
 	}
 }
 
-// --- reliable client integration -------------------------------------
+// --- hardened client integration -------------------------------------
 
-// TestReliableClientShedIsNotAFailure checks a server-side shed neither
+// TestFailoverShedIsNotAFailure checks a server-side shed neither
 // trips the breaker nor is retried, and lands in the Shed counter.
-func TestReliableClientShedIsNotAFailure(t *testing.T) {
+func TestFailoverShedIsNotAFailure(t *testing.T) {
 	srv := NewServer()
 	srv.RegisterCtx("m", func(ctx context.Context, in []byte) ([]byte, error) {
 		return nil, ShedError(25 * time.Millisecond)
@@ -340,10 +340,9 @@ func TestReliableClientShedIsNotAFailure(t *testing.T) {
 	cc, sc := Pair()
 	srv.ServeConn(sc)
 	defer srv.Close()
-	rc := NewReliableClient(func() (net.Conn, error) { return cc, nil }, ReliableOptions{
-		Breaker:       BreakerConfig{Threshold: 1, Cooldown: time.Minute},
-		Retry:         RetryPolicy{Max: 3},
-		IdempotentAll: true,
+	rc := oneEndpoint(func() (net.Conn, error) { return cc, nil }, FailoverOptions{
+		Breaker:  BreakerConfig{Threshold: 1, Cooldown: time.Minute},
+		Attempts: 4,
 	})
 	defer rc.Close()
 
@@ -363,25 +362,21 @@ func TestReliableClientShedIsNotAFailure(t *testing.T) {
 	if st.Rejected != 0 {
 		t.Fatalf("breaker rejected %d calls after sheds: sheds counted as failures", st.Rejected)
 	}
-	if s := rc.Breaker().State(); s != BreakerClosed {
+	if s := rc.Breaker(0).State(); s != BreakerClosed {
 		t.Fatalf("breaker state after sheds = %v, want closed", s)
 	}
 }
 
-// TestReliableClientBudgetDeniedRetry checks an empty shared budget
-// stops the retry loop with ErrRetryBudgetExhausted and counts it.
-func TestReliableClientBudgetDeniedRetry(t *testing.T) {
+// TestFailoverBudgetDeniedRetry checks an empty shared budget stops
+// the retry loop with ErrRetryBudgetExhausted and counts it.
+func TestFailoverBudgetDeniedRetry(t *testing.T) {
 	budget := NewRetryBudget(DefaultRetryBudgetRatio, 1)
 	if !budget.Withdraw() {
 		t.Fatal("could not drain the budget")
 	}
-	rc := NewReliableClient(func() (net.Conn, error) {
+	rc := oneEndpoint(func() (net.Conn, error) {
 		return nil, errors.New("refused")
-	}, ReliableOptions{
-		Retry:         RetryPolicy{Max: 5},
-		IdempotentAll: true,
-		Budget:        budget,
-	})
+	}, FailoverOptions{Attempts: 6, Budget: budget})
 	defer rc.Close()
 
 	_, err := rc.Call(context.Background(), "m", []byte("x"))

@@ -53,8 +53,6 @@ type Ring struct {
 	// goroutine (the caller-runs fast path); bounded by consumers.
 	inline    atomic.Int64
 	consumers int
-
-	obs atomic.Pointer[CallObserver]
 }
 
 // ringSlot is one ring cell, padded to a cache line so neighbouring
@@ -134,8 +132,7 @@ const spinBudget = 512
 // NewRing builds a shared-memory ring transport serving srv's
 // registered methods and ties its lifecycle to the server (Server.Close
 // closes attached rings). It is the transport of choice for co-located
-// tiers; see SelectTransport in internal/runtime for the selection
-// policy.
+// tiers; see Linker in internal/runtime for the selection policy.
 func NewRing(srv *Server, opts RingOptions) (*Ring, error) {
 	slots := opts.Slots
 	if slots <= 0 {
@@ -169,16 +166,6 @@ func NewRing(srv *Server, opts RingOptions) (*Ring, error) {
 		go r.consume()
 	}
 	return r, nil
-}
-
-// SetObserver installs a client-side call observer on the ring (nil
-// removes it), same hook as Client.SetObserver.
-func (r *Ring) SetObserver(obs CallObserver) {
-	if obs == nil {
-		r.obs.Store(nil)
-		return
-	}
-	r.obs.Store(&obs)
 }
 
 // enqueue tickets rq into the ring, backpressuring (spin + yield) while
@@ -405,10 +392,6 @@ func (rq *ringReq) wait(ctx context.Context) bool {
 
 // call runs one ring round trip.
 func (r *Ring) call(ctx context.Context, method string, payload []byte) ([]byte, error) {
-	var obsDone func(error)
-	if obs := r.obs.Load(); obs != nil {
-		obsDone = (*obs)(method, payload)
-	}
 	var deadlineNS int64
 	if dl, ok := ctx.Deadline(); ok {
 		deadlineNS = dl.UnixNano()
@@ -432,41 +415,25 @@ func (r *Ring) call(ctx context.Context, method string, payload []byte) ([]byte,
 			}
 			if r.closed.Load() {
 				r.inline.Add(-1)
-				if obsDone != nil {
-					obsDone(ErrClosed)
-				}
 				return nil, ErrClosed
 			}
 			reply, err := r.execute(ctx, method, payload, deadlineNS)
 			r.inline.Add(-1)
-			if obsDone != nil {
-				obsDone(err)
-			}
 			return reply, err
 		}
 	}
 	rq := getRingReq(ctx, method, payload, deadlineNS)
 	if err := r.enqueue(ctx, rq); err != nil {
 		putRingReq(rq)
-		if obsDone != nil {
-			obsDone(err)
-		}
 		return nil, err
 	}
 	if !rq.wait(ctx) {
 		// Abandoned: the consumer owns rq now; the handler still runs
 		// (or is dropped at its deadline check) but nobody is waiting.
-		err := ctx.Err()
-		if obsDone != nil {
-			obsDone(err)
-		}
-		return nil, err
+		return nil, ctx.Err()
 	}
 	reply, err := rq.reply, rq.err
 	putRingReq(rq)
-	if obsDone != nil {
-		obsDone(err)
-	}
 	return reply, err
 }
 

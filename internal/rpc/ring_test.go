@@ -22,51 +22,6 @@ func newTestRing(t *testing.T, opts RingOptions) (*Server, *Ring) {
 	return srv, r
 }
 
-// TestRingEcho pins the basic round trip and that replies carry the
-// handler's bytes back without corruption.
-func TestRingEcho(t *testing.T) {
-	_, r := newTestRing(t, RingOptions{})
-	for i := 0; i < 100; i++ {
-		payload := []byte(fmt.Sprintf("payload-%d", i))
-		got, err := r.CallSync("echo", payload)
-		if err != nil {
-			t.Fatalf("call %d: %v", i, err)
-		}
-		if string(got) != string(payload) {
-			t.Fatalf("call %d: got %q want %q", i, got, payload)
-		}
-	}
-}
-
-// TestRingWireParityErrors pins that the ring surfaces the same error
-// vocabulary as the framed transport: handler errors arrive as
-// ServerError whose text parses into the typed helpers, and unknown
-// methods return ErrMethodNotFound's wire form.
-func TestRingWireParityErrors(t *testing.T) {
-	srv, r := newTestRing(t, RingOptions{})
-	srv.Register("shed", func(p []byte) ([]byte, error) {
-		return nil, ShedError(25 * time.Millisecond)
-	})
-	srv.Register("boom", func(p []byte) ([]byte, error) {
-		return nil, errors.New("kaboom")
-	})
-
-	if _, err := r.CallSync("shed", nil); !IsShed(err) {
-		t.Fatalf("shed over ring not recognised by IsShed: %v", err)
-	} else if after, ok := ShedRetryAfter(err); !ok || after != 25*time.Millisecond {
-		t.Fatalf("retry-after hint lost over ring: %v %v", after, ok)
-	}
-
-	var se ServerError
-	if _, err := r.CallSync("boom", nil); !errors.As(err, &se) || string(se) != "kaboom" {
-		t.Fatalf("handler error not a ServerError over ring: %v", err)
-	}
-
-	if _, err := r.CallSync("nosuch", nil); !errors.As(err, &se) || string(se) != ErrMethodNotFound.Error() {
-		t.Fatalf("unknown method over ring: %v", err)
-	}
-}
-
 // TestRingDeadlineDropsExpired pins deadline parity: a call whose ctx
 // deadline has already passed is dropped unexecuted, answered with the
 // typed deadline error, and counted in the server's DroppedExpired.
@@ -94,29 +49,6 @@ func TestRingDeadlineDropsExpired(t *testing.T) {
 	}
 	if srv.DroppedExpired() == 0 && !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatal("server-side drop not counted in DroppedExpired")
-	}
-}
-
-// TestRingInterceptorAndObserver pins that the server interceptor and
-// the client-side observer both bracket ring calls, same contract as
-// the framed path.
-func TestRingInterceptorAndObserver(t *testing.T) {
-	var intercepted, observed, completed atomic.Int64
-	srv, r := newTestRing(t, RingOptions{})
-	srv.SetInterceptor(func(ctx context.Context, method string, payload []byte, next HandlerCtx) ([]byte, error) {
-		intercepted.Add(1)
-		return next(ctx, payload)
-	})
-	r.SetObserver(func(method string, payload []byte) func(error) {
-		observed.Add(1)
-		return func(error) { completed.Add(1) }
-	})
-	if _, err := r.CallSync("echo", []byte("x")); err != nil {
-		t.Fatal(err)
-	}
-	if intercepted.Load() != 1 || observed.Load() != 1 || completed.Load() != 1 {
-		t.Fatalf("interceptor/observer hooks = %d/%d/%d, want 1/1/1",
-			intercepted.Load(), observed.Load(), completed.Load())
 	}
 }
 

@@ -30,9 +30,9 @@
 // frames give clients a connection-health heartbeat. Both are serviced
 // out-of-band of the worker pool, directly from the read loop, so
 // heartbeats never queue behind slow handlers. On top of the
-// single-connection Client, ReliableClient (reliable.go) layers
-// deadlines, retries with backoff (retry.go), automatic reconnect, and
-// circuit breaking (breaker.go).
+// transports (transport.go), FailoverClient (failover.go) layers
+// deadlines, retries with backoff, automatic rebuild, leader-following
+// and circuit breaking (breaker.go).
 package rpc
 
 import (
@@ -112,12 +112,13 @@ type Handler func(payload []byte) ([]byte, error)
 // propagation).
 type HandlerCtx func(ctx context.Context, payload []byte) ([]byte, error)
 
-// CallObserver is the client-side interceptor hook: it is invoked once
-// per outbound request with the method and payload and returns a
-// completion callback invoked with the call's final error (nil on
-// success), or nil to skip observing this call. The pair brackets the
-// full RPC hop — caller-pool wait, write, server turnaround, reply — so
-// observability layers can time hops without touching the wire format.
+// CallObserver is the client-side interceptor hook: FailoverClient
+// invokes it once per attempt with the method and payload, and it
+// returns a completion callback invoked with the attempt's error (nil
+// on success), or nil to skip observing this attempt. The pair brackets
+// the full RPC hop on whatever transport carries it — caller-pool wait,
+// write, server turnaround, reply — so observability layers can time
+// hops without touching the wire format. Pings are never observed.
 type CallObserver func(method string, payload []byte) func(err error)
 
 // ServerInterceptor wraps every dispatched handler: it receives the
@@ -429,7 +430,6 @@ type Call struct {
 	replyTo uint64
 	fin     atomic.Bool   // completion claimed; winner sets Err/Reply
 	sem     chan struct{} // caller-pool slot to return; nil if none held
-	obsDone func(error)   // observer completion hook; nil when unobserved
 }
 
 // donePool recycles the internal completion channels of the blocking
@@ -472,30 +472,15 @@ type Client struct {
 	w      *connWriter
 	nextID atomic.Uint64
 
-	// nextStream allocates logical stream ids for Stream; stream 0 is
-	// the Client's own default stream.
+	// nextStream allocates logical stream ids for Stream; s0 is stream
+	// 0, the Client's own default stream and caller pool.
 	nextStream atomic.Uint32
+	s0         Stream
 
 	mu      sync.Mutex
 	pending map[uint64]*Call
 	closed  bool
 	readErr error
-
-	sem chan struct{}
-
-	// obs holds the call observer; atomic so the hot path loads it
-	// without taking c.mu.
-	obs atomic.Pointer[CallObserver]
-}
-
-// SetObserver installs a client-side call observer (nil removes it).
-// It applies to calls started after the call returns.
-func (c *Client) SetObserver(obs CallObserver) {
-	if obs == nil {
-		c.obs.Store(nil)
-		return
-	}
-	c.obs.Store(&obs)
 }
 
 // NewClient wraps an established connection with a caller pool of the
@@ -508,8 +493,8 @@ func NewClient(conn net.Conn, callers int) *Client {
 		conn:    conn,
 		w:       newConnWriter(conn),
 		pending: make(map[uint64]*Call),
-		sem:     make(chan struct{}, callers),
 	}
+	c.s0 = Stream{c: c, sem: make(chan struct{}, callers)}
 	// A failed batch write carries the root cause of the teardown:
 	// queued-but-unflushed frames must fail their pending calls with
 	// that error, not strand them until a read-side deadline.
@@ -587,12 +572,6 @@ func (c *Client) failAll(err error) {
 // deliver returns the caller-pool slot and hands the call to Done. Only
 // reached through once.Do.
 func (call *Call) deliver() {
-	if call.obsDone != nil {
-		// Observed before the caller unblocks, so a span recorded here is
-		// visible as soon as the blocking call returns.
-		call.obsDone(call.Err)
-		call.obsDone = nil
-	}
 	if call.sem != nil {
 		<-call.sem
 	}
@@ -635,13 +614,6 @@ func (c *Client) Healthy() bool {
 // stream tags the call id with a logical stream so the server's
 // dispatcher can schedule streams fairly.
 func (c *Client) start(ctx context.Context, kind byte, call *Call, payload []byte, sem chan struct{}, stream uint16) *Call {
-	if kind == kindRequest {
-		if obs := c.obs.Load(); obs != nil {
-			// Opened before the caller-pool wait so the observed hop covers
-			// queueing, exactly what a client-perceived RPC latency is.
-			call.obsDone = (*obs)(call.Method, payload)
-		}
-	}
 	if sem != nil {
 		if ctx.Done() == nil {
 			// Background context: plain send, no select machinery.
@@ -717,23 +689,9 @@ func (c *Client) start(ctx context.Context, kind byte, call *Call, payload []byt
 	return call
 }
 
-// Go starts an asynchronous call. done may be nil, in which case a
-// buffered channel is allocated; a caller-supplied done must have
-// capacity >= 1 or Go panics, because completions are delivered with a
-// non-blocking send and an unbuffered channel would silently drop
-// every one of them. The returned Call is delivered on its Done
-// channel when complete. Go blocks while the caller pool is full. The
-// payload must not be mutated until the call completes: under load the
-// write is asynchronous, and payloads of lendMin bytes or more are
-// lent to the connection writer (gathered into the socket by writev
-// with no intermediate copy) rather than copied into a frame buffer.
+// Go starts an asynchronous call on stream 0 (see Stream.Go).
 func (c *Client) Go(method string, payload []byte, done chan *Call) *Call {
-	if done == nil {
-		done = make(chan *Call, 1)
-	} else if cap(done) == 0 {
-		panic("rpc: done channel is unbuffered")
-	}
-	return c.start(context.Background(), kindRequest, &Call{Method: method, Done: done}, payload, c.sem, 0)
+	return c.s0.Go(method, payload, done)
 }
 
 // abort removes a call whose context fired before the reply and tells
@@ -757,34 +715,15 @@ func (c *Client) abort(call *Call, err error) {
 	call.fail(err)
 }
 
-// Call performs a blocking call bounded by ctx: if the context fires
-// first the call returns ctx.Err(), the caller-pool slot is released,
-// and a cancel frame asks the server to stop the handler.
+// Call performs a blocking call on stream 0 bounded by ctx (see
+// Stream.Call).
 func (c *Client) Call(ctx context.Context, method string, payload []byte) ([]byte, error) {
-	done := getDone()
-	call := c.start(ctx, kindRequest, getCall(method, done), payload, c.sem, 0)
-	select {
-	case <-done:
-	case <-ctx.Done():
-		c.abort(call, ctx.Err())
-		// If the reply raced the cancellation and won, this returns it.
-		<-done
-	}
-	reply, err := call.Reply, call.Err
-	putDone(done)
-	putCall(call)
-	return reply, err
+	return c.s0.Call(ctx, method, payload)
 }
 
-// CallSync performs a blocking call with no deadline.
+// CallSync performs a blocking call on stream 0 with no deadline.
 func (c *Client) CallSync(method string, payload []byte) ([]byte, error) {
-	done := getDone()
-	call := c.start(context.Background(), kindRequest, getCall(method, done), payload, c.sem, 0)
-	<-done
-	reply, err := call.Reply, call.Err
-	putDone(done)
-	putCall(call)
-	return reply, err
+	return c.s0.CallSync(method, payload)
 }
 
 // Ping round-trips a heartbeat frame, bypassing the caller pool.

@@ -320,7 +320,7 @@ func TestFailAllPreservesRootCause(t *testing.T) {
 }
 
 func TestFailAllWrapsReadError(t *testing.T) {
-	c := &Client{conn: nil, pending: map[uint64]*Call{}, sem: make(chan struct{}, 1)}
+	c := &Client{conn: nil, pending: map[uint64]*Call{}}
 	call := &Call{Done: make(chan *Call, 1)}
 	c.pending[1] = call
 	rootCause := errors.New("torn frame: invalid frame length 7")

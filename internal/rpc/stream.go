@@ -22,13 +22,10 @@ const maxStreams = 1 << 16
 // fleet of streams still costs one socket, one flusher and one
 // reader. A Stream is safe for concurrent use by multiple goroutines.
 type Stream struct {
-	c   *Client
-	id  uint16
-	sem chan struct{}
-
-	// obs is the stream's own call observer (falls back to the
-	// connection's observer when unset).
-	obs atomic.Pointer[CallObserver]
+	c      *Client
+	id     uint16
+	sem    chan struct{}
+	closed atomic.Bool
 }
 
 // Stream carves a new logical stream out of the connection with its
@@ -53,26 +50,18 @@ func (s *Stream) ID() uint16 { return s.id }
 // over.
 func (s *Stream) Conn() *Client { return s.c }
 
-// SetObserver installs a per-stream call observer (nil removes it).
-func (s *Stream) SetObserver(obs CallObserver) {
-	if obs == nil {
-		s.obs.Store(nil)
-		return
-	}
-	s.obs.Store(&obs)
-}
-
-// startStream mirrors Client.start with the stream's id and pool, and
-// the stream-level observer if one is installed.
+// start sends one request on the stream's id, drawing from its pool.
 func (s *Stream) start(ctx context.Context, call *Call, payload []byte) *Call {
-	if obs := s.obs.Load(); obs != nil {
-		call.obsDone = (*obs)(call.Method, payload)
+	if s.closed.Load() {
+		call.fail(ErrClosed)
+		return call
 	}
 	return s.c.start(ctx, kindRequest, call, payload, s.sem, s.id)
 }
 
-// Call performs a blocking call on this stream bounded by ctx,
-// identical to Client.Call but drawing from the stream's caller pool.
+// Call performs a blocking call on this stream bounded by ctx: if the
+// context fires first the call returns ctx.Err(), the caller-pool slot
+// is released, and a cancel frame asks the server to stop the handler.
 func (s *Stream) Call(ctx context.Context, method string, payload []byte) ([]byte, error) {
 	done := getDone()
 	call := s.start(ctx, getCall(method, done), payload)
@@ -80,6 +69,7 @@ func (s *Stream) Call(ctx context.Context, method string, payload []byte) ([]byt
 	case <-done:
 	case <-ctx.Done():
 		s.c.abort(call, ctx.Err())
+		// If the reply raced the cancellation and won, this returns it.
 		<-done
 	}
 	reply, err := call.Reply, call.Err
@@ -99,8 +89,16 @@ func (s *Stream) CallSync(method string, payload []byte) ([]byte, error) {
 	return reply, err
 }
 
-// Go starts an asynchronous call on this stream (see Client.Go for
-// the done-channel and payload-lending contracts).
+// Go starts an asynchronous call on this stream. done may be nil, in
+// which case a buffered channel is allocated; a caller-supplied done
+// must have capacity >= 1 or Go panics, because completions are
+// delivered with a non-blocking send and an unbuffered channel would
+// silently drop every one of them. The returned Call is delivered on
+// its Done channel when complete. Go blocks while the caller pool is
+// full. The payload must not be mutated until the call completes: under
+// load the write is asynchronous, and payloads of lendMin bytes or more
+// are lent to the connection writer (gathered into the socket by writev
+// with no intermediate copy) rather than copied into a frame buffer.
 func (s *Stream) Go(method string, payload []byte, done chan *Call) *Call {
 	if done == nil {
 		done = make(chan *Call, 1)
@@ -112,11 +110,22 @@ func (s *Stream) Go(method string, payload []byte, done chan *Call) *Call {
 
 // Ping round-trips the shared connection's heartbeat (streams share
 // connection health).
-func (s *Stream) Ping(ctx context.Context) error { return s.c.Ping(ctx) }
+func (s *Stream) Ping(ctx context.Context) error {
+	if s.closed.Load() {
+		return ErrClosed
+	}
+	return s.c.Ping(ctx)
+}
 
-// Healthy reports whether the shared connection is alive.
-func (s *Stream) Healthy() bool { return s.c.Healthy() }
+// Healthy reports whether the stream is open and the shared connection
+// alive.
+func (s *Stream) Healthy() bool { return !s.closed.Load() && s.c.Healthy() }
 
-// Close releases the stream. The shared connection stays open — close
-// the Client to tear the transport down; stream ids are not reused.
-func (s *Stream) Close() error { return nil }
+// Close releases the stream: later calls on it return ErrClosed and it
+// reports unhealthy. The shared connection and sibling streams stay
+// up — close the Client to tear the transport down; calls already in
+// flight complete, and stream ids are not reused.
+func (s *Stream) Close() error {
+	s.closed.Store(true)
+	return nil
+}

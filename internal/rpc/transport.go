@@ -15,9 +15,9 @@ import "context"
 //     stand-in);
 //   - *Client: a whole framed connection (stream 0).
 //
-// Hardened layers (ReliableClient, FailoverClient) wrap a Transport's
-// failure modes rather than implementing it: they add retries,
-// reconnects and routing on top.
+// The hardened caller (FailoverClient) wraps a Transport's failure
+// modes rather than implementing it: it adds retries, rebuilds and
+// routing on top.
 type Transport interface {
 	// Call performs a blocking call bounded by ctx.
 	Call(ctx context.Context, method string, payload []byte) ([]byte, error)
@@ -27,8 +27,9 @@ type Transport interface {
 	Ping(ctx context.Context) error
 	// Healthy reports whether the transport can still carry calls.
 	Healthy() bool
-	// Close tears the transport down (for a Stream: releases only the
-	// stream, the shared connection stays up).
+	// Close tears the transport down: later calls return ErrClosed and
+	// Healthy reports false (for a Stream: only the stream, the shared
+	// connection and its sibling streams stay up).
 	Close() error
 }
 

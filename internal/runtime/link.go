@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 
 	"hivemind/internal/rpc"
 )
@@ -68,10 +69,18 @@ type LinkerOptions struct {
 type Linker struct {
 	opts LinkerOptions
 
-	mu      sync.Mutex
-	clients map[string]*rpc.Client // one per remote address
-	rings   []*rpc.Ring
-	closed  bool
+	mu     sync.Mutex
+	conns  map[string]*sharedConn // one per remote address
+	rings  []*rpc.Ring
+	closed bool
+}
+
+// sharedConn is one remote address's redial state. dial serialises
+// (re)dials of this address only, so a hung dial parks the callers
+// connecting to it while every other peer — and Close — proceeds.
+type sharedConn struct {
+	dial   sync.Mutex
+	client atomic.Pointer[rpc.Client]
 }
 
 // NewLinker builds a link selector.
@@ -82,7 +91,7 @@ func NewLinker(opts LinkerOptions) *Linker {
 	if opts.Dial == nil {
 		opts.Dial = func(addr string) (net.Conn, error) { return net.Dial("tcp", addr) }
 	}
-	return &Linker{opts: opts, clients: make(map[string]*rpc.Client)}
+	return &Linker{opts: opts, conns: make(map[string]*sharedConn)}
 }
 
 // Connect selects and builds the transport for a peer. Co-located
@@ -119,33 +128,65 @@ func (l *Linker) local(g *Gateway) (*Link, error) {
 
 func (l *Linker) remote(addr string) (*Link, error) {
 	l.mu.Lock()
-	defer l.mu.Unlock()
 	if l.closed {
+		l.mu.Unlock()
 		return nil, rpc.ErrClosed
 	}
-	c, ok := l.clients[addr]
-	if !ok || !c.Healthy() {
+	sc := l.conns[addr]
+	if sc == nil {
+		sc = &sharedConn{}
+		l.conns[addr] = sc
+	}
+	l.mu.Unlock()
+
+	sc.dial.Lock()
+	defer sc.dial.Unlock()
+	c := sc.client.Load()
+	if c == nil || !c.Healthy() {
 		// First use, or the shared connection died: (re)dial it. Streams
 		// on the dead conn already failed; new links get a fresh one.
-		if ok {
-			c.Close()
-		}
 		conn, err := l.opts.Dial(addr)
 		if err != nil {
 			return nil, fmt.Errorf("runtime: dialling %s: %w", addr, err)
 		}
+		if c != nil {
+			c.Close()
+		}
 		c = rpc.NewClient(conn, l.opts.Callers)
-		l.clients[addr] = c
+		sc.client.Store(c)
+		l.mu.Lock()
+		closed := l.closed
+		l.mu.Unlock()
+		if closed {
+			// Close ran during the dial and may have missed this conn.
+			c.Close()
+			return nil, rpc.ErrClosed
+		}
 	}
 	return &Link{Transport: c.Stream(l.opts.Callers), Kind: TransportStream}, nil
 }
 
-// Client returns the shared connection for an address, if one exists —
-// health checks and teardown want the connection, not a stream.
-func (l *Linker) Client(addr string) *rpc.Client {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.clients[addr]
+// Failover builds the hardened caller over one Peer per replica (the
+// slice index is the replica id redirects refer to), each endpoint's
+// fast path selected by Connect. Links are built lazily and rebuilt
+// when they turn unhealthy (a ring whose gateway died, a shared conn
+// that dropped), so a redirect that moves the primary from a co-located
+// replica to a remote one also moves the calls from the ring onto a
+// stream — and back. FailoverClient.Endpoint returns the *Link whose
+// Kind says which fast path an endpoint rides.
+func (l *Linker) Failover(peers []Peer, opts rpc.FailoverOptions) *rpc.FailoverClient {
+	endpoints := make([]func() (rpc.Transport, error), len(peers))
+	for i, p := range peers {
+		p := p
+		endpoints[i] = func() (rpc.Transport, error) {
+			lk, err := l.Connect(p)
+			if err != nil {
+				return nil, err // not lk: a nil *Link is a non-nil Transport
+			}
+			return lk, nil
+		}
+	}
+	return rpc.NewFailover(endpoints, opts)
 }
 
 // Close tears down every link: rings fail in-flight ring calls with
@@ -157,12 +198,14 @@ func (l *Linker) Close() error {
 		return nil
 	}
 	l.closed = true
-	clients := make([]*rpc.Client, 0, len(l.clients))
-	for _, c := range l.clients {
-		clients = append(clients, c)
+	clients := make([]*rpc.Client, 0, len(l.conns))
+	for _, sc := range l.conns {
+		if c := sc.client.Load(); c != nil {
+			clients = append(clients, c)
+		}
 	}
 	rings := l.rings
-	l.clients, l.rings = nil, nil
+	l.rings = nil
 	l.mu.Unlock()
 
 	var first error

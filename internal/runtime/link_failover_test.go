@@ -34,12 +34,22 @@ func leaderGateway(t *testing.T, id int, leader *atomic.Int32) *Gateway {
 	return g
 }
 
-// TestLinkedFailoverFlipsTransportOnLeaderChange is the acceptance test
+// leaderKind reads which fast path calls currently ride off the *Link
+// the client holds for its believed leader.
+func leaderKind(fc *rpc.FailoverClient) (TransportKind, bool) {
+	lk, ok := fc.Endpoint(fc.Leader()).(*Link)
+	if !ok {
+		return 0, false
+	}
+	return lk.Kind, true
+}
+
+// TestLinkerFailoverFlipsTransportOnLeaderChange is the acceptance test
 // for FailoverClient fast-path auto-selection: with the leader
 // co-located the calls ride the shm ring; after a leader change to a
 // remote replica the same client follows the redirect onto a mux
 // stream, and the selected transport kinds prove it.
-func TestLinkedFailoverFlipsTransportOnLeaderChange(t *testing.T) {
+func TestLinkerFailoverFlipsTransportOnLeaderChange(t *testing.T) {
 	var leader atomic.Int32 // replica 0 leads first
 	local := leaderGateway(t, 0, &leader)
 	remote := leaderGateway(t, 1, &leader)
@@ -55,7 +65,7 @@ func TestLinkedFailoverFlipsTransportOnLeaderChange(t *testing.T) {
 
 	l := NewLinker(LinkerOptions{Callers: 8})
 	defer l.Close()
-	fc := NewLinkedFailover(l, []Peer{
+	fc := l.Failover([]Peer{
 		{Gateway: local},
 		{Addr: ln.Addr().String()},
 	}, rpc.FailoverOptions{Attempts: 8, RetryBackoff: 5 * time.Millisecond})
@@ -68,7 +78,7 @@ func TestLinkedFailoverFlipsTransportOnLeaderChange(t *testing.T) {
 	if string(out) != "0?" {
 		t.Fatalf("leader 0 answered %q", out)
 	}
-	if k, ok := fc.LeaderKind(); !ok || k != TransportRing {
+	if k, ok := leaderKind(fc); !ok || k != TransportRing {
 		t.Fatalf("co-located leader rides %v (built=%v), want ring", k, ok)
 	}
 
@@ -85,7 +95,7 @@ func TestLinkedFailoverFlipsTransportOnLeaderChange(t *testing.T) {
 	if fc.Leader() != 1 {
 		t.Fatalf("believed leader = %d, want 1", fc.Leader())
 	}
-	if k, ok := fc.LeaderKind(); !ok || k != TransportStream {
+	if k, ok := leaderKind(fc); !ok || k != TransportStream {
 		t.Fatalf("remote leader rides %v (built=%v), want stream", k, ok)
 	}
 
@@ -95,7 +105,7 @@ func TestLinkedFailoverFlipsTransportOnLeaderChange(t *testing.T) {
 	if _, err := fc.Call(context.Background(), "who", []byte("?")); err != nil {
 		t.Fatal(err)
 	}
-	if k, ok := fc.LeaderKind(); !ok || k != TransportRing {
+	if k, ok := leaderKind(fc); !ok || k != TransportRing {
 		t.Fatalf("restored co-located leader rides %v (built=%v), want ring", k, ok)
 	}
 }

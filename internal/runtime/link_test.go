@@ -85,9 +85,6 @@ func TestLinkerSelectsStreamForRemotePeerAndSharesConn(t *testing.T) {
 	if sa.ID() == sb.ID() {
 		t.Fatal("links must ride distinct logical streams")
 	}
-	if l.Client("tier-b:9000") != sa.Conn() {
-		t.Fatal("Client() should expose the shared connection")
-	}
 
 	// Both logical links serve calls concurrently over the one socket.
 	var wg sync.WaitGroup
@@ -155,5 +152,69 @@ func TestLinkerCloseFailsLinksAndRefusesNew(t *testing.T) {
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal("double close should be a no-op")
+	}
+}
+
+// Regression: remote() used to dial under the Linker-wide mutex, so one
+// hung dial (a blackholed peer) froze Connect to every other peer —
+// co-located gateways included — and Close. A dial must block only
+// callers connecting to that address.
+func TestLinkerHungDialBlocksOnlyThatAddress(t *testing.T) {
+	g := echoGateway(t)
+	entered, release := make(chan struct{}), make(chan struct{})
+	l := NewLinker(LinkerOptions{
+		Dial: func(addr string) (net.Conn, error) {
+			if addr == "blackhole:1" {
+				close(entered)
+				<-release
+				return nil, errors.New("dial timed out")
+			}
+			cc, sc := rpc.Pair()
+			g.Server().ServeConn(sc)
+			return cc, nil
+		},
+	})
+	stuck := make(chan error, 1)
+	go func() {
+		_, err := l.Connect(Peer{Addr: "blackhole:1"})
+		stuck <- err
+	}()
+	<-entered
+
+	within := func(what string, fn func()) {
+		t.Helper()
+		done := make(chan struct{})
+		go func() { fn(); close(done) }()
+		select {
+		case <-done:
+		case <-time.After(2 * time.Second):
+			t.Fatalf("%s blocked behind another address's hung dial", what)
+		}
+	}
+	within("Connect to a co-located gateway", func() {
+		if _, err := l.Connect(Peer{Gateway: g}); err != nil {
+			t.Error(err)
+		}
+	})
+	within("Connect to another address", func() {
+		link, err := l.Connect(Peer{Addr: "tier-b:9000"})
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if out, err := link.CallSync("recognize", []byte("ok")); err != nil || string(out) != "OK" {
+			t.Errorf("call on the healthy link: %q, %v", out, err)
+		}
+	})
+	within("Close", func() { l.Close() })
+
+	close(release)
+	select {
+	case err := <-stuck:
+		if err == nil {
+			t.Fatal("connect through the hung dial succeeded")
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("released Connect never returned")
 	}
 }

@@ -183,8 +183,7 @@ func (tt *taskTrace) span(name, category, track string) *trace.LiveSpan {
 // TraceCallObserver returns an rpc.CallObserver that times every
 // outbound request as a span on the "rpc" lane, linked to the trace id
 // found in the payload's task envelope (if any). Install it via
-// Client.SetObserver or the Observer fields of ReliableOptions /
-// FailoverOptions.
+// rpc.FailoverOptions.Observer.
 func TraceCallObserver(l *trace.Live) rpc.CallObserver {
 	return func(method string, payload []byte) func(error) {
 		env, _, _ := DecodeTaskEnvelope(payload)
