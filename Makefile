@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race race-eval race-ring race-sim chaos crash-smoke live-smoke overload-smoke ingress-smoke bench-smoke bench-eval bench-gateway bench-store bench-sim bench-all sweep sweep-parity shard-parity examples fmt vet clean
+.PHONY: all build test race race-eval race-ring race-sim chaos crash-smoke live-smoke overload-smoke ingress-smoke bench-smoke sweep sweep-parity shard-parity examples fmt vet clean
 
 all: build vet test
 
@@ -70,27 +70,14 @@ live-smoke:
 overload-smoke:
 	$(GO) run ./cmd/hivemind-loadgen -smoke -duration 30s -load 1.5
 
-# Ingress smoke run: a 3-member queue group behind the async HTTP job
-# API, driven open-loop at 1.8x its measured capacity. The gate asserts
-# the group shed load (503 + Retry-After made it through the HTTP
-# mapping) while admitted-request p99 held the SLO.
+# Ingress smoke run: the same gate through the async HTTP job API —
+# one ingress node in front of its gateway, driven open-loop at 1.8x
+# its measured capacity. The gate asserts the node shed load (503 +
+# Retry-After made it through the HTTP mapping) while admitted-request
+# p99 held the SLO.
 ingress-smoke:
-	$(GO) run ./cmd/hivemind-loadgen -http -gateways 3 -smoke \
+	$(GO) run ./cmd/hivemind-loadgen -http -smoke \
 		-duration 20s -load 1.8 -exec 20ms -workers 4 -slo 400ms
-
-# Gateway overload benchmark: the same fleet driven at 2x capacity with
-# admission control off, then on, recorded to BENCH_gateway.json. The
-# committed baseline shows the uncontrolled collapse (goodput craters,
-# p99 pegs at the deadline) against the controlled profile (goodput
-# holds at capacity, p99 stays low, excess is shed). The HTTP-path
-# suite (1 gateway, 3-gateway queue group, 3-gateway duplicate-heavy)
-# is gated against the committed "gateway-http" medians at 10% before
-# the file is rewritten.
-bench-gateway:
-	$(GO) run ./cmd/hivemind-loadgen -compare -duration 10s -load 2 -json BENCH_gateway.json
-	$(GO) run ./cmd/hivemind-loadgen -http -suite -duration 10s -load 1.5 -exec 10ms -workers 8 \
-		-gate BENCH_gateway.json -gate-label gateway-http -tolerance 0.10 \
-		-json BENCH_gateway.json -label gateway-http
 
 # The benchmark ledger (BENCHMARK.json, benchmark/) is a Go module of
 # its own that `go build ./...` and `go test ./...` never compile, so a
@@ -102,62 +89,6 @@ bench-gateway:
 bench-smoke:
 	(cd benchmark && $(GO) vet ./... && $(GO) test ./...)
 	bash benchmark/run.sh --smoke
-
-# Label under which the bench-* targets below record a run.
-BENCH_LABEL ?= post
-
-# Evaluation-pipeline benchmarks: quick-sweep wall clock plus the
-# synthesis-explorer and DES hot-loop micro-benchmarks, recorded as
-# JSON under BENCH_LABEL (default "post"). Existing labels in
-# BENCH_eval.json are preserved, so the committed "pre" baseline
-# survives re-runs.
-bench-eval:
-	$(GO) test -run '^$$' -bench '^BenchmarkQuickSweep$$' -benchtime 1x -count=1 \
-		./internal/experiments/ > bench_eval.out
-	$(GO) test -run '^$$' -bench '^(BenchmarkExplore|BenchmarkExploreWide|BenchmarkEnumerate)$$' \
-		-benchmem -count=1 ./internal/synth/ >> bench_eval.out
-	$(GO) test -run '^$$' -bench '^BenchmarkRunUntil$$' -benchmem -count=1 \
-		./internal/sim/ >> bench_eval.out
-	$(GO) run ./cmd/hivemind-benchjson -in bench_eval.out -out BENCH_eval.json -label $(BENCH_LABEL)
-	rm -f bench_eval.out
-
-# Store durability benchmarks: WAL append overhead on the write path
-# (fsync off and group-commit) and recovery time at 10k-update history
-# before vs after compaction, recorded under BENCH_LABEL. Existing
-# labels in BENCH_store.json are preserved, so the committed baseline
-# survives re-runs.
-bench-store:
-	$(GO) test -run '^$$' -bench '^(BenchmarkDurablePut|BenchmarkWALAppend|BenchmarkRecover)' \
-		-benchmem -count=1 ./internal/store/ > bench_store.out
-	$(GO) run ./cmd/hivemind-benchjson -in bench_store.out -out BENCH_store.json -label $(BENCH_LABEL)
-	rm -f bench_store.out
-
-# Sharded-simulation benchmarks: the 10⁴-device mega-swarm mission at
-# 1/2/8 executive workers (the shards=8 vs shards=1 ratio is the
-# headline speedup; on a single-core host the ratio is ~1 and the
-# committed numbers say so) plus the neighbor-index build vs the naive
-# all-pairs scan it replaced. Gated against the committed "post"
-# medians at 10% before BENCH_sim.json is rewritten; CI sets
-# BENCH_GATE=0 because shared runners are too noisy to gate on wall
-# clock.
-BENCH_GATE ?= 1
-bench-sim:
-	$(GO) test -run '^$$' -bench '^BenchmarkMegaSwarm10k$$' -benchtime 1x -count=5 \
-		./internal/scenario/ > bench_sim.out
-	$(GO) test -run '^$$' -bench '^BenchmarkNeighborBuild$$' -benchmem -count=5 \
-		./internal/netsim/ >> bench_sim.out
-	@if [ "$(BENCH_GATE)" = "1" ]; then \
-		$(GO) run ./cmd/hivemind-benchjson -in bench_sim.out \
-			-gate BENCH_sim.json -gate-label post -tolerance 0.10 \
-			'BenchmarkMegaSwarm10k/shards=1' 'BenchmarkMegaSwarm10k/shards=8' \
-			'BenchmarkNeighborBuild/indexed' || { rm -f bench_sim.out; exit 1; }; \
-	fi
-	$(GO) run ./cmd/hivemind-benchjson -in bench_sim.out -out BENCH_sim.json -label $(BENCH_LABEL) -median
-	rm -f bench_sim.out
-
-# Every benchmark in the repo, human-readable.
-bench-all:
-	$(GO) test -bench=. -benchmem ./...
 
 # Full paper-scale evaluation (writes the EXPERIMENTS.md data).
 sweep:
@@ -199,5 +130,8 @@ fmt:
 vet:
 	$(GO) vet ./...
 
+# Removes what the targets above leave behind (all of it git-ignored).
 clean:
 	$(GO) clean ./...
+	rm -rf .bench_build benchmark/out live.json full_report.txt report_*.txt \
+		hivemind-bench.parity bench_*.out

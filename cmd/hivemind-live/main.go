@@ -293,7 +293,6 @@ func startFleet(n int, seed int64, live *trace.Live, reg *metrics.Registry,
 		g := runtime.NewGatewayConfig(rt, gcfg)
 		g.SetMonitor(reg)
 		g.ExposeChain("pipeline", chain)
-		g.ExposeBatch()
 		g.Server().SetInterceptor(runtime.TraceServerInterceptor(live, "rpc"))
 		gwPtr.Store(g)
 

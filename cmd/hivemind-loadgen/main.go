@@ -7,43 +7,40 @@
 // latency from its *scheduled* arrival, so queueing delay the target
 // imposes is charged to the target, not hidden by the driver.
 //
-// By default it boots an in-process single-node gateway stack on
-// loopback TCP, calibrates its closed-loop saturation capacity, then
-// drives an open-loop run at -load times that capacity.
+// It boots an in-process single-node stack on loopback, calibrates its
+// closed-loop saturation capacity, then drives an open-loop run at
+// -load times that capacity. By default requests are raw RPCs over TCP
+// to one gateway. With -http they are POST /do/work?then=true on the
+// async job API of one ingress node, which dispatches to its
+// co-located gateway over the Linker's shm ring.
 //
 // Usage:
 //
-//	hivemind-loadgen -load 1.5 -duration 10s            # overload by 50%
-//	hivemind-loadgen -compare -json BENCH_gateway.json  # pre/post admission control
-//	hivemind-loadgen -smoke -duration 30s               # CI gate: sheds and holds p99
-//	hivemind-loadgen -burst 500                         # flash crowd mid-run
+//	hivemind-loadgen -load 1.5 -duration 10s        # overload by 50%
+//	hivemind-loadgen -smoke -duration 30s           # gate: sheds and holds p99
+//	hivemind-loadgen -burst 500                     # flash crowd mid-run
+//	hivemind-loadgen -http -smoke -duration 20s     # the same gate through HTTP ingress
 //
-// With -http the target is the async job API instead of raw RPC: a
-// queue group of -gateways ingress+gateway nodes on loopback, driven
-// through POST /do/work?then=true. -suite runs the three BENCH rows
-// (1 gateway, N gateways, N gateways duplicate-heavy) and -gate
-// compares goodput and latency medians against a committed BENCH
-// file at -tolerance:
-//
-//	hivemind-loadgen -http -gateways 3 -smoke -duration 20s
-//	hivemind-loadgen -http -suite -json BENCH_gateway.json -label gateway-http
-//	hivemind-loadgen -http -suite -gate BENCH_gateway.json -gate-label gateway-http
+// This is an overload check, not a benchmark: throughput and latency of
+// the stack are measured by the benchmark ledger (BENCHMARK.json).
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"net"
+	"net/http"
 	"os"
-	goruntime "runtime"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"hivemind/internal/chaos"
-	"hivemind/internal/metrics"
+	"hivemind/internal/ingress"
 	"hivemind/internal/rpc"
 	"hivemind/internal/runtime"
 	"hivemind/internal/stats"
@@ -59,23 +56,12 @@ type options struct {
 	queue     int           // per-lane admission queue length (0: 2×workers)
 	deadline  time.Duration // per-request deadline (propagated on the wire)
 	slo       time.Duration // admitted-request p99 SLO (smoke gate)
-	conns     int           // client connections
+	conns     int           // client connections (raw RPC target)
 	admission bool          // enable the admission controller
 	smoke     bool          // assert sheds>0 and p99<=slo, exit 1 otherwise
-	compare   bool          // run pre- and post-admission, emit both
 	burst     int           // chaos.Burst extra arrivals fired mid-run
 	seed      int64
-	jsonPath  string
-	label     string
-
-	httpMode    bool          // drive the async HTTP job API instead of raw RPC
-	gateways    int           // queue-group size in -http mode
-	dup         float64       // fraction of arrivals drawing from the hot payload pool
-	suite       bool          // run the three BENCH rows (gw=1, gw=N, gw=N dup-heavy)
-	batchWindow time.Duration // ingress small-task batching window (0: off)
-	gatePath    string        // committed BENCH file to gate against
-	gateLabel   string        // label inside the gate file
-	tolerance   float64       // allowed regression on gated medians
+	httpMode  bool // drive the async HTTP job API instead of raw RPC
 }
 
 func main() {
@@ -88,22 +74,12 @@ func main() {
 	flag.IntVar(&o.queue, "queue", 0, "admission queue length per lane (0: 2×workers)")
 	flag.DurationVar(&o.deadline, "deadline", 500*time.Millisecond, "per-request deadline, propagated on the wire")
 	flag.DurationVar(&o.slo, "slo", 250*time.Millisecond, "admitted-request p99 SLO")
-	flag.IntVar(&o.conns, "conns", 4, "client connections")
+	flag.IntVar(&o.conns, "conns", 4, "client connections (raw RPC target)")
 	flag.BoolVar(&o.admission, "admission", true, "enable the admission controller")
 	flag.BoolVar(&o.smoke, "smoke", false, "gate mode: fail unless the run shed load and held the p99 SLO")
-	flag.BoolVar(&o.compare, "compare", false, "run pre- and post-admission back to back")
 	flag.IntVar(&o.burst, "burst", 0, "extra arrivals injected as one mid-run flash crowd (chaos.Burst)")
 	flag.Int64Var(&o.seed, "seed", 1, "chaos seed")
-	flag.StringVar(&o.jsonPath, "json", "", "write results to this file in BENCH json format")
-	flag.StringVar(&o.label, "label", "gateway-overload", "top-level label in the json output")
-	flag.BoolVar(&o.httpMode, "http", false, "drive the async HTTP job API (queue group of -gateways nodes)")
-	flag.IntVar(&o.gateways, "gateways", 3, "queue-group size in -http mode")
-	flag.Float64Var(&o.dup, "dup", 0, "fraction of arrivals drawn from a hot payload pool (coalescing workload)")
-	flag.BoolVar(&o.suite, "suite", false, "with -http: run the gw=1, gw=N, and gw=N duplicate-heavy BENCH rows")
-	flag.DurationVar(&o.batchWindow, "batch-window", 0, "ingress small-task batching window in -http mode (0: off)")
-	flag.StringVar(&o.gatePath, "gate", "", "gate results against this committed BENCH json file")
-	flag.StringVar(&o.gateLabel, "gate-label", "gateway-http", "label inside the -gate file to compare against")
-	flag.Float64Var(&o.tolerance, "tolerance", 0.10, "allowed fractional regression on gated goodput and p50")
+	flag.BoolVar(&o.httpMode, "http", false, "drive the async HTTP job API of one ingress node instead of raw RPC")
 	flag.Parse()
 	if err := run(o); err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -111,105 +87,30 @@ func main() {
 	}
 }
 
-// result is one open-loop run's outcome (the json shape doubles as the
-// BENCH_gateway.json entry).
+// outcome classifies one request.
+type outcome int
+
+const (
+	outOK outcome = iota
+	outShed
+	outTimeout
+	outErr
+)
+
+// result is one open-loop run's outcome. Latencies are of admitted
+// (OK) requests, from scheduled arrival.
 type result struct {
-	Name        string  `json:"name"`
-	Admission   bool    `json:"admission"`
-	CapacityRPS float64 `json:"capacity_rps"` // calibrated closed-loop saturation
-	OfferedRPS  float64 `json:"offered_rps"`
-	GoodputRPS  float64 `json:"goodput_rps"` // OK responses per second
-	Offered     int64   `json:"offered"`
-	OK          int64   `json:"ok"`
-	Shed        int64   `json:"shed"`
-	Timeout     int64   `json:"timeout"`
-	Errors      int64   `json:"errors"`
-	P50Ms       float64 `json:"p50_ms"` // admitted (OK) requests, from scheduled arrival
-	P99Ms       float64 `json:"p99_ms"`
-	DroppedExp  uint64  `json:"server_dropped_expired"` // expired-in-queue drops server-side
-
-	// HTTP-path rows only (-http): queue-group shape and the ingress
-	// counters that show coalescing/forwarding at work.
-	Gateways   int     `json:"gateways,omitempty"`
-	DupFrac    float64 `json:"dup_frac,omitempty"`
-	Posted     uint64  `json:"ingress_posted,omitempty"`
-	Dispatched uint64  `json:"ingress_dispatched,omitempty"`
-	Coalesced  uint64  `json:"ingress_coalesced,omitempty"`
-	Forwarded  uint64  `json:"ingress_forwarded,omitempty"`
-	Spilled    uint64  `json:"ingress_spilled,omitempty"`
-	Batched    uint64  `json:"ingress_batched,omitempty"`
+	offeredRPS, goodputRPS  float64
+	ok, shed, timeout, errs int64
+	p50Ms, p99Ms            float64
 }
 
+// run boots the stack, calibrates it, drives one open-loop run and,
+// with -smoke, gates on the outcome.
 func run(o options) error {
-	var results []result
-	switch {
-	case o.httpMode:
-		rs, err := runHTTP(o)
-		if err != nil {
-			return err
-		}
-		results = rs
-	case o.compare:
-		for _, adm := range []bool{false, true} {
-			oo := o
-			oo.admission = adm
-			r, err := runOnce(oo)
-			if err != nil {
-				return err
-			}
-			results = append(results, r)
-		}
-	default:
-		r, err := runOnce(o)
-		if err != nil {
-			return err
-		}
-		results = append(results, r)
-	}
-
-	// Gate against the committed file BEFORE overwriting it, so a
-	// regression never destroys its own baseline.
-	if o.gatePath != "" {
-		if err := gateAgainst(o, results); err != nil {
-			return err
-		}
-	}
-	if o.jsonPath != "" {
-		if err := writeJSON(o.jsonPath, o.label, results); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", o.jsonPath)
-	}
-	if o.smoke {
-		return smokeGate(o, results)
-	}
-	return nil
-}
-
-// smokeGate is the CI assertion: an overloaded, admission-controlled
-// gateway must shed (the queue is bounded) and what it admits must
-// meet the p99 SLO (the queue is short).
-func smokeGate(o options, results []result) error {
-	r := results[len(results)-1]
-	if !r.Admission {
-		return fmt.Errorf("smoke: run had no admission control")
-	}
-	if r.Shed == 0 {
-		return fmt.Errorf("smoke: overloaded gateway shed nothing (offered %.0f rps over %.0f rps capacity)",
-			r.OfferedRPS, r.CapacityRPS)
-	}
-	if sloMs := o.slo.Seconds() * 1e3; r.P99Ms > sloMs {
-		return fmt.Errorf("smoke: admitted p99 %.1fms exceeds SLO %.0fms", r.P99Ms, sloMs)
-	}
-	fmt.Printf("smoke ok: shed %d, admitted p99 %.1fms within %v SLO\n", r.Shed, r.P99Ms, o.slo)
-	return nil
-}
-
-// runOnce boots a stack, calibrates it, and drives one open-loop run.
-func runOnce(o options) (result, error) {
 	s, err := newStack(o)
 	if err != nil {
-		return result{}, err
+		return err
 	}
 	defer s.close()
 
@@ -219,26 +120,49 @@ func runOnce(o options) (result, error) {
 		rate = o.load * capacity
 	}
 	if rate <= 0 {
-		return result{}, fmt.Errorf("calibration produced no capacity")
+		return fmt.Errorf("calibration produced no capacity")
 	}
-
 	r := s.openLoop(o, rate)
-	r.CapacityRPS = capacity
-	r.Admission = o.admission
-	r.Name = fmt.Sprintf("openloop/admission=%v/load=%.2fx", o.admission, rate/capacity)
-	fmt.Printf("%-45s capacity %7.0f rps | offered %7.0f rps | goodput %7.0f rps | p50 %6.1fms p99 %6.1fms | ok %d shed %d timeout %d err %d | server expired-drops %d\n",
-		r.Name, capacity, r.OfferedRPS, r.GoodputRPS, r.P50Ms, r.P99Ms, r.OK, r.Shed, r.Timeout, r.Errors, r.DroppedExp)
-	return r, nil
+	target := "rpc"
+	if o.httpMode {
+		target = "http"
+	}
+	fmt.Printf("openloop/%s/admission=%v/load=%.2fx capacity %7.0f rps | offered %7.0f rps | goodput %7.0f rps | p50 %6.1fms p99 %6.1fms | ok %d shed %d timeout %d err %d | server expired-drops %d%s\n",
+		target, o.admission, rate/capacity, capacity, r.offeredRPS, r.goodputRPS, r.p50Ms, r.p99Ms,
+		r.ok, r.shed, r.timeout, r.errs, s.gw.Server().DroppedExpired(), s.report())
+	if o.smoke {
+		return smokeGate(o, r, capacity)
+	}
+	return nil
 }
 
-// stack is the in-process target: one runtime+gateway on loopback TCP.
+// smokeGate is the CI assertion: an overloaded, admission-controlled
+// gateway must shed (the queue is bounded) and what it admits must
+// meet the p99 SLO (the queue is short).
+func smokeGate(o options, r result, capacity float64) error {
+	if !o.admission {
+		return fmt.Errorf("smoke: run had no admission control")
+	}
+	if r.shed == 0 {
+		return fmt.Errorf("smoke: overloaded gateway shed nothing (offered %.0f rps over %.0f rps capacity)",
+			r.offeredRPS, capacity)
+	}
+	if sloMs := o.slo.Seconds() * 1e3; r.p99Ms > sloMs {
+		return fmt.Errorf("smoke: admitted p99 %.1fms exceeds SLO %.0fms", r.p99Ms, sloMs)
+	}
+	fmt.Printf("smoke ok: shed %d, admitted p99 %.1fms within %v SLO\n", r.shed, r.p99Ms, o.slo)
+	return nil
+}
+
+// stack is the in-process target: one runtime+gateway, reached over
+// loopback TCP (raw RPC) or through one ingress node (-http).
 type stack struct {
-	rt  *runtime.Runtime
-	gw  *runtime.Gateway
-	reg *metrics.Registry
-	inj *chaos.Injector
-	ln  net.Listener
-	cls []*rpc.Client
+	rt      *runtime.Runtime
+	gw      *runtime.Gateway
+	inj     *chaos.Injector
+	call    func(ctx context.Context) outcome // one request against the target
+	report  func() string                     // target counters for the summary line
+	closers []func()
 }
 
 func newStack(o options) (*stack, error) {
@@ -246,9 +170,9 @@ func newStack(o options) (*stack, error) {
 	rcfg.Retries = 0
 	// The runtime semaphore IS the backend's finite capacity (workers ×
 	// 1/exec rps). Without admission control the gateway lets arrivals
-	// pile up on this semaphore unboundedly — the collapse the -compare
-	// baseline exists to show. With admission on, MaxConcurrent equals
-	// the semaphore, so admitted work never queues behind it.
+	// pile up on this semaphore unboundedly. With admission on,
+	// MaxConcurrent equals the semaphore, so admitted work never queues
+	// behind it.
 	rcfg.MaxInFlight = o.workers
 	rt := runtime.New(rcfg, store.NewDB())
 	exec := o.exec
@@ -270,47 +194,144 @@ func newStack(o options) (*stack, error) {
 		}
 	}
 	g := runtime.NewGatewayConfig(rt, gcfg)
-	reg := metrics.NewRegistry()
-	g.SetMonitor(reg)
 	g.Expose("work", "work")
 
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		rt.Close()
+	s := &stack{
+		rt:     rt,
+		gw:     g,
+		inj:    chaos.NewInjector(o.seed, chaos.Config{}),
+		report: func() string { return "" },
+	}
+	connect := s.connectRPC
+	if o.httpMode {
+		connect = s.connectHTTP
+	}
+	if err := connect(o); err != nil {
+		s.close()
 		return nil, err
 	}
-	go g.Server().Serve(ln)
+	return s, nil
+}
+
+// connectRPC serves the gateway on loopback TCP and spreads calls over
+// -conns client connections.
+func (s *stack) connectRPC(o options) error {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		return err
+	}
+	s.closers = append(s.closers, func() { ln.Close() })
+	go s.gw.Server().Serve(ln)
 
 	// Size the caller pools so the client never blocks an arrival: the
 	// deadline bounds in-flight requests to ~rate×deadline, and the shed
 	// fast path keeps the true number far lower.
-	callers := 2048
+	const callers = 2048
 	cls := make([]*rpc.Client, o.conns)
 	for i := range cls {
 		conn, err := net.Dial("tcp", ln.Addr().String())
 		if err != nil {
-			ln.Close()
-			rt.Close()
-			return nil, err
+			return err
 		}
 		cls[i] = rpc.NewClient(conn, callers)
+		s.closers = append(s.closers, func() { cls[i].Close() })
 	}
-	return &stack{
-		rt:  rt,
-		gw:  g,
-		reg: reg,
-		inj: chaos.NewInjector(o.seed, chaos.Config{}),
-		ln:  ln,
-		cls: cls,
-	}, nil
+	var next atomic.Uint64
+	s.call = func(ctx context.Context) outcome {
+		_, err := cls[next.Add(1)%uint64(len(cls))].Call(ctx, "work", []byte("x"))
+		switch {
+		case err == nil:
+			return outOK
+		case rpc.IsShed(err):
+			return outShed
+		case rpc.IsDeadlineExceeded(err) || ctx.Err() != nil:
+			return outTimeout
+		}
+		return outErr
+	}
+	return nil
+}
+
+// connectHTTP fronts the gateway with one ingress node on loopback
+// HTTP and posts unique payloads, so nothing coalesces and every POST
+// is one dispatch.
+func (s *stack) connectHTTP(o options) error {
+	// The ring's consumer pool bounds concurrent handlers on the
+	// co-located fast path. It must be much larger than the admission
+	// lane (MaxConcurrent + QueueLen), or excess arrivals queue
+	// invisibly in ring slots instead of reaching admission's bounded
+	// queue and shedding with Retry-After.
+	l := runtime.NewLinker(runtime.LinkerOptions{
+		Callers: 2048,
+		Ring:    rpc.RingOptions{Slots: 4096, Consumers: 512},
+	})
+	s.closers = append(s.closers, func() { l.Close() })
+	link, err := l.Connect(runtime.Peer{Gateway: s.gw})
+	if err != nil {
+		return err
+	}
+	ing, err := ingress.NewServer(ingress.Options{
+		Dispatcher: link,
+		Timeout:    o.deadline + time.Second,
+	})
+	if err != nil {
+		return err
+	}
+	s.closers = append(s.closers, ing.Close)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		return err
+	}
+	srv := &http.Server{Handler: ing}
+	s.closers = append(s.closers, func() { srv.Close() })
+	go srv.Serve(ln)
+
+	client := &http.Client{Transport: &http.Transport{
+		MaxIdleConns:        4096,
+		MaxIdleConnsPerHost: 2048,
+		MaxConnsPerHost:     4096,
+		IdleConnTimeout:     time.Minute,
+	}}
+	s.closers = append(s.closers, client.CloseIdleConnections)
+	url := "http://" + ln.Addr().String() + "/do/work?then=true"
+	var next atomic.Uint64
+	s.call = func(ctx context.Context) outcome {
+		payload := "u-" + strconv.FormatUint(next.Add(1), 10)
+		req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, strings.NewReader(payload))
+		if err != nil {
+			return outErr
+		}
+		resp, err := client.Do(req)
+		if err != nil {
+			if ctx.Err() != nil {
+				return outTimeout
+			}
+			return outErr
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		switch resp.StatusCode {
+		case http.StatusOK:
+			return outOK
+		case http.StatusServiceUnavailable:
+			return outShed
+		case http.StatusGatewayTimeout:
+			return outTimeout
+		}
+		return outErr
+	}
+	s.report = func() string {
+		st := ing.Stats()
+		return fmt.Sprintf(" | ingress posted %d dispatched %d coalesced %d", st.Posted, st.Dispatched, st.Coalesced)
+	}
+	return nil
 }
 
 func (s *stack) close() {
-	for _, c := range s.cls {
-		c.Close()
+	for i := len(s.closers) - 1; i >= 0; i-- {
+		s.closers[i]()
 	}
 	s.gw.Close()
-	s.ln.Close()
 	s.rt.Close()
 }
 
@@ -326,16 +347,14 @@ func (s *stack) calibrate(o options) float64 {
 	start := time.Now()
 	for w := 0; w < o.workers; w++ {
 		wg.Add(1)
-		cl := s.cls[w%len(s.cls)]
 		go func() {
 			defer wg.Done()
 			for ctx.Err() == nil {
 				rctx, rcancel := context.WithTimeout(context.Background(), 5*time.Second)
-				_, err := cl.Call(rctx, "work", []byte("x"))
-				rcancel()
-				if err == nil {
+				if s.call(rctx) == outOK {
 					done.Add(1)
 				}
+				rcancel()
 			}
 		}()
 	}
@@ -356,28 +375,25 @@ func (s *stack) openLoop(o options, rate float64) result {
 		latMu                            sync.Mutex
 		lat                              = &stats.Sample{}
 		wg                               sync.WaitGroup
-		next                             uint64
 	)
 	fire := func(at time.Time) {
-		i := int(atomic.AddUint64(&next, 1))
-		cl := s.cls[i%len(s.cls)]
 		offered.Add(1)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			ctx, cancel := context.WithDeadline(context.Background(), at.Add(o.deadline))
 			defer cancel()
-			_, err := cl.Call(ctx, "work", []byte("x"))
+			out := s.call(ctx)
 			elapsed := time.Since(at) // from scheduled arrival: no omission
-			switch {
-			case err == nil:
+			switch out {
+			case outOK:
 				ok.Add(1)
 				latMu.Lock()
 				lat.Add(elapsed.Seconds())
 				latMu.Unlock()
-			case rpc.IsShed(err):
+			case outShed:
 				shed.Add(1)
-			case rpc.IsDeadlineExceeded(err):
+			case outTimeout:
 				timeout.Add(1)
 			default:
 				errs.Add(1)
@@ -406,98 +422,15 @@ func (s *stack) openLoop(o options, rate float64) result {
 	elapsed := time.Since(start).Seconds()
 
 	latMu.Lock()
-	p50 := lat.Percentile(50) * 1e3
-	p99 := lat.Percentile(99) * 1e3
-	latMu.Unlock()
+	defer latMu.Unlock()
 	return result{
-		OfferedRPS: float64(offered.Load()) / elapsed,
-		GoodputRPS: float64(ok.Load()) / elapsed,
-		Offered:    offered.Load(),
-		OK:         ok.Load(),
-		Shed:       shed.Load(),
-		Timeout:    timeout.Load(),
-		Errors:     errs.Load(),
-		P50Ms:      p50,
-		P99Ms:      p99,
-		DroppedExp: s.gw.Server().DroppedExpired(),
+		offeredRPS: float64(offered.Load()) / elapsed,
+		goodputRPS: float64(ok.Load()) / elapsed,
+		ok:         ok.Load(),
+		shed:       shed.Load(),
+		timeout:    timeout.Load(),
+		errs:       errs.Load(),
+		p50Ms:      lat.Percentile(50) * 1e3,
+		p99Ms:      lat.Percentile(99) * 1e3,
 	}
-}
-
-// benchFile mirrors the BENCH_rpc.json shape so the existing tooling
-// reads both.
-type benchFile struct {
-	GOOS    string   `json:"goos"`
-	GOARCH  string   `json:"goarch"`
-	CPUs    int      `json:"cpus"`
-	Results []result `json:"results"`
-}
-
-// writeJSON updates one label in the BENCH file, preserving every
-// other label already committed there (the RPC-path and HTTP-path
-// rows share BENCH_gateway.json under different labels).
-func writeJSON(path, label string, results []result) error {
-	out := map[string]benchFile{}
-	if prev, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(prev, &out); err != nil {
-			return fmt.Errorf("existing %s is not a BENCH json file: %w", path, err)
-		}
-	}
-	out[label] = benchFile{GOOS: goruntime.GOOS, GOARCH: goruntime.GOARCH, CPUs: goruntime.NumCPU(), Results: results}
-	b, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(b, '\n'), 0o644)
-}
-
-// gateAgainst compares this run's rows with the committed BENCH file:
-// goodput may not drop, and the admitted-latency median may not rise,
-// by more than -tolerance. A missing file, label, or row is a warning
-// (first run records the baseline), never a failure — the gate exists
-// to catch regressions against a baseline that exists.
-func gateAgainst(o options, results []result) error {
-	raw, err := os.ReadFile(o.gatePath)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "gate: %s missing, skipping (run with -json to record a baseline)\n", o.gatePath)
-		return nil
-	}
-	var m map[string]benchFile
-	if err := json.Unmarshal(raw, &m); err != nil {
-		return fmt.Errorf("gate: parse %s: %w", o.gatePath, err)
-	}
-	bf, ok := m[o.gateLabel]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "gate: label %q not in %s, skipping\n", o.gateLabel, o.gatePath)
-		return nil
-	}
-	committed := make(map[string]result, len(bf.Results))
-	for _, r := range bf.Results {
-		committed[r.Name] = r
-	}
-	var failures []string
-	for _, r := range results {
-		c, ok := committed[r.Name]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "gate: no committed row %q, skipping it\n", r.Name)
-			continue
-		}
-		if c.GoodputRPS > 0 && r.GoodputRPS < (1-o.tolerance)*c.GoodputRPS {
-			failures = append(failures, fmt.Sprintf("%s: goodput %.0f rps fell below committed %.0f rps by more than %.0f%%",
-				r.Name, r.GoodputRPS, c.GoodputRPS, o.tolerance*100))
-		}
-		if c.P50Ms > 0 && r.P50Ms > (1+o.tolerance)*c.P50Ms {
-			failures = append(failures, fmt.Sprintf("%s: p50 %.1fms rose above committed %.1fms by more than %.0f%%",
-				r.Name, r.P50Ms, c.P50Ms, o.tolerance*100))
-		}
-		fmt.Printf("gate %-40s goodput %7.0f rps (committed %7.0f) | p50 %6.1fms (committed %6.1f)\n",
-			r.Name, r.GoodputRPS, c.GoodputRPS, r.P50Ms, c.P50Ms)
-	}
-	if len(failures) > 0 {
-		for _, f := range failures {
-			fmt.Fprintln(os.Stderr, "gate FAIL: "+f)
-		}
-		return fmt.Errorf("gate: %d regression(s) beyond %.0f%% tolerance", len(failures), o.tolerance*100)
-	}
-	fmt.Printf("gate ok: %d row(s) within %.0f%% of committed medians\n", len(results), o.tolerance*100)
-	return nil
 }

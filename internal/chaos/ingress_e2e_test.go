@@ -21,36 +21,15 @@ import (
 	"hivemind/internal/store"
 )
 
-// This file is the ingress acceptance suite: the HTTP job API fronting
-// a 3-replica queue group, driven open-loop at 2× sustained capacity
-// with the controller primary killed mid-run. Result ids are durable
-// task ids, so the invariant under test is end-to-end exactly-once:
-// every POSTed id resolves to exactly one outcome via GET /then/:id —
-// completed jobs committed their final step exactly once (RevGen 1),
-// shed jobs answer 503 with a Retry-After hint, and coalesced
-// duplicates share one id and one result.
-
-// ingMount lets the httptest listener exist before the ingress Server
-// it delegates to (the queue group needs every member's URL up front).
-type ingMount struct {
-	p atomic.Pointer[ingress.Server]
-}
-
-func (m *ingMount) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	s := m.p.Load()
-	if s == nil {
-		http.Error(w, "ingress not ready", http.StatusServiceUnavailable)
-		return
-	}
-	s.ServeHTTP(w, r)
-}
-
-func (m *ingMount) depth() int {
-	if s := m.p.Load(); s != nil {
-		return s.Depth()
-	}
-	return 0
-}
+// This file is the ingress acceptance suite: the HTTP job API on three
+// independent ingress nodes in front of a 3-replica fleet, driven
+// open-loop at 2× sustained capacity with the controller primary
+// killed mid-run. Result ids are durable task ids, so the invariant
+// under test is end-to-end exactly-once: every POSTed id resolves to
+// exactly one outcome via GET /then/:id on any node — completed jobs
+// committed their final step exactly once (RevGen 1), shed jobs answer
+// 503 with a Retry-After hint, and coalesced duplicates share one id
+// and one result.
 
 type ingNode struct {
 	id      int
@@ -64,11 +43,10 @@ type ingNode struct {
 
 // startIngressCluster boots n controller replicas over one shared
 // durable store, each fronting a gateway (durable "work" chain behind
-// admission control) and an ingress server. The n ingresses form a
-// queue group over each other's URLs; each dispatches through its own
-// leader-following failover client, so jobs ingested anywhere execute
-// on the controller primary and survive its death by redirect +
-// checkpoint dedup.
+// admission control) and an ingress server. Each ingress dispatches
+// through its own leader-following failover client, so jobs ingested
+// anywhere execute on the controller primary and survive its death by
+// redirect + checkpoint dedup.
 func startIngressCluster(t *testing.T, n int, seed int64, mon *controller.Monitor,
 	inj *chaos.Injector, db *store.DB, maxConc int, exec time.Duration) []*ingNode {
 	t.Helper()
@@ -81,15 +59,6 @@ func startIngressCluster(t *testing.T, n int, seed int64, mon *controller.Monito
 		}
 		ctrlLns[i] = ln
 		ctrlAddrs[i] = ln.Addr().String()
-	}
-
-	mounts := make([]*ingMount, n)
-	urls := make([]string, n)
-	for i := 0; i < n; i++ {
-		mounts[i] = &ingMount{}
-		ts := httptest.NewServer(mounts[i])
-		t.Cleanup(ts.Close)
-		urls[i] = ts.URL
 	}
 
 	nodes := make([]*ingNode, n)
@@ -153,7 +122,6 @@ func startIngressCluster(t *testing.T, n int, seed int64, mon *controller.Monito
 		}
 		g := runtime.NewGatewayConfig(rt, gcfg)
 		g.ExposeChain("work", []string{"step"})
-		g.ExposeBatch()
 		gwPtr.Store(g)
 		go g.Server().Serve(gwLns[i])
 		go rep.Server().Serve(ctrlLns[i])
@@ -176,31 +144,20 @@ func startIngressCluster(t *testing.T, n int, seed int64, mon *controller.Monito
 			CallTimeout:  3 * time.Second,
 			Budget:       rpc.NewRetryBudget(rpc.DefaultRetryBudgetRatio, 256),
 		})
-
-		members := make([]ingress.Member, n)
-		for j := 0; j < n; j++ {
-			j := j
-			members[j] = ingress.Member{
-				ID:    fmt.Sprintf("ing-%d", j),
-				URL:   urls[j],
-				Self:  j == i,
-				Depth: mounts[j].depth,
-			}
-		}
 		ing, err := ingress.NewServer(ingress.Options{
 			Dispatcher: fc,
 			Encode:     runtime.EncodeTask,
 			Lookup:     g.TaskResult,
-			Group:      ingress.NewQueueGroup(members, ingress.GroupOptions{SpillDepth: 4 * maxConc}),
 			Timeout:    8 * time.Second,
 			TTL:        5 * time.Minute,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		mounts[i].p.Store(ing)
+		ts := httptest.NewServer(ing)
+		t.Cleanup(ts.Close)
 
-		nodes[i] = &ingNode{id: i, replica: rep, rt: rt, gw: g, ing: ing, url: urls[i], fc: fc}
+		nodes[i] = &ingNode{id: i, replica: rep, rt: rt, gw: g, ing: ing, url: ts.URL, fc: fc}
 	}
 	t.Cleanup(func() {
 		for _, nd := range nodes {
@@ -265,9 +222,9 @@ func httpThen(client *http.Client, base, id string) (int, string, string, error)
 	return resp.StatusCode, string(b), resp.Header.Get("Retry-After"), nil
 }
 
-// Acceptance: async jobs POSTed open-loop at 2× capacity into a
-// 3-member queue group survive a mid-run primary kill — every id
-// resolves exactly once, sheds carry Retry-After, duplicates coalesce.
+// Acceptance: async jobs POSTed open-loop at 2× capacity into three
+// ingress nodes survive a mid-run primary kill — every id resolves
+// exactly once, sheds carry Retry-After, duplicates coalesce.
 func TestIngressE2EAsyncJobsSurvivePrimaryKill(t *testing.T) {
 	const (
 		replicas = 3
@@ -292,7 +249,7 @@ func TestIngressE2EAsyncJobsSurvivePrimaryKill(t *testing.T) {
 		},
 	}
 
-	// Closed-loop capacity through the whole stack (HTTP → group →
+	// Closed-loop capacity through the whole stack (HTTP → ingress →
 	// failover → durable chain), unique payloads so nothing coalesces.
 	capacity := func() float64 {
 		const window = 700 * time.Millisecond
@@ -351,14 +308,16 @@ func TestIngressE2EAsyncJobsSurvivePrimaryKill(t *testing.T) {
 			inj.At(controller.KillControllerOp(primary.id), 0)
 			killed = true
 		}
-		payload := fmt.Sprintf("u-%d", i)
+		// Duplicates all go to one fixed node, the only place they can
+		// coalesce (see the coalescing check below).
+		payload, node := fmt.Sprintf("u-%d", i), nodes[i%replicas]
 		if i%dupEvery == 0 {
-			payload = "dup-payload"
+			payload, node = "dup-payload", nodes[0]
 		}
 		wg.Add(1)
-		go func(i int, payload string) {
+		go func(payload string) {
 			defer wg.Done()
-			status, id, err := httpDo(client, nodes[i%replicas].url, "work", payload, "")
+			status, id, err := httpDo(client, node.url, "work", payload, "")
 			if err != nil || status != http.StatusOK || id == "" {
 				postErr.Add(1)
 				return
@@ -366,7 +325,7 @@ func TestIngressE2EAsyncJobsSurvivePrimaryKill(t *testing.T) {
 			mu.Lock()
 			results = append(results, posted{id: id, payload: payload})
 			mu.Unlock()
-		}(i, payload)
+		}(payload)
 	}
 	wg.Wait()
 	if !killed {
@@ -395,8 +354,8 @@ func TestIngressE2EAsyncJobsSurvivePrimaryKill(t *testing.T) {
 		time.Sleep(50 * time.Millisecond)
 	}
 
-	// Collect phase: every id must resolve somewhere in the group —
-	// owners answer from memory, everyone else from durable state.
+	// Collect phase: every id must resolve on some node — the node that
+	// minted it answers from memory, every other from durable state.
 	collect := func(id string) (int, string, string) {
 		for _, nd := range nodes {
 			status, body, ra, err := httpThen(client, nd.url, id)
@@ -449,7 +408,7 @@ func TestIngressE2EAsyncJobsSurvivePrimaryKill(t *testing.T) {
 					t.Errorf("id %s shed without a Retry-After hint", id)
 				}
 			case http.StatusNotFound:
-				t.Errorf("id %s resolved nowhere in the group", id)
+				t.Errorf("id %s resolved on no node", id)
 			default:
 				failN++
 			}
@@ -466,8 +425,11 @@ func TestIngressE2EAsyncJobsSurvivePrimaryKill(t *testing.T) {
 		t.Fatalf("%d/%d ids resolved as hard failures", failN, len(byID))
 	}
 
-	// Coalescing: duplicate-payload POSTs overlapped under 2× load, so
-	// dup-payload submissions must have shared ids.
+	// Coalescing: duplicate-payload POSTs to nodes[0] overlapped under
+	// 2× load, so they must have shared ids. Without a queue group there
+	// is no cross-node coalescing: each ingress coalesces only its own
+	// pending table, so identical jobs POSTed to different nodes are
+	// separate dispatches.
 	dupIDs := map[string]bool{}
 	var dupPosts int
 	for _, p := range results {
@@ -479,12 +441,8 @@ func TestIngressE2EAsyncJobsSurvivePrimaryKill(t *testing.T) {
 	if dupPosts > 1 && len(dupIDs) >= dupPosts {
 		t.Fatalf("%d duplicate POSTs produced %d distinct ids: nothing coalesced", dupPosts, len(dupIDs))
 	}
-	var coalesced uint64
-	for _, nd := range nodes {
-		coalesced += nd.ing.Stats().Coalesced
-	}
-	if coalesced == 0 {
-		t.Fatal("group-wide coalesced counter is zero")
+	if nodes[0].ing.Stats().Coalesced == 0 {
+		t.Fatal("coalesced counter of the duplicates' node is zero")
 	}
 
 	// Duplicate collection is idempotent: the same id yields identical

@@ -9,8 +9,8 @@ import (
 // every figure and microbenchmark at reduced scale — exactly as
 // `hivemind-bench -quick` does, including that binary's relaxed GC
 // target (the sweep's live set is tiny next to its allocation churn).
-// Its ns/op is the sweep's wall-clock cost, the number
-// `make bench-eval` tracks in BENCH_eval.json.
+// Its ns/op is the sweep's wall-clock cost; the benchmark ledger
+// tracks the same sweep as experiments.sweep_s.
 func BenchmarkQuickSweep(b *testing.B) {
 	defer debug.SetGCPercent(debug.SetGCPercent(400))
 	for i := 0; i < b.N; i++ {

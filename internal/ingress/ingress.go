@@ -2,17 +2,13 @@
 // door that turns swarm requests into gateway RPCs. POST /do/:job
 // submits a job and returns a result id immediately (?then=true blocks
 // for the result inline); GET /then/:id polls or blocks for the
-// outcome. Identical pending submissions coalesce into one dispatch,
-// small tasks batch into a single RPC envelope to amortise per-call
-// overhead on the fast path, and a queue group spreads jobs across
-// gateway front-ends by consistent hash with power-of-two-choices
-// spill under load. Result ids ride the durable task layer, so a
-// collected id survives a gateway crash: an ingress that never saw the
-// POST can still answer the GET from the checkpoint log.
+// outcome. Identical pending submissions coalesce into one dispatch.
+// Result ids ride the durable task layer, so a collected id survives a
+// gateway crash: an ingress that never saw the POST can still answer
+// the GET from the checkpoint log.
 package ingress
 
 import (
-	"bytes"
 	"context"
 	"crypto/rand"
 	"encoding/hex"
@@ -44,17 +40,10 @@ func (f DispatchFunc) Call(ctx context.Context, method string, payload []byte) (
 	return f(ctx, method, payload)
 }
 
-// Monitor receives ingress events; metrics.Registry satisfies it. A
-// monitor that also implements Add(name string, v float64) gets batch
-// entry counts as weighted counters.
+// Monitor receives ingress events; metrics.Registry satisfies it.
 type Monitor interface {
 	CountEvent(name string)
 }
-
-// ForwardHeader marks a request relayed from a sibling ingress so the
-// receiver serves it locally instead of bouncing it back (routing
-// loop guard).
-const ForwardHeader = "X-Hivemind-Forward"
 
 // ResultIDHeader carries the minted result id on every /do response,
 // including ?then=true ones whose body is the job output.
@@ -75,11 +64,6 @@ type Options struct {
 	Lookup func(id string) ([]byte, bool, error)
 	// Monitor receives counters (optional).
 	Monitor Monitor
-	// Group balances jobs across a gateway queue group (optional; nil
-	// serves everything locally).
-	Group *QueueGroup
-	// Batch enables small-task batching when Window > 0.
-	Batch BatchOptions
 	// Timeout bounds each dispatch (0: 30s).
 	Timeout time.Duration
 	// TTL retains completed results for duplicate collection (0: 2m).
@@ -92,10 +76,7 @@ type Options struct {
 type Stats struct {
 	Posted     uint64 // POST /do requests accepted (incl. coalesced)
 	Coalesced  uint64 // POSTs that joined an already-pending identical job
-	Dispatched uint64 // RPCs actually issued (direct or via batch envelope)
-	Forwarded  uint64 // requests relayed to the owning group member
-	Spilled    uint64 // requests rerouted off an overloaded owner (p2c)
-	Batched    uint64 // batch envelopes sent
+	Dispatched uint64 // RPCs actually issued
 	Shed       uint64 // jobs rejected by admission control
 	Failed     uint64 // jobs failed for any other reason
 	Done       uint64 // jobs completed successfully
@@ -115,15 +96,12 @@ type job struct {
 
 // Server is the HTTP job API front-end. It implements http.Handler.
 type Server struct {
-	opts    Options
-	batcher *batcher
-	client  *http.Client // forwards to group peers
+	opts Options
 
 	idPrefix string
 	idSeq    atomic.Uint64
 
 	posted, coalesced, dispatched uint64
-	forwarded, spilled            uint64
 	shed, failed, done            uint64
 
 	mu        sync.Mutex
@@ -133,7 +111,7 @@ type Server struct {
 	closed    bool
 }
 
-// NewServer builds an ingress front-end. Close releases its batcher.
+// NewServer builds an ingress front-end.
 func NewServer(opts Options) (*Server, error) {
 	if opts.Dispatcher == nil {
 		return nil, errors.New("ingress: Options.Dispatcher is required")
@@ -151,43 +129,23 @@ func NewServer(opts Options) (*Server, error) {
 	if _, err := rand.Read(pfx[:]); err != nil {
 		return nil, fmt.Errorf("ingress: minting id prefix: %w", err)
 	}
-	// Forwarding reuses connections aggressively: under load every
-	// non-owned job crosses to its owner, and the default 2-idle-conns
-	// pool would churn a socket per request.
-	fwd := &http.Client{
-		Timeout: opts.Timeout + 5*time.Second,
-		Transport: &http.Transport{
-			MaxIdleConns:        256,
-			MaxIdleConnsPerHost: 128,
-			MaxConnsPerHost:     256,
-			IdleConnTimeout:     30 * time.Second,
-		},
-	}
-	s := &Server{
+	return &Server{
 		opts:     opts,
-		client:   fwd,
 		idPrefix: hex.EncodeToString(pfx[:]),
 		jobs:     map[string]*job{},
 		pending:  map[string]*job{},
-	}
-	if opts.Batch.Window > 0 {
-		s.batcher = newBatcher(opts.Dispatcher, opts.Batch, opts.Monitor, &s.dispatched)
-	}
-	return s, nil
+	}, nil
 }
 
-// Close flushes the batcher and rejects further submissions.
+// Close rejects further submissions; in-flight jobs still complete.
 func (s *Server) Close() {
 	s.mu.Lock()
 	s.closed = true
 	s.mu.Unlock()
-	if s.batcher != nil {
-		s.batcher.close()
-	}
 }
 
-// Depth reports jobs currently in flight — the queue-group load signal
-// and the live gauge on the debug mux.
+// Depth reports jobs currently in flight (the live gauge on the debug
+// mux).
 func (s *Server) Depth() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -196,21 +154,15 @@ func (s *Server) Depth() int {
 
 // Stats snapshots the ingress counters.
 func (s *Server) Stats() Stats {
-	st := Stats{
+	return Stats{
 		Posted:     atomic.LoadUint64(&s.posted),
 		Coalesced:  atomic.LoadUint64(&s.coalesced),
 		Dispatched: atomic.LoadUint64(&s.dispatched),
-		Forwarded:  atomic.LoadUint64(&s.forwarded),
-		Spilled:    atomic.LoadUint64(&s.spilled),
 		Shed:       atomic.LoadUint64(&s.shed),
 		Failed:     atomic.LoadUint64(&s.failed),
 		Done:       atomic.LoadUint64(&s.done),
+		Pending:    s.Depth(),
 	}
-	if s.batcher != nil {
-		st.Batched = atomic.LoadUint64(&s.batcher.batches)
-	}
-	st.Pending = s.Depth()
-	return st
 }
 
 func (s *Server) count(event string) {
@@ -258,26 +210,9 @@ func (s *Server) handleDo(w http.ResponseWriter, r *http.Request, name string) {
 		http.Error(w, "body exceeds limit", http.StatusRequestEntityTooLarge)
 		return
 	}
-	key := coalesceKey(name, payload)
-
-	// Queue-group balancing: relay to the owning member unless this
-	// request was already forwarded once (loop guard) or we own it.
-	if s.opts.Group != nil && r.Header.Get(ForwardHeader) == "" {
-		if m, spilled := s.opts.Group.Route(key); m != nil && !m.Self {
-			if spilled {
-				atomic.AddUint64(&s.spilled, 1)
-				s.count("ingress-spill")
-			}
-			if s.forward(w, r, m, payload) {
-				return
-			}
-			// Peer unreachable: serve locally rather than failing the edge.
-		}
-	}
-
 	atomic.AddUint64(&s.posted, 1)
 	s.count("ingress-post")
-	j, fresh, err := s.submit(name, key, payload)
+	j, fresh, err := s.submit(name, coalesceKey(name, payload), payload)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusServiceUnavailable)
 		return
@@ -333,13 +268,7 @@ func (s *Server) dispatch(j *job, payload []byte) {
 	}
 	atomic.AddUint64(&s.dispatched, 1)
 	s.count("ingress-dispatch")
-	var out []byte
-	var err error
-	if s.batcher != nil && len(payload) <= s.batcher.opts.MaxEntryBytes {
-		out, err = s.batcher.Call(ctx, j.name, payload)
-	} else {
-		out, err = s.opts.Dispatcher.Call(ctx, j.name, payload)
-	}
+	out, err := s.opts.Dispatcher.Call(ctx, j.name, payload)
 	s.complete(j, out, err)
 }
 
@@ -446,34 +375,4 @@ func writeErr(w http.ResponseWriter, err error) {
 	default:
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 	}
-}
-
-// forward relays a /do request to the owning group member, streaming
-// its response back. Returns false when the peer is unreachable so the
-// caller can fall back to local handling.
-func (s *Server) forward(w http.ResponseWriter, r *http.Request, m *Member, payload []byte) bool {
-	url := m.URL + r.URL.Path
-	if r.URL.RawQuery != "" {
-		url += "?" + r.URL.RawQuery
-	}
-	req, err := http.NewRequestWithContext(r.Context(), http.MethodPost, url, bytes.NewReader(payload))
-	if err != nil {
-		return false
-	}
-	req.Header.Set(ForwardHeader, "1")
-	resp, err := s.client.Do(req)
-	if err != nil {
-		return false
-	}
-	defer resp.Body.Close()
-	atomic.AddUint64(&s.forwarded, 1)
-	s.count("ingress-forward")
-	for _, h := range []string{ResultIDHeader, "Retry-After", "Content-Type"} {
-		if v := resp.Header.Get(h); v != "" {
-			w.Header().Set(h, v)
-		}
-	}
-	w.WriteHeader(resp.StatusCode)
-	io.Copy(w, resp.Body)
-	return true
 }

@@ -97,29 +97,6 @@ func BuildNeighborIndex(pts []geo.Point, rangeM []float64) *NeighborIndex {
 	return ix
 }
 
-// buildNeighborsNaive is the reference all-pairs scan the index
-// replaces; tests assert set equality and the bench measures what the
-// binning buys.
-func buildNeighborsNaive(pts []geo.Point, rangeM []float64) [][]int32 {
-	out := make([][]int32, len(pts))
-	for d, p := range pts {
-		r2 := rangeM[d] * rangeM[d]
-		if r2 <= 0 {
-			continue
-		}
-		for e, q := range pts {
-			if e == d {
-				continue
-			}
-			dx, dy := q.X-p.X, q.Y-p.Y
-			if dx*dx+dy*dy <= r2 {
-				out[d] = append(out[d], int32(e))
-			}
-		}
-	}
-	return out
-}
-
 // Neighbors returns device d's neighbour set (read-only; shared). The
 // lookup allocates nothing.
 func (ix *NeighborIndex) Neighbors(d int) []int32 { return ix.nbr[d] }

@@ -2,7 +2,6 @@ package runtime
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
@@ -360,38 +359,6 @@ func (g *Gateway) mapFenced(err error) error {
 		g.cfg.OnFenced()
 	}
 	return rpc.FencedError(fe.Token, fe.Fence)
-}
-
-// taskMagic prefixes payloads that carry an explicit task id (see
-// EncodeTask); it lets a re-submitted chain call join the original
-// task's checkpoints instead of forking a new one.
-var taskMagic = []byte("HMT1")
-
-// EncodeTask wraps a chain payload with a task id. Clients that may
-// retry across a controller failover send encoded payloads so the new
-// primary deduplicates their chain against its checkpoints.
-func EncodeTask(id string, payload []byte) []byte {
-	out := make([]byte, 0, len(taskMagic)+2+len(id)+len(payload))
-	out = append(out, taskMagic...)
-	var l [2]byte
-	binary.BigEndian.PutUint16(l[:], uint16(len(id)))
-	out = append(out, l[:]...)
-	out = append(out, id...)
-	return append(out, payload...)
-}
-
-// DecodeTask splits an EncodeTask payload; ok is false for bare
-// payloads (which get a gateway-generated task id).
-func DecodeTask(raw []byte) (id string, payload []byte, ok bool) {
-	n := len(taskMagic)
-	if len(raw) < n+2 || string(raw[:n]) != string(taskMagic) {
-		return "", raw, false
-	}
-	idLen := int(binary.BigEndian.Uint16(raw[n : n+2]))
-	if len(raw) < n+2+idLen {
-		return "", raw, false
-	}
-	return string(raw[n+2 : n+2+idLen]), raw[n+2+idLen:], true
 }
 
 // genTaskID mints a gateway-local task id for bare payloads.

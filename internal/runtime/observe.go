@@ -20,39 +20,56 @@ import (
 // touches the RPC wire format — the context rides inside the opaque
 // payload envelope.
 
-// taskMagicV2 prefixes envelopes that carry a trace context and a send
-// timestamp in addition to the task id:
+// taskMagic prefixes the task envelope, which carries a task id, a
+// trace context and a send timestamp ahead of the payload:
 //
 //	"HMT2" | u16 idLen | id | u16 traceLen | traceID |
 //	u64 parentSpan | i64 sentAtUnixNano | payload
 //
-// Decoders accept both generations, so traced clients interoperate with
-// gateways and tools that only understand the v1 envelope's semantics.
-var taskMagicV2 = []byte("HMT2")
+// The id lets a re-submitted chain call join the original task's
+// checkpoints instead of forking a new one.
+var taskMagic = []byte("HMT2")
 
 // TaskEnvelope is the decoded header of an EncodeTask/EncodeTaskTraced
 // payload.
 type TaskEnvelope struct {
-	// ID is the client-chosen task id ("" in a v2 envelope that only
-	// carries tracing, though EncodeTaskTraced always sets one).
+	// ID is the client-chosen task id ("" only if the encoder was given
+	// an empty one).
 	ID string
-	// Trace is the propagated trace context (zero for v1 envelopes).
+	// Trace is the propagated trace context (zero from EncodeTask).
 	Trace trace.SpanContext
-	// SentAtNS is the client's send timestamp (UnixNano; 0 for v1).
+	// SentAtNS is the client's send timestamp (UnixNano; 0 from
+	// EncodeTask, which the gateway reads as "unknown").
 	// The gateway derives the network stage from it, so it is only
 	// meaningful when client and gateway clocks agree — loopback and
 	// NTP-disciplined fleets, which is what the live substrate runs on.
 	SentAtNS int64
 }
 
-// EncodeTaskTraced wraps a chain payload with a task id, a trace
-// context, and the send timestamp. The gateway joins re-submitted ids
-// against its checkpoints exactly as with EncodeTask, and additionally
-// parents its spans under tc and charges the transfer delay to the
-// network stage.
+// EncodeTask wraps a chain payload with a task id. Clients that may
+// retry across a controller failover send encoded payloads so the new
+// primary deduplicates their chain against its checkpoints.
+func EncodeTask(id string, payload []byte) []byte {
+	return encodeTask(id, trace.SpanContext{}, 0, payload)
+}
+
+// DecodeTask splits an EncodeTask payload; ok is false for bare
+// payloads (which get a gateway-generated task id).
+func DecodeTask(raw []byte) (id string, payload []byte, ok bool) {
+	env, payload, ok := DecodeTaskEnvelope(raw)
+	return env.ID, payload, ok
+}
+
+// EncodeTaskTraced is EncodeTask plus a trace context and the send
+// timestamp: the gateway additionally parents its spans under tc and
+// charges the transfer delay to the network stage.
 func EncodeTaskTraced(id string, tc trace.SpanContext, sentAt time.Time, payload []byte) []byte {
-	out := make([]byte, 0, len(taskMagicV2)+2+len(id)+2+len(tc.TraceID)+8+8+len(payload))
-	out = append(out, taskMagicV2...)
+	return encodeTask(id, tc, sentAt.UnixNano(), payload)
+}
+
+func encodeTask(id string, tc trace.SpanContext, sentAtNS int64, payload []byte) []byte {
+	out := make([]byte, 0, len(taskMagic)+2+len(id)+2+len(tc.TraceID)+8+8+len(payload))
+	out = append(out, taskMagic...)
 	var l [2]byte
 	binary.BigEndian.PutUint16(l[:], uint16(len(id)))
 	out = append(out, l[:]...)
@@ -63,41 +80,37 @@ func EncodeTaskTraced(id string, tc trace.SpanContext, sentAt time.Time, payload
 	var q [8]byte
 	binary.BigEndian.PutUint64(q[:], tc.Parent)
 	out = append(out, q[:]...)
-	binary.BigEndian.PutUint64(q[:], uint64(sentAt.UnixNano()))
+	binary.BigEndian.PutUint64(q[:], uint64(sentAtNS))
 	out = append(out, q[:]...)
 	return append(out, payload...)
 }
 
-// DecodeTaskEnvelope splits a task payload of either envelope
-// generation. ok is false for bare payloads, which are returned
-// unchanged with a zero envelope.
+// DecodeTaskEnvelope splits a task payload. ok is false for bare or
+// truncated payloads, which are returned unchanged with a zero
+// envelope.
 func DecodeTaskEnvelope(raw []byte) (env TaskEnvelope, payload []byte, ok bool) {
-	n := len(taskMagicV2)
-	if len(raw) >= n+2 && string(raw[:n]) == string(taskMagicV2) {
-		rest := raw[n:]
-		idLen := int(binary.BigEndian.Uint16(rest[:2]))
-		rest = rest[2:]
-		if len(rest) < idLen+2 {
-			return TaskEnvelope{}, raw, false
-		}
-		env.ID = string(rest[:idLen])
-		rest = rest[idLen:]
-		traceLen := int(binary.BigEndian.Uint16(rest[:2]))
-		rest = rest[2:]
-		if len(rest) < traceLen+16 {
-			return TaskEnvelope{}, raw, false
-		}
-		env.Trace.TraceID = string(rest[:traceLen])
-		rest = rest[traceLen:]
-		env.Trace.Parent = binary.BigEndian.Uint64(rest[:8])
-		env.SentAtNS = int64(binary.BigEndian.Uint64(rest[8:16]))
-		return env, rest[16:], true
-	}
-	id, payload, ok := DecodeTask(raw)
-	if !ok {
+	n := len(taskMagic)
+	if len(raw) < n+2 || string(raw[:n]) != string(taskMagic) {
 		return TaskEnvelope{}, raw, false
 	}
-	return TaskEnvelope{ID: id}, payload, true
+	rest := raw[n:]
+	idLen := int(binary.BigEndian.Uint16(rest[:2]))
+	rest = rest[2:]
+	if len(rest) < idLen+2 {
+		return TaskEnvelope{}, raw, false
+	}
+	env.ID = string(rest[:idLen])
+	rest = rest[idLen:]
+	traceLen := int(binary.BigEndian.Uint16(rest[:2]))
+	rest = rest[2:]
+	if len(rest) < traceLen+16 {
+		return TaskEnvelope{}, raw, false
+	}
+	env.Trace.TraceID = string(rest[:traceLen])
+	rest = rest[traceLen:]
+	env.Trace.Parent = binary.BigEndian.Uint64(rest[:8])
+	env.SentAtNS = int64(binary.BigEndian.Uint64(rest[8:16]))
+	return env, rest[16:], true
 }
 
 // stageClock accumulates one task's per-stage time from the

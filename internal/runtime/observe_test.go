@@ -26,14 +26,16 @@ func TestTaskEnvelopeV2RoundTrip(t *testing.T) {
 	}
 }
 
+// EncodeTask writes the same envelope with a zero trace context and no
+// send timestamp: it must decode with no trace state.
 func TestTaskEnvelopeAcceptsV1(t *testing.T) {
 	raw := EncodeTask("legacy", []byte("data"))
 	env, body, ok := DecodeTaskEnvelope(raw)
 	if !ok || env.ID != "legacy" || string(body) != "data" {
-		t.Fatalf("v1 decode: ok=%v env=%+v body=%q", ok, env, body)
+		t.Fatalf("untraced decode: ok=%v env=%+v body=%q", ok, env, body)
 	}
 	if env.Trace.Valid() || env.SentAtNS != 0 {
-		t.Fatalf("v1 envelope grew trace state: %+v", env)
+		t.Fatalf("untraced envelope grew trace state: %+v", env)
 	}
 }
 
@@ -42,11 +44,11 @@ func TestTaskEnvelopeBareAndTruncated(t *testing.T) {
 	if ok || env.ID != "" || string(body) != "just bytes" {
 		t.Fatalf("bare payload: ok=%v env=%+v body=%q", ok, env, body)
 	}
-	// Every truncation of a v2 envelope's header must decode without
+	// Every truncation of an envelope's header must decode without
 	// panicking and hand the raw bytes back untouched.
 	full := EncodeTaskTraced("id", trace.SpanContext{TraceID: "tr"}, time.Now(), []byte("p"))
 	headerLen := len(full) - 1 // last byte is payload
-	for cut := len(taskMagicV2) + 2; cut < headerLen; cut++ {
+	for cut := len(taskMagic) + 2; cut < headerLen; cut++ {
 		truncated := full[:cut]
 		env, got, ok := DecodeTaskEnvelope(truncated)
 		if ok {
@@ -56,6 +58,46 @@ func TestTaskEnvelopeBareAndTruncated(t *testing.T) {
 			t.Fatalf("truncated decode mangled payload: %q", got)
 		}
 	}
+}
+
+// FuzzDecodeTaskEnvelope checks the decoder never panics, returns
+// arbitrary non-envelope input unchanged, rejects every truncation of a
+// decoded header the same way, and that EncodeTaskTraced reproduces
+// every input it accepts byte for byte.
+func FuzzDecodeTaskEnvelope(f *testing.F) {
+	traced := EncodeTaskTraced("id", trace.SpanContext{TraceID: "tr"}, time.Unix(0, 42), []byte("p"))
+	for cut := 0; cut <= len(traced); cut++ {
+		f.Add(traced[:cut])
+	}
+	f.Add(EncodeTaskTraced("task-9", trace.SpanContext{TraceID: "task-9", Parent: 42}, time.Unix(1700000000, 123456789), []byte("payload")))
+	f.Add(EncodeTask("legacy", []byte("data")))
+	f.Add(EncodeTask("", nil))
+	f.Add([]byte("just bytes"))
+	f.Add([]byte("HMT2\xff\xff"))
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		in := append([]byte(nil), raw...)
+		env, payload, ok := DecodeTaskEnvelope(raw)
+		if string(raw) != string(in) {
+			t.Fatalf("decoder wrote to its input")
+		}
+		if !ok {
+			if env != (TaskEnvelope{}) || string(payload) != string(raw) {
+				t.Fatalf("rejected input: env=%+v payload=%q, want zero env and %q", env, payload, raw)
+			}
+			return
+		}
+		if re := EncodeTaskTraced(env.ID, env.Trace, time.Unix(0, env.SentAtNS), payload); string(re) != string(raw) {
+			t.Fatalf("re-encode of %+v = %q, want %q", env, re, raw)
+		}
+		if id, body, ok := DecodeTask(raw); !ok || id != env.ID || string(body) != string(payload) {
+			t.Fatalf("DecodeTask = %q, %q, %v; envelope view %+v, %q", id, body, ok, env, payload)
+		}
+		for cut := 0; cut < len(raw)-len(payload); cut++ {
+			if env, got, ok := DecodeTaskEnvelope(raw[:cut]); ok || string(got) != string(raw[:cut]) {
+				t.Fatalf("header cut at %d: ok=%v env=%+v payload=%q", cut, ok, env, got)
+			}
+		}
+	})
 }
 
 func TestStageClockNilSafe(t *testing.T) {

@@ -10,7 +10,7 @@ import (
 // same scenario-fixed cell decomposition. Results are byte-identical
 // across the sub-benchmarks (the parity lane asserts it); only the
 // wall-clock differs, and the shards=8/shards=1 ratio is the speedup
-// make bench-sim records into BENCH_sim.json.
+// the benchmark ledger tracks as sim.shard_speedup.
 func BenchmarkMegaSwarm10k(b *testing.B) {
 	for _, w := range []int{1, 2, 8} {
 		b.Run(fmt.Sprintf("shards=%d", w), func(b *testing.B) {
