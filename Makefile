@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race race-eval race-ring race-sim chaos crash-smoke live-smoke overload-smoke ingress-smoke bench-smoke sweep sweep-parity shard-parity examples fmt vet clean
+.PHONY: all build test race race-eval race-ring race-sim chaos live-smoke overload-smoke ingress-smoke bench-smoke sweep sweep-parity shard-parity examples fmt vet clean
 
 all: build vet test
 
@@ -39,21 +39,17 @@ race-sim:
 		-run 'Shard|Window|Swarm|Mega|Cell|Radio|Neighbor' \
 		./internal/sim/ ./internal/netsim/ ./internal/geo/ ./internal/scenario/
 
-# Fault-injection suite: every chaos test seeds its injectors and RNGs
-# (fixed seeds baked into the tests), so this run is deterministic.
+# Fault-injection suite: every test of the chaos and fleet packages
+# (failover, overload, ingress, observability, whole-fleet crash and WAL
+# recovery, minority-leader fencing across a partition, snapshot-bounded
+# recovery), plus the fault, fencing and durability tests of the layers
+# below, all under -race. Every test seeds its injectors and RNGs (fixed
+# seeds baked into the tests), so this run is deterministic.
 chaos:
+	$(GO) test -race -count=1 ./internal/chaos/ ./internal/fleet/
 	$(GO) test -race -count=1 \
-		-run 'Chaos|Injector|Breaker|Respawn|FailAll|Heartbeat|Failover|Transport|Replica|Checkpoint|Durable|Straggler|Orphan|Budget|Overload|Burst|Shed|Deadline|Storm|Admission|Fenced|Fence|Partition|WAL|CrashRestart|Snapshot|StepDown|Mux|Ring|Linker|Teardown' \
-		./internal/chaos/ ./internal/rpc/ ./internal/runtime/ ./internal/store/ ./internal/controller/
-
-# Durability & split-brain lane under -race: whole-cluster crash and
-# WAL recovery, minority-leader fencing across a symmetric partition,
-# snapshot/compaction bounding recovery, plus the store-level torn-tail
-# and fence unit suites. Seeded and deterministic like the chaos lane.
-crash-smoke:
-	$(GO) test -race -count=1 \
-		-run 'CrashRestartE2E|PartitionE2E|SnapshotMidTraffic|PartitionPair|DurableRecover|DurableSnapshot|DurableCompaction|RaiseFence|FenceSurvives|FencedWrites|WALTornTail|OrphansQuarantines|HandleLease|StepDown|OnPromote' \
-		./internal/chaos/ ./internal/store/ ./internal/controller/
+		-run 'Chaos|Injector|Breaker|Respawn|FailAll|Heartbeat|Failover|Transport|Replica|Checkpoint|Durable|Straggler|Orphan|Budget|Overload|Burst|Shed|Deadline|Storm|Admission|Fenced|Fence|Partition|WAL|CrashRestart|Snapshot|StepDown|Mux|Ring|Linker|Teardown|HandleLease|OnPromote' \
+		./internal/rpc/ ./internal/runtime/ ./internal/store/ ./internal/controller/
 
 # Observability smoke run: a real TCP fleet with traced requests and a
 # chaos-killed primary must emit a non-empty, valid Chrome trace whose

@@ -23,14 +23,13 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"net"
 	"net/http"
 	"os"
-	"sync/atomic"
 	"time"
 
 	"hivemind/internal/chaos"
 	"hivemind/internal/controller"
+	"hivemind/internal/fleet"
 	"hivemind/internal/ingress"
 	"hivemind/internal/metrics"
 	"hivemind/internal/rpc"
@@ -39,16 +38,6 @@ import (
 	"hivemind/internal/store"
 	"hivemind/internal/trace"
 )
-
-// liveNode is one controller+gateway "process" in the fleet.
-type liveNode struct {
-	id        int
-	replica   *controller.Replica
-	rt        *runtime.Runtime
-	gw        *runtime.Gateway
-	gwAddr    string
-	breakdown *stats.Breakdown
-}
 
 func main() {
 	var (
@@ -72,9 +61,6 @@ func main() {
 }
 
 func run(replicas, requests int, kill bool, seed int64, traceFn, walDir, httpAddr, ingressAddr string) error {
-	if replicas < 1 {
-		return fmt.Errorf("need at least 1 replica, got %d", replicas)
-	}
 	rec := trace.NewRecorder(0)
 	live := trace.NewLive(rec)
 	reg := metrics.NewRegistry()
@@ -90,7 +76,6 @@ func run(replicas, requests int, kill bool, seed int64, traceFn, walDir, httpAdd
 		if err != nil {
 			return fmt.Errorf("open durable store %s: %w", walDir, err)
 		}
-		defer ddb.Close()
 		db = ddb
 		fmt.Printf("recovered %s in %v: %d snapshot docs + %d WAL records (torn tail: %v), fence at term %d\n",
 			walDir, st.Elapsed.Round(time.Microsecond), st.SnapshotDocs, st.WALRecords, st.TruncatedTail, ddb.Fence())
@@ -99,34 +84,46 @@ func run(replicas, requests int, kill bool, seed int64, traceFn, walDir, httpAdd
 		db.SetMonitor(reg)
 	}
 
-	nodes, err := startFleet(replicas, seed, live, reg, mon, inj, db)
+	// Every gateway serves the demo sense→plan→act chain and reports into
+	// the metrics registry; the fleet wires tracer, breakdowns and the
+	// RPC server interceptor.
+	chain, fns := demoChain()
+	f, err := fleet.Start(fleet.Config{
+		Replicas: replicas,
+		Seed:     seed,
+		Store:    db,
+		Monitor:  mon,
+		Fault:    inj,
+		Tracer:   live,
+		Runtime:  runtime.DefaultConfig(),
+		Gateway:  runtime.GatewayConfig{Timeout: 10 * time.Second, StepRespawns: 1},
+		Setup: func(nd *fleet.Node) {
+			for name, fn := range fns {
+				nd.Runtime.Register(name, fn)
+			}
+			nd.Gateway.SetMonitor(reg)
+			nd.Gateway.ExposeChain("pipeline", chain)
+		},
+	})
 	if err != nil {
+		db.Close()
 		return err
 	}
-	defer func() {
-		for _, nd := range nodes {
-			nd.replica.Kill()
-			nd.gw.Close()
-			nd.rt.Close()
-		}
-	}()
-	for _, nd := range nodes {
-		nd.replica.Start()
-	}
-	if waitPrimary(nodes, 5*time.Second) == nil {
-		return fmt.Errorf("no primary elected")
+	defer f.Close()
+	if _, err := f.Leader(5 * time.Second); err != nil {
+		return err
 	}
 
 	// The demo's client rides the same per-peer links as every other
 	// remote tier: one mux stream per gateway on a shared connection.
-	peers := make([]runtime.Peer, len(nodes))
-	for i, nd := range nodes {
-		peers[i] = runtime.Peer{Addr: nd.gwAddr}
+	peers := make([]runtime.Peer, len(f.Nodes))
+	for i, addr := range f.Addrs() {
+		peers[i] = runtime.Peer{Addr: addr}
 	}
 	linker := runtime.NewLinker(runtime.LinkerOptions{})
 	defer linker.Close()
 	fc := linker.Failover(peers, rpc.FailoverOptions{
-		Attempts:     20 * len(nodes),
+		Attempts:     20 * len(peers),
 		RetryBackoff: 15 * time.Millisecond,
 		CallTimeout:  5 * time.Second,
 		Observer:     runtime.TraceCallObserver(live),
@@ -137,9 +134,9 @@ func run(replicas, requests int, kill bool, seed int64, traceFn, walDir, httpAdd
 	ok, failed := 0, 0
 	for i := 0; i < requests; i++ {
 		if kill && !killed && i == requests/2 {
-			if p := waitPrimary(nodes, 5*time.Second); p != nil {
-				fmt.Printf("killing primary replica %d at request %d\n", p.id, i)
-				inj.At(controller.KillControllerOp(p.id), 0)
+			if p, err := f.Leader(5 * time.Second); err == nil {
+				fmt.Printf("killing primary replica %d at request %d\n", p.ID, i)
+				inj.At(controller.KillControllerOp(p.ID), 0)
 				killed = true
 			}
 		}
@@ -164,8 +161,8 @@ func run(replicas, requests int, kill bool, seed int64, traceFn, walDir, httpAdd
 
 	// Per-gateway breakdowns fold into one fleet-wide decomposition.
 	bd := stats.NewBreakdown()
-	for _, nd := range nodes {
-		bd.Merge(nd.breakdown)
+	for _, nd := range f.Nodes {
+		bd.Merge(nd.Breakdown)
 	}
 	fmt.Println(stageTable(bd))
 	fmt.Printf("controller: %s\n", mon.Failover())
@@ -176,15 +173,15 @@ func run(replicas, requests int, kill bool, seed int64, traceFn, walDir, httpAdd
 	}
 
 	if traceFn != "" {
-		f, err := os.Create(traceFn)
+		out, err := os.Create(traceFn)
 		if err != nil {
 			return err
 		}
-		if err := rec.WriteChromeTrace(f); err != nil {
-			f.Close()
+		if err := rec.WriteChromeTrace(out); err != nil {
+			out.Close()
 			return err
 		}
-		if err := f.Close(); err != nil {
+		if err := out.Close(); err != nil {
 			return err
 		}
 		fmt.Printf("wrote %d spans to %s\n%s", rec.Len(), traceFn, rec.Summary())
@@ -196,7 +193,7 @@ func run(replicas, requests int, kill bool, seed int64, traceFn, walDir, httpAdd
 		ing, err := ingress.NewServer(ingress.Options{
 			Dispatcher: fc,
 			Encode:     runtime.EncodeTask,
-			Lookup:     nodes[0].gw.TaskResult,
+			Lookup:     f.Nodes[0].Gateway.TaskResult,
 			Monitor:    reg,
 		})
 		if err != nil {
@@ -216,116 +213,6 @@ func run(replicas, requests int, kill bool, seed int64, traceFn, walDir, httpAdd
 	if httpAddr != "" {
 		fmt.Printf("serving /metrics /trace /debug/pprof on %s (Ctrl-C to stop)\n", httpAddr)
 		return http.ListenAndServe(httpAddr, metrics.DebugMux(reg, rec))
-	}
-	return nil
-}
-
-// startFleet boots n controller replicas, each fronting a gateway that
-// serves the demo sense→plan→act chain over a shared durable store,
-// with the full observability layer wired in: shared tracer, per-node
-// breakdown, metrics registry as the gateway monitor, and the RPC
-// server interceptor timing every inbound hop.
-func startFleet(n int, seed int64, live *trace.Live, reg *metrics.Registry,
-	mon *controller.Monitor, inj *chaos.Injector, db *store.DB) ([]*liveNode, error) {
-	chain, fns := demoChain()
-
-	ctrlLns := make([]net.Listener, n)
-	ctrlAddrs := make([]string, n)
-	for i := 0; i < n; i++ {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return nil, err
-		}
-		ctrlLns[i] = ln
-		ctrlAddrs[i] = ln.Addr().String()
-	}
-
-	nodes := make([]*liveNode, n)
-	for i := 0; i < n; i++ {
-		rcfg := runtime.DefaultConfig()
-		rcfg.Retries = 0
-		rt := runtime.New(rcfg, db)
-		for name, fn := range fns {
-			rt.Register(name, fn)
-		}
-
-		var gwPtr atomic.Pointer[runtime.Gateway]
-		ccfg := controller.DefaultReplicaConfig(i, n, seed)
-		ccfg.ElectionTimeoutMin = 150 * time.Millisecond
-		ccfg.ElectionTimeoutMax = 300 * time.Millisecond
-		ccfg.LeaseInterval = 50 * time.Millisecond
-		ccfg.VoteTimeout = 100 * time.Millisecond
-		ccfg.Fault = inj
-		// A fleet restarted over recovered state must resume terms above
-		// the persisted fence, and every promotion raises it.
-		ccfg.InitialTerm = db.Fence()
-		ccfg.OnPromote = func(term uint64) { db.RaiseFence(term) }
-		ccfg.Recover = func(ctx context.Context) (int, error) {
-			if g := gwPtr.Load(); g != nil {
-				return g.Recover(ctx)
-			}
-			return 0, nil
-		}
-		peers := make(map[int]func() (net.Conn, error), n-1)
-		for j := 0; j < n; j++ {
-			if j == i {
-				continue
-			}
-			addr := ctrlAddrs[j]
-			peers[j] = func() (net.Conn, error) { return net.Dial("tcp", addr) }
-		}
-		rep := controller.NewReplica(ccfg, peers, mon)
-		rep.SetTracer(live)
-
-		bd := stats.NewBreakdown()
-		gcfg := runtime.DefaultGatewayConfig()
-		gcfg.Timeout = 10 * time.Second
-		gcfg.RespawnDelay = 20 * time.Millisecond
-		// Checkpoint commits carry this node's last-won term so a deposed
-		// primary's in-flight chains bounce off the store fence; a fenced
-		// write also tells the replica to step down immediately.
-		gcfg.Checkpoints = store.NewFencedCheckpointLog(db, rep.LeaderTerm)
-		gcfg.OnFenced = rep.StepDown
-		gcfg.Admission = rep.Admission()
-		gcfg.Tracker = rep
-		gcfg.Tracer = live
-		gcfg.Breakdown = bd
-		g := runtime.NewGatewayConfig(rt, gcfg)
-		g.SetMonitor(reg)
-		g.ExposeChain("pipeline", chain)
-		g.Server().SetInterceptor(runtime.TraceServerInterceptor(live, "rpc"))
-		gwPtr.Store(g)
-
-		gln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return nil, err
-		}
-		go g.Server().Serve(gln)
-		go rep.Server().Serve(ctrlLns[i])
-
-		// A dead replica takes its whole process down: gateway included.
-		go func() {
-			for rep.State() != controller.Dead {
-				time.Sleep(5 * time.Millisecond)
-			}
-			g.Close()
-		}()
-
-		nodes[i] = &liveNode{id: i, replica: rep, rt: rt, gw: g, gwAddr: gln.Addr().String(), breakdown: bd}
-	}
-	return nodes, nil
-}
-
-// waitPrimary polls until one live replica leads (nil on timeout).
-func waitPrimary(nodes []*liveNode, timeout time.Duration) *liveNode {
-	deadline := time.Now().Add(timeout)
-	for time.Now().Before(deadline) {
-		for _, nd := range nodes {
-			if nd.replica.State() == controller.Leader {
-				return nd
-			}
-		}
-		time.Sleep(5 * time.Millisecond)
 	}
 	return nil
 }

@@ -4,12 +4,12 @@ import (
 	"context"
 	"fmt"
 	"net"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"hivemind/internal/chaos"
 	"hivemind/internal/controller"
+	"hivemind/internal/fleet"
 	"hivemind/internal/rpc"
 	"hivemind/internal/runtime"
 	"hivemind/internal/store"
@@ -23,131 +23,10 @@ import (
 // through the fronting replica's LeaderTerm, so the suites double as
 // the fencing integration tests.
 
-// ctrlName labels a replica for pair-wise partitions.
-func ctrlName(id int) string { return fmt.Sprintf("ctrl-%d", id) }
-
-// startDurableCluster boots n controller replicas fronting gateways
-// over a SHARED store db (the replicated CouchDB stand-in), with the
-// full fencing loop wired: checkpoint writes carry the replica's
-// LeaderTerm, promotion raises the store fence, and a fenced write
-// steps the deposed replica down. pairNet additionally tags every
-// controller peer connection with WrapConnPair so tests can cut
-// individual replica links.
-func startDurableCluster(t *testing.T, n int, seed int64, mon *controller.Monitor,
-	inj *chaos.Injector, db *store.DB, chain []string, fns map[string]runtime.Function,
-	pairNet bool) []*failNode {
-	t.Helper()
-
-	ctrlLns := make([]net.Listener, n)
-	ctrlAddrs := make([]string, n)
-	for i := 0; i < n; i++ {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		ctrlLns[i] = ln
-		ctrlAddrs[i] = ln.Addr().String()
-	}
-
-	nodes := make([]*failNode, n)
-	for i := 0; i < n; i++ {
-		rcfg := runtime.DefaultConfig()
-		rcfg.Retries = 0
-		rt := runtime.New(rcfg, db)
-		for name, fn := range fns {
-			rt.Register(name, fn)
-		}
-
-		var gwPtr atomic.Pointer[runtime.Gateway]
-		ccfg := fastCtrlConfig(i, n, seed)
-		ccfg.Fault = inj
-		// Resume terms from the store's fence: a cluster restarted over
-		// recovered state must out-term the fence to write at all.
-		ccfg.InitialTerm = db.Fence()
-		ccfg.Recover = func(ctx context.Context) (int, error) {
-			if g := gwPtr.Load(); g != nil {
-				return g.Recover(ctx)
-			}
-			return 0, nil
-		}
-		// Promotion raises the shared store's fence to the won term
-		// before the first recovered write, closing the window where a
-		// deposed primary's in-flight mutations could still land.
-		ccfg.OnPromote = func(term uint64) { db.RaiseFence(term) }
-		peers := make(map[int]func() (net.Conn, error), n-1)
-		for j := 0; j < n; j++ {
-			if j == i {
-				continue
-			}
-			addr := ctrlAddrs[j]
-			me, them := ctrlName(i), ctrlName(j)
-			peers[j] = func() (net.Conn, error) {
-				c, err := net.Dial("tcp", addr)
-				if err != nil {
-					return nil, err
-				}
-				if pairNet {
-					return inj.WrapConnPair(c, me, them), nil
-				}
-				return c, nil
-			}
-		}
-		rep := controller.NewReplica(ccfg, peers, mon)
-
-		gcfg := runtime.DefaultGatewayConfig()
-		gcfg.Timeout = 10 * time.Second
-		gcfg.RespawnDelay = gwRespawnDelay
-		gcfg.Checkpoints = store.NewFencedCheckpointLog(db, rep.LeaderTerm)
-		gcfg.Admission = rep.Admission()
-		gcfg.Tracker = rep
-		gcfg.OnFenced = rep.StepDown
-		g := runtime.NewGatewayConfig(rt, gcfg)
-		g.SetMonitor(mon)
-		g.ExposeChain("pipeline", chain)
-		gwPtr.Store(g)
-
-		gln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		go g.Server().Serve(gln)
-		go rep.Server().Serve(ctrlLns[i])
-
-		nodes[i] = &failNode{id: i, replica: rep, rt: rt, gw: g, gwAddr: gln.Addr().String()}
-	}
-	t.Cleanup(func() {
-		for _, nd := range nodes {
-			nd.replica.Kill()
-			nd.gw.Close()
-			nd.rt.Close()
-		}
-	})
-	for _, nd := range nodes {
-		nd.replica.Start()
-	}
-	return nodes
-}
-
-// crashCluster kills every node abruptly — the store object is
-// abandoned WITHOUT Close, exactly as a process crash would leave it:
-// only what the WAL already wrote survives.
-func crashCluster(nodes []*failNode) {
-	for _, nd := range nodes {
-		nd.replica.Kill()
-		nd.gw.Close()
-		nd.rt.Close()
-	}
-}
-
 // plainChain is the 3-tier pipeline with no blocking — the function
 // set a restarted cluster registers so recovered orphans run through.
 func plainChain() (chain []string, fns map[string]runtime.Function) {
-	mk := func(suffix string) runtime.Function {
-		return func(ctx context.Context, in []byte) ([]byte, error) {
-			return append(append([]byte{}, in...), suffix...), nil
-		}
-	}
-	fns = map[string]runtime.Function{"head": mk(".h"), "mid": mk(".m"), "tail": mk(".t")}
+	fns = map[string]runtime.Function{"head": tag(".h"), "mid": tag(".m"), "tail": tag(".t")}
 	return []string{"head", "mid", "tail"}, fns
 }
 
@@ -201,11 +80,14 @@ func TestCrashRestartE2ERecoversFromWAL(t *testing.T) {
 	mon := controller.NewMonitor()
 	inj := chaos.NewInjector(11, chaos.Config{})
 	midEntered := make(chan struct{}, 1)
-	chain, fns := blockingMid(midEntered)
-	nodes := startDurableCluster(t, 3, 11, mon, inj, db, chain, fns, false)
-	primary := waitPrimary(t, nodes, 3*time.Second)
+	f := bootFleet(t, fleet.Config{
+		Seed: 11, Store: db, Monitor: mon, Fault: inj,
+		Runtime: runtime.DefaultConfig(), Gateway: chainGateway,
+		Setup: pipeline(blockingMid(midEntered)),
+	})
+	primary := leader(t, f)
 
-	conn, err := net.Dial("tcp", primary.gwAddr)
+	conn, err := net.Dial("tcp", primary.Addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +107,7 @@ func TestCrashRestartE2ERecoversFromWAL(t *testing.T) {
 	// Crash everything. The head output and the write-ahead checkpoint
 	// (NextStep=1) are on disk; the mid tier's work is lost with the
 	// processes.
-	crashCluster(nodes)
+	f.Crash()
 	select {
 	case cerr := <-callDone:
 		if cerr == nil {
@@ -254,8 +136,11 @@ func TestCrashRestartE2ERecoversFromWAL(t *testing.T) {
 
 	// A fresh cluster over the recovered store finishes the task via the
 	// new primary's orphan re-dispatch.
-	chain2, fns2 := plainChain()
-	startDurableCluster(t, 3, 12, mon, inj, db2, chain2, fns2, false)
+	bootFleet(t, fleet.Config{
+		Seed: 12, Store: db2, Monitor: mon, Fault: inj,
+		Runtime: runtime.DefaultConfig(), Gateway: chainGateway,
+		Setup: pipeline(plainChain()),
+	})
 	waitNoOrphans(t, store.NewCheckpointLog(db2), 10*time.Second)
 	assertExactlyOnce(t, db2, "task-crash")
 
@@ -283,15 +168,14 @@ func TestSnapshotMidTrafficE2EBoundedRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	inj := chaos.NewInjector(13, chaos.Config{})
-	chain, fns := plainChain()
-	nodes := startDurableCluster(t, 3, 13, mon, inj, db, chain, fns, false)
-	waitPrimary(t, nodes, 3*time.Second)
+	f := bootFleet(t, fleet.Config{
+		Seed: 13, Store: db, Monitor: mon, Fault: inj,
+		Runtime: runtime.DefaultConfig(), Gateway: chainGateway,
+		Setup: pipeline(plainChain()),
+	})
+	leader(t, f)
 
-	addrs := make([]string, len(nodes))
-	for i, nd := range nodes {
-		addrs[i] = nd.gwAddr
-	}
-	fc := rpc.DialFailover(addrs, rpc.FailoverOptions{CallTimeout: 5 * time.Second})
+	fc := rpc.DialFailover(f.Addrs(), rpc.FailoverOptions{CallTimeout: 5 * time.Second})
 	defer fc.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -308,7 +192,7 @@ func TestSnapshotMidTrafficE2EBoundedRecovery(t *testing.T) {
 		t.Fatalf("no compaction fired under %d tasks with CompactEvery=%d", tasks, compactEvery)
 	}
 
-	crashCluster(nodes)
+	f.Crash()
 	db2, st, err := store.Recover(dir)
 	if err != nil {
 		t.Fatal(err)

@@ -9,6 +9,7 @@ import (
 
 	"hivemind/internal/chaos"
 	"hivemind/internal/controller"
+	"hivemind/internal/fleet"
 	"hivemind/internal/rpc"
 	"hivemind/internal/runtime"
 	"hivemind/internal/store"
@@ -21,147 +22,56 @@ import (
 // whether recovery comes from the new primary's orphan re-dispatch or
 // from a leader-following client retrying through redirects.
 
-// failNode is one controller+gateway process in the replica set.
-type failNode struct {
-	id      int
-	replica *controller.Replica
-	rt      *runtime.Runtime
-	gw      *runtime.Gateway
-	gwAddr  string
+// fastReplica shrinks election timescales for test speed.
+var fastReplica = controller.ReplicaConfig{
+	ElectionTimeoutMin: 40 * time.Millisecond,
+	ElectionTimeoutMax: 80 * time.Millisecond,
+	LeaseInterval:      15 * time.Millisecond,
+	VoteTimeout:        50 * time.Millisecond,
 }
 
-// fastCtrlConfig shrinks election timescales for test speed.
-func fastCtrlConfig(id, replicas int, seed int64) controller.ReplicaConfig {
-	cfg := controller.DefaultReplicaConfig(id, replicas, seed)
-	cfg.ElectionTimeoutMin = 40 * time.Millisecond
-	cfg.ElectionTimeoutMax = 80 * time.Millisecond
-	cfg.LeaseInterval = 15 * time.Millisecond
-	cfg.VoteTimeout = 50 * time.Millisecond
-	return cfg
-}
+// chainGateway is the gateway template of the durable-chain suites.
+var chainGateway = runtime.GatewayConfig{Timeout: 10 * time.Second, StepRespawns: 1}
 
-// gwRespawnDelay is the chain respawn pause used by the suite's bound
-// assertions.
-const gwRespawnDelay = 20 * time.Millisecond
-
-// startFailoverCluster boots n controller replicas, each fronting a
-// gateway that serves `chain` over a shared durable store (the
-// replicated CouchDB stand-in). The injector is wired as each replica's
-// kill switch and every replica reports into mon. denyRecover, when
-// non-nil, suppresses orphan re-dispatch on one node (-1: on all): the
-// initial primary's promotion-time recovery scan may otherwise race the
-// client's brand-new task and complete the chain before the crash the
-// test is choreographing (safe thanks to create-only commits, but it
-// bypasses the failover under test). Tests store the doomed primary's
-// id once known; a node is denied whether its recovery goroutine reads
-// the gate before or after that store, so the race is closed.
-func startFailoverCluster(t *testing.T, n int, seed int64, mon *controller.Monitor,
-	inj *chaos.Injector, db *store.DB, chain []string, fns map[string]runtime.Function,
-	denyRecover *atomic.Int64) []*failNode {
+// bootFleet starts a 3-replica fleet on fast election timings; the
+// test's cleanup closes it.
+func bootFleet(t *testing.T, cfg fleet.Config) *fleet.Fleet {
 	t.Helper()
-	log := store.NewCheckpointLog(db)
-
-	ctrlLns := make([]net.Listener, n)
-	ctrlAddrs := make([]string, n)
-	for i := 0; i < n; i++ {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		ctrlLns[i] = ln
-		ctrlAddrs[i] = ln.Addr().String()
+	cfg.Replicas, cfg.Replica = 3, fastReplica
+	f, err := fleet.Start(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
+	t.Cleanup(f.Close)
+	return f
+}
 
-	nodes := make([]*failNode, n)
-	for i := 0; i < n; i++ {
-		rcfg := runtime.DefaultConfig()
-		rcfg.Retries = 0
-		rt := runtime.New(rcfg, db)
+// leader waits for the fleet's recovered primary.
+func leader(t *testing.T, f *fleet.Fleet) *fleet.Node {
+	t.Helper()
+	nd, err := f.Leader(3 * time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return nd
+}
+
+// pipeline is a fleet Setup that registers fns on every node and
+// exposes chain as the durable chain method "pipeline".
+func pipeline(chain []string, fns map[string]runtime.Function) func(*fleet.Node) {
+	return func(nd *fleet.Node) {
 		for name, fn := range fns {
-			rt.Register(name, fn)
+			nd.Runtime.Register(name, fn)
 		}
-
-		// Recover resolves through an atomic pointer because the gateway
-		// needs the replica (admission, task tracking) and the replica
-		// needs the gateway (orphan re-dispatch).
-		var gwPtr atomic.Pointer[runtime.Gateway]
-		ccfg := fastCtrlConfig(i, n, seed)
-		ccfg.Fault = inj
-		ccfg.Recover = func(ctx context.Context) (int, error) {
-			if denyRecover != nil {
-				if d := denyRecover.Load(); d == -1 || int(d) == i {
-					return 0, nil
-				}
-			}
-			if g := gwPtr.Load(); g != nil {
-				return g.Recover(ctx)
-			}
-			return 0, nil
-		}
-		peers := make(map[int]func() (net.Conn, error), n-1)
-		for j := 0; j < n; j++ {
-			if j == i {
-				continue
-			}
-			addr := ctrlAddrs[j]
-			peers[j] = func() (net.Conn, error) { return net.Dial("tcp", addr) }
-		}
-		rep := controller.NewReplica(ccfg, peers, mon)
-
-		gcfg := runtime.DefaultGatewayConfig()
-		gcfg.Timeout = 10 * time.Second
-		gcfg.RespawnDelay = gwRespawnDelay
-		gcfg.Checkpoints = log
-		gcfg.Admission = rep.Admission()
-		gcfg.Tracker = rep
-		g := runtime.NewGatewayConfig(rt, gcfg)
-		g.ExposeChain("pipeline", chain)
-		gwPtr.Store(g)
-
-		gln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		go g.Server().Serve(gln)
-		go rep.Server().Serve(ctrlLns[i])
-
-		// A dead replica takes its whole process down: gateway included.
-		go func() {
-			for rep.State() != controller.Dead {
-				time.Sleep(2 * time.Millisecond)
-			}
-			g.Close()
-		}()
-
-		nodes[i] = &failNode{id: i, replica: rep, rt: rt, gw: g, gwAddr: gln.Addr().String()}
+		nd.Gateway.ExposeChain("pipeline", chain)
 	}
-	t.Cleanup(func() {
-		for _, nd := range nodes {
-			nd.replica.Kill()
-			nd.gw.Close()
-			nd.rt.Close()
-		}
-	})
-	for _, nd := range nodes {
-		nd.replica.Start()
-	}
-	return nodes
 }
 
-// waitPrimary polls until one live replica leads.
-func waitPrimary(t *testing.T, nodes []*failNode, timeout time.Duration) *failNode {
-	t.Helper()
-	deadline := time.Now().Add(timeout)
-	for time.Now().Before(deadline) {
-		for _, nd := range nodes {
-			if nd.replica.State() == controller.Leader {
-				return nd
-			}
-		}
-		time.Sleep(5 * time.Millisecond)
+// tag is a chain tier that appends suffix to its input.
+func tag(suffix string) runtime.Function {
+	return func(ctx context.Context, in []byte) ([]byte, error) {
+		return append(append([]byte{}, in...), suffix...), nil
 	}
-	t.Fatal("no primary elected")
-	return nil
 }
 
 // blockingMid builds the standard 3-tier chain whose middle tier blocks
@@ -171,9 +81,7 @@ func blockingMid(midEntered chan<- struct{}) (chain []string, fns map[string]run
 	var first atomic.Bool
 	first.Store(true)
 	fns = map[string]runtime.Function{
-		"head": func(ctx context.Context, in []byte) ([]byte, error) {
-			return append(append([]byte{}, in...), ".h"...), nil
-		},
+		"head": tag(".h"),
 		"mid": func(ctx context.Context, in []byte) ([]byte, error) {
 			if first.CompareAndSwap(true, false) {
 				select {
@@ -183,11 +91,9 @@ func blockingMid(midEntered chan<- struct{}) (chain []string, fns map[string]run
 				<-ctx.Done() // held hostage until the primary dies
 				return nil, ctx.Err()
 			}
-			return append(append([]byte{}, in...), ".m"...), nil
+			return tag(".m")(ctx, in)
 		},
-		"tail": func(ctx context.Context, in []byte) ([]byte, error) {
-			return append(append([]byte{}, in...), ".t"...), nil
-		},
+		"tail": tag(".t"),
 	}
 	return []string{"head", "mid", "tail"}, fns
 }
@@ -202,16 +108,20 @@ func TestFailoverE2EOrphanRedispatchAfterPrimaryKill(t *testing.T) {
 	inj := chaos.NewInjector(42, chaos.Config{})
 	db := store.NewDB()
 	midEntered := make(chan struct{}, 1)
-	chain, fns := blockingMid(midEntered)
-	var denyRecover atomic.Int64
-	denyRecover.Store(-1) // deny everywhere until the doomed primary is known
-	nodes := startFailoverCluster(t, 3, 42, mon, inj, db, chain, fns, &denyRecover)
-	primary := waitPrimary(t, nodes, 3*time.Second)
+	f := bootFleet(t, fleet.Config{
+		Seed: 42, Store: db, Monitor: mon, Fault: inj,
+		Runtime: runtime.DefaultConfig(), Gateway: chainGateway,
+		Setup: pipeline(blockingMid(midEntered)),
+	})
+	// Leader returns only after the primary's promotion-time Recover
+	// finished, so no recovery scan can race the brand-new task below
+	// and complete the chain before the crash the test choreographs.
+	primary := leader(t, f)
 
 	// Fire the chain at the primary's gateway with an explicit task id.
 	// The call itself will die with the primary; recovery must come from
 	// the standby takeover.
-	conn, err := net.Dial("tcp", primary.gwAddr)
+	conn, err := net.Dial("tcp", primary.Addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,12 +141,8 @@ func TestFailoverE2EOrphanRedispatchAfterPrimaryKill(t *testing.T) {
 
 	// Kill the primary mid-"mid" via the scheduled chaos fault — the
 	// next lease round crosses the deadline and crashes the process.
-	// Recovery stays denied on the doomed node only, so even a late
-	// promotion-time scan there cannot complete the chain; the standby
-	// that takes over recovers freely.
 	killAt := time.Now()
-	denyRecover.Store(int64(primary.id))
-	inj.At(controller.KillControllerOp(primary.id), 0)
+	inj.At(controller.KillControllerOp(primary.ID), 0)
 
 	select {
 	case cerr := <-callDone:
@@ -247,43 +153,19 @@ func TestFailoverE2EOrphanRedispatchAfterPrimaryKill(t *testing.T) {
 		t.Fatal("client call never failed after the primary died")
 	}
 
-	// The chain completes through the new primary's Recover.
-	log := store.NewCheckpointLog(db)
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		orphans, oerr := log.Orphans()
-		if oerr == nil && len(orphans) == 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("orphan task never completed; remaining: %v", orphans)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	completedIn := time.Since(killAt)
-
-	// Exactly-once step effects: every output committed at generation 1
+	// The chain completes through the new primary's Recover, with
+	// exactly-once step effects: every output committed at generation 1
 	// with the expected lineage.
-	want := []string{"x.h", "x.h.m", "x.h.m.t"}
-	for step := 0; step < 3; step++ {
-		doc, gerr := db.Get(store.StepOutputKey("task-e2e", step))
-		if gerr != nil {
-			t.Fatalf("step %d output missing: %v", step, gerr)
-		}
-		if g := store.RevGen(doc.Rev); g != 1 {
-			t.Fatalf("step %d committed %d times, want exactly once", step, g)
-		}
-		if string(doc.Body) != want[step] {
-			t.Fatalf("step %d output = %q, want %q", step, doc.Body, want[step])
-		}
-	}
+	waitNoOrphans(t, store.NewCheckpointLog(db), 5*time.Second)
+	completedIn := time.Since(killAt)
+	assertExactlyOnce(t, db, "task-e2e")
 
 	// The shared monitor saw the whole story.
 	fo := mon.Failover()
 	if fo.Failovers < 1 {
-		for _, nd := range nodes {
-			lid, term := nd.replica.Leader()
-			t.Logf("node %d: state=%v leader=%d term=%d", nd.id, nd.replica.State(), lid, term)
+		for _, nd := range f.Nodes {
+			lid, term := nd.Replica.Leader()
+			t.Logf("node %d: state=%v leader=%d term=%d", nd.ID, nd.Replica.State(), lid, term)
 		}
 		t.Fatalf("failovers = %d (elections %d), want >= 1", fo.Failovers, fo.Elections)
 	}
@@ -293,8 +175,7 @@ func TestFailoverE2EOrphanRedispatchAfterPrimaryKill(t *testing.T) {
 	if fo.FailoverLatency.N() < 1 {
 		t.Fatal("no failover latency observation")
 	}
-	cfg := fastCtrlConfig(0, 3, 0)
-	bound := (2*cfg.ElectionTimeoutMax + 4*cfg.VoteTimeout + gwRespawnDelay).Seconds()
+	bound := failoverBound.Seconds()
 	if fo.FailoverLatency.Max() > bound {
 		t.Fatalf("failover latency %.3fs exceeds election+respawn bound %.3fs",
 			fo.FailoverLatency.Max(), bound)
@@ -304,10 +185,14 @@ func TestFailoverE2EOrphanRedispatchAfterPrimaryKill(t *testing.T) {
 	if wall := bound + 2.0; completedIn.Seconds() > wall {
 		t.Fatalf("orphan completed in %v, want under %.1fs", completedIn, wall)
 	}
-	if inj.FaultCount(controller.KillControllerOp(primary.id)) != 1 {
-		t.Fatalf("kill fault fired %d times, want 1", inj.FaultCount(controller.KillControllerOp(primary.id)))
+	if inj.FaultCount(controller.KillControllerOp(primary.ID)) != 1 {
+		t.Fatalf("kill fault fired %d times, want 1", inj.FaultCount(controller.KillControllerOp(primary.ID)))
 	}
 }
+
+// failoverBound is the modelled failover budget: two election timeouts,
+// four vote rounds and one step respawn.
+var failoverBound = 2*fastReplica.ElectionTimeoutMax + 4*fastReplica.VoteTimeout + fleet.RespawnDelay
 
 // A leader-following client retrying the same task id across the
 // failover joins the checkpointed chain instead of forking it: the
@@ -318,15 +203,14 @@ func TestFailoverE2EClientRetryDeduplicatesAgainstRecovery(t *testing.T) {
 	inj := chaos.NewInjector(7, chaos.Config{})
 	db := store.NewDB()
 	midEntered := make(chan struct{}, 1)
-	chain, fns := blockingMid(midEntered)
-	nodes := startFailoverCluster(t, 3, 7, mon, inj, db, chain, fns, nil)
-	primary := waitPrimary(t, nodes, 3*time.Second)
+	f := bootFleet(t, fleet.Config{
+		Seed: 7, Store: db, Monitor: mon, Fault: inj,
+		Runtime: runtime.DefaultConfig(), Gateway: chainGateway,
+		Setup: pipeline(blockingMid(midEntered)),
+	})
+	primary := leader(t, f)
 
-	addrs := make([]string, len(nodes))
-	for i, nd := range nodes {
-		addrs[i] = nd.gwAddr
-	}
-	fc := rpc.DialFailover(addrs, rpc.FailoverOptions{
+	fc := rpc.DialFailover(f.Addrs(), rpc.FailoverOptions{
 		Attempts:     60,
 		RetryBackoff: 15 * time.Millisecond,
 		CallTimeout:  3 * time.Second,
@@ -348,7 +232,7 @@ func TestFailoverE2EClientRetryDeduplicatesAgainstRecovery(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("chain never reached the mid tier")
 	}
-	inj.At(controller.KillControllerOp(primary.id), 0)
+	inj.At(controller.KillControllerOp(primary.ID), 0)
 
 	select {
 	case <-callDone:
@@ -361,15 +245,7 @@ func TestFailoverE2EClientRetryDeduplicatesAgainstRecovery(t *testing.T) {
 	if string(out) != "x.h.m.t" {
 		t.Fatalf("client output = %q, want x.h.m.t", out)
 	}
-	for step := 0; step < 3; step++ {
-		doc, err := db.Get(store.StepOutputKey("task-retry", step))
-		if err != nil {
-			t.Fatalf("step %d output missing: %v", step, err)
-		}
-		if g := store.RevGen(doc.Rev); g != 1 {
-			t.Fatalf("step %d committed %d times, want exactly once", step, g)
-		}
-	}
+	assertExactlyOnce(t, db, "task-retry")
 	if mon.Count(controller.EventFailover) < 1 {
 		t.Fatal("monitor recorded no failover")
 	}

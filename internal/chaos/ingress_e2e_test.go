@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -15,6 +14,7 @@ import (
 
 	"hivemind/internal/chaos"
 	"hivemind/internal/controller"
+	"hivemind/internal/fleet"
 	"hivemind/internal/ingress"
 	"hivemind/internal/rpc"
 	"hivemind/internal/runtime"
@@ -30,164 +30,6 @@ import (
 // committed their final step exactly once (RevGen 1), shed jobs answer
 // 503 with a Retry-After hint, and coalesced duplicates share one id
 // and one result.
-
-type ingNode struct {
-	id      int
-	replica *controller.Replica
-	rt      *runtime.Runtime
-	gw      *runtime.Gateway
-	ing     *ingress.Server
-	url     string
-	fc      *rpc.FailoverClient
-}
-
-// startIngressCluster boots n controller replicas over one shared
-// durable store, each fronting a gateway (durable "work" chain behind
-// admission control) and an ingress server. Each ingress dispatches
-// through its own leader-following failover client, so jobs ingested
-// anywhere execute on the controller primary and survive its death by
-// redirect + checkpoint dedup.
-func startIngressCluster(t *testing.T, n int, seed int64, mon *controller.Monitor,
-	inj *chaos.Injector, db *store.DB, maxConc int, exec time.Duration) []*ingNode {
-	t.Helper()
-	ctrlLns := make([]net.Listener, n)
-	ctrlAddrs := make([]string, n)
-	for i := 0; i < n; i++ {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		ctrlLns[i] = ln
-		ctrlAddrs[i] = ln.Addr().String()
-	}
-
-	nodes := make([]*ingNode, n)
-	gwAddrs := make([]string, n)
-	gwLns := make([]net.Listener, n)
-	for i := 0; i < n; i++ {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		gwLns[i] = ln
-		gwAddrs[i] = ln.Addr().String()
-	}
-
-	for i := 0; i < n; i++ {
-		rcfg := runtime.DefaultConfig()
-		rcfg.Retries = 0
-		rcfg.MaxInFlight = 4 * maxConc
-		rt := runtime.New(rcfg, db)
-		rt.Register("step", func(ctx context.Context, in []byte) ([]byte, error) {
-			select {
-			case <-time.After(exec):
-				return append(append([]byte{}, in...), ".s"...), nil
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			}
-		})
-
-		var gwPtr atomic.Pointer[runtime.Gateway]
-		ccfg := fastCtrlConfig(i, n, seed)
-		ccfg.Fault = inj
-		ccfg.InitialTerm = db.Fence()
-		ccfg.Recover = func(ctx context.Context) (int, error) {
-			if g := gwPtr.Load(); g != nil {
-				return g.Recover(ctx)
-			}
-			return 0, nil
-		}
-		ccfg.OnPromote = func(term uint64) { db.RaiseFence(term) }
-		peers := make(map[int]func() (net.Conn, error), n-1)
-		for j := 0; j < n; j++ {
-			if j == i {
-				continue
-			}
-			addr := ctrlAddrs[j]
-			peers[j] = func() (net.Conn, error) { return net.Dial("tcp", addr) }
-		}
-		rep := controller.NewReplica(ccfg, peers, mon)
-
-		gcfg := runtime.DefaultGatewayConfig()
-		gcfg.Timeout = 5 * time.Second
-		gcfg.RespawnDelay = gwRespawnDelay
-		gcfg.Checkpoints = store.NewFencedCheckpointLog(db, rep.LeaderTerm)
-		gcfg.Admission = rep.Admission()
-		gcfg.Tracker = rep
-		gcfg.OnFenced = rep.StepDown
-		gcfg.Overload = &runtime.AdmissionConfig{
-			MaxConcurrent: maxConc,
-			QueueLen:      2 * maxConc,
-			RetryAfter:    25 * time.Millisecond,
-		}
-		g := runtime.NewGatewayConfig(rt, gcfg)
-		g.ExposeChain("work", []string{"step"})
-		gwPtr.Store(g)
-		go g.Server().Serve(gwLns[i])
-		go rep.Server().Serve(ctrlLns[i])
-		// A dead controller takes its gateway down with it: callers see a
-		// transport failure and sweep, not a stale self-redirect.
-		go func() {
-			for rep.State() != controller.Dead {
-				time.Sleep(2 * time.Millisecond)
-			}
-			g.Close()
-		}()
-
-		// Endpoints in replica-id order on every node: NotLeaderError
-		// redirects name the leader by id, which doubles as the index
-		// into this list.
-		fc := rpc.DialFailover(gwAddrs, rpc.FailoverOptions{
-			Callers:      1024,
-			Attempts:     12,
-			RetryBackoff: 10 * time.Millisecond,
-			CallTimeout:  3 * time.Second,
-			Budget:       rpc.NewRetryBudget(rpc.DefaultRetryBudgetRatio, 256),
-		})
-		ing, err := ingress.NewServer(ingress.Options{
-			Dispatcher: fc,
-			Encode:     runtime.EncodeTask,
-			Lookup:     g.TaskResult,
-			Timeout:    8 * time.Second,
-			TTL:        5 * time.Minute,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ts := httptest.NewServer(ing)
-		t.Cleanup(ts.Close)
-
-		nodes[i] = &ingNode{id: i, replica: rep, rt: rt, gw: g, ing: ing, url: ts.URL, fc: fc}
-	}
-	t.Cleanup(func() {
-		for _, nd := range nodes {
-			nd.replica.Kill()
-			nd.ing.Close()
-			nd.fc.Close()
-			nd.gw.Close()
-			nd.rt.Close()
-		}
-	})
-	for _, nd := range nodes {
-		nd.replica.Start()
-	}
-	return nodes
-}
-
-func waitIngPrimary(t *testing.T, nodes []*ingNode, timeout time.Duration) *ingNode {
-	t.Helper()
-	deadline := time.Now().Add(timeout)
-	for time.Now().Before(deadline) {
-		for _, nd := range nodes {
-			if nd.replica.State() == controller.Leader {
-				return nd
-			}
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	t.Fatal("no primary elected")
-	return nil
-}
 
 // httpDo POSTs one job and returns (status, resultID, retryAfter).
 func httpDo(client *http.Client, base, job, payload, query string) (int, string, error) {
@@ -236,8 +78,71 @@ func TestIngressE2EAsyncJobsSurvivePrimaryKill(t *testing.T) {
 	mon := controller.NewMonitor()
 	inj := chaos.NewInjector(7, chaos.Config{})
 	db := store.NewDB()
-	nodes := startIngressCluster(t, replicas, 7, mon, inj, db, maxConc, exec)
-	primary := waitIngPrimary(t, nodes, 3*time.Second)
+	// Every gateway serves a durable one-step "work" chain behind
+	// admission control; a dead controller takes its gateway down with
+	// it, so callers see a transport failure and sweep, not a stale
+	// self-redirect.
+	rcfg := runtime.DefaultConfig()
+	rcfg.MaxInFlight = 4 * maxConc
+	f := bootFleet(t, fleet.Config{
+		Seed: 7, Store: db, Monitor: mon, Fault: inj, Runtime: rcfg,
+		Gateway: runtime.GatewayConfig{
+			Timeout:      5 * time.Second,
+			StepRespawns: 1,
+			Overload: &runtime.AdmissionConfig{
+				MaxConcurrent: maxConc,
+				QueueLen:      2 * maxConc,
+				RetryAfter:    25 * time.Millisecond,
+			},
+		},
+		Setup: func(nd *fleet.Node) {
+			nd.Runtime.Register("step", func(ctx context.Context, in []byte) ([]byte, error) {
+				select {
+				case <-time.After(exec):
+					return append(append([]byte{}, in...), ".s"...), nil
+				case <-ctx.Done():
+					return nil, ctx.Err()
+				}
+			})
+			nd.Gateway.ExposeChain("work", []string{"step"})
+		},
+	})
+	primary := leader(t, f)
+
+	// One ingress node per replica, each dispatching through its own
+	// leader-following failover client, so jobs ingested anywhere execute
+	// on the controller primary and survive its death by redirect +
+	// checkpoint dedup. f.Addrs is in replica-id order, the order
+	// NotLeaderError redirects index into.
+	type front struct {
+		ing *ingress.Server
+		url string
+	}
+	nodes := make([]front, replicas)
+	for i, nd := range f.Nodes {
+		fc := rpc.DialFailover(f.Addrs(), rpc.FailoverOptions{
+			Callers:      1024,
+			Attempts:     12,
+			RetryBackoff: 10 * time.Millisecond,
+			CallTimeout:  3 * time.Second,
+			Budget:       rpc.NewRetryBudget(rpc.DefaultRetryBudgetRatio, 256),
+		})
+		t.Cleanup(func() { fc.Close() })
+		ing, err := ingress.NewServer(ingress.Options{
+			Dispatcher: fc,
+			Encode:     runtime.EncodeTask,
+			Lookup:     nd.Gateway.TaskResult,
+			Timeout:    8 * time.Second,
+			TTL:        5 * time.Minute,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(ing.Close)
+		ts := httptest.NewServer(ing)
+		t.Cleanup(ts.Close)
+		nodes[i] = front{ing: ing, url: ts.URL}
+	}
 
 	client := &http.Client{
 		Timeout: 15 * time.Second,
@@ -305,7 +210,7 @@ func TestIngressE2EAsyncJobsSurvivePrimaryKill(t *testing.T) {
 			time.Sleep(d)
 		}
 		if !killed && time.Since(start) >= runFor/2 {
-			inj.At(controller.KillControllerOp(primary.id), 0)
+			inj.At(controller.KillControllerOp(primary.ID), 0)
 			killed = true
 		}
 		// Duplicates all go to one fixed node, the only place they can

@@ -4,12 +4,12 @@ import (
 	"context"
 	"net"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"hivemind/internal/chaos"
 	"hivemind/internal/controller"
+	"hivemind/internal/fleet"
 	"hivemind/internal/rpc"
 	"hivemind/internal/runtime"
 	"hivemind/internal/store"
@@ -30,13 +30,14 @@ func TestFailoverE2EMuxedStreamsAcrossPrimaryKill(t *testing.T) {
 	inj := chaos.NewInjector(1123, chaos.Config{})
 	db := store.NewDB()
 	midEntered := make(chan struct{}, 1)
-	chain, fns := blockingMid(midEntered)
-	var denyRecover atomic.Int64
-	denyRecover.Store(-1)
-	nodes := startFailoverCluster(t, 3, 1123, mon, inj, db, chain, fns, &denyRecover)
-	primary := waitPrimary(t, nodes, 3*time.Second)
+	f := bootFleet(t, fleet.Config{
+		Seed: 1123, Store: db, Monitor: mon, Fault: inj,
+		Runtime: runtime.DefaultConfig(), Gateway: chainGateway,
+		Setup: pipeline(blockingMid(midEntered)),
+	})
+	primary := leader(t, f)
 
-	conn, err := net.Dial("tcp", primary.gwAddr)
+	conn, err := net.Dial("tcp", primary.Addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,8 +90,7 @@ func TestFailoverE2EMuxedStreamsAcrossPrimaryKill(t *testing.T) {
 	// Kill the primary. The shared connection dies; the doomed stream's
 	// in-flight call must surface the teardown, not hang.
 	killAt := time.Now()
-	denyRecover.Store(int64(primary.id))
-	inj.At(controller.KillControllerOp(primary.id), 0)
+	inj.At(controller.KillControllerOp(primary.ID), 0)
 
 	select {
 	case cerr := <-callDone:
@@ -107,38 +107,13 @@ func TestFailoverE2EMuxedStreamsAcrossPrimaryKill(t *testing.T) {
 	}
 
 	// The hostage chain completes through the standby's Recover.
-	log := store.NewCheckpointLog(db)
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		orphans, oerr := log.Orphans()
-		if oerr == nil && len(orphans) == 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("orphan task never completed; remaining: %v", orphans)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	waitNoOrphans(t, store.NewCheckpointLog(db), 5*time.Second)
 	completedIn := time.Since(killAt)
-
-	want := []string{"x.h", "x.h.m", "x.h.m.t"}
-	for step := 0; step < 3; step++ {
-		doc, gerr := db.Get(store.StepOutputKey("task-mux-e2e", step))
-		if gerr != nil {
-			t.Fatalf("step %d output missing: %v", step, gerr)
-		}
-		if g := store.RevGen(doc.Rev); g != 1 {
-			t.Fatalf("step %d committed %d times, want exactly once", step, g)
-		}
-		if string(doc.Body) != want[step] {
-			t.Fatalf("step %d output = %q, want %q", step, doc.Body, want[step])
-		}
-	}
+	assertExactlyOnce(t, db, "task-mux-e2e")
 	if fo := mon.Failover(); fo.Failovers < 1 {
 		t.Fatalf("failovers = %d, want >= 1", fo.Failovers)
 	}
-	cfg := fastCtrlConfig(0, 3, 0)
-	bound := (2*cfg.ElectionTimeoutMax + 4*cfg.VoteTimeout + gwRespawnDelay).Seconds() + 2.0
+	bound := failoverBound.Seconds() + 2.0
 	if completedIn.Seconds() > bound {
 		t.Fatalf("orphan completed in %v, want under %.1fs", completedIn, bound)
 	}

@@ -2,17 +2,15 @@ package chaos_test
 
 import (
 	"context"
-	"net"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"hivemind/internal/chaos"
 	"hivemind/internal/controller"
+	"hivemind/internal/fleet"
 	"hivemind/internal/rpc"
 	"hivemind/internal/runtime"
 	"hivemind/internal/stats"
-	"hivemind/internal/store"
 	"hivemind/internal/trace"
 )
 
@@ -23,101 +21,6 @@ import (
 // RPC hop, runtime — all sharing the task's trace id, and (b) a
 // four-stage latency decomposition whose stage sums reconstruct the
 // client-measured end-to-end latency within 5%.
-
-// startObservedCluster is startFailoverCluster with the observability
-// layer wired in: a shared live tracer across gateways, controllers and
-// RPC servers, a per-node latency breakdown, and the chaos injector
-// also installed as each runtime's invoke-fault hook.
-func startObservedCluster(t *testing.T, n int, seed int64, mon *controller.Monitor,
-	inj *chaos.Injector, db *store.DB, chain []string, fns map[string]runtime.Function,
-	live *trace.Live) ([]*failNode, []*stats.Breakdown) {
-	t.Helper()
-	log := store.NewCheckpointLog(db)
-
-	ctrlLns := make([]net.Listener, n)
-	ctrlAddrs := make([]string, n)
-	for i := 0; i < n; i++ {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		ctrlLns[i] = ln
-		ctrlAddrs[i] = ln.Addr().String()
-	}
-
-	nodes := make([]*failNode, n)
-	bds := make([]*stats.Breakdown, n)
-	for i := 0; i < n; i++ {
-		rcfg := runtime.DefaultConfig()
-		rcfg.Retries = 0
-		rcfg.Injector = inj
-		rt := runtime.New(rcfg, db)
-		for name, fn := range fns {
-			rt.Register(name, fn)
-		}
-
-		var gwPtr atomic.Pointer[runtime.Gateway]
-		ccfg := fastCtrlConfig(i, n, seed)
-		ccfg.Fault = inj
-		ccfg.Recover = func(ctx context.Context) (int, error) {
-			if g := gwPtr.Load(); g != nil {
-				return g.Recover(ctx)
-			}
-			return 0, nil
-		}
-		peers := make(map[int]func() (net.Conn, error), n-1)
-		for j := 0; j < n; j++ {
-			if j == i {
-				continue
-			}
-			addr := ctrlAddrs[j]
-			peers[j] = func() (net.Conn, error) { return net.Dial("tcp", addr) }
-		}
-		rep := controller.NewReplica(ccfg, peers, mon)
-		rep.SetTracer(live)
-
-		bds[i] = stats.NewBreakdown()
-		gcfg := runtime.DefaultGatewayConfig()
-		gcfg.Timeout = 10 * time.Second
-		gcfg.RespawnDelay = gwRespawnDelay
-		gcfg.Checkpoints = log
-		gcfg.Admission = rep.Admission()
-		gcfg.Tracker = rep
-		gcfg.Tracer = live
-		gcfg.Breakdown = bds[i]
-		g := runtime.NewGatewayConfig(rt, gcfg)
-		g.ExposeChain("pipeline", chain)
-		g.Server().SetInterceptor(runtime.TraceServerInterceptor(live, "rpc"))
-		gwPtr.Store(g)
-
-		gln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		go g.Server().Serve(gln)
-		go rep.Server().Serve(ctrlLns[i])
-
-		go func() {
-			for rep.State() != controller.Dead {
-				time.Sleep(2 * time.Millisecond)
-			}
-			g.Close()
-		}()
-
-		nodes[i] = &failNode{id: i, replica: rep, rt: rt, gw: g, gwAddr: gln.Addr().String()}
-	}
-	t.Cleanup(func() {
-		for _, nd := range nodes {
-			nd.replica.Kill()
-			nd.gw.Close()
-			nd.rt.Close()
-		}
-	})
-	for _, nd := range nodes {
-		nd.replica.Start()
-	}
-	return nodes, bds
-}
 
 // sleepyChain builds a 3-tier chain whose tiers each burn a visible
 // amount of wall clock, so every stage of the decomposition is
@@ -144,16 +47,21 @@ func TestObservabilityE2ETraceAndBreakdown(t *testing.T) {
 	live := trace.NewLive(rec)
 	mon := controller.NewMonitor()
 	inj := chaos.NewInjector(11, chaos.Config{})
-	db := store.NewDB()
-	chain, fns := sleepyChain(25 * time.Millisecond)
-	nodes, bds := startObservedCluster(t, 3, 11, mon, inj, db, chain, fns, live)
-	primary := waitPrimary(t, nodes, 3*time.Second)
+	// The injector is also each runtime's invoke-fault hook.
+	rcfg := runtime.DefaultConfig()
+	rcfg.Injector = inj
+	f := bootFleet(t, fleet.Config{
+		Seed: 11, Monitor: mon, Fault: inj, Tracer: live,
+		Runtime: rcfg, Gateway: chainGateway,
+		Setup: pipeline(sleepyChain(25 * time.Millisecond)),
+	})
+	primary := leader(t, f)
 
 	// One injected fault: the mid tier's first execution attempt dies,
 	// the gateway respawns the step, the chain completes.
 	inj.At("invoke/plan", 0)
 
-	cl := rpc.DialFailover([]string{primary.gwAddr}, rpc.FailoverOptions{
+	cl := rpc.DialFailover([]string{primary.Addr}, rpc.FailoverOptions{
 		Callers:  4,
 		Attempts: 1,
 		Observer: runtime.TraceCallObserver(live),
@@ -201,8 +109,8 @@ func TestObservabilityE2ETraceAndBreakdown(t *testing.T) {
 	// one successful task. The stages cover everything but the
 	// response's return hop on loopback, so 5% is generous.
 	bd := stats.NewBreakdown()
-	for _, b := range bds {
-		bd.Merge(b)
+	for _, nd := range f.Nodes {
+		bd.Merge(nd.Breakdown)
 	}
 	if bd.N() != 1 {
 		t.Fatalf("breakdown holds %d tasks, want 1", bd.N())

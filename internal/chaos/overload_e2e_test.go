@@ -3,7 +3,6 @@ package chaos_test
 import (
 	"context"
 	"fmt"
-	"net"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -11,11 +10,11 @@ import (
 
 	"hivemind/internal/chaos"
 	"hivemind/internal/controller"
+	"hivemind/internal/fleet"
 	"hivemind/internal/metrics"
 	"hivemind/internal/rpc"
 	"hivemind/internal/runtime"
 	"hivemind/internal/stats"
-	"hivemind/internal/store"
 )
 
 // This file is the overload acceptance suite: a replica set whose
@@ -27,125 +26,11 @@ import (
 // cheaply, and never burn a worker executing a request whose deadline
 // already expired.
 
-// overNode is one controller+gateway process with its own metrics
-// registry (so per-node counters survive the node's death).
-type overNode struct {
-	id      int
-	replica *controller.Replica
-	rt      *runtime.Runtime
-	gw      *runtime.Gateway
-	gwAddr  string
-	reg     *metrics.Registry
-}
-
 // expiredGrace separates scheduling jitter from a real
 // executed-expired-work bug: a function entered within this much of
 // its deadline passing is a benign race; later than this is work the
 // drop layers should have refused.
 const expiredGrace = 10 * time.Millisecond
-
-// startOverloadCluster boots n replicas whose gateways expose a
-// fixed-cost "work" function behind the admission controller. Each
-// node's function counts ctx-already-expired entries into that node's
-// registry under "expired-executed".
-func startOverloadCluster(t *testing.T, n int, seed int64, mon *controller.Monitor,
-	inj *chaos.Injector, maxConc int, exec time.Duration) []*overNode {
-	t.Helper()
-	db := store.NewDB()
-	ctrlLns := make([]net.Listener, n)
-	ctrlAddrs := make([]string, n)
-	for i := 0; i < n; i++ {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		ctrlLns[i] = ln
-		ctrlAddrs[i] = ln.Addr().String()
-	}
-	nodes := make([]*overNode, n)
-	for i := 0; i < n; i++ {
-		reg := metrics.NewRegistry()
-		rcfg := runtime.DefaultConfig()
-		rcfg.Retries = 0
-		rcfg.MaxInFlight = maxConc // the backend's true finite capacity
-		rt := runtime.New(rcfg, db)
-		nodeReg := reg
-		rt.Register("work", func(ctx context.Context, in []byte) ([]byte, error) {
-			if d, ok := ctx.Deadline(); ok && time.Since(d) > expiredGrace {
-				nodeReg.CountEvent("expired-executed")
-			}
-			select {
-			case <-time.After(exec):
-				return in, nil
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			}
-		})
-
-		ccfg := fastCtrlConfig(i, n, seed)
-		ccfg.Fault = inj
-		peers := make(map[int]func() (net.Conn, error), n-1)
-		for j := 0; j < n; j++ {
-			if j == i {
-				continue
-			}
-			addr := ctrlAddrs[j]
-			peers[j] = func() (net.Conn, error) { return net.Dial("tcp", addr) }
-		}
-		rep := controller.NewReplica(ccfg, peers, mon)
-
-		gcfg := runtime.DefaultGatewayConfig()
-		gcfg.StepRespawns = 0
-		gcfg.Overload = &runtime.AdmissionConfig{
-			MaxConcurrent: maxConc,
-			QueueLen:      2 * maxConc,
-			RetryAfter:    25 * time.Millisecond,
-		}
-		g := runtime.NewGatewayConfig(rt, gcfg)
-		g.SetMonitor(reg)
-		g.Expose("work", "work")
-
-		gln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		go g.Server().Serve(gln)
-		go rep.Server().Serve(ctrlLns[i])
-		go func() {
-			for rep.State() != controller.Dead {
-				time.Sleep(2 * time.Millisecond)
-			}
-			g.Close()
-		}()
-		nodes[i] = &overNode{id: i, replica: rep, rt: rt, gw: g, gwAddr: gln.Addr().String(), reg: reg}
-	}
-	t.Cleanup(func() {
-		for _, nd := range nodes {
-			nd.replica.Kill()
-			nd.gw.Close()
-			nd.rt.Close()
-		}
-	})
-	for _, nd := range nodes {
-		nd.replica.Start()
-	}
-	return nodes
-}
-
-func waitOverPrimary(t *testing.T, nodes []*overNode, timeout time.Duration) *overNode {
-	t.Helper()
-	deadline := time.Now().Add(timeout)
-	for time.Now().Before(deadline) {
-		for _, nd := range nodes {
-			if nd.replica.State() == controller.Leader {
-				return nd
-			}
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	t.Fatal("no primary elected")
-	return nil
-}
 
 // Acceptance: 2× sustained capacity, primary killed mid-run. Goodput
 // stays at >= 80% of the measured saturation capacity, admitted p99
@@ -162,15 +47,46 @@ func TestOverloadE2EGoodputHoldsAtTwiceCapacityWithPrimaryKill(t *testing.T) {
 	)
 	mon := controller.NewMonitor()
 	inj := chaos.NewInjector(99, chaos.Config{})
-	nodes := startOverloadCluster(t, replicas, 99, mon, inj, maxConc, exec)
-	primary := waitOverPrimary(t, nodes, 3*time.Second)
+	// Each gateway exposes a fixed-cost "work" function behind the
+	// admission controller, reporting into a registry of its own (so
+	// per-node counters survive the node's death); the function counts
+	// ctx-already-expired entries under "expired-executed".
+	regs := make([]*metrics.Registry, replicas)
+	rcfg := runtime.DefaultConfig()
+	rcfg.MaxInFlight = maxConc // the backend's true finite capacity
+	f := bootFleet(t, fleet.Config{
+		Seed: 99, Monitor: mon, Fault: inj, Runtime: rcfg,
+		Gateway: runtime.GatewayConfig{Overload: &runtime.AdmissionConfig{
+			MaxConcurrent: maxConc,
+			QueueLen:      2 * maxConc,
+			RetryAfter:    25 * time.Millisecond,
+		}},
+		Setup: func(nd *fleet.Node) {
+			reg := metrics.NewRegistry()
+			regs[nd.ID] = reg
+			nd.Runtime.Register("work", func(ctx context.Context, in []byte) ([]byte, error) {
+				if d, ok := ctx.Deadline(); ok && time.Since(d) > expiredGrace {
+					reg.CountEvent("expired-executed")
+				}
+				select {
+				case <-time.After(exec):
+					return in, nil
+				case <-ctx.Done():
+					return nil, ctx.Err()
+				}
+			})
+			nd.Gateway.SetMonitor(reg)
+			nd.Gateway.Expose("work", "work")
+		},
+	})
+	primary := leader(t, f)
 
 	// Route the client at the doomed primary first so the mid-run kill
 	// disrupts live traffic; the sweep must carry it to a standby.
-	addrs := []string{primary.gwAddr}
-	for _, nd := range nodes {
+	addrs := []string{primary.Addr}
+	for _, nd := range f.Nodes {
 		if nd != primary {
-			addrs = append(addrs, nd.gwAddr)
+			addrs = append(addrs, nd.Addr)
 		}
 	}
 	budget := rpc.NewRetryBudget(rpc.DefaultRetryBudgetRatio, 256)
@@ -208,7 +124,7 @@ func TestOverloadE2EGoodputHoldsAtTwiceCapacityWithPrimaryKill(t *testing.T) {
 			time.Sleep(d)
 		}
 		if !killed && time.Since(start) >= runFor/2 {
-			inj.At(controller.KillControllerOp(primary.id), 0)
+			inj.At(controller.KillControllerOp(primary.ID), 0)
 			killed = true
 		}
 		wg.Add(1)
@@ -255,9 +171,9 @@ func TestOverloadE2EGoodputHoldsAtTwiceCapacityWithPrimaryKill(t *testing.T) {
 		t.Fatal("2x overload shed nothing: admission control inert")
 	}
 	// The tentpole invariant: no node executed deadline-expired work.
-	for _, nd := range nodes {
-		if n := nd.reg.Counter("expired-executed"); n != 0 {
-			t.Fatalf("node %d executed %v deadline-expired requests", nd.id, n)
+	for id, reg := range regs {
+		if n := reg.Counter("expired-executed"); n != 0 {
+			t.Fatalf("node %d executed %v deadline-expired requests", id, n)
 		}
 	}
 	waitFailover(t, mon, 5*time.Second)

@@ -9,6 +9,7 @@ import (
 
 	"hivemind/internal/chaos"
 	"hivemind/internal/controller"
+	"hivemind/internal/fleet"
 	"hivemind/internal/rpc"
 	"hivemind/internal/runtime"
 	"hivemind/internal/store"
@@ -23,9 +24,7 @@ func gatedMid(midEntered chan<- struct{}, release <-chan struct{}) (chain []stri
 	var first atomic.Bool
 	first.Store(true)
 	fns = map[string]runtime.Function{
-		"head": func(ctx context.Context, in []byte) ([]byte, error) {
-			return append(append([]byte{}, in...), ".h"...), nil
-		},
+		"head": tag(".h"),
 		"mid": func(ctx context.Context, in []byte) ([]byte, error) {
 			if first.CompareAndSwap(true, false) {
 				select {
@@ -38,11 +37,9 @@ func gatedMid(midEntered chan<- struct{}, release <-chan struct{}) (chain []stri
 					return nil, ctx.Err()
 				}
 			}
-			return append(append([]byte{}, in...), ".m"...), nil
+			return tag(".m")(ctx, in)
 		},
-		"tail": func(ctx context.Context, in []byte) ([]byte, error) {
-			return append(append([]byte{}, in...), ".t"...), nil
-		},
+		"tail": tag(".t"),
 	}
 	return []string{"head", "mid", "tail"}, fns
 }
@@ -63,13 +60,16 @@ func TestPartitionE2EMinorityLeaderFenced(t *testing.T) {
 	db.SetMonitor(mon)
 	midEntered := make(chan struct{}, 1)
 	release := make(chan struct{})
-	chain, fns := gatedMid(midEntered, release)
-	nodes := startDurableCluster(t, 3, 23, mon, inj, db, chain, fns, true)
-	primary := waitPrimary(t, nodes, 3*time.Second)
-	oldTerm := primary.replica.LeaderTerm()
+	f := bootFleet(t, fleet.Config{
+		Seed: 23, Store: db, Monitor: mon, Fault: inj,
+		Runtime: runtime.DefaultConfig(), Gateway: chainGateway,
+		Setup: pipeline(gatedMid(midEntered, release)),
+	})
+	primary := leader(t, f)
+	oldTerm := primary.Replica.LeaderTerm()
 
 	// Fire the chain at the primary and hold it hostage in the mid tier.
-	conn, err := net.Dial("tcp", primary.gwAddr)
+	conn, err := net.Dial("tcp", primary.Addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,23 +89,23 @@ func TestPartitionE2EMinorityLeaderFenced(t *testing.T) {
 	// Cut the primary off from BOTH standbys — but not the standbys from
 	// each other, and not the client from the primary's gateway. The
 	// classic minority-leader partition.
-	for _, nd := range nodes {
-		if nd.id != primary.id {
-			inj.PartitionPair(ctrlName(primary.id), ctrlName(nd.id))
+	for _, nd := range f.Nodes {
+		if nd != primary {
+			inj.PartitionPair(fleet.PeerName(primary.ID), fleet.PeerName(nd.ID))
 		}
 	}
 
 	// The majority side elects a new primary at a higher term; promotion
 	// raises the shared store's fence above the deposed leader's term.
 	deadline := time.Now().Add(5 * time.Second)
-	var newPrimary *failNode
+	var newPrimary *fleet.Node
 	for newPrimary == nil {
 		if time.Now().After(deadline) {
 			t.Fatal("majority never elected a new primary")
 		}
-		for _, nd := range nodes {
-			if nd.id != primary.id && nd.replica.State() == controller.Leader &&
-				nd.replica.LeaderTerm() > oldTerm {
+		for _, nd := range f.Nodes {
+			if nd != primary && nd.Replica.State() == controller.Leader &&
+				nd.Replica.LeaderTerm() > oldTerm {
 				newPrimary = nd
 			}
 		}
@@ -155,22 +155,22 @@ func TestPartitionE2EMinorityLeaderFenced(t *testing.T) {
 	for {
 		leaders, followers := 0, 0
 		var maxTerm uint64
-		for _, nd := range nodes {
-			switch nd.replica.State() {
+		for _, nd := range f.Nodes {
+			switch nd.Replica.State() {
 			case controller.Leader:
 				leaders++
 			case controller.Follower:
 				followers++
 			}
-			if term := nd.replica.Term(); term > maxTerm {
+			if term := nd.Replica.Term(); term > maxTerm {
 				maxTerm = term
 			}
 		}
-		allConverged := leaders == 1 && followers == len(nodes)-1
+		allConverged := leaders == 1 && followers == len(f.Nodes)-1
 		if allConverged {
 			same := true
-			for _, nd := range nodes {
-				if nd.replica.Term() != maxTerm {
+			for _, nd := range f.Nodes {
+				if nd.Replica.Term() != maxTerm {
 					same = false
 				}
 			}
@@ -179,9 +179,9 @@ func TestPartitionE2EMinorityLeaderFenced(t *testing.T) {
 			}
 		}
 		if time.Now().After(deadline) {
-			for _, nd := range nodes {
-				lid, term := nd.replica.Leader()
-				t.Logf("node %d: state=%v leader=%d term=%d", nd.id, nd.replica.State(), lid, term)
+			for _, nd := range f.Nodes {
+				lid, term := nd.Replica.Leader()
+				t.Logf("node %d: state=%v leader=%d term=%d", nd.ID, nd.Replica.State(), lid, term)
 			}
 			t.Fatal("cluster never converged on a single leader after heal")
 		}

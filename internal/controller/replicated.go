@@ -318,18 +318,11 @@ func (r *Replica) SetTracer(l *trace.Live) {
 // in-process pipes).
 func (r *Replica) Server() *rpc.Server { return r.srv }
 
-// Monitor returns the replica's metrics registry.
-func (r *Replica) Monitor() *Monitor { return r.mon }
-
 // Start launches the election/lease loops.
 func (r *Replica) Start() {
 	r.wg.Add(1)
 	go r.loop()
 }
-
-// Stop shuts the replica down gracefully (same mechanics as Kill; the
-// split exists so tests read as intent).
-func (r *Replica) Stop() { r.Kill() }
 
 // Kill crashes the replica: loops stop, the RPC server closes (dropping
 // every device and peer connection), and the replica never serves
@@ -347,6 +340,9 @@ func (r *Replica) Kill() {
 	})
 	r.wg.Wait()
 }
+
+// Done is closed once the replica is Dead, killed or crashed by chaos.
+func (r *Replica) Done() <-chan struct{} { return r.stop }
 
 // State returns the replica's current role.
 func (r *Replica) State() ReplicaState {

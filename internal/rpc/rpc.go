@@ -551,10 +551,9 @@ func closeError(cause error) error {
 	return fmt.Errorf("%w: %v", ErrClosed, cause)
 }
 
+// failAll records err as the teardown's root cause (the first caller
+// wins) before closing the writer, then fails every pending call.
 func (c *Client) failAll(err error) {
-	if c.w != nil { // nil in white-box tests that never dial
-		c.w.close()
-	}
 	c.mu.Lock()
 	c.closed = true
 	if c.readErr == nil {
@@ -564,6 +563,9 @@ func (c *Client) failAll(err error) {
 	pend := c.pending
 	c.pending = make(map[uint64]*Call)
 	c.mu.Unlock()
+	if c.w != nil { // nil in white-box tests that never dial
+		c.w.close()
+	}
 	for _, call := range pend {
 		call.fail(cause)
 	}

@@ -396,14 +396,16 @@ func (w *connWriter) drain(rounds int) {
 			onErr := w.onErr
 			w.onErr = nil // fire once
 			w.mu.Unlock()
-			// Tear the connection down so both read loops observe the
-			// failure instead of waiting on a half-dead peer, then hand
-			// the root cause to the owner so queued-but-unflushed frames
-			// fail their pending calls with the real write error.
-			w.conn.Close()
+			// Hand the root cause to the owner first, so queued-but-
+			// unflushed frames fail their pending calls with the real
+			// write error, then tear the connection down so both read
+			// loops observe the failure instead of waiting on a half-dead
+			// peer. Closing first lets the read loop's EOF win the race
+			// to record why the connection died.
 			if onErr != nil {
 				onErr(err)
 			}
+			w.conn.Close()
 			return
 		}
 	}
