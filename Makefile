@@ -48,7 +48,7 @@ race-sim:
 chaos:
 	$(GO) test -race -count=1 ./internal/chaos/ ./internal/fleet/
 	$(GO) test -race -count=1 \
-		-run 'Chaos|Injector|Breaker|Respawn|FailAll|Heartbeat|Failover|Transport|Replica|Checkpoint|Durable|Straggler|Orphan|Budget|Overload|Burst|Shed|Deadline|Storm|Admission|Fenced|Fence|Partition|WAL|CrashRestart|Snapshot|StepDown|Mux|Ring|Linker|Teardown|HandleLease|OnPromote' \
+		-run 'Chaos|Injector|Respawn|FailAll|Stale|Failover|Transport|Replica|Checkpoint|Durable|Straggler|Orphan|Overload|Burst|Shed|Deadline|Storm|Admission|Fenced|Fence|Partition|WAL|CrashRestart|Snapshot|StepDown|Mux|Ring|Linker|Teardown|HandleLease|OnPromote' \
 		./internal/rpc/ ./internal/runtime/ ./internal/store/ ./internal/controller/
 
 # Observability smoke run: a real TCP fleet with traced requests and a

@@ -125,7 +125,6 @@ func TestIngressE2EAsyncJobsSurvivePrimaryKill(t *testing.T) {
 			Attempts:     12,
 			RetryBackoff: 10 * time.Millisecond,
 			CallTimeout:  3 * time.Second,
-			Budget:       rpc.NewRetryBudget(rpc.DefaultRetryBudgetRatio, 256),
 		})
 		t.Cleanup(func() { fc.Close() })
 		ing, err := ingress.NewServer(ingress.Options{

@@ -89,13 +89,11 @@ func TestOverloadE2EGoodputHoldsAtTwiceCapacityWithPrimaryKill(t *testing.T) {
 			addrs = append(addrs, nd.Addr)
 		}
 	}
-	budget := rpc.NewRetryBudget(rpc.DefaultRetryBudgetRatio, 256)
 	fc := rpc.DialFailover(addrs, rpc.FailoverOptions{
 		Callers:      1024,
 		Attempts:     12,
 		RetryBackoff: 10 * time.Millisecond,
 		CallTimeout:  2 * time.Second,
-		Budget:       budget,
 	})
 	defer fc.Close()
 

@@ -122,41 +122,6 @@ func TestWorkerPoolBoundsConcurrency(t *testing.T) {
 	}
 }
 
-// TestPingBypassesSaturatedWorkerPool pins the out-of-band contract: a
-// heartbeat must complete while the only worker is stuck in a slow
-// handler, because the read loop answers pings directly instead of
-// routing them through the pool.
-func TestPingBypassesSaturatedWorkerPool(t *testing.T) {
-	srv := NewServer()
-	srv.SetWorkers(1)
-	release := make(chan struct{})
-	entered := make(chan struct{})
-	srv.Register("block", func(p []byte) ([]byte, error) {
-		close(entered)
-		<-release
-		return p, nil
-	})
-	cc, sc := Pair()
-	srv.ServeConn(sc)
-	defer srv.Close()
-	c := NewClient(cc, 4)
-	defer c.Close()
-
-	call := c.Go("block", nil, make(chan *Call, 1))
-	<-entered // the single worker is now stuck
-
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := c.Ping(ctx); err != nil {
-		t.Fatalf("ping queued behind saturated worker pool: %v", err)
-	}
-
-	close(release)
-	if res := <-call.Done; res.Err != nil {
-		t.Fatalf("blocked call failed after release: %v", res.Err)
-	}
-}
-
 // sinkConn is a net.Conn that records writes; its first Write can be
 // gated so frames pile up behind an in-flight syscall.
 type sinkConn struct {

@@ -3,6 +3,7 @@ package rpc
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net"
 	"strings"
 	"sync/atomic"
@@ -125,20 +126,34 @@ func TestFailoverClientSurfacesServerErrors(t *testing.T) {
 	}
 }
 
+// Attempts is the whole per-call bound on amplification: against a
+// replica set that never answers, one call costs exactly Attempts
+// endpoint builds, sweeping round the endpoints, and then gives up.
 func TestFailoverClientGivesUpWhenAllDead(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("listen: %v", err)
+	const attempts = 5
+	var builds atomic.Int32
+	dead := func() (Transport, error) {
+		builds.Add(1)
+		return nil, errors.New("connection refused")
 	}
-	addr := ln.Addr().String()
-	ln.Close() // nothing listens
-	fc := DialFailover([]string{addr}, FailoverOptions{Attempts: 2, RetryBackoff: time.Millisecond})
+	fc := NewFailover([]func() (Transport, error){dead, dead, dead},
+		FailoverOptions{Attempts: attempts, RetryBackoff: time.Millisecond})
 	defer fc.Close()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
-	if _, err := fc.Call(ctx, "work", nil); err == nil {
+	_, err := fc.Call(ctx, "work", nil)
+	if err == nil {
 		t.Fatal("call to dead replica set succeeded")
+	}
+	if want := fmt.Sprintf("after %d attempts", attempts); !strings.Contains(err.Error(), want) {
+		t.Fatalf("err = %v, want it to say %q", err, want)
+	}
+	if n := builds.Load(); n != attempts {
+		t.Fatalf("factories invoked %d times in total, want %d", n, attempts)
+	}
+	if r := fc.Stats().Retries; r != attempts-1 {
+		t.Fatalf("Retries = %d, want %d", r, attempts-1)
 	}
 }
 

@@ -17,7 +17,7 @@ const fencedPrefix = "rpc: fenced; term="
 // write: the request did NOT execute, and re-offering it to the same
 // endpoint cannot help — a newer primary exists somewhere else. Like
 // NotLeaderError it is a routing signal, not a failure: leader-
-// following clients re-route without spending retry budget.
+// following clients re-route without counting a retry.
 func FencedError(token, fence uint64) ServerError {
 	return ServerError(fencedPrefix + strconv.FormatUint(token, 10) +
 		" fence=" + strconv.FormatUint(fence, 10))

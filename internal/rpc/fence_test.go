@@ -35,8 +35,8 @@ func TestFencedErrorRoundTrip(t *testing.T) {
 }
 
 // A fenced response re-routes the failover client to another endpoint
-// — like a leader redirect, and like a redirect it must not spend the
-// retry budget.
+// — like a leader redirect, and like a redirect it is not counted as a
+// retry.
 func TestFailoverClientReroutesOnFenced(t *testing.T) {
 	deposed, healthy := NewServer(), NewServer()
 	deposed.Register("put", func([]byte) ([]byte, error) {
@@ -56,10 +56,8 @@ func TestFailoverClientReroutesOnFenced(t *testing.T) {
 		defer srv.Close()
 	}
 
-	budget := NewRetryBudget(0.1, 1) // one token: a single real retry
 	fc := DialFailover([]string{lns[0].Addr().String(), lns[1].Addr().String()}, FailoverOptions{
 		RetryBackoff: time.Millisecond,
-		Budget:       budget,
 	})
 	defer fc.Close()
 
@@ -75,9 +73,8 @@ func TestFailoverClientReroutesOnFenced(t *testing.T) {
 	if fc.Leader() != 1 {
 		t.Fatalf("client still routed at %d, want the healthy endpoint 1", fc.Leader())
 	}
-	// Routing around the fence was free: the budget still holds its
-	// token (plus the success deposit, capped at max).
-	if budget.Tokens() < 1 {
-		t.Fatalf("fenced reroute spent the retry budget: %v tokens", budget.Tokens())
+	// Routing around the fence is not a retry.
+	if r := fc.Stats().Retries; r != 0 {
+		t.Fatalf("fenced reroute counted %d retries, want 0", r)
 	}
 }

@@ -3,133 +3,12 @@ package rpc
 import (
 	"context"
 	"errors"
-	"math/rand"
 	"net"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 )
-
-// --- backoff schedule ---
-
-func TestBackoffGrowsExponentiallyAndCaps(t *testing.T) {
-	p := FailoverOptions{RetryBackoff: 10 * time.Millisecond, BackoffCap: 45 * time.Millisecond}
-	want := []time.Duration{10, 20, 40, 45, 45}
-	for i, w := range want {
-		if got := p.backoff(i, nil); got != w*time.Millisecond {
-			t.Fatalf("backoff(%d) = %v, want %v", i, got, w*time.Millisecond)
-		}
-	}
-}
-
-func TestBackoffJitterStaysBounded(t *testing.T) {
-	p := FailoverOptions{RetryBackoff: 100 * time.Millisecond, Jitter: 0.5}
-	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < 100; i++ {
-		d := p.backoff(0, rng)
-		if d < 50*time.Millisecond || d > 150*time.Millisecond {
-			t.Fatalf("jittered backoff %v outside ±50%% of base", d)
-		}
-	}
-}
-
-// The zero-valued schedule (no cap, no jitter) is the fixed pause the
-// leader-following client always had.
-func TestBackoffWithoutCapIsFixed(t *testing.T) {
-	p := FailoverOptions{RetryBackoff: 7 * time.Millisecond}
-	for i := 0; i < 6; i++ {
-		if got := p.backoff(i, nil); got != 7*time.Millisecond {
-			t.Fatalf("backoff(%d) = %v, want the fixed 7ms", i, got)
-		}
-	}
-}
-
-// --- Breaker ---
-
-func TestBreakerOpensAfterThresholdAndRecovers(t *testing.T) {
-	now := time.Unix(0, 0)
-	clock := func() time.Time { return now }
-	b := NewBreaker(BreakerConfig{Threshold: 3, Cooldown: time.Second}, clock)
-
-	for i := 0; i < 2; i++ {
-		if err := b.Allow(); err != nil {
-			t.Fatalf("closed breaker rejected call %d", i)
-		}
-		b.Record(false)
-	}
-	if b.State() != BreakerClosed {
-		t.Fatalf("state after 2 failures = %v", b.State())
-	}
-	if err := b.Allow(); err != nil {
-		t.Fatal("third call rejected while closed")
-	}
-	b.Record(false) // trips
-	if b.State() != BreakerOpen || b.Opens() != 1 {
-		t.Fatalf("state = %v opens = %d, want open/1", b.State(), b.Opens())
-	}
-	if err := b.Allow(); !errors.Is(err, ErrCircuitOpen) {
-		t.Fatalf("open breaker admitted a call: %v", err)
-	}
-
-	now = now.Add(time.Second) // cooldown elapses -> half-open probe
-	if b.State() != BreakerHalfOpen {
-		t.Fatalf("state after cooldown = %v", b.State())
-	}
-	if err := b.Allow(); err != nil {
-		t.Fatal("half-open breaker rejected the probe")
-	}
-	if err := b.Allow(); !errors.Is(err, ErrCircuitOpen) {
-		t.Fatal("half-open breaker admitted a second concurrent probe")
-	}
-	b.Record(true) // probe succeeds -> closed
-	if b.State() != BreakerClosed {
-		t.Fatalf("state after successful probe = %v", b.State())
-	}
-	if err := b.Allow(); err != nil {
-		t.Fatal("recovered breaker rejected a call")
-	}
-}
-
-func TestBreakerFailedProbeReopens(t *testing.T) {
-	now := time.Unix(0, 0)
-	b := NewBreaker(BreakerConfig{Threshold: 1, Cooldown: time.Second}, func() time.Time { return now })
-	b.Allow()
-	b.Record(false)
-	now = now.Add(time.Second)
-	if err := b.Allow(); err != nil {
-		t.Fatal("probe rejected")
-	}
-	b.Record(false)
-	if b.State() != BreakerOpen || b.Opens() != 2 {
-		t.Fatalf("failed probe: state = %v opens = %d", b.State(), b.Opens())
-	}
-}
-
-func TestBreakerDropReleasesProbe(t *testing.T) {
-	now := time.Unix(0, 0)
-	b := NewBreaker(BreakerConfig{Threshold: 1, Cooldown: time.Second}, func() time.Time { return now })
-	b.Allow()
-	b.Record(false)
-	now = now.Add(time.Second)
-	if err := b.Allow(); err != nil {
-		t.Fatal("probe rejected")
-	}
-	b.Drop() // cancelled probe must not wedge the breaker
-	if err := b.Allow(); err != nil {
-		t.Fatal("breaker wedged after a dropped probe")
-	}
-}
-
-func TestZeroBreakerAlwaysAllows(t *testing.T) {
-	b := NewBreaker(BreakerConfig{}, nil)
-	for i := 0; i < 10; i++ {
-		if err := b.Allow(); err != nil {
-			t.Fatal("disabled breaker rejected a call")
-		}
-		b.Record(false)
-	}
-}
 
 // --- FailoverClient over one endpoint: the reconnecting client ---
 
@@ -157,16 +36,12 @@ func (d *flakyDialer) dial() (net.Conn, error) {
 	return cc, nil
 }
 
-// hardenedOpts turns everything on: 4 retries on a growing backoff, the
-// idempotency guard (only the listed methods replay), and a breaker.
-func hardenedOpts(idempotent ...string) FailoverOptions {
+// hardenedOpts allows 4 retries on a short pause, each attempt bounded
+// by a per-call timeout.
+func hardenedOpts() FailoverOptions {
 	return FailoverOptions{
 		Attempts:     5,
 		RetryBackoff: time.Millisecond,
-		BackoffCap:   5 * time.Millisecond,
-		Idempotent:   append([]string{"some-other-method"}, idempotent...),
-		Breaker:      BreakerConfig{Threshold: 10, Cooldown: 50 * time.Millisecond},
-		Seed:         1,
 		CallTimeout:  2 * time.Second,
 	}
 }
@@ -181,7 +56,7 @@ func TestFailoverRetriesDeadConnections(t *testing.T) {
 	srv := echoServer()
 	defer srv.Close()
 	d := &flakyDialer{srv: srv, failFirst: 2}
-	rc := oneEndpoint(d.dial, hardenedOpts("echo"))
+	rc := oneEndpoint(d.dial, hardenedOpts())
 	defer rc.Close()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -202,7 +77,7 @@ func TestFailoverServerErrorNotRetried(t *testing.T) {
 	srv := echoServer() // "fail" handler always errors
 	defer srv.Close()
 	d := &flakyDialer{srv: srv}
-	rc := oneEndpoint(d.dial, hardenedOpts("fail"))
+	rc := oneEndpoint(d.dial, hardenedOpts())
 	defer rc.Close()
 
 	_, err := rc.Call(context.Background(), "fail", nil)
@@ -215,62 +90,9 @@ func TestFailoverServerErrorNotRetried(t *testing.T) {
 	}
 }
 
-func TestFailoverNonIdempotentNotRetried(t *testing.T) {
-	srv := echoServer()
-	defer srv.Close()
-	d := &flakyDialer{srv: srv, failFirst: 1}
-	rc := oneEndpoint(d.dial, hardenedOpts())
-	defer rc.Close()
-	// The guard is on and "echo" is not listed: the dead-connection
-	// failure must surface instead of being replayed.
-	if _, err := rc.Call(context.Background(), "echo", []byte("x")); err == nil {
-		t.Fatal("non-idempotent transport failure was silently retried")
-	}
-	if st := rc.Stats(); st.Retries != 0 {
-		t.Fatalf("retries = %d, want 0", st.Retries)
-	}
-}
-
-func TestFailoverBreakerShedsAndRecovers(t *testing.T) {
-	srv := echoServer()
-	defer srv.Close()
-	d := &flakyDialer{srv: srv, failFirst: 1 << 30} // every dial dead for now
-	opts := hardenedOpts()
-	opts.Attempts = 1 // isolate the breaker from retries
-	opts.Breaker = BreakerConfig{Threshold: 3, Cooldown: 40 * time.Millisecond}
-	rc := oneEndpoint(d.dial, opts)
-	defer rc.Close()
-
-	for i := 0; i < 3; i++ {
-		if _, err := rc.Call(context.Background(), "echo", nil); err == nil {
-			t.Fatal("call on dead transport succeeded")
-		}
-	}
-	if rc.Breaker(0).State() != BreakerOpen {
-		t.Fatalf("breaker state = %v after 3 consecutive failures", rc.Breaker(0).State())
-	}
-	if _, err := rc.Call(context.Background(), "echo", nil); !errors.Is(err, ErrCircuitOpen) {
-		t.Fatalf("open breaker did not shed: %v", err)
-	}
-	if rc.Stats().Rejected == 0 {
-		t.Fatal("rejected counter not bumped")
-	}
-
-	// Server heals; after the cooldown a half-open probe closes it.
-	d.mu.Lock()
-	d.failFirst = 0
-	d.mu.Unlock()
-	time.Sleep(60 * time.Millisecond)
-	out, err := rc.Call(context.Background(), "echo", []byte("probe"))
-	if err != nil || string(out) != "probe" {
-		t.Fatalf("half-open probe failed: %q %v", out, err)
-	}
-	if rc.Breaker(0).State() != BreakerClosed {
-		t.Fatalf("breaker did not close after successful probe: %v", rc.Breaker(0).State())
-	}
-}
-
-func TestFailoverHeartbeatTriggersReconnect(t *testing.T) {
+// TestFailoverRedialsSeveredConnection severs the client's connection
+// between calls: the next call must notice and redial.
+func TestFailoverRedialsSeveredConnection(t *testing.T) {
 	srv := echoServer()
 	defer srv.Close()
 
@@ -284,16 +106,14 @@ func TestFailoverHeartbeatTriggersReconnect(t *testing.T) {
 		mu.Unlock()
 		return cc, nil
 	}
-	opts := hardenedOpts("echo")
-	opts.HeartbeatInterval = 10 * time.Millisecond // a beat is missed after 30ms
-	rc := oneEndpoint(dial, opts)
+	rc := oneEndpoint(dial, hardenedOpts())
 	defer rc.Close()
 
 	if _, err := rc.Call(context.Background(), "echo", []byte("a")); err != nil {
 		t.Fatal(err)
 	}
-	// Sever the first connection out from under the client; the
-	// heartbeat (or the next call) must notice and redial.
+	// Sever the first connection out from under the client; the next
+	// call must notice and redial.
 	mu.Lock()
 	conns[0].Close()
 	mu.Unlock()
@@ -329,7 +149,7 @@ func TestFailoverCallTimeoutRetriesWithinDeadline(t *testing.T) {
 	})
 	defer srv.Close()
 	d := &flakyDialer{srv: srv}
-	opts := hardenedOpts("sometimes")
+	opts := hardenedOpts()
 	opts.CallTimeout = 30 * time.Millisecond
 	rc := oneEndpoint(d.dial, opts)
 	defer rc.Close()
@@ -353,7 +173,7 @@ func TestFailoverRespectsCallerDeadline(t *testing.T) {
 	})
 	defer srv.Close()
 	d := &flakyDialer{srv: srv}
-	opts := hardenedOpts("hang")
+	opts := hardenedOpts()
 	opts.CallTimeout = 0
 	rc := oneEndpoint(d.dial, opts)
 	defer rc.Close()

@@ -93,24 +93,6 @@ func TestFailoverObserverFiresOncePerAttempt(t *testing.T) {
 	}
 }
 
-func TestFailoverObserverIgnoresPings(t *testing.T) {
-	for kind, ep := range observedEndpoints(t, echoServer()) {
-		var log obsLog
-		fc := NewFailover([]func() (Transport, error){ep}, FailoverOptions{
-			HeartbeatInterval: 2 * time.Millisecond,
-			Observer:          log.observer,
-		})
-		if _, err := fc.Call(context.Background(), "echo", nil); err != nil {
-			t.Fatalf("%s: %v", kind, err)
-		}
-		time.Sleep(20 * time.Millisecond) // several heartbeats
-		fc.Close()
-		if started, _ := log.snapshot(); len(started) != 1 {
-			t.Fatalf("%s: pings observed: %v", kind, started)
-		}
-	}
-}
-
 func TestServerInterceptorWrapsPlainAndCtxHandlers(t *testing.T) {
 	s := NewServer()
 	s.Register("plain", func(p []byte) ([]byte, error) { return append(p, '!'), nil })

@@ -3,21 +3,16 @@ package rpc
 import (
 	"context"
 	"errors"
-	"fmt"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 )
 
 // This file is the overload-control vocabulary of the RPC layer: the
 // typed errors an overloaded server returns (shed-on-SLO and
-// deadline-expired responses, both wire-parseable like NotLeaderError),
-// and the shared retry budget that keeps layered retry loops
-// (FailoverClient, gateway respawns) from multiplying
-// into a retry storm when the fleet is already saturated — the classic
-// ingredient of metastable collapse the HiveMind front door must not
-// have.
+// deadline-expired responses, both wire-parseable like NotLeaderError).
+// FailoverClient returns both without retrying them, so an overloaded
+// fleet is never offered more work than its callers sent.
 
 // shedPrefix marks the response of a server that refused work to
 // protect its SLO. The suffix carries the retry-after hint in
@@ -100,93 +95,4 @@ func IsDeadlineExceeded(err error) bool {
 	}
 	var se ServerError
 	return errors.As(err, &se) && strings.HasPrefix(string(se), deadlinePrefix)
-}
-
-// ErrRetryBudgetExhausted is returned (wrapped around the attempt's
-// real error) when a retry loop wanted to re-attempt but the shared
-// retry budget was empty: under sustained failure the layers stop
-// multiplying attempts and surface the error instead.
-var ErrRetryBudgetExhausted = errors.New("rpc: retry budget exhausted")
-
-// RetryBudget is a token bucket that bounds fleet-wide retry
-// amplification: every success deposits Ratio tokens (default 0.1 — at
-// most ~10% extra load from retries in steady state), every retry
-// withdraws one. When the bucket is empty, retry loops give up
-// immediately instead of hammering an already-failing service. One
-// budget is meant to be shared across every retry layer of a client
-// process (FailoverClient retries and endpoint sweeps, gateway step
-// respawns), so stacked layers draw from one allowance
-// rather than multiplying each other.
-//
-// A nil *RetryBudget disables budgeting (Withdraw always succeeds), so
-// every consumer can thread an optional budget without nil checks.
-type RetryBudget struct {
-	mu     sync.Mutex
-	tokens float64
-	max    float64
-	ratio  float64
-}
-
-// DefaultRetryBudgetRatio is the steady-state retry allowance: ~10% of
-// successful calls may be retried.
-const DefaultRetryBudgetRatio = 0.1
-
-// NewRetryBudget builds a budget that earns ratio tokens per success
-// (<=0: DefaultRetryBudgetRatio) capped at max (<=0: 100). The bucket
-// starts full so cold-start blips retry freely; only sustained failure
-// drains it.
-func NewRetryBudget(ratio, max float64) *RetryBudget {
-	if ratio <= 0 {
-		ratio = DefaultRetryBudgetRatio
-	}
-	if max <= 0 {
-		max = 100
-	}
-	return &RetryBudget{tokens: max, max: max, ratio: ratio}
-}
-
-// Success deposits the per-success earn into the bucket.
-func (b *RetryBudget) Success() {
-	if b == nil {
-		return
-	}
-	b.mu.Lock()
-	b.tokens += b.ratio
-	if b.tokens > b.max {
-		b.tokens = b.max
-	}
-	b.mu.Unlock()
-}
-
-// Withdraw takes one token for a retry, reporting whether the retry is
-// allowed. A nil budget always allows.
-func (b *RetryBudget) Withdraw() bool {
-	if b == nil {
-		return true
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.tokens < 1 {
-		return false
-	}
-	b.tokens--
-	return true
-}
-
-// Tokens returns the current balance (diagnostics; 0 for nil).
-func (b *RetryBudget) Tokens() float64 {
-	if b == nil {
-		return 0
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.tokens
-}
-
-// budgetExhausted wraps an attempt error with the budget marker.
-func budgetExhausted(lastErr error) error {
-	if lastErr == nil {
-		return ErrRetryBudgetExhausted
-	}
-	return fmt.Errorf("%w (last attempt: %v)", ErrRetryBudgetExhausted, lastErr)
 }

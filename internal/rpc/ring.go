@@ -447,15 +447,6 @@ func (r *Ring) CallSync(method string, payload []byte) ([]byte, error) {
 	return r.call(context.Background(), method, payload)
 }
 
-// Ping reports transport health; an open ring is always reachable (it
-// is memory), so there is no round trip to make.
-func (r *Ring) Ping(ctx context.Context) error {
-	if r.closed.Load() {
-		return ErrClosed
-	}
-	return ctx.Err()
-}
-
 // Healthy reports whether the ring is open.
 func (r *Ring) Healthy() bool { return !r.closed.Load() }
 

@@ -149,9 +149,6 @@ func TestRingCloseDuringSend(t *testing.T) {
 	if r.Healthy() {
 		t.Fatal("closed ring reports healthy")
 	}
-	if err := r.Ping(context.Background()); !errors.Is(err, ErrClosed) {
-		t.Fatalf("ping on closed ring: %v", err)
-	}
 }
 
 // TestRingReconnect pins the reconnect story: after a ring closes, a

@@ -23,16 +23,13 @@
 // bounded worker pool (worker.go) instead of a goroutine per request,
 // sized like the client's caller pool.
 //
-// Beyond request/response the protocol carries three control frames
-// that make the live substrate survivable under the failure modes the
-// paper studies (§3.2, §4.6): cancel frames propagate client-side
-// context cancellation into running server handlers, and ping/pong
-// frames give clients a connection-health heartbeat. Both are serviced
-// out-of-band of the worker pool, directly from the read loop, so
-// heartbeats never queue behind slow handlers. On top of the
-// transports (transport.go), FailoverClient (failover.go) layers
-// deadlines, retries with backoff, automatic rebuild, leader-following
-// and circuit breaking (breaker.go).
+// Beyond request/response the protocol carries a cancel frame that
+// propagates client-side context cancellation into running server
+// handlers; it is serviced out-of-band of the worker pool, directly
+// from the read loop, so cancellation never queues behind slow
+// handlers. On top of the transports (transport.go), FailoverClient
+// (failover.go) layers deadlines, bounded retries, automatic rebuild
+// and leader-following.
 package rpc
 
 import (
@@ -56,10 +53,9 @@ const (
 	// kindCancel tells the server to cancel the context of the handler
 	// running callID (sent when the client's ctx fires first).
 	kindCancel = 4
-	// kindPing/kindPong are the connection heartbeat: the server echoes
-	// a ping's payload back in a pong with the same call id.
-	kindPing = 5
-	kindPong = 6
+
+	// Kinds 5 and 6 are reserved (once ping/pong); servers skip them.
+
 	// kindRequestDL is a request whose body starts with an 8-byte
 	// absolute deadline (UnixNano) ahead of the payload: wire-level
 	// deadline propagation. Servers drop a request whose deadline has
@@ -118,7 +114,7 @@ type HandlerCtx func(ctx context.Context, payload []byte) ([]byte, error)
 // on success), or nil to skip observing this attempt. The pair brackets
 // the full RPC hop on whatever transport carries it — caller-pool wait,
 // write, server turnaround, reply — so observability layers can time
-// hops without touching the wire format. Pings are never observed.
+// hops without touching the wire format.
 type CallObserver func(method string, payload []byte) func(err error)
 
 // ServerInterceptor wraps every dispatched handler: it receives the
@@ -210,8 +206,8 @@ func NewServer() *Server {
 
 // SetWorkers bounds the per-connection handler worker pool for
 // connections served after the call (<=0 restores the default of 64,
-// matching the client caller pool). Ping and cancel frames are handled
-// outside the pool regardless of its size.
+// matching the client caller pool). Cancel frames are handled outside
+// the pool regardless of its size.
 func (s *Server) SetWorkers(n int) {
 	s.lnMu.Lock()
 	defer s.lnMu.Unlock()
@@ -342,15 +338,6 @@ func (s *Server) ServeConn(conn net.Conn) {
 			}
 			var deadlineNS int64
 			switch f.kind {
-			case kindPing:
-				// Answered directly from the read loop, out-of-band of
-				// the worker pool. The async enqueue never blocks this
-				// goroutine on a syscall, so a saturated pool or a stuck
-				// peer cannot stall heartbeat service.
-				if buf, encErr := encodeFrame(kindPong, f.callID, "", f.payload); encErr == nil {
-					w.enqueue(buf, false)
-				}
-				continue
 			case kindCancel:
 				d.cancelCall(f.callID)
 				continue
@@ -433,7 +420,7 @@ type Call struct {
 }
 
 // donePool recycles the internal completion channels of the blocking
-// call paths (Call/CallSync/Ping); each delivers exactly once, so a
+// call paths (Call/CallSync); each delivers exactly once, so a
 // received-from channel is empty and safe to reuse.
 var donePool = sync.Pool{New: func() any { return make(chan *Call, 1) }}
 
@@ -530,7 +517,7 @@ func (c *Client) readLoop() {
 		// The read loop is the call's exclusive finisher once it has
 		// removed it from pending, so these field writes cannot race.
 		switch f.kind {
-		case kindResponse, kindPong:
+		case kindResponse:
 			call.Reply = f.payload
 		case kindError:
 			call.Err = ServerError(f.payload)
@@ -609,26 +596,23 @@ func (c *Client) Healthy() bool {
 	return !c.closed
 }
 
-// start registers and sends one frame for call, which must carry its
-// Method and a buffered Done channel. A non-nil sem reserves a
-// caller-pool slot (held until the call finishes); pings bypass the
-// pool so heartbeats get through even when the pool is saturated.
-// stream tags the call id with a logical stream so the server's
-// dispatcher can schedule streams fairly.
-func (c *Client) start(ctx context.Context, kind byte, call *Call, payload []byte, sem chan struct{}, stream uint16) *Call {
-	if sem != nil {
-		if ctx.Done() == nil {
-			// Background context: plain send, no select machinery.
-			sem <- struct{}{}
+// start registers and sends one request frame for call, which must
+// carry its Method and a buffered Done channel. It first reserves a
+// slot in the caller pool sem (held until the call finishes). stream
+// tags the call id with a logical stream so the server's dispatcher
+// can schedule streams fairly.
+func (c *Client) start(ctx context.Context, call *Call, payload []byte, sem chan struct{}, stream uint16) *Call {
+	if ctx.Done() == nil {
+		// Background context: plain send, no select machinery.
+		sem <- struct{}{}
+		call.sem = sem
+	} else {
+		select {
+		case sem <- struct{}{}:
 			call.sem = sem
-		} else {
-			select {
-			case sem <- struct{}{}:
-				call.sem = sem
-			case <-ctx.Done():
-				call.fail(ctx.Err())
-				return call
-			}
+		case <-ctx.Done():
+			call.fail(ctx.Err())
+			return call
 		}
 	}
 	c.mu.Lock()
@@ -645,14 +629,12 @@ func (c *Client) start(ctx context.Context, kind byte, call *Call, payload []byt
 
 	var buf *[]byte
 	var err error
-	dlNS := int64(0)
-	if kind == kindRequest {
-		if dl, hasDL := ctx.Deadline(); hasDL {
-			// Propagate the caller's absolute deadline on the wire so the
-			// server can drop the request unexecuted once it expires.
-			kind = kindRequestDL
-			dlNS = dl.UnixNano()
-		}
+	kind, dlNS := byte(kindRequest), int64(0)
+	if dl, hasDL := ctx.Deadline(); hasDL {
+		// Propagate the caller's absolute deadline on the wire so the
+		// server can drop the request unexecuted once it expires.
+		kind = kindRequestDL
+		dlNS = dl.UnixNano()
 	}
 	// Stream 0 flushes inline: an idle writer writes on this goroutine
 	// with no handoff latency, and reports the write error
@@ -663,7 +645,7 @@ func (c *Client) start(ctx context.Context, kind byte, call *Call, payload []byt
 	// syscall per call (pipelined throughput is what streams exist
 	// for); failures surface through connection teardown.
 	inline := stream == 0
-	if (kind == kindRequest || kind == kindRequestDL) && len(payload) >= lendMin {
+	if len(payload) >= lendMin {
 		// Zero-copy send: encode only the header into a pooled buffer
 		// and lend the caller's payload to the writer, which gathers
 		// the two into the socket with writev. The payload must stay
@@ -726,23 +708,6 @@ func (c *Client) Call(ctx context.Context, method string, payload []byte) ([]byt
 // CallSync performs a blocking call on stream 0 with no deadline.
 func (c *Client) CallSync(method string, payload []byte) ([]byte, error) {
 	return c.s0.CallSync(method, payload)
-}
-
-// Ping round-trips a heartbeat frame, bypassing the caller pool.
-// A healthy connection answers even while saturated with slow calls.
-func (c *Client) Ping(ctx context.Context) error {
-	done := getDone()
-	call := c.start(ctx, kindPing, getCall("", done), nil, nil, 0)
-	select {
-	case <-done:
-	case <-ctx.Done():
-		c.abort(call, ctx.Err())
-		<-done
-	}
-	err := call.Err
-	putDone(done)
-	putCall(call)
-	return err
 }
 
 // Close tears down the connection; outstanding calls fail with

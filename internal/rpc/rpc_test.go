@@ -414,24 +414,6 @@ func TestConnTeardownCancelsServerHandlers(t *testing.T) {
 	}
 }
 
-func TestPingBypassesSaturatedPool(t *testing.T) {
-	srv := NewServer()
-	release := make(chan struct{})
-	defer close(release)
-	srv.Register("hold", func(p []byte) ([]byte, error) {
-		<-release
-		return nil, nil
-	})
-	c := pipeClientServer(t, srv, 1)
-	go c.Go("hold", nil, nil) // saturates the single-slot pool
-	time.Sleep(10 * time.Millisecond)
-	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
-	defer cancel()
-	if err := c.Ping(ctx); err != nil {
-		t.Fatalf("heartbeat starved by saturated pool: %v", err)
-	}
-}
-
 // Property: arbitrary binary payloads echo back unchanged over the full
 // client/server stack.
 func TestEchoPayloadFidelityProperty(t *testing.T) {

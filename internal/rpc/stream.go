@@ -56,7 +56,7 @@ func (s *Stream) start(ctx context.Context, call *Call, payload []byte) *Call {
 		call.fail(ErrClosed)
 		return call
 	}
-	return s.c.start(ctx, kindRequest, call, payload, s.sem, s.id)
+	return s.c.start(ctx, call, payload, s.sem, s.id)
 }
 
 // Call performs a blocking call on this stream bounded by ctx: if the
@@ -106,15 +106,6 @@ func (s *Stream) Go(method string, payload []byte, done chan *Call) *Call {
 		panic("rpc: done channel is unbuffered")
 	}
 	return s.start(context.Background(), &Call{Method: method, Done: done}, payload)
-}
-
-// Ping round-trips the shared connection's heartbeat (streams share
-// connection health).
-func (s *Stream) Ping(ctx context.Context) error {
-	if s.closed.Load() {
-		return ErrClosed
-	}
-	return s.c.Ping(ctx)
 }
 
 // Healthy reports whether the stream is open and the shared connection

@@ -23,8 +23,6 @@ type Transport interface {
 	Call(ctx context.Context, method string, payload []byte) ([]byte, error)
 	// CallSync performs a blocking call with no deadline.
 	CallSync(method string, payload []byte) ([]byte, error)
-	// Ping round-trips a transport health probe.
-	Ping(ctx context.Context) error
 	// Healthy reports whether the transport can still carry calls.
 	Healthy() bool
 	// Close tears the transport down: later calls return ErrClosed and

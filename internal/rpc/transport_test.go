@@ -11,16 +11,15 @@ import (
 )
 
 // callOnly is the thin Transport view of a FailoverClient, which has
-// Call and Close but no CallSync, Ping or Healthy of its own: the
-// contract's health assertions are skipped for it.
+// Call and Close but no CallSync or Healthy of its own: the contract's
+// health assertions are skipped for it.
 type callOnly struct{ *FailoverClient }
 
 func (v callOnly) CallSync(method string, payload []byte) ([]byte, error) {
 	return v.Call(context.Background(), method, payload)
 }
-func (v callOnly) Ping(ctx context.Context) error { return ctx.Err() }
-func (v callOnly) Healthy() bool                  { return true }
-func (v callOnly) Close() error                   { v.FailoverClient.Close(); return nil }
+func (v callOnly) Healthy() bool { return true }
+func (v callOnly) Close() error  { v.FailoverClient.Close(); return nil }
 
 // contractServer registers one handler per behaviour the contract
 // checks, and counts interceptor invocations.
@@ -67,9 +66,6 @@ func transportContract(t *testing.T, build func(t *testing.T, srv *Server) Trans
 		}
 		if n := intercepted.Load(); n != 40 {
 			t.Fatalf("server interceptor bracketed %d of 40 calls", n)
-		}
-		if err := tr.Ping(context.Background()); err != nil {
-			t.Fatalf("ping on a live transport: %v", err)
 		}
 		if !tr.Healthy() {
 			t.Fatal("live transport reports unhealthy")
@@ -158,9 +154,6 @@ func transportContract(t *testing.T, build func(t *testing.T, srv *Server) Trans
 		}
 		if tr.Healthy() {
 			t.Fatal("closed transport reports healthy")
-		}
-		if err := tr.Ping(context.Background()); !errors.Is(err, ErrClosed) {
-			t.Fatalf("ping after Close = %v, want ErrClosed", err)
 		}
 	})
 }

@@ -133,13 +133,13 @@ func (q *streamQ) size() int { return len(q.tasks) - q.head }
 // shared read loop (that would stall the very siblings multiplexing is
 // meant to isolate), so a mux stream whose queue is full has its
 // request shed with a typed ShedError instead — the same vocabulary
-// the admission layer uses, so IsShed/retry-budget handling applies
-// unchanged. With client-side stream caller pools at or below the
-// worker bound, the shed path is never hit in practice.
+// the admission layer uses, so IsShed handling applies unchanged. With
+// client-side stream caller pools at or below the worker bound, the
+// shed path is never hit in practice.
 //
-// Ping and cancel frames are never routed through the pool — the read
-// loop services them directly — so heartbeats and cancellation stay
-// responsive while every worker is stuck in a slow handler.
+// Cancel frames are never routed through the pool — the read loop
+// services them directly — so cancellation stays responsive while
+// every worker is stuck in a slow handler.
 type dispatcher struct {
 	w   *connWriter
 	max int

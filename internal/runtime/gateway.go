@@ -62,11 +62,6 @@ type GatewayConfig struct {
 	// overflow is shed with an rpc.ShedError carrying a retry-after
 	// hint, and control-plane lanes are granted ahead of batch.
 	Overload *AdmissionConfig
-	// RetryBudget, when set, gates chain-step respawns: each respawn
-	// withdraws one token, each completed task deposits the earn ratio.
-	// Share it with the process's rpc clients so the gateway's respawn
-	// layer cannot multiply retries the lower layers already spent.
-	RetryBudget *rpc.RetryBudget
 	// OnFenced, when set, fires when a durable-chain write bounces off
 	// the store's term fence — proof the controller replica fronted by
 	// this gateway was deposed while the chain ran. Wire it to the
@@ -246,7 +241,6 @@ func (g *Gateway) Expose(method, function string) {
 			g.countFailure(ctx, err)
 			return nil, err
 		}
-		g.cfg.RetryBudget.Success()
 		g.count("gateway-ok")
 		return res.Output, nil
 	})
@@ -331,7 +325,7 @@ func (g *Gateway) TaskResult(taskID string) ([]byte, bool, error) {
 // signal), fenced (a deposed primary's write rejected, a consistency
 // save not a fault), timeout (deadline or cancellation spent the
 // work), and execution error (the function itself failed). Conflating
-// them is how breakers and dashboards mistake a shedding-but-healthy
+// them is how dashboards mistake a shedding-but-healthy
 // gateway for a dying one.
 func (g *Gateway) countFailure(ctx context.Context, err error) {
 	switch {
@@ -429,7 +423,6 @@ func (g *Gateway) ExposeChain(method string, functions []string) {
 			g.countFailure(octx, err)
 			return nil, err
 		}
-		g.cfg.RetryBudget.Success()
 		g.observe("gateway-chain-latency", time.Since(start))
 		g.count("gateway-ok")
 		return data, nil
@@ -572,15 +565,6 @@ func (g *Gateway) runStep(ctx context.Context, method, fn string, input []byte) 
 	var lastErr error
 	for attempt := 0; attempt <= g.cfg.StepRespawns; attempt++ {
 		if attempt > 0 {
-			// The respawn layer spends from the same retry budget as the
-			// process's rpc clients: during a real outage every stacked
-			// retry layer wants to multiply attempts at once, and the
-			// shared budget is what keeps the product bounded (§3.2's
-			// respawns assume a healthy tier, not a drowning one).
-			if !g.cfg.RetryBudget.Withdraw() {
-				g.count("gateway-respawn-denied")
-				return nil, lastErr
-			}
 			g.count("gateway-respawn")
 			if g.cfg.RespawnDelay > 0 {
 				sleepCtx(ctx, g.cfg.RespawnDelay)

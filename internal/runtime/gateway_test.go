@@ -159,7 +159,9 @@ func TestGatewayRespawnsKilledChainStep(t *testing.T) {
 func TestGatewayChainStepExhaustsRespawns(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Retries = 0
-	cfg.Injector = &killNext{op: "invoke/mid", left: 1 << 30} // never recovers
+	const never = 1 << 30
+	kill := &killNext{op: "invoke/mid", left: never} // never recovers
+	cfg.Injector = kill
 	rt := New(cfg, nil)
 	defer rt.Close()
 	for _, name := range []string{"head", "mid"} {
@@ -169,6 +171,7 @@ func TestGatewayChainStepExhaustsRespawns(t *testing.T) {
 	}
 	gcfg := DefaultGatewayConfig()
 	gcfg.Timeout = 2 * time.Second
+	gcfg.StepRespawns = 2
 	gcfg.RespawnDelay = time.Millisecond
 	g := NewGatewayConfig(rt, gcfg)
 	g.ExposeChain("pipeline", []string{"head", "mid"})
@@ -176,6 +179,14 @@ func TestGatewayChainStepExhaustsRespawns(t *testing.T) {
 	if _, err := c.CallSync("pipeline", []byte("x")); err == nil ||
 		!strings.Contains(err.Error(), "at tier mid") {
 		t.Fatalf("err = %v, want tier-mid failure", err)
+	}
+	// StepRespawns is the whole per-step bound: the first run plus
+	// exactly StepRespawns respawns, then the error surfaces.
+	kill.mu.Lock()
+	invoked := never - kill.left
+	kill.mu.Unlock()
+	if invoked != gcfg.StepRespawns+1 {
+		t.Fatalf("failing step invoked %d times, want StepRespawns+1 = %d", invoked, gcfg.StepRespawns+1)
 	}
 }
 
