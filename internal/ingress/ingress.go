@@ -9,15 +9,17 @@
 package ingress
 
 import (
+	"bytes"
 	"context"
 	"crypto/rand"
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"net/http"
+	"net/url"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -84,9 +86,11 @@ type Stats struct {
 }
 
 type job struct {
-	id   string
-	name string
-	key  string // coalesce key ("" once completed / not coalescable)
+	id      string
+	hdr     [1]string // {id}: the ResultIDHeader value, set without allocating
+	name    string
+	key     coalesceKey
+	payload []byte // confirms a key match byte for byte; nil once done
 
 	done    chan struct{}
 	body    []byte
@@ -98,15 +102,15 @@ type job struct {
 type Server struct {
 	opts Options
 
-	idPrefix string
+	idPrefix string // random hex plus "-"; ids append a sequence number
 	idSeq    atomic.Uint64
 
 	posted, coalesced, dispatched uint64
 	shed, failed, done            uint64
 
 	mu        sync.Mutex
-	jobs      map[string]*job // result id → job (pending + TTL'd results)
-	pending   map[string]*job // coalesce key → in-flight job
+	jobs      map[string]*job      // result id → job (pending + TTL'd results)
+	pending   map[coalesceKey]*job // in-flight coalescable jobs
 	nextSweep time.Time
 	closed    bool
 }
@@ -131,9 +135,9 @@ func NewServer(opts Options) (*Server, error) {
 	}
 	return &Server{
 		opts:     opts,
-		idPrefix: hex.EncodeToString(pfx[:]),
+		idPrefix: hex.EncodeToString(pfx[:]) + "-",
 		jobs:     map[string]*job{},
-		pending:  map[string]*job{},
+		pending:  map[coalesceKey]*job{},
 	}, nil
 }
 
@@ -191,17 +195,54 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// coalesceKey identifies a job submission by name and payload content.
-func coalesceKey(name string, payload []byte) string {
-	h := fnv.New64a()
-	io.WriteString(h, name)
-	h.Write([]byte{0})
-	h.Write(payload)
-	return name + "/" + strconv.FormatUint(h.Sum64(), 16)
+// coalesceKey identifies a job submission by name and the FNV-1a 64
+// sum of name, a zero byte and the payload. A match is only a
+// candidate: submit confirms it by comparing payloads.
+type coalesceKey struct {
+	name string
+	sum  uint64
+}
+
+func keyOf(name string, payload []byte) coalesceKey {
+	const offset64, prime64 = 14695981039346656037, 1099511628211
+	h := uint64(offset64)
+	for i := 0; i < len(name); i++ {
+		h = (h ^ uint64(name[i])) * prime64
+	}
+	h *= prime64 // the zero separator
+	for _, b := range payload {
+		h = (h ^ uint64(b)) * prime64
+	}
+	return coalesceKey{name, h}
+}
+
+// thenFlag reports whether a raw query sets then=true, exactly as
+// url.ParseQuery(raw).Get("then") == "true" would. Only escapes and
+// ';' make the two differ, so those queries take the parser.
+func thenFlag(raw string) bool {
+	if strings.ContainsAny(raw, "%+;") {
+		q, _ := url.ParseQuery(raw)
+		return q.Get("then") == "true"
+	}
+	for raw != "" {
+		var kv string
+		kv, raw, _ = strings.Cut(raw, "&")
+		if k, v, _ := strings.Cut(kv, "="); k == "then" {
+			return v == "true"
+		}
+	}
+	return false
 }
 
 func (s *Server) handleDo(w http.ResponseWriter, r *http.Request, name string) {
-	payload, err := io.ReadAll(io.LimitReader(r.Body, s.opts.MaxBody+1))
+	var payload []byte
+	var err error
+	if n := r.ContentLength; n >= 0 && n <= s.opts.MaxBody {
+		payload = make([]byte, n) // known length: one exact buffer
+		_, err = io.ReadFull(r.Body, payload)
+	} else {
+		payload, err = io.ReadAll(io.LimitReader(r.Body, s.opts.MaxBody+1))
+	}
 	if err != nil {
 		http.Error(w, "reading body: "+err.Error(), http.StatusBadRequest)
 		return
@@ -212,7 +253,7 @@ func (s *Server) handleDo(w http.ResponseWriter, r *http.Request, name string) {
 	}
 	atomic.AddUint64(&s.posted, 1)
 	s.count("ingress-post")
-	j, fresh, err := s.submit(name, coalesceKey(name, payload), payload)
+	j, fresh, err := s.submit(name, payload)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusServiceUnavailable)
 		return
@@ -222,41 +263,52 @@ func (s *Server) handleDo(w http.ResponseWriter, r *http.Request, name string) {
 		s.count("ingress-coalesced")
 	}
 
-	w.Header().Set(ResultIDHeader, j.id)
-	if r.URL.Query().Get("then") != "true" {
+	w.Header()[ResultIDHeader] = j.hdr[:]
+	if !thenFlag(r.URL.RawQuery) {
+		if fresh {
+			go s.dispatch(j, payload)
+		}
 		w.Header().Set("Content-Type", "application/json")
 		fmt.Fprintf(w, "{\"resultId\":%q}\n", j.id)
 		return
 	}
 	s.count("ingress-then-wait")
+	if fresh {
+		s.dispatch(j, payload) // the handler would only wait for it
+	}
 	s.awaitAndWrite(w, r, j)
 }
 
-// submit registers (or coalesces into) a pending job and starts its
-// dispatch. fresh is false when the submission joined an existing
-// in-flight job.
-func (s *Server) submit(name, key string, payload []byte) (*job, bool, error) {
+// submit registers (or coalesces into) a pending job; the caller
+// dispatches a fresh one. fresh is false when the submission joined an
+// existing in-flight job with the same name and payload.
+func (s *Server) submit(name string, payload []byte) (*job, bool, error) {
+	key := keyOf(name, payload)
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		return nil, false, errors.New("ingress: server closed")
 	}
-	if j, ok := s.pending[key]; ok {
+	p, taken := s.pending[key]
+	if taken && bytes.Equal(p.payload, payload) {
 		s.mu.Unlock()
-		return j, false, nil
+		return p, false, nil
 	}
 	s.sweepLocked(time.Now())
+	var seq [20]byte
 	j := &job{
-		id:   fmt.Sprintf("%s-%d", s.idPrefix, s.idSeq.Add(1)),
-		name: name,
-		key:  key,
-		done: make(chan struct{}),
+		id:      s.idPrefix + string(strconv.AppendUint(seq[:0], s.idSeq.Add(1), 10)),
+		name:    name,
+		key:     key,
+		payload: payload,
+		done:    make(chan struct{}),
 	}
+	j.hdr[0] = j.id
 	s.jobs[j.id] = j
-	s.pending[key] = j
+	if !taken { // a colliding payload runs alone, uncoalesced
+		s.pending[key] = j
+	}
 	s.mu.Unlock()
-
-	go s.dispatch(j, payload)
 	return j, true, nil
 }
 
@@ -275,6 +327,7 @@ func (s *Server) dispatch(j *job, payload []byte) {
 func (s *Server) complete(j *job, body []byte, err error) {
 	s.mu.Lock()
 	j.body, j.err = body, err
+	j.payload = nil
 	j.expires = time.Now().Add(s.opts.TTL)
 	if s.pending[j.key] == j {
 		delete(s.pending, j.key)
@@ -313,6 +366,7 @@ func (s *Server) handleThen(w http.ResponseWriter, r *http.Request, id string) {
 	j := s.jobs[id]
 	s.mu.Unlock()
 	if j != nil {
+		w.Header()[ResultIDHeader] = j.hdr[:]
 		s.awaitAndWrite(w, r, j)
 		return
 	}
@@ -335,15 +389,18 @@ func (s *Server) handleThen(w http.ResponseWriter, r *http.Request, id string) {
 
 // awaitAndWrite blocks for the job's outcome (bounded by the request
 // context) and renders it: 200 with the raw output, or the mapped
-// failure status.
+// failure status. A finished job never touches the request context.
 func (s *Server) awaitAndWrite(w http.ResponseWriter, r *http.Request, j *job) {
 	select {
 	case <-j.done:
-	case <-r.Context().Done():
-		http.Error(w, "client gave up before the result arrived", http.StatusRequestTimeout)
-		return
+	default:
+		select {
+		case <-j.done:
+		case <-r.Context().Done():
+			http.Error(w, "client gave up before the result arrived", http.StatusRequestTimeout)
+			return
+		}
 	}
-	w.Header().Set(ResultIDHeader, j.id)
 	if j.err != nil {
 		writeErr(w, j.err)
 		return

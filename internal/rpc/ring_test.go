@@ -283,3 +283,35 @@ func TestRingBackpressure(t *testing.T) {
 		t.Fatalf("only %d/%d calls succeeded through the full ring", ok.Load(), calls)
 	}
 }
+
+// A framed handler's context is passive, wrapped or not; a ring handler
+// runs on the caller's own context, which is not.
+func TestPassiveDeadlineMarksFramedRequests(t *testing.T) {
+	type key struct{}
+	srv := NewServer()
+	srv.RegisterCtx("probe", func(ctx context.Context, _ []byte) ([]byte, error) {
+		wrapped := context.WithValue(ctx, key{}, 1)
+		return []byte(fmt.Sprint(PassiveDeadline(ctx), PassiveDeadline(wrapped))), nil
+	})
+	c := pipeClientServer(t, srv, 1)
+	r, err := NewRing(srv, RingOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	for _, tc := range []struct {
+		tr   Transport
+		want string
+	}{{c, "true true"}, {r, "false false"}} {
+		out, err := tc.tr.CallSync("probe", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(out) != tc.want {
+			t.Fatalf("%T: PassiveDeadline = %s, want %s", tc.tr, out, tc.want)
+		}
+	}
+	if PassiveDeadline(context.Background()) {
+		t.Fatal("Background reported passive")
+	}
+}

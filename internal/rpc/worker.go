@@ -60,7 +60,23 @@ func (c *reqCtx) Err() error {
 	return c.err
 }
 
-func (c *reqCtx) Value(any) any { return nil }
+// passiveKey marks a reqCtx through Value, surviving WithValue wrappers.
+type passiveKey struct{}
+
+func (c *reqCtx) Value(key any) any {
+	if _, ok := key.(passiveKey); ok {
+		return true
+	}
+	return nil
+}
+
+// PassiveDeadline reports whether ctx is (or wraps) a framed request's
+// context, whose deadline rides the wire but never fires: a handler
+// that must stop at that deadline arms its own timer. Ring handlers get
+// the caller's live context instead, and this reports false for them.
+func PassiveDeadline(ctx context.Context) bool {
+	return ctx.Value(passiveKey{}) != nil
+}
 
 // cancel fires the context once; later calls are no-ops.
 func (c *reqCtx) cancel(err error) {

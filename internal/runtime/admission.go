@@ -89,8 +89,9 @@ type waiter struct {
 // comment). All mutable state sits behind one mutex; grants happen on
 // the releasing goroutine, so admission adds no goroutines of its own.
 type admission struct {
-	g   *Gateway
-	cfg AdmissionConfig
+	g         *Gateway
+	cfg       AdmissionConfig
+	releaseFn func() // a.release, bound once: a method value allocates
 
 	mu     sync.Mutex
 	active int                  // admitted and running
@@ -127,7 +128,9 @@ func newAdmission(g *Gateway, cfg AdmissionConfig) *admission {
 	if cfg.RetryAfter <= 0 {
 		cfg.RetryAfter = cfg.Interval
 	}
-	return &admission{g: g, cfg: cfg}
+	a := &admission{g: g, cfg: cfg}
+	a.releaseFn = a.release
+	return a
 }
 
 // lane resolves a method's priority class.
@@ -150,7 +153,7 @@ func (a *admission) admit(ctx context.Context, method string) (release func(), e
 		a.mu.Unlock()
 		a.admitted.Add(1)
 		a.g.gauge("gateway-active", float64(active))
-		return a.release, nil
+		return a.releaseFn, nil
 	}
 	r := laneRank(lane)
 	// Lane-full is judged on live (non-cancelled) depth: a burst of
@@ -176,7 +179,7 @@ func (a *admission) admit(ctx context.Context, method string) (release func(), e
 			return nil, werr
 		}
 		a.g.observe("gateway-admit-wait", time.Since(w.enq))
-		return a.release, nil
+		return a.releaseFn, nil
 	case <-ctx.Done():
 		if w.state.CompareAndSwap(0, 2) {
 			a.mu.Lock()
@@ -198,7 +201,7 @@ func (a *admission) admit(ctx context.Context, method string) (release func(), e
 		if werr := <-w.ch; werr != nil {
 			return nil, werr
 		}
-		return a.release, nil
+		return a.releaseFn, nil
 	}
 }
 

@@ -174,12 +174,12 @@ func (g *Gateway) gauge(name string, v float64) {
 	}
 }
 
-// callCtx derives the per-call context from the connection's context so
-// client cancellation and disconnects propagate into the runtime. The
-// connection context carries the wire-propagated request deadline but
-// never fires a timer of its own (internal/rpc.reqCtx is passive), so
-// the gateway arms the timer here: the earlier of the configured Timeout
-// and the caller's deadline bounds the work.
+// callCtx bounds the per-call context by the earlier of the configured
+// Timeout and the caller's deadline, arming at most one timer. A ring
+// handler runs on the caller's live context, whose deadline already
+// fires, so it is returned as is. A framed request's context carries
+// the wire deadline but never fires it (rpc.PassiveDeadline), so the
+// gateway arms the timer here.
 func (g *Gateway) callCtx(ctx context.Context) (context.Context, context.CancelFunc) {
 	d, hasD := ctx.Deadline()
 	if g.cfg.Timeout > 0 {
@@ -187,13 +187,13 @@ func (g *Gateway) callCtx(ctx context.Context) (context.Context, context.CancelF
 			return context.WithDeadline(ctx, t)
 		}
 	}
-	if hasD {
+	if hasD && rpc.PassiveDeadline(ctx) {
 		// context.WithDeadline with d equal to the parent's deadline still
 		// arms a real timer (the parent's is not strictly earlier), which
-		// is the point: reqCtx never fires its own.
+		// is the point: the passive parent never fires its own.
 		return context.WithDeadline(ctx, d)
 	}
-	return context.WithCancel(ctx)
+	return ctx, func() {}
 }
 
 // dropExpired sheds a request whose wire deadline already passed before
@@ -283,14 +283,6 @@ func (g *Gateway) ExposeBatch() {
 		g.observeValue("gateway-batch-entries", float64(len(entries)))
 		return rpc.EncodeBatchReplies(replies), nil
 	})
-}
-
-// QueueDepth reports the gateway's current load for queue-group
-// balancing: admitted-and-running plus queued work. Zero when the
-// gateway runs without an Overload config.
-func (g *Gateway) QueueDepth() int {
-	s := g.AdmissionStats()
-	return s.Queued + s.Active
 }
 
 // TaskResult resolves a checkpointed chain task's final output from

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"net"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -336,5 +337,72 @@ func TestGatewayReportsIntoMonitor(t *testing.T) {
 	mon.mu.Unlock()
 	if obs == 0 {
 		t.Fatal("no latency observations")
+	}
+}
+
+// deadlineOnly reports an earlier deadline than its embedded context
+// fires at, so the wire carries d while the client's cancel frame only
+// comes at the embedded context's later deadline.
+type deadlineOnly struct {
+	context.Context
+	d time.Time
+}
+
+func (c deadlineOnly) Deadline() (time.Time, bool) { return c.d, true }
+
+// With no gateway Timeout the caller's deadline alone bounds the
+// handler: a ring handler runs on the caller's live context, and a
+// framed request's passive deadline is armed by the gateway.
+func TestGatewayHandlerSeesCallerDeadline(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Retries = 0
+	rt := New(cfg, nil)
+	defer rt.Close()
+	returned := make(chan time.Time, 1)
+	rt.Register("block", func(ctx context.Context, _ []byte) ([]byte, error) {
+		<-ctx.Done()
+		returned <- time.Now()
+		return nil, ctx.Err()
+	})
+	g := NewGateway(rt, 0)
+	defer g.Close()
+	g.Expose("m", "block")
+	l := NewLinker(LinkerOptions{Dial: func(string) (net.Conn, error) {
+		cc, sc := rpc.Pair()
+		g.Server().ServeConn(sc)
+		return cc, nil
+	}})
+	defer l.Close()
+	const budget = 50 * time.Millisecond
+	for _, tc := range []struct {
+		peer Peer
+		ctx  func() (context.Context, context.CancelFunc)
+	}{
+		{Peer{Gateway: g}, func() (context.Context, context.CancelFunc) {
+			return context.WithTimeout(context.Background(), budget)
+		}},
+		{Peer{Addr: "tier:1"}, func() (context.Context, context.CancelFunc) {
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			return deadlineOnly{ctx, time.Now().Add(budget)}, cancel
+		}},
+	} {
+		link, err := l.Connect(tc.peer)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := tc.ctx()
+		deadline, _ := ctx.Deadline()
+		if _, err := link.Call(ctx, "m", nil); err == nil {
+			t.Fatalf("%v: blocked handler returned success", link.Kind)
+		}
+		cancel()
+		select {
+		case at := <-returned:
+			if late := at.Sub(deadline); late > time.Second {
+				t.Fatalf("%v: handler returned %v after the caller's deadline", link.Kind, late)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%v: handler never saw the caller's deadline", link.Kind)
+		}
 	}
 }

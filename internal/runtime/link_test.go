@@ -218,3 +218,39 @@ func TestLinkerHungDialBlocksOnlyThatAddress(t *testing.T) {
 		t.Fatal("released Connect never returned")
 	}
 }
+
+// The co-located null call — Link.Call over a ring into an Exposed
+// function behind admission, as the HTTP null job runs it — allocates
+// nothing: the caller's deadline is live, so the gateway arms no timer.
+func TestRingLinkCallAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	cfg := DefaultConfig()
+	cfg.Retries = 0
+	rt := echoRuntime(cfg)
+	defer rt.Close()
+	gcfg := DefaultGatewayConfig()
+	gcfg.StepRespawns = 0
+	gcfg.Overload = &AdmissionConfig{MaxConcurrent: 256, QueueLen: 1024}
+	g := NewGatewayConfig(rt, gcfg)
+	defer g.Close()
+	g.Expose("echo", "echo")
+	l := NewLinker(LinkerOptions{})
+	defer l.Close()
+	link, err := l.Connect(Peer{Gateway: g})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	payload := make([]byte, 64)
+	allocs := testing.AllocsPerRun(1000, func() {
+		if _, err := link.Call(ctx, "echo", payload); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("ring Link.Call allocates %.1f per call, want 0", allocs)
+	}
+}

@@ -113,12 +113,11 @@ type Runtime struct {
 }
 
 // instance is a warm "container": in-process, it is just an identity
-// that carries reuse bookkeeping and a private scratch space.
+// that carries reuse bookkeeping. idle is when it was parked; past
+// KeepAlive it counts as torn down.
 type instance struct {
-	fn      string
-	scratch map[string][]byte
-	timer   *time.Timer
-	dead    bool
+	fn   string
+	idle time.Time
 }
 
 // New creates a runtime backed by the given document store (nil: a
@@ -179,37 +178,29 @@ func (r *Runtime) acquireInstance(name string) (*instance, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	list := r.warm[name]
+	now := time.Now()
 	for len(list) > 0 {
 		inst := list[len(list)-1]
 		list = list[:len(list)-1]
-		if inst.dead {
+		if now.Sub(inst.idle) > r.cfg.KeepAlive {
 			continue
-		}
-		if inst.timer != nil {
-			inst.timer.Stop()
-			inst.timer = nil
 		}
 		r.warm[name] = list
 		return inst, true
 	}
 	r.warm[name] = list
-	return &instance{fn: name, scratch: map[string][]byte{}}, false
+	return &instance{fn: name}, false
 }
 
 // releaseInstance parks an instance for reuse under keep-alive.
 func (r *Runtime) releaseInstance(inst *instance) {
 	if r.cfg.KeepAlive <= 0 || r.closed.Load() {
-		inst.dead = true
 		return
 	}
+	inst.idle = time.Now()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.warm[inst.fn] = append(r.warm[inst.fn], inst)
-	inst.timer = time.AfterFunc(r.cfg.KeepAlive, func() {
-		r.mu.Lock()
-		defer r.mu.Unlock()
-		inst.dead = true
-	})
 }
 
 // Invoke runs a function synchronously with retries and optional
@@ -231,13 +222,20 @@ func (r *Runtime) Invoke(ctx context.Context, name string, input []byte) (Result
 	// The runtime layer's span covers the whole invocation — admission
 	// to the in-flight semaphore, cold/warm start, every attempt.
 	tt := taskTraceFrom(ctx)
-	sp := tt.span("invoke "+name, string(stats.StageExecution), "runtime")
-	defer sp.End()
+	if tt != nil {
+		sp := tt.span("invoke "+name, string(stats.StageExecution), "runtime")
+		defer sp.End()
+	}
 
+	// Try a free slot first: ctx.Done allocates a cancelCtx's channel.
 	select {
 	case r.sem <- struct{}{}:
-	case <-ctx.Done():
-		return Result{}, ctx.Err()
+	default:
+		select {
+		case r.sem <- struct{}{}:
+		case <-ctx.Done():
+			return Result{}, ctx.Err()
+		}
 	}
 	defer func() { <-r.sem }()
 
@@ -450,14 +448,6 @@ func (r *Runtime) Close() {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for _, list := range r.warm {
-		for _, inst := range list {
-			inst.dead = true
-			if inst.timer != nil {
-				inst.timer.Stop()
-			}
-		}
-	}
 	r.warm = map[string][]*instance{}
 }
 

@@ -312,3 +312,26 @@ func TestColdStartDelayApplied(t *testing.T) {
 		t.Fatalf("warm latency %v not far below cold %v", warmLat, coldLat)
 	}
 }
+
+func TestKeepAliveExpiresIdleInstance(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.KeepAlive = 20 * time.Millisecond
+	r := echoRuntime(cfg)
+	defer r.Close()
+	ctx := context.Background()
+	if _, err := r.Invoke(ctx, "echo", nil); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(60 * time.Millisecond)
+	res, err := r.Invoke(ctx, "echo", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Cold {
+		t.Fatal("instance idle past KeepAlive was reused")
+	}
+	time.Sleep(time.Millisecond)
+	if res, _ = r.Invoke(ctx, "echo", nil); res.Cold {
+		t.Fatal("instance idle within KeepAlive cold-started")
+	}
+}
