@@ -44,12 +44,19 @@ race-sim:
 # recovery, minority-leader fencing across a partition, snapshot-bounded
 # recovery), plus the fault, fencing and durability tests of the layers
 # below, all under -race. Every test seeds its injectors and RNGs (fixed
-# seeds baked into the tests), so this run is deterministic.
+# seeds baked into the tests), so this run is deterministic. Then each
+# Fuzz target runs for a few seconds: the rpc error parsers and frame
+# decoder, the ingress /then flag and the runtime task envelope.
 chaos:
 	$(GO) test -race -count=1 ./internal/chaos/ ./internal/fleet/
 	$(GO) test -race -count=1 \
 		-run 'Chaos|Injector|Respawn|FailAll|Stale|Failover|Transport|Replica|Checkpoint|Durable|Straggler|Orphan|Overload|Burst|Shed|Deadline|Storm|Admission|Fenced|Fence|Partition|WAL|CrashRestart|Snapshot|StepDown|Mux|Ring|Linker|Teardown|HandleLease|OnPromote' \
 		./internal/rpc/ ./internal/runtime/ ./internal/store/ ./internal/controller/
+	for t in FuzzRedirectTarget FuzzFencedTerms FuzzShedRetryAfter FuzzReadFrame; do \
+		$(GO) test -run '^$$' -fuzz "^$$t\$$" -fuzztime 4s ./internal/rpc/ || exit 1; \
+	done
+	$(GO) test -run '^$$' -fuzz '^FuzzThenFlag$$' -fuzztime 4s ./internal/ingress/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeTaskEnvelope$$' -fuzztime 4s ./internal/runtime/
 
 # Observability smoke run: a real TCP fleet with traced requests and a
 # chaos-killed primary must emit a non-empty, valid Chrome trace whose

@@ -115,7 +115,7 @@ func run(replicas, requests int, kill bool, seed int64, traceFn, walDir, httpAdd
 	}
 
 	// The demo's client rides the same per-peer links as every other
-	// remote tier: one mux stream per gateway on a shared connection.
+	// remote tier: one mux stream per gateway, owning its connection.
 	peers := make([]runtime.Peer, len(f.Nodes))
 	for i, addr := range f.Addrs() {
 		peers[i] = runtime.Peer{Addr: addr}

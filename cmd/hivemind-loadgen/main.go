@@ -262,8 +262,7 @@ func (s *stack) connectHTTP(o options) error {
 	// invisibly in ring slots instead of reaching admission's bounded
 	// queue and shedding with Retry-After.
 	l := runtime.NewLinker(runtime.LinkerOptions{
-		Callers: 2048,
-		Ring:    rpc.RingOptions{Slots: 4096, Consumers: 512},
+		Ring: rpc.RingOptions{Slots: 4096, Consumers: 512},
 	})
 	s.closers = append(s.closers, func() { l.Close() })
 	link, err := l.Connect(runtime.Peer{Gateway: s.gw})

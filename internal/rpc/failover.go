@@ -45,8 +45,8 @@ func RedirectTarget(err error) (leader int, ok bool) {
 // FailoverOptions tunes the hardened caller. The zero value is the plain
 // leader-following client with a fixed 25 ms pause between attempts.
 type FailoverOptions struct {
-	// Callers sizes the caller pool of each connection DialFailover
-	// builds (<=0: 8).
+	// Callers sizes the caller pool of the stream each DialFailover
+	// endpoint rides (<=0: 8).
 	Callers int
 	// Attempts bounds call attempts across endpoints and sweeps, the
 	// first one included (<=0: 4 × the endpoint count; 1: never retry).
@@ -144,24 +144,25 @@ func NewFailover(endpoints []func() (Transport, error), opts FailoverOptions) *F
 }
 
 // ConnEndpoint adapts a dial function to an endpoint factory: every
-// (re)build dials a fresh connection and wraps it in a framed Client
-// with the given caller pool.
+// (re)build dials a fresh connection and returns one mux Stream on it
+// with a caller pool of callers (<=0: 8). The stream owns the
+// connection, so closing the stream closes the socket; a full server
+// queue sheds its overflow with ShedError instead of blocking.
 func ConnEndpoint(dial func() (net.Conn, error), callers int) func() (Transport, error) {
 	return func() (Transport, error) {
 		conn, err := dial()
 		if err != nil {
 			return nil, err
 		}
-		return NewClient(conn, callers), nil
+		s := NewClient(conn, callers).Stream(callers)
+		s.owns = true
+		return s, nil
 	}
 }
 
 // DialFailover builds the hardened caller over TCP addresses, one
-// framed connection per endpoint.
+// ConnEndpoint stream per endpoint.
 func DialFailover(addrs []string, opts FailoverOptions) *FailoverClient {
-	if opts.Callers <= 0 {
-		opts.Callers = 8
-	}
 	endpoints := make([]func() (Transport, error), len(addrs))
 	for i, addr := range addrs {
 		addr := addr

@@ -303,3 +303,48 @@ func TestFailoverParkedCallersShareOneFailedBuild(t *testing.T) {
 		t.Fatal("a later caller did not re-run the factory")
 	}
 }
+
+// DialFailover's endpoint is a mux stream that owns its connection:
+// after repeated rebuilds and Close, the server holds no connection. A
+// stream that only flagged itself closed would leave one per rebuild.
+func TestDialFailoverStreamOwnsItsConnection(t *testing.T) {
+	srv := echoServer()
+	t.Cleanup(srv.Close)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(ln)
+	fc := DialFailover([]string{ln.Addr().String()}, FailoverOptions{})
+
+	const rebuilds = 10
+	for i := 0; i <= rebuilds; i++ {
+		if out, err := fc.Call(context.Background(), "echo", []byte("x")); err != nil || string(out) != "x" {
+			t.Fatalf("call %d: %q, %v", i, out, err)
+		}
+		s, ok := fc.Endpoint(0).(*Stream)
+		if !ok || s.ID() == 0 {
+			t.Fatalf("endpoint 0 is %T, want a mux *Stream with a non-zero id", fc.Endpoint(0))
+		}
+		if i < rebuilds {
+			s.Close() // force the next call to rebuild
+		}
+	}
+	if n := fc.Stats().Reconnects; n != rebuilds {
+		t.Fatalf("Reconnects = %d, want %d", n, rebuilds)
+	}
+	fc.Close()
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		srv.lnMu.Lock()
+		open := len(srv.conns)
+		srv.lnMu.Unlock()
+		if open == 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("server holds %d open connections after %d rebuilds and Close, want 0", open, rebuilds)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}

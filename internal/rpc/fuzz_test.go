@@ -1,6 +1,8 @@
 package rpc
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"testing"
 	"time"
@@ -75,6 +77,72 @@ func FuzzShedRetryAfter(f *testing.F) {
 		err := ShedError(time.Duration(ns))
 		if got, ok := ShedRetryAfter(err); !ok || got != want || !IsShed(err) {
 			t.Fatalf("ShedRetryAfter(ShedError(%v)) = %v, %v; want %v", time.Duration(ns), got, ok, want)
+		}
+	})
+}
+
+// FuzzReadFrame holds the frame decoder, mux stream header included, to
+// its contract: arbitrary bytes never panic it, it rejects lengths
+// outside [11, maxFrame] and method lengths that run past the frame, and
+// it reads back exactly what each encoder wrote — kind, call id with its
+// stream bits, method, deadline prefix and payload.
+func FuzzReadFrame(f *testing.F) {
+	valid, _ := encodeFrame(kindRequest, 7, "echo", []byte("x"))
+	f.Add(*valid, byte(kindRequest), uint16(0), uint64(7), "echo", int64(0), []byte("x"))
+	f.Add([]byte{0, 0, 0, 10, kindRequest}, byte(kindResponse), uint16(3), uint64(1), "", int64(0), []byte{})
+	f.Add([]byte{0, 0, 0, 11, kindRequest, 0, 0, 0, 0, 0, 0, 0, 1, 0, 9}, byte(kindError), uint16(0xFFFF), streamSeqMask, "m", int64(-1), []byte("boom"))
+	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF}, byte(kindRequestDL), uint16(1), uint64(42), "recognize", time.Now().UnixNano(), make([]byte, lendMin))
+	f.Fuzz(func(t *testing.T, raw []byte, kind byte, stream uint16, seq uint64, method string, dl int64, payload []byte) {
+		fr, err := readFrame(bytes.NewReader(raw))
+		if len(raw) >= 4 {
+			n := binary.BigEndian.Uint32(raw)
+			whole := len(raw) >= 4+int(n)
+			switch {
+			case n < 11 || n > maxFrame:
+				if err == nil {
+					t.Fatalf("frame length %d accepted", n)
+				}
+			case whole && 11+int(binary.BigEndian.Uint16(raw[13:15])) > int(n):
+				if err == nil {
+					t.Fatal("method running past the frame accepted")
+				}
+			case whole && err != nil:
+				t.Fatalf("well-formed frame rejected: %v", err)
+			case err == nil && (fr.kind != raw[4] || 11+len(fr.method)+len(fr.payload) != int(n)):
+				t.Fatalf("frame of length %d decoded as kind %d, %d+%d body bytes", n, fr.kind, len(fr.method), len(fr.payload))
+			}
+		}
+
+		callID := uint64(stream)<<streamShift | seq&streamSeqMask
+		check := func(enc string, wire []byte, wantKind byte, withDL bool) {
+			t.Helper()
+			fr, err := readFrame(bytes.NewReader(wire))
+			if err != nil {
+				t.Fatalf("%s: %v", enc, err)
+			}
+			if fr.kind != wantKind || fr.callID != callID || streamOf(fr.callID) != stream || string(fr.method) != method {
+				t.Fatalf("%s: read kind %d id %#x (stream %d) method %q, wrote %d %#x (%d) %q",
+					enc, fr.kind, fr.callID, streamOf(fr.callID), fr.method, wantKind, callID, stream, method)
+			}
+			body := fr.payload
+			if withDL {
+				if len(body) < 8 || int64(binary.BigEndian.Uint64(body)) != dl {
+					t.Fatalf("%s: deadline prefix %x, wrote %d", enc, body[:min(8, len(body))], dl)
+				}
+				body = body[8:]
+			}
+			if !bytes.Equal(body, payload) {
+				t.Fatalf("%s: payload %q, wrote %q", enc, body, payload)
+			}
+		}
+		if buf, err := encodeFrame(kind, callID, method, payload); err == nil {
+			check("encodeFrame", *buf, kind, false)
+		}
+		if buf, err := encodeFrameDL(callID, method, dl, payload); err == nil {
+			check("encodeFrameDL", *buf, kindRequestDL, true)
+		}
+		if hdr, err := encodeLent(kind, callID, method, dl, payload); err == nil {
+			check("encodeLent", append(*hdr, payload...), kind, kind == kindRequestDL)
 		}
 	})
 }

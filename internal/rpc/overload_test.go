@@ -158,6 +158,34 @@ func TestServerDropsExpiredQueuedWork(t *testing.T) {
 	}
 }
 
+// Regression: the server skipped a deadline frame too short to hold its
+// deadline without replying, so the call hung until its own ctx fired
+// (forever for CallSync). It now tears the connection down, failing the
+// call at once.
+func TestMalformedDeadlineFrameFailsPendingCall(t *testing.T) {
+	srv := echoServer()
+	defer srv.Close()
+	cc, sc := Pair()
+	srv.ServeConn(sc)
+	cl := NewClient(cc, 1)
+	defer cl.Close()
+
+	done := make(chan *Call, 1)
+	call := &Call{Method: "echo", Done: done}
+	cl.mu.Lock()
+	cl.pending[1] = call
+	cl.mu.Unlock()
+	go writeFrame(cc, frame{kind: kindRequestDL, callID: 1, method: "echo", payload: []byte{1, 2, 3}})
+	select {
+	case <-done:
+		if !errors.Is(call.Err, ErrClosed) {
+			t.Fatalf("call on a malformed deadline frame: err = %v, want ErrClosed", call.Err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("call on a malformed deadline frame never returned")
+	}
+}
+
 // --- hardened client integration -------------------------------------
 
 // TestFailoverShedIsNotAFailure checks a server-side shed is not

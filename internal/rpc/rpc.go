@@ -344,7 +344,9 @@ func (s *Server) ServeConn(conn net.Conn) {
 			case kindRequest:
 			case kindRequestDL:
 				if len(f.payload) < 8 {
-					continue // malformed deadline frame
+					// Malformed like the frames readFrame rejects: tear the
+					// connection down so every pending call fails at once.
+					return
 				}
 				deadlineNS = int64(binary.BigEndian.Uint64(f.payload[:8]))
 				f.payload = f.payload[8:]

@@ -26,6 +26,9 @@ type Stream struct {
 	id     uint16
 	sem    chan struct{}
 	closed atomic.Bool
+	// owns marks a stream ConnEndpoint built on a private connection:
+	// closing the stream closes that connection.
+	owns bool
 }
 
 // Stream carves a new logical stream out of the connection with its
@@ -45,10 +48,6 @@ func (c *Client) Stream(callers int) *Stream {
 
 // ID returns the stream's logical id on its connection.
 func (s *Stream) ID() uint16 { return s.id }
-
-// Conn returns the client whose connection this stream multiplexes
-// over.
-func (s *Stream) Conn() *Client { return s.c }
 
 // start sends one request on the stream's id, drawing from its pool.
 func (s *Stream) start(ctx context.Context, call *Call, payload []byte) *Call {
@@ -115,8 +114,11 @@ func (s *Stream) Healthy() bool { return !s.closed.Load() && s.c.Healthy() }
 // Close releases the stream: later calls on it return ErrClosed and it
 // reports unhealthy. The shared connection and sibling streams stay
 // up — close the Client to tear the transport down; calls already in
-// flight complete, and stream ids are not reused.
+// flight complete, and stream ids are not reused. A stream that owns
+// its connection (ConnEndpoint's) closes the connection too.
 func (s *Stream) Close() error {
-	s.closed.Store(true)
+	if !s.closed.Swap(true) && s.owns {
+		return s.c.Close()
+	}
 	return nil
 }

@@ -26,8 +26,8 @@ type Transport interface {
 	// Healthy reports whether the transport can still carry calls.
 	Healthy() bool
 	// Close tears the transport down: later calls return ErrClosed and
-	// Healthy reports false (for a Stream: only the stream, the shared
-	// connection and its sibling streams stay up).
+	// Healthy reports false (for a Stream: only the stream, unless it
+	// owns its connection; sibling streams on a shared one stay up).
 	Close() error
 }
 

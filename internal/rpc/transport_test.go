@@ -180,6 +180,16 @@ func TestTransportContract(t *testing.T) {
 			t.Cleanup(fc.Close)
 			return callOnly{fc}
 		},
+		"DialFailover": func(t *testing.T, srv *Server) Transport {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			go srv.Serve(ln)
+			fc := DialFailover([]string{ln.Addr().String()}, FailoverOptions{Attempts: 1, Callers: 1})
+			t.Cleanup(fc.Close)
+			return callOnly{fc}
+		},
 	}
 	for name, build := range subjects {
 		build := build

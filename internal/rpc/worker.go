@@ -149,9 +149,10 @@ func (q *streamQ) size() int { return len(q.tasks) - q.head }
 // shared read loop (that would stall the very siblings multiplexing is
 // meant to isolate), so a mux stream whose queue is full has its
 // request shed with a typed ShedError instead — the same vocabulary
-// the admission layer uses, so IsShed handling applies unchanged. With
-// client-side stream caller pools at or below the worker bound, the
-// shed path is never hit in practice.
+// the admission layer uses, so IsShed handling applies unchanged. A
+// stream whose caller pool exceeds the worker bound can reach it (a
+// DialFailover caller with Callers: 1024); FailoverStats.Shed counts
+// every shed the caller sees.
 //
 // Cancel frames are never routed through the pool — the read loop
 // services them directly — so cancellation stays responsive while
@@ -174,10 +175,6 @@ type dispatcher struct {
 	// dropped, when non-nil, counts requests dropped unexecuted because
 	// their deadline expired while they queued (the server's counter).
 	dropped *atomic.Uint64
-
-	// shed counts mux-stream requests refused with ShedError because
-	// their stream's queue was full.
-	shed atomic.Uint64
 
 	// inflight maps live call ids to their request contexts so
 	// kindCancel frames and connection teardown can fire them.
@@ -295,7 +292,6 @@ func (d *dispatcher) submit(t task) {
 		}
 	} else if q := d.queues[t.stream]; q != nil && q.size() >= d.max {
 		d.mu.Unlock()
-		d.shed.Add(1)
 		d.refuse(t, shedResponse)
 		return
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"net"
 	"sync"
-	"sync/atomic"
 
 	"hivemind/internal/rpc"
 )
@@ -16,10 +15,10 @@ const (
 	// TransportRing is the in-process shared-memory ring: no frames, no
 	// serialization, no syscalls. Selected for co-located tiers.
 	TransportRing TransportKind = iota
-	// TransportStream is a logical stream multiplexed onto a shared TCP
-	// connection: frames coalesce into writev batches and one slow call
-	// cannot head-of-line block sibling streams. Selected for remote
-	// tiers.
+	// TransportStream is a mux stream that owns its TCP connection:
+	// frames coalesce into writev batches, and a full server queue sheds
+	// the overflow with rpc.ShedError instead of blocking. Selected for
+	// remote tiers.
 	TransportStream
 )
 
@@ -51,125 +50,87 @@ type Peer struct {
 
 // LinkerOptions tunes the per-link transports.
 type LinkerOptions struct {
-	// Callers is the per-stream concurrent-call pool for remote links
-	// and the caller pool of the shared connection (<=0: 64).
-	Callers int
 	// Ring configures co-located rings (zero value: rpc defaults).
 	Ring rpc.RingOptions
 	// Dial replaces net.Dial for remote links (tests inject pipes).
 	Dial func(addr string) (net.Conn, error)
 }
 
+// linkCallers is the caller pool of each remote link's stream.
+const linkCallers = 64
+
 // Linker owns a tier's outbound links and picks the fast path per peer:
-// a shared-memory ring when the peer gateway is in this process, a
-// multiplexed stream over one shared TCP connection per remote address
-// otherwise. All streams to the same address share a single connection,
-// so N logical links cost one socket and their frames coalesce into
-// shared writev batches.
+// a shared-memory ring when the peer gateway is in this process, a mux
+// stream that owns its own TCP connection otherwise (rpc.ConnEndpoint,
+// the one factory every TCP caller builds through).
 type Linker struct {
 	opts LinkerOptions
 
 	mu     sync.Mutex
-	conns  map[string]*sharedConn // one per remote address
-	rings  []*rpc.Ring
+	links  []rpc.Transport // built links Close fails; unhealthy ones are dropped
 	closed bool
-}
-
-// sharedConn is one remote address's redial state. dial serialises
-// (re)dials of this address only, so a hung dial parks the callers
-// connecting to it while every other peer — and Close — proceeds.
-type sharedConn struct {
-	dial   sync.Mutex
-	client atomic.Pointer[rpc.Client]
 }
 
 // NewLinker builds a link selector.
 func NewLinker(opts LinkerOptions) *Linker {
-	if opts.Callers <= 0 {
-		opts.Callers = 64
-	}
 	if opts.Dial == nil {
 		opts.Dial = func(addr string) (net.Conn, error) { return net.Dial("tcp", addr) }
 	}
-	return &Linker{opts: opts, conns: make(map[string]*sharedConn)}
+	return &Linker{opts: opts}
 }
 
 // Connect selects and builds the transport for a peer. Co-located
 // peers get a dedicated shm ring into the gateway's server; remote
-// peers get a fresh logical stream on the address's shared multiplexed
-// connection (dialled on first use).
+// peers get a stream on a freshly dialled connection of their own.
 func (l *Linker) Connect(p Peer) (*Link, error) {
 	switch {
 	case p.Gateway != nil && p.Addr != "":
 		return nil, fmt.Errorf("runtime: peer is either co-located or remote, not both")
 	case p.Gateway != nil:
-		return l.local(p.Gateway)
+		r, err := rpc.NewRing(p.Gateway.Server(), l.opts.Ring)
+		if err != nil {
+			return nil, fmt.Errorf("runtime: ring to co-located gateway: %w", err)
+		}
+		return l.track(r, TransportRing)
 	case p.Addr != "":
-		return l.remote(p.Addr)
+		dial := func() (net.Conn, error) { return l.opts.Dial(p.Addr) }
+		s, err := rpc.ConnEndpoint(dial, linkCallers)()
+		if err != nil {
+			return nil, fmt.Errorf("runtime: dialling %s: %w", p.Addr, err)
+		}
+		return l.track(s, TransportStream)
 	default:
 		return nil, fmt.Errorf("runtime: empty peer")
 	}
 }
 
-func (l *Linker) local(g *Gateway) (*Link, error) {
-	r, err := rpc.NewRing(g.Server(), l.opts.Ring)
-	if err != nil {
-		return nil, fmt.Errorf("runtime: ring to co-located gateway: %w", err)
-	}
+// track records a built link so Close can fail it, closing and dropping
+// the links that have turned unhealthy since (a ring whose gateway
+// died, a stream whose connection dropped), so the list holds live
+// links only however often Failover rebuilds.
+func (l *Linker) track(tr rpc.Transport, kind TransportKind) (*Link, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
-		r.Close()
+		tr.Close()
 		return nil, rpc.ErrClosed
 	}
-	l.rings = append(l.rings, r)
-	return &Link{Transport: r, Kind: TransportRing}, nil
-}
-
-func (l *Linker) remote(addr string) (*Link, error) {
-	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
-		return nil, rpc.ErrClosed
-	}
-	sc := l.conns[addr]
-	if sc == nil {
-		sc = &sharedConn{}
-		l.conns[addr] = sc
-	}
-	l.mu.Unlock()
-
-	sc.dial.Lock()
-	defer sc.dial.Unlock()
-	c := sc.client.Load()
-	if c == nil || !c.Healthy() {
-		// First use, or the shared connection died: (re)dial it. Streams
-		// on the dead conn already failed; new links get a fresh one.
-		conn, err := l.opts.Dial(addr)
-		if err != nil {
-			return nil, fmt.Errorf("runtime: dialling %s: %w", addr, err)
-		}
-		if c != nil {
-			c.Close()
-		}
-		c = rpc.NewClient(conn, l.opts.Callers)
-		sc.client.Store(c)
-		l.mu.Lock()
-		closed := l.closed
-		l.mu.Unlock()
-		if closed {
-			// Close ran during the dial and may have missed this conn.
-			c.Close()
-			return nil, rpc.ErrClosed
+	live := l.links[:0]
+	for _, t := range l.links {
+		if t.Healthy() {
+			live = append(live, t)
+		} else {
+			t.Close()
 		}
 	}
-	return &Link{Transport: c.Stream(l.opts.Callers), Kind: TransportStream}, nil
+	l.links = append(live, tr)
+	return &Link{Transport: tr, Kind: kind}, nil
 }
 
 // Failover builds the hardened caller over one Peer per replica (the
 // slice index is the replica id redirects refer to), each endpoint's
 // fast path selected by Connect. Links are built lazily and rebuilt
-// when they turn unhealthy (a ring whose gateway died, a shared conn
+// when they turn unhealthy (a ring whose gateway died, a connection
 // that dropped), so a redirect that moves the primary from a co-located
 // replica to a remote one also moves the calls from the ring onto a
 // stream — and back. FailoverClient.Endpoint returns the *Link whose
@@ -189,8 +150,8 @@ func (l *Linker) Failover(peers []Peer, opts rpc.FailoverOptions) *rpc.FailoverC
 	return rpc.NewFailover(endpoints, opts)
 }
 
-// Close tears down every link: rings fail in-flight ring calls with
-// rpc.ErrClosed, shared connections fail every stream riding them.
+// Close tears down every link: calls on rings and streams alike fail
+// with rpc.ErrClosed.
 func (l *Linker) Close() error {
 	l.mu.Lock()
 	if l.closed {
@@ -198,24 +159,13 @@ func (l *Linker) Close() error {
 		return nil
 	}
 	l.closed = true
-	clients := make([]*rpc.Client, 0, len(l.conns))
-	for _, sc := range l.conns {
-		if c := sc.client.Load(); c != nil {
-			clients = append(clients, c)
-		}
-	}
-	rings := l.rings
-	l.rings = nil
+	links := l.links
+	l.links = nil
 	l.mu.Unlock()
 
 	var first error
-	for _, c := range clients {
-		if err := c.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	for _, r := range rings {
-		if err := r.Close(); err != nil && first == nil {
+	for _, t := range links {
+		if err := t.Close(); err != nil && first == nil {
 			first = err
 		}
 	}

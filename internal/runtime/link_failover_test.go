@@ -63,7 +63,7 @@ func TestLinkerFailoverFlipsTransportOnLeaderChange(t *testing.T) {
 	t.Cleanup(func() { ln.Close() })
 	go remote.Server().Serve(ln)
 
-	l := NewLinker(LinkerOptions{Callers: 8})
+	l := NewLinker(LinkerOptions{})
 	defer l.Close()
 	fc := l.Failover([]Peer{
 		{Gateway: local},

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"net"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -50,13 +49,10 @@ func TestLinkerSelectsRingForCoLocatedGateway(t *testing.T) {
 	}
 }
 
-func TestLinkerSelectsStreamForRemotePeerAndSharesConn(t *testing.T) {
+func TestLinkerSelectsStreamForRemotePeer(t *testing.T) {
 	g := echoGateway(t)
-	var dials atomic.Int32
 	l := NewLinker(LinkerOptions{
-		Callers: 8,
 		Dial: func(addr string) (net.Conn, error) {
-			dials.Add(1)
 			cc, sc := rpc.Pair()
 			g.Server().ServeConn(sc)
 			return cc, nil
@@ -75,18 +71,8 @@ func TestLinkerSelectsStreamForRemotePeerAndSharesConn(t *testing.T) {
 	if a.Kind != TransportStream || b.Kind != TransportStream {
 		t.Fatalf("remote peers selected %v/%v, want streams", a.Kind, b.Kind)
 	}
-	if got := dials.Load(); got != 1 {
-		t.Fatalf("two links to one address dialled %d conns, want 1 shared", got)
-	}
-	sa, sb := a.Transport.(*rpc.Stream), b.Transport.(*rpc.Stream)
-	if sa.Conn() != sb.Conn() {
-		t.Fatal("streams to the same address should share a connection")
-	}
-	if sa.ID() == sb.ID() {
-		t.Fatal("links must ride distinct logical streams")
-	}
 
-	// Both logical links serve calls concurrently over the one socket.
+	// Both links serve calls concurrently.
 	var wg sync.WaitGroup
 	for _, link := range []*Link{a, b} {
 		link := link
@@ -152,6 +138,57 @@ func TestLinkerCloseFailsLinksAndRefusesNew(t *testing.T) {
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal("double close should be a no-op")
+	}
+}
+
+// Failover rebuilds a link every time its endpoint turns unhealthy;
+// the Linker drops the dead ones as it tracks the new, so it holds one
+// link per peer however often that happens, and Close still fails the
+// live ones.
+func TestLinkerFailoverRebuildsKeepOneLinkPerPeer(t *testing.T) {
+	g := echoGateway(t)
+	l := NewLinker(LinkerOptions{
+		Dial: func(addr string) (net.Conn, error) {
+			cc, sc := rpc.Pair()
+			g.Server().ServeConn(sc)
+			return cc, nil
+		},
+	})
+	peers := []Peer{{Gateway: g}, {Addr: "tier-b:9000"}}
+	fcs := make([]*rpc.FailoverClient, len(peers))
+	for i, p := range peers {
+		fcs[i] = l.Failover([]Peer{p}, rpc.FailoverOptions{})
+		defer fcs[i].Close()
+	}
+	const rebuilds = 100
+	for i := 0; i <= rebuilds; i++ {
+		for _, fc := range fcs {
+			if i > 0 {
+				fc.Endpoint(0).Close() // force the next call to rebuild
+			}
+			if out, err := fc.Call(context.Background(), "recognize", []byte("hive")); err != nil || string(out) != "HIVE" {
+				t.Fatalf("call after %d rebuilds: %q, %v", i, out, err)
+			}
+		}
+	}
+	for i, fc := range fcs {
+		if n := fc.Stats().Reconnects; n != rebuilds {
+			t.Fatalf("peer %d rebuilt %d times, want %d", i, n, rebuilds)
+		}
+	}
+	l.mu.Lock()
+	tracked := len(l.links)
+	l.mu.Unlock()
+	if tracked > len(peers) {
+		t.Fatalf("Linker tracks %d links for %d peers after %d rebuilds", tracked, len(peers), rebuilds)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for i, fc := range fcs {
+		if _, err := fc.Endpoint(0).CallSync("recognize", nil); !errors.Is(err, rpc.ErrClosed) {
+			t.Fatalf("peer %d's live link after Close: err = %v, want ErrClosed", i, err)
+		}
 	}
 }
 
