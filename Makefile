@@ -46,7 +46,8 @@ race-sim:
 # below, all under -race. Every test seeds its injectors and RNGs (fixed
 # seeds baked into the tests), so this run is deterministic. Then each
 # Fuzz target runs for a few seconds: the rpc error parsers and frame
-# decoder, the ingress /then flag and the runtime task envelope.
+# decoder, the ingress /then flag, the runtime task envelope and WAL
+# replay.
 chaos:
 	$(GO) test -race -count=1 ./internal/chaos/ ./internal/fleet/
 	$(GO) test -race -count=1 \
@@ -57,12 +58,17 @@ chaos:
 	done
 	$(GO) test -run '^$$' -fuzz '^FuzzThenFlag$$' -fuzztime 4s ./internal/ingress/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeTaskEnvelope$$' -fuzztime 4s ./internal/runtime/
+	$(GO) test -run '^$$' -fuzz '^FuzzWALReplay$$' -fuzztime 4s ./internal/store/
 
 # Observability smoke run: a real TCP fleet with traced requests and a
 # chaos-killed primary must emit a non-empty, valid Chrome trace whose
-# lanes cover every layer of the stack.
+# lanes cover every layer of the stack, and a metrics dump that counts
+# the controller's election and the failover the kill forced.
 live-smoke:
-	$(GO) run ./cmd/hivemind-live -replicas 3 -requests 10 -kill -trace live.json
+	$(GO) run ./cmd/hivemind-live -replicas 3 -requests 10 -kill -trace live.json > live.txt; \
+		s=$$?; cat live.txt; exit $$s
+	grep -q '^counter ctrl-election ' live.txt
+	grep -q '^counter ctrl-failover ' live.txt
 	$(GO) run ./cmd/hivemind-tracecheck -in live.json \
 		-tracks gateway,controller,rpc,runtime
 
@@ -136,5 +142,5 @@ vet:
 # Removes what the targets above leave behind (all of it git-ignored).
 clean:
 	$(GO) clean ./...
-	rm -rf .bench_build benchmark/out live.json full_report.txt report_*.txt \
+	rm -rf .bench_build benchmark/out live.json live.txt full_report.txt report_*.txt \
 		hivemind-bench.parity bench_*.out

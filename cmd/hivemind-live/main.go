@@ -64,7 +64,6 @@ func run(replicas, requests int, kill bool, seed int64, traceFn, walDir, httpAdd
 	rec := trace.NewRecorder(0)
 	live := trace.NewLive(rec)
 	reg := metrics.NewRegistry()
-	mon := controller.NewMonitor()
 	inj := chaos.NewInjector(seed, chaos.Config{})
 
 	var db *store.DB
@@ -84,15 +83,15 @@ func run(replicas, requests int, kill bool, seed int64, traceFn, walDir, httpAdd
 		db.SetMonitor(reg)
 	}
 
-	// Every gateway serves the demo sense→plan→act chain and reports into
-	// the metrics registry; the fleet wires tracer, breakdowns and the
-	// RPC server interceptor.
+	// Every replica and gateway reports into the one metrics registry;
+	// every gateway serves the demo sense→plan→act chain; the fleet wires
+	// tracer, breakdowns and the RPC server interceptor.
 	chain, fns := demoChain()
 	f, err := fleet.Start(fleet.Config{
 		Replicas: replicas,
 		Seed:     seed,
 		Store:    db,
-		Monitor:  mon,
+		Monitor:  reg,
 		Fault:    inj,
 		Tracer:   live,
 		Runtime:  runtime.DefaultConfig(),
@@ -101,7 +100,6 @@ func run(replicas, requests int, kill bool, seed int64, traceFn, walDir, httpAdd
 			for name, fn := range fns {
 				nd.Runtime.Register(name, fn)
 			}
-			nd.Gateway.SetMonitor(reg)
 			nd.Gateway.ExposeChain("pipeline", chain)
 		},
 	})
@@ -165,7 +163,7 @@ func run(replicas, requests int, kill bool, seed int64, traceFn, walDir, httpAdd
 		bd.Merge(nd.Breakdown)
 	}
 	fmt.Println(stageTable(bd))
-	fmt.Printf("controller: %s\n", mon.Failover())
+	fmt.Printf("controller: %s\n", controller.Failover(reg))
 
 	fmt.Println("metrics:")
 	if err := reg.WriteText(os.Stdout); err != nil {

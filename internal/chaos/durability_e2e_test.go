@@ -10,6 +10,7 @@ import (
 	"hivemind/internal/chaos"
 	"hivemind/internal/controller"
 	"hivemind/internal/fleet"
+	"hivemind/internal/metrics"
 	"hivemind/internal/rpc"
 	"hivemind/internal/runtime"
 	"hivemind/internal/store"
@@ -77,7 +78,7 @@ func TestCrashRestartE2ERecoversFromWAL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mon := controller.NewMonitor()
+	mon := metrics.NewRegistry()
 	inj := chaos.NewInjector(11, chaos.Config{})
 	midEntered := make(chan struct{}, 1)
 	f := bootFleet(t, fleet.Config{
@@ -147,7 +148,7 @@ func TestCrashRestartE2ERecoversFromWAL(t *testing.T) {
 	if db2.Fence() == 0 {
 		t.Fatal("recovered cluster's promotion never raised the store fence")
 	}
-	if mon.Count(controller.EventOrphanRedispatch) < 1 {
+	if mon.Counter(controller.EventOrphanRedispatch) < 1 {
 		t.Fatal("no orphan re-dispatch recorded")
 	}
 }
@@ -160,7 +161,7 @@ func TestSnapshotMidTrafficE2EBoundedRecovery(t *testing.T) {
 	const tasks = 25
 	const compactEvery = 32
 	dir := t.TempDir()
-	mon := controller.NewMonitor()
+	mon := metrics.NewRegistry()
 	db, _, err := store.OpenDurable(dir, store.DurableOptions{
 		Fsync: store.FsyncNever, CompactEvery: compactEvery, Monitor: mon,
 	})
@@ -188,7 +189,7 @@ func TestSnapshotMidTrafficE2EBoundedRecovery(t *testing.T) {
 			t.Fatalf("task %d output = %q", i, out)
 		}
 	}
-	if mon.Count(store.MetricSnapshot) == 0 {
+	if mon.Counter(store.MetricSnapshot) == 0 {
 		t.Fatalf("no compaction fired under %d tasks with CompactEvery=%d", tasks, compactEvery)
 	}
 

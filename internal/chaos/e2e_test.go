@@ -17,8 +17,8 @@ import (
 
 	"hivemind/internal/chaos"
 	"hivemind/internal/cluster"
-	"hivemind/internal/controller"
 	"hivemind/internal/faas"
+	"hivemind/internal/metrics"
 	"hivemind/internal/rpc"
 	"hivemind/internal/runtime"
 	"hivemind/internal/sim"
@@ -211,7 +211,7 @@ func TestChaosKilledFunctionMidChainRespawns(t *testing.T) {
 	gcfg.Timeout = 5 * time.Second
 	gcfg.RespawnDelay = time.Millisecond
 	g := runtime.NewGatewayConfig(rt, gcfg)
-	mon := controller.NewMonitor()
+	mon := metrics.NewRegistry()
 	g.SetMonitor(mon)
 	g.ExposeChain("pipeline", []string{"head", "mid", "tail"})
 	defer g.Close()
@@ -234,8 +234,8 @@ func TestChaosKilledFunctionMidChainRespawns(t *testing.T) {
 	if rt.Stats().Killed != 1 {
 		t.Fatalf("killed = %d, want 1", rt.Stats().Killed)
 	}
-	if mon.Count("gateway-respawn") != 1 {
-		t.Fatalf("gateway-respawn = %d, want 1", mon.Count("gateway-respawn"))
+	if mon.Counter("gateway-respawn") != 1 {
+		t.Fatalf("gateway-respawn = %g, want 1", mon.Counter("gateway-respawn"))
 	}
 	if inj.FaultCount("invoke/mid") != 1 {
 		t.Fatalf("injected mid kills = %d", inj.FaultCount("invoke/mid"))

@@ -10,6 +10,7 @@ import (
 	"hivemind/internal/chaos"
 	"hivemind/internal/controller"
 	"hivemind/internal/fleet"
+	"hivemind/internal/metrics"
 	"hivemind/internal/rpc"
 	"hivemind/internal/runtime"
 	"hivemind/internal/store"
@@ -104,7 +105,7 @@ func blockingMid(midEntered chan<- struct{}) (chain []string, fns map[string]run
 // exposed via the Monitor and bounded by election timeout + respawn
 // delay.
 func TestFailoverE2EOrphanRedispatchAfterPrimaryKill(t *testing.T) {
-	mon := controller.NewMonitor()
+	mon := metrics.NewRegistry()
 	inj := chaos.NewInjector(42, chaos.Config{})
 	db := store.NewDB()
 	midEntered := make(chan struct{}, 1)
@@ -161,7 +162,7 @@ func TestFailoverE2EOrphanRedispatchAfterPrimaryKill(t *testing.T) {
 	assertExactlyOnce(t, db, "task-e2e")
 
 	// The shared monitor saw the whole story.
-	fo := mon.Failover()
+	fo := controller.Failover(mon)
 	if fo.Failovers < 1 {
 		for _, nd := range f.Nodes {
 			lid, term := nd.Replica.Leader()
@@ -199,7 +200,7 @@ var failoverBound = 2*fastReplica.ElectionTimeoutMax + 4*fastReplica.VoteTimeout
 // retry and the new primary's orphan re-dispatch race, yet every step
 // commits exactly once and the client gets the chain's real output.
 func TestFailoverE2EClientRetryDeduplicatesAgainstRecovery(t *testing.T) {
-	mon := controller.NewMonitor()
+	mon := metrics.NewRegistry()
 	inj := chaos.NewInjector(7, chaos.Config{})
 	db := store.NewDB()
 	midEntered := make(chan struct{}, 1)
@@ -246,7 +247,7 @@ func TestFailoverE2EClientRetryDeduplicatesAgainstRecovery(t *testing.T) {
 		t.Fatalf("client output = %q, want x.h.m.t", out)
 	}
 	assertExactlyOnce(t, db, "task-retry")
-	if mon.Count(controller.EventFailover) < 1 {
+	if mon.Counter(controller.EventFailover) < 1 {
 		t.Fatal("monitor recorded no failover")
 	}
 }

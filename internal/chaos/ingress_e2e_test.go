@@ -16,6 +16,7 @@ import (
 	"hivemind/internal/controller"
 	"hivemind/internal/fleet"
 	"hivemind/internal/ingress"
+	"hivemind/internal/metrics"
 	"hivemind/internal/rpc"
 	"hivemind/internal/runtime"
 	"hivemind/internal/store"
@@ -75,7 +76,7 @@ func TestIngressE2EAsyncJobsSurvivePrimaryKill(t *testing.T) {
 		runFor   = 3 * time.Second
 		dupEvery = 5 // every 5th POST reuses the same payload
 	)
-	mon := controller.NewMonitor()
+	mon := metrics.NewRegistry()
 	inj := chaos.NewInjector(7, chaos.Config{})
 	db := store.NewDB()
 	// Every gateway serves a durable one-step "work" chain behind

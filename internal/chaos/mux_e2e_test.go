@@ -10,6 +10,7 @@ import (
 	"hivemind/internal/chaos"
 	"hivemind/internal/controller"
 	"hivemind/internal/fleet"
+	"hivemind/internal/metrics"
 	"hivemind/internal/rpc"
 	"hivemind/internal/runtime"
 	"hivemind/internal/store"
@@ -26,7 +27,7 @@ import (
 // hostage task completes through the standby's orphan re-dispatch with
 // exactly-once step effects.
 func TestFailoverE2EMuxedStreamsAcrossPrimaryKill(t *testing.T) {
-	mon := controller.NewMonitor()
+	mon := metrics.NewRegistry()
 	inj := chaos.NewInjector(1123, chaos.Config{})
 	db := store.NewDB()
 	midEntered := make(chan struct{}, 1)
@@ -110,7 +111,7 @@ func TestFailoverE2EMuxedStreamsAcrossPrimaryKill(t *testing.T) {
 	waitNoOrphans(t, store.NewCheckpointLog(db), 5*time.Second)
 	completedIn := time.Since(killAt)
 	assertExactlyOnce(t, db, "task-mux-e2e")
-	if fo := mon.Failover(); fo.Failovers < 1 {
+	if fo := controller.Failover(mon); fo.Failovers < 1 {
 		t.Fatalf("failovers = %d, want >= 1", fo.Failovers)
 	}
 	bound := failoverBound.Seconds() + 2.0

@@ -6,8 +6,8 @@ import (
 	"time"
 
 	"hivemind/internal/chaos"
-	"hivemind/internal/controller"
 	"hivemind/internal/fleet"
+	"hivemind/internal/metrics"
 	"hivemind/internal/rpc"
 	"hivemind/internal/runtime"
 	"hivemind/internal/stats"
@@ -45,7 +45,7 @@ func sleepyChain(d time.Duration) (chain []string, fns map[string]runtime.Functi
 func TestObservabilityE2ETraceAndBreakdown(t *testing.T) {
 	rec := trace.NewRecorder(0)
 	live := trace.NewLive(rec)
-	mon := controller.NewMonitor()
+	mon := metrics.NewRegistry()
 	inj := chaos.NewInjector(11, chaos.Config{})
 	// The injector is also each runtime's invoke-fault hook.
 	rcfg := runtime.DefaultConfig()

@@ -45,7 +45,7 @@ func TestOverloadE2EGoodputHoldsAtTwiceCapacityWithPrimaryKill(t *testing.T) {
 		slo         = 250 * time.Millisecond
 		runFor      = 4 * time.Second
 	)
-	mon := controller.NewMonitor()
+	mon := metrics.NewRegistry()
 	inj := chaos.NewInjector(99, chaos.Config{})
 	// Each gateway exposes a fixed-cost "work" function behind the
 	// admission controller, reporting into a registry of its own (so
@@ -210,14 +210,14 @@ func calibrateFailover(t *testing.T, fc *rpc.FailoverClient, workers int) float6
 }
 
 // waitFailover polls the monitor until a failover is recorded.
-func waitFailover(t *testing.T, mon *controller.Monitor, timeout time.Duration) {
+func waitFailover(t *testing.T, mon *metrics.Registry, timeout time.Duration) {
 	t.Helper()
 	deadline := time.Now().Add(timeout)
 	for time.Now().Before(deadline) {
-		if mon.Failover().Failovers >= 1 {
+		if controller.Failover(mon).Failovers >= 1 {
 			return
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	t.Fatalf("no failover recorded: %s", fmt.Sprint(mon.Failover()))
+	t.Fatalf("no failover recorded: %s", fmt.Sprint(controller.Failover(mon)))
 }

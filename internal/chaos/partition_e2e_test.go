@@ -10,6 +10,7 @@ import (
 	"hivemind/internal/chaos"
 	"hivemind/internal/controller"
 	"hivemind/internal/fleet"
+	"hivemind/internal/metrics"
 	"hivemind/internal/rpc"
 	"hivemind/internal/runtime"
 	"hivemind/internal/store"
@@ -54,7 +55,7 @@ func gatedMid(midEntered chan<- struct{}, release <-chan struct{}) (chain []stri
 // of the task committed exactly once (by the majority side's orphan
 // re-dispatch).
 func TestPartitionE2EMinorityLeaderFenced(t *testing.T) {
-	mon := controller.NewMonitor()
+	mon := metrics.NewRegistry()
 	inj := chaos.NewInjector(23, chaos.Config{})
 	db := store.NewDB()
 	db.SetMonitor(mon)
@@ -138,10 +139,10 @@ func TestPartitionE2EMinorityLeaderFenced(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("hostage chain never finished after release")
 	}
-	if mon.Count(store.MetricFencedWrite) < 1 {
+	if mon.Counter(store.MetricFencedWrite) < 1 {
 		t.Fatal("store recorded no fenced write")
 	}
-	if mon.Count("gateway-fenced") < 1 {
+	if mon.Counter("gateway-fenced") < 1 {
 		t.Fatal("gateway recorded no fenced chain")
 	}
 	// Still exactly-once after the fenced attempt: nothing re-committed.
@@ -187,7 +188,7 @@ func TestPartitionE2EMinorityLeaderFenced(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	if mon.Count(controller.EventStepDown) < 1 {
+	if mon.Counter(controller.EventStepDown) < 1 {
 		t.Fatal("no step-down recorded across the partition")
 	}
 }

@@ -11,10 +11,10 @@ package controller
 
 import (
 	"fmt"
-	"sync"
 
 	"hivemind/internal/device"
 	"hivemind/internal/geo"
+	"hivemind/internal/metrics"
 	"hivemind/internal/sim"
 	"hivemind/internal/stats"
 )
@@ -44,9 +44,9 @@ func DefaultConfig() Config {
 	}
 }
 
-// Monitor event and sample names shared by the simulated Controller and
-// the live ReplicatedController, so Fig. 10-style failover experiments
-// read the same counters on either substrate.
+// Metric names shared by the simulated Controller and the live Replica,
+// so Fig. 10-style failover experiments read the same counters on
+// either substrate.
 const (
 	// EventDeviceFailure counts devices declared failed (stale heartbeats
 	// or reported faults).
@@ -89,7 +89,7 @@ type Controller struct {
 	active    int // index of the active replica
 	downUntil sim.Time
 
-	monitor *Monitor
+	monitor *metrics.Registry
 	rrNext  int
 }
 
@@ -104,14 +104,14 @@ func New(eng *sim.Engine, cfg Config, fleet device.Fleet, regions []geo.Rect, on
 		handled:       make(map[int]bool),
 		onRepartition: onRepartition,
 		replicas:      1 + cfg.Standbys,
-		monitor:       NewMonitor(),
+		monitor:       metrics.NewRegistry(),
 	}
 	c.detector = eng.Every(cfg.CheckPeriodS, 0.05, c.scan)
 	return c
 }
 
 // Monitor returns the controller's metrics registry.
-func (c *Controller) Monitor() *Monitor { return c.monitor }
+func (c *Controller) Monitor() *metrics.Registry { return c.monitor }
 
 // Regions returns the current region assignment (failed devices hold
 // zero regions).
@@ -219,91 +219,9 @@ func (c *Controller) LeastLoadedDevice() *device.Device {
 	return best
 }
 
-// Monitor is the controller's metrics registry: cheap counters and
-// latency samples whose overhead is negligible (§4.7: <0.1% on tail
-// latency). It is safe for concurrent use, so the real runtime's
-// gateway and hardened RPC clients can report into it alongside the
-// single-threaded simulator (it satisfies runtime.GatewayMonitor).
-type Monitor struct {
-	mu       sync.Mutex
-	counters map[string]int
-	samples  map[string]*stats.Sample
-	enabled  bool
-}
-
-// NewMonitor returns an enabled monitor.
-func NewMonitor() *Monitor {
-	return &Monitor{counters: map[string]int{}, samples: map[string]*stats.Sample{}, enabled: true}
-}
-
-// SetEnabled toggles collection (for overhead experiments).
-func (m *Monitor) SetEnabled(on bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.enabled = on
-}
-
-// CountEvent increments a named counter.
-func (m *Monitor) CountEvent(name string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if !m.enabled {
-		return
-	}
-	m.counters[name]++
-}
-
-// CountEventN adds n occurrences of a named counter at once.
-func (m *Monitor) CountEventN(name string, n int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if !m.enabled || n <= 0 {
-		return
-	}
-	m.counters[name] += n
-}
-
-// Count returns a counter's value.
-func (m *Monitor) Count(name string) int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.counters[name]
-}
-
-// Observe records a latency observation under a name.
-func (m *Monitor) Observe(name string, v float64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if !m.enabled {
-		return
-	}
-	s, ok := m.samples[name]
-	if !ok {
-		s = &stats.Sample{}
-		m.samples[name] = s
-	}
-	s.Add(v)
-}
-
-// Sample returns a snapshot of the sample recorded under name (empty if
-// none). Snapshotting keeps concurrent Observe calls from racing with
-// the caller's percentile math.
-func (m *Monitor) Sample(name string) *stats.Sample {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := &stats.Sample{}
-	if s, ok := m.samples[name]; ok {
-		out.AddAll(s.Values()...)
-	}
-	return out
-}
-
-// String summarises the monitor contents.
-func (m *Monitor) String() string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return fmt.Sprintf("monitor: %d counters, %d samples", len(m.counters), len(m.samples))
-}
+// NewMonitor returns metrics.NewRegistry(). The benchmark module still
+// calls it; code in this module calls metrics.NewRegistry directly.
+func NewMonitor() *metrics.Registry { return metrics.NewRegistry() }
 
 // FailoverStats is a snapshot of the controller-replication metrics —
 // the §4.7 hot-standby story made observable on both substrates.
@@ -318,17 +236,18 @@ type FailoverStats struct {
 	FailoverLatency *stats.Sample
 }
 
-// Failover snapshots the replication counters and the failover-latency
-// sample.
-func (m *Monitor) Failover() FailoverStats {
+// Failover is the registry's view of the replication counters and the
+// failover-latency sample.
+func Failover(reg *metrics.Registry) FailoverStats {
+	count := func(name string) int { return int(reg.Counter(name)) }
 	return FailoverStats{
-		Elections:           m.Count(EventElection),
-		Failovers:           m.Count(EventFailover),
-		OrphansRedispatched: m.Count(EventOrphanRedispatch),
-		HeartbeatsMissed:    m.Count(EventHeartbeatMissed),
-		DeviceFailures:      m.Count(EventDeviceFailure),
-		RouteUpdates:        m.Count(EventRouteUpdate),
-		FailoverLatency:     m.Sample(SampleFailoverLatency),
+		Elections:           count(EventElection),
+		Failovers:           count(EventFailover),
+		OrphansRedispatched: count(EventOrphanRedispatch),
+		HeartbeatsMissed:    count(EventHeartbeatMissed),
+		DeviceFailures:      count(EventDeviceFailure),
+		RouteUpdates:        count(EventRouteUpdate),
+		FailoverLatency:     reg.Histogram(SampleFailoverLatency),
 	}
 }
 

@@ -2,7 +2,6 @@ package controller
 
 import (
 	"math"
-	"sync"
 	"testing"
 
 	"hivemind/internal/device"
@@ -35,8 +34,8 @@ func TestFailureDetectionWithin3s(t *testing.T) {
 	if failedID != 4 {
 		t.Fatalf("failure not detected: %d", failedID)
 	}
-	if c.Monitor().Count("device-failure") != 1 {
-		t.Fatalf("failure count = %d", c.Monitor().Count("device-failure"))
+	if c.Monitor().Counter("device-failure") != 1 {
+		t.Fatalf("failure count = %g", c.Monitor().Counter("device-failure"))
 	}
 }
 
@@ -55,7 +54,7 @@ func TestRepartitionConservesCoverage(t *testing.T) {
 		t.Fatal("failed device still owns a region")
 	}
 	// Gainers received updated (larger) regions.
-	if c.Monitor().Count("route-update") == 0 {
+	if c.Monitor().Counter("route-update") == 0 {
 		t.Fatal("no route updates pushed")
 	}
 }
@@ -193,32 +192,6 @@ func TestLeastLoadedDevice(t *testing.T) {
 	}
 }
 
-func TestMonitorCountersAndSamples(t *testing.T) {
-	m := NewMonitor()
-	m.CountEvent("x")
-	m.CountEvent("x")
-	m.Observe("lat", 1.5)
-	m.Observe("lat", 2.5)
-	if m.Count("x") != 2 {
-		t.Fatalf("count = %d", m.Count("x"))
-	}
-	if m.Sample("lat").Mean() != 2.0 {
-		t.Fatalf("mean = %g", m.Sample("lat").Mean())
-	}
-	if m.Sample("missing").N() != 0 {
-		t.Fatal("missing sample not empty")
-	}
-	m.SetEnabled(false)
-	m.CountEvent("x")
-	m.Observe("lat", 99)
-	if m.Count("x") != 2 || m.Sample("lat").N() != 2 {
-		t.Fatal("disabled monitor recorded data")
-	}
-	if m.String() == "" {
-		t.Fatal("empty monitor string")
-	}
-}
-
 func TestMismatchedRegionsPanics(t *testing.T) {
 	eng := sim.NewEngine(1)
 	fleet, _ := fleetWithRegions(eng, 3)
@@ -228,32 +201,4 @@ func TestMismatchedRegionsPanics(t *testing.T) {
 		}
 	}()
 	New(eng, DefaultConfig(), fleet, make([]geo.Rect, 2), nil)
-}
-
-// Satellite fix: the monitor must be goroutine-safe so the real
-// concurrent runtime (gateway, hardened RPC clients) can report into it.
-func TestMonitorConcurrentReporters(t *testing.T) {
-	m := NewMonitor()
-	var wg sync.WaitGroup
-	const workers = 8
-	const perWorker = 200
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < perWorker; i++ {
-				m.CountEvent("rpc-call")
-				m.Observe("lat", float64(i))
-				_ = m.Count("rpc-call")
-				_ = m.Sample("lat").N()
-			}
-		}()
-	}
-	wg.Wait()
-	if got := m.Count("rpc-call"); got != workers*perWorker {
-		t.Fatalf("count = %d, want %d", got, workers*perWorker)
-	}
-	if got := m.Sample("lat").N(); got != workers*perWorker {
-		t.Fatalf("sample n = %d, want %d", got, workers*perWorker)
-	}
 }

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"hivemind/internal/geo"
+	"hivemind/internal/metrics"
 	"hivemind/internal/rpc"
 	"hivemind/internal/trace"
 )
@@ -35,7 +36,6 @@ const (
 	MethodLease    = "ctrl.lease"
 	MethodRegister = "ctrl.register"
 	MethodBeat     = "ctrl.beat"
-	MethodLeader   = "ctrl.leader"
 )
 
 // KillControllerOp is the fault-injection op a replica consults before
@@ -200,19 +200,13 @@ type memberResp struct {
 	Failed bool
 }
 
-type leaderResp struct {
-	Leader int
-	Term   uint64
-	State  string
-}
-
 // Replica is one live controller process: an RPC server plus the
 // election and replication loops. Wire its Server() to a listener (or
 // in-process pipes) and point peer dial functions at the other
 // replicas.
 type Replica struct {
 	cfg    ReplicaConfig
-	mon    *Monitor
+	mon    *metrics.Registry
 	srv    *rpc.Server
 	peers  map[int]*rpc.FailoverClient
 	tracer *trace.Live // set before Start; read under mu
@@ -239,9 +233,9 @@ type Replica struct {
 
 // NewReplica builds one controller replica. peerDials maps replica id →
 // dial function for every *other* replica; mon may be shared across the
-// replica set so counters aggregate (Monitor is goroutine-safe). The
-// replica starts as a follower; call Start to run its loops.
-func NewReplica(cfg ReplicaConfig, peerDials map[int]func() (net.Conn, error), mon *Monitor) *Replica {
+// replica set so counters aggregate (nil: report nowhere). The replica
+// starts as a follower; call Start to run its loops.
+func NewReplica(cfg ReplicaConfig, peerDials map[int]func() (net.Conn, error), mon *metrics.Registry) *Replica {
 	if cfg.Replicas <= 0 {
 		cfg.Replicas = len(peerDials) + 1
 	}
@@ -260,9 +254,6 @@ func NewReplica(cfg ReplicaConfig, peerDials map[int]func() (net.Conn, error), m
 	}
 	if cfg.CheckPeriod <= 0 {
 		cfg.CheckPeriod = time.Second
-	}
-	if mon == nil {
-		mon = NewMonitor()
 	}
 	seed := cfg.Seed
 	if seed == 0 {
@@ -475,12 +466,6 @@ func (r *Replica) registerHandlers() {
 	r.srv.Register(MethodLease, r.handleLease)
 	r.srv.Register(MethodRegister, r.handleRegister)
 	r.srv.Register(MethodBeat, r.handleBeat)
-	r.srv.Register(MethodLeader, func([]byte) ([]byte, error) {
-		r.mu.Lock()
-		resp := leaderResp{Leader: r.leaderID, Term: r.term, State: r.state.String()}
-		r.mu.Unlock()
-		return json.Marshal(resp)
-	})
 }
 
 // loop drives the role state machine on a fine-grained tick.
@@ -632,7 +617,7 @@ func (r *Replica) runElection() {
 			ctx, cancel := context.WithTimeout(context.Background(), 10*r.cfg.HeartbeatTimeout)
 			defer cancel()
 			if n, err := recover(ctx); err == nil {
-				r.mon.CountEventN(EventOrphanRedispatch, n)
+				r.mon.Add(EventOrphanRedispatch, float64(n))
 			}
 		}()
 	}

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"testing"
 	"time"
+
+	"hivemind/internal/metrics"
 )
 
 // leaseFor marshals a lease broadcast for direct handler-level tests.
@@ -95,7 +97,7 @@ func TestHandleLeaseHigherTermDemotesLeader(t *testing.T) {
 // StepDown demotes a leader immediately (the OnFenced path) and is a
 // no-op on followers; the demotion is counted.
 func TestStepDownDemotesLeader(t *testing.T) {
-	mon := NewMonitor()
+	mon := metrics.NewRegistry()
 	cfg := fastReplicaConfig(0, 1, 1)
 	r := NewReplica(cfg, nil, mon)
 	defer r.Kill()
@@ -108,8 +110,8 @@ func TestStepDownDemotesLeader(t *testing.T) {
 		time.Sleep(2 * time.Millisecond)
 	}
 	r.StepDown()
-	if got := mon.Count(EventStepDown); got != 1 {
-		t.Fatalf("step-down count = %d, want 1", got)
+	if got := mon.Counter(EventStepDown); got != 1 {
+		t.Fatalf("step-down count = %g, want 1", got)
 	}
 	// A 1-replica set re-elects itself immediately; the counted
 	// demotion is the assertion, not a lasting follower state. Run the
@@ -117,8 +119,8 @@ func TestStepDownDemotesLeader(t *testing.T) {
 	follower := NewReplica(fastReplicaConfig(1, 3, 1), nil, mon)
 	defer follower.Kill()
 	follower.StepDown()
-	if got := mon.Count(EventStepDown); got != 1 {
-		t.Fatalf("follower StepDown counted: %d", got)
+	if got := mon.Counter(EventStepDown); got != 1 {
+		t.Fatalf("follower StepDown counted: %g", got)
 	}
 }
 

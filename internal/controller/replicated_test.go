@@ -8,6 +8,7 @@ import (
 
 	"hivemind/internal/chaos"
 	"hivemind/internal/geo"
+	"hivemind/internal/metrics"
 	"hivemind/internal/rpc"
 )
 
@@ -30,7 +31,7 @@ type cluster struct {
 
 // startCluster boots n replicas with inter-replica links and a shared
 // monitor. mutate tweaks each config before the replica is built.
-func startCluster(t *testing.T, n int, seed int64, mon *Monitor, mutate func(*ReplicaConfig)) *cluster {
+func startCluster(t *testing.T, n int, seed int64, mon *metrics.Registry, mutate func(*ReplicaConfig)) *cluster {
 	t.Helper()
 	lns := make([]net.Listener, n)
 	addrs := make([]string, n)
@@ -93,12 +94,12 @@ func (c *cluster) waitLeader(t *testing.T, timeout time.Duration) *Replica {
 }
 
 func TestReplicaClusterElectsSingleLeader(t *testing.T) {
-	mon := NewMonitor()
+	mon := metrics.NewRegistry()
 	c := startCluster(t, 3, 7, mon, nil)
 	leader := c.waitLeader(t, 3*time.Second)
 
-	if mon.Count(EventElection) < 1 {
-		t.Fatalf("expected at least one election event, got %d", mon.Count(EventElection))
+	if mon.Counter(EventElection) < 1 {
+		t.Fatalf("expected at least one election event, got %g", mon.Counter(EventElection))
 	}
 	// Followers learn the leader through leases.
 	deadline := time.Now().Add(2 * time.Second)
@@ -118,7 +119,7 @@ func TestReplicaClusterElectsSingleLeader(t *testing.T) {
 }
 
 func TestReplicaFailoverPromotesStandbyWithinBound(t *testing.T) {
-	mon := NewMonitor()
+	mon := metrics.NewRegistry()
 	c := startCluster(t, 3, 11, mon, nil)
 	old := c.waitLeader(t, 3*time.Second)
 
@@ -143,10 +144,10 @@ func TestReplicaFailoverPromotesStandbyWithinBound(t *testing.T) {
 	if next == nil {
 		t.Fatal("no standby took over")
 	}
-	if got := mon.Count(EventFailover); got < 1 {
-		t.Fatalf("failovers = %d, want >= 1", got)
+	if got := mon.Counter(EventFailover); got < 1 {
+		t.Fatalf("failovers = %g, want >= 1", got)
 	}
-	lat := mon.Sample(SampleFailoverLatency)
+	lat := mon.Histogram(SampleFailoverLatency)
 	if lat.N() < 1 {
 		t.Fatal("no failover latency observation recorded")
 	}
@@ -183,7 +184,7 @@ func TestReplicaReplicatesTaskTable(t *testing.T) {
 }
 
 func TestReplicaMembershipFailureTriggersLiveRepartition(t *testing.T) {
-	mon := NewMonitor()
+	mon := metrics.NewRegistry()
 	repart := make(chan int, 1)
 	c := startCluster(t, 3, 17, mon, func(cfg *ReplicaConfig) {
 		cfg.HeartbeatTimeout = 150 * time.Millisecond
@@ -243,9 +244,9 @@ func TestReplicaMembershipFailureTriggersLiveRepartition(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("no repartition after silencing device 0")
 	}
-	if mon.Count(EventHeartbeatMissed) < 1 || mon.Count(EventDeviceFailure) < 1 {
-		t.Fatalf("missed/failure counters not incremented: %d/%d",
-			mon.Count(EventHeartbeatMissed), mon.Count(EventDeviceFailure))
+	if mon.Counter(EventHeartbeatMissed) < 1 || mon.Counter(EventDeviceFailure) < 1 {
+		t.Fatalf("missed/failure counters not incremented: %g/%g",
+			mon.Counter(EventHeartbeatMissed), mon.Counter(EventDeviceFailure))
 	}
 
 	want := field.Area()
@@ -266,7 +267,7 @@ func TestReplicaMembershipFailureTriggersLiveRepartition(t *testing.T) {
 // must transparently re-register with its last route, so membership
 // self-heals instead of dropping the device forever.
 func TestReplicaBeatReRegistersAfterFailoverLostRegistration(t *testing.T) {
-	c := startCluster(t, 3, 29, NewMonitor(), nil)
+	c := startCluster(t, 3, 29, metrics.NewRegistry(), nil)
 	old := c.waitLeader(t, 3*time.Second)
 
 	fc := rpc.DialFailover(c.addrs, rpc.FailoverOptions{CallTimeout: 500 * time.Millisecond})
@@ -303,7 +304,7 @@ func TestReplicaBeatReRegistersAfterFailoverLostRegistration(t *testing.T) {
 }
 
 func TestReplicaFaultHookKillsPrimary(t *testing.T) {
-	mon := NewMonitor()
+	mon := metrics.NewRegistry()
 	inj := chaos.NewInjector(23, chaos.Config{})
 	c := startCluster(t, 3, 23, mon, func(cfg *ReplicaConfig) {
 		cfg.Fault = inj
@@ -344,7 +345,7 @@ func TestReplicaFaultHookKillsPrimary(t *testing.T) {
 	if next == nil {
 		t.Fatal("no standby took over after the injected kill")
 	}
-	if mon.Count(EventElection) < 2 {
-		t.Fatalf("elections = %d, want >= 2 (initial + takeover)", mon.Count(EventElection))
+	if mon.Counter(EventElection) < 2 {
+		t.Fatalf("elections = %g, want >= 2 (initial + takeover)", mon.Counter(EventElection))
 	}
 }

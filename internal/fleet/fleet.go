@@ -16,6 +16,7 @@ import (
 
 	"hivemind/internal/chaos"
 	"hivemind/internal/controller"
+	"hivemind/internal/metrics"
 	"hivemind/internal/runtime"
 	"hivemind/internal/stats"
 	"hivemind/internal/store"
@@ -34,9 +35,9 @@ type Config struct {
 	// Store is the shared store (nil: a fresh in-memory one). Close
 	// closes it; Crash abandons it.
 	Store *store.DB
-	// Monitor receives every replica's and gateway's events (nil: a
-	// fresh one). Setup may give a gateway another sink.
-	Monitor *controller.Monitor
+	// Monitor receives every replica's and gateway's events (nil:
+	// report nowhere). Setup may give a gateway another registry.
+	Monitor *metrics.Registry
 	// Fault, when set, is every replica's kill switch and wraps replica
 	// i's peer link to j with WrapConnPair(PeerName(i), PeerName(j)).
 	Fault *chaos.Injector
@@ -90,9 +91,6 @@ func Start(cfg Config) (*Fleet, error) {
 	}
 	if cfg.Store == nil {
 		cfg.Store = store.NewDB()
-	}
-	if cfg.Monitor == nil {
-		cfg.Monitor = controller.NewMonitor()
 	}
 	// Node i's controller listener is lns[2i], its gateway's lns[2i+1].
 	lns := make([]net.Listener, 0, 2*n)

@@ -9,6 +9,7 @@ import (
 	"hivemind/internal/chaos"
 	"hivemind/internal/controller"
 	"hivemind/internal/fleet"
+	"hivemind/internal/metrics"
 	"hivemind/internal/rpc"
 	"hivemind/internal/runtime"
 	"hivemind/internal/store"
@@ -16,15 +17,18 @@ import (
 
 // One pass through everything Start wires: election, a durable chain
 // through a leader-following client, the fence loop across a kill, the
-// watchdog and an idempotent Close.
+// watchdog, the one registry every replica and gateway reports into,
+// and an idempotent Close.
 func TestFleetElectsCommitsAndFailsOver(t *testing.T) {
 	begin := time.Now()
 	db := store.NewDB()
 	inj := chaos.NewInjector(5, chaos.Config{})
+	reg := metrics.NewRegistry()
 	f, err := fleet.Start(fleet.Config{
 		Replicas: 3,
 		Seed:     5,
 		Store:    db,
+		Monitor:  reg,
 		Fault:    inj,
 		Replica: controller.ReplicaConfig{
 			ElectionTimeoutMin: 40 * time.Millisecond,
@@ -72,6 +76,10 @@ func TestFleetElectsCommitsAndFailsOver(t *testing.T) {
 			t.Fatalf("step %d committed %d times, want once", step, g)
 		}
 	}
+	if reg.Counter("gateway-ok") < 1 || reg.Counter(controller.EventElection) < 1 {
+		t.Fatalf("registry: gateway-ok = %g, elections = %g; want both >= 1",
+			reg.Counter("gateway-ok"), reg.Counter(controller.EventElection))
+	}
 
 	oldTerm := old.Replica.LeaderTerm()
 	inj.At(controller.KillControllerOp(old.ID), 0)
@@ -87,6 +95,9 @@ func TestFleetElectsCommitsAndFailsOver(t *testing.T) {
 	if succ == old || succ.Replica.LeaderTerm() <= oldTerm {
 		t.Fatalf("successor %d at term %d, want another node above term %d",
 			succ.ID, succ.Replica.LeaderTerm(), oldTerm)
+	}
+	if fo := controller.Failover(reg); fo.Failovers < 1 {
+		t.Fatalf("failover not in the registry: %s", fo)
 	}
 	if got := db.Fence(); got != succ.Replica.LeaderTerm() {
 		t.Fatalf("fence = %d, want the successor's term %d", got, succ.Replica.LeaderTerm())

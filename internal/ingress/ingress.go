@@ -24,6 +24,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"hivemind/internal/metrics"
 	"hivemind/internal/rpc"
 )
 
@@ -40,11 +41,6 @@ type DispatchFunc func(ctx context.Context, method string, payload []byte) ([]by
 // Call implements Dispatcher.
 func (f DispatchFunc) Call(ctx context.Context, method string, payload []byte) ([]byte, error) {
 	return f(ctx, method, payload)
-}
-
-// Monitor receives ingress events; metrics.Registry satisfies it.
-type Monitor interface {
-	CountEvent(name string)
 }
 
 // ResultIDHeader carries the minted result id on every /do response,
@@ -65,7 +61,7 @@ type Options struct {
 	// durable state (wire to Gateway.TaskResult). nil: unknown ids 404.
 	Lookup func(id string) ([]byte, bool, error)
 	// Monitor receives counters (optional).
-	Monitor Monitor
+	Monitor *metrics.Registry
 	// Timeout bounds each dispatch (0: 30s).
 	Timeout time.Duration
 	// TTL retains completed results for duplicate collection (0: 2m).
@@ -169,12 +165,6 @@ func (s *Server) Stats() Stats {
 	}
 }
 
-func (s *Server) count(event string) {
-	if s.opts.Monitor != nil {
-		s.opts.Monitor.CountEvent(event)
-	}
-}
-
 // ServeHTTP routes the two-verb job API.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	switch {
@@ -252,7 +242,7 @@ func (s *Server) handleDo(w http.ResponseWriter, r *http.Request, name string) {
 		return
 	}
 	atomic.AddUint64(&s.posted, 1)
-	s.count("ingress-post")
+	s.opts.Monitor.Inc("ingress-post")
 	j, fresh, err := s.submit(name, payload)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusServiceUnavailable)
@@ -260,7 +250,7 @@ func (s *Server) handleDo(w http.ResponseWriter, r *http.Request, name string) {
 	}
 	if !fresh {
 		atomic.AddUint64(&s.coalesced, 1)
-		s.count("ingress-coalesced")
+		s.opts.Monitor.Inc("ingress-coalesced")
 	}
 
 	w.Header()[ResultIDHeader] = j.hdr[:]
@@ -272,7 +262,7 @@ func (s *Server) handleDo(w http.ResponseWriter, r *http.Request, name string) {
 		fmt.Fprintf(w, "{\"resultId\":%q}\n", j.id)
 		return
 	}
-	s.count("ingress-then-wait")
+	s.opts.Monitor.Inc("ingress-then-wait")
 	if fresh {
 		s.dispatch(j, payload) // the handler would only wait for it
 	}
@@ -319,7 +309,7 @@ func (s *Server) dispatch(j *job, payload []byte) {
 		payload = s.opts.Encode(j.id, payload)
 	}
 	atomic.AddUint64(&s.dispatched, 1)
-	s.count("ingress-dispatch")
+	s.opts.Monitor.Inc("ingress-dispatch")
 	out, err := s.opts.Dispatcher.Call(ctx, j.name, payload)
 	s.complete(j, out, err)
 }
@@ -337,13 +327,13 @@ func (s *Server) complete(j *job, body []byte, err error) {
 	switch {
 	case err == nil:
 		atomic.AddUint64(&s.done, 1)
-		s.count("ingress-ok")
+		s.opts.Monitor.Inc("ingress-ok")
 	case rpc.IsShed(err):
 		atomic.AddUint64(&s.shed, 1)
-		s.count("ingress-shed")
+		s.opts.Monitor.Inc("ingress-shed")
 	default:
 		atomic.AddUint64(&s.failed, 1)
-		s.count("ingress-error")
+		s.opts.Monitor.Inc("ingress-error")
 	}
 }
 
@@ -361,7 +351,7 @@ func (s *Server) sweepLocked(now time.Time) {
 }
 
 func (s *Server) handleThen(w http.ResponseWriter, r *http.Request, id string) {
-	s.count("ingress-then")
+	s.opts.Monitor.Inc("ingress-then")
 	s.mu.Lock()
 	j := s.jobs[id]
 	s.mu.Unlock()

@@ -1,10 +1,10 @@
 // Package metrics is a small, goroutine-safe metrics registry for the
 // live substrate: counters, gauges, histograms (stats.Sample) and rate
 // meters (stats.Meter) behind one mutex, with a deterministic text
-// exposition format and an http.Handler. It is the live-fleet
-// counterpart of the sim-side controller.Monitor — and satisfies the
-// same sinks (runtime.GatewayMonitor), so one registry can absorb
-// gateway events, controller counters, and application metrics alike.
+// exposition format and an http.Handler. It is the stack's one metrics
+// sink: the simulated and live controllers, gateway, store, WAL and
+// ingress all report into a *Registry, so one registry absorbs gateway
+// events, controller counters and application metrics alike.
 package metrics
 
 import (
@@ -19,7 +19,10 @@ import (
 )
 
 // Registry holds named metrics. The zero value is not usable; call
-// NewRegistry. All methods are safe for concurrent use.
+// NewRegistry. All methods are safe for concurrent use. The recording
+// methods (Add, Inc, CountEvent, SetGauge, Observe, MeterAdd) are
+// no-ops on a nil *Registry, so a layer with no registry attached
+// reports nowhere without guarding each call.
 type Registry struct {
 	mu         sync.Mutex
 	epoch      time.Time
@@ -45,6 +48,9 @@ func NewRegistry() *Registry {
 
 // Add increments a counter by v.
 func (r *Registry) Add(name string, v float64) {
+	if r == nil {
+		return
+	}
 	r.mu.Lock()
 	r.counters[name] += v
 	r.mu.Unlock()
@@ -53,8 +59,7 @@ func (r *Registry) Add(name string, v float64) {
 // Inc increments a counter by 1.
 func (r *Registry) Inc(name string) { r.Add(name, 1) }
 
-// CountEvent increments a counter by 1 (satisfies the counting half of
-// runtime.GatewayMonitor).
+// CountEvent increments a counter by 1.
 func (r *Registry) CountEvent(name string) { r.Add(name, 1) }
 
 // Counter returns a counter's value (0 if never written).
@@ -67,6 +72,9 @@ func (r *Registry) Counter(name string) float64 {
 // SetGauge records the current level of a named gauge, replacing any
 // lazy gauge registered under the same name.
 func (r *Registry) SetGauge(name string, v float64) {
+	if r == nil {
+		return
+	}
 	r.mu.Lock()
 	delete(r.gaugeFuncs, name)
 	r.gauges[name] = v
@@ -96,9 +104,11 @@ func (r *Registry) Gauge(name string) float64 {
 	return r.gauges[name]
 }
 
-// Observe adds one observation to a named histogram (satisfies the
-// observing half of runtime.GatewayMonitor).
+// Observe adds one observation to a named histogram.
 func (r *Registry) Observe(name string, v float64) {
+	if r == nil {
+		return
+	}
 	r.mu.Lock()
 	h, ok := r.hists[name]
 	if !ok {
@@ -128,6 +138,9 @@ const meterBucket = 1.0
 // MeterAdd records amount on a named rate meter at the current wall
 // clock (seconds since the registry's epoch, 1 s buckets).
 func (r *Registry) MeterAdd(name string, amount float64) {
+	if r == nil {
+		return
+	}
 	r.mu.Lock()
 	m, ok := r.meters[name]
 	if !ok {

@@ -27,6 +27,29 @@ func TestCountersAndGauges(t *testing.T) {
 	}
 }
 
+// A layer with no registry attached holds a nil *Registry and records
+// through it unguarded.
+func TestNilRegistryRecordsNothing(t *testing.T) {
+	var r *Registry
+	for name, record := range map[string]func(){
+		"Add":        func() { r.Add("a", 1) },
+		"Inc":        func() { r.Inc("a") },
+		"CountEvent": func() { r.CountEvent("a") },
+		"SetGauge":   func() { r.SetGauge("q", 1) },
+		"Observe":    func() { r.Observe("lat", 1) },
+		"MeterAdd":   func() { r.MeterAdd("reqs", 1) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			defer func() {
+				if p := recover(); p != nil {
+					t.Fatalf("%s on a nil registry panicked: %v", name, p)
+				}
+			}()
+			record()
+		})
+	}
+}
+
 func TestHistogramSnapshotIsolated(t *testing.T) {
 	r := NewRegistry()
 	r.Observe("lat", 1)

@@ -152,7 +152,7 @@ func (a *admission) admit(ctx context.Context, method string) (release func(), e
 		active := a.active
 		a.mu.Unlock()
 		a.admitted.Add(1)
-		a.g.gauge("gateway-active", float64(active))
+		a.g.monitor.SetGauge("gateway-active", float64(active))
 		return a.releaseFn, nil
 	}
 	r := laneRank(lane)
@@ -163,7 +163,7 @@ func (a *admission) admit(ctx context.Context, method string) (release func(), e
 	if a.live[r] >= a.cfg.QueueLen {
 		a.mu.Unlock()
 		a.shedFull.Add(1)
-		a.g.count("gateway-shed-full")
+		a.g.monitor.Inc("gateway-shed-full")
 		return nil, rpc.ShedError(a.cfg.RetryAfter)
 	}
 	w := &waiter{enq: time.Now(), lane: lane, ch: make(chan error, 1)}
@@ -172,13 +172,13 @@ func (a *admission) admit(ctx context.Context, method string) (release func(), e
 	a.live[r]++
 	depth := a.queued
 	a.mu.Unlock()
-	a.g.gauge("gateway-queue-depth", float64(depth))
+	a.g.monitor.SetGauge("gateway-queue-depth", float64(depth))
 	select {
 	case werr := <-w.ch:
 		if werr != nil {
 			return nil, werr
 		}
-		a.g.observe("gateway-admit-wait", time.Since(w.enq))
+		a.g.monitor.Observe("gateway-admit-wait", time.Since(w.enq).Seconds())
 		return a.releaseFn, nil
 	case <-ctx.Done():
 		if w.state.CompareAndSwap(0, 2) {
@@ -192,7 +192,7 @@ func (a *admission) admit(ctx context.Context, method string) (release func(), e
 			a.mu.Unlock()
 			// Re-publish the depth gauge: the cancelled waiter left the
 			// queue, and the next release/enqueue may be far away.
-			a.g.gauge("gateway-queue-depth", float64(depth))
+			a.g.monitor.SetGauge("gateway-queue-depth", float64(depth))
 			return nil, ctx.Err()
 		}
 		// A grant (or shed) raced the cancellation and won; honour it so
@@ -212,8 +212,8 @@ func (a *admission) release() {
 	a.grantLocked()
 	active, depth := a.active, a.queued
 	a.mu.Unlock()
-	a.g.gauge("gateway-active", float64(active))
-	a.g.gauge("gateway-queue-depth", float64(depth))
+	a.g.monitor.SetGauge("gateway-active", float64(active))
+	a.g.monitor.SetGauge("gateway-queue-depth", float64(depth))
 }
 
 // popLocked dequeues the next live waiter in priority order (control,
@@ -274,7 +274,7 @@ func (a *admission) grantLocked() {
 		sojourn := now.Sub(w.enq)
 		if a.codelShedLocked(now, sojourn, w.lane) {
 			a.shedCoDel.Add(1)
-			a.g.count("gateway-shed-codel")
+			a.g.monitor.Inc("gateway-shed-codel")
 			w.ch <- rpc.ShedError(a.cfg.RetryAfter)
 			continue
 		}

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"hivemind/internal/metrics"
 	"hivemind/internal/rpc"
 )
 
@@ -230,7 +231,7 @@ func TestAdmissionCancelledWaitersDontCountTowardLaneFull(t *testing.T) {
 // reading: the gauge must drop when a queued waiter cancels, not wait
 // for the next release/enqueue.
 func TestAdmissionCancelRepublishesDepthGauge(t *testing.T) {
-	mon := &overloadMonitor{}
+	mon := metrics.NewRegistry()
 	g := &Gateway{monitor: mon}
 	a := newAdmission(g, AdmissionConfig{MaxConcurrent: 1, QueueLen: 4})
 	release, err := a.admit(context.Background(), "m")
@@ -243,12 +244,12 @@ func TestAdmissionCancelRepublishesDepthGauge(t *testing.T) {
 		_, err := a.admit(ctx, "m")
 		done <- err
 	}()
-	waitCond(t, func() bool { return mon.gauge("gateway-queue-depth") == 1 })
+	waitCond(t, func() bool { return mon.Gauge("gateway-queue-depth") == 1 })
 	cancel()
 	if err := <-done; !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled waiter err = %v", err)
 	}
-	waitCond(t, func() bool { return mon.gauge("gateway-queue-depth") == 0 })
+	waitCond(t, func() bool { return mon.Gauge("gateway-queue-depth") == 0 })
 	release()
 }
 
@@ -327,7 +328,7 @@ func TestGatewayOverloadSheds(t *testing.T) {
 	cfg := DefaultGatewayConfig()
 	cfg.Overload = &AdmissionConfig{MaxConcurrent: 2, QueueLen: 2, RetryAfter: 25 * time.Millisecond}
 	g := NewGatewayConfig(rt, cfg)
-	mon := &overloadMonitor{}
+	mon := metrics.NewRegistry()
 	g.SetMonitor(mon)
 	g.Expose("m", "hold")
 	c := gatewayPair(t, g)
@@ -362,14 +363,14 @@ func TestGatewayOverloadSheds(t *testing.T) {
 	if shed != 4 || ok != 4 {
 		t.Fatalf("shed = %d, ok = %d, want 4/4", shed, ok)
 	}
-	if got := mon.get("gateway-shed"); got != 4 {
-		t.Fatalf("gateway-shed count = %d, want 4", got)
+	if got := mon.Counter("gateway-shed"); got != 4 {
+		t.Fatalf("gateway-shed count = %g, want 4", got)
 	}
-	if got := mon.get("gateway-ok"); got != 4 {
-		t.Fatalf("gateway-ok count = %d, want 4", got)
+	if got := mon.Counter("gateway-ok"); got != 4 {
+		t.Fatalf("gateway-ok count = %g, want 4", got)
 	}
-	if got := mon.get("gateway-error"); got != 0 {
-		t.Fatalf("sheds leaked into gateway-error: %d", got)
+	if got := mon.Counter("gateway-error"); got != 0 {
+		t.Fatalf("sheds leaked into gateway-error: %g", got)
 	}
 }
 
@@ -385,7 +386,7 @@ func TestGatewayDropsExpiredBeforeDispatch(t *testing.T) {
 		return in, nil
 	})
 	g := NewGateway(rt, time.Second)
-	mon := &overloadMonitor{}
+	mon := metrics.NewRegistry()
 	g.SetMonitor(mon)
 	g.Expose("m", "f")
 	c := gatewayPair(t, g)
@@ -399,45 +400,6 @@ func TestGatewayDropsExpiredBeforeDispatch(t *testing.T) {
 	if executed.Load() != 0 {
 		t.Fatalf("expired request executed %d times", executed.Load())
 	}
-}
-
-// overloadMonitor is a concurrency-safe GatewayMonitor with gauges.
-type overloadMonitor struct {
-	mu     sync.Mutex
-	counts map[string]int
-	gauges map[string]float64
-}
-
-func (m *overloadMonitor) CountEvent(name string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.counts == nil {
-		m.counts = map[string]int{}
-	}
-	m.counts[name]++
-}
-
-func (m *overloadMonitor) Observe(string, float64) {}
-
-func (m *overloadMonitor) SetGauge(name string, v float64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.gauges == nil {
-		m.gauges = map[string]float64{}
-	}
-	m.gauges[name] = v
-}
-
-func (m *overloadMonitor) gauge(name string) float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.gauges[name]
-}
-
-func (m *overloadMonitor) get(name string) int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.counts[name]
 }
 
 // waitCond polls until cond holds or the test deadline approaches.

@@ -8,19 +8,12 @@ import (
 	"sync/atomic"
 	"time"
 
+	"hivemind/internal/metrics"
 	"hivemind/internal/rpc"
 	"hivemind/internal/stats"
 	"hivemind/internal/store"
 	"hivemind/internal/trace"
 )
-
-// GatewayMonitor is the metrics sink the gateway reports into —
-// controller.Monitor satisfies it, so the real runtime feeds the same
-// lightweight monitoring system the simulated controller uses (§4.7).
-type GatewayMonitor interface {
-	CountEvent(name string)
-	Observe(name string, v float64)
-}
 
 // TaskTracker mirrors in-flight chains into an external table — the
 // controller replica's replicated task state (controller.Replica
@@ -102,7 +95,7 @@ type Gateway struct {
 	rt      *Runtime
 	srv     *rpc.Server
 	cfg     GatewayConfig
-	monitor GatewayMonitor
+	monitor *metrics.Registry
 	adm     *admission // nil unless cfg.Overload is set
 
 	mu     sync.Mutex
@@ -135,44 +128,14 @@ func NewGatewayConfig(rt *Runtime, cfg GatewayConfig) *Gateway {
 	return g
 }
 
-// SetMonitor installs a metrics sink (nil disables reporting). Must be
-// called before the gateway starts serving traffic.
-func (g *Gateway) SetMonitor(m GatewayMonitor) { g.monitor = m }
+// SetMonitor installs the metrics registry the gateway and its
+// admission queues report into (nil disables reporting). Must be called
+// before the gateway starts serving traffic.
+func (g *Gateway) SetMonitor(m *metrics.Registry) { g.monitor = m }
 
 // Server returns the underlying RPC server (serve it on a listener or
 // an in-process pipe).
 func (g *Gateway) Server() *rpc.Server { return g.srv }
-
-func (g *Gateway) count(event string) {
-	if g.monitor != nil {
-		g.monitor.CountEvent(event)
-	}
-}
-
-func (g *Gateway) observe(name string, d time.Duration) {
-	if g.monitor != nil {
-		g.monitor.Observe(name, d.Seconds())
-	}
-}
-
-// observeValue records a dimensionless sample (batch sizes, counts).
-func (g *Gateway) observeValue(name string, v float64) {
-	if g.monitor != nil {
-		g.monitor.Observe(name, v)
-	}
-}
-
-// gauge reports a level (queue depth, active slots) when the monitor
-// supports gauges (metrics.Registry does; the interface stays narrow for
-// sinks that only count).
-func (g *Gateway) gauge(name string, v float64) {
-	if g.monitor == nil {
-		return
-	}
-	if sg, ok := g.monitor.(interface{ SetGauge(string, float64) }); ok {
-		sg.SetGauge(name, v)
-	}
-}
 
 // callCtx bounds the per-call context by the earlier of the configured
 // Timeout and the caller's deadline, arming at most one timer. A ring
@@ -209,7 +172,7 @@ func (g *Gateway) dropExpired(ctx context.Context) error {
 	if late < 0 {
 		return nil
 	}
-	g.count("gateway-expired-drop")
+	g.monitor.Inc("gateway-expired-drop")
 	return &rpc.DeadlineExceededError{Late: late}
 }
 
@@ -236,12 +199,12 @@ func (g *Gateway) Expose(method, function string) {
 		octx, obs := g.observeTask(ctx, method, env.Trace.TraceID, env, start)
 		res, err := g.rt.Invoke(octx, function, body)
 		obs.finish(err)
-		g.observe("gateway-latency", time.Since(start))
+		g.monitor.Observe("gateway-latency", time.Since(start).Seconds())
 		if err != nil {
 			g.countFailure(ctx, err)
 			return nil, err
 		}
-		g.count("gateway-ok")
+		g.monitor.Inc("gateway-ok")
 		return res.Output, nil
 	})
 }
@@ -260,7 +223,7 @@ func (g *Gateway) ExposeBatch() {
 		if err != nil {
 			return nil, err
 		}
-		g.count("gateway-batch")
+		g.monitor.Inc("gateway-batch")
 		replies := make([]rpc.BatchReply, len(entries))
 		var wg sync.WaitGroup
 		for i, e := range entries {
@@ -280,7 +243,7 @@ func (g *Gateway) ExposeBatch() {
 			}(i, e)
 		}
 		wg.Wait()
-		g.observeValue("gateway-batch-entries", float64(len(entries)))
+		g.monitor.Observe("gateway-batch-entries", float64(len(entries)))
 		return rpc.EncodeBatchReplies(replies), nil
 	})
 }
@@ -322,13 +285,13 @@ func (g *Gateway) TaskResult(taskID string) ([]byte, bool, error) {
 func (g *Gateway) countFailure(ctx context.Context, err error) {
 	switch {
 	case rpc.IsShed(err):
-		g.count("gateway-shed")
+		g.monitor.Inc("gateway-shed")
 	case rpc.IsFenced(err):
-		g.count("gateway-fenced")
+		g.monitor.Inc("gateway-fenced")
 	case rpc.IsDeadlineExceeded(err) || ctx.Err() != nil:
-		g.count("gateway-timeout")
+		g.monitor.Inc("gateway-timeout")
 	default:
-		g.count("gateway-error")
+		g.monitor.Inc("gateway-error")
 	}
 }
 
@@ -415,8 +378,8 @@ func (g *Gateway) ExposeChain(method string, functions []string) {
 			g.countFailure(octx, err)
 			return nil, err
 		}
-		g.observe("gateway-chain-latency", time.Since(start))
-		g.count("gateway-ok")
+		g.monitor.Observe("gateway-chain-latency", time.Since(start).Seconds())
+		g.monitor.Inc("gateway-ok")
 		return data, nil
 	})
 }
@@ -523,7 +486,7 @@ func (g *Gateway) Recover(ctx context.Context) (int, error) {
 			defer wg.Done()
 			rctx, cancel := g.callCtx(ctx)
 			defer cancel()
-			g.count("gateway-orphan-redispatch")
+			g.monitor.Inc("gateway-orphan-redispatch")
 			if _, rerr := g.runDurable(rctx, ck.Method, ck.TaskID, functions, nil); rerr == nil {
 				atomic.AddInt64(&done, 1)
 			}
@@ -557,7 +520,7 @@ func (g *Gateway) runStep(ctx context.Context, method, fn string, input []byte) 
 	var lastErr error
 	for attempt := 0; attempt <= g.cfg.StepRespawns; attempt++ {
 		if attempt > 0 {
-			g.count("gateway-respawn")
+			g.monitor.Inc("gateway-respawn")
 			if g.cfg.RespawnDelay > 0 {
 				sleepCtx(ctx, g.cfg.RespawnDelay)
 			}

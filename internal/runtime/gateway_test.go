@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"hivemind/internal/metrics"
 	"hivemind/internal/rpc"
 )
 
@@ -276,33 +277,6 @@ func TestGatewayClosedServerFailsCalls(t *testing.T) {
 	}
 }
 
-type countingMonitor struct {
-	mu     sync.Mutex
-	counts map[string]int
-	obs    int
-}
-
-func (m *countingMonitor) CountEvent(name string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.counts == nil {
-		m.counts = map[string]int{}
-	}
-	m.counts[name]++
-}
-
-func (m *countingMonitor) Observe(name string, v float64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.obs++
-}
-
-func (m *countingMonitor) get(name string) int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.counts[name]
-}
-
 func TestGatewayReportsIntoMonitor(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Retries = 0
@@ -314,7 +288,7 @@ func TestGatewayReportsIntoMonitor(t *testing.T) {
 	gcfg.Timeout = 2 * time.Second
 	gcfg.RespawnDelay = time.Millisecond
 	g := NewGatewayConfig(rt, gcfg)
-	mon := &countingMonitor{}
+	mon := metrics.NewRegistry()
 	g.SetMonitor(mon)
 	g.Expose("direct", "mid")
 	g.ExposeChain("pipeline", []string{"mid"})
@@ -326,16 +300,13 @@ func TestGatewayReportsIntoMonitor(t *testing.T) {
 	if _, err := c.CallSync("direct", []byte("x")); err != nil {
 		t.Fatal(err)
 	}
-	if mon.get("gateway-ok") != 2 {
-		t.Fatalf("gateway-ok = %d, want 2", mon.get("gateway-ok"))
+	if mon.Counter("gateway-ok") != 2 {
+		t.Fatalf("gateway-ok = %g, want 2", mon.Counter("gateway-ok"))
 	}
-	if mon.get("gateway-respawn") != 1 {
-		t.Fatalf("gateway-respawn = %d, want 1", mon.get("gateway-respawn"))
+	if mon.Counter("gateway-respawn") != 1 {
+		t.Fatalf("gateway-respawn = %g, want 1", mon.Counter("gateway-respawn"))
 	}
-	mon.mu.Lock()
-	obs := mon.obs
-	mon.mu.Unlock()
-	if obs == 0 {
+	if mon.Histogram("gateway-latency").N() == 0 || mon.Histogram("gateway-chain-latency").N() == 0 {
 		t.Fatal("no latency observations")
 	}
 }

@@ -385,7 +385,7 @@ func runSearch(kind Kind, cfg Config, dedup bool) Result {
 	res.BWMeanMBps = bw.Mean() / 1e6
 	res.BWp99MBps = bw.Percentile(99) / 1e6
 	if ctl != nil {
-		fo := ctl.Monitor().Failover()
+		fo := controller.Failover(ctl.Monitor())
 		res.Failover = &fo
 	}
 	return res

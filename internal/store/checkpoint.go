@@ -214,7 +214,7 @@ func (l *CheckpointLog) Orphans() ([]TaskCheckpoint, error) {
 		if jerr := json.Unmarshal(doc.Body, &ck); jerr != nil {
 			// Quarantine, don't abort: one corrupt record must not block
 			// recovery of every healthy task. Count it and keep scanning.
-			l.db.countEvent(MetricCorruptCheckpoint)
+			l.db.monitor().Inc(MetricCorruptCheckpoint)
 			continue
 		}
 		if !ck.Done {

@@ -3,6 +3,8 @@ package store
 import (
 	"sync"
 	"testing"
+
+	"hivemind/internal/metrics"
 )
 
 func TestCheckpointBeginIsIdempotent(t *testing.T) {
@@ -134,7 +136,7 @@ func TestCheckpointStepOutputRoundTrip(t *testing.T) {
 // block recovery of every healthy task — Orphans skips it, counts it,
 // and keeps scanning.
 func TestOrphansQuarantinesCorruptCheckpoint(t *testing.T) {
-	mon := newCountingMonitor()
+	mon := metrics.NewRegistry()
 	db := NewDB()
 	db.SetMonitor(mon)
 	log := NewCheckpointLog(db)
@@ -162,15 +164,15 @@ func TestOrphansQuarantinesCorruptCheckpoint(t *testing.T) {
 			t.Fatalf("orphan %d = %q, want %q", i, orphans[i].TaskID, want)
 		}
 	}
-	if got := mon.count(MetricCorruptCheckpoint); got != 1 {
-		t.Fatalf("corrupt-checkpoint counter = %d, want 1", got)
+	if got := mon.Counter(MetricCorruptCheckpoint); got != 1 {
+		t.Fatalf("corrupt-checkpoint counter = %g, want 1", got)
 	}
 	// A second scan counts it again — the record is still there, still
 	// quarantined, still visible to operators.
 	if _, err := log.Orphans(); err != nil {
 		t.Fatal(err)
 	}
-	if got := mon.count(MetricCorruptCheckpoint); got != 2 {
-		t.Fatalf("corrupt-checkpoint counter after rescan = %d, want 2", got)
+	if got := mon.Counter(MetricCorruptCheckpoint); got != 2 {
+		t.Fatalf("corrupt-checkpoint counter after rescan = %g, want 2", got)
 	}
 }

@@ -7,6 +7,8 @@ import (
 	"os"
 	"path/filepath"
 	"time"
+
+	"hivemind/internal/metrics"
 )
 
 // This file makes DB durable: mutations are written ahead to a WAL
@@ -23,13 +25,6 @@ import (
 // idempotent and a WAL suffix can safely be replayed over a snapshot
 // that already contains some of its effects (the crash window between
 // snapshot rename and log truncation).
-
-// Monitor is the metrics sink the store reports into. Both
-// controller.Monitor and metrics.Registry satisfy it.
-type Monitor interface {
-	CountEvent(name string)
-	Observe(name string, v float64)
-}
 
 // Store metric names.
 const (
@@ -82,7 +77,7 @@ type DurableOptions struct {
 	CompactEvery int
 	// Monitor, when non-nil, receives the store-* counters and
 	// latency observations from open onward.
-	Monitor Monitor
+	Monitor *metrics.Registry
 }
 
 // NoAutoCompact disables record-count-triggered compaction; only
@@ -146,9 +141,7 @@ func OpenDurable(dir string, opts DurableOptions) (*DB, RecoverStats, error) {
 	db.sinceCompact = wal.Records()
 
 	stats.Elapsed = time.Since(start)
-	if opts.Monitor != nil {
-		opts.Monitor.Observe(MetricRecoverLatency, stats.Elapsed.Seconds())
-	}
+	opts.Monitor.Observe(MetricRecoverLatency, stats.Elapsed.Seconds())
 	return db, stats, nil
 }
 
@@ -406,10 +399,9 @@ func (db *DB) compactLocked() error {
 		return err
 	}
 	db.sinceCompact = 0
-	if m := db.monitor(); m != nil {
-		m.CountEvent(MetricSnapshot)
-		m.Observe(MetricSnapshotLatency, time.Since(start).Seconds())
-	}
+	m := db.monitor()
+	m.Inc(MetricSnapshot)
+	m.Observe(MetricSnapshotLatency, time.Since(start).Seconds())
 	return nil
 }
 

@@ -5,39 +5,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sync"
 	"testing"
 	"time"
+
+	"hivemind/internal/metrics"
 )
-
-// countingMonitor is a minimal Monitor for store tests.
-type countingMonitor struct {
-	mu       sync.Mutex
-	counters map[string]int
-	observed map[string][]float64
-}
-
-func newCountingMonitor() *countingMonitor {
-	return &countingMonitor{counters: map[string]int{}, observed: map[string][]float64{}}
-}
-
-func (m *countingMonitor) CountEvent(name string) {
-	m.mu.Lock()
-	m.counters[name]++
-	m.mu.Unlock()
-}
-
-func (m *countingMonitor) Observe(name string, v float64) {
-	m.mu.Lock()
-	m.observed[name] = append(m.observed[name], v)
-	m.mu.Unlock()
-}
-
-func (m *countingMonitor) count(name string) int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.counters[name]
-}
 
 // memOpts is the fast durable configuration for tests: no fsync, no
 // auto-compaction unless a test asks for it.
@@ -197,7 +169,7 @@ func TestDurableRecoveryFlatVsHistoryAt10x(t *testing.T) {
 }
 
 func TestDurableAutoCompactionTriggers(t *testing.T) {
-	mon := newCountingMonitor()
+	mon := metrics.NewRegistry()
 	dir := t.TempDir()
 	db, _, err := OpenDurable(dir, DurableOptions{Fsync: FsyncNever, CompactEvery: 16, Monitor: mon})
 	if err != nil {
@@ -209,8 +181,8 @@ func TestDurableAutoCompactionTriggers(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := mon.count(MetricSnapshot); got < 5 {
-		t.Fatalf("snapshots after 100 writes at CompactEvery=16: %d, want >= 5", got)
+	if got := mon.Counter(MetricSnapshot); got < 5 {
+		t.Fatalf("snapshots after 100 writes at CompactEvery=16: %g, want >= 5", got)
 	}
 	if db.WALRecords() >= 16 {
 		t.Fatalf("wal records = %d, want < CompactEvery", db.WALRecords())
@@ -234,7 +206,7 @@ func TestDurableRecoverTruncatesTornTail(t *testing.T) {
 	f.Write([]byte{0x00, 0x00, 0x01}) // torn frame header
 	f.Close()
 
-	mon := newCountingMonitor()
+	mon := metrics.NewRegistry()
 	db2, st, err := OpenDurable(dir, DurableOptions{Fsync: FsyncNever, CompactEvery: NoAutoCompact, Monitor: mon})
 	if err != nil {
 		t.Fatal(err)
@@ -243,16 +215,57 @@ func TestDurableRecoverTruncatesTornTail(t *testing.T) {
 	if !st.TruncatedTail {
 		t.Fatal("torn tail not reported in recover stats")
 	}
-	if mon.count(MetricWALTruncatedTail) != 1 {
-		t.Fatalf("truncated-tail counter = %d, want 1", mon.count(MetricWALTruncatedTail))
+	if mon.Counter(MetricWALTruncatedTail) != 1 {
+		t.Fatalf("truncated-tail counter = %g, want 1", mon.Counter(MetricWALTruncatedTail))
 	}
 	if doc, gerr := db2.Get("good"); gerr != nil || string(doc.Body) != "committed" {
 		t.Fatalf("valid prefix lost: %v %q", gerr, doc.Body)
 	}
 }
 
+// A record recovery would read as a torn tail must be refused at append
+// time: accepting it would drop it, and every acknowledged record after
+// it, at the next open.
+func TestDurableRefusesRecordRecoveryWouldDrop(t *testing.T) {
+	dir := t.TempDir()
+	opts := DurableOptions{Fsync: FsyncAlways, CompactEvery: NoAutoCompact}
+	db, _, err := OpenDurable(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Force("before", []byte("a")); err != nil {
+		t.Fatal(err)
+	}
+	_, err = db.Force("big", make([]byte, maxWALRecord))
+	var tooLarge *RecordTooLargeError
+	if !errors.As(err, &tooLarge) || tooLarge.Len <= maxWALRecord {
+		t.Fatalf("oversized Force error = %v, want RecordTooLargeError", err)
+	}
+	if _, gerr := db.Get("big"); !errors.Is(gerr, ErrNotFound) {
+		t.Fatalf("refused document is in memory: %v", gerr)
+	}
+	if _, err := db.Force("after", []byte("b")); err != nil {
+		t.Fatal(err)
+	}
+	db.Close()
+
+	db2, st, err := OpenDurable(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db2.Close()
+	if st.TruncatedTail || st.WALRecords != 2 {
+		t.Fatalf("recovered %d WAL records (torn tail %v), want 2 and no tail", st.WALRecords, st.TruncatedTail)
+	}
+	for id, want := range map[string]string{"before": "a", "after": "b"} {
+		if doc, gerr := db2.Get(id); gerr != nil || string(doc.Body) != want {
+			t.Fatalf("%s after recovery = %q, %v; want %q", id, doc.Body, gerr, want)
+		}
+	}
+}
+
 func TestFencedWritesRejectStaleTerms(t *testing.T) {
-	mon := newCountingMonitor()
+	mon := metrics.NewRegistry()
 	db := NewDB()
 	db.SetMonitor(mon)
 	if _, err := db.ForceFenced(3, "doc", []byte("term3")); err != nil {
@@ -273,8 +286,8 @@ func TestFencedWritesRejectStaleTerms(t *testing.T) {
 	if doc, _ := db.Get("doc"); string(doc.Body) != "term3" {
 		t.Fatalf("stale write landed: %q", doc.Body)
 	}
-	if mon.count(MetricFencedWrite) != 1 {
-		t.Fatalf("fenced-write counter = %d, want 1", mon.count(MetricFencedWrite))
+	if mon.Counter(MetricFencedWrite) != 1 {
+		t.Fatalf("fenced-write counter = %g, want 1", mon.Counter(MetricFencedWrite))
 	}
 	// Unfenced writers (token 0) bypass fencing entirely.
 	if _, err := db.Force("doc", []byte("unfenced")); err != nil {

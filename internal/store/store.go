@@ -20,6 +20,8 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+
+	"hivemind/internal/metrics"
 )
 
 // Common errors.
@@ -92,7 +94,7 @@ type DB struct {
 	// are consulted both under and outside the main mutex.
 	injMu sync.RWMutex
 	inj   Injector
-	mon   Monitor
+	mon   *metrics.Registry
 }
 
 // NewDB returns an empty in-memory store.
@@ -100,26 +102,19 @@ func NewDB() *DB {
 	return &DB{docs: make(map[string]Doc)}
 }
 
-// SetMonitor installs (or, with nil, removes) a metrics sink for the
-// store-* counters.
-func (db *DB) SetMonitor(m Monitor) {
+// SetMonitor installs (or, with nil, removes) the metrics registry the
+// store-* counters report into.
+func (db *DB) SetMonitor(m *metrics.Registry) {
 	db.injMu.Lock()
 	defer db.injMu.Unlock()
 	db.mon = m
 }
 
-// monitor returns the installed metrics sink (nil when unset).
-func (db *DB) monitor() Monitor {
+// monitor returns the installed metrics registry (nil when unset).
+func (db *DB) monitor() *metrics.Registry {
 	db.injMu.RLock()
 	defer db.injMu.RUnlock()
 	return db.mon
-}
-
-// countEvent reports one counter tick (nil-safe).
-func (db *DB) countEvent(name string) {
-	if m := db.monitor(); m != nil {
-		m.CountEvent(name)
-	}
 }
 
 // SetInjector installs (or, with nil, removes) a fault injector.
@@ -166,7 +161,7 @@ func (db *DB) checkFenceLocked(token uint64) error {
 		return nil
 	}
 	if token < db.fenceTerm {
-		db.countEvent(MetricFencedWrite)
+		db.monitor().Inc(MetricFencedWrite)
 		return &FencedError{Token: token, Fence: db.fenceTerm}
 	}
 	db.fenceTerm = token

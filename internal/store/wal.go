@@ -7,6 +7,8 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+
+	"hivemind/internal/metrics"
 )
 
 // This file implements the append-only write-ahead log that makes the
@@ -64,7 +66,7 @@ type WALOptions struct {
 	SyncEvery int
 	// Monitor, when non-nil, receives wal-append/fsync/truncated-tail
 	// counters.
-	Monitor Monitor
+	Monitor *metrics.Registry
 }
 
 // walHeaderSize is the per-record framing overhead.
@@ -77,6 +79,17 @@ const maxWALRecord = 64 << 20
 // ErrCorruptRecord reports a frame whose checksum or length failed
 // validation mid-file (not at the recoverable tail).
 var ErrCorruptRecord = errors.New("store: corrupt wal record")
+
+// RecordTooLargeError reports an append refused because its record is
+// longer than maxWALRecord: recovery would read the frame as a torn
+// tail and drop it along with every record after it.
+type RecordTooLargeError struct {
+	Len int // the refused record's length in bytes
+}
+
+func (e *RecordTooLargeError) Error() string {
+	return fmt.Sprintf("store: wal record of %d bytes exceeds the %d-byte limit", e.Len, maxWALRecord)
+}
 
 // WAL is an append-only, CRC-framed log file. Appends are not
 // internally locked — the owning DB serializes them under its mutex.
@@ -112,7 +125,7 @@ func OpenWAL(path string, opts WALOptions, apply func(rec []byte) error) (w *WAL
 			f.Close()
 			return nil, false, fmt.Errorf("store: truncating torn wal tail: %w", terr)
 		}
-		w.count(MetricWALTruncatedTail)
+		w.opts.Monitor.Inc(MetricWALTruncatedTail)
 	}
 	if _, err := f.Seek(valid, io.SeekStart); err != nil {
 		f.Close()
@@ -126,8 +139,14 @@ func OpenWAL(path string, opts WALOptions, apply func(rec []byte) error) (w *WAL
 // scanWAL walks the log from the start, applying each valid record and
 // reporting the byte offset of the longest valid prefix. Any malformed
 // frame — short header, absurd length, short payload, checksum
-// mismatch — marks the tail torn; everything before it is kept.
+// mismatch — marks the tail torn; everything before it is kept. A
+// length longer than the rest of the file is torn before any buffer is
+// allocated for it.
 func scanWAL(f *os.File, apply func(rec []byte) error) (valid int64, records int, truncated bool, err error) {
+	fi, err := f.Stat()
+	if err != nil {
+		return 0, 0, false, err
+	}
 	if _, err := f.Seek(0, io.SeekStart); err != nil {
 		return 0, 0, false, err
 	}
@@ -140,7 +159,7 @@ func scanWAL(f *os.File, apply func(rec []byte) error) (valid int64, records int
 		}
 		n := binary.BigEndian.Uint32(hdr[0:4])
 		sum := binary.BigEndian.Uint32(hdr[4:8])
-		if n > maxWALRecord {
+		if n > maxWALRecord || int64(n) > fi.Size()-r.n {
 			return valid, records, true, nil
 		}
 		payload := make([]byte, n)
@@ -175,12 +194,6 @@ func (b *byteCounter) Read(p []byte) (int, error) {
 	return n, err
 }
 
-func (w *WAL) count(name string) {
-	if w.opts.Monitor != nil {
-		w.opts.Monitor.CountEvent(name)
-	}
-}
-
 // frame wraps a record payload in the length+CRC32C header.
 func frame(rec []byte) []byte {
 	buf := make([]byte, walHeaderSize+len(rec))
@@ -192,8 +205,12 @@ func frame(rec []byte) []byte {
 
 // Append frames rec and writes it to the log, syncing per the policy.
 // The record is durable (to the policy's guarantee) when Append
-// returns.
+// returns. A record longer than maxWALRecord is refused with a
+// *RecordTooLargeError before anything is written.
 func (w *WAL) Append(rec []byte) error {
+	if len(rec) > maxWALRecord {
+		return &RecordTooLargeError{Len: len(rec)}
+	}
 	buf := frame(rec)
 	if _, err := w.f.Write(buf); err != nil {
 		return fmt.Errorf("store: wal append: %w", err)
@@ -201,7 +218,7 @@ func (w *WAL) Append(rec []byte) error {
 	w.size += int64(len(buf))
 	w.records++
 	w.unsynced++
-	w.count(MetricWALAppend)
+	w.opts.Monitor.Inc(MetricWALAppend)
 	switch w.opts.Fsync {
 	case FsyncAlways:
 		return w.Sync()
@@ -222,7 +239,7 @@ func (w *WAL) Sync() error {
 		return fmt.Errorf("store: wal fsync: %w", err)
 	}
 	w.unsynced = 0
-	w.count(MetricWALFsync)
+	w.opts.Monitor.Inc(MetricWALFsync)
 	return nil
 }
 

@@ -6,6 +6,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"hivemind/internal/metrics"
 )
 
 // replayAll opens the WAL collecting every replayed record.
@@ -173,7 +175,7 @@ func TestWALResetEmptiesLog(t *testing.T) {
 // FsyncBatch syncs every SyncEvery appends; the fsync counter proves
 // the policy held.
 func TestWALFsyncBatchPolicy(t *testing.T) {
-	mon := newCountingMonitor()
+	mon := metrics.NewRegistry()
 	path := filepath.Join(t.TempDir(), "wal.log")
 	w, _, err := OpenWAL(path, WALOptions{Fsync: FsyncBatch, SyncEvery: 4, Monitor: mon}, nil)
 	if err != nil {
@@ -184,14 +186,68 @@ func TestWALFsyncBatchPolicy(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := mon.count(MetricWALFsync); got != 2 {
-		t.Fatalf("fsyncs after 10 appends at batch 4 = %d, want 2", got)
+	if got := mon.Counter(MetricWALFsync); got != 2 {
+		t.Fatalf("fsyncs after 10 appends at batch 4 = %g, want 2", got)
 	}
 	w.Close() // flushes the remaining 2
-	if got := mon.count(MetricWALFsync); got != 3 {
-		t.Fatalf("fsyncs after close = %d, want 3", got)
+	if got := mon.Counter(MetricWALFsync); got != 3 {
+		t.Fatalf("fsyncs after close = %g, want 3", got)
 	}
-	if got := mon.count(MetricWALAppend); got != 10 {
-		t.Fatalf("appends = %d, want 10", got)
+	if got := mon.Counter(MetricWALAppend); got != 10 {
+		t.Fatalf("appends = %g, want 10", got)
 	}
+}
+
+// FuzzWALReplay opens arbitrary bytes as a log. Replay must never
+// panic, must keep exactly the longest prefix of whole valid frames,
+// must report a cut tail exactly when it dropped bytes, and must leave
+// a log that reopens to the same records with nothing left to cut.
+func FuzzWALReplay(f *testing.F) {
+	valid := append(frame([]byte("alpha")), frame(nil)...)
+	valid = append(valid, frame(bytes.Repeat([]byte{0xAB}, 300))...)
+	badCRC := frame([]byte("beta"))
+	badCRC[walHeaderSize] ^= 0xFF
+	oversized := []byte{0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0, 'x'}
+	for _, seed := range [][]byte{
+		nil,
+		valid,
+		append(append([]byte(nil), valid...), 0x00, 0x00, 0x01), // torn header
+		append(append([]byte(nil), valid...), badCRC...),
+		append(frame([]byte("gamma")), oversized...),
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(t.TempDir(), "wal.log")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		w, recs, truncated := replayAll(t, path, WALOptions{Fsync: FsyncNever})
+		size := w.Size()
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		var reframed []byte
+		for _, rec := range recs {
+			reframed = append(reframed, frame(rec)...)
+		}
+		if size > int64(len(data)) || !bytes.Equal(reframed, data[:size]) {
+			t.Fatalf("kept %d of %d bytes, but the replayed records re-frame to %d bytes that differ",
+				size, len(data), len(reframed))
+		}
+		if truncated != (size < int64(len(data))) {
+			t.Fatalf("truncated = %v after keeping %d of %d bytes", truncated, size, len(data))
+		}
+		w2, again, truncated2 := replayAll(t, path, WALOptions{Fsync: FsyncNever})
+		defer w2.Close()
+		if truncated2 || len(again) != len(recs) || w2.Size() != size {
+			t.Fatalf("reopen: %d records, %d bytes, truncated %v; want %d records, %d bytes, no cut",
+				len(again), w2.Size(), truncated2, len(recs), size)
+		}
+		for i := range recs {
+			if !bytes.Equal(again[i], recs[i]) {
+				t.Fatalf("reopen: record %d = %q, want %q", i, again[i], recs[i])
+			}
+		}
+	})
 }
