@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race race-eval race-ring race-sim chaos live-smoke overload-smoke ingress-smoke bench-smoke sweep sweep-parity shard-parity examples fmt vet clean
+.PHONY: all build test race race-eval race-ring race-sim chaos live-smoke bench-smoke sweep sweep-parity shard-parity examples fmt vet clean
 
 all: build vet test
 
@@ -51,7 +51,7 @@ race-sim:
 chaos:
 	$(GO) test -race -count=1 ./internal/chaos/ ./internal/fleet/
 	$(GO) test -race -count=1 \
-		-run 'Chaos|Injector|Respawn|FailAll|Stale|Failover|Transport|Replica|Checkpoint|Durable|Straggler|Orphan|Overload|Burst|Shed|Deadline|Storm|Admission|Fenced|Fence|Partition|WAL|CrashRestart|Snapshot|StepDown|Mux|Ring|Linker|Teardown|HandleLease|OnPromote' \
+		-run 'Chaos|Injector|Respawn|FailAll|Stale|Failover|Transport|Replica|Checkpoint|Durable|Straggler|Orphan|Overload|Shed|Deadline|Admission|Fenced|Fence|Partition|WAL|CrashRestart|Snapshot|StepDown|Mux|Ring|Linker|Teardown|HandleLease|OnPromote' \
 		./internal/rpc/ ./internal/runtime/ ./internal/store/ ./internal/controller/
 	for t in FuzzRedirectTarget FuzzFencedTerms FuzzShedRetryAfter FuzzReadFrame; do \
 		$(GO) test -run '^$$' -fuzz "^$$t\$$" -fuzztime 4s ./internal/rpc/ || exit 1; \
@@ -71,22 +71,6 @@ live-smoke:
 	grep -q '^counter ctrl-failover ' live.txt
 	$(GO) run ./cmd/hivemind-tracecheck -in live.json \
 		-tracks gateway,controller,rpc,runtime
-
-# Overload smoke run: an in-process fleet driven open-loop at 1.5x its
-# measured capacity for 30s. The gate inside the loadgen asserts the
-# admission controller shed something (the overload was real) while
-# admitted-request p99 held the SLO (the shedding protected latency).
-overload-smoke:
-	$(GO) run ./cmd/hivemind-loadgen -smoke -duration 30s -load 1.5
-
-# Ingress smoke run: the same gate through the async HTTP job API —
-# one ingress node in front of its gateway, driven open-loop at 1.8x
-# its measured capacity. The gate asserts the node shed load (503 +
-# Retry-After made it through the HTTP mapping) while admitted-request
-# p99 held the SLO.
-ingress-smoke:
-	$(GO) run ./cmd/hivemind-loadgen -http -smoke \
-		-duration 20s -load 1.8 -exec 20ms -workers 4 -slo 400ms
 
 # The benchmark ledger (BENCHMARK.json, benchmark/) is a Go module of
 # its own that `go build ./...` and `go test ./...` never compile, so a

@@ -84,8 +84,9 @@ func run(replicas, requests int, kill bool, seed int64, traceFn, walDir, httpAdd
 	}
 
 	// Every replica and gateway reports into the one metrics registry;
-	// every gateway serves the demo sense→plan→act chain; the fleet wires
-	// tracer, breakdowns and the RPC server interceptor.
+	// every gateway serves the demo sense→plan→act chain behind the
+	// admission front door; the fleet wires tracer, breakdowns and the
+	// RPC server interceptor.
 	chain, fns := demoChain()
 	f, err := fleet.Start(fleet.Config{
 		Replicas: replicas,
@@ -95,7 +96,11 @@ func run(replicas, requests int, kill bool, seed int64, traceFn, walDir, httpAdd
 		Fault:    inj,
 		Tracer:   live,
 		Runtime:  runtime.DefaultConfig(),
-		Gateway:  runtime.GatewayConfig{Timeout: 10 * time.Second, StepRespawns: 1},
+		Gateway: runtime.GatewayConfig{
+			Timeout:      10 * time.Second,
+			StepRespawns: 1,
+			Overload:     &runtime.AdmissionConfig{},
+		},
 		Setup: func(nd *fleet.Node) {
 			for name, fn := range fns {
 				nd.Runtime.Register(name, fn)
@@ -160,7 +165,7 @@ func run(replicas, requests int, kill bool, seed int64, traceFn, walDir, httpAdd
 	// Per-gateway breakdowns fold into one fleet-wide decomposition.
 	bd := stats.NewBreakdown()
 	for _, nd := range f.Nodes {
-		bd.Merge(nd.Breakdown)
+		bd.Merge(nd.Gateway.Breakdown())
 	}
 	fmt.Println(stageTable(bd))
 	fmt.Printf("controller: %s\n", controller.Failover(reg))

@@ -10,6 +10,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"net"
 	"strings"
 	"time"
 
@@ -68,7 +69,10 @@ func main() {
 	cc, sc := rpc.Pair()
 	edge.ServeConn(sc)
 	defer edge.Close()
-	edgeClient := rpc.NewClient(cc, 8)
+	edgeClient, err := rpc.ConnEndpoint(func() (net.Conn, error) { return cc, nil }, 8)()
+	if err != nil {
+		panic(err)
+	}
 	defer edgeClient.Close()
 
 	// --- Mission: 16 drones each upload 4 frames; recognition fans out

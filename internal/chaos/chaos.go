@@ -90,13 +90,6 @@ type Injector struct {
 	// timed holds one-shot faults armed by At: op -> earliest fire time.
 	timed map[string]time.Time
 
-	// bursts holds one-shot arrival bursts armed by Burst: op -> fire
-	// time and size.
-	bursts map[string]burstArm
-
-	// storm is the latency-spike window armed by LatencyStorm.
-	storm stormArm
-
 	faults   int
 	delays   int
 	drops    int
@@ -138,7 +131,7 @@ func (in *Injector) Script(decisions ...bool) {
 // kills need (e.g. controller.KillControllerOp mid-chain: the primary
 // consults Fault every lease round, and the round that crosses the
 // deadline crashes it). after <= 0 fires on the very next call. Re-arm
-// by calling At again; Disarm cancels.
+// by calling At again.
 func (in *Injector) At(op string, after time.Duration) {
 	in.mu.Lock()
 	defer in.mu.Unlock()
@@ -146,76 +139,6 @@ func (in *Injector) At(op string, after time.Duration) {
 		in.timed = map[string]time.Time{}
 	}
 	in.timed[op] = time.Now().Add(after)
-}
-
-// Disarm cancels a pending At trigger for op.
-func (in *Injector) Disarm(op string) {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	delete(in.timed, op)
-	delete(in.bursts, op)
-}
-
-// BurstOp names the arrival-burst fault for a traffic source, the
-// overload-scenario counterpart of controller.KillControllerOp: arm it
-// with Burst and the source consults BurstSize each arrival tick.
-func BurstOp(source string) string { return "burst/" + source }
-
-// burstArm is one pending arrival burst.
-type burstArm struct {
-	at time.Time
-	n  int
-}
-
-// stormArm is the latency-spike storm window.
-type stormArm struct {
-	from, until time.Time
-	min, max    time.Duration
-}
-
-// Burst arms a one-shot arrival burst for op: the first BurstSize(op)
-// call at or after now+after returns n, then the trigger disarms. A
-// traffic source (e.g. the open-loop load generator) consults
-// BurstSize every arrival tick and emits that many extra requests at
-// once — a reproducible flash crowd at a scheduled instant, the
-// overload analogue of scheduling a kill with At. Re-arm by calling
-// Burst again; Disarm cancels.
-func (in *Injector) Burst(op string, after time.Duration, n int) {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	if in.bursts == nil {
-		in.bursts = map[string]burstArm{}
-	}
-	in.bursts[op] = burstArm{at: time.Now().Add(after), n: n}
-}
-
-// BurstSize pops a fired burst for op: it returns the armed size the
-// first time it is consulted at or after the burst's fire time, and 0
-// otherwise. Fired bursts count as faults for op (FaultCount).
-func (in *Injector) BurstSize(op string) int {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	b, ok := in.bursts[op]
-	if !ok || time.Now().Before(b.at) {
-		return 0
-	}
-	delete(in.bursts, op)
-	in.faults++
-	in.faultsOp[op]++
-	return b.n
-}
-
-// LatencyStorm arms a latency-spike window on every wrapped
-// connection: from now+after until now+after+dur, each I/O operation
-// stalls by a spike drawn uniformly from [min, max] (seeded, so the
-// storm's exact delays are reproducible). It models the §4.6
-// congestion transient a swarm sees when a shared uplink saturates —
-// every flow slows at once, unlike DelayProb's independent jitter.
-func (in *Injector) LatencyStorm(after, dur, min, max time.Duration) {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	from := time.Now().Add(after)
-	in.storm = stormArm{from: from, until: from.Add(dur), min: min, max: max}
 }
 
 // Partition blackholes the given direction(s) on every wrapped
@@ -328,16 +251,7 @@ func (in *Injector) Fault(op string) error {
 func (in *Injector) decide() (drop, truncate bool, delay time.Duration, part Direction, partCh chan struct{}) {
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	if s := in.storm; !s.from.IsZero() {
-		if now := time.Now(); !now.Before(s.from) && now.Before(s.until) {
-			delay = s.min
-			if span := s.max - s.min; span > 0 {
-				delay += time.Duration(in.rng.Int63n(int64(span)))
-			}
-			in.delays++
-		}
-	}
-	if delay == 0 && in.cfg.DelayProb > 0 && in.rng.Float64() < in.cfg.DelayProb {
+	if in.cfg.DelayProb > 0 && in.rng.Float64() < in.cfg.DelayProb {
 		span := in.cfg.DelayMax - in.cfg.DelayMin
 		d := in.cfg.DelayMin
 		if span > 0 {

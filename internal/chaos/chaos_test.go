@@ -173,81 +173,6 @@ func TestWrapListenerInjectsOnAccepted(t *testing.T) {
 	}
 }
 
-func TestBurstFiresOnceAtScheduledTime(t *testing.T) {
-	in := NewInjector(7, Config{})
-	op := BurstOp("loadgen")
-	in.Burst(op, 20*time.Millisecond, 50)
-	if n := in.BurstSize(op); n != 0 {
-		t.Fatalf("burst fired %d requests before its time", n)
-	}
-	time.Sleep(25 * time.Millisecond)
-	if n := in.BurstSize(op); n != 50 {
-		t.Fatalf("burst size = %d, want 50", n)
-	}
-	if n := in.BurstSize(op); n != 0 {
-		t.Fatalf("burst refired with %d", n)
-	}
-	if in.FaultCount(op) != 1 {
-		t.Fatalf("burst fault count = %d, want 1", in.FaultCount(op))
-	}
-}
-
-func TestBurstDisarm(t *testing.T) {
-	in := NewInjector(7, Config{})
-	op := BurstOp("loadgen")
-	in.Burst(op, 0, 10)
-	in.Disarm(op)
-	if n := in.BurstSize(op); n != 0 {
-		t.Fatalf("disarmed burst fired %d", n)
-	}
-}
-
-func TestLatencyStormDelaysWindow(t *testing.T) {
-	in := NewInjector(9, Config{})
-	in.LatencyStorm(0, 80*time.Millisecond, 10*time.Millisecond, 10*time.Millisecond)
-	cw, peer := wrappedPipe(in)
-	defer cw.Close()
-	defer peer.Close()
-	go func() { io.Copy(io.Discard, peer) }()
-	start := time.Now()
-	if _, err := cw.Write([]byte("x")); err != nil {
-		t.Fatal(err)
-	}
-	if d := time.Since(start); d < 10*time.Millisecond {
-		t.Fatalf("in-storm write took %v, want >= 10ms spike", d)
-	}
-	if in.Stats().Delays == 0 {
-		t.Fatal("storm delay not counted")
-	}
-	time.Sleep(90 * time.Millisecond) // storm over
-	start = time.Now()
-	if _, err := cw.Write([]byte("y")); err != nil {
-		t.Fatal(err)
-	}
-	if d := time.Since(start); d > 8*time.Millisecond {
-		t.Fatalf("post-storm write took %v, want fast", d)
-	}
-}
-
-func TestLatencyStormIsSeedDeterministic(t *testing.T) {
-	draw := func() []time.Duration {
-		in := NewInjector(11, Config{})
-		in.LatencyStorm(0, time.Hour, time.Millisecond, 50*time.Millisecond)
-		out := make([]time.Duration, 32)
-		for i := range out {
-			_, _, d, _, _ := in.decide()
-			out[i] = d
-		}
-		return out
-	}
-	a, b := draw(), draw()
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("storm delay %d differs across identically seeded injectors", i)
-		}
-	}
-}
-
 // A pair partition cuts exactly one link, both directions, and heals.
 func TestPartitionPairCutsOnlyThatLink(t *testing.T) {
 	in := NewInjector(5, Config{})

@@ -93,7 +93,6 @@ func TestIngressE2EAsyncJobsSurvivePrimaryKill(t *testing.T) {
 			Overload: &runtime.AdmissionConfig{
 				MaxConcurrent: maxConc,
 				QueueLen:      2 * maxConc,
-				RetryAfter:    25 * time.Millisecond,
 			},
 		},
 		Setup: func(nd *fleet.Node) {
@@ -132,7 +131,6 @@ func TestIngressE2EAsyncJobsSurvivePrimaryKill(t *testing.T) {
 			Dispatcher: fc,
 			Encode:     runtime.EncodeTask,
 			Lookup:     nd.Gateway.TaskResult,
-			Timeout:    8 * time.Second,
 			TTL:        5 * time.Minute,
 		})
 		if err != nil {

@@ -110,7 +110,7 @@ func TestObservabilityE2ETraceAndBreakdown(t *testing.T) {
 	// response's return hop on loopback, so 5% is generous.
 	bd := stats.NewBreakdown()
 	for _, nd := range f.Nodes {
-		bd.Merge(nd.Breakdown)
+		bd.Merge(nd.Gateway.Breakdown())
 	}
 	if bd.N() != 1 {
 		t.Fatalf("breakdown holds %d tasks, want 1", bd.N())

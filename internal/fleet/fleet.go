@@ -18,7 +18,6 @@ import (
 	"hivemind/internal/controller"
 	"hivemind/internal/metrics"
 	"hivemind/internal/runtime"
-	"hivemind/internal/stats"
 	"hivemind/internal/store"
 	"hivemind/internal/trace"
 )
@@ -42,15 +41,15 @@ type Config struct {
 	// i's peer link to j with WrapConnPair(PeerName(i), PeerName(j)).
 	Fault *chaos.Injector
 	// Tracer, when set, traces every replica, gateway and gateway RPC
-	// hop, and gives each node a Breakdown.
+	// hop, and turns on each gateway's Breakdown.
 	Tracer *trace.Live
 	// Replica: ID, Replicas, Seed, Fault, InitialTerm, OnPromote and
 	// Recover are set per node; zero timings take the defaults.
 	Replica controller.ReplicaConfig
 	// Runtime: Retries is 0, so the gateway, not the runtime, respawns.
 	Runtime runtime.Config
-	// Gateway: RespawnDelay, Checkpoints, OnFenced, Admission, Tracker,
-	// Tracer and Breakdown are set per node.
+	// Gateway: RespawnDelay, Checkpoints, OnFenced, Admission, Tracker
+	// and Tracer are set per node.
 	Gateway runtime.GatewayConfig
 	// Setup runs once per node before it serves: register functions on
 	// the Runtime and expose methods on the Gateway.
@@ -65,8 +64,6 @@ type Node struct {
 	Gateway *runtime.Gateway
 	// Addr is the gateway's TCP address.
 	Addr string
-	// Breakdown is the four-stage latency decomposition (nil untraced).
-	Breakdown *stats.Breakdown
 
 	recovered atomic.Uint64 // LeaderTerm whose promotion Recover returned
 }
@@ -170,10 +167,6 @@ func newNode(cfg Config, i int, lns []net.Listener) *Node {
 	gcfg.Admission = nd.Replica.Admission()
 	gcfg.Tracker = nd.Replica
 	gcfg.Tracer = cfg.Tracer
-	if cfg.Tracer != nil {
-		nd.Breakdown = stats.NewBreakdown()
-		gcfg.Breakdown = nd.Breakdown
-	}
 	nd.Gateway = runtime.NewGatewayConfig(nd.Runtime, gcfg)
 	nd.Gateway.SetMonitor(cfg.Monitor)
 	if cfg.Tracer != nil {

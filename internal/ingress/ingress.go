@@ -43,6 +43,12 @@ func (f DispatchFunc) Call(ctx context.Context, method string, payload []byte) (
 	return f(ctx, method, payload)
 }
 
+// maxBody caps request bodies: a larger one is refused with 413.
+const maxBody = 1 << 20
+
+// dispatchTimeout bounds each job's dispatch.
+const dispatchTimeout = 30 * time.Second
+
 // ResultIDHeader carries the minted result id on every /do response,
 // including ?then=true ones whose body is the job output.
 const ResultIDHeader = "X-Hivemind-Result-Id"
@@ -62,12 +68,8 @@ type Options struct {
 	Lookup func(id string) ([]byte, bool, error)
 	// Monitor receives counters (optional).
 	Monitor *metrics.Registry
-	// Timeout bounds each dispatch (0: 30s).
-	Timeout time.Duration
 	// TTL retains completed results for duplicate collection (0: 2m).
 	TTL time.Duration
-	// MaxBody caps request bodies (0: 1 MiB).
-	MaxBody int64
 }
 
 // Stats is a snapshot of the ingress counters.
@@ -116,14 +118,8 @@ func NewServer(opts Options) (*Server, error) {
 	if opts.Dispatcher == nil {
 		return nil, errors.New("ingress: Options.Dispatcher is required")
 	}
-	if opts.Timeout <= 0 {
-		opts.Timeout = 30 * time.Second
-	}
 	if opts.TTL <= 0 {
 		opts.TTL = 2 * time.Minute
-	}
-	if opts.MaxBody <= 0 {
-		opts.MaxBody = 1 << 20
 	}
 	var pfx [4]byte
 	if _, err := rand.Read(pfx[:]); err != nil {
@@ -227,17 +223,17 @@ func thenFlag(raw string) bool {
 func (s *Server) handleDo(w http.ResponseWriter, r *http.Request, name string) {
 	var payload []byte
 	var err error
-	if n := r.ContentLength; n >= 0 && n <= s.opts.MaxBody {
+	if n := r.ContentLength; n >= 0 && n <= maxBody {
 		payload = make([]byte, n) // known length: one exact buffer
 		_, err = io.ReadFull(r.Body, payload)
 	} else {
-		payload, err = io.ReadAll(io.LimitReader(r.Body, s.opts.MaxBody+1))
+		payload, err = io.ReadAll(io.LimitReader(r.Body, maxBody+1))
 	}
 	if err != nil {
 		http.Error(w, "reading body: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	if int64(len(payload)) > s.opts.MaxBody {
+	if len(payload) > maxBody {
 		http.Error(w, "body exceeds limit", http.StatusRequestEntityTooLarge)
 		return
 	}
@@ -303,7 +299,7 @@ func (s *Server) submit(name string, payload []byte) (*job, bool, error) {
 }
 
 func (s *Server) dispatch(j *job, payload []byte) {
-	ctx, cancel := context.WithTimeout(context.Background(), s.opts.Timeout)
+	ctx, cancel := context.WithTimeout(context.Background(), dispatchTimeout)
 	defer cancel()
 	if s.opts.Encode != nil {
 		payload = s.opts.Encode(j.id, payload)

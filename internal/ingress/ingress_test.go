@@ -270,3 +270,39 @@ func TestIngressEncodeThreadsResultID(t *testing.T) {
 		t.Fatalf("dispatched payload %q, want id-encoded %q", got, id+"|body")
 	}
 }
+
+// A body over the 1 MiB cap is refused with 413 before anything is
+// dispatched, whether its length is declared up front or it arrives
+// chunked with no Content-Length.
+func TestIngressRejectsBodyOverLimit(t *testing.T) {
+	var calls atomic.Uint64
+	s, err := NewServer(Options{
+		Dispatcher: DispatchFunc(func(_ context.Context, _ string, payload []byte) ([]byte, error) {
+			calls.Add(1)
+			return payload, nil
+		}),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	big := strings.Repeat("x", maxBody+1)
+	for _, chunked := range []bool{false, true} {
+		r := httptest.NewRequest(http.MethodPost, "/do/job?then=true", strings.NewReader(big))
+		if chunked {
+			r.ContentLength = -1
+			r.TransferEncoding = []string{"chunked"}
+		}
+		w := httptest.NewRecorder()
+		s.ServeHTTP(w, r)
+		if w.Code != http.StatusRequestEntityTooLarge {
+			t.Fatalf("chunked=%v: status %d, want 413", chunked, w.Code)
+		}
+	}
+	if n := calls.Load(); n != 0 {
+		t.Fatalf("oversized bodies dispatched %d times", n)
+	}
+	if st := s.Stats(); st.Posted != 0 {
+		t.Fatalf("oversized bodies counted as posted: %d", st.Posted)
+	}
+}

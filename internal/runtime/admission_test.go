@@ -21,13 +21,10 @@ func testAdmission(cfg AdmissionConfig) *admission {
 
 func TestAdmissionFastPath(t *testing.T) {
 	a := testAdmission(AdmissionConfig{MaxConcurrent: 2})
-	rel1, err := a.admit(context.Background(), "m")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rel2, err := a.admit(context.Background(), "m")
-	if err != nil {
-		t.Fatal(err)
+	for range 2 {
+		if err := a.admit(context.Background()); err != nil {
+			t.Fatal(err)
+		}
 	}
 	a.mu.Lock()
 	active := a.active
@@ -35,8 +32,8 @@ func TestAdmissionFastPath(t *testing.T) {
 	if active != 2 {
 		t.Fatalf("active = %d, want 2", active)
 	}
-	rel1()
-	rel2()
+	a.release()
+	a.release()
 	a.mu.Lock()
 	active = a.active
 	a.mu.Unlock()
@@ -46,17 +43,16 @@ func TestAdmissionFastPath(t *testing.T) {
 }
 
 func TestAdmissionQueueFullSheds(t *testing.T) {
-	a := testAdmission(AdmissionConfig{MaxConcurrent: 1, QueueLen: 1, RetryAfter: 40 * time.Millisecond})
-	release, err := a.admit(context.Background(), "m")
-	if err != nil {
+	a := testAdmission(AdmissionConfig{MaxConcurrent: 1, QueueLen: 1})
+	if err := a.admit(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	// Fill the single queue slot.
 	granted := make(chan error, 1)
 	go func() {
-		rel, err := a.admit(context.Background(), "m")
+		err := a.admit(context.Background())
 		if err == nil {
-			rel()
+			a.release()
 		}
 		granted <- err
 	}()
@@ -66,79 +62,32 @@ func TestAdmissionQueueFullSheds(t *testing.T) {
 		return a.queued == 1
 	})
 	// The queue is full: the next arrival is shed immediately with the
-	// configured retry-after hint.
-	_, err = a.admit(context.Background(), "m")
+	// retry-after hint.
+	err := a.admit(context.Background())
 	if !rpc.IsShed(err) {
 		t.Fatalf("err = %v, want shed", err)
 	}
-	if ra, ok := rpc.ShedRetryAfter(err); !ok || ra != 40*time.Millisecond {
+	if ra, ok := rpc.ShedRetryAfter(err); !ok || ra != shedRetryAfter {
 		t.Fatalf("retry-after = %v, %v", ra, ok)
 	}
 	if a.shedFull.Load() != 1 {
 		t.Fatalf("shedFull = %d", a.shedFull.Load())
 	}
-	release()
+	a.release()
 	if err := <-granted; err != nil {
 		t.Fatalf("queued waiter: %v", err)
 	}
 }
 
-func TestAdmissionControlLaneBeatsBatch(t *testing.T) {
-	a := testAdmission(AdmissionConfig{
-		MaxConcurrent: 1,
-		QueueLen:      8,
-		Lanes:         map[string]Lane{"ctl": LaneControl, "bat": LaneBatch},
-	})
-	release, err := a.admit(context.Background(), "m")
-	if err != nil {
-		t.Fatal(err)
-	}
-	order := make(chan string, 2)
-	var wg sync.WaitGroup
-	spawn := func(method string, wantQueued int) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			rel, err := a.admit(context.Background(), method)
-			if err != nil {
-				t.Errorf("%s: %v", method, err)
-				return
-			}
-			order <- method
-			rel()
-		}()
-		waitCond(t, func() bool {
-			a.mu.Lock()
-			defer a.mu.Unlock()
-			return a.queued == wantQueued
-		})
-	}
-	// Enqueue batch first, control second: grant order must invert it.
-	spawn("bat", 1)
-	spawn("ctl", 2)
-	release()
-	wg.Wait()
-	close(order)
-	var got []string
-	for m := range order {
-		got = append(got, m)
-	}
-	if len(got) != 2 || got[0] != "ctl" || got[1] != "bat" {
-		t.Fatalf("grant order = %v, want [ctl bat]", got)
-	}
-}
-
 func TestAdmissionCancelledWaiterFreesQueue(t *testing.T) {
 	a := testAdmission(AdmissionConfig{MaxConcurrent: 1, QueueLen: 4})
-	release, err := a.admit(context.Background(), "m")
-	if err != nil {
+	if err := a.admit(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, err := a.admit(ctx, "m")
-		done <- err
+		done <- a.admit(ctx)
 	}()
 	waitCond(t, func() bool {
 		a.mu.Lock()
@@ -156,27 +105,25 @@ func TestAdmissionCancelledWaiterFreesQueue(t *testing.T) {
 		t.Fatalf("queued after cancel = %d", queued)
 	}
 	// The slot the cancelled waiter never took is still grantable.
-	release()
-	rel, err := a.admit(context.Background(), "m")
-	if err != nil {
+	a.release()
+	if err := a.admit(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	rel()
+	a.release()
 }
 
 // TestAdmissionCancelledWaitersDontCountTowardLaneFull is the
-// regression test for the lane-full check counting cancelled waiters
-// still parked in the queue slice: after a burst of client timeouts a
-// lane must keep accepting arrivals while its live depth is below
+// regression test for the queue-full check counting cancelled waiters
+// still parked in the queue slice: after a burst of client timeouts the
+// queue must keep accepting arrivals while its live depth is below
 // QueueLen, and the backing slice must not grow without bound.
 func TestAdmissionCancelledWaitersDontCountTowardLaneFull(t *testing.T) {
 	a := testAdmission(AdmissionConfig{MaxConcurrent: 1, QueueLen: 4})
-	release, err := a.admit(context.Background(), "m")
-	if err != nil {
+	if err := a.admit(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	// Three bursts of QueueLen clients queue up and time out: 12
-	// cancelled waiters pass through a 4-deep lane.
+	// cancelled waiters pass through a 4-deep queue.
 	for round := 0; round < 3; round++ {
 		ctx, cancel := context.WithCancel(context.Background())
 		var wg sync.WaitGroup
@@ -184,7 +131,7 @@ func TestAdmissionCancelledWaitersDontCountTowardLaneFull(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				if _, err := a.admit(ctx, "m"); !errors.Is(err, context.Canceled) {
+				if err := a.admit(ctx); !errors.Is(err, context.Canceled) {
 					t.Errorf("round %d waiter err = %v, want cancelled", round, err)
 				}
 			}()
@@ -200,9 +147,9 @@ func TestAdmissionCancelledWaitersDontCountTowardLaneFull(t *testing.T) {
 	// Live depth is zero: a fresh arrival must queue, not shed.
 	granted := make(chan error, 1)
 	go func() {
-		rel, err := a.admit(context.Background(), "m")
+		err := a.admit(context.Background())
 		if err == nil {
-			rel()
+			a.release()
 		}
 		granted <- err
 	}()
@@ -215,12 +162,12 @@ func TestAdmissionCancelledWaitersDontCountTowardLaneFull(t *testing.T) {
 		t.Fatalf("spurious shed-full after cancellations: %d", got)
 	}
 	a.mu.Lock()
-	parked := len(a.queues[laneRank(LaneInteractive)])
+	parked := len(a.queue)
 	a.mu.Unlock()
 	if parked > 2*4 {
 		t.Fatalf("cancelled waiters accumulated: %d parked, want compaction to bound it", parked)
 	}
-	release()
+	a.release()
 	if err := <-granted; err != nil {
 		t.Fatalf("live waiter after cancellation burst: %v", err)
 	}
@@ -234,15 +181,13 @@ func TestAdmissionCancelRepublishesDepthGauge(t *testing.T) {
 	mon := metrics.NewRegistry()
 	g := &Gateway{monitor: mon}
 	a := newAdmission(g, AdmissionConfig{MaxConcurrent: 1, QueueLen: 4})
-	release, err := a.admit(context.Background(), "m")
-	if err != nil {
+	if err := a.admit(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, err := a.admit(ctx, "m")
-		done <- err
+		done <- a.admit(ctx)
 	}()
 	waitCond(t, func() bool { return mon.Gauge("gateway-queue-depth") == 1 })
 	cancel()
@@ -250,64 +195,7 @@ func TestAdmissionCancelRepublishesDepthGauge(t *testing.T) {
 		t.Fatalf("cancelled waiter err = %v", err)
 	}
 	waitCond(t, func() bool { return mon.Gauge("gateway-queue-depth") == 0 })
-	release()
-}
-
-// TestAdmissionCoDelShedsUnderSustainedDelay drives the queue so its
-// standing delay stays above Target for longer than Interval and checks
-// the control law starts shedding at dequeue.
-func TestAdmissionCoDelShedsUnderSustainedDelay(t *testing.T) {
-	a := testAdmission(AdmissionConfig{
-		MaxConcurrent: 1,
-		QueueLen:      64,
-		Target:        time.Millisecond,
-		Interval:      10 * time.Millisecond,
-	})
-	release, err := a.admit(context.Background(), "m")
-	if err != nil {
-		t.Fatal(err)
-	}
-	const waiters = 30
-	var shed, admitted atomic.Int64
-	var wg sync.WaitGroup
-	for i := 0; i < waiters; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			rel, err := a.admit(context.Background(), "m")
-			if rpc.IsShed(err) {
-				shed.Add(1)
-				return
-			}
-			if err != nil {
-				t.Errorf("admit: %v", err)
-				return
-			}
-			admitted.Add(1)
-			time.Sleep(5 * time.Millisecond) // hold the slot: delay stays high
-			rel()
-		}()
-	}
-	waitCond(t, func() bool {
-		a.mu.Lock()
-		defer a.mu.Unlock()
-		return a.queued == waiters
-	})
-	time.Sleep(15 * time.Millisecond) // sojourn grows past Target for > Interval
-	release()
-	wg.Wait()
-	if shed.Load() == 0 {
-		t.Fatal("sustained standing delay shed nothing")
-	}
-	if admitted.Load() == 0 {
-		t.Fatal("CoDel shed everything: control law too aggressive")
-	}
-	if got := shed.Load() + admitted.Load(); got != waiters {
-		t.Fatalf("accounted waiters = %d, want %d", got, waiters)
-	}
-	if a.shedCoDel.Load() != uint64(shed.Load()) {
-		t.Fatalf("shedCoDel = %d, shed callers = %d", a.shedCoDel.Load(), shed.Load())
-	}
+	a.release()
 }
 
 // TestGatewayOverloadSheds drives an Overload-configured gateway past
@@ -326,7 +214,7 @@ func TestGatewayOverloadSheds(t *testing.T) {
 		}
 	})
 	cfg := DefaultGatewayConfig()
-	cfg.Overload = &AdmissionConfig{MaxConcurrent: 2, QueueLen: 2, RetryAfter: 25 * time.Millisecond}
+	cfg.Overload = &AdmissionConfig{MaxConcurrent: 2, QueueLen: 2}
 	g := NewGatewayConfig(rt, cfg)
 	mon := metrics.NewRegistry()
 	g.SetMonitor(mon)

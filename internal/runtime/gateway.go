@@ -30,12 +30,9 @@ type GatewayConfig struct {
 	// Timeout bounds a whole invocation or chain (0: no deadline beyond
 	// the caller's cancellation).
 	Timeout time.Duration
-	// StepTimeout bounds each chain step (0: only Timeout applies). A
-	// step that exceeds it is respawned rather than failing the chain.
-	StepTimeout time.Duration
-	// StepRespawns is how many times a failed or timed-out chain step is
-	// respawned before the error surfaces (§3.2; default 1 — respawn
-	// once, mirroring the faas model's respawn-and-continue behaviour).
+	// StepRespawns is how many times a failed chain step is respawned
+	// before the error surfaces (§3.2; default 1 — respawn once,
+	// mirroring the faas model's respawn-and-continue behaviour).
 	StepRespawns int
 	// RespawnDelay is the pause before a respawn, the live counterpart
 	// of faas.Config.RespawnDelayS (default 120 ms there).
@@ -49,11 +46,10 @@ type GatewayConfig struct {
 	// replica's Admission() returns rpc.NotLeaderError on standbys so
 	// leader-following clients re-route instead of forking a chain.
 	Admission func() error
-	// Overload, when set, puts the gateway behind the bounded per-lane
-	// admission queues (admission.go): work beyond MaxConcurrent queues
-	// per priority lane, queue-full and CoDel-style sustained-delay
-	// overflow is shed with an rpc.ShedError carrying a retry-after
-	// hint, and control-plane lanes are granted ahead of batch.
+	// Overload, when set, puts the gateway behind the bounded admission
+	// queue (admission.go): work beyond MaxConcurrent waits in a FIFO
+	// of at most QueueLen, and an arrival at a full queue is shed with
+	// an rpc.ShedError carrying a retry-after hint.
 	Overload *AdmissionConfig
 	// OnFenced, when set, fires when a durable-chain write bounces off
 	// the store's term fence — proof the controller replica fronted by
@@ -65,14 +61,10 @@ type GatewayConfig struct {
 	// task table.
 	Tracker TaskTracker
 	// Tracer, when set, records a span per task on the "gateway" lane
-	// (plus an admission span on the "controller" lane) and propagates
-	// the task's trace context into the runtime and store layers.
+	// (plus an admission span on the "controller" lane), propagates the
+	// task's trace context into the runtime and store layers, and turns
+	// on the four-stage latency decomposition (Gateway.Breakdown).
 	Tracer *trace.Live
-	// Breakdown, when set, accumulates the paper's four-stage latency
-	// decomposition (network/management/dataio/execution) for every
-	// successful task. The gateway serialises access; share one
-	// Breakdown across gateways only through Breakdown.Merge.
-	Breakdown *stats.Breakdown
 }
 
 // DefaultGatewayConfig mirrors the faas model's respawn calibration.
@@ -102,9 +94,11 @@ type Gateway struct {
 	chains map[string][]string // chain method -> tier functions (for Recover)
 	nextID uint64
 
-	// bdMu guards cfg.Breakdown (stats.Breakdown is not goroutine-safe;
+	// bd is the four-stage decomposition of traced gateways (nil
+	// untraced); bdMu guards it (stats.Breakdown is not goroutine-safe;
 	// concurrent handlers record through this gate).
 	bdMu sync.Mutex
+	bd   *stats.Breakdown
 }
 
 // NewGateway wraps a runtime with an RPC front door. timeout bounds
@@ -125,7 +119,25 @@ func NewGatewayConfig(rt *Runtime, cfg GatewayConfig) *Gateway {
 	if cfg.Overload != nil {
 		g.adm = newAdmission(g, *cfg.Overload)
 	}
+	if cfg.Tracer != nil {
+		g.bd = stats.NewBreakdown()
+	}
 	return g
+}
+
+// Breakdown snapshots the paper's four-stage latency decomposition
+// (network/management/dataio/execution) of every successful task this
+// gateway ran; nil when the gateway is untraced. Fold several gateways'
+// snapshots together with Breakdown.Merge.
+func (g *Gateway) Breakdown() *stats.Breakdown {
+	if g.bd == nil {
+		return nil
+	}
+	out := stats.NewBreakdown()
+	g.bdMu.Lock()
+	out.Merge(g.bd)
+	g.bdMu.Unlock()
+	return out
 }
 
 // SetMonitor installs the metrics registry the gateway and its
@@ -183,12 +195,12 @@ func (g *Gateway) Expose(method, function string) {
 		start := time.Now()
 		env, body, _ := DecodeTaskEnvelope(payload)
 		if g.adm != nil {
-			release, aerr := g.adm.admit(ctx, method)
+			aerr := g.adm.admit(ctx)
 			if aerr != nil {
 				g.countFailure(ctx, aerr)
 				return nil, aerr
 			}
-			defer release()
+			defer g.adm.release()
 		}
 		if derr := g.dropExpired(ctx); derr != nil {
 			g.countFailure(ctx, derr)
@@ -319,9 +331,9 @@ func (g *Gateway) genTaskID(method string) string {
 // ExposeChain registers an RPC method that runs a multi-tier pipeline
 // through the store-backed chain (one edge call triggers the whole
 // cloud-side task graph, as the generated FaaS bindings do). Each step
-// is bounded by StepTimeout and respawned up to StepRespawns times
-// after RespawnDelay when it fails or times out — the live counterpart
-// of the queueing model's respawn-on-failure behaviour (§3.2, Fig. 5c).
+// is respawned up to StepRespawns times after RespawnDelay when it
+// fails — the live counterpart of the queueing model's
+// respawn-on-failure behaviour (§3.2, Fig. 5c).
 //
 // With GatewayConfig.Checkpoints set the chain becomes a durable task:
 // steps are write-ahead-recorded before dispatch, outputs commit
@@ -350,13 +362,13 @@ func (g *Gateway) ExposeChain(method string, functions []string) {
 			}
 		}
 		if g.adm != nil {
-			release, aerr := g.adm.admit(octx, method)
+			aerr := g.adm.admit(octx)
 			if aerr != nil {
 				obs.finish(aerr)
 				g.countFailure(octx, aerr)
 				return nil, aerr
 			}
-			defer release()
+			defer g.adm.release()
 		}
 		if derr := g.dropExpired(octx); derr != nil {
 			obs.finish(derr)
@@ -514,8 +526,8 @@ func (g *Gateway) trackFinish(id string) {
 	}
 }
 
-// runStep executes one chain tier, respawning it after failures or
-// step-level timeouts while the chain's own deadline still has budget.
+// runStep executes one chain tier, respawning it after failures while
+// the chain's own deadline still has budget.
 func (g *Gateway) runStep(ctx context.Context, method, fn string, input []byte) ([]byte, error) {
 	var lastErr error
 	for attempt := 0; attempt <= g.cfg.StepRespawns; attempt++ {
@@ -532,13 +544,7 @@ func (g *Gateway) runStep(ctx context.Context, method, fn string, input []byte) 
 			}
 			return nil, err
 		}
-		sctx := ctx
-		var cancel context.CancelFunc = func() {}
-		if g.cfg.StepTimeout > 0 {
-			sctx, cancel = context.WithTimeout(ctx, g.cfg.StepTimeout)
-		}
-		res, err := g.rt.Invoke(sctx, fn, input)
-		cancel()
+		res, err := g.rt.Invoke(ctx, fn, input)
 		if err == nil {
 			return res.Output, nil
 		}

@@ -7,7 +7,6 @@ import (
 	"net"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -189,37 +188,6 @@ func TestGatewayChainStepExhaustsRespawns(t *testing.T) {
 	kill.mu.Unlock()
 	if invoked != gcfg.StepRespawns+1 {
 		t.Fatalf("failing step invoked %d times, want StepRespawns+1 = %d", invoked, gcfg.StepRespawns+1)
-	}
-}
-
-// A chain step that hangs past StepTimeout is respawned with a fresh
-// step deadline and the chain completes.
-func TestGatewayStepTimeoutRespawn(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Retries = 0
-	rt := New(cfg, nil)
-	defer rt.Close()
-	var calls atomic.Int32
-	rt.Register("flappy", func(ctx context.Context, in []byte) ([]byte, error) {
-		if calls.Add(1) == 1 {
-			<-ctx.Done() // first run hangs until the step deadline kills it
-			return nil, ctx.Err()
-		}
-		return []byte("recovered"), nil
-	})
-	gcfg := DefaultGatewayConfig()
-	gcfg.Timeout = 5 * time.Second
-	gcfg.StepTimeout = 30 * time.Millisecond
-	gcfg.RespawnDelay = time.Millisecond
-	g := NewGatewayConfig(rt, gcfg)
-	g.ExposeChain("pipeline", []string{"flappy"})
-	c := gatewayPair(t, g)
-	out, err := c.CallSync("pipeline", nil)
-	if err != nil || string(out) != "recovered" {
-		t.Fatalf("out=%q err=%v", out, err)
-	}
-	if calls.Load() != 2 {
-		t.Fatalf("calls = %d, want 2 (hang + respawn)", calls.Load())
 	}
 }
 

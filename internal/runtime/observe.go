@@ -230,8 +230,8 @@ func TraceServerInterceptor(l *trace.Live, track string) rpc.ServerInterceptor {
 }
 
 // taskObservation times one gateway task end-to-end and feeds the
-// gateway's tracer and breakdown on finish. A nil observation (tracing
-// and breakdown both unconfigured) is inert.
+// gateway's tracer and breakdown on finish. A nil observation (an
+// untraced gateway) is inert.
 type taskObservation struct {
 	g       *Gateway
 	span    *trace.LiveSpan
@@ -247,7 +247,7 @@ type taskObservation struct {
 // stage is derived from the envelope's send timestamp (clamped at 0 —
 // skewed clocks must not produce negative stages).
 func (g *Gateway) observeTask(ctx context.Context, method, traceID string, env TaskEnvelope, start time.Time) (context.Context, *taskObservation) {
-	if g.cfg.Tracer == nil && g.cfg.Breakdown == nil {
+	if g.cfg.Tracer == nil {
 		return ctx, nil
 	}
 	o := &taskObservation{g: g, start: start, clock: newStageClock(), trace: traceID}
@@ -305,9 +305,9 @@ func (o *taskObservation) finish(err error) {
 		o.span.SetArg("error", err.Error())
 	}
 	o.span.End()
-	if bd := o.g.cfg.Breakdown; bd != nil && err == nil {
+	if err == nil {
 		o.g.bdMu.Lock()
-		bd.Record(map[stats.Stage]float64{
+		o.g.bd.Record(map[stats.Stage]float64{
 			stats.StageNetwork:    o.network,
 			stats.StageManagement: mgmt,
 			stats.StageDataIO:     dataio,

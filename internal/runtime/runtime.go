@@ -46,20 +46,12 @@ type Config struct {
 	// KeepAlive is how long an idle instance survives before teardown
 	// (0: torn down immediately — stock OpenWhisk behaviour).
 	KeepAlive time.Duration
-	// ColdStart and WarmStart emulate instance provisioning costs so
-	// applications experience realistic latency profiles even when the
-	// function body is trivial. Zero values disable the delays.
-	ColdStart time.Duration
-	WarmStart time.Duration
 	// Retries is how many times a failed function is respawned before
 	// the error is surfaced (§3.2: OpenWhisk respawns failed tasks).
 	Retries int
 	// StragglerAfter, if positive, spawns a duplicate execution when the
 	// original has run this long; the first finisher wins (§4.6).
 	StragglerAfter time.Duration
-	// RespawnDelay is the pause before a failed attempt is respawned
-	// (§3.2; the faas model's RespawnDelayS). 0: respawn immediately.
-	RespawnDelay time.Duration
 	// Injector, if non-nil, is consulted before every execution attempt
 	// and store exchange so chaos tests can kill live invocations.
 	Injector Injector
@@ -70,8 +62,6 @@ func DefaultConfig() Config {
 	return Config{
 		MaxInFlight: 1000,
 		KeepAlive:   20 * time.Second,
-		ColdStart:   0,
-		WarmStart:   0,
 		Retries:     3,
 	}
 }
@@ -246,15 +236,9 @@ func (r *Runtime) Invoke(ctx context.Context, name string, input []byte) (Result
 		inst, warm := r.acquireInstance(name)
 		if warm {
 			r.stats.warmHits.Add(1)
-			if r.cfg.WarmStart > 0 {
-				sleepCtx(ctx, r.cfg.WarmStart)
-			}
 		} else {
 			r.stats.cold.Add(1)
 			res.Cold = true
-			if r.cfg.ColdStart > 0 {
-				sleepCtx(ctx, r.cfg.ColdStart)
-			}
 		}
 		var out []byte
 		var err error
@@ -268,7 +252,7 @@ func (r *Runtime) Invoke(ctx context.Context, name string, input []byte) (Result
 		}
 		if err == nil {
 			// Only the function body counts as the execution stage;
-			// provisioning delays and respawn pauses fall to management.
+			// the rest of the attempt falls to management.
 			stop := tt.stages().track(stats.StageExecution)
 			out, err = r.execute(ctx, fn, input)
 			stop()
@@ -286,12 +270,6 @@ func (r *Runtime) Invoke(ctx context.Context, name string, input []byte) (Result
 		}
 		if attempt < attempts-1 {
 			r.stats.retries.Add(1)
-			if r.cfg.RespawnDelay > 0 {
-				sleepCtx(ctx, r.cfg.RespawnDelay)
-				if ctx.Err() != nil {
-					break
-				}
-			}
 		}
 	}
 	res.Latency = time.Since(start)
@@ -389,15 +367,12 @@ func (r *Runtime) Chain(ctx context.Context, chainID string, names []string, inp
 const exchangeAttempts = 3
 
 // exchange persists a tier's output and reads it back (the CouchDB
-// round-trip of §3.3). Store faults are retried with the respawn
-// cadence and ultimately degrade to the in-memory value.
+// round-trip of §3.3). Store faults are retried at once and ultimately
+// degrade to the in-memory value.
 func (r *Runtime) exchange(ctx context.Context, key string, output []byte) ([]byte, error) {
 	defer taskTraceFrom(ctx).stages().track(stats.StageDataIO)()
 	var lastErr error
 	for attempt := 0; attempt < exchangeAttempts; attempt++ {
-		if attempt > 0 && r.cfg.RespawnDelay > 0 {
-			sleepCtx(ctx, r.cfg.RespawnDelay)
-		}
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}

@@ -292,27 +292,6 @@ func TestCloseRejectsNewWork(t *testing.T) {
 	}
 }
 
-func TestColdStartDelayApplied(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.ColdStart = 50 * time.Millisecond
-	cfg.KeepAlive = time.Minute
-	r := echoRuntime(cfg)
-	defer r.Close()
-	ctx := context.Background()
-	start := time.Now()
-	r.Invoke(ctx, "echo", nil)
-	coldLat := time.Since(start)
-	start = time.Now()
-	r.Invoke(ctx, "echo", nil)
-	warmLat := time.Since(start)
-	if coldLat < 50*time.Millisecond {
-		t.Fatalf("cold latency %v below provisioning delay", coldLat)
-	}
-	if warmLat > coldLat/2 {
-		t.Fatalf("warm latency %v not far below cold %v", warmLat, coldLat)
-	}
-}
-
 func TestKeepAliveExpiresIdleInstance(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.KeepAlive = 20 * time.Millisecond
