@@ -46,8 +46,8 @@ race-sim:
 # below, all under -race. Every test seeds its injectors and RNGs (fixed
 # seeds baked into the tests), so this run is deterministic. Then each
 # Fuzz target runs for a few seconds: the rpc error parsers and frame
-# decoder, the ingress /then flag, the runtime task envelope and WAL
-# replay.
+# decoder, the ingress /then flag, the runtime task envelope, WAL
+# replay and the DSL front end.
 chaos:
 	$(GO) test -race -count=1 ./internal/chaos/ ./internal/fleet/
 	$(GO) test -race -count=1 \
@@ -59,6 +59,7 @@ chaos:
 	$(GO) test -run '^$$' -fuzz '^FuzzThenFlag$$' -fuzztime 4s ./internal/ingress/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeTaskEnvelope$$' -fuzztime 4s ./internal/runtime/
 	$(GO) test -run '^$$' -fuzz '^FuzzWALReplay$$' -fuzztime 4s ./internal/store/
+	$(GO) test -run '^$$' -fuzz '^FuzzParseAndAnalyze$$' -fuzztime 4s ./internal/dsl/
 
 # Observability smoke run: a real TCP fleet with traced requests and a
 # chaos-killed primary must emit a non-empty, valid Chrome trace whose

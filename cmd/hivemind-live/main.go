@@ -118,7 +118,7 @@ func run(replicas, requests int, kill bool, seed int64, traceFn, walDir, httpAdd
 	}
 
 	// The demo's client rides the same per-peer links as every other
-	// remote tier: one mux stream per gateway, owning its connection.
+	// remote tier: one framed TCP connection per gateway.
 	peers := make([]runtime.Peer, len(f.Nodes))
 	for i, addr := range f.Addrs() {
 		peers[i] = runtime.Peer{Addr: addr}

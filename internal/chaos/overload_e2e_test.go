@@ -66,8 +66,8 @@ type overloadResult struct {
 	p99                     time.Duration
 	ok, shed, timeout, errs int64
 	// gatewayShed sums the gateways' own queue-full sheds: the client's
-	// shed count also includes sheds of the RPC mux stream's bounded
-	// queue, which happen with admission off too.
+	// shed count also includes sheds of the RPC connection's bounded
+	// stream queue, which happen with admission off too.
 	gatewayShed uint64
 	// noRetryAfter counts HTTP 503s that carried no Retry-After header.
 	noRetryAfter int64

@@ -126,33 +126,36 @@ Task(b, out, None, 'y')
 	}
 }
 
+// errorCases are sources the front end must reject, each with a
+// fragment its error names; they also seed FuzzParseAndAnalyze.
+var errorCases = []struct {
+	name, src, want string
+}{
+	{"empty", "", "empty program"},
+	{"unknownOp", "Frobnicate(a)", "unknown operation"},
+	{"noGraph", "Task(a, None, None, 'x')", "no TaskGraph"},
+	{"noTasks", "TaskGraph(list=[])", "no tasks"},
+	{"unlisted", "TaskGraph(list=['a'])\nTask(a, None, None, 'x')\nTask(b, None, None, 'y')", "missing from the TaskGraph list"},
+	{"undeclared", "TaskGraph(list=['a','ghost'])\nTask(a, None, None, 'x')", "no Task(ghost"},
+	{"badParent", "TaskGraph(list=['a'])\nTask(a, None, None, 'x', parentTask=['ghost'])", "unknown parent"},
+	{"selfRef", "TaskGraph(list=['a'])\nTask(a, None, None, 'x', childTask=['a'])", "references itself"},
+	{"cycle", "TaskGraph(list=['a','b'])\nTask(a, None, None, 'x', childTask=['b'])\nTask(b, None, None, 'y', childTask=['a'])", "cycle"},
+	{"dupTask", "TaskGraph(list=['a'])\nTask(a, None, None, 'x')\nTask(a, None, None, 'x')", "declared twice"},
+	{"contradictoryRel", "TaskGraph(list=['a','b'])\nTask(a, None, None, 'x')\nTask(b, None, None, 'y')\nParallel(a,b)\nSerial(a,b)", "contradictory"},
+	{"relUnknown", "TaskGraph(list=['a'])\nTask(a, None, None, 'x')\nParallel(a, ghost)", "unknown task"},
+	{"relSelf", "TaskGraph(list=['a'])\nTask(a, None, None, 'x')\nParallel(a, a)", "itself"},
+	{"badPlace", "TaskGraph(list=['a'])\nTask(a, None, None, 'x')\nPlace(a, 'Mars')", "must be Edge or Cloud"},
+	{"badLearn", "TaskGraph(list=['a'])\nTask(a, None, None, 'x')\nLearn(a, 'Sometimes')", "must be Global, Self or Off"},
+	{"badSync", "TaskGraph(list=['a'])\nTask(a, None, None, 'x')\nSynchronize(a, 'most')", "must be all or any"},
+	{"badConstraint", "TaskGraph(list=['a'], constraint=[warp='9'])\nTask(a, None, None, 'x')", "unknown constraint"},
+	{"badDuration", "TaskGraph(list=['a'], constraint=[execTime='fast'])\nTask(a, None, None, 'x')", "duration"},
+	{"directiveUnknownTask", "TaskGraph(list=['a'])\nTask(a, None, None, 'x')\nPersist(ghost)", "unknown task"},
+	{"unterminated", "TaskGraph(list=['a\n", "unterminated"},
+	{"doubleGraph", "TaskGraph(list=['a'])\nTaskGraph(list=['a'])\nTask(a, None, None, 'x')", "duplicate TaskGraph"},
+}
+
 func TestErrors(t *testing.T) {
-	cases := []struct {
-		name, src, want string
-	}{
-		{"empty", "", "empty program"},
-		{"unknownOp", "Frobnicate(a)", "unknown operation"},
-		{"noGraph", "Task(a, None, None, 'x')", "no TaskGraph"},
-		{"noTasks", "TaskGraph(list=[])", "no tasks"},
-		{"unlisted", "TaskGraph(list=['a'])\nTask(a, None, None, 'x')\nTask(b, None, None, 'y')", "missing from the TaskGraph list"},
-		{"undeclared", "TaskGraph(list=['a','ghost'])\nTask(a, None, None, 'x')", "no Task(ghost"},
-		{"badParent", "TaskGraph(list=['a'])\nTask(a, None, None, 'x', parentTask=['ghost'])", "unknown parent"},
-		{"selfRef", "TaskGraph(list=['a'])\nTask(a, None, None, 'x', childTask=['a'])", "references itself"},
-		{"cycle", "TaskGraph(list=['a','b'])\nTask(a, None, None, 'x', childTask=['b'])\nTask(b, None, None, 'y', childTask=['a'])", "cycle"},
-		{"dupTask", "TaskGraph(list=['a'])\nTask(a, None, None, 'x')\nTask(a, None, None, 'x')", "declared twice"},
-		{"contradictoryRel", "TaskGraph(list=['a','b'])\nTask(a, None, None, 'x')\nTask(b, None, None, 'y')\nParallel(a,b)\nSerial(a,b)", "contradictory"},
-		{"relUnknown", "TaskGraph(list=['a'])\nTask(a, None, None, 'x')\nParallel(a, ghost)", "unknown task"},
-		{"relSelf", "TaskGraph(list=['a'])\nTask(a, None, None, 'x')\nParallel(a, a)", "itself"},
-		{"badPlace", "TaskGraph(list=['a'])\nTask(a, None, None, 'x')\nPlace(a, 'Mars')", "must be Edge or Cloud"},
-		{"badLearn", "TaskGraph(list=['a'])\nTask(a, None, None, 'x')\nLearn(a, 'Sometimes')", "must be Global, Self or Off"},
-		{"badSync", "TaskGraph(list=['a'])\nTask(a, None, None, 'x')\nSynchronize(a, 'most')", "must be all or any"},
-		{"badConstraint", "TaskGraph(list=['a'], constraint=[warp='9'])\nTask(a, None, None, 'x')", "unknown constraint"},
-		{"badDuration", "TaskGraph(list=['a'], constraint=[execTime='fast'])\nTask(a, None, None, 'x')", "duration"},
-		{"directiveUnknownTask", "TaskGraph(list=['a'])\nTask(a, None, None, 'x')\nPersist(ghost)", "unknown task"},
-		{"unterminated", "TaskGraph(list=['a\n", "unterminated"},
-		{"doubleGraph", "TaskGraph(list=['a'])\nTaskGraph(list=['a'])\nTask(a, None, None, 'x')", "duplicate TaskGraph"},
-	}
-	for _, tc := range cases {
+	for _, tc := range errorCases {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := ParseAndAnalyze(tc.src)
 			if err == nil {

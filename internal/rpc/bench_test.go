@@ -3,6 +3,7 @@ package rpc
 import (
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -82,16 +83,28 @@ func BenchmarkCallSync1MB(b *testing.B) {
 // BenchmarkPipelinedCalls measures multiplexed in-flight throughput
 // through the caller pool.
 func BenchmarkPipelinedCalls(b *testing.B) {
-	c := benchPair(b, 64)
+	pipelined(b, benchPair(b, pipelinedCallers))
+}
+
+// pipelinedCallers keeps the caller pool full: that many goroutines
+// share b.N calls.
+const pipelinedCallers = 64
+
+func pipelined(b *testing.B, c *Client) {
 	payload := make([]byte, 64)
+	var next atomic.Int64
 	var wg sync.WaitGroup
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	for g := 0; g < pipelinedCallers; g++ {
 		wg.Add(1)
-		call := c.Go("echo", payload, make(chan *Call, 1))
 		go func() {
 			defer wg.Done()
-			<-call.Done
+			for next.Add(1) <= int64(b.N) {
+				if _, err := c.CallSync("echo", payload); err != nil {
+					b.Error(err)
+					return
+				}
+			}
 		}()
 	}
 	wg.Wait()
@@ -116,19 +129,7 @@ func BenchmarkCallSync64BTCP(b *testing.B) {
 // loopback, where the coalescing writer batches the pipelined frames
 // into far fewer syscalls than one-write-per-frame.
 func BenchmarkPipelinedCallsTCP(b *testing.B) {
-	c := benchTCP(b, 64)
-	payload := make([]byte, 64)
-	var wg sync.WaitGroup
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		wg.Add(1)
-		call := c.Go("echo", payload, make(chan *Call, 1))
-		go func() {
-			defer wg.Done()
-			<-call.Done
-		}()
-	}
-	wg.Wait()
+	pipelined(b, benchTCP(b, pipelinedCallers))
 }
 
 func benchRing(b *testing.B, opts RingOptions) *Ring {

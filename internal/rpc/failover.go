@@ -45,7 +45,7 @@ func RedirectTarget(err error) (leader int, ok bool) {
 // FailoverOptions tunes the hardened caller. The zero value is the plain
 // leader-following client with a fixed 25 ms pause between attempts.
 type FailoverOptions struct {
-	// Callers sizes the caller pool of the stream each DialFailover
+	// Callers sizes the caller pool of the connection each DialFailover
 	// endpoint rides (<=0: 8).
 	Callers int
 	// Attempts bounds call attempts across endpoints and sweeps, the
@@ -124,8 +124,8 @@ type liveTransport struct{ Transport }
 // previous transport reports unhealthy — the redirect-following and
 // endpoint-sweeping logic is identical regardless of what the calls
 // ride, so the zero-copy fast paths (runtime.Linker's shm ring for
-// co-located leaders, mux streams for remote ones) plug in without
-// their own failover layer.
+// co-located leaders, framed TCP connections for remote ones) plug in
+// without their own failover layer.
 func NewFailover(endpoints []func() (Transport, error), opts FailoverOptions) *FailoverClient {
 	if len(endpoints) == 0 {
 		panic("rpc: failover client needs at least one endpoint")
@@ -144,24 +144,25 @@ func NewFailover(endpoints []func() (Transport, error), opts FailoverOptions) *F
 }
 
 // ConnEndpoint adapts a dial function to an endpoint factory: every
-// (re)build dials a fresh connection and returns one mux Stream on it
-// with a caller pool of callers (<=0: 8). The stream owns the
-// connection, so closing the stream closes the socket; a full server
-// queue sheds its overflow with ShedError instead of blocking.
+// (re)build dials a fresh connection and returns its Client, whose
+// default stream has a caller pool of callers (<=0: 8). Closing the
+// endpoint closes the socket; a full server queue sheds its overflow
+// with ShedError instead of blocking.
 func ConnEndpoint(dial func() (net.Conn, error), callers int) func() (Transport, error) {
+	if callers <= 0 {
+		callers = 8
+	}
 	return func() (Transport, error) {
 		conn, err := dial()
 		if err != nil {
 			return nil, err
 		}
-		s := NewClient(conn, callers).Stream(callers)
-		s.owns = true
-		return s, nil
+		return NewClient(conn, callers), nil
 	}
 }
 
 // DialFailover builds the hardened caller over TCP addresses, one
-// ConnEndpoint stream per endpoint.
+// ConnEndpoint connection per endpoint.
 func DialFailover(addrs []string, opts FailoverOptions) *FailoverClient {
 	endpoints := make([]func() (Transport, error), len(addrs))
 	for i, addr := range addrs {

@@ -304,9 +304,9 @@ func TestFailoverParkedCallersShareOneFailedBuild(t *testing.T) {
 	}
 }
 
-// DialFailover's endpoint is a mux stream that owns its connection:
-// after repeated rebuilds and Close, the server holds no connection. A
-// stream that only flagged itself closed would leave one per rebuild.
+// DialFailover's endpoint is a Client that owns its connection: after
+// repeated rebuilds and Close, the server holds no connection. An
+// endpoint that only flagged itself closed would leave one per rebuild.
 func TestDialFailoverStreamOwnsItsConnection(t *testing.T) {
 	srv := echoServer()
 	t.Cleanup(srv.Close)
@@ -322,9 +322,9 @@ func TestDialFailoverStreamOwnsItsConnection(t *testing.T) {
 		if out, err := fc.Call(context.Background(), "echo", []byte("x")); err != nil || string(out) != "x" {
 			t.Fatalf("call %d: %q, %v", i, out, err)
 		}
-		s, ok := fc.Endpoint(0).(*Stream)
-		if !ok || s.ID() == 0 {
-			t.Fatalf("endpoint 0 is %T, want a mux *Stream with a non-zero id", fc.Endpoint(0))
+		s, ok := fc.Endpoint(0).(*Client)
+		if !ok {
+			t.Fatalf("endpoint 0 is %T, want a *Client", fc.Endpoint(0))
 		}
 		if i < rebuilds {
 			s.Close() // force the next call to rebuild

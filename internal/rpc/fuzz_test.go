@@ -85,13 +85,14 @@ func FuzzShedRetryAfter(f *testing.F) {
 // its contract: arbitrary bytes never panic it, it rejects lengths
 // outside [11, maxFrame] and method lengths that run past the frame, and
 // it reads back exactly what each encoder wrote — kind, call id with its
-// stream bits, method, deadline prefix and payload.
+// stream bits, method, the request's deadline field and payload, in the
+// contiguous and the lent-payload form.
 func FuzzReadFrame(f *testing.F) {
-	valid, _ := encodeFrame(kindRequest, 7, "echo", []byte("x"))
+	valid, _ := encodeRequest(7, "echo", 0, []byte("x"), false)
 	f.Add(*valid, byte(kindRequest), uint16(0), uint64(7), "echo", int64(0), []byte("x"))
 	f.Add([]byte{0, 0, 0, 10, kindRequest}, byte(kindResponse), uint16(3), uint64(1), "", int64(0), []byte{})
 	f.Add([]byte{0, 0, 0, 11, kindRequest, 0, 0, 0, 0, 0, 0, 0, 1, 0, 9}, byte(kindError), uint16(0xFFFF), streamSeqMask, "m", int64(-1), []byte("boom"))
-	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF}, byte(kindRequestDL), uint16(1), uint64(42), "recognize", time.Now().UnixNano(), make([]byte, lendMin))
+	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF}, byte(kindRequest), uint16(1), uint64(42), "recognize", time.Now().UnixNano(), make([]byte, lendMin))
 	f.Fuzz(func(t *testing.T, raw []byte, kind byte, stream uint16, seq uint64, method string, dl int64, payload []byte) {
 		fr, err := readFrame(bytes.NewReader(raw))
 		if len(raw) >= 4 {
@@ -138,11 +139,14 @@ func FuzzReadFrame(f *testing.F) {
 		if buf, err := encodeFrame(kind, callID, method, payload); err == nil {
 			check("encodeFrame", *buf, kind, false)
 		}
-		if buf, err := encodeFrameDL(callID, method, dl, payload); err == nil {
-			check("encodeFrameDL", *buf, kindRequestDL, true)
+		if hdr, err := encode(kind, callID, method, nil, payload, true); err == nil {
+			check("encode lent", append(*hdr, payload...), kind, false)
 		}
-		if hdr, err := encodeLent(kind, callID, method, dl, payload); err == nil {
-			check("encodeLent", append(*hdr, payload...), kind, kind == kindRequestDL)
+		if buf, err := encodeRequest(callID, method, dl, payload, false); err == nil {
+			check("encodeRequest", *buf, kindRequest, true)
+		}
+		if hdr, err := encodeRequest(callID, method, dl, payload, true); err == nil {
+			check("encodeRequest lent", append(*hdr, payload...), kindRequest, true)
 		}
 	})
 }

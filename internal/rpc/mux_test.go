@@ -109,8 +109,8 @@ func TestMuxNoHeadOfLineBlocking(t *testing.T) {
 	floodWG.Wait()
 }
 
-// TestMuxPerStreamDeadline pins the deadline-propagation satellite: an
-// expired kindRequestDL on one stream is refused with the typed
+// TestMuxPerStreamDeadline pins deadline propagation per stream: an
+// expired request on one stream is refused with the typed
 // deadline error, while sibling streams on the same connection keep
 // working — no teardown, no stall.
 func TestMuxPerStreamDeadline(t *testing.T) {
@@ -135,8 +135,11 @@ func TestMuxPerStreamDeadline(t *testing.T) {
 
 	// Occupy the single worker so the deadline call queues and expires
 	// in the queue rather than being answered before its deadline.
-	holdDone := make(chan *Call, 1)
-	victim.Go("hold", nil, holdDone)
+	holdDone := make(chan error, 1)
+	go func() {
+		_, err := victim.CallSync("hold", nil)
+		holdDone <- err
+	}()
 	<-entered
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
@@ -161,12 +164,24 @@ func TestMuxPerStreamDeadline(t *testing.T) {
 	}
 }
 
-// TestMuxStreamOverflowSheds pins the no-blocking contract for mux
-// streams: when one stream's queue exceeds the worker bound, the
-// dispatcher sheds with the typed ShedError instead of blocking the
-// shared read loop, and the excess never executes out of order or
-// stalls siblings.
+// TestMuxStreamOverflowSheds pins the no-blocking contract for every
+// stream of a connection, its default stream 0 included: when one
+// stream's queue exceeds the worker bound, the dispatcher sheds with
+// the typed ShedError instead of blocking the shared read loop, and the
+// excess never executes out of order or stalls siblings.
 func TestMuxStreamOverflowSheds(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		flood func(c *Client) Transport
+	}{
+		{"mux-stream", func(c *Client) Transport { return c.Stream(32) }},
+		{"default-stream", func(c *Client) Transport { return c }},
+	} {
+		t.Run(tc.name, func(t *testing.T) { testStreamOverflowSheds(t, tc.flood) })
+	}
+}
+
+func testStreamOverflowSheds(t *testing.T, flood func(c *Client) Transport) {
 	srv := NewServer()
 	srv.SetWorkers(2)
 	release := make(chan struct{})
@@ -177,13 +192,13 @@ func TestMuxStreamOverflowSheds(t *testing.T) {
 	srv.Register("echo", func(p []byte) ([]byte, error) { return p, nil })
 	cc, sc := Pair()
 	srv.ServeConn(sc)
-	c := NewClient(cc, 64)
+	c := NewClient(cc, 32)
 	defer c.Close()
 	defer srv.Close()
 
-	// One mux stream with far more in-flight calls than workers+queue:
+	// One stream with far more in-flight calls than workers+queue:
 	// 2 run, 2 queue, the rest must shed.
-	s := c.Stream(32)
+	s := flood(c)
 	const calls = 24
 	results := make(chan error, calls)
 	var wg sync.WaitGroup
@@ -325,8 +340,8 @@ func TestStreamCloseLeavesConnAndSiblingsUp(t *testing.T) {
 	if _, err := victim.CallSync("echo", nil); !errors.Is(err, ErrClosed) {
 		t.Fatalf("call on a closed stream = %v, want ErrClosed", err)
 	}
-	if call := victim.Go("echo", nil, nil); !errors.Is((<-call.Done).Err, ErrClosed) {
-		t.Fatalf("Go on a closed stream = %v, want ErrClosed", call.Err)
+	if _, err := victim.Call(context.Background(), "echo", nil); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Call on a closed stream = %v, want ErrClosed", err)
 	}
 	if victim.Healthy() {
 		t.Fatal("closed stream reports healthy")

@@ -158,7 +158,7 @@ func TestServerDropsExpiredQueuedWork(t *testing.T) {
 	}
 }
 
-// Regression: the server skipped a deadline frame too short to hold its
+// Regression: the server skipped a request frame too short to hold its
 // deadline without replying, so the call hung until its own ctx fired
 // (forever for CallSync). It now tears the connection down, failing the
 // call at once.
@@ -170,16 +170,19 @@ func TestMalformedDeadlineFrameFailsPendingCall(t *testing.T) {
 	cl := NewClient(cc, 1)
 	defer cl.Close()
 
-	done := make(chan *Call, 1)
-	call := &Call{Method: "echo", Done: done}
+	call := getCall("echo")
 	cl.mu.Lock()
 	cl.pending[1] = call
 	cl.mu.Unlock()
-	go writeFrame(cc, frame{kind: kindRequestDL, callID: 1, method: "echo", payload: []byte{1, 2, 3}})
+	short, err := encodeFrame(kindRequest, 1, "echo", []byte{1, 2, 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	go cc.Write(*short)
 	select {
-	case <-done:
-		if !errors.Is(call.Err, ErrClosed) {
-			t.Fatalf("call on a malformed deadline frame: err = %v, want ErrClosed", call.Err)
+	case <-call.done:
+		if !errors.Is(call.err, ErrClosed) {
+			t.Fatalf("call on a malformed deadline frame: err = %v, want ErrClosed", call.err)
 		}
 	case <-time.After(time.Second):
 		t.Fatal("call on a malformed deadline frame never returned")

@@ -80,8 +80,8 @@ type ringReq struct {
 	method  string
 	payload []byte
 	ctx     context.Context
-	// deadlineNS mirrors the wire-propagated deadline of kindRequestDL:
-	// consumers drop the request unexecuted once it has passed.
+	// deadlineNS mirrors the deadline a framed request carries on the
+	// wire: consumers drop the request unexecuted once it has passed.
 	deadlineNS int64
 
 	reply []byte

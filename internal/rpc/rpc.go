@@ -8,8 +8,10 @@
 // The wire format is a simple length-prefixed frame:
 //
 //	uint32 frameLen | uint8 kind | uint64 callID | uint16 methodLen |
-//	method bytes    | payload bytes
+//	method bytes    | body bytes
 //
+// A request's body is an 8-byte absolute deadline (UnixNano, 0: none)
+// followed by the payload; every other kind's body is the payload.
 // Payloads are opaque []byte so the generated cross-task APIs can choose
 // their own encoding. Transports are anything that yields a net.Conn:
 // TCP between machines, net.Pipe in-process.
@@ -17,11 +19,12 @@
 // The data plane is built for throughput, the software stand-in for the
 // paper's FPGA RPC offload (§5.3): frame buffers come from a sync.Pool
 // and header+method+payload are gathered into a single write; each
-// connection owns a buffered, coalescing writer (writer.go) whose
-// flusher goroutine batches the frames queued behind an in-flight write
+// connection owns a buffered, coalescing writer (writer.go) whose one
+// flusher goroutine gathers every frame queued in a scheduling round
 // into one syscall; and each server connection runs handlers on a
 // bounded worker pool (worker.go) instead of a goroutine per request,
-// sized like the client's caller pool.
+// sized like the client's caller pool, shedding a stream's overflow
+// rather than blocking its read loop.
 //
 // Beyond request/response the protocol carries a cancel frame that
 // propagates client-side context cancellation into running server
@@ -45,25 +48,19 @@ import (
 	"time"
 )
 
-// Frame kinds.
+// Frame kinds. Servers skip any other kind.
 const (
+	// kindRequest carries the caller's absolute deadline ahead of its
+	// payload: wire-level deadline propagation. Servers drop a request
+	// whose deadline has already passed *before* executing it (see
+	// dispatcher.run), so an overloaded fleet stops burning capacity on
+	// responses nobody is waiting for.
 	kindRequest  = 1
 	kindResponse = 2
 	kindError    = 3
 	// kindCancel tells the server to cancel the context of the handler
 	// running callID (sent when the client's ctx fires first).
 	kindCancel = 4
-
-	// Kinds 5 and 6 are reserved (once ping/pong); servers skip them.
-
-	// kindRequestDL is a request whose body starts with an 8-byte
-	// absolute deadline (UnixNano) ahead of the payload: wire-level
-	// deadline propagation. Servers drop a request whose deadline has
-	// already passed *before* executing it (see dispatcher.run), so an
-	// overloaded fleet stops burning capacity on responses nobody is
-	// waiting for. Plain kindRequest frames remain valid (no deadline),
-	// so v1 clients interoperate unchanged.
-	kindRequestDL = 7
 )
 
 // maxFrame bounds a frame to 64 MiB: larger than any sensor batch the
@@ -72,10 +69,9 @@ const (
 const maxFrame = 64 << 20
 
 // Call ids carry the logical stream in their top 16 bits so one
-// connection can multiplex many streams without a wire-format change:
-// v1 peers simply echo the id back. Stream 0 is the connection's
-// default stream (plain Client calls); Client.Stream allocates the
-// rest.
+// connection can multiplex many streams; the server echoes the id
+// back. Stream 0 is the connection's default stream (the Client's own
+// calls); Client.Stream allocates the rest.
 const (
 	streamShift   = 48
 	streamSeqMask = (uint64(1) << streamShift) - 1
@@ -122,14 +118,6 @@ type CallObserver func(method string, payload []byte) func(err error)
 // produce the response. Interceptors time or trace the server side of
 // an RPC hop; method is a stable copy, safe to retain.
 type ServerInterceptor func(ctx context.Context, method string, payload []byte, next HandlerCtx) ([]byte, error)
-
-// frame describes one outgoing frame (write side).
-type frame struct {
-	kind    byte
-	callID  uint64
-	method  string
-	payload []byte
-}
 
 // rframe is one decoded incoming frame. method and payload alias the
 // frame's body buffer: method is only valid until the receiver moves
@@ -264,17 +252,6 @@ func (s *Server) attachRing(r *Ring) error {
 	return nil
 }
 
-// Methods returns the registered method names (unordered).
-func (s *Server) Methods() []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]string, 0, len(s.handlers))
-	for m := range s.handlers {
-		out = append(out, m)
-	}
-	return out
-}
-
 // Serve accepts connections on ln until the listener or server is
 // closed. It blocks; run it in a goroutine.
 func (s *Server) Serve(ln net.Listener) error {
@@ -336,23 +313,20 @@ func (s *Server) ServeConn(conn net.Conn) {
 			if err != nil {
 				return
 			}
-			var deadlineNS int64
-			switch f.kind {
-			case kindCancel:
+			if f.kind == kindCancel {
 				d.cancelCall(f.callID)
 				continue
-			case kindRequest:
-			case kindRequestDL:
-				if len(f.payload) < 8 {
-					// Malformed like the frames readFrame rejects: tear the
-					// connection down so every pending call fails at once.
-					return
-				}
-				deadlineNS = int64(binary.BigEndian.Uint64(f.payload[:8]))
-				f.payload = f.payload[8:]
-			default:
+			}
+			if f.kind != kindRequest {
 				continue
 			}
+			if len(f.payload) < 8 {
+				// Malformed like the frames readFrame rejects: tear the
+				// connection down so every pending call fails at once.
+				return
+			}
+			deadlineNS := int64(binary.BigEndian.Uint64(f.payload[:8]))
+			f.payload = f.payload[8:]
 			s.mu.RLock()
 			h, ok := s.handlers[string(f.method)] // alloc-free []byte map key
 			icept := s.interceptor
@@ -410,52 +384,44 @@ func (s *Server) Close() {
 	s.wg.Wait()
 }
 
-// Call is a pending RPC.
-type Call struct {
-	Method  string
-	Reply   []byte
-	Err     error
-	Done    chan *Call
+// pendingCall is one in-flight RPC. Records are pooled: done receives
+// exactly once per use and the caller drains it before putCall, so a
+// recycled record's channel is empty. Once a finisher has claimed fin
+// it alone writes reply/err, and the caller reads them after done.
+type pendingCall struct {
+	method  string
+	reply   []byte
+	err     error
+	done    chan struct{}
 	replyTo uint64
-	fin     atomic.Bool   // completion claimed; winner sets Err/Reply
+	fin     atomic.Bool   // completion claimed
 	sem     chan struct{} // caller-pool slot to return; nil if none held
 }
 
-// donePool recycles the internal completion channels of the blocking
-// call paths (Call/CallSync); each delivers exactly once, so a
-// received-from channel is empty and safe to reuse.
-var donePool = sync.Pool{New: func() any { return make(chan *Call, 1) }}
+var callPool = sync.Pool{New: func() any { return &pendingCall{done: make(chan struct{}, 1)} }}
 
-func getDone() chan *Call   { return donePool.Get().(chan *Call) }
-func putDone(ch chan *Call) { donePool.Put(ch) }
-
-// callPool recycles the Call records of the blocking call paths. A
-// call delivered on Done has exactly one finisher, so once the caller
-// has received it no other goroutine holds a reference. Calls returned
-// by Go escape to the user and are never pooled.
-var callPool = sync.Pool{New: func() any { return new(Call) }}
-
-func getCall(method string, done chan *Call) *Call {
-	call := callPool.Get().(*Call)
-	call.Method = method
-	call.Done = done
+func getCall(method string) *pendingCall {
+	call := callPool.Get().(*pendingCall)
+	call.method = method
 	return call
 }
 
-func putCall(call *Call) {
-	*call = Call{}
+func putCall(call *pendingCall) {
+	*call = pendingCall{done: call.done}
 	callPool.Put(call)
 }
 
 // Client issues calls over one connection, multiplexing concurrent
-// requests by call id. A semaphore of size callers bounds in-flight
-// calls, mirroring the paper's caller-thread pool: the slot is held
-// from send until the reply (or failure) arrives.
+// requests by call id. Its own Call/CallSync ride the connection's
+// default stream (stream 0), whose caller pool of size callers bounds
+// in-flight calls, mirroring the paper's caller-thread pool: the slot
+// is held from send until the reply (or failure) arrives.
 //
 // One connection can carry many logical streams: Stream carves an
 // independent caller pool out of the shared connection, and the server
 // dispatches queued work round-robin across streams, so a saturated
-// stream cannot head-of-line-block its siblings (see Stream).
+// stream cannot head-of-line-block its siblings (see Stream). Stream 0
+// is one of them: its overflow is shed like any other stream's.
 type Client struct {
 	conn   net.Conn
 	w      *connWriter
@@ -467,7 +433,7 @@ type Client struct {
 	s0         Stream
 
 	mu      sync.Mutex
-	pending map[uint64]*Call
+	pending map[uint64]*pendingCall
 	closed  bool
 	readErr error
 }
@@ -481,7 +447,7 @@ func NewClient(conn net.Conn, callers int) *Client {
 	c := &Client{
 		conn:    conn,
 		w:       newConnWriter(conn),
-		pending: make(map[uint64]*Call),
+		pending: make(map[uint64]*pendingCall),
 	}
 	c.s0 = Stream{c: c, sem: make(chan struct{}, callers)}
 	// A failed batch write carries the root cause of the teardown:
@@ -520,11 +486,11 @@ func (c *Client) readLoop() {
 		// removed it from pending, so these field writes cannot race.
 		switch f.kind {
 		case kindResponse:
-			call.Reply = f.payload
+			call.reply = f.payload
 		case kindError:
-			call.Err = ServerError(f.payload)
+			call.err = ServerError(f.payload)
 		default:
-			call.Err = fmt.Errorf("rpc: unexpected frame kind %d", f.kind)
+			call.err = fmt.Errorf("rpc: unexpected frame kind %d", f.kind)
 		}
 		call.finish()
 	}
@@ -550,7 +516,7 @@ func (c *Client) failAll(err error) {
 	}
 	cause := closeError(c.readErr)
 	pend := c.pending
-	c.pending = make(map[uint64]*Call)
+	c.pending = make(map[uint64]*pendingCall)
 	c.mu.Unlock()
 	if c.w != nil { // nil in white-box tests that never dial
 		c.w.close()
@@ -560,33 +526,29 @@ func (c *Client) failAll(err error) {
 	}
 }
 
-// deliver returns the caller-pool slot and hands the call to Done. Only
-// reached through once.Do.
-func (call *Call) deliver() {
+// deliver returns the caller-pool slot and signals done. Only the
+// finisher that claimed fin reaches it.
+func (call *pendingCall) deliver() {
 	if call.sem != nil {
 		<-call.sem
 	}
-	select {
-	case call.Done <- call:
-	default:
-		// Done channel must be buffered; drop rather than block.
-	}
+	call.done <- struct{}{}
 }
 
-// finish completes a call whose Reply/Err its exclusive finisher
+// finish completes a call whose reply/err its exclusive finisher
 // already set; exactly one deliver runs.
-func (call *Call) finish() {
+func (call *pendingCall) finish() {
 	if call.fin.CompareAndSwap(false, true) {
 		call.deliver()
 	}
 }
 
-// fail completes a call with err unless it already completed. Err is
+// fail completes a call with err unless it already completed. err is
 // only written by the claim winner, so concurrent finishers cannot
 // race on the field.
-func (call *Call) fail(err error) {
+func (call *pendingCall) fail(err error) {
 	if call.fin.CompareAndSwap(false, true) {
-		call.Err = err
+		call.err = err
 		call.deliver()
 	}
 }
@@ -598,12 +560,14 @@ func (c *Client) Healthy() bool {
 	return !c.closed
 }
 
-// start registers and sends one request frame for call, which must
-// carry its Method and a buffered Done channel. It first reserves a
-// slot in the caller pool sem (held until the call finishes). stream
-// tags the call id with a logical stream so the server's dispatcher
-// can schedule streams fairly.
-func (c *Client) start(ctx context.Context, call *Call, payload []byte, sem chan struct{}, stream uint16) *Call {
+// start registers and sends one request frame for call. It first
+// reserves a slot in the caller pool sem (held until the call
+// finishes). stream tags the call id with a logical stream so the
+// server's dispatcher can schedule streams fairly. The frame goes to
+// the connection's flusher, which coalesces concurrent callers' frames
+// into one writev per scheduling round; a failed write surfaces
+// through connection teardown.
+func (c *Client) start(ctx context.Context, call *pendingCall, payload []byte, sem chan struct{}, stream uint16) {
 	if ctx.Done() == nil {
 		// Background context: plain send, no select machinery.
 		sem <- struct{}{}
@@ -614,7 +578,7 @@ func (c *Client) start(ctx context.Context, call *Call, payload []byte, sem chan
 			call.sem = sem
 		case <-ctx.Done():
 			call.fail(ctx.Err())
-			return call
+			return
 		}
 	}
 	c.mu.Lock()
@@ -622,49 +586,30 @@ func (c *Client) start(ctx context.Context, call *Call, payload []byte, sem chan
 		err := closeError(c.readErr)
 		c.mu.Unlock()
 		call.fail(err)
-		return call
+		return
 	}
 	id := uint64(stream)<<streamShift | c.nextID.Add(1)&streamSeqMask
 	call.replyTo = id
 	c.pending[id] = call
 	c.mu.Unlock()
 
-	var buf *[]byte
-	var err error
-	kind, dlNS := byte(kindRequest), int64(0)
-	if dl, hasDL := ctx.Deadline(); hasDL {
+	var dlNS int64
+	if dl, ok := ctx.Deadline(); ok {
 		// Propagate the caller's absolute deadline on the wire so the
 		// server can drop the request unexecuted once it expires.
-		kind = kindRequestDL
 		dlNS = dl.UnixNano()
 	}
-	// Stream 0 flushes inline: an idle writer writes on this goroutine
-	// with no handoff latency, and reports the write error
-	// synchronously. Mux streams enqueue asynchronously instead — their
-	// callers park right after sending, so routing every stream's
-	// frames through the flusher coalesces the concurrent streams'
-	// frames into one writev per scheduling round rather than one
-	// syscall per call (pipelined throughput is what streams exist
-	// for); failures surface through connection teardown.
-	inline := stream == 0
+	// Zero-copy send for large payloads: encode only the header into a
+	// pooled buffer and lend the caller's payload to the writer, which
+	// gathers the two into the socket with writev. The payload must
+	// stay unmutated until the call completes.
+	var lent []byte
 	if len(payload) >= lendMin {
-		// Zero-copy send: encode only the header into a pooled buffer
-		// and lend the caller's payload to the writer, which gathers
-		// the two into the socket with writev. The payload must stay
-		// unmutated until the call completes (see Go).
-		buf, err = encodeLent(kind, id, call.Method, dlNS, payload)
-		if err == nil {
-			err = c.w.enqueueVec(buf, payload, inline)
-		}
-	} else {
-		if kind == kindRequestDL {
-			buf, err = encodeFrameDL(id, call.Method, dlNS, payload)
-		} else {
-			buf, err = encodeFrame(kind, id, call.Method, payload)
-		}
-		if err == nil {
-			err = c.w.enqueue(buf, inline)
-		}
+		lent = payload
+	}
+	buf, err := encodeRequest(id, call.method, dlNS, payload, lent != nil)
+	if err == nil {
+		err = c.w.enqueueVec(buf, lent)
 	}
 	if err != nil {
 		c.mu.Lock()
@@ -672,19 +617,13 @@ func (c *Client) start(ctx context.Context, call *Call, payload []byte, sem chan
 		c.mu.Unlock()
 		call.fail(err)
 	}
-	return call
-}
-
-// Go starts an asynchronous call on stream 0 (see Stream.Go).
-func (c *Client) Go(method string, payload []byte, done chan *Call) *Call {
-	return c.s0.Go(method, payload, done)
 }
 
 // abort removes a call whose context fired before the reply and tells
 // the server to cancel the handler (best effort). If the reply (or a
 // connection teardown) already claimed the call, abort leaves its
 // result alone — the imminent deliver supplies it.
-func (c *Client) abort(call *Call, err error) {
+func (c *Client) abort(call *pendingCall, err error) {
 	c.mu.Lock()
 	_, pendingStill := c.pending[call.replyTo]
 	delete(c.pending, call.replyTo)
@@ -695,7 +634,7 @@ func (c *Client) abort(call *Call, err error) {
 	}
 	if !closed {
 		if buf, encErr := encodeFrame(kindCancel, call.replyTo, "", nil); encErr == nil {
-			c.w.enqueue(buf, true)
+			c.w.enqueue(buf)
 		}
 	}
 	call.fail(err)

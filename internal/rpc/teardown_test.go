@@ -77,11 +77,14 @@ func TestWriterTeardownFailsQueuedCallsWithRootCause(t *testing.T) {
 	c := NewClient(conn, 16)
 	defer c.Close()
 
-	// Call 1's frame claims the writer and blocks inside Write. The
-	// inline flush happens on the enqueueing goroutine, so issue it off
-	// the test goroutine.
-	firstDone := make(chan *Call, 1)
-	go c.Go("echo", []byte("a"), firstDone)
+	call := func(done chan<- error) {
+		_, err := c.CallSync("echo", []byte("q"))
+		done <- err
+	}
+
+	// Call 1's frame is taken by the flusher, which blocks inside Write.
+	firstDone := make(chan error, 1)
+	go call(firstDone)
 	deadline := time.Now().Add(5 * time.Second)
 	for !conn.entered() {
 		if time.Now().After(deadline) {
@@ -92,9 +95,23 @@ func TestWriterTeardownFailsQueuedCallsWithRootCause(t *testing.T) {
 
 	// Calls 2..5 queue behind the in-flight write; their batch's write
 	// will fail.
-	queued := make([]*Call, 0, 4)
-	for i := 0; i < 4; i++ {
-		queued = append(queued, c.Go("echo", []byte("q"), make(chan *Call, 1)))
+	const queuedCalls = 4
+	queued := make([]chan error, queuedCalls)
+	for i := range queued {
+		queued[i] = make(chan error, 1)
+		go call(queued[i])
+	}
+	for {
+		c.w.mu.Lock()
+		n := len(c.w.queue)
+		c.w.mu.Unlock()
+		if n == queuedCalls {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d calls queued behind the blocked write", n, queuedCalls)
+		}
+		time.Sleep(100 * time.Microsecond)
 	}
 
 	close(gate) // write 1 completes; the queued batch then fails
@@ -102,8 +119,8 @@ func TestWriterTeardownFailsQueuedCallsWithRootCause(t *testing.T) {
 	// The first call's frame hit the wire before the failure; with the
 	// conn torn down it fails with a close error (no reply can arrive).
 	select {
-	case res := <-firstDone:
-		if res.Err == nil {
+	case err := <-firstDone:
+		if err == nil {
 			t.Fatal("call on dead conn succeeded")
 		}
 	case <-time.After(5 * time.Second):
@@ -112,17 +129,17 @@ func TestWriterTeardownFailsQueuedCallsWithRootCause(t *testing.T) {
 
 	// The queued-but-unflushed calls must fail promptly AND carry the
 	// root cause.
-	for i, call := range queued {
+	for i, done := range queued {
 		select {
-		case res := <-call.Done:
-			if res.Err == nil {
+		case err := <-done:
+			if err == nil {
 				t.Fatalf("queued call %d succeeded although its frame never hit the wire", i)
 			}
-			if !strings.Contains(res.Err.Error(), rootCause.Error()) {
-				t.Fatalf("queued call %d lost the root cause: %v", i, res.Err)
+			if !strings.Contains(err.Error(), rootCause.Error()) {
+				t.Fatalf("queued call %d lost the root cause: %v", i, err)
 			}
-			if !errors.Is(res.Err, ErrClosed) {
-				t.Fatalf("queued call %d error is not a close error: %v", i, res.Err)
+			if !errors.Is(err, ErrClosed) {
+				t.Fatalf("queued call %d error is not a close error: %v", i, err)
 			}
 		case <-time.After(5 * time.Second):
 			t.Fatalf("queued call %d stranded: teardown did not fail pending calls", i)
@@ -135,9 +152,8 @@ func TestWriterTeardownFailsQueuedCallsWithRootCause(t *testing.T) {
 	}
 }
 
-// TestWriterTeardownImmediateFailure covers the inline path: when the
-// very first write fails (no gate, no queue), the caller gets the root
-// cause synchronously.
+// TestWriterTeardownImmediateFailure: when the very first write fails
+// (no gate, no queue), the waiting caller fails with the root cause.
 func TestWriterTeardownImmediateFailure(t *testing.T) {
 	rootCause := errors.New("broken pipe on first write")
 	conn := newErrConn(nil, 0, rootCause)
@@ -149,7 +165,7 @@ func TestWriterTeardownImmediateFailure(t *testing.T) {
 		t.Fatal("call over failing conn succeeded")
 	}
 	if !strings.Contains(err.Error(), rootCause.Error()) {
-		t.Fatalf("inline write failure lost the root cause: %v", err)
+		t.Fatalf("first-write failure lost the root cause: %v", err)
 	}
 }
 
@@ -237,11 +253,11 @@ func TestLentBuffersNeverPooled(t *testing.T) {
 	for i := range lent {
 		lent[i] = byte(i)
 	}
-	hdr, err := encodeLent(kindRequest, 7, "m", 0, lent)
+	hdr, err := encode(kindResponse, 7, "m", nil, lent, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.enqueueVec(hdr, lent, true); err != nil {
+	if err := w.enqueueVec(hdr, lent); err != nil {
 		t.Fatal(err)
 	}
 

@@ -10,10 +10,11 @@ import "context"
 //     no serialization, no syscalls, sub-microsecond round trips
 //     (the software realization of the paper's §4.4 shared-memory
 //     communication between functions on one node);
-//   - *Stream: one logical stream multiplexed over a shared TCP
-//     connection with writev buffer lending (the §4.5 RPC offload
-//     stand-in);
-//   - *Client: a whole framed connection (stream 0).
+//   - *Client: a framed TCP connection with writev buffer lending (the
+//     §4.5 RPC offload stand-in), calling on its default stream — what
+//     ConnEndpoint builds, so what every TCP caller rides;
+//   - *Stream: one more logical stream multiplexed over a Client's
+//     connection, with its own caller pool.
 //
 // The hardened caller (FailoverClient) wraps a Transport's failure
 // modes rather than implementing it: it adds retries, rebuilds and
@@ -26,8 +27,8 @@ type Transport interface {
 	// Healthy reports whether the transport can still carry calls.
 	Healthy() bool
 	// Close tears the transport down: later calls return ErrClosed and
-	// Healthy reports false (for a Stream: only the stream, unless it
-	// owns its connection; sibling streams on a shared one stay up).
+	// Healthy reports false (for a Stream: only the stream; the
+	// connection and sibling streams stay up).
 	Close() error
 }
 

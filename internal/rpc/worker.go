@@ -142,17 +142,14 @@ func (q *streamQ) size() int { return len(q.tasks) - q.head }
 // had. Workers are spawned lazily, so an idle connection costs one
 // goroutine (the read loop), not max+1.
 //
-// Backpressure differs by stream. Stream 0 (the plain Client path)
-// keeps the original contract: once max tasks are queued, submit
-// blocks the read loop, which in turn backpressures the peer through
-// TCP — v1 behaviour exactly. Multiplexed streams must never block the
-// shared read loop (that would stall the very siblings multiplexing is
-// meant to isolate), so a mux stream whose queue is full has its
-// request shed with a typed ShedError instead — the same vocabulary
-// the admission layer uses, so IsShed handling applies unchanged. A
-// stream whose caller pool exceeds the worker bound can reach it (a
-// DialFailover caller with Callers: 1024); FailoverStats.Shed counts
-// every shed the caller sees.
+// Backpressure is one rule for every stream, the default stream 0
+// included: the read loop never blocks (that would stall the very
+// siblings multiplexing is meant to isolate), so a request whose
+// stream already has max tasks queued is shed with a typed ShedError —
+// the same vocabulary the admission layer uses, so IsShed handling
+// applies unchanged. A stream whose caller pool exceeds the worker
+// bound can reach it (a DialFailover caller with Callers: 1024);
+// FailoverStats.Shed counts every shed the caller sees.
 //
 // Cancel frames are never routed through the pool — the read loop
 // services them directly — so cancellation stays responsive while
@@ -163,11 +160,9 @@ type dispatcher struct {
 
 	mu      sync.Mutex
 	workC   *sync.Cond // workers wait here for queued tasks
-	spaceC  *sync.Cond // stream-0 submit waits here for queue space
 	queues  map[uint16]*streamQ
 	rr      []*streamQ // round-robin list of streams with queued tasks
 	rrIdx   int
-	queued0 int // stream 0's queued tasks (blocking-backpressure bound)
 	spawned int
 	idle    int
 	closed  bool
@@ -193,7 +188,6 @@ func newDispatcher(w *connWriter, workers int) *dispatcher {
 		inflight: make(map[uint64]*reqCtx),
 	}
 	d.workC = sync.NewCond(&d.mu)
-	d.spaceC = sync.NewCond(&d.mu)
 	return d
 }
 
@@ -261,10 +255,6 @@ func (d *dispatcher) next() (task, bool) {
 		} else {
 			d.rrIdx++
 		}
-		if t.stream == 0 {
-			d.queued0--
-			d.spaceC.Signal()
-		}
 		return t, true
 	}
 	return task{}, false
@@ -272,25 +262,16 @@ func (d *dispatcher) next() (task, bool) {
 
 // submit hands one request to the pool. A new worker is spawned only
 // when none is idle and the pool is below its bound; otherwise the
-// task queues under its stream. Stream 0 blocks the caller once max
-// tasks are queued (read-loop backpressure, the v1 contract); a mux
-// stream with a full queue sheds instead, because blocking would stall
-// every sibling stream sharing the read loop.
+// task queues under its stream. A stream with max tasks already queued
+// sheds instead: blocking would stall every sibling stream sharing the
+// read loop.
 func (d *dispatcher) submit(t task) {
 	d.mu.Lock()
 	if d.closed {
 		d.mu.Unlock()
 		return
 	}
-	if t.stream == 0 {
-		for d.queued0 >= d.max && !d.closed {
-			d.spaceC.Wait()
-		}
-		if d.closed {
-			d.mu.Unlock()
-			return
-		}
-	} else if q := d.queues[t.stream]; q != nil && q.size() >= d.max {
+	if q := d.queues[t.stream]; q != nil && q.size() >= d.max {
 		d.mu.Unlock()
 		d.refuse(t, shedResponse)
 		return
@@ -309,9 +290,6 @@ func (d *dispatcher) submit(t task) {
 		d.queues[t.stream] = q
 	}
 	q.push(t)
-	if t.stream == 0 {
-		d.queued0++
-	}
 	d.markReady(q)
 	if d.idle > 0 {
 		d.workC.Signal()
@@ -330,7 +308,6 @@ func (d *dispatcher) close() {
 	d.mu.Lock()
 	d.closed = true
 	d.workC.Broadcast()
-	d.spaceC.Broadcast()
 	d.mu.Unlock()
 }
 
@@ -368,7 +345,7 @@ const (
 )
 
 // refuse answers a request with a typed error without executing it:
-// shedResponse for a full mux-stream queue, expiredResponse for a
+// shedResponse for a full stream queue, expiredResponse for a
 // propagated deadline that passed while the request queued.
 func (d *dispatcher) refuse(t task, why int) {
 	if t.ctx != nil {
@@ -382,7 +359,7 @@ func (d *dispatcher) refuse(t task, why int) {
 		msg = (&DeadlineExceededError{Late: expiredBy(t.deadlineNS)}).Error()
 	}
 	if buf, err := encodeFrame(kindError, t.callID, "", []byte(msg)); err == nil {
-		d.w.enqueue(buf, t.stream == 0)
+		d.w.enqueue(buf)
 	}
 }
 
@@ -417,18 +394,13 @@ func (d *dispatcher) run(t task) {
 	} else {
 		out = res
 	}
-	// Stream-0 responses flush inline (lowest latency when the writer
-	// is idle); mux-stream responses route through the flusher so
-	// concurrent streams' responses coalesce into one writev per round
-	// instead of one syscall per response (see Client.start).
-	inline := t.stream == 0
 	if kind == kindResponse && len(out) >= lendMin {
 		// Large response: lend the handler's result to the writer so it
 		// is gathered into the socket without an intermediate copy. The
 		// handler surrendered the slice by returning it, so nothing
 		// mutates it while the write is in flight.
-		if buf, err := encodeLent(kindResponse, t.callID, "", 0, out); err == nil {
-			d.w.enqueueVec(buf, out, inline)
+		if buf, err := encode(kindResponse, t.callID, "", nil, out, true); err == nil {
+			d.w.enqueueVec(buf, out)
 			return
 		}
 	}
@@ -440,5 +412,5 @@ func (d *dispatcher) run(t task) {
 			return
 		}
 	}
-	d.w.enqueue(buf, inline) // best effort: teardown surfaces via read loops
+	d.w.enqueue(buf) // best effort: teardown surfaces via read loops
 }

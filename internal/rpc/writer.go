@@ -1,9 +1,9 @@
 package rpc
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"runtime"
 	"sync"
@@ -83,9 +83,6 @@ func getBufFor(n int) *[]byte {
 	return &b
 }
 
-// getBuf returns a small pooled buffer (the common frame case).
-func getBuf() *[]byte { return getBufFor(0) }
-
 // putBuf files a buffer back under its size class. Buffers above
 // maxPooledBuf are left to the GC. Lent payload slices are caller
 // owned and must never be passed here — only buffers that came from
@@ -109,15 +106,9 @@ func putBuf(b *[]byte) {
 	bufPools[ci].Put(b)
 }
 
-// appendFrame appends one encoded frame to dst and returns the
-// extended slice. The caller owns dst; nothing is retained.
-func appendFrame(dst []byte, kind byte, callID uint64, method string, payload []byte) ([]byte, error) {
-	return appendFrame2(dst, kind, callID, method, nil, payload)
-}
-
-// appendHdr appends the fixed frame prefix for a body of bodyLen
-// bytes (kind+callID+methodLen+method+prefix+payload) plus the method
-// name and optional prefix — everything except the payload itself.
+// appendHdr appends everything of a frame but its payload: the fixed
+// prefix (whose length field counts a payloadLen-byte payload), the
+// method name and the body prefix.
 func appendHdr(dst []byte, kind byte, callID uint64, method string, prefix []byte, payloadLen int) ([]byte, error) {
 	if len(method) > 0xFFFF {
 		return dst, errors.New("rpc: method name too long")
@@ -127,111 +118,52 @@ func appendHdr(dst []byte, kind byte, callID uint64, method string, prefix []byt
 		return dst, fmt.Errorf("rpc: frame of %d bytes exceeds limit", n)
 	}
 	var hdr [frameHdrLen]byte
-	hdr[0] = byte(n >> 24)
-	hdr[1] = byte(n >> 16)
-	hdr[2] = byte(n >> 8)
-	hdr[3] = byte(n)
+	binary.BigEndian.PutUint32(hdr[0:4], uint32(n))
 	hdr[4] = kind
-	hdr[5] = byte(callID >> 56)
-	hdr[6] = byte(callID >> 48)
-	hdr[7] = byte(callID >> 40)
-	hdr[8] = byte(callID >> 32)
-	hdr[9] = byte(callID >> 24)
-	hdr[10] = byte(callID >> 16)
-	hdr[11] = byte(callID >> 8)
-	hdr[12] = byte(callID)
-	hdr[13] = byte(len(method) >> 8)
-	hdr[14] = byte(len(method))
+	binary.BigEndian.PutUint64(hdr[5:13], callID)
+	binary.BigEndian.PutUint16(hdr[13:15], uint16(len(method)))
 	dst = append(dst, hdr[:]...)
 	dst = append(dst, method...)
 	dst = append(dst, prefix...)
 	return dst, nil
 }
 
-// appendFrame2 is appendFrame with the body split in two parts (prefix
-// then payload), gathered into one contiguous frame without an
-// intermediate concatenation.
-func appendFrame2(dst []byte, kind byte, callID uint64, method string, prefix, payload []byte) ([]byte, error) {
-	dst, err := appendHdr(dst, kind, callID, method, prefix, len(payload))
-	if err != nil {
-		return dst, err
+// encode renders one frame into a pooled buffer: header, method, body
+// prefix and payload. With lend set the payload is left out — only
+// counted in the frame length — because it rides to the socket as its
+// own gather vector (see wframe).
+func encode(kind byte, callID uint64, method string, prefix, payload []byte, lend bool) (*[]byte, error) {
+	n := frameHdrLen + len(method) + len(prefix)
+	if !lend {
+		n += len(payload)
 	}
-	return append(dst, payload...), nil
-}
-
-// encodeFrame encodes one frame into a pooled buffer.
-func encodeFrame(kind byte, callID uint64, method string, payload []byte) (*[]byte, error) {
-	buf := getBufFor(frameHdrLen + len(method) + len(payload))
-	b, err := appendFrame((*buf)[:0], kind, callID, method, payload)
-	if err != nil {
-		putBuf(buf)
-		return nil, err
-	}
-	*buf = b
-	return buf, nil
-}
-
-// encodeDL renders the 8-byte absolute-deadline body prefix of a
-// kindRequestDL frame.
-func encodeDL(deadlineNS int64) [8]byte {
-	var dl [8]byte
-	dl[0] = byte(deadlineNS >> 56)
-	dl[1] = byte(deadlineNS >> 48)
-	dl[2] = byte(deadlineNS >> 40)
-	dl[3] = byte(deadlineNS >> 32)
-	dl[4] = byte(deadlineNS >> 24)
-	dl[5] = byte(deadlineNS >> 16)
-	dl[6] = byte(deadlineNS >> 8)
-	dl[7] = byte(deadlineNS)
-	return dl
-}
-
-// encodeFrameDL encodes a kindRequestDL frame: the absolute deadline
-// (UnixNano) rides as an 8-byte prefix of the frame body, ahead of the
-// payload, so deadline propagation costs no extra copy of the payload.
-func encodeFrameDL(callID uint64, method string, deadlineNS int64, payload []byte) (*[]byte, error) {
-	dl := encodeDL(deadlineNS)
-	buf := getBufFor(frameHdrLen + len(method) + 8 + len(payload))
-	b, err := appendFrame2((*buf)[:0], kindRequestDL, callID, method, dl[:], payload)
-	if err != nil {
-		putBuf(buf)
-		return nil, err
-	}
-	*buf = b
-	return buf, nil
-}
-
-// encodeLent encodes the pooled header part of a frame whose payload
-// is lent: the returned buffer carries length prefix, kind, call id,
-// method and the optional deadline prefix, with the frame length
-// accounting for the payload that will ride as its own gather vector.
-func encodeLent(kind byte, callID uint64, method string, deadlineNS int64, payload []byte) (*[]byte, error) {
-	var prefix []byte
-	var dl [8]byte
-	if kind == kindRequestDL {
-		dl = encodeDL(deadlineNS)
-		prefix = dl[:]
-	}
-	buf := getBuf()
+	buf := getBufFor(n)
 	b, err := appendHdr((*buf)[:0], kind, callID, method, prefix, len(payload))
 	if err != nil {
 		putBuf(buf)
 		return nil, err
 	}
+	if !lend {
+		b = append(b, payload...)
+	}
 	*buf = b
 	return buf, nil
 }
 
-// writeFrame encodes and writes one frame as a single Write. It is the
-// unbatched slow path, kept for tests and one-shot writers.
-func writeFrame(w io.Writer, f frame) error {
-	buf, err := encodeFrame(f.kind, f.callID, f.method, f.payload)
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(*buf)
-	putBuf(buf)
-	return err
+// encodeFrame encodes one whole response, error or cancel frame into a
+// pooled buffer.
+func encodeFrame(kind byte, callID uint64, method string, payload []byte) (*[]byte, error) {
+	return encode(kind, callID, method, nil, payload, false)
+}
+
+// encodeRequest encodes a request frame, whose body starts with the
+// caller's absolute deadline (UnixNano, 0: none) as 8 bytes ahead of
+// the payload; with lend set the payload is left to the writer's
+// gather path.
+func encodeRequest(callID uint64, method string, deadlineNS int64, payload []byte, lend bool) (*[]byte, error) {
+	var dl [8]byte
+	binary.BigEndian.PutUint64(dl[:], uint64(deadlineNS))
+	return encode(kindRequest, callID, method, dl[:], payload, lend)
 }
 
 // wframe is one queued outgoing frame: a pooled buffer holding the
@@ -245,14 +177,14 @@ type wframe struct {
 }
 
 // connWriter is the per-connection buffered, coalescing write half of
-// the data plane. Complete encoded frames are queued under a mutex;
-// whoever finds the writer idle flushes the first batch inline (an
-// idle enqueue hits the wire with no handoff latency), and frames that
-// arrive while a write syscall is in flight are handed to the
-// dedicated flusher goroutine, which gathers everything queued into
-// one scatter-gather syscall per round. Frames are only ever written
-// whole and in enqueue order, so a batch can never interleave partial
-// frames or reorder a response after a teardown.
+// the data plane. Complete encoded frames are queued under a mutex and
+// written by one dedicated flusher goroutine, which gathers everything
+// queued into one scatter-gather syscall per round: concurrent
+// callers' requests and concurrent workers' responses share a writev
+// instead of paying a syscall each. Frames are only ever written whole
+// and in enqueue order, so a batch can never interleave partial frames
+// or reorder a response after a teardown. A write error tears the
+// connection down and surfaces through onErr.
 type connWriter struct {
 	conn net.Conn
 
@@ -262,14 +194,13 @@ type connWriter struct {
 	// reason instead of stranding them until a read-side timeout.
 	onErr func(error)
 
-	mu      sync.Mutex
-	cond    *sync.Cond // signals the flusher on handoff or close
-	queue   []wframe   // complete encoded frames, FIFO
-	free    []wframe   // recycled queue backing array (len 0)
-	active  bool       // some goroutine is draining the queue
-	handoff bool       // the flusher owns the next drain
-	err     error      // sticky first write error
-	closed  bool
+	mu     sync.Mutex
+	cond   *sync.Cond // wakes the flusher on work or close
+	queue  []wframe   // complete encoded frames, FIFO
+	free   []wframe   // recycled queue backing array (len 0)
+	active bool       // the flusher is draining the queue
+	err    error      // sticky first write error
+	closed bool
 }
 
 func newConnWriter(conn net.Conn) *connWriter {
@@ -281,19 +212,16 @@ func newConnWriter(conn net.Conn) *connWriter {
 
 // enqueue queues one pooled encoded frame for writing and takes
 // ownership of buf.
-func (w *connWriter) enqueue(buf *[]byte, inline bool) error {
-	return w.enqueueVec(buf, nil, inline)
+func (w *connWriter) enqueue(buf *[]byte) error {
+	return w.enqueueVec(buf, nil)
 }
 
 // enqueueVec queues a frame whose header lives in the pooled buf and
 // whose payload (may be nil) is lent by the caller: the two are
-// gathered by the write path without copying the payload. If inline
-// is true and the writer is idle, the calling goroutine performs the
-// first flush itself and the returned error reflects the write;
-// otherwise errors surface asynchronously through connection teardown.
-// Callers whose goroutine must never block on a syscall (the server
-// read loop answering pings) pass inline=false.
-func (w *connWriter) enqueueVec(buf *[]byte, lent []byte, inline bool) error {
+// gathered by the write path without copying the payload. It never
+// blocks on the socket; it fails only once the writer is closed or a
+// write has failed.
+func (w *connWriter) enqueueVec(buf *[]byte, lent []byte) error {
 	w.mu.Lock()
 	if w.closed || w.err != nil {
 		err := w.err
@@ -305,34 +233,22 @@ func (w *connWriter) enqueueVec(buf *[]byte, lent []byte, inline bool) error {
 		return err
 	}
 	w.queue = append(w.queue, wframe{buf: buf, lent: lent})
-	if w.active {
-		// A drain is in flight; it will pick this frame up.
-		w.mu.Unlock()
-		return nil
-	}
-	w.active = true
-	if !inline {
-		w.handoff = true
+	if !w.active {
+		// The flusher is parked; an active one picks the frame up.
+		w.active = true
 		w.cond.Signal()
-		w.mu.Unlock()
-		return nil
 	}
 	w.mu.Unlock()
-	w.drain(1)
-	w.mu.Lock()
-	err := w.err
-	w.mu.Unlock()
-	return err
+	return nil
 }
 
-// flusher is the dedicated writer goroutine: it sleeps until a drain
-// is handed off (frames queued up behind an inline write, or an async
-// enqueue) and then batches the whole queue into as few syscalls as
+// flusher is the dedicated writer goroutine: it sleeps until a frame
+// is queued and then batches the whole queue into as few syscalls as
 // possible. It exits on close.
 func (w *connWriter) flusher() {
 	w.mu.Lock()
 	for {
-		for !w.handoff && !w.closed {
+		for !w.active && !w.closed {
 			w.cond.Wait()
 		}
 		if w.closed {
@@ -343,38 +259,29 @@ func (w *connWriter) flusher() {
 			w.mu.Unlock()
 			return
 		}
-		w.handoff = false
 		w.mu.Unlock()
 		// One scheduler yield before draining: every runnable producer
-		// (mux callers about to park, workers finishing responses) gets
-		// to enqueue its frame first, so the drain below gathers a whole
+		// (callers about to park, workers finishing responses) gets to
+		// enqueue its frame first, so the drain below gathers a whole
 		// scheduling round into one writev instead of issuing a syscall
 		// per frame. Costs one yield per batch, saves N-1 syscalls.
 		runtime.Gosched()
-		w.drain(0)
+		w.drain()
 		w.mu.Lock()
 	}
 }
 
-// drain writes queued batches until the queue empties or, when
-// rounds > 0, that many batches were written — the remainder is then
-// handed to the flusher so the inline caller returns after one
-// syscall. The caller must have claimed w.active.
-func (w *connWriter) drain(rounds int) {
+// drain writes queued batches until the queue empties, then clears
+// w.active.
+func (w *connWriter) drain() {
 	var spent []wframe // batch array to recycle into w.free
-	for n := 0; ; n++ {
+	for {
 		w.mu.Lock()
 		if spent != nil && w.free == nil && cap(spent) <= 1024 {
 			w.free = spent[:0]
 		}
 		if w.err != nil || w.closed || len(w.queue) == 0 {
 			w.active = false
-			w.mu.Unlock()
-			return
-		}
-		if rounds > 0 && n >= rounds {
-			w.handoff = true
-			w.cond.Signal()
 			w.mu.Unlock()
 			return
 		}

@@ -15,10 +15,10 @@ const (
 	// TransportRing is the in-process shared-memory ring: no frames, no
 	// serialization, no syscalls. Selected for co-located tiers.
 	TransportRing TransportKind = iota
-	// TransportStream is a mux stream that owns its TCP connection:
-	// frames coalesce into writev batches, and a full server queue sheds
-	// the overflow with rpc.ShedError instead of blocking. Selected for
-	// remote tiers.
+	// TransportStream is a framed TCP connection of the link's own
+	// (rpc.ConnEndpoint): frames coalesce into writev batches, and a
+	// full server queue sheds the overflow with rpc.ShedError instead of
+	// blocking. Selected for remote tiers.
 	TransportStream
 )
 
@@ -60,9 +60,9 @@ type LinkerOptions struct {
 const linkCallers = 64
 
 // Linker owns a tier's outbound links and picks the fast path per peer:
-// a shared-memory ring when the peer gateway is in this process, a mux
-// stream that owns its own TCP connection otherwise (rpc.ConnEndpoint,
-// the one factory every TCP caller builds through).
+// a shared-memory ring when the peer gateway is in this process, a
+// framed TCP connection of its own otherwise (rpc.ConnEndpoint, the
+// one factory every TCP caller builds through).
 type Linker struct {
 	opts LinkerOptions
 

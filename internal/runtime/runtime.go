@@ -320,22 +320,6 @@ func safeCall(ctx context.Context, fn Function, input []byte) (out []byte, err e
 	return fn(ctx, input)
 }
 
-// Go runs an invocation asynchronously.
-func (r *Runtime) Go(ctx context.Context, name string, input []byte) <-chan InvocationOutcome {
-	ch := make(chan InvocationOutcome, 1)
-	go func() {
-		res, err := r.Invoke(ctx, name, input)
-		ch <- InvocationOutcome{Result: res, Err: err}
-	}()
-	return ch
-}
-
-// InvocationOutcome pairs a result with its error for async delivery.
-type InvocationOutcome struct {
-	Result Result
-	Err    error
-}
-
 // Chain runs a pipeline of functions, passing each output to the next
 // through the document store (each tier's output is persisted under
 // "out/<fn>/<chainID>", CouchDB-style) and returning the final output.

@@ -273,16 +273,6 @@ func TestFanOutPropagatesErrors(t *testing.T) {
 	}
 }
 
-func TestGoAsync(t *testing.T) {
-	r := echoRuntime(DefaultConfig())
-	defer r.Close()
-	ch := r.Go(context.Background(), "echo", []byte("async"))
-	o := <-ch
-	if o.Err != nil || string(o.Result.Output) != "async" {
-		t.Fatalf("outcome = %+v", o)
-	}
-}
-
 func TestCloseRejectsNewWork(t *testing.T) {
 	r := echoRuntime(DefaultConfig())
 	r.Close()
