@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"hivemind/internal/device"
+	"hivemind/internal/energy"
 	"hivemind/internal/geo"
 	"hivemind/internal/sim"
 )
@@ -63,7 +64,7 @@ func TestLowBatteryNeighboursSkipped(t *testing.T) {
 	eng := sim.NewEngine(1)
 	fleet, regions := fleetWithRegions(eng, 4)
 	// Drain device 1 to below the battery threshold.
-	fleet[1].Battery.Consume("motion", fleet[1].Battery.Profile().CapacityJ*0.9)
+	fleet[1].Battery.Consume(energy.LoadMotion, fleet[1].Battery.Profile().CapacityJ*0.9)
 	var gainers []int
 	c := New(eng, DefaultConfig(), fleet, regions, func(f int, g []int) { gainers = g })
 	eng.At(2, func() { fleet[0].Fail() })

@@ -98,14 +98,18 @@ func RoverConfig() Config {
 	}
 }
 
-// Device is one swarm member.
+// Device is one swarm member. Its energy state lives inline, so a radio
+// delivery (read failed, advance the integrator, drain the battery)
+// touches one allocation.
 type Device struct {
-	eng *sim.Engine
+	failed bool // first: every delivery reads it before anything else
+	eng    *sim.Engine
+	integ  energy.Integrator
+
+	Battery energy.Battery
+
 	ID  int
 	cfg Config
-
-	Battery *energy.Battery
-	integ   *energy.Integrator
 
 	cpu     *sim.Resource
 	queued  int
@@ -114,7 +118,6 @@ type Device struct {
 	region geo.Rect
 	pos    geo.Point
 
-	failed   bool
 	onFailed func(*Device)
 
 	lastBeat sim.Time
@@ -126,7 +129,7 @@ type Device struct {
 func New(eng *sim.Engine, id int, cfg Config, onFailed func(*Device)) *Device {
 	d := &Device{eng: eng, ID: id, cfg: cfg, onFailed: onFailed}
 	d.Battery = energy.NewBattery(cfg.Power, func() { d.Fail() })
-	d.integ = energy.NewIntegrator(d.Battery, eng.Now())
+	d.integ = energy.NewIntegrator(&d.Battery, eng.Now())
 	d.cpu = sim.NewResource(eng, 1)
 	d.lastBeat = eng.Now()
 	// Periodic integration so slow drains (hover, idle CPU) register and

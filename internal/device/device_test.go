@@ -223,3 +223,25 @@ func TestFleetHelpers(t *testing.T) {
 		t.Fatal("empty device string")
 	}
 }
+
+// TestReceiveAllocFree: a radio delivery (advance the energy integrator
+// to now, then drain the receive energy) allocates nothing.
+func TestReceiveAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	e := sim.NewEngine(1)
+	d := New(e, 0, DroneConfig(), nil)
+	d.SetMoving(true)
+	e.RunUntil(2) // the heartbeat ticker has fired and re-armed
+	allocs := testing.AllocsPerRun(1000, func() {
+		e.RunUntil(e.Now() + 1e-3)
+		d.Receive(0.01)
+	})
+	if allocs != 0 {
+		t.Fatalf("Device.Receive allocates %.1f per delivery, want 0", allocs)
+	}
+	if d.Failed() {
+		t.Fatal("device died during the gate; the drain was too large")
+	}
+}

@@ -16,15 +16,22 @@ package energy
 
 import "fmt"
 
-// Load identifies a power-consumption category.
-type Load string
+// Load identifies a power-consumption category. It indexes the
+// battery's fixed accounting array, so a drain is an array add.
+type Load uint8
 
 const (
-	LoadMotion  Load = "motion"  // rotors / wheels
-	LoadCompute Load = "compute" // on-board task execution
-	LoadRadio   Load = "radio"   // wireless TX/RX
-	LoadBase    Load = "base"    // sensors, camera, electronics
+	LoadMotion  Load = iota // rotors / wheels
+	LoadCompute             // on-board task execution
+	LoadRadio               // wireless TX/RX
+	LoadBase                // sensors, camera, electronics
+	numLoads
 )
+
+var loadNames = [numLoads]string{"motion", "compute", "radio", "base"}
+
+// String returns the category's name.
+func (l Load) String() string { return loadNames[l] }
 
 // AllLoads lists the accounting categories.
 var AllLoads = []Load{LoadMotion, LoadCompute, LoadRadio, LoadBase}
@@ -98,17 +105,19 @@ func TinyBotProfile() PowerProfile {
 // Battery tracks energy consumption against a capacity, attributed by
 // load category.
 type Battery struct {
-	profile  PowerProfile
-	consumed map[Load]float64
-	total    float64
-	onEmpty  func()
 	empty    bool
+	total    float64
+	consumed [numLoads]float64
+	onEmpty  func()
+	profile  PowerProfile
 }
 
 // NewBattery returns a full battery for the profile. onEmpty, if
 // non-nil, fires exactly once when consumption first reaches capacity.
-func NewBattery(p PowerProfile, onEmpty func()) *Battery {
-	return &Battery{profile: p, consumed: make(map[Load]float64), onEmpty: onEmpty}
+// The battery holds no pointers into itself, so the owner may embed
+// the returned value.
+func NewBattery(p PowerProfile, onEmpty func()) Battery {
+	return Battery{profile: p, onEmpty: onEmpty}
 }
 
 // Profile returns the battery's power profile.
@@ -188,9 +197,9 @@ type Integrator struct {
 	CPUBusy  bool
 }
 
-// NewIntegrator starts integrating at the given time.
-func NewIntegrator(b *Battery, start float64) *Integrator {
-	return &Integrator{bat: b, lastTime: start}
+// NewIntegrator starts integrating into b at the given time.
+func NewIntegrator(b *Battery, start float64) Integrator {
+	return Integrator{bat: b, lastTime: start}
 }
 
 // Advance charges the battery for (now - last) seconds of the current
@@ -201,7 +210,7 @@ func (it *Integrator) Advance(now float64) {
 		return
 	}
 	it.lastTime = now
-	p := it.bat.profile
+	p := &it.bat.profile
 	switch {
 	case it.Moving:
 		it.bat.ConsumePower(LoadMotion, p.MoveW, dt)

@@ -2,6 +2,7 @@ package energy
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -11,7 +12,7 @@ func TestBatteryConsumeAndAttribution(t *testing.T) {
 	b.Consume(LoadMotion, 30)
 	b.Consume(LoadCompute, 20)
 	if b.ConsumedJ() != 50 || b.ConsumedFraction() != 0.5 || b.RemainingJ() != 50 {
-		t.Fatalf("state: %s", b)
+		t.Fatalf("state: %s", &b)
 	}
 	if b.ConsumedBy(LoadMotion) != 30 || b.ConsumedBy(LoadCompute) != 20 {
 		t.Fatal("attribution wrong")
@@ -76,7 +77,7 @@ func TestConsumePower(t *testing.T) {
 func TestIntegratorChargesByActivity(t *testing.T) {
 	p := PowerProfile{CapacityJ: 1e6, MoveW: 50, HoverW: 45, ComputeBusyW: 30, ComputeIdleW: 2, BaseW: 4, RadioW: 1}
 	b := NewBattery(p, nil)
-	it := NewIntegrator(b, 0)
+	it := NewIntegrator(&b, 0)
 	it.Moving = true
 	it.CPUBusy = false
 	it.Advance(10) // 10s moving, idle cpu
@@ -106,7 +107,7 @@ func TestIntegratorChargesByActivity(t *testing.T) {
 
 func TestIntegratorIgnoresTimeTravel(t *testing.T) {
 	b := NewBattery(PowerProfile{CapacityJ: 100, MoveW: 10}, nil)
-	it := NewIntegrator(b, 5)
+	it := NewIntegrator(&b, 5)
 	it.Moving = true
 	it.Advance(3) // before start: no-op
 	if b.ConsumedJ() != 0 {
@@ -162,5 +163,44 @@ func TestBatteryInvariantProperty(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestLoadNamesAndBatteryStringUnchanged pins the category names and
+// the summary line: Load is an array index, but what it prints is not
+// allowed to change.
+func TestLoadNamesAndBatteryStringUnchanged(t *testing.T) {
+	var names []string
+	for _, l := range AllLoads {
+		names = append(names, l.String())
+	}
+	if got := strings.Join(names, " "); got != "motion compute radio base" {
+		t.Fatalf("AllLoads = %s", got)
+	}
+	b := NewBattery(PowerProfile{CapacityJ: 1000}, nil)
+	for i, j := range []float64{100, 50, 25, 5} {
+		b.Consume(AllLoads[i], j)
+	}
+	want := "battery 18.0% consumed (motion=100J compute=50J radio=25J base=5J)"
+	if got := b.String(); got != want {
+		t.Fatalf("String() = %q, want %q", got, want)
+	}
+}
+
+// TestHotPathAllocFree: every radio delivery drains the battery and
+// advances the integrator; neither may allocate.
+func TestHotPathAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	b := NewBattery(DroneProfile(), nil)
+	it := NewIntegrator(&b, 0)
+	it.Moving = true
+	if a := testing.AllocsPerRun(1000, func() { b.Consume(LoadRadio, 1e-3) }); a != 0 {
+		t.Fatalf("Battery.Consume allocates %.1f per call, want 0", a)
+	}
+	now := 0.0
+	if a := testing.AllocsPerRun(1000, func() { now += 1e-3; it.Advance(now) }); a != 0 {
+		t.Fatalf("Integrator.Advance allocates %.1f per call, want 0", a)
 	}
 }

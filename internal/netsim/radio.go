@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 
 	"hivemind/internal/geo"
 	"hivemind/internal/sim"
@@ -20,7 +19,11 @@ import (
 // queries never scan the whole fleet again.
 type NeighborIndex struct {
 	pos []geo.Point
-	nbr [][]int32 // per device, ascending ids within the device's range
+	// Device d's neighbours, ascending, are nbr[off[d]:off[d+1]]: every
+	// list lives in one flat array (CSR), so the index is two
+	// allocations whatever the fleet size.
+	off []int32
+	nbr []int32
 }
 
 // BuildNeighborIndex computes per-device neighbour sets: e is a
@@ -32,13 +35,11 @@ func BuildNeighborIndex(pts []geo.Point, rangeM []float64) *NeighborIndex {
 	if len(pts) != len(rangeM) {
 		panic("netsim: positions and ranges must align")
 	}
-	ix := &NeighborIndex{pos: pts, nbr: make([][]int32, len(pts))}
+	ix := &NeighborIndex{pos: pts, off: make([]int32, len(pts)+1)}
 	if len(pts) == 0 {
 		return ix
 	}
-	// Grid cell side = the largest range: any neighbour of d lies in
-	// d's bin or one of the 8 surrounding it... for d's own range; we
-	// size conservatively by the global maximum so one grid serves all
+	// Grid cell side = the largest range, so one grid serves all
 	// classes.
 	minX, minY := math.Inf(1), math.Inf(1)
 	maxX, maxY := math.Inf(-1), math.Inf(-1)
@@ -62,58 +63,62 @@ func BuildNeighborIndex(pts []geo.Point, rangeM []float64) *NeighborIndex {
 		bi := by*cols + bx
 		bins[bi] = append(bins[bi], int32(i))
 	}
-	for d, p := range pts {
-		r := rangeM[d]
+	// visit calls f for every device in d's range. Only the bins that
+	// the range's bounding box touches can hold one; the box is padded
+	// by a hair of a bin so float rounding at an edge never drops one.
+	const pad = 1e-9
+	visit := func(d int, f func(e int32)) {
+		p, r := pts[d], rangeM[d]
 		if r <= 0 {
-			continue
+			return
 		}
 		r2 := r * r
-		bx, by := binOf(p)
-		span := int(r/side) + 1
-		var out []int32
-		for y := by - span; y <= by+span; y++ {
-			if y < 0 || y >= rows {
-				continue
-			}
-			for x := bx - span; x <= bx+span; x++ {
-				if x < 0 || x >= cols {
-					continue
-				}
+		x0, x1 := max(int((p.X-r-minX)/side-pad), 0), min(int((p.X+r-minX)/side+pad), cols-1)
+		y0, y1 := max(int((p.Y-r-minY)/side-pad), 0), min(int((p.Y+r-minY)/side+pad), rows-1)
+		for y := y0; y <= y1; y++ {
+			for x := x0; x <= x1; x++ {
 				for _, e := range bins[y*cols+x] {
-					if int(e) == d {
-						continue
-					}
 					q := pts[e]
 					dx, dy := q.X-p.X, q.Y-p.Y
-					if dx*dx+dy*dy <= r2 {
-						out = append(out, e)
+					if int(e) != d && dx*dx+dy*dy <= r2 {
+						f(e)
 					}
 				}
 			}
 		}
+	}
+	// A counting pass sizes the flat array exactly; the fill pass then
+	// writes each list in place and sorts it.
+	for d := range pts {
+		n := int32(0)
+		visit(d, func(int32) { n++ })
+		ix.off[d+1] = ix.off[d] + n
+	}
+	ix.nbr = make([]int32, ix.off[len(pts)])
+	for d := range pts {
+		out := ix.nbr[ix.off[d]:ix.off[d]]
+		visit(d, func(e int32) { out = append(out, e) })
 		slices.Sort(out)
-		ix.nbr[d] = out
 	}
 	return ix
 }
 
 // Neighbors returns device d's neighbour set (read-only; shared). The
 // lookup allocates nothing.
-func (ix *NeighborIndex) Neighbors(d int) []int32 { return ix.nbr[d] }
+func (ix *NeighborIndex) Neighbors(d int) []int32 {
+	lo, hi := ix.off[d], ix.off[d+1]
+	return ix.nbr[lo:hi:hi]
+}
 
 // Position returns device d's static position.
 func (ix *NeighborIndex) Position(d int) geo.Point { return ix.pos[d] }
 
 // AvgDegree reports the mean neighbour count (diagnostics/tests).
 func (ix *NeighborIndex) AvgDegree() float64 {
-	if len(ix.nbr) == 0 {
+	if len(ix.pos) == 0 {
 		return 0
 	}
-	n := 0
-	for _, l := range ix.nbr {
-		n += len(l)
-	}
-	return float64(n) / float64(len(ix.nbr))
+	return float64(len(ix.nbr)) / float64(len(ix.pos))
 }
 
 // RadioStats aggregates broadcast accounting across cells.
@@ -138,10 +143,12 @@ type Radio struct {
 	cellOf  []int
 	latency sim.Time
 
-	// nbrCells[d] lists the distinct cells d's neighbours occupy,
-	// ascending. Static, so each broadcast emits exactly the events it
-	// needs without scanning or allocating per-cell grouping state.
-	nbrCells [][]int32
+	// nbrCells[cellOff[d]:cellOff[d+1]] lists the distinct cells d's
+	// neighbours occupy, ascending (flat, like the neighbour index).
+	// Static, so each broadcast emits exactly the events it needs
+	// without scanning or allocating per-cell grouping state.
+	cellOff  []int32
+	nbrCells []int32
 
 	// Counters are per-cell slices written only by the owning cell's
 	// events, so the hot path needs no atomics; Stats sums at read.
@@ -168,28 +175,20 @@ func NewRadio(se *sim.ShardedEngine, ix *NeighborIndex, cellOf []int, latencyS f
 	}
 	r := &Radio{
 		se: se, ix: ix, cellOf: cellOf, latency: latencyS,
-		nbrCells:  make([][]int32, len(ix.nbr)),
+		cellOff:   make([]int32, len(ix.pos)+1),
 		sent:      make([]uint64, se.Cells()),
 		delivered: make([]uint64, se.Cells()),
 		crossed:   make([]uint64, se.Cells()),
 	}
-	for d, nbrs := range ix.nbr {
-		var cs []int32
-		for _, n := range nbrs {
-			c := int32(cellOf[n])
-			found := false
-			for _, have := range cs {
-				if have == c {
-					found = true
-					break
-				}
-			}
-			if !found {
-				cs = append(cs, c)
+	for d := range ix.pos {
+		start := len(r.nbrCells)
+		for _, n := range ix.Neighbors(d) {
+			if c := int32(cellOf[n]); !slices.Contains(r.nbrCells[start:], c) {
+				r.nbrCells = append(r.nbrCells, c)
 			}
 		}
-		sort.Slice(cs, func(i, j int) bool { return cs[i] < cs[j] })
-		r.nbrCells[d] = cs
+		slices.Sort(r.nbrCells[start:])
+		r.cellOff[d+1] = int32(len(r.nbrCells))
 	}
 	return r, nil
 }
@@ -209,9 +208,9 @@ func (r *Radio) Broadcast(src int, deliver func(dst int)) {
 	srcCell := r.cellOf[src]
 	c := r.se.Cell(srcCell)
 	at := c.Engine().Now() + r.latency
-	nbrs := r.ix.nbr[src]
+	nbrs := r.ix.Neighbors(src)
 	r.sent[srcCell]++
-	for _, dc32 := range r.nbrCells[src] {
+	for _, dc32 := range r.nbrCells[r.cellOff[src]:r.cellOff[src+1]] {
 		dc := int(dc32)
 		if dc == srcCell {
 			c.Engine().DeferAt(at, func() { r.deliverIn(dc, nbrs, deliver) })

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -68,6 +70,29 @@ func TestNeighborIndexMatchesNaive(t *testing.T) {
 			}
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("n=%d device %d: indexed %v != naive %v", n, d, got, want)
+			}
+		}
+	}
+}
+
+// TestNeighborIndexMatchesNaiveOnLattice: on a lattice, devices sit
+// exactly on bin edges and exactly at range from each other (up to
+// float rounding at the 0.1 m scale). The index scans only the bins a
+// range's bounding box touches, so this is where it could drop one.
+func TestNeighborIndexMatchesNaiveOnLattice(t *testing.T) {
+	for _, step := range []float64{10, 0.1} {
+		var pts []geo.Point
+		var ranges []float64
+		for i := 0; i < 24; i++ {
+			for j := 0; j < 24; j++ {
+				pts = append(pts, geo.Point{X: float64(i) * step, Y: float64(j) * step})
+				ranges = append(ranges, float64(1+(i+j)%3)*step)
+			}
+		}
+		ix := BuildNeighborIndex(pts, ranges)
+		for d, want := range buildNeighborsNaive(pts, ranges) {
+			if got := ix.Neighbors(d); !slices.Equal(got, want) {
+				t.Fatalf("step %g device %d: indexed %v != naive %v", step, d, got, want)
 			}
 		}
 	}
@@ -158,7 +183,9 @@ func TestRadioLatencyBelowLookaheadRejected(t *testing.T) {
 }
 
 // TestRadioBroadcastDelivers: every neighbour — same cell or not —
-// receives exactly one delivery at send time + latency.
+// receives exactly one delivery at send time + latency. Deliveries run
+// on their receivers' cells, which different workers execute in the
+// same window, so the collector is guarded.
 func TestRadioBroadcastDelivers(t *testing.T) {
 	const latency = 0.004
 	se, radio, cix, _ := buildRadio(t, 2, latency)
@@ -167,13 +194,17 @@ func TestRadioBroadcastDelivers(t *testing.T) {
 	if len(want) == 0 {
 		t.Fatal("source has no neighbours; layout too sparse for the test")
 	}
+	var mu sync.Mutex
 	got := map[int]int{}
 	var at []float64
 	srcCell := se.Cell(cix.CellOf(src))
 	srcCell.Engine().DeferAt(1.0, func() {
 		radio.Broadcast(src, func(dst int) {
+			now := se.Cell(cix.CellOf(dst)).Engine().Now()
+			mu.Lock()
+			defer mu.Unlock()
 			got[dst]++
-			at = append(at, se.Cell(cix.CellOf(dst)).Engine().Now())
+			at = append(at, now)
 		})
 	})
 	se.Run(2)

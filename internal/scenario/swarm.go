@@ -189,16 +189,18 @@ type swarmDev struct {
 
 	est  geo.Point
 	conf float64
-	obs  []obs
-	next int // ring cursor
+	obs  [obsRing]obs
+	nobs int // filled slots; once full, next is the overwrite cursor
+	next int
 
 	rumors     uint64
 	heardAllAt float64 // -1 until the full mask is assembled
 }
 
 func (s *swarmDev) pushObs(o obs) {
-	if len(s.obs) < obsRing {
-		s.obs = append(s.obs, o)
+	if s.nobs < obsRing {
+		s.obs[s.nobs] = o
+		s.nobs++
 		return
 	}
 	s.obs[s.next] = o
@@ -210,11 +212,12 @@ func (s *swarmDev) pushObs(o obs) {
 // decayed confidence from the best neighbour heard — the hierarchical
 // hop: anchors are 1.0, their neighbours 0.9, the next ring 0.81, …
 func (s *swarmDev) solve(iters int) {
-	if s.anchor || len(s.obs) == 0 {
+	if s.anchor || s.nobs == 0 {
 		return
 	}
+	held := s.obs[:s.nobs]
 	best := 0.0
-	for _, o := range s.obs {
+	for _, o := range held {
 		if o.conf > best {
 			best = o.conf
 		}
@@ -224,7 +227,7 @@ func (s *swarmDev) solve(iters int) {
 	}
 	for it := 0; it < iters; it++ {
 		var gx, gy, wsum float64
-		for _, o := range s.obs {
+		for _, o := range held {
 			if o.conf <= 0 {
 				continue
 			}
@@ -311,13 +314,14 @@ func RunSwarm(cfg SwarmConfig) (SwarmResult, error) {
 	anchorEvery := int(math.Max(1, math.Round(1/cfg.AnchorFrac)))
 	full := uint64(1)<<uint(cfg.Rumors) - 1
 
-	devs := make([]*swarmDev, n)
+	devs := make([]swarmDev, n)
 	cellOf := cix.CellOwners()
 	anchors := 0
 	for d := 0; d < n; d++ {
 		cls := cfg.Mix[classOf[d]]
 		eng := se.Cell(cellOf[d]).Engine()
-		s := &swarmDev{class: classOf[d], heardAllAt: -1}
+		s := &devs[d]
+		s.class, s.heardAllAt = classOf[d], -1
 		s.dev = device.New(eng, d, cls.Cfg, nil)
 		if d%anchorEvery == 0 {
 			s.anchor = true
@@ -327,7 +331,6 @@ func RunSwarm(cfg SwarmConfig) (SwarmResult, error) {
 		} else {
 			s.est = geo.Point{X: layout.Float64() * cfg.FieldM, Y: layout.Float64() * cfg.FieldM}
 		}
-		devs[d] = s
 	}
 	for r := 0; r < cfg.Rumors; r++ {
 		devs[r*n/cfg.Rumors].rumors |= 1 << uint(r)
@@ -340,7 +343,7 @@ func RunSwarm(cfg SwarmConfig) (SwarmResult, error) {
 	// order, so the draws are reproducible at any worker count.
 	for d := 0; d < n; d++ {
 		d := d
-		s := devs[d]
+		s := &devs[d]
 		cls := cfg.Mix[s.class]
 		cell := se.Cell(cellOf[d])
 		eng := cell.Engine()
@@ -362,7 +365,7 @@ func RunSwarm(cfg SwarmConfig) (SwarmResult, error) {
 			payload := cls.BeaconMB
 			s.dev.Transmit(payload)
 			radio.Broadcast(d, func(dst int) {
-				r := devs[dst]
+				r := &devs[dst]
 				if r.dev.Failed() {
 					return
 				}
@@ -416,7 +419,8 @@ func RunSwarm(cfg SwarmConfig) (SwarmResult, error) {
 		perClassErr[i] = &stats.Sample{}
 	}
 	covered := 0
-	for d, s := range devs {
+	for d := range devs {
+		s := &devs[d]
 		s.dev.Settle()
 		c := &perClass[s.class]
 		c.Count++
@@ -464,9 +468,10 @@ func RunSwarm(cfg SwarmConfig) (SwarmResult, error) {
 
 // meanLocErr averages non-anchor position error (class < 0 → all
 // classes).
-func meanLocErr(devs []*swarmDev, pts []geo.Point, class int) float64 {
+func meanLocErr(devs []swarmDev, pts []geo.Point, class int) float64 {
 	sum, n := 0.0, 0
-	for d, s := range devs {
+	for d := range devs {
+		s := &devs[d]
 		if s.anchor || (class >= 0 && s.class != class) {
 			continue
 		}

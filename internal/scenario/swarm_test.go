@@ -124,3 +124,24 @@ func TestSwarmConfigErrors(t *testing.T) {
 		t.Fatal("65 rumors accepted; gossip mask is 64-bit")
 	}
 }
+
+// TestSwarmMissionAllocCeiling bounds a 2 000-device mission's
+// allocations per device. Device energy state, observation rings and
+// the neighbour and cell lists are flat and preallocated, so what is
+// left is each device's event closures. The count is deterministic:
+// 19.93 per device when the ceiling was set.
+func TestSwarmMissionAllocCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	const devices, ceiling = 2000, 21
+	cfg := SwarmConfig{Devices: devices, DurationS: 2, FailProb: 0.001, Shards: 2, Seed: 5}
+	allocs := testing.AllocsPerRun(1, func() {
+		if _, err := RunSwarm(cfg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if perDev := allocs / devices; perDev > ceiling {
+		t.Fatalf("mission allocates %.2f per device, ceiling %d", perDev, ceiling)
+	}
+}

@@ -191,18 +191,25 @@ func TestShardParityAcrossWorkerCounts(t *testing.T) {
 }
 
 // TestShardRepeatedRunWindows: Run can be called in fixed steps (the
-// scenario pattern) and clocks land exactly on each boundary.
+// scenario pattern) and clocks land exactly on each boundary. Each
+// cell counts its own events: two workers run the cells concurrently.
 func TestShardRepeatedRunWindows(t *testing.T) {
 	se, err := NewSharded(3, 4, 0.1, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	count := 0
+	var counts [4]int
+	count := func() (n int) {
+		for _, c := range counts {
+			n += c
+		}
+		return n
+	}
 	for i := 0; i < 4; i++ {
 		c := se.Cell(i)
 		var loop func()
 		loop = func() {
-			count++
+			counts[i]++
 			c.Engine().Defer(0.3, loop)
 		}
 		c.Engine().DeferAt(0.1, loop)
@@ -211,12 +218,12 @@ func TestShardRepeatedRunWindows(t *testing.T) {
 	if now := se.Now(); now != 1 {
 		t.Fatalf("after Run(1): now %g", now)
 	}
-	mid := count
+	mid := count()
 	se.Run(2)
 	if now := se.Now(); now != 2 {
 		t.Fatalf("after Run(2): now %g", now)
 	}
-	if count <= mid {
+	if count() <= mid {
 		t.Fatal("second Run executed nothing")
 	}
 	if se.Windows() == 0 || se.Steps() == 0 {

@@ -358,6 +358,9 @@ func (db *DB) CompactNow() error {
 // compactLocked writes the snapshot (tmp + fsync + atomic rename) and
 // resets the WAL. Caller holds db.mu.
 func (db *DB) compactLocked() error {
+	if db.closed {
+		return ErrClosed
+	}
 	if db.wal == nil {
 		return errors.New("store: not a durable store")
 	}
@@ -465,8 +468,8 @@ func (db *DB) Sync() error {
 	return db.wal.Sync()
 }
 
-// Close syncs and closes the WAL (no-op for an in-memory store). The
-// DB must not be used after Close.
+// Close syncs and closes the WAL (no-op for an in-memory store). Every
+// later mutation of a durable store fails with ErrClosed.
 func (db *DB) Close() error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -475,5 +478,6 @@ func (db *DB) Close() error {
 	}
 	err := db.wal.Close()
 	db.wal = nil
+	db.closed = true
 	return err
 }

@@ -403,3 +403,63 @@ func TestDurableSnapshotThenStaleWALReplayIsIdempotent(t *testing.T) {
 		t.Fatal("deleted doc resurrected by stale replay")
 	}
 }
+
+// TestDurableClosedRejectsWrites: after Close a durable store has no
+// WAL, so every mutation must fail with ErrClosed and change nothing —
+// an acknowledged write that was never logged would vanish at
+// recovery. An in-memory store has nothing to lose and keeps working.
+func TestDurableClosedRejectsWrites(t *testing.T) {
+	dir := t.TempDir()
+	db, _, err := OpenDurable(dir, memOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rev, err := db.PutFenced(3, "doc", "", []byte("v1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	seq, fence := db.Seq(), db.Fence()
+	writes := []struct {
+		name  string
+		write func() error
+	}{
+		{"PutFenced", func() error { _, err := db.PutFenced(4, "doc", rev, []byte("v2")); return err }},
+		{"Put", func() error { _, err := db.Put("new", "", []byte("x")); return err }},
+		{"ForceFenced", func() error { _, err := db.ForceFenced(5, "k", []byte("x")); return err }},
+		{"Force", func() error { _, err := db.Force("k", []byte("x")); return err }},
+		{"DeleteFenced", func() error { return db.DeleteFenced(6, "doc", rev) }},
+		{"RaiseFence", func() error { return db.RaiseFence(9) }},
+		{"RaiseFence below the fence", func() error { return db.RaiseFence(1) }},
+		{"CompactNow", db.CompactNow},
+	}
+	for _, w := range writes {
+		if err := w.write(); !errors.Is(err, ErrClosed) {
+			t.Fatalf("%s on a closed durable store = %v, want ErrClosed", w.name, err)
+		}
+	}
+	if db.Seq() != seq || db.Fence() != fence || db.Len() != 1 {
+		t.Fatalf("closed store changed: seq %d→%d fence %d→%d len %d",
+			seq, db.Seq(), fence, db.Fence(), db.Len())
+	}
+
+	db2, _, err := Recover(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db2.Close()
+	if doc, err := db2.Get("doc"); err != nil || doc.Rev != rev {
+		t.Fatalf("doc after recovery = %+v, %v; want rev %s", doc, err, rev)
+	}
+	if _, err := db2.Get("k"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("write made after Close recovered: %v", err)
+	}
+
+	mem := NewDB()
+	mem.Close()
+	if _, err := mem.Force("k", []byte("x")); err != nil {
+		t.Fatalf("in-memory store after Close: %v", err)
+	}
+}

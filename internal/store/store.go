@@ -31,6 +31,10 @@ var (
 	// ErrFenced is the root of every fence rejection, so callers can
 	// errors.Is their way to "this writer's term is stale".
 	ErrFenced = errors.New("store: fenced write")
+	// ErrClosed rejects a mutation of a durable store after Close: with
+	// its WAL gone the write could not be logged, so acknowledging it
+	// would lose it at recovery.
+	ErrClosed = errors.New("store: closed")
 )
 
 // FencedError rejects a mutation whose fence token (the writer's
@@ -89,6 +93,7 @@ type DB struct {
 	dir          string
 	dopts        DurableOptions
 	sinceCompact int
+	closed       bool // a durable store after Close
 
 	// injMu guards the aux hooks (fault injector, metrics sink), which
 	// are consulted both under and outside the main mutex.
@@ -155,8 +160,13 @@ func revGen(rev string) int {
 // checkFenceLocked validates a mutation's fence token against the
 // highest term seen, advancing the fence for current-term writers.
 // Token 0 means "unfenced" (a caller outside the replicated control
-// plane) and always passes without moving the fence. Caller holds mu.
+// plane) and always passes without moving the fence. A closed durable
+// store fails every mutation here, before any state changes. Caller
+// holds mu.
 func (db *DB) checkFenceLocked(token uint64) error {
+	if db.closed {
+		return ErrClosed
+	}
 	if token == 0 {
 		return nil
 	}
@@ -186,6 +196,9 @@ func (db *DB) RaiseFence(term uint64) error {
 	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
+	if db.closed {
+		return ErrClosed
+	}
 	if term <= db.fenceTerm {
 		return nil
 	}
