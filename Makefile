@@ -31,12 +31,13 @@ race-ring:
 		./internal/rpc/ ./internal/runtime/ ./internal/chaos/
 
 # Sharded-executive race lane: the per-geo-cell engines, the window
-# barrier, the cross-cell radio and the mega-swarm mission, all under
-# the race detector with worker counts > 1 so the windows genuinely
-# interleave. -count=2 for schedule diversity.
+# barrier, record events and the clock, the cross-cell radio and the
+# mega-swarm mission with its beacon snapshots, all under the race
+# detector with worker counts > 1 so the windows genuinely interleave.
+# -count=2 for schedule diversity.
 race-sim:
 	$(GO) test -race -count=2 \
-		-run 'Shard|Window|Swarm|Mega|Cell|Radio|Neighbor' \
+		-run 'Shard|Window|Swarm|Mega|Cell|Radio|Neighbor|Record|Clock' \
 		./internal/sim/ ./internal/netsim/ ./internal/geo/ ./internal/scenario/
 
 # Fault-injection suite: every test of the chaos and fleet packages

@@ -111,7 +111,7 @@ type Device struct {
 	ID  int
 	cfg Config
 
-	cpu     *sim.Resource
+	cpu     *sim.Resource // made by the first RunTask
 	queued  int
 	dropped int
 
@@ -121,30 +121,32 @@ type Device struct {
 	onFailed func(*Device)
 
 	lastBeat sim.Time
-	tick     *sim.Ticker
+	beat     sim.Timer // the pending heartbeat: record beatKind, a = ID
+	beatKind uint8
 }
 
-// New creates a device. onFailed (may be nil) fires once when the device
-// fails — battery depletion or injected fault.
-func New(eng *sim.Engine, id int, cfg Config, onFailed func(*Device)) *Device {
-	d := &Device{eng: eng, ID: id, cfg: cfg, onFailed: onFailed}
+// Init sets d up in place as device id on eng, so a fleet can live in
+// one slab. onFailed (may be nil) fires once when the device fails —
+// battery depletion or injected fault. The heartbeat, which integrates
+// slow drains, is record kind beat, a = id: its handler calls d.Beat.
+func (d *Device) Init(eng *sim.Engine, id int, cfg Config, onFailed func(*Device), beat uint8) {
+	*d = Device{eng: eng, ID: id, cfg: cfg, onFailed: onFailed, lastBeat: eng.Now(), beatKind: beat}
 	d.Battery = energy.NewBattery(cfg.Power, func() { d.Fail() })
 	d.integ = energy.NewIntegrator(&d.Battery, eng.Now())
-	d.cpu = sim.NewResource(eng, 1)
-	d.lastBeat = eng.Now()
-	// Periodic integration so slow drains (hover, idle CPU) register and
-	// can deplete the battery between discrete events; doubles as the
-	// heartbeat emitter.
-	d.tick = eng.Every(cfg.HeartbeatS, 0, func() {
-		if d.failed {
-			return
-		}
-		d.integ.Advance(eng.Now())
-		if !d.failed {
-			d.lastBeat = eng.Now()
-		}
-	})
-	return d
+	d.armBeat()
+}
+
+func (d *Device) armBeat() {
+	d.beat = d.eng.Post(d.eng.Now()+d.cfg.HeartbeatS, d.beatKind, int32(d.ID), 0)
+}
+
+// Beat runs one heartbeat and arms the next (Fail cancels it).
+func (d *Device) Beat() {
+	d.integ.Advance(d.eng.Now())
+	if !d.failed { // the drain may have emptied the battery
+		d.lastBeat = d.eng.Now()
+		d.armBeat()
+	}
 }
 
 // Config returns the device's configuration.
@@ -194,7 +196,7 @@ func (d *Device) Fail() {
 	d.integ.Moving = false
 	d.integ.Hovering = false
 	d.integ.CPUBusy = false
-	d.tick.Stop()
+	d.beat.Cancel()
 	if d.onFailed != nil {
 		d.onFailed(d)
 	}
@@ -221,6 +223,9 @@ func (d *Device) RunTask(execS float64, done func(TaskOutcome)) {
 		return
 	}
 	d.queued++
+	if d.cpu == nil {
+		d.cpu = sim.NewResource(d.eng, 1)
+	}
 	enq := d.eng.Now()
 	d.cpu.Grab(func() {
 		start := d.eng.Now()
@@ -284,11 +289,14 @@ func (d *Device) String() string {
 // Fleet is a convenience collection.
 type Fleet []*Device
 
-// NewFleet builds n devices with ids 0..n-1.
+// NewFleet builds n devices, ids 0..n-1, in one slab with one heartbeat kind.
 func NewFleet(eng *sim.Engine, n int, cfg Config, onFailed func(*Device)) Fleet {
+	slab := make([]Device, n)
+	beat := eng.Handle(func(a, _ int32) { slab[a].Beat() })
 	fleet := make(Fleet, n)
 	for i := range fleet {
-		fleet[i] = New(eng, i, cfg, onFailed)
+		slab[i].Init(eng, i, cfg, onFailed, beat)
+		fleet[i] = &slab[i]
 	}
 	return fleet
 }
@@ -337,6 +345,6 @@ func (f Fleet) MaxBatteryConsumed() float64 {
 // StopAll halts device periodic work (end of experiment).
 func (f Fleet) StopAll() {
 	for _, d := range f {
-		d.tick.Stop()
+		d.beat.Cancel()
 	}
 }

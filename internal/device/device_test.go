@@ -9,9 +9,16 @@ import (
 	"hivemind/internal/sim"
 )
 
+// newDevice initialises one device with a heartbeat kind of its own.
+func newDevice(e *sim.Engine, id int, cfg Config, onFailed func(*Device)) *Device {
+	d := new(Device)
+	d.Init(e, id, cfg, onFailed, e.Handle(func(int32, int32) { d.Beat() }))
+	return d
+}
+
 func TestDeviceBasics(t *testing.T) {
 	e := sim.NewEngine(1)
-	d := New(e, 3, DroneConfig(), nil)
+	d := newDevice(e, 3, DroneConfig(), nil)
 	if d.Failed() || d.ID != 3 {
 		t.Fatalf("fresh device state wrong: %s", d)
 	}
@@ -28,7 +35,7 @@ func TestDeviceBasics(t *testing.T) {
 
 func TestRunTaskAccountsComputeEnergy(t *testing.T) {
 	e := sim.NewEngine(1)
-	d := New(e, 0, DroneConfig(), nil)
+	d := newDevice(e, 0, DroneConfig(), nil)
 	var out TaskOutcome
 	d.RunTask(10, func(o TaskOutcome) { out = o })
 	e.RunUntil(20)
@@ -48,7 +55,7 @@ func TestRunTaskQueuesAndDrops(t *testing.T) {
 	e := sim.NewEngine(1)
 	cfg := DroneConfig()
 	cfg.QueueLimit = 2
-	d := New(e, 0, cfg, nil)
+	d := newDevice(e, 0, cfg, nil)
 	outcomes := make([]TaskOutcome, 0, 4)
 	for i := 0; i < 4; i++ {
 		d.RunTask(5, func(o TaskOutcome) { outcomes = append(outcomes, o) })
@@ -83,7 +90,7 @@ func TestBatteryDepletionFailsDevice(t *testing.T) {
 	cfg := DroneConfig()
 	cfg.Power.CapacityJ = 200 // tiny battery
 	failed := false
-	d := New(e, 0, cfg, func(*Device) { failed = true })
+	d := newDevice(e, 0, cfg, func(*Device) { failed = true })
 	d.SetMoving(true) // 50W: dies in ~4s (plus base draw)
 	e.RunUntil(60)
 	if !failed || !d.Failed() {
@@ -102,7 +109,7 @@ func TestBatteryDepletionFailsDevice(t *testing.T) {
 func TestInjectedFailureFiresOnce(t *testing.T) {
 	e := sim.NewEngine(1)
 	count := 0
-	d := New(e, 0, DroneConfig(), func(*Device) { count++ })
+	d := newDevice(e, 0, DroneConfig(), func(*Device) { count++ })
 	d.Fail()
 	d.Fail()
 	if count != 1 {
@@ -117,7 +124,7 @@ func TestInjectedFailureFiresOnce(t *testing.T) {
 
 func TestHeartbeatStopsOnFailure(t *testing.T) {
 	e := sim.NewEngine(1)
-	d := New(e, 0, DroneConfig(), nil)
+	d := newDevice(e, 0, DroneConfig(), nil)
 	e.RunUntil(5.5)
 	if beat := d.LastHeartbeat(); beat < 4.5 {
 		t.Fatalf("last heartbeat %g, want ~5", beat)
@@ -132,7 +139,7 @@ func TestHeartbeatStopsOnFailure(t *testing.T) {
 
 func TestAssignRegionAndSweepTime(t *testing.T) {
 	e := sim.NewEngine(1)
-	d := New(e, 0, DroneConfig(), nil)
+	d := newDevice(e, 0, DroneConfig(), nil)
 	d.AssignRegion(geo.Rect{X0: 0, Y0: 0, X1: 30, Y1: 30})
 	if d.SweepTimeS() <= 0 {
 		t.Fatal("sweep time should be positive")
@@ -150,7 +157,7 @@ func TestAssignRegionAndSweepTime(t *testing.T) {
 
 func TestTransmitReceiveEnergy(t *testing.T) {
 	e := sim.NewEngine(1)
-	d := New(e, 0, DroneConfig(), nil)
+	d := newDevice(e, 0, DroneConfig(), nil)
 	d.Transmit(10)
 	d.Receive(10)
 	want := 10*DroneConfig().Power.TxJPerMB + 10*DroneConfig().Power.RxJPerMB
@@ -164,7 +171,7 @@ func TestDistributedDrainsFasterThanCentralizedShape(t *testing.T) {
 	// drains more battery than 120s of shipping the same sensor data.
 	runDistributed := func() float64 {
 		e := sim.NewEngine(1)
-		d := New(e, 0, DroneConfig(), nil)
+		d := newDevice(e, 0, DroneConfig(), nil)
 		d.SetMoving(true)
 		var submit func()
 		submit = func() {
@@ -180,7 +187,7 @@ func TestDistributedDrainsFasterThanCentralizedShape(t *testing.T) {
 	}
 	runCentralized := func() float64 {
 		e := sim.NewEngine(1)
-		d := New(e, 0, DroneConfig(), nil)
+		d := newDevice(e, 0, DroneConfig(), nil)
 		d.SetMoving(true)
 		var ship func()
 		ship = func() {
@@ -231,7 +238,7 @@ func TestReceiveAllocFree(t *testing.T) {
 		t.Skip("the race detector allocates on its own")
 	}
 	e := sim.NewEngine(1)
-	d := New(e, 0, DroneConfig(), nil)
+	d := newDevice(e, 0, DroneConfig(), nil)
 	d.SetMoving(true)
 	e.RunUntil(2) // the heartbeat ticker has fired and re-armed
 	allocs := testing.AllocsPerRun(1000, func() {

@@ -11,14 +11,13 @@ import (
 
 // NeighborIndex precomputes, for a static device layout, which devices
 // each transmitter reaches: the neighbour sets a swarm broadcast
-// delivers to. Construction bins positions on a uniform grid sized by
-// the largest radio range, so building all n lists costs O(n · local
-// density) instead of the O(n²) all-pairs scan — and a Neighbors query
-// afterwards is a zero-allocation slice lookup. The same index serves
-// the single-engine path and every cell of a sharded run: range
+// delivers to. Construction bins positions on a uniform grid whose side
+// is the smallest radio range, so building all n lists costs O(n ·
+// local density) instead of the O(n²) all-pairs scan — and a Neighbors
+// query afterwards is a zero-allocation slice lookup. The same index
+// serves the single-engine path and every cell of a sharded run: range
 // queries never scan the whole fleet again.
 type NeighborIndex struct {
-	pos []geo.Point
 	// Device d's neighbours, ascending, are nbr[off[d]:off[d+1]]: every
 	// list lives in one flat array (CSR), so the index is two
 	// allocations whatever the fleet size.
@@ -35,72 +34,81 @@ func BuildNeighborIndex(pts []geo.Point, rangeM []float64) *NeighborIndex {
 	if len(pts) != len(rangeM) {
 		panic("netsim: positions and ranges must align")
 	}
-	ix := &NeighborIndex{pos: pts, off: make([]int32, len(pts)+1)}
-	if len(pts) == 0 {
-		return ix
-	}
-	// Grid cell side = the largest range, so one grid serves all
-	// classes.
+	n := len(pts)
+	ix := &NeighborIndex{off: make([]int32, n+1)}
 	minX, minY := math.Inf(1), math.Inf(1)
 	maxX, maxY := math.Inf(-1), math.Inf(-1)
-	side := 0.0
+	side, reach := math.Inf(1), 0.0 // reach: Σ π r², for sizing the lists
 	for i, p := range pts {
 		minX, maxX = math.Min(minX, p.X), math.Max(maxX, p.X)
 		minY, maxY = math.Min(minY, p.Y), math.Max(maxY, p.Y)
-		side = math.Max(side, rangeM[i])
+		if r := rangeM[i]; r > 0 {
+			side, reach = math.Min(side, r), reach+math.Pi*r*r
+		}
 	}
-	if side <= 0 {
+	if math.IsInf(side, 1) {
 		return ix // no device can reach anything
 	}
-	cols := int((maxX-minX)/side) + 1
-	rows := int((maxY-minY)/side) + 1
-	binOf := func(p geo.Point) (int, int) {
-		return int((p.X - minX) / side), int((p.Y - minY) / side)
+	// The bin side is the smallest range, raised so the grid has at most
+	// 3n+1 bins: one tiny range in a large field must not allocate a
+	// huge grid. Bins are CSR too, bins[binOff[b]:binOff[b+1]] ascending:
+	// the transpose of each device's one-entry row holding its bin.
+	w, h := maxX-minX, maxY-minY
+	side = max(side, w/float64(n), h/float64(n), math.Sqrt(w*h/float64(n)))
+	cols, rows := int(w/side)+1, int(h/side)+1
+	row, binOf, bins := make([]int32, n+1), make([]int32, n), make([]int32, n)
+	for d, p := range pts {
+		row[d+1], binOf[d] = int32(d+1), int32(int((p.Y-minY)/side)*cols+int((p.X-minX)/side))
 	}
-	bins := make([][]int32, cols*rows)
-	for i, p := range pts {
-		bx, by := binOf(p)
-		bi := by*cols + bx
-		bins[bi] = append(bins[bi], int32(i))
-	}
-	// visit calls f for every device in d's range. Only the bins that
-	// the range's bounding box touches can hold one; the box is padded
-	// by a hair of a bin so float rounding at an edge never drops one.
+	binOff := transpose(row, binOf, cols*rows, bins)
+	// One visit per device appends, bin by bin, every device in range
+	// to a buffer sized for a uniform layout's mean degree (at most 64).
+	// Only bins the range's bounding box touches can hold one; the box
+	// is padded by a hair of a bin so float rounding never drops one.
 	const pad = 1e-9
-	visit := func(d int, f func(e int32)) {
-		p, r := pts[d], rangeM[d]
-		if r <= 0 {
-			return
-		}
-		r2 := r * r
-		x0, x1 := max(int((p.X-r-minX)/side-pad), 0), min(int((p.X+r-minX)/side+pad), cols-1)
-		y0, y1 := max(int((p.Y-r-minY)/side-pad), 0), min(int((p.Y+r-minY)/side+pad), rows-1)
-		for y := y0; y <= y1; y++ {
-			for x := x0; x <= x1; x++ {
-				for _, e := range bins[y*cols+x] {
-					q := pts[e]
-					dx, dy := q.X-p.X, q.Y-p.Y
-					if int(e) != d && dx*dx+dy*dy <= r2 {
-						f(e)
+	nbr := make([]int32, 0, n+int(min(reach/max(w*h, 1), 64)*float64(n)))
+	for d, p := range pts {
+		if r := rangeM[d]; r > 0 {
+			x0, x1 := max(int((p.X-r-minX)/side-pad), 0), min(int((p.X+r-minX)/side+pad), cols-1)
+			y0, y1 := max(int((p.Y-r-minY)/side-pad), 0), min(int((p.Y+r-minY)/side+pad), rows-1)
+			for y := y0; y <= y1; y++ {
+				for _, e := range bins[binOff[y*cols+x0]:binOff[y*cols+x1+1]] {
+					dx, dy := pts[e].X-p.X, pts[e].Y-p.Y
+					if int(e) != d && dx*dx+dy*dy <= r*r {
+						nbr = append(nbr, e)
 					}
 				}
 			}
 		}
+		ix.off[d+1] = int32(len(nbr))
 	}
-	// A counting pass sizes the flat array exactly; the fill pass then
-	// writes each list in place and sorts it.
-	for d := range pts {
-		n := int32(0)
-		visit(d, func(int32) { n++ })
-		ix.off[d+1] = ix.off[d] + n
-	}
-	ix.nbr = make([]int32, ix.off[len(pts)])
-	for d := range pts {
-		out := ix.nbr[ix.off[d]:ix.off[d]]
-		visit(d, func(e int32) { out = append(out, e) })
-		slices.Sort(out)
-	}
+	// Two transposes sort every list: the d→e lists become e→d lists,
+	// each ascending in d, which transpose back into nbr ascending in e.
+	t := make([]int32, len(nbr))
+	transpose(transpose(ix.off, nbr, n, t), t, n, nbr)
+	ix.nbr = nbr
 	return ix
+}
+
+// transpose writes the CSR transpose of rows — row r is
+// vals[off[r]:off[r+1]], with values in [0, cols) — into dst by
+// counting sort and returns its offsets: row c of the transpose lists,
+// ascending, the rows that hold c.
+func transpose(off, vals []int32, cols int, dst []int32) []int32 {
+	tOff := make([]int32, cols+1)
+	for _, c := range vals {
+		tOff[c]++
+	}
+	for c := 1; c <= cols; c++ {
+		tOff[c] += tOff[c-1]
+	}
+	for r := len(off) - 2; r >= 0; r-- {
+		for _, c := range vals[off[r]:off[r+1]] {
+			tOff[c]--
+			dst[tOff[c]] = int32(r)
+		}
+	}
+	return tOff
 }
 
 // Neighbors returns device d's neighbour set (read-only; shared). The
@@ -108,17 +116,6 @@ func BuildNeighborIndex(pts []geo.Point, rangeM []float64) *NeighborIndex {
 func (ix *NeighborIndex) Neighbors(d int) []int32 {
 	lo, hi := ix.off[d], ix.off[d+1]
 	return ix.nbr[lo:hi:hi]
-}
-
-// Position returns device d's static position.
-func (ix *NeighborIndex) Position(d int) geo.Point { return ix.pos[d] }
-
-// AvgDegree reports the mean neighbour count (diagnostics/tests).
-func (ix *NeighborIndex) AvgDegree() float64 {
-	if len(ix.pos) == 0 {
-		return 0
-	}
-	return float64(len(ix.nbr)) / float64(len(ix.pos))
 }
 
 // RadioStats aggregates broadcast accounting across cells.
@@ -134,14 +131,18 @@ type RadioStats struct {
 // A broadcast delivers its payload to every neighbour of the sender
 // after exactly that latency; in-cell receivers get a local event,
 // receivers in other cells get one grouped delivery event per
-// destination cell through the window barrier. Built over a one-cell
-// executive it degenerates to a plain indexed broadcast medium — the
-// single-engine path shares every code path but the mailbox.
+// destination cell through the window barrier. Delivery events are
+// records (sender, message), so a broadcast allocates nothing. Built
+// over a one-cell executive it degenerates to a plain indexed broadcast
+// medium — the single-engine path shares every code path but the
+// mailbox.
 type Radio struct {
 	se      *sim.ShardedEngine
 	ix      *NeighborIndex
 	cellOf  []int
 	latency sim.Time
+	deliver Deliver
+	kind    uint8 // the delivery record, on every cell
 
 	// nbrCells[cellOff[d]:cellOff[d+1]] lists the distinct cells d's
 	// neighbours occupy, ascending (flat, like the neighbour index).
@@ -157,13 +158,20 @@ type Radio struct {
 	crossed   []uint64
 }
 
-// NewRadio wires a radio over the executive. latencyS is the medium's
-// one-way MAC+propagation delay; it must be at least the executive's
-// declared lookahead or the conservative windows would be unsound —
-// a violation reports the executive's typed *sim.LookaheadError.
-// cellOf maps each device to its owning cell (geo.CellIndex.CellOwners
-// of the same cut the executive was built with).
-func NewRadio(se *sim.ShardedEngine, ix *NeighborIndex, cellOf []int, latencyS float64) (*Radio, error) {
+// Deliver runs once per receiver dst of a broadcast from src, on the
+// receiver's cell (whose engine is eng), so it may freely mutate
+// receiver state. msg is the value Broadcast was given: whatever it
+// names must stay unchanged until every receiver has run.
+type Deliver func(eng *sim.Engine, src, dst int, msg int32)
+
+// NewRadio wires a radio over the executive and registers its delivery
+// record on every cell. latencyS is the medium's one-way MAC +
+// propagation delay; it must be at least the executive's declared
+// lookahead or the conservative windows would be unsound — a violation
+// reports the executive's typed *sim.LookaheadError. cellOf maps each
+// device to its owning cell (geo.CellIndex.CellOwners of the same cut
+// the executive was built with).
+func NewRadio(se *sim.ShardedEngine, ix *NeighborIndex, cellOf []int, latencyS float64, deliver Deliver) (*Radio, error) {
 	if latencyS < se.Lookahead() {
 		return nil, fmt.Errorf("netsim: radio latency %g below executive lookahead: %w",
 			latencyS, &sim.LookaheadError{LookaheadS: latencyS})
@@ -174,13 +182,13 @@ func NewRadio(se *sim.ShardedEngine, ix *NeighborIndex, cellOf []int, latencyS f
 		}
 	}
 	r := &Radio{
-		se: se, ix: ix, cellOf: cellOf, latency: latencyS,
-		cellOff:   make([]int32, len(ix.pos)+1),
+		se: se, ix: ix, cellOf: cellOf, latency: latencyS, deliver: deliver,
+		cellOff:   make([]int32, len(ix.off)),
 		sent:      make([]uint64, se.Cells()),
 		delivered: make([]uint64, se.Cells()),
 		crossed:   make([]uint64, se.Cells()),
 	}
-	for d := range ix.pos {
+	for d := range len(ix.off) - 1 {
 		start := len(r.nbrCells)
 		for _, n := range ix.Neighbors(d) {
 			if c := int32(cellOf[n]); !slices.Contains(r.nbrCells[start:], c) {
@@ -190,43 +198,36 @@ func NewRadio(se *sim.ShardedEngine, ix *NeighborIndex, cellOf []int, latencyS f
 		slices.Sort(r.nbrCells[start:])
 		r.cellOff[d+1] = int32(len(r.nbrCells))
 	}
+	r.kind = se.Handle(func(c *sim.Cell) sim.Handler {
+		return func(src, msg int32) { r.deliverIn(c, int(src), msg) }
+	})
 	return r, nil
 }
 
-// LatencyS returns the one-way delivery latency.
-func (r *Radio) LatencyS() float64 { return r.latency }
-
-// Neighbors exposes the underlying index lookup (zero-allocation).
-func (r *Radio) Neighbors(d int) []int32 { return r.ix.Neighbors(d) }
-
-// Broadcast transmits from src to every neighbour in range. deliver
-// runs once per receiver after the medium latency, on the receiver's
-// owning cell — so it may freely mutate receiver state. It must be
-// called from src's own cell (an event executing there, or setup code
-// before Run).
-func (r *Radio) Broadcast(src int, deliver func(dst int)) {
+// Broadcast transmits msg from src to every neighbour in range: the
+// radio's Deliver runs once per receiver after the medium latency, on
+// the receiver's owning cell. It must be called from src's own cell (an
+// event executing there, or setup code before Run).
+func (r *Radio) Broadcast(src int, msg int32) {
 	srcCell := r.cellOf[src]
 	c := r.se.Cell(srcCell)
 	at := c.Engine().Now() + r.latency
-	nbrs := r.ix.Neighbors(src)
 	r.sent[srcCell]++
-	for _, dc32 := range r.nbrCells[r.cellOff[src]:r.cellOff[src+1]] {
-		dc := int(dc32)
-		if dc == srcCell {
-			c.Engine().DeferAt(at, func() { r.deliverIn(dc, nbrs, deliver) })
-		} else {
+	for _, dc := range r.nbrCells[r.cellOff[src]:r.cellOff[src+1]] {
+		if int(dc) != srcCell {
 			r.crossed[srcCell]++
-			c.Send(dc, at, func() { r.deliverIn(dc, nbrs, deliver) })
 		}
+		c.Post(int(dc), at, r.kind, int32(src), msg)
 	}
 }
 
-// deliverIn runs the payload for every neighbour owned by cell dc.
-func (r *Radio) deliverIn(dc int, nbrs []int32, deliver func(dst int)) {
-	for _, n := range nbrs {
+// deliverIn runs the payload for every neighbour of src owned by cell c.
+func (r *Radio) deliverIn(c *sim.Cell, src int, msg int32) {
+	dc := c.ID()
+	for _, n := range r.ix.Neighbors(src) {
 		if r.cellOf[n] == dc {
 			r.delivered[dc]++
-			deliver(int(n))
+			r.deliver(c.Engine(), src, int(n), msg)
 		}
 	}
 }

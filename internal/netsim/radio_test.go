@@ -2,8 +2,11 @@ package netsim
 
 import (
 	"errors"
+	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -56,21 +59,72 @@ func randomLayout(n int, fieldM float64, seed int64) ([]geo.Point, []float64) {
 	return pts, ranges
 }
 
+// swarmLayout is the mega-swarm's layout: n devices at 0.01 per m²,
+// 10 % drones (60 m), 30 % rovers (35 m) and 60 % tiny robots (14 m).
+func swarmLayout(n int, seed int64) ([]geo.Point, []float64) {
+	rng := rand.New(rand.NewSource(seed))
+	side := math.Sqrt(float64(n)) * 10
+	pts := make([]geo.Point, n)
+	ranges := make([]float64, n)
+	for i := range pts {
+		pts[i] = geo.Point{X: rng.Float64() * side, Y: rng.Float64() * side}
+		switch u := rng.Float64(); {
+		case u < 0.1:
+			ranges[i] = 60
+		case u < 0.4:
+			ranges[i] = 35
+		default:
+			ranges[i] = 14
+		}
+	}
+	return pts, ranges
+}
+
 // TestNeighborIndexMatchesNaive: the binned build must produce exactly
-// the sets the all-pairs scan produces, for mixed asymmetric ranges.
+// the lists the all-pairs scan produces — same sets, ascending — for
+// mixed asymmetric ranges and the layouts that stress the bin sizing:
+// no positive range, every device on one point, and one tiny range in
+// a large field, where the build must still allocate O(n) bytes.
 func TestNeighborIndexMatchesNaive(t *testing.T) {
+	type layout struct {
+		name   string
+		pts    []geo.Point
+		ranges []float64
+	}
+	var rows []layout
 	for _, n := range []int{1, 17, 400} {
 		pts, ranges := randomLayout(n, 300, int64(n))
-		ix := BuildNeighborIndex(pts, ranges)
-		naive := buildNeighborsNaive(pts, ranges)
-		for d := 0; d < n; d++ {
-			got, want := ix.Neighbors(d), naive[d]
-			if len(got) == 0 && len(want) == 0 {
-				continue
+		rows = append(rows, layout{fmt.Sprintf("random n=%d", n), pts, ranges})
+	}
+	pts, ranges := swarmLayout(1000, 3)
+	rows = append(rows, layout{"swarm mix", pts, ranges})
+	pts, _ = randomLayout(200, 300, 5)
+	rows = append(rows, layout{"all ranges 0", pts, make([]float64, 200)})
+	pts, ranges = randomLayout(50, 300, 6)
+	for i := range pts {
+		pts[i] = geo.Point{X: 42, Y: 7}
+	}
+	rows = append(rows, layout{"coincident", pts, ranges})
+	pts, ranges = randomLayout(1000, 1000, 7)
+	ranges[500] = 0.001
+	rows = append(rows, layout{"1 mm range in 1 km field", pts, ranges})
+
+	for _, row := range rows {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		ix := BuildNeighborIndex(row.pts, row.ranges)
+		runtime.ReadMemStats(&after)
+		for d, want := range buildNeighborsNaive(row.pts, row.ranges) {
+			if got := ix.Neighbors(d); !slices.Equal(got, want) {
+				t.Fatalf("%s device %d: indexed %v != naive %v", row.name, d, got, want)
 			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("n=%d device %d: indexed %v != naive %v", n, d, got, want)
-			}
+		}
+		// Bins, offsets and both list buffers: a few dozen bytes per
+		// device and per neighbour, where an unbounded grid at the 1 mm
+		// range would need 10¹² bins.
+		n, m := uint64(len(row.pts)), uint64(len(ix.nbr))
+		if bytes := after.TotalAlloc - before.TotalAlloc; bytes > 64*n+16*m+4096 {
+			t.Fatalf("%s: build allocated %d B for %d devices, %d neighbours", row.name, bytes, n, m)
 		}
 	}
 }
@@ -145,7 +199,7 @@ func TestNeighborIndexBeatsNaiveScan(t *testing.T) {
 
 // buildRadio wires a 2×2-cell sharded world with a deterministic
 // layout.
-func buildRadio(t *testing.T, workers int, latency float64) (*sim.ShardedEngine, *Radio, *geo.CellIndex, []geo.Point) {
+func buildRadio(t *testing.T, workers int, latency float64, deliver Deliver) (*sim.ShardedEngine, *Radio, *geo.CellIndex, []geo.Point) {
 	t.Helper()
 	pts, ranges := randomLayout(200, 120, 3)
 	cells := geo.Partition(geo.NewField(120, 120), 4)
@@ -155,7 +209,7 @@ func buildRadio(t *testing.T, workers int, latency float64) (*sim.ShardedEngine,
 		t.Fatal(err)
 	}
 	ix := BuildNeighborIndex(pts, ranges)
-	radio, err := NewRadio(se, ix, cix.CellOwners(), latency)
+	radio, err := NewRadio(se, ix, cix.CellOwners(), latency, deliver)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +226,7 @@ func TestRadioLatencyBelowLookaheadRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = NewRadio(se, BuildNeighborIndex(pts, ranges), cix.CellOwners(), 0.001)
+	_, err = NewRadio(se, BuildNeighborIndex(pts, ranges), cix.CellOwners(), 0.001, nil)
 	if err == nil {
 		t.Fatal("expected error for latency < lookahead")
 	}
@@ -187,26 +241,29 @@ func TestRadioLatencyBelowLookaheadRejected(t *testing.T) {
 // on their receivers' cells, which different workers execute in the
 // same window, so the collector is guarded.
 func TestRadioBroadcastDelivers(t *testing.T) {
-	const latency = 0.004
-	se, radio, cix, _ := buildRadio(t, 2, latency)
+	const latency, msg = 0.004, 7
+	var mu sync.Mutex
+	got := map[int]int{}
+	on := map[int]*sim.Engine{}
+	var at []float64
+	se, radio, cix, _ := buildRadio(t, 2, latency, func(eng *sim.Engine, src, dst int, m int32) {
+		now := eng.Now()
+		mu.Lock()
+		defer mu.Unlock()
+		if src != 0 || m != msg {
+			t.Errorf("delivery to %d carries sender %d, message %d", dst, src, m)
+		}
+		got[dst]++
+		on[dst] = eng
+		at = append(at, now)
+	})
 	src := 0
-	want := radio.Neighbors(src)
+	want := radio.ix.Neighbors(src)
 	if len(want) == 0 {
 		t.Fatal("source has no neighbours; layout too sparse for the test")
 	}
-	var mu sync.Mutex
-	got := map[int]int{}
-	var at []float64
 	srcCell := se.Cell(cix.CellOf(src))
-	srcCell.Engine().DeferAt(1.0, func() {
-		radio.Broadcast(src, func(dst int) {
-			now := se.Cell(cix.CellOf(dst)).Engine().Now()
-			mu.Lock()
-			defer mu.Unlock()
-			got[dst]++
-			at = append(at, now)
-		})
-	})
+	srcCell.Engine().DeferAt(1.0, func() { radio.Broadcast(src, msg) })
 	se.Run(2)
 	if len(got) != len(want) {
 		t.Fatalf("delivered to %d receivers, want %d", len(got), len(want))
@@ -214,6 +271,11 @@ func TestRadioBroadcastDelivers(t *testing.T) {
 	for _, n := range want {
 		if got[int(n)] != 1 {
 			t.Fatalf("neighbour %d received %d deliveries, want 1", n, got[int(n)])
+		}
+	}
+	for dst, eng := range on {
+		if eng != se.Cell(cix.CellOf(dst)).Engine() {
+			t.Fatalf("neighbour %d served by another cell's engine", dst)
 		}
 	}
 	for _, ts := range at {
@@ -231,14 +293,14 @@ func TestRadioBroadcastDelivers(t *testing.T) {
 // must deliver identically at any worker count.
 func TestRadioParityAcrossWorkers(t *testing.T) {
 	run := func(workers int) ([]uint64, RadioStats) {
-		se, radio, cix, _ := buildRadio(t, workers, 0.004)
 		heard := make([]uint64, 200)
+		se, radio, cix, _ := buildRadio(t, workers, 0.004, func(_ *sim.Engine, _, dst int, _ int32) { heard[dst]++ })
 		for d := 0; d < 200; d++ {
 			d := d
 			cell := se.Cell(cix.CellOf(d))
 			var loop func()
 			loop = func() {
-				radio.Broadcast(d, func(dst int) { heard[dst]++ })
+				radio.Broadcast(d, 0)
 				cell.Engine().Defer(0.05+cell.Engine().Rand().Float64()*0.01, loop)
 			}
 			cell.Engine().DeferAt(float64(d%7)*0.001, loop)
@@ -258,6 +320,16 @@ func TestRadioParityAcrossWorkers(t *testing.T) {
 		if st != baseStats {
 			t.Fatalf("workers=%d: stats %+v != %+v", w, st, baseStats)
 		}
+	}
+}
+
+// BenchmarkBuildNeighborIndex builds the index for the mega-swarm's own
+// 10⁴-device layout (the benchmark ledger's netsim.neighbor_build_ms).
+func BenchmarkBuildNeighborIndex(b *testing.B) {
+	pts, ranges := swarmLayout(10000, 1)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		BuildNeighborIndex(pts, ranges)
 	}
 }
 

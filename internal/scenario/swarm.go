@@ -17,7 +17,6 @@ import (
 	"math/rand"
 	"sort"
 
-	"hivemind/internal/chaos"
 	"hivemind/internal/device"
 	"hivemind/internal/geo"
 	"hivemind/internal/netsim"
@@ -81,9 +80,9 @@ type SwarmConfig struct {
 	Rumors int
 	// Mix is the fleet composition (default DefaultMix).
 	Mix []SwarmClass
-	// FailProb injects a per-beacon death probability via chaos
-	// injectors (one per cell, seeded from (Seed, cell) so faults are
-	// deterministic under sharding).
+	// FailProb injects a per-beacon death probability, drawn from one
+	// stream per cell seeded from (Seed, cell) so faults are
+	// deterministic under sharding.
 	FailProb float64
 }
 
@@ -179,13 +178,22 @@ type obs struct {
 
 const obsRing = 8
 
-// swarmDev is one fleet member's mission state. It is owned by the
-// device's geo cell: only events executing on that cell read or write
-// it (broadcast payloads are snapshotted by value at send time).
+// beaconSnap is what a beacon tells its receivers at send time: the
+// sender's position estimate, confidence, rumor mask and payload size.
+type beaconSnap struct {
+	est      geo.Point
+	conf, mb float64
+	rumors   uint64
+}
+
+// swarmDev is one fleet member's mission state, device included, in an
+// arena indexed by device id. Only events of the device's geo cell read
+// or write it (broadcast payloads are snapshots, see beaconSnap).
 type swarmDev struct {
+	dev    device.Device
 	class  int
-	dev    *device.Device
 	anchor bool
+	sent   int // beacons sent; picks the snapshot slot
 
 	est  geo.Point
 	conf float64
@@ -278,6 +286,7 @@ func RunSwarm(cfg SwarmConfig) (SwarmResult, error) {
 		total += cl.Frac
 		cum[i] = total
 	}
+	minPeriod := math.Inf(1) // shortest beacon period, for the snapshot slots
 	for d := 0; d < n; d++ {
 		pts[d] = geo.Point{X: layout.Float64() * cfg.FieldM, Y: layout.Float64() * cfg.FieldM}
 		u := layout.Float64() * total
@@ -289,6 +298,7 @@ func RunSwarm(cfg SwarmConfig) (SwarmResult, error) {
 			}
 		}
 		ranges[d] = cfg.Mix[classOf[d]].RadioRangeM
+		minPeriod = math.Min(minPeriod, cfg.Mix[classOf[d]].BeaconPeriodS)
 	}
 
 	cix := geo.BuildCellIndex(cellRects, pts)
@@ -297,32 +307,91 @@ func RunSwarm(cfg SwarmConfig) (SwarmResult, error) {
 		return SwarmResult{}, err
 	}
 	ix := netsim.BuildNeighborIndex(pts, ranges)
-	radio, err := netsim.NewRadio(se, ix, cix.CellOwners(), cfg.RadioLatencyS)
+	cellOf := cix.CellOwners()
+	devs := make([]swarmDev, n)
+	full := uint64(1)<<uint(cfg.Rumors) - 1
+
+	// A beacon's payload is a snapshot in one of its sender's slots. A
+	// slot written at t may be rewritten after t + latency + lookahead,
+	// once every window that can deliver it has closed; beacons are ≥ 0.9
+	// periods apart (0.8 leaves room for rounding), so one slot suffices
+	// for every default mix.
+	slots := 1 + int((cfg.RadioLatencyS+cfg.LookaheadS)/(0.8*minPeriod))
+	snaps := make([]beaconSnap, n*slots)
+	radio, err := netsim.NewRadio(se, ix, cellOf, cfg.RadioLatencyS, func(eng *sim.Engine, src, dst int, msg int32) {
+		r, p := &devs[dst], &snaps[msg]
+		if r.dev.Failed() {
+			return
+		}
+		r.dev.Receive(p.mb)
+		if old := r.rumors; old != full {
+			r.rumors |= p.rumors
+			if r.rumors == full {
+				r.heardAllAt = eng.Now()
+			}
+		}
+		if p.conf > 0 {
+			noisy := pts[src].Dist(pts[dst]) * (1 + 0.02*eng.Rand().NormFloat64())
+			r.pushObs(obs{est: p.est, conf: p.conf, dist: noisy})
+		}
+	})
 	if err != nil {
 		return SwarmResult{}, err
 	}
 
-	// One fault injector per cell, seeded from (root seed, cell id):
-	// each is consumed only by its owning cell's events, in that cell's
-	// deterministic event order, so injected deaths are identical under
-	// any sharding.
-	inj := make([]*chaos.Injector, len(cellRects))
-	for c := range inj {
-		inj[c] = chaos.NewInjector(sim.SeedFor(cfg.Seed, c)^0x63686165f5, chaos.Config{FailProb: cfg.FailProb})
+	// One death stream per cell, seeded from (root seed, cell id) and
+	// drawn only by that cell's events in their deterministic order, so
+	// injected deaths are identical under any sharding.
+	deaths := make([]*rand.Rand, len(cellRects))
+	for c := range deaths {
+		deaths[c] = rand.New(rand.NewSource(sim.SeedFor(cfg.Seed, c) ^ 0x63686165f5))
 	}
 
-	anchorEvery := int(math.Max(1, math.Round(1/cfg.AnchorFrac)))
-	full := uint64(1)<<uint(cfg.Rumors) - 1
+	// Mission loops are records with a = device id, re-posted by their
+	// handlers. Per-iteration jitter draws from the owning cell's engine
+	// RNG: within a cell events execute in one deterministic order, so
+	// the draws are reproducible at any worker count.
+	var beacon, solve uint8
+	beacon = se.Handle(func(c *sim.Cell) sim.Handler {
+		eng := c.Engine()
+		return func(a, _ int32) {
+			s := &devs[a]
+			if s.dev.Failed() {
+				return
+			}
+			if cfg.FailProb > 0 && deaths[c.ID()].Float64() < cfg.FailProb {
+				s.dev.Fail()
+				return
+			}
+			cls := &cfg.Mix[s.class]
+			slot := int(a)*slots + s.sent%slots
+			s.sent++
+			snaps[slot] = beaconSnap{est: s.est, conf: s.conf, mb: cls.BeaconMB, rumors: s.rumors}
+			s.dev.Transmit(cls.BeaconMB)
+			radio.Broadcast(int(a), int32(slot))
+			eng.Post(eng.Now()+cls.BeaconPeriodS*(0.9+0.2*eng.Rand().Float64()), beacon, a, 0)
+		}
+	})
+	solve = se.Handle(func(c *sim.Cell) sim.Handler {
+		eng := c.Engine()
+		return func(a, _ int32) {
+			s := &devs[a]
+			if s.dev.Failed() {
+				return
+			}
+			cls := &cfg.Mix[s.class]
+			s.solve(cls.SolveIters)
+			eng.Post(eng.Now()+cls.SolvePeriodS*(0.9+0.2*eng.Rand().Float64()), solve, a, 0)
+		}
+	})
+	heartbeat := se.Handle(func(*sim.Cell) sim.Handler { return func(a, _ int32) { devs[a].dev.Beat() } })
 
-	devs := make([]swarmDev, n)
-	cellOf := cix.CellOwners()
+	anchorEvery := int(math.Max(1, math.Round(1/cfg.AnchorFrac)))
 	anchors := 0
 	for d := 0; d < n; d++ {
-		cls := cfg.Mix[classOf[d]]
-		eng := se.Cell(cellOf[d]).Engine()
 		s := &devs[d]
 		s.class, s.heardAllAt = classOf[d], -1
-		s.dev = device.New(eng, d, cls.Cfg, nil)
+		s.dev.Init(se.Cell(cellOf[d]).Engine(), d, cfg.Mix[s.class].Cfg, nil, heartbeat)
 		if d%anchorEvery == 0 {
 			s.anchor = true
 			s.est = pts[d]
@@ -338,64 +407,13 @@ func RunSwarm(cfg SwarmConfig) (SwarmResult, error) {
 
 	locErrStart := meanLocErr(devs, pts, -1)
 
-	// Mission loops. Per-iteration jitter draws from the owning cell's
-	// engine RNG: within a cell events execute in one deterministic
-	// order, so the draws are reproducible at any worker count.
 	for d := 0; d < n; d++ {
-		d := d
 		s := &devs[d]
-		cls := cfg.Mix[s.class]
-		cell := se.Cell(cellOf[d])
-		eng := cell.Engine()
-		injector := inj[cellOf[d]]
-
-		var beacon func()
-		beacon = func() {
-			if s.dev.Failed() {
-				return
-			}
-			if cfg.FailProb > 0 && injector.Fault("beacon-death") != nil {
-				s.dev.Fail()
-				return
-			}
-			// Snapshot everything the receivers need by value: deliver
-			// callbacks run later, on other cells.
-			est, conf, rumors := s.est, s.conf, s.rumors
-			srcPos := pts[d]
-			payload := cls.BeaconMB
-			s.dev.Transmit(payload)
-			radio.Broadcast(d, func(dst int) {
-				r := &devs[dst]
-				if r.dev.Failed() {
-					return
-				}
-				r.dev.Receive(payload)
-				if old := r.rumors; old != full {
-					r.rumors |= rumors
-					if r.rumors == full {
-						r.heardAllAt = se.Cell(cellOf[dst]).Engine().Now()
-					}
-				}
-				if conf > 0 {
-					rEng := se.Cell(cellOf[dst]).Engine()
-					noisy := srcPos.Dist(pts[dst]) * (1 + 0.02*rEng.Rand().NormFloat64())
-					r.pushObs(obs{est: est, conf: conf, dist: noisy})
-				}
-			})
-			eng.Defer(cls.BeaconPeriodS*(0.9+0.2*eng.Rand().Float64()), beacon)
-		}
-		eng.DeferAt(layout.Float64()*cls.BeaconPeriodS, beacon)
-
+		cls := &cfg.Mix[s.class]
+		eng := se.Cell(cellOf[d]).Engine()
+		eng.Post(layout.Float64()*cls.BeaconPeriodS, beacon, int32(d), 0)
 		if !s.anchor {
-			var solve func()
-			solve = func() {
-				if s.dev.Failed() {
-					return
-				}
-				s.solve(cls.SolveIters)
-				eng.Defer(cls.SolvePeriodS*(0.9+0.2*eng.Rand().Float64()), solve)
-			}
-			eng.DeferAt(cls.BeaconPeriodS+layout.Float64()*cls.SolvePeriodS, solve)
+			eng.Post(cls.BeaconPeriodS+layout.Float64()*cls.SolvePeriodS, solve, int32(d), 0)
 		}
 	}
 

@@ -126,15 +126,16 @@ func TestSwarmConfigErrors(t *testing.T) {
 }
 
 // TestSwarmMissionAllocCeiling bounds a 2 000-device mission's
-// allocations per device. Device energy state, observation rings and
-// the neighbour and cell lists are flat and preallocated, so what is
-// left is each device's event closures. The count is deterministic:
-// 19.93 per device when the ceiling was set.
+// allocations per device. Devices live in one arena, mission loops and
+// radio deliveries are record events and the neighbour and cell lists
+// are flat, so what is left is each device's battery hook and per-cell
+// set-up. The count is deterministic: 1.40 per device when the ceiling
+// was set.
 func TestSwarmMissionAllocCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
 	}
-	const devices, ceiling = 2000, 21
+	const devices, ceiling = 2000, 4
 	cfg := SwarmConfig{Devices: devices, DurationS: 2, FailProb: 0.001, Shards: 2, Seed: 5}
 	allocs := testing.AllocsPerRun(1, func() {
 		if _, err := RunSwarm(cfg); err != nil {
@@ -143,5 +144,57 @@ func TestSwarmMissionAllocCeiling(t *testing.T) {
 	})
 	if perDev := allocs / devices; perDev > ceiling {
 		t.Fatalf("mission allocates %.2f per device, ceiling %d", perDev, ceiling)
+	}
+}
+
+// TestSwarmAllocsIndependentOfDuration: simulated time costs no
+// allocations, so an 8 s mission allocates within 1 % of a 2 s one.
+func TestSwarmAllocsIndependentOfDuration(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	mission := func(durationS float64) float64 {
+		cfg := SwarmConfig{Devices: 2000, DurationS: durationS, FailProb: 0.001, Shards: 2, Seed: 5}
+		return testing.AllocsPerRun(1, func() {
+			if _, err := RunSwarm(cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	short, long := mission(2), mission(8)
+	if long > 1.01*short {
+		t.Fatalf("8 s mission allocates %.0f, 2 s one %.0f: simulated time allocates", long, short)
+	}
+}
+
+// TestSwarmSnapshotSlotsParityAcrossShards: beacons faster than twice
+// the radio latency make each device rotate several payload snapshot
+// slots, each read by receivers on other cells while the sender runs
+// on. Results must still not depend on the worker count (and, under
+// -race, no slot may be rewritten while a receiver reads it).
+func TestSwarmSnapshotSlotsParityAcrossShards(t *testing.T) {
+	cfg := swarmTestConfig()
+	cfg.DurationS = 1
+	cfg.Mix = DefaultMix()
+	for i := range cfg.Mix {
+		cfg.Mix[i].BeaconPeriodS = 0.006 * float64(i+1)
+	}
+	cfg.Shards = 1
+	base, err := RunSwarm(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if base.Radio.CrossEvents == 0 {
+		t.Fatal("no cross-cell traffic; parity test vacuous")
+	}
+	for _, w := range []int{2, 8} {
+		cfg.Shards = w
+		got, err := RunSwarm(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, base) {
+			t.Fatalf("shards=%d diverged from shards=1:\n got: %+v\nwant: %+v", w, got, base)
+		}
 	}
 }

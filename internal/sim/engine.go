@@ -1,17 +1,18 @@
 // Package sim implements a deterministic discrete-event simulation kernel.
 //
-// The kernel is callback-based: model code schedules closures at virtual
-// times on an Engine, and the Engine executes them in time order (ties
-// broken by scheduling order, which makes runs with the same seed fully
-// deterministic). On top of the raw event loop the package provides
-// cancellable timers and multi-server FIFO resources with queueing
-// statistics — the building blocks for the queueing-network swarm
-// simulator described in Section 5.6 of the HiveMind paper.
+// An event is a record: a time, a kind and two int32 arguments. Model
+// code registers a Handler per kind (Handle) and posts records (Post);
+// the Engine executes them in time order, ties broken by scheduling
+// order, which makes runs with the same seed fully deterministic. Kind
+// 0 runs a closure, for At, Defer, timers and tickers. On top of the
+// event loop the package provides multi-server FIFO resources with
+// queueing statistics — the building blocks for the queueing-network
+// swarm simulator described in Section 5.6 of the HiveMind paper.
 //
-// The event loop is the hot path under the entire evaluation sweep
-// (every figure re-runs the swarm simulator), so it is tuned to shed
-// allocations: event structs are recycled through a per-engine free
-// list (safe because Cancel drops the callback and recycling bumps a
+// The event loop is the hot path under the entire evaluation sweep, so
+// it is tuned to shed allocations: a record names its state by index
+// instead of capturing it, event structs come from per-engine slabs and
+// are recycled through a free list (safe because recycling bumps a
 // generation counter that stale Timer handles check), and the priority
 // queue is a hand-rolled binary heap with inlined comparisons rather
 // than container/heap's interface-dispatched one.
@@ -28,19 +29,23 @@ type Time = float64
 // Infinity is a time later than any event the simulator will ever reach.
 const Infinity Time = 1e18
 
-// event is a scheduled closure. seq breaks ties between events scheduled
-// for the same instant so execution order matches scheduling order. gen
-// counts recycles: a Timer binds to (event, gen) and goes inert once the
-// event is returned to the pool, so handle reuse cannot cancel an
-// unrelated later event.
+// event is a scheduled record: handler kind with arguments a and b, or
+// fn when kind is 0. seq breaks ties between events scheduled for the
+// same instant so execution order matches scheduling order. gen counts
+// recycles: a Timer binds to (event, gen) and goes inert once the event
+// is popped, so handle reuse cannot cancel an unrelated later event.
 type event struct {
 	at     Time
 	seq    uint64
 	fn     func()
-	cancel bool
-	index  int    // heap index, -1 once popped
+	a, b   int32
 	gen    uint32 // bumped on every recycle
+	kind   uint8
+	cancel bool
 }
+
+// Handler runs a record event with the arguments it was posted with.
+type Handler func(a, b int32)
 
 // Engine is a discrete-event simulation executive. It is not safe for
 // concurrent use; all model code runs on the caller's goroutine inside
@@ -56,9 +61,11 @@ type Engine struct {
 	// let a stale Timer in one engine read an event another engine is
 	// rewriting. Engines are single-goroutine, so this list needs no
 	// synchronization at all.
-	free    []*event
-	stopped bool
-	steps   uint64
+	free     []*event
+	slab     []event // fresh events, carved off in order
+	handlers []Handler
+	stopped  bool
+	steps    uint64
 }
 
 // NewEngine returns an engine at time zero with a deterministic RNG
@@ -76,6 +83,22 @@ func (e *Engine) Rand() *rand.Rand { return e.rng }
 // Steps reports how many events have been executed so far.
 func (e *Engine) Steps() uint64 { return e.steps }
 
+// Handle registers h and returns its record kind: 1, 2, … in
+// registration order (kind 0 is the closure event).
+func (e *Engine) Handle(h Handler) uint8 {
+	if len(e.handlers) == 255 {
+		panic("sim: more than 255 record kinds")
+	}
+	e.handlers = append(e.handlers, h)
+	return uint8(len(e.handlers))
+}
+
+// Post schedules a record of a registered kind at absolute time t and
+// returns its cancel handle; it allocates nothing once the pool is warm.
+func (e *Engine) Post(t Time, kind uint8, a, b int32) Timer {
+	return e.schedule(t, nil, kind, a, b)
+}
+
 // less orders events by time, ties broken by scheduling order.
 func less(a, b *event) bool {
 	if a.at != b.at {
@@ -90,18 +113,15 @@ func less(a, b *event) bool {
 func (e *Engine) push(ev *event) {
 	h := append(e.events, ev)
 	i := len(h) - 1
-	ev.index = i
 	for i > 0 {
 		p := (i - 1) / 2
 		if !less(ev, h[p]) {
 			break
 		}
 		h[i] = h[p]
-		h[i].index = i
 		i = p
 	}
 	h[i] = ev
-	ev.index = i
 	e.events = h
 }
 
@@ -129,14 +149,11 @@ func (e *Engine) pop() *event {
 				break
 			}
 			h[i] = h[c]
-			h[i].index = i
 			i = c
 		}
 		h[i] = last
-		last.index = i
 	}
 	e.events = h
-	top.index = -1
 	return top
 }
 
@@ -148,10 +165,10 @@ func (e *Engine) recycle(ev *event) {
 	e.free = append(e.free, ev)
 }
 
-// schedule is the allocation-lean core of At/After/Defer: it takes an
-// event from the free list and enqueues it without creating a Timer
-// handle.
-func (e *Engine) schedule(t Time, fn func()) *event {
+// schedule is the allocation-lean core of Post/At/After/Defer: it takes
+// an event from the free list, or else from the slab, which grows with
+// the queue, enqueues it and returns its handle by value.
+func (e *Engine) schedule(t Time, fn func(), kind uint8, a, b int32) Timer {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: schedule at %g before now %g", t, e.now))
 	}
@@ -161,15 +178,16 @@ func (e *Engine) schedule(t Time, fn func()) *event {
 		e.free[n-1] = nil
 		e.free = e.free[:n-1]
 	} else {
-		ev = new(event)
+		if len(e.slab) == 0 {
+			e.slab = make([]event, min(max(len(e.events), 16), 4096))
+		}
+		ev = &e.slab[0]
+		e.slab = e.slab[1:]
 	}
-	ev.at = t
-	ev.seq = e.seq
-	ev.fn = fn
-	ev.cancel = false
+	ev.at, ev.seq, ev.fn, ev.kind, ev.a, ev.b, ev.cancel = t, e.seq, fn, kind, a, b, false
 	e.seq++
 	e.push(ev)
-	return ev
+	return Timer{ev: ev, gen: ev.gen}
 }
 
 // Timer is a handle to a scheduled event that can be cancelled before it
@@ -188,9 +206,9 @@ func (t *Timer) Cancel() bool {
 		return false
 	}
 	ev := t.ev
-	if ev.gen != t.gen || ev.fn == nil {
-		// The event fired (and was recycled, possibly into a new life)
-		// or is mid-dispatch; nothing to prevent.
+	if ev.gen != t.gen || ev.cancel {
+		// The event fired (and was recycled, possibly into a new life),
+		// is mid-dispatch, or another handle cancelled it.
 		return false
 	}
 	ev.cancel = true
@@ -198,7 +216,7 @@ func (t *Timer) Cancel() bool {
 	// heap until popped, and fn may capture large model state.
 	ev.fn = nil
 	t.cancelled = true
-	return ev.index != -1
+	return true
 }
 
 // Stopped reports whether the timer has been cancelled.
@@ -207,8 +225,8 @@ func (t *Timer) Stopped() bool { return t == nil || t.ev == nil || t.cancelled }
 // At schedules fn to run at absolute time t. Scheduling in the past
 // panics: it indicates a model bug that would silently corrupt causality.
 func (e *Engine) At(t Time, fn func()) *Timer {
-	ev := e.schedule(t, fn)
-	return &Timer{ev: ev, gen: ev.gen}
+	tm := e.schedule(t, fn, 0, 0, 0)
+	return &tm
 }
 
 // After schedules fn to run d seconds from now. Negative delays are
@@ -228,35 +246,28 @@ func (e *Engine) Defer(d Time, fn func()) {
 	if d < 0 {
 		d = 0
 	}
-	e.schedule(e.now+d, fn)
+	e.schedule(e.now+d, fn, 0, 0, 0)
 }
 
 // DeferAt is Defer with an absolute deadline.
 func (e *Engine) DeferAt(t Time, fn func()) {
-	e.schedule(t, fn)
+	e.schedule(t, fn, 0, 0, 0)
 }
 
 // Alarm is a reusable one-shot timer for model components that re-arm
 // the same callback over and over (flow-completion timers, keep-alive
 // expirations). Unlike After, re-arming an Alarm allocates nothing: the
-// callback is bound once and the Alarm tracks its pending event through
-// the engine's recycling generations.
+// callback is bound once and the Alarm holds its pending event's Timer
+// by value.
 type Alarm struct {
 	eng *Engine
 	fn  func()
-	ev  *event
-	gen uint32
+	tm  Timer
 }
 
 // NewAlarm binds fn to a reusable timer. The alarm starts unarmed.
 func (e *Engine) NewAlarm(fn func()) *Alarm {
 	return &Alarm{eng: e, fn: fn}
-}
-
-// armed reports whether the alarm's event is still pending and its own
-// (not recycled into a new life, not cancelled, not mid-dispatch).
-func (a *Alarm) armed() bool {
-	return a.ev != nil && a.ev.gen == a.gen && a.ev.fn != nil
 }
 
 // Set arms the alarm to fire d seconds from now (clamped at zero),
@@ -271,19 +282,12 @@ func (a *Alarm) Set(d Time) {
 // SetAt arms the alarm to fire at absolute time t, replacing any
 // pending firing.
 func (a *Alarm) SetAt(t Time) {
-	a.Stop()
-	a.ev = a.eng.schedule(t, a.fn)
-	a.gen = a.ev.gen
+	a.tm.Cancel()
+	a.tm = a.eng.schedule(t, a.fn, 0, 0, 0)
 }
 
 // Stop cancels the pending firing, if any. Safe to call when unarmed.
-func (a *Alarm) Stop() {
-	if a.armed() {
-		a.ev.cancel = true
-		a.ev.fn = nil
-	}
-	a.ev = nil
-}
+func (a *Alarm) Stop() { a.tm.Cancel() }
 
 // Stop makes the current Run/RunUntil call return after the in-flight
 // event completes. Pending events remain queued.
@@ -299,16 +303,17 @@ func (e *Engine) Run() { e.RunUntil(Infinity) }
 // RunUntil executes events with timestamps <= limit and then advances
 // the clock to limit, even when the queue emptied earlier — callers
 // stepping a simulation in fixed windows rely on Now() landing exactly
-// on each window boundary. The two exceptions leave the clock at the
-// last executed event: Stop (the run was interrupted mid-window) and
-// Run, whose limit of Infinity is a horizon, not a boundary. It returns
-// the number of events executed during this call.
+// on each window boundary. The exceptions leave the clock where it is:
+// Stop (the run was interrupted mid-window), Run, whose limit of
+// Infinity is a horizon, not a boundary, and a limit already behind
+// Now(), since the clock never runs backwards. It returns the number
+// of events executed during this call.
 func (e *Engine) RunUntil(limit Time) uint64 {
 	e.stopped = false
 	var executed uint64
 	for len(e.events) > 0 && !e.stopped {
 		if e.events[0].at > limit {
-			e.now = limit
+			e.now = max(e.now, limit)
 			return executed
 		}
 		next := e.pop()
@@ -317,10 +322,13 @@ func (e *Engine) RunUntil(limit Time) uint64 {
 			continue
 		}
 		e.now = next.at
-		fn := next.fn
-		next.fn = nil
+		fn, kind, a, b := next.fn, next.kind, next.a, next.b
 		e.recycle(next)
-		fn()
+		if kind == 0 {
+			fn()
+		} else {
+			e.handlers[kind-1](a, b)
+		}
 		e.steps++
 		executed++
 	}

@@ -72,17 +72,18 @@ func (e *LookaheadError) Error() string {
 	return fmt.Sprintf("sim: cross-cell lookahead must be positive, got %g s", e.LookaheadS)
 }
 
-// crossEvent is one buffered cross-cell delivery.
+// crossEvent is one buffered cross-cell record for cell to.
 type crossEvent struct {
-	to int
-	at Time
-	fn func()
+	at   Time
+	to   int32
+	a, b int32
+	kind uint8
 }
 
 // Cell is one shard of a sharded simulation: an Engine plus the outbox
 // for cross-cell sends. Model code running inside a cell's events may
 // use the cell's Engine freely and must route any interaction with
-// state owned by another cell through Send.
+// state owned by another cell through Post.
 type Cell struct {
 	se  *ShardedEngine
 	id  int
@@ -100,16 +101,16 @@ func (c *Cell) ID() int { return c.id }
 // legal from the cell's own events (or before Run starts).
 func (c *Cell) Engine() *Engine { return c.eng }
 
-// Send schedules fn at absolute time at inside cell to. It must be
-// called from within the sending cell's own event execution (or before
-// Run starts). Cross-cell sends must respect the declared lookahead:
-// at >= now + lookahead. Violating that bound is a model bug that
-// would corrupt causality under parallel execution, so it panics just
-// like scheduling in the past does on a plain Engine. Sends to the own
-// cell are unconstrained — they are ordinary local events.
-func (c *Cell) Send(to int, at Time, fn func()) {
+// Post schedules a record at absolute time at inside cell to, from the
+// sending cell's own events (or before Run). kind must come from
+// ShardedEngine.Handle, so it names one handler on every cell; records
+// carry values, never a closure over the sender's state. A cross-cell
+// post must respect the lookahead, at >= now + lookahead: a violation
+// would corrupt causality under parallel execution, so it panics like
+// scheduling in the past. Posts to the own cell are local events.
+func (c *Cell) Post(to int, at Time, kind uint8, a, b int32) {
 	if to == c.id {
-		c.eng.DeferAt(at, fn)
+		c.eng.Post(at, kind, a, b)
 		return
 	}
 	if to < 0 || to >= len(c.se.cells) {
@@ -119,7 +120,7 @@ func (c *Cell) Send(to int, at Time, fn func()) {
 		panic(fmt.Sprintf("sim: cross-cell send at %g violates lookahead horizon %g (now %g, lookahead %g)",
 			at, horizon, c.eng.now, c.se.lookahead))
 	}
-	c.out = append(c.out, crossEvent{to: to, at: at, fn: fn})
+	c.out = append(c.out, crossEvent{at: at, to: int32(to), a: a, b: b, kind: kind})
 }
 
 // ShardedEngine executes one simulation partitioned into per-cell
@@ -167,14 +168,23 @@ func NewSharded(rootSeed int64, cells int, lookaheadS Time, workers int) (*Shard
 	return se, nil
 }
 
+// Handle registers one record handler on every cell, built for each
+// cell by mk, and returns its kind, which is the same on every cell.
+func (s *ShardedEngine) Handle(mk func(c *Cell) Handler) uint8 {
+	kind := s.cells[0].eng.Handle(mk(s.cells[0]))
+	for _, c := range s.cells[1:] {
+		if c.eng.Handle(mk(c)) != kind {
+			panic("sim: cells registered different record kinds")
+		}
+	}
+	return kind
+}
+
 // Cells returns the number of cells.
 func (s *ShardedEngine) Cells() int { return len(s.cells) }
 
 // Cell returns cell i.
 func (s *ShardedEngine) Cell(i int) *Cell { return s.cells[i] }
-
-// Workers returns the worker-goroutine bound.
-func (s *ShardedEngine) Workers() int { return s.workers }
 
 // Lookahead returns the declared cross-cell lookahead in seconds.
 func (s *ShardedEngine) Lookahead() Time { return s.lookahead }
@@ -233,23 +243,18 @@ func (s *ShardedEngine) sweep() {
 // exchange drains every outbox into the destination engines. Iteration
 // order (source cell ascending, send order within a cell) is fixed, so
 // the seq tie-breakers the destination engine assigns are identical on
-// every run regardless of how the preceding window was scheduled. It
-// reports how many messages moved.
-func (s *ShardedEngine) exchange() int {
-	moved := 0
+// every run regardless of how the preceding window was scheduled.
+func (s *ShardedEngine) exchange() {
 	for _, c := range s.cells {
 		for _, m := range c.out {
-			dst := s.cells[m.to]
 			// The lookahead bound guarantees at >= the window boundary
 			// every clock now sits on, so this never schedules in the
 			// destination's past.
-			dst.eng.DeferAt(m.at, m.fn)
-			moved++
+			s.cells[m.to].eng.Post(m.at, m.kind, m.a, m.b)
 		}
+		s.crossed += uint64(len(c.out))
 		c.out = c.out[:0]
 	}
-	s.crossed += uint64(moved)
-	return moved
 }
 
 // Run executes events with timestamps <= limit across all cells and

@@ -88,16 +88,19 @@ func TestShardBoundaryExactDelivery(t *testing.T) {
 	}
 	var order []string
 	c0, c1 := se.Cell(0), se.Cell(1)
+	x := se.Handle(func(c *Cell) Handler {
+		return func(int32, int32) {
+			if now := c.Engine().Now(); c != c1 || now != 1.5 {
+				t.Errorf("boundary delivery ran on cell %d at %g, want cell 1 at 1.5", c.ID(), now)
+			}
+			order = append(order, "x@1.5")
+		}
+	})
 	c1.Engine().DeferAt(1.2, func() { order = append(order, "c1@1.2") })
 	c1.Engine().DeferAt(1.8, func() { order = append(order, "c1@1.8") })
 	c0.Engine().DeferAt(1.0, func() {
 		// Stamped exactly at now+lookahead: the earliest legal delivery.
-		c0.Send(1, c0.Engine().Now()+lookahead, func() {
-			if now := c1.Engine().Now(); now != 1.5 {
-				t.Errorf("boundary delivery ran at %g, want 1.5", now)
-			}
-			order = append(order, "x@1.5")
-		})
+		c0.Post(1, c0.Engine().Now()+lookahead, x, 0, 0)
 	})
 	se.Run(5)
 	want := []string{"c1@1.2", "x@1.5", "c1@1.8"}
@@ -115,13 +118,14 @@ func TestShardLookaheadViolationPanics(t *testing.T) {
 		t.Fatal(err)
 	}
 	c0 := se.Cell(0)
+	nop := se.Handle(func(*Cell) Handler { return func(int32, int32) {} })
 	c0.Engine().DeferAt(1, func() {
 		defer func() {
 			if recover() == nil {
 				t.Error("expected panic for sub-lookahead cross-cell send")
 			}
 		}()
-		c0.Send(1, 1.2, func() {})
+		c0.Post(1, 1.2, nop, 0, 0)
 	})
 	se.Run(2)
 }
@@ -138,6 +142,7 @@ func shardTrace(t *testing.T, workers int) ([][]string, []float64) {
 	}
 	trace := make([][]string, cells)
 	var arm func(c *Cell, depth int)
+	ping := se.Handle(func(c *Cell) Handler { return func(depth, _ int32) { arm(c, int(depth)) } })
 	arm = func(c *Cell, depth int) {
 		eng := c.Engine()
 		trace[c.id] = append(trace[c.id], fmt.Sprintf("%d@%.6f", c.id, eng.Now()))
@@ -151,7 +156,7 @@ func shardTrace(t *testing.T, workers int) ([][]string, []float64) {
 		to := eng.Rand().Intn(cells)
 		if to != c.id {
 			at := eng.Now() + 0.02 + eng.Rand().Float64()*0.01
-			c.Send(to, at, func() { arm(se.Cell(to), depth+1) })
+			c.Post(to, at, ping, int32(depth+1), 0)
 		}
 	}
 	for i := 0; i < cells; i++ {
@@ -240,9 +245,10 @@ func TestShardCrossMessageCounts(t *testing.T) {
 	}
 	ran := 0
 	c0 := se.Cell(0)
+	count := se.Handle(func(*Cell) Handler { return func(int32, int32) { ran++ } })
 	c0.Engine().DeferAt(0.5, func() {
-		c0.Send(1, c0.Engine().Now()+0.1, func() { ran++ })
-		c0.Send(0, c0.Engine().Now()+0.001, func() { ran++ }) // local: no lookahead bound
+		c0.Post(1, c0.Engine().Now()+0.1, count, 0, 0)
+		c0.Post(0, c0.Engine().Now()+0.001, count, 0, 0) // local: no lookahead bound
 	})
 	se.Run(1)
 	if ran != 2 {
