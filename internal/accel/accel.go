@@ -8,8 +8,7 @@
 //   - hard reconfiguration (coarse decisions: CPU-NIC interface
 //     protocol, transport layer) which requires reprogramming,
 //   - soft reconfiguration (register-file settings: CCI-P batch size,
-//     queue provisioning, active RPC flows, load-balancing scheme)
-//     which is fast but incurs a small overhead, and
+//     queue provisioning, active RPC flows), and
 //   - calibrated performance models: ~2.1 µs round trips and
 //     ~12.4 Mrps/core for 64 B RPCs (§4.5), plus remote-memory access
 //     latency used for inter-function data sharing (§4.4).
@@ -52,15 +51,6 @@ const (
 	InterfacePCIe
 )
 
-// LoadBalance selects the offload engine's flow-steering scheme (soft
-// reconfig).
-type LoadBalance int
-
-const (
-	LBRoundRobin LoadBalance = iota
-	LBFlowHash
-)
-
 // HardConfig holds the coarse-grained decisions baked into a bitstream.
 type HardConfig struct {
 	Transport Transport
@@ -70,17 +60,16 @@ type HardConfig struct {
 // SoftConfig holds the register-file settings tunable online, per
 // application, through partial reconfiguration (§4.5).
 type SoftConfig struct {
-	CCIPBatch    int // batch size of CCI-P transfers (1..64)
-	TxQueues     int // transmit queue count (1..64)
-	RxQueues     int // receive queue count (1..64)
-	QueueDepth   int // per-queue entries (64..65536, power of two)
-	ActiveFlows  int // provisioned concurrent RPC flows (1..4096)
-	LoadBalancer LoadBalance
+	CCIPBatch   int // batch size of CCI-P transfers (1..64)
+	TxQueues    int // transmit queue count (1..64)
+	RxQueues    int // receive queue count (1..64)
+	QueueDepth  int // per-queue entries (64..65536, power of two)
+	ActiveFlows int // provisioned concurrent RPC flows (1..4096)
 }
 
 // DefaultSoftConfig returns a balanced configuration.
 func DefaultSoftConfig() SoftConfig {
-	return SoftConfig{CCIPBatch: 8, TxQueues: 8, RxQueues: 8, QueueDepth: 1024, ActiveFlows: 256, LoadBalancer: LBFlowHash}
+	return SoftConfig{CCIPBatch: 8, TxQueues: 8, RxQueues: 8, QueueDepth: 1024, ActiveFlows: 256}
 }
 
 // Validate checks register ranges.
@@ -98,21 +87,12 @@ func (c SoftConfig) Validate() error {
 	return nil
 }
 
-// Reconfiguration costs.
-const (
-	HardReconfigS = 1.8    // full/partial bitstream programming
-	SoftReconfigS = 150e-6 // register writes over PCIe + engine quiesce
-)
-
 // Fabric is one FPGA's modelled state.
 type Fabric struct {
-	hard        HardConfig
-	soft        SoftConfig
-	regions     map[Region]float64 // LUT fraction per active region
-	programmed  bool
-	hardCount   int
-	softCount   int
-	reconfTotal float64 // seconds spent reconfiguring
+	hard       HardConfig
+	soft       SoftConfig
+	regions    map[Region]float64 // LUT fraction per active region
+	programmed bool
 }
 
 // NewFabric programs the default HiveMind partition: remote-memory and
@@ -125,7 +105,6 @@ func NewFabric() *Fabric {
 	}); err != nil {
 		panic(err)
 	}
-	f.hardCount, f.reconfTotal = 0, 0 // initial programming is not a reconfiguration
 	return f
 }
 
@@ -152,8 +131,6 @@ func (f *Fabric) Program(hard HardConfig, regions map[Region]float64) error {
 		f.regions[r] = frac
 	}
 	f.programmed = true
-	f.hardCount++
-	f.reconfTotal += HardReconfigS
 	return nil
 }
 
@@ -166,35 +143,13 @@ func (f *Fabric) ApplySoft(cfg SoftConfig) error {
 		return err
 	}
 	f.soft = cfg
-	f.softCount++
-	f.reconfTotal += SoftReconfigS
 	return nil
 }
-
-// Hard returns the active hard configuration.
-func (f *Fabric) Hard() HardConfig { return f.hard }
-
-// Soft returns the active soft configuration.
-func (f *Fabric) Soft() SoftConfig { return f.soft }
 
 // HasRegion reports whether an engine is present in the bitstream.
 func (f *Fabric) HasRegion(r Region) bool {
 	_, ok := f.regions[r]
 	return ok
-}
-
-// LUTUsage returns the fraction of LUTs in use.
-func (f *Fabric) LUTUsage() float64 {
-	var t float64
-	for _, frac := range f.regions {
-		t += frac
-	}
-	return t
-}
-
-// ReconfigStats reports reconfiguration counts and accumulated time.
-func (f *Fabric) ReconfigStats() (hard, soft int, totalS float64) {
-	return f.hardCount, f.softCount, f.reconfTotal
 }
 
 // Calibration anchors from §4.5.

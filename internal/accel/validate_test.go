@@ -1,6 +1,7 @@
 package accel_test
 
 import (
+	"fmt"
 	"net"
 	"sort"
 	"sync"
@@ -109,6 +110,63 @@ func medianBatchRTT(batch, rounds int, call func()) time.Duration {
 	return per[len(per)/2]
 }
 
+// measuredFastPath holds median round-trip numbers observed on the
+// live software data plane (internal/rpc). The calibrated hardware
+// model (§4.5: ~2.1 µs RTT, ~12.4 Mrps/core at 64 B) is only credible
+// if it sits where the paper places it relative to real software
+// paths:
+//
+//   - the in-process shared-memory ring skips the NIC and the wire
+//     entirely, so it must beat the modelled hardware round trip;
+//   - the kernel TCP loopback path is exactly what the offload exists
+//     to beat, so the modelled round trip must undercut it;
+//   - one core driving the kernel TCP path must fall short of the
+//     modelled offloaded request rate.
+//
+// These are ordering invariants rather than absolute-latency asserts,
+// so they hold across CI machines of very different speeds.
+type measuredFastPath struct {
+	RingRTT time.Duration // 64 B round trip over the in-process shm ring
+	TCPRTT  time.Duration // 64 B round trip over kernel TCP loopback
+	TCPRps  float64       // pipelined 64 B req/s over one mux'd TCP conn
+}
+
+// validateAgainst cross-checks the fabric's calibrated RPC model
+// against measured software fast-path medians and returns every
+// violated invariant. strictLatency enables the latency-ordering
+// invariants; under the race detector (which slows the software path
+// 10-20×) pass false to keep only the sanity and throughput checks.
+func validateAgainst(f *accel.Fabric, m measuredFastPath, strictLatency bool) []string {
+	modelRTT, modelRps := f.RPCRoundTripS(64), f.RPCThroughputRps(64)
+	var issues []string
+	fail := func(format string, args ...any) {
+		issues = append(issues, fmt.Sprintf(format, args...))
+	}
+	if modelRTT <= 0 || modelRps <= 0 {
+		fail("rpc engine absent from bitstream: model rtt=%v rps=%v", modelRTT, modelRps)
+		return issues
+	}
+	if m.RingRTT <= 0 || m.TCPRTT <= 0 {
+		fail("measured round trips must be positive: ring=%v tcp=%v", m.RingRTT, m.TCPRTT)
+		return issues
+	}
+	if m.RingRTT >= m.TCPRTT {
+		fail("in-process ring (%v) should beat kernel TCP loopback (%v)", m.RingRTT, m.TCPRTT)
+	}
+	if strictLatency {
+		if rtt := m.RingRTT.Seconds(); rtt >= modelRTT {
+			fail("shm ring rtt %v should undercut modelled hw rtt %.2fµs: the ring skips the NIC the model includes", m.RingRTT, modelRTT*1e6)
+		}
+		if rtt := m.TCPRTT.Seconds(); rtt <= modelRTT {
+			fail("kernel TCP rtt %v should exceed modelled hw rtt %.2fµs: otherwise the offload has nothing to offer", m.TCPRTT, modelRTT*1e6)
+		}
+	}
+	if m.TCPRps > 0 && m.TCPRps >= modelRps {
+		fail("software TCP throughput %.2fM rps should fall short of modelled offload %.2fM rps", m.TCPRps/1e6, modelRps/1e6)
+	}
+	return issues
+}
+
 // TestFabricModelMatchesMeasuredFastPath cross-checks the calibrated
 // §4.5 hardware model against the live software data plane: the
 // in-process shm ring must undercut the modelled hardware round trip
@@ -119,64 +177,61 @@ func TestFabricModelMatchesMeasuredFastPath(t *testing.T) {
 	if testing.Short() {
 		t.Skip("measures live transport latency; skipped in -short")
 	}
-	m := accel.MeasuredFastPath{RingRTT: measureRingRTT(t)}
+	m := measuredFastPath{RingRTT: measureRingRTT(t)}
 	m.TCPRTT, m.TCPRps = measureTCP(t)
 
 	f := accel.NewFabric()
-	rep := f.ValidateAgainst(m, !raceEnabled)
-	t.Logf("%s", rep)
+	t.Logf("model rtt=%.2fµs rps=%.1fM | measured ring=%v tcp=%v tcprps=%.2fM",
+		f.RPCRoundTripS(64)*1e6, f.RPCThroughputRps(64)/1e6, m.RingRTT, m.TCPRTT, m.TCPRps/1e6)
 	if raceEnabled {
 		t.Log("race detector active: strict latency-ordering invariants relaxed")
 	}
-	for _, issue := range rep.Issues {
+	for _, issue := range validateAgainst(f, m, !raceEnabled) {
 		t.Errorf("invariant violated: %s", issue)
-	}
-	if !rep.OK() {
-		t.Fatalf("fabric model inconsistent with measured fast path")
 	}
 }
 
-// TestValidateAgainstInvariants exercises the pure checker with
+// TestValidateAgainstInvariants exercises the checker with
 // synthetic measurements so its logic is covered deterministically.
 func TestValidateAgainstInvariants(t *testing.T) {
 	f := accel.NewFabric()
 	model := f.RPCRoundTripS(64)
 
-	good := accel.MeasuredFastPath{
+	good := measuredFastPath{
 		RingRTT: time.Duration(model * 0.1 * float64(time.Second)),
 		TCPRTT:  time.Duration(model * 5 * float64(time.Second)),
 		TCPRps:  f.RPCThroughputRps(64) / 20,
 	}
-	if rep := f.ValidateAgainst(good, true); !rep.OK() {
-		t.Fatalf("plausible measurement rejected: %v", rep.Issues)
+	if issues := validateAgainst(f, good, true); len(issues) > 0 {
+		t.Fatalf("plausible measurement rejected: %v", issues)
 	}
 
 	cases := []struct {
 		name string
-		m    accel.MeasuredFastPath
+		m    measuredFastPath
 	}{
-		{"ring slower than model", accel.MeasuredFastPath{
+		{"ring slower than model", measuredFastPath{
 			RingRTT: time.Duration(model * 2 * float64(time.Second)),
 			TCPRTT:  time.Duration(model * 5 * float64(time.Second)),
 		}},
-		{"tcp faster than model", accel.MeasuredFastPath{
+		{"tcp faster than model", measuredFastPath{
 			RingRTT: time.Duration(model * 0.01 * float64(time.Second)),
 			TCPRTT:  time.Duration(model * 0.5 * float64(time.Second)),
 		}},
-		{"ring no better than tcp", accel.MeasuredFastPath{
+		{"ring no better than tcp", measuredFastPath{
 			RingRTT: 10 * time.Microsecond,
 			TCPRTT:  10 * time.Microsecond,
 		}},
-		{"software throughput beats offload", accel.MeasuredFastPath{
+		{"software throughput beats offload", measuredFastPath{
 			RingRTT: time.Duration(model * 0.1 * float64(time.Second)),
 			TCPRTT:  time.Duration(model * 5 * float64(time.Second)),
 			TCPRps:  f.RPCThroughputRps(64) * 2,
 		}},
-		{"non-positive measurement", accel.MeasuredFastPath{}},
+		{"non-positive measurement", measuredFastPath{}},
 	}
 	for _, tc := range cases {
-		if rep := f.ValidateAgainst(tc.m, true); rep.OK() {
-			t.Errorf("%s: expected an invariant violation, got OK (%s)", tc.name, rep)
+		if issues := validateAgainst(f, tc.m, true); len(issues) == 0 {
+			t.Errorf("%s: expected an invariant violation, got none (%+v)", tc.name, tc.m)
 		}
 	}
 
@@ -185,7 +240,7 @@ func TestValidateAgainstInvariants(t *testing.T) {
 	if err := bare.Program(accel.HardConfig{}, map[accel.Region]float64{accel.RegionRemoteMem: accel.RemoteMemLUTFrac}); err != nil {
 		t.Fatal(err)
 	}
-	if rep := bare.ValidateAgainst(good, true); rep.OK() {
+	if len(validateAgainst(bare, good, true)) == 0 {
 		t.Error("fabric without rpc engine should fail validation")
 	}
 }

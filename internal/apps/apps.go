@@ -177,13 +177,3 @@ func ByID(id ID) (Profile, bool) {
 	}
 	return Profile{}, false
 }
-
-// IDs returns all benchmark ids in order.
-func IDs() []ID {
-	all := All()
-	out := make([]ID, len(all))
-	for i, p := range all {
-		out[i] = p.ID
-	}
-	return out
-}

@@ -50,8 +50,8 @@ func TestByIDAndIDs(t *testing.T) {
 	if _, ok := ByID("S99"); ok {
 		t.Fatal("bogus id found")
 	}
-	if len(IDs()) != 10 {
-		t.Fatalf("IDs = %v", IDs())
+	if len(All()) != 10 {
+		t.Fatalf("%d benchmarks, want 10", len(All()))
 	}
 }
 

@@ -3,7 +3,7 @@
 // (§3.2 respawn-on-failure, §4.6 straggler mitigation and failure
 // recovery) are modelled probabilistically in internal/faas; this
 // package lets the *live* stack — the framed RPC framework, the
-// serverless runtime, and the revisioned store — experience the same
+// serverless runtime, and the controller replicas — experience the same
 // failure modes on real connections so the hardened client (retries,
 // deadlines, circuit breaking, reconnect) can be exercised end-to-end.
 //
@@ -13,14 +13,14 @@
 //
 // Two consumption styles are provided:
 //
-//   - transport wrapping: WrapConn/WrapListener interpose on a
-//     net.Conn/net.Listener and inject connection drops, latency
-//     spikes, one-way partitions, and truncated frames at the byte
-//     level — the RPC framework on top sees only what a flaky edge
-//     network would produce;
-//   - direct injection: store writes and runtime invocations consult
-//     Fault(op) before doing work, standing in for a crashed container
-//     or an unavailable database node.
+//   - transport wrapping: WrapConn/WrapConnPair interpose on a
+//     net.Conn and inject connection drops, latency spikes, one-way
+//     partitions, and truncated frames at the byte level — the RPC
+//     framework on top sees only what a flaky edge network would
+//     produce;
+//   - direct injection: runtime invocations and controller lease
+//     rounds consult Fault(op) before doing work, standing in for a
+//     crashed container or a crashed controller replica.
 package chaos
 
 import (
@@ -47,8 +47,6 @@ const (
 	// "succeeds" so the sender cannot tell, exactly like a one-way
 	// network partition).
 	Outbound
-	// Both partitions the connection completely.
-	Both = Inbound | Outbound
 )
 
 // Config sets the per-operation fault probabilities. All probabilities
@@ -67,8 +65,7 @@ type Config struct {
 	// connection, producing a torn frame on the peer's read side.
 	TruncateProb float64
 	// FailProb makes Fault(op) return an injected error (used by the
-	// store and runtime for non-transport faults such as a killed
-	// container or a refused database write).
+	// runtime for non-transport faults such as a killed container).
 	FailProb float64
 }
 
@@ -171,7 +168,7 @@ func pairKey(a, b string) string {
 
 // PartitionPair blackholes the link between the two named endpoints on
 // every connection wrapped with WrapConnPair for that pair, in both
-// directions, until HealPair or Heal: writes vanish (they "succeed",
+// directions, until Heal: writes vanish (they "succeed",
 // exactly like packets dropped in flight) and reads park. Other pairs
 // keep flowing, so a test can cut one replica off from a quorum while
 // the majority side keeps talking — the classic minority-partition
@@ -183,22 +180,6 @@ func (in *Injector) PartitionPair(a, b string) {
 		in.pairParts = map[string]bool{}
 	}
 	in.pairParts[pairKey(a, b)] = true
-}
-
-// HealPair reconnects one endpoint pair and wakes its blocked readers.
-func (in *Injector) HealPair(a, b string) {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	delete(in.pairParts, pairKey(a, b))
-	close(in.partCh)
-	in.partCh = make(chan struct{})
-}
-
-// PairPartitioned reports whether the link between a and b is cut.
-func (in *Injector) PairPartitioned(a, b string) bool {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.pairParts[pairKey(a, b)]
 }
 
 // Stats reports how many faults of each kind were injected.
@@ -224,8 +205,9 @@ func (in *Injector) FaultCount(op string) int {
 }
 
 // Fault decides whether the named operation fails. It returns nil to
-// let the operation proceed, or an error wrapping ErrInjected. Store
-// writes and runtime invocations call this before doing real work.
+// let the operation proceed, or an error wrapping ErrInjected. Runtime
+// invocations and controller lease rounds call this before doing real
+// work.
 func (in *Injector) Fault(op string) error {
 	in.mu.Lock()
 	defer in.mu.Unlock()
@@ -282,24 +264,6 @@ func (in *Injector) WrapConn(c net.Conn) net.Conn {
 // writes vanish and its reads park, so neither direction delivers.
 func (in *Injector) WrapConnPair(c net.Conn, a, b string) net.Conn {
 	return &conn{Conn: c, in: in, pair: pairKey(a, b), closed: make(chan struct{})}
-}
-
-// WrapListener interposes the injector on every accepted connection.
-func (in *Injector) WrapListener(l net.Listener) net.Listener {
-	return &listener{Listener: l, in: in}
-}
-
-type listener struct {
-	net.Listener
-	in *Injector
-}
-
-func (l *listener) Accept() (net.Conn, error) {
-	c, err := l.Listener.Accept()
-	if err != nil {
-		return nil, err
-	}
-	return l.in.WrapConn(c), nil
 }
 
 // conn is the fault-injecting connection wrapper.

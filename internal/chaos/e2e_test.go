@@ -318,7 +318,7 @@ func TestChaosTailLatencyCrossCheckedAgainstModel(t *testing.T) {
 	if completed != n {
 		t.Fatalf("model completed %d/%d", completed, n)
 	}
-	if p.Failures() == 0 || respawns == 0 {
-		t.Fatalf("model injected no failures (failures=%d respawns=%d)", p.Failures(), respawns)
+	if respawns == 0 {
+		t.Fatal("model injected no failures: no invocation respawned")
 	}
 }

@@ -117,7 +117,8 @@ func TestObservabilityE2ETraceAndBreakdown(t *testing.T) {
 	}
 	var sum float64
 	for _, st := range stats.AllStages {
-		sum += bd.Stage(st).Sum()
+		s := bd.Stage(st)
+		sum += s.Mean() * float64(s.N())
 	}
 	if diff := e2e - sum; diff < 0 || diff > 0.05*e2e {
 		t.Fatalf("stage sums %.6fs vs e2e %.6fs: diff %.6fs outside [0, 5%%]",
@@ -125,7 +126,7 @@ func TestObservabilityE2ETraceAndBreakdown(t *testing.T) {
 	}
 	// The execution stage dominates a compute chain: 3 successful sleeps
 	// of 25 ms (the faulted attempt dies before its body runs).
-	if exec := bd.Stage(stats.StageExecution).Sum(); exec < 0.07 {
+	if exec := bd.Stage(stats.StageExecution).Mean(); exec < 0.07 { // one task
 		t.Fatalf("execution stage %.6fs, want >= 3x25ms-ish", exec)
 	}
 }

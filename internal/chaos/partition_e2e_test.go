@@ -2,7 +2,9 @@ package chaos_test
 
 import (
 	"context"
+	"fmt"
 	"net"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -133,8 +135,10 @@ func TestPartitionE2EMinorityLeaderFenced(t *testing.T) {
 		if !rpc.IsFenced(cerr) {
 			t.Fatalf("deposed primary's chain error = %v, want a fenced rejection", cerr)
 		}
-		if token, fence, ok := rpc.FencedTerms(cerr); !ok || token != oldTerm || fence <= token {
-			t.Fatalf("fenced terms = (%d, %d, %v), want token %d behind fence", token, fence, ok, oldTerm)
+		var token, fence uint64
+		_, terms, _ := strings.Cut(cerr.Error(), "term=")
+		if _, err := fmt.Sscanf(terms, "%d fence=%d", &token, &fence); err != nil || token != oldTerm || fence <= token {
+			t.Fatalf("fenced terms = (%d, %d, %v) in %q, want token %d behind fence", token, fence, err, cerr, oldTerm)
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("hostage chain never finished after release")

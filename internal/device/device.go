@@ -106,10 +106,17 @@ type Device struct {
 	eng    *sim.Engine
 	integ  energy.Integrator
 
-	Battery energy.Battery
+	Battery energy.Battery // holds the power profile
 
-	ID  int
-	cfg Config
+	ID int
+
+	// The configuration Init copies in: only what the device reads
+	// afterwards.
+	kind        Kind
+	speedMps    float64
+	swathWidthM float64
+	queueLimit  int
+	heartbeatS  float64
 
 	cpu     *sim.Resource // made by the first RunTask
 	queued  int
@@ -130,14 +137,19 @@ type Device struct {
 // battery depletion or injected fault. The heartbeat, which integrates
 // slow drains, is record kind beat, a = id: its handler calls d.Beat.
 func (d *Device) Init(eng *sim.Engine, id int, cfg Config, onFailed func(*Device), beat uint8) {
-	*d = Device{eng: eng, ID: id, cfg: cfg, onFailed: onFailed, lastBeat: eng.Now(), beatKind: beat}
+	*d = Device{
+		eng: eng, ID: id,
+		kind: cfg.Kind, speedMps: cfg.SpeedMps, swathWidthM: cfg.SwathWidthM,
+		queueLimit: cfg.QueueLimit, heartbeatS: cfg.HeartbeatS,
+		onFailed: onFailed, lastBeat: eng.Now(), beatKind: beat,
+	}
 	d.Battery = energy.NewBattery(cfg.Power, func() { d.Fail() })
 	d.integ = energy.NewIntegrator(&d.Battery, eng.Now())
 	d.armBeat()
 }
 
 func (d *Device) armBeat() {
-	d.beat = d.eng.Post(d.eng.Now()+d.cfg.HeartbeatS, d.beatKind, int32(d.ID), 0)
+	d.beat = d.eng.Post(d.eng.Now()+d.heartbeatS, d.beatKind, int32(d.ID), 0)
 }
 
 // Beat runs one heartbeat and arms the next (Fail cancels it).
@@ -148,9 +160,6 @@ func (d *Device) Beat() {
 		d.armBeat()
 	}
 }
-
-// Config returns the device's configuration.
-func (d *Device) Config() Config { return d.cfg }
 
 // Failed reports whether the device is down.
 func (d *Device) Failed() bool { return d.failed }
@@ -167,23 +176,20 @@ func (d *Device) AssignRegion(r geo.Rect) {
 	d.region = r
 	d.pos = r.Center()
 	d.integ.Moving = r.Valid()
-	d.integ.Hovering = !r.Valid() && d.cfg.Kind == Drone
+	d.integ.Hovering = !r.Valid() && d.kind == Drone
 }
 
 // SetMoving toggles motion (drones hover when not moving).
 func (d *Device) SetMoving(moving bool) {
 	d.integ.Advance(d.eng.Now())
 	d.integ.Moving = moving
-	d.integ.Hovering = !moving && d.cfg.Kind == Drone
+	d.integ.Hovering = !moving && d.kind == Drone
 }
 
 // SweepTimeS returns how long covering the assigned region takes.
 func (d *Device) SweepTimeS() float64 {
-	return geo.SweepTime(d.region, d.cfg.SwathWidthM, d.cfg.SpeedMps)
+	return geo.SweepTime(d.region, d.swathWidthM, d.speedMps)
 }
-
-// SensorRateMBps returns the raw capture data rate.
-func (d *Device) SensorRateMBps() float64 { return d.cfg.FrameMB * d.cfg.FPS }
 
 // Fail marks the device as failed (battery or injected fault) exactly
 // once, accounts pending energy, and notifies the owner.
@@ -217,7 +223,7 @@ func (d *Device) RunTask(execS float64, done func(TaskOutcome)) {
 		done(TaskOutcome{Dropped: true})
 		return
 	}
-	if d.queued >= d.cfg.QueueLimit {
+	if d.queued >= d.queueLimit {
 		d.dropped++
 		done(TaskOutcome{Dropped: true})
 		return
@@ -246,9 +252,6 @@ func (d *Device) RunTask(execS float64, done func(TaskOutcome)) {
 		})
 	})
 }
-
-// QueueLen returns queued-plus-running on-board tasks.
-func (d *Device) QueueLen() int { return d.queued }
 
 // Dropped returns how many tasks overflowed the on-board queue.
 func (d *Device) Dropped() int { return d.dropped }
@@ -281,7 +284,7 @@ func (d *Device) Settle() {
 
 // String implements fmt.Stringer.
 func (d *Device) String() string {
-	return fmt.Sprintf("%s-%d (battery %.0f%%, %s)", d.cfg.Kind, d.ID,
+	return fmt.Sprintf("%s-%d (battery %.0f%%, %s)", d.kind, d.ID,
 		(1-d.Battery.ConsumedFraction())*100,
 		map[bool]string{true: "failed", false: "ok"}[d.failed])
 }

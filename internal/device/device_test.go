@@ -16,17 +16,23 @@ func newDevice(e *sim.Engine, id int, cfg Config, onFailed func(*Device)) *Devic
 	return d
 }
 
+// consumedJ is the energy d has drained from a battery of profile p.
+func consumedJ(d *Device, p energy.PowerProfile) float64 {
+	return d.Battery.ConsumedFraction() * p.CapacityJ
+}
+
 func TestDeviceBasics(t *testing.T) {
 	e := sim.NewEngine(1)
-	d := newDevice(e, 3, DroneConfig(), nil)
+	cfg := DroneConfig()
+	d := newDevice(e, 3, cfg, nil)
 	if d.Failed() || d.ID != 3 {
 		t.Fatalf("fresh device state wrong: %s", d)
 	}
-	if d.SensorRateMBps() != 16 { // 8 fps × 2 MB
-		t.Fatalf("sensor rate = %g", d.SensorRateMBps())
+	if rate := cfg.FrameMB * cfg.FPS; rate != 16 { // 8 fps × 2 MB
+		t.Fatalf("sensor rate = %g", rate)
 	}
-	if d.Config().Kind.String() != "drone" {
-		t.Fatalf("kind = %s", d.Config().Kind)
+	if d.kind.String() != "drone" {
+		t.Fatalf("kind = %s", d.kind)
 	}
 	if RoverConfig().Kind.String() != "rover" {
 		t.Fatal("rover kind string")
@@ -35,6 +41,7 @@ func TestDeviceBasics(t *testing.T) {
 
 func TestRunTaskAccountsComputeEnergy(t *testing.T) {
 	e := sim.NewEngine(1)
+	p := DroneConfig().Power
 	d := newDevice(e, 0, DroneConfig(), nil)
 	var out TaskOutcome
 	d.RunTask(10, func(o TaskOutcome) { out = o })
@@ -43,11 +50,11 @@ func TestRunTaskAccountsComputeEnergy(t *testing.T) {
 	if out.Dropped || out.ExecS != 10 {
 		t.Fatalf("outcome = %+v", out)
 	}
-	// 10s busy at 30W plus idle-CPU for the rest.
-	busyJ := d.Battery.ConsumedBy(energy.LoadCompute)
-	want := 10*DroneConfig().Power.ComputeBusyW + 10*DroneConfig().Power.ComputeIdleW
-	if math.Abs(busyJ-want) > 1 {
-		t.Fatalf("compute energy = %g, want ~%g", busyJ, want)
+	// 10s busy at 30W plus idle-CPU for the rest, over the base and
+	// radio draw of a device that neither moves nor hovers.
+	want := 10*p.ComputeBusyW + 10*p.ComputeIdleW + 20*(p.BaseW+p.RadioW)
+	if got := consumedJ(d, p); math.Abs(got-want) > 1 {
+		t.Fatalf("energy = %g, want ~%g", got, want)
 	}
 }
 
@@ -96,13 +103,10 @@ func TestBatteryDepletionFailsDevice(t *testing.T) {
 	if !failed || !d.Failed() {
 		t.Fatal("device did not fail on battery depletion")
 	}
-	if !d.Battery.Empty() {
-		t.Fatal("battery not empty")
-	}
 	// Death must occur near the 200J/58W ≈ 3.5s mark, detected by the
 	// periodic integrator within ~1s.
-	if d.Battery.ConsumedJ() != 200 {
-		t.Fatalf("consumed %g J", d.Battery.ConsumedJ())
+	if got := consumedJ(d, cfg.Power); got != 200 {
+		t.Fatalf("consumed %g J", got)
 	}
 }
 
@@ -139,6 +143,7 @@ func TestHeartbeatStopsOnFailure(t *testing.T) {
 
 func TestAssignRegionAndSweepTime(t *testing.T) {
 	e := sim.NewEngine(1)
+	p := DroneConfig().Power
 	d := newDevice(e, 0, DroneConfig(), nil)
 	d.AssignRegion(geo.Rect{X0: 0, Y0: 0, X1: 30, Y1: 30})
 	if d.SweepTimeS() <= 0 {
@@ -150,18 +155,19 @@ func TestAssignRegionAndSweepTime(t *testing.T) {
 	// Moving for the sweep duration consumes motion energy.
 	e.RunUntil(10)
 	d.Settle()
-	if d.Battery.ConsumedBy(energy.LoadMotion) <= 0 {
-		t.Fatal("no motion energy while sweeping")
+	if still := 10 * (p.ComputeIdleW + p.BaseW + p.RadioW); consumedJ(d, p) <= still+1 {
+		t.Fatalf("no motion energy while sweeping: %g J, %g J standing still", consumedJ(d, p), still)
 	}
 }
 
 func TestTransmitReceiveEnergy(t *testing.T) {
 	e := sim.NewEngine(1)
+	p := DroneConfig().Power
 	d := newDevice(e, 0, DroneConfig(), nil)
 	d.Transmit(10)
 	d.Receive(10)
-	want := 10*DroneConfig().Power.TxJPerMB + 10*DroneConfig().Power.RxJPerMB
-	if got := d.Battery.ConsumedBy(energy.LoadRadio); math.Abs(got-want) > 1e-9 {
+	want := 10*p.TxJPerMB + 10*p.RxJPerMB
+	if got := consumedJ(d, p); math.Abs(got-want) > 1e-9 {
 		t.Fatalf("radio energy = %g, want %g", got, want)
 	}
 }

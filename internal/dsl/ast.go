@@ -77,9 +77,9 @@ func (v Value) Strings() []string {
 // Placement is where a task may run.
 type Placement int
 
+// The zero Placement leaves the task free to run anywhere.
 const (
-	PlaceAny Placement = iota
-	PlaceEdge
+	PlaceEdge Placement = iota + 1
 	PlaceCloud
 )
 
@@ -106,7 +106,7 @@ type Task struct {
 	Children []string
 
 	// Directives.
-	Pin         Placement // Place(task, 'Edge'/'Cloud'); PlaceAny = free
+	Pin         Placement // Place(task, 'Edge'/'Cloud'); zero = free
 	PinAll      bool      // 'Edge:all' — every device runs it
 	Isolated    bool      // Isolate(task): dedicated container
 	Persist     bool      // Persist(task): durable output
@@ -196,17 +196,6 @@ func (g *TaskGraph) Names() []string {
 	return out
 }
 
-// Roots returns tasks with no parents.
-func (g *TaskGraph) Roots() []*Task {
-	var out []*Task
-	for _, t := range g.Tasks {
-		if len(t.Parents) == 0 {
-			out = append(out, t)
-		}
-	}
-	return out
-}
-
 // TopoOrder returns tasks in a topological order (parents first). The
 // graph is guaranteed acyclic after Validate.
 func (g *TaskGraph) TopoOrder() []*Task {
@@ -233,16 +222,6 @@ func (g *TaskGraph) TopoOrder() []*Task {
 		}
 	}
 	return out
-}
-
-// RelationBetween returns the declared relation for a pair, if any.
-func (g *TaskGraph) RelationBetween(a, b string) (RelationKind, bool) {
-	for _, r := range g.Relations {
-		if (r.A == a && r.B == b) || (r.A == b && r.B == a) {
-			return r.Kind, true
-		}
-	}
-	return 0, false
 }
 
 // String renders a compact description.

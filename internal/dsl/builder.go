@@ -51,21 +51,6 @@ func (b *Builder) Constraints(c Constraints) *Builder {
 // TaskOption mutates a task at declaration.
 type TaskOption func(*Task)
 
-// WithIO sets the task's input/output object names.
-func WithIO(in, out string) TaskOption {
-	return func(t *Task) { t.DataIn, t.DataOut = in, out }
-}
-
-// WithCode sets the task's code path.
-func WithCode(path string) TaskOption {
-	return func(t *Task) { t.CodePath = path }
-}
-
-// WithParam sets a free-form task parameter.
-func WithParam(key, value string) TaskOption {
-	return func(t *Task) { t.Params[key] = value }
-}
-
 // WithParents declares the task's parents.
 func WithParents(parents ...string) TaskOption {
 	return func(t *Task) { t.Parents = append(t.Parents, parents...) }
@@ -95,23 +80,6 @@ func (b *Builder) Task(name string, opts ...TaskOption) *Builder {
 	b.graph.Tasks = append(b.graph.Tasks, t)
 	return b
 }
-
-func (b *Builder) relation(kind RelationKind, a, c string) *Builder {
-	if b.err != nil {
-		return b
-	}
-	b.graph.Relations = append(b.graph.Relations, Relation{Kind: kind, A: a, B: c})
-	return b
-}
-
-// Parallel allows two tasks to run concurrently.
-func (b *Builder) Parallel(a, c string) *Builder { return b.relation(RelParallel, a, c) }
-
-// Overlap allows two tasks to partially overlap.
-func (b *Builder) Overlap(a, c string) *Builder { return b.relation(RelOverlap, a, c) }
-
-// Serial forbids two tasks from overlapping.
-func (b *Builder) Serial(a, c string) *Builder { return b.relation(RelSerial, a, c) }
 
 func (b *Builder) task(name, op string) *Task {
 	t, ok := b.graph.byName[name]
@@ -150,14 +118,6 @@ func (b *Builder) Persist(name string) *Builder {
 	return b
 }
 
-// Isolate gives a task a dedicated container.
-func (b *Builder) Isolate(name string) *Builder {
-	if t := b.task(name, "Isolate"); t != nil {
-		t.Isolated = true
-	}
-	return b
-}
-
 // Restore sets a task's fault-tolerance policy.
 func (b *Builder) Restore(name, policy string) *Builder {
 	if t := b.task(name, "Restore"); t != nil {
@@ -170,17 +130,6 @@ func (b *Builder) Restore(name, policy string) *Builder {
 func (b *Builder) Priority(name string, prio int) *Builder {
 	if t := b.task(name, "Schedule"); t != nil {
 		t.Priority = prio
-	}
-	return b
-}
-
-// Synchronize sets a fan-in condition ("all" or "any").
-func (b *Builder) Synchronize(name, cond string) *Builder {
-	if cond != "all" && cond != "any" {
-		return b.fail("dsl: Synchronize condition %q", cond)
-	}
-	if t := b.task(name, "Synchronize"); t != nil {
-		t.SyncCond = cond
 	}
 	return b
 }
@@ -204,13 +153,4 @@ func (b *Builder) Build() (*TaskGraph, error) {
 		return nil, err
 	}
 	return g, nil
-}
-
-// MustBuild panics on error; for tests and examples.
-func (b *Builder) MustBuild() *TaskGraph {
-	g, err := b.Build()
-	if err != nil {
-		panic(err)
-	}
-	return g
 }

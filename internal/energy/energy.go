@@ -33,9 +33,6 @@ var loadNames = [numLoads]string{"motion", "compute", "radio", "base"}
 // String returns the category's name.
 func (l Load) String() string { return loadNames[l] }
 
-// AllLoads lists the accounting categories.
-var AllLoads = []Load{LoadMotion, LoadCompute, LoadRadio, LoadBase}
-
 // PowerProfile describes a device class's power characteristics.
 type PowerProfile struct {
 	CapacityJ float64 // usable battery energy, joules
@@ -120,9 +117,6 @@ func NewBattery(p PowerProfile, onEmpty func()) Battery {
 	return Battery{profile: p, onEmpty: onEmpty}
 }
 
-// Profile returns the battery's power profile.
-func (b *Battery) Profile() PowerProfile { return b.profile }
-
 // Consume drains joules attributed to the load. Draining an empty
 // battery is a no-op.
 func (b *Battery) Consume(load Load, joules float64) {
@@ -158,15 +152,6 @@ func (b *Battery) ConsumeRx(megabytes float64) {
 	b.Consume(LoadRadio, megabytes*b.profile.RxJPerMB)
 }
 
-// Empty reports whether the battery is depleted.
-func (b *Battery) Empty() bool { return b.empty }
-
-// ConsumedJ returns total joules drained.
-func (b *Battery) ConsumedJ() float64 { return b.total }
-
-// ConsumedBy returns joules drained by one load category.
-func (b *Battery) ConsumedBy(load Load) float64 { return b.consumed[load] }
-
 // ConsumedFraction returns consumption as a fraction of capacity [0,1].
 func (b *Battery) ConsumedFraction() float64 {
 	if b.profile.CapacityJ <= 0 {
@@ -174,9 +159,6 @@ func (b *Battery) ConsumedFraction() float64 {
 	}
 	return b.total / b.profile.CapacityJ
 }
-
-// RemainingJ returns joules left.
-func (b *Battery) RemainingJ() float64 { return b.profile.CapacityJ - b.total }
 
 // String summarises the battery state.
 func (b *Battery) String() string {

@@ -11,13 +11,13 @@ func TestBatteryConsumeAndAttribution(t *testing.T) {
 	b := NewBattery(PowerProfile{CapacityJ: 100}, nil)
 	b.Consume(LoadMotion, 30)
 	b.Consume(LoadCompute, 20)
-	if b.ConsumedJ() != 50 || b.ConsumedFraction() != 0.5 || b.RemainingJ() != 50 {
+	if b.total != 50 || b.ConsumedFraction() != 0.5 || b.profile.CapacityJ-b.total != 50 {
 		t.Fatalf("state: %s", &b)
 	}
-	if b.ConsumedBy(LoadMotion) != 30 || b.ConsumedBy(LoadCompute) != 20 {
+	if b.consumed[LoadMotion] != 30 || b.consumed[LoadCompute] != 20 {
 		t.Fatal("attribution wrong")
 	}
-	if b.Empty() {
+	if b.empty {
 		t.Fatal("not empty yet")
 	}
 }
@@ -31,8 +31,8 @@ func TestBatteryEmptyCallbackFiresOnce(t *testing.T) {
 	if fires != 1 {
 		t.Fatalf("onEmpty fired %d times", fires)
 	}
-	if !b.Empty() || b.ConsumedJ() != 10 {
-		t.Fatalf("consumed %g, empty=%v", b.ConsumedJ(), b.Empty())
+	if !b.empty || b.total != 10 {
+		t.Fatalf("consumed %g, empty=%v", b.total, b.empty)
 	}
 	if b.ConsumedFraction() != 1.0 {
 		t.Fatalf("fraction = %g", b.ConsumedFraction())
@@ -42,8 +42,8 @@ func TestBatteryEmptyCallbackFiresOnce(t *testing.T) {
 func TestBatteryClampsAtCapacity(t *testing.T) {
 	b := NewBattery(PowerProfile{CapacityJ: 10}, nil)
 	b.Consume(LoadRadio, 25)
-	if b.ConsumedJ() != 10 || b.ConsumedBy(LoadRadio) != 10 {
-		t.Fatalf("overdrain: %g", b.ConsumedJ())
+	if b.total != 10 || b.consumed[LoadRadio] != 10 {
+		t.Fatalf("overdrain: %g", b.total)
 	}
 }
 
@@ -51,8 +51,8 @@ func TestBatteryNegativeAndZeroNoop(t *testing.T) {
 	b := NewBattery(PowerProfile{CapacityJ: 10}, nil)
 	b.Consume(LoadMotion, 0)
 	b.Consume(LoadMotion, -5)
-	if b.ConsumedJ() != 0 {
-		t.Fatalf("consumed %g from no-op drains", b.ConsumedJ())
+	if b.total != 0 {
+		t.Fatalf("consumed %g from no-op drains", b.total)
 	}
 }
 
@@ -61,16 +61,16 @@ func TestConsumeTxRxUseProfileRates(t *testing.T) {
 	b := NewBattery(p, nil)
 	b.ConsumeTx(10)
 	b.ConsumeRx(10)
-	if b.ConsumedBy(LoadRadio) != 25 {
-		t.Fatalf("radio energy = %g, want 25", b.ConsumedBy(LoadRadio))
+	if b.consumed[LoadRadio] != 25 {
+		t.Fatalf("radio energy = %g, want 25", b.consumed[LoadRadio])
 	}
 }
 
 func TestConsumePower(t *testing.T) {
 	b := NewBattery(PowerProfile{CapacityJ: 1000}, nil)
 	b.ConsumePower(LoadCompute, 5, 4)
-	if b.ConsumedBy(LoadCompute) != 20 {
-		t.Fatalf("compute energy = %g", b.ConsumedBy(LoadCompute))
+	if b.consumed[LoadCompute] != 20 {
+		t.Fatalf("compute energy = %g", b.consumed[LoadCompute])
 	}
 }
 
@@ -84,23 +84,23 @@ func TestIntegratorChargesByActivity(t *testing.T) {
 	wantMotion := 500.0
 	wantCompute := 20.0
 	wantBase := 50.0
-	if b.ConsumedBy(LoadMotion) != wantMotion {
-		t.Fatalf("motion = %g", b.ConsumedBy(LoadMotion))
+	if b.consumed[LoadMotion] != wantMotion {
+		t.Fatalf("motion = %g", b.consumed[LoadMotion])
 	}
-	if b.ConsumedBy(LoadCompute) != wantCompute {
-		t.Fatalf("compute = %g", b.ConsumedBy(LoadCompute))
+	if b.consumed[LoadCompute] != wantCompute {
+		t.Fatalf("compute = %g", b.consumed[LoadCompute])
 	}
-	if b.ConsumedBy(LoadBase) != wantBase {
-		t.Fatalf("base = %g", b.ConsumedBy(LoadBase))
+	if b.consumed[LoadBase] != wantBase {
+		t.Fatalf("base = %g", b.consumed[LoadBase])
 	}
 	it.Moving = false
 	it.Hovering = true
 	it.CPUBusy = true
 	it.Advance(20) // 10s hover + busy
-	if got := b.ConsumedBy(LoadMotion); got != wantMotion+450 {
+	if got := b.consumed[LoadMotion]; got != wantMotion+450 {
 		t.Fatalf("motion after hover = %g", got)
 	}
-	if got := b.ConsumedBy(LoadCompute); got != wantCompute+300 {
+	if got := b.consumed[LoadCompute]; got != wantCompute+300 {
 		t.Fatalf("compute after busy = %g", got)
 	}
 }
@@ -110,8 +110,8 @@ func TestIntegratorIgnoresTimeTravel(t *testing.T) {
 	it := NewIntegrator(&b, 5)
 	it.Moving = true
 	it.Advance(3) // before start: no-op
-	if b.ConsumedJ() != 0 {
-		t.Fatalf("consumed %g for negative interval", b.ConsumedJ())
+	if b.total != 0 {
+		t.Fatalf("consumed %g for negative interval", b.total)
 	}
 }
 
@@ -149,17 +149,17 @@ func TestBatteryInvariantProperty(t *testing.T) {
 			if math.IsNaN(d) || math.IsInf(d, 0) {
 				continue
 			}
-			b.Consume(AllLoads[i%len(AllLoads)], d)
-			if b.ConsumedJ() < prev || b.ConsumedJ() > 50+1e-9 {
+			b.Consume(Load(i%int(numLoads)), d)
+			if b.total < prev || b.total > 50+1e-9 {
 				return false
 			}
-			prev = b.ConsumedJ()
+			prev = b.total
 		}
 		var byLoad float64
-		for _, l := range AllLoads {
-			byLoad += b.ConsumedBy(l)
+		for _, j := range b.consumed {
+			byLoad += j
 		}
-		return math.Abs(byLoad-b.ConsumedJ()) < 1e-9
+		return math.Abs(byLoad-b.total) < 1e-9
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -171,15 +171,15 @@ func TestBatteryInvariantProperty(t *testing.T) {
 // allowed to change.
 func TestLoadNamesAndBatteryStringUnchanged(t *testing.T) {
 	var names []string
-	for _, l := range AllLoads {
+	for l := Load(0); l < numLoads; l++ {
 		names = append(names, l.String())
 	}
 	if got := strings.Join(names, " "); got != "motion compute radio base" {
-		t.Fatalf("AllLoads = %s", got)
+		t.Fatalf("load names = %s", got)
 	}
 	b := NewBattery(PowerProfile{CapacityJ: 1000}, nil)
 	for i, j := range []float64{100, 50, 25, 5} {
-		b.Consume(AllLoads[i], j)
+		b.Consume(Load(i), j)
 	}
 	want := "battery 18.0% consumed (motion=100J compute=50J radio=25J base=5J)"
 	if got := b.String(); got != want {

@@ -12,7 +12,6 @@ package faas
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"hivemind/internal/accel"
 	"hivemind/internal/cluster"
@@ -92,15 +91,6 @@ func DefaultConfig() Config {
 		MitigationPctl:   90,
 		AggregationBaseS: 0.006,
 	}
-}
-
-// RespawnDelayDuration converts the model's respawn pause (seconds) to
-// the wall-clock duration the live gateway uses
-// (runtime.GatewayConfig.RespawnDelay), so the two substrates respawn
-// on the same cadence — see the calibration test asserting the 120 ms
-// default agrees.
-func (c Config) RespawnDelayDuration() time.Duration {
-	return sim.DurationOf(c.RespawnDelayS)
 }
 
 // HiveMindConfig returns the platform tuned as §4.3–4.4 describe:
@@ -230,14 +220,8 @@ func (p *Platform) Config() Config { return p.cfg }
 // ActiveGauge returns the running-function time series.
 func (p *Platform) ActiveGauge() *stats.Gauge { return p.active }
 
-// WarmStats returns warm-pool (hits, misses, expired).
-func (p *Platform) WarmStats() (int, int, int) { return p.warm.stats() }
-
 // Invocations returns the number of tasks submitted.
 func (p *Platform) Invocations() int { return p.invocations }
-
-// Failures returns the number of injected function failures.
-func (p *Platform) Failures() int { return p.failures }
 
 // sampleExec draws a service time for one branch.
 func (p *Platform) sampleExec(base, cv float64, srv *cluster.Server) (t float64, straggler bool) {

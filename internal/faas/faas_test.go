@@ -79,7 +79,7 @@ func TestKeepAliveWarmReuse(t *testing.T) {
 	if math.Abs(second.MgmtS-wantWarmMgmt) > 1e-9 {
 		t.Fatalf("warm mgmt = %g, want %g", second.MgmtS, wantWarmMgmt)
 	}
-	hits, _, _ := p.WarmStats()
+	hits, _, _ := p.warm.stats()
 	if hits != 1 {
 		t.Fatalf("warm hits = %d", hits)
 	}
@@ -102,7 +102,7 @@ func TestKeepAliveExpiry(t *testing.T) {
 	}
 	// Both containers (the expired one and the second cold-started one)
 	// eventually expire once the run drains.
-	_, _, expired := p.WarmStats()
+	_, _, expired := p.warm.stats()
 	if expired != 2 {
 		t.Fatalf("expired = %d", expired)
 	}
@@ -292,8 +292,8 @@ func TestFailureRespawnCompletesTask(t *testing.T) {
 	if res.Failed != 1 {
 		t.Fatalf("failed = %d, want 1 (fourth attempt fails fast)", res.Failed)
 	}
-	if p.Failures() != 4 {
-		t.Fatalf("failures = %d", p.Failures())
+	if p.failures != 4 {
+		t.Fatalf("failures = %d", p.failures)
 	}
 }
 
@@ -314,7 +314,7 @@ func TestFailureRespawnKeepsThroughput(t *testing.T) {
 	if done != n {
 		t.Fatalf("completed %d/%d with failure injection", done, n)
 	}
-	if p.Failures() == 0 {
+	if p.failures == 0 {
 		t.Fatal("no failures injected at 20%")
 	}
 }
@@ -374,8 +374,8 @@ func TestActiveGaugeTracksLoad(t *testing.T) {
 	if p.ActiveGauge().Max() < 10 {
 		t.Fatalf("gauge max = %g, want >= 10", p.ActiveGauge().Max())
 	}
-	if p.ActiveGauge().Current() != 0 {
-		t.Fatalf("gauge should drain to 0, got %g", p.ActiveGauge().Current())
+	if got := p.active.At(e.Now()); got != 0 {
+		t.Fatalf("gauge should drain to 0, got %g", got)
 	}
 }
 

@@ -5,36 +5,24 @@ import (
 	"time"
 
 	"hivemind/internal/runtime"
-	"hivemind/internal/sim"
 )
 
 // The model measures the respawn pause in seconds
 // (Config.RespawnDelayS), the live gateway in time.Duration
 // (runtime.GatewayConfig.RespawnDelay). This calibration test pins the
-// two substrates to the same 120 ms default through the sim unit
-// converters, so neither side can drift silently.
+// two substrates to the same 120 ms default, so neither side can drift
+// silently.
 func TestRespawnDelayUnitsAgreeAcrossSubstrates(t *testing.T) {
 	model := DefaultConfig()
 	live := runtime.DefaultGatewayConfig()
 
-	if got := model.RespawnDelayDuration(); got != live.RespawnDelay {
+	if got := time.Duration(model.RespawnDelayS * float64(time.Second)); got != live.RespawnDelay {
 		t.Fatalf("model respawn delay %v != live gateway respawn delay %v", got, live.RespawnDelay)
 	}
-	if model.RespawnDelayDuration() != 120*time.Millisecond {
-		t.Fatalf("model respawn delay = %v, want the 120 ms default", model.RespawnDelayDuration())
+	if live.RespawnDelay != 120*time.Millisecond {
+		t.Fatalf("live respawn delay = %v, want the 120 ms default", live.RespawnDelay)
 	}
-	if got := sim.SecondsOf(live.RespawnDelay); got != model.RespawnDelayS {
+	if got := live.RespawnDelay.Seconds(); got != model.RespawnDelayS {
 		t.Fatalf("live respawn delay converts to %.6fs, model says %.6fs", got, model.RespawnDelayS)
-	}
-}
-
-func TestSimTimeConvertersRoundTrip(t *testing.T) {
-	for _, d := range []time.Duration{0, time.Millisecond, 120 * time.Millisecond, 3 * time.Second} {
-		if got := sim.DurationOf(sim.SecondsOf(d)); got != d {
-			t.Fatalf("round trip %v -> %v", d, got)
-		}
-	}
-	if sim.DurationOf(0.5) != 500*time.Millisecond {
-		t.Fatalf("DurationOf(0.5) = %v", sim.DurationOf(0.5))
 	}
 }

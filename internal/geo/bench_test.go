@@ -2,35 +2,6 @@ package geo
 
 import "testing"
 
-// BenchmarkAStarOpenField measures route planning on an open grid.
-func BenchmarkAStarOpenField(b *testing.B) {
-	g := NewGrid(64, 64, 1)
-	for i := 0; i < b.N; i++ {
-		if g.AStar(Cell{0, 0}, Cell{63, 63}) == nil {
-			b.Fatal("no path")
-		}
-	}
-}
-
-// BenchmarkAStarMaze measures planning through a slalom of walls.
-func BenchmarkAStarMaze(b *testing.B) {
-	g := NewGrid(64, 64, 1)
-	for c := 4; c < 64; c += 8 {
-		for r := 0; r < 60; r++ {
-			g.Block(Cell{c, r})
-		}
-		for r := 4; r < 64; r++ {
-			g.Block(Cell{c + 4, 63 - r})
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if g.AStar(Cell{0, 0}, Cell{63, 63}) == nil {
-			b.Fatal("no path")
-		}
-	}
-}
-
 // BenchmarkPartition measures field splitting at large swarm sizes.
 func BenchmarkPartition(b *testing.B) {
 	field := NewField(1000, 1000)

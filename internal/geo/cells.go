@@ -47,14 +47,8 @@ func BuildCellIndex(cells []Rect, pts []Point) *CellIndex {
 	return ix
 }
 
-// NumCells returns the number of cells in the cut.
-func (ix *CellIndex) NumCells() int { return len(ix.cells) }
-
 // Cell returns cell c's rectangle.
 func (ix *CellIndex) Cell(c int) Rect { return ix.cells[c] }
-
-// CellOf returns the cell owning device d.
-func (ix *CellIndex) CellOf(d int) int { return ix.cellOf[d] }
 
 // CellOwners returns the full device→cell slice (read-only; shared).
 func (ix *CellIndex) CellOwners() []int { return ix.cellOf }

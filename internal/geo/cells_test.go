@@ -22,10 +22,10 @@ func TestCellIndexTotalAssignment(t *testing.T) {
 	ix := BuildCellIndex(cells, pts)
 
 	counted := 0
-	for c := 0; c < ix.NumCells(); c++ {
+	for c := 0; c < len(ix.cells); c++ {
 		for _, d := range ix.Devices(c) {
-			if ix.CellOf(d) != c {
-				t.Fatalf("device %d: CellOf=%d but listed in cell %d", d, ix.CellOf(d), c)
+			if ix.cellOf[d] != c {
+				t.Fatalf("device %d: CellOf=%d but listed in cell %d", d, ix.cellOf[d], c)
 			}
 			counted++
 		}
@@ -34,13 +34,13 @@ func TestCellIndexTotalAssignment(t *testing.T) {
 		t.Fatalf("assigned %d devices, want %d", counted, len(pts))
 	}
 	for d, p := range pts[:500] {
-		if !cells[ix.CellOf(d)].Contains(p) {
-			t.Fatalf("in-field device %d at %v assigned to non-containing cell %d", d, p, ix.CellOf(d))
+		if !cells[ix.cellOf[d]].Contains(p) {
+			t.Fatalf("in-field device %d at %v assigned to non-containing cell %d", d, p, ix.cellOf[d])
 		}
 	}
 	// The far corner belongs to the last (top-right) cell by nearest
 	// center; the out-of-field point to a right-edge cell.
-	corner := ix.CellOf(500)
+	corner := ix.cellOf[500]
 	if got := cells[corner].Center(); got.Dist(Point{100, 100}) > 25 {
 		t.Fatalf("corner point assigned to distant cell centred at %v", got)
 	}

@@ -1,8 +1,7 @@
 // Package geo provides the 2-D spatial substrate for edge swarms: field
 // geometry, equal-area region partitioning (the paper divides the field
 // among drones at time zero, §2.1), failure-time repartitioning to
-// neighbouring devices (§4.6, Fig. 10), A* route planning on an obstacle
-// grid (Scenario A derives routes with A*), and boustrophedon coverage
+// neighbouring devices (§4.6, Fig. 10), and boustrophedon coverage
 // sweeps with per-frame coverage accounting.
 package geo
 
@@ -169,13 +168,48 @@ func grow(r, lost Rect, extra float64) Rect {
 	return r
 }
 
-// TotalArea sums the areas of valid regions.
-func TotalArea(regions []Rect) float64 {
-	var a float64
-	for _, r := range regions {
-		if r.Valid() {
-			a += r.Area()
-		}
+// CoveragePlan is an ordered list of waypoints sweeping a region.
+type CoveragePlan struct {
+	Waypoints []Point
+	Length    float64 // total travel distance in meters
+}
+
+// Boustrophedon builds a lawnmower sweep of region with swaths of the
+// given width (the per-frame camera footprint: the paper's drones cover
+// ~6.7 m × 8.75 m per frame). The sweep starts at the region's lower-left
+// corner.
+func Boustrophedon(region Rect, swathWidth float64) CoveragePlan {
+	if swathWidth <= 0 || !region.Valid() {
+		return CoveragePlan{}
 	}
-	return a
+	var plan CoveragePlan
+	nSwaths := int(region.Height()/swathWidth) + 1
+	leftToRight := true
+	for i := 0; i < nSwaths; i++ {
+		y := region.Y0 + (float64(i)+0.5)*swathWidth
+		if y > region.Y1 {
+			y = region.Y1 - 1e-9
+		}
+		var a, b Point
+		if leftToRight {
+			a, b = Point{region.X0, y}, Point{region.X1, y}
+		} else {
+			a, b = Point{region.X1, y}, Point{region.X0, y}
+		}
+		plan.Waypoints = append(plan.Waypoints, a, b)
+		leftToRight = !leftToRight
+	}
+	for i := 1; i < len(plan.Waypoints); i++ {
+		plan.Length += plan.Waypoints[i-1].Dist(plan.Waypoints[i])
+	}
+	return plan
+}
+
+// SweepTime returns how long covering a region takes at the given speed
+// (m/s), using a boustrophedon sweep with the given swath width.
+func SweepTime(region Rect, swathWidth, speed float64) float64 {
+	if speed <= 0 {
+		return 0
+	}
+	return Boustrophedon(region, swathWidth).Length / speed
 }

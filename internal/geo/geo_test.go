@@ -51,6 +51,17 @@ func TestRectAdjacent(t *testing.T) {
 	}
 }
 
+// totalArea sums the areas of valid regions.
+func totalArea(regions []Rect) float64 {
+	var a float64
+	for _, r := range regions {
+		if r.Valid() {
+			a += r.Area()
+		}
+	}
+	return a
+}
+
 func TestPartitionCoversField(t *testing.T) {
 	field := NewField(100, 100)
 	for _, n := range []int{1, 2, 3, 4, 7, 14, 16, 100, 1000} {
@@ -58,8 +69,8 @@ func TestPartitionCoversField(t *testing.T) {
 		if len(regions) != n {
 			t.Fatalf("n=%d got %d regions", n, len(regions))
 		}
-		if math.Abs(TotalArea(regions)-field.Area()) > 1e-6 {
-			t.Fatalf("n=%d total area %g != %g", n, TotalArea(regions), field.Area())
+		if math.Abs(totalArea(regions)-field.Area()) > 1e-6 {
+			t.Fatalf("n=%d total area %g != %g", n, totalArea(regions), field.Area())
 		}
 		for i, r := range regions {
 			if !r.Valid() {
@@ -101,7 +112,7 @@ func TestPartitionProperty(t *testing.T) {
 		if len(regions) != n {
 			return false
 		}
-		return math.Abs(TotalArea(regions)-field.Area()) < 1e-6*field.Area()+1e-9
+		return math.Abs(totalArea(regions)-field.Area()) < 1e-6*field.Area()+1e-9
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -117,7 +128,7 @@ func TestRepartitionConservesArea(t *testing.T) {
 	}
 	failed := 5
 	alive[failed] = false
-	total := TotalArea(regions)
+	total := totalArea(regions)
 	newRegions, gainers := Repartition(regions, alive, failed)
 	if len(gainers) == 0 {
 		t.Fatal("no neighbours gained area")
@@ -125,8 +136,8 @@ func TestRepartitionConservesArea(t *testing.T) {
 	if newRegions[failed].Valid() {
 		t.Fatal("failed region still valid")
 	}
-	if math.Abs(TotalArea(newRegions)-total) > 1e-6*total {
-		t.Fatalf("area not conserved: %g -> %g", total, TotalArea(newRegions))
+	if math.Abs(totalArea(newRegions)-total) > 1e-6*total {
+		t.Fatalf("area not conserved: %g -> %g", total, totalArea(newRegions))
 	}
 	for _, gi := range gainers {
 		if newRegions[gi].Area() <= regions[gi].Area() {
@@ -157,93 +168,6 @@ func TestRepartitionNoSurvivors(t *testing.T) {
 	}
 	if out[0].Valid() {
 		t.Fatal("failed region should be zeroed")
-	}
-}
-
-func TestAStarStraightLine(t *testing.T) {
-	g := NewGrid(10, 10, 1)
-	path := g.AStar(Cell{0, 0}, Cell{5, 0})
-	if len(path) != 6 {
-		t.Fatalf("path len = %d, want 6", len(path))
-	}
-	if g.PathLength(path) != 5 {
-		t.Fatalf("path length = %g", g.PathLength(path))
-	}
-}
-
-func TestAStarAvoidsWall(t *testing.T) {
-	g := NewGrid(10, 10, 1)
-	// Vertical wall at column 5 with a gap at row 9.
-	for r := 0; r < 9; r++ {
-		g.Block(Cell{5, r})
-	}
-	path := g.AStar(Cell{0, 0}, Cell{9, 0})
-	if path == nil {
-		t.Fatal("no path found around wall")
-	}
-	for _, c := range path {
-		if g.Blocked(c) {
-			t.Fatalf("path crosses blocked cell %v", c)
-		}
-	}
-	// Must detour: 9 straight + 2*9 vertical detour = at least 27 steps.
-	if len(path) < 27 {
-		t.Fatalf("suspiciously short path: %d cells", len(path))
-	}
-}
-
-func TestAStarUnreachable(t *testing.T) {
-	g := NewGrid(5, 5, 1)
-	for r := 0; r < 5; r++ {
-		g.Block(Cell{2, r})
-	}
-	if path := g.AStar(Cell{0, 0}, Cell{4, 4}); path != nil {
-		t.Fatalf("found path through full wall: %v", path)
-	}
-}
-
-func TestAStarSameStartGoal(t *testing.T) {
-	g := NewGrid(3, 3, 1)
-	path := g.AStar(Cell{1, 1}, Cell{1, 1})
-	if len(path) != 1 || path[0] != (Cell{1, 1}) {
-		t.Fatalf("path = %v", path)
-	}
-}
-
-func TestAStarBlockedEndpoints(t *testing.T) {
-	g := NewGrid(3, 3, 1)
-	g.Block(Cell{0, 0})
-	if g.AStar(Cell{0, 0}, Cell{2, 2}) != nil {
-		t.Fatal("path from blocked start")
-	}
-	if g.AStar(Cell{2, 2}, Cell{0, 0}) != nil {
-		t.Fatal("path to blocked goal")
-	}
-}
-
-// Property: on an empty grid, A* path length equals Manhattan distance.
-func TestAStarOptimalOnEmptyGridProperty(t *testing.T) {
-	prop := func(sc, sr, gc, gr uint8) bool {
-		g := NewGrid(16, 16, 1)
-		s := Cell{int(sc % 16), int(sr % 16)}
-		goal := Cell{int(gc % 16), int(gr % 16)}
-		path := g.AStar(s, goal)
-		want := abs(s.C-goal.C) + abs(s.R-goal.R)
-		return len(path) == want+1
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestGridCellWorldRoundTrip(t *testing.T) {
-	g := NewGrid(10, 10, 2.5)
-	c := Cell{3, 7}
-	if got := g.CellAt(g.Center(c)); got != c {
-		t.Fatalf("round trip %v -> %v", c, got)
-	}
-	if g.Center(Cell{0, 0}) != (Point{1.25, 1.25}) {
-		t.Fatalf("center = %v", g.Center(Cell{0, 0}))
 	}
 }
 

@@ -151,17 +151,6 @@ func (r *Registry) MeterAdd(name string, amount float64) {
 	r.mu.Unlock()
 }
 
-// MeterRates returns the per-second rate sample of a named meter,
-// clipped to the elapsed interval (empty if never written).
-func (r *Registry) MeterRates(name string) *stats.Sample {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if m, ok := r.meters[name]; ok {
-		return m.RateSample(time.Since(r.epoch).Seconds())
-	}
-	return &stats.Sample{}
-}
-
 // WriteText renders every metric in a deterministic line-oriented text
 // exposition, sorted by kind then name:
 //

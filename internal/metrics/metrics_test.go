@@ -67,19 +67,6 @@ func TestHistogramSnapshotIsolated(t *testing.T) {
 	}
 }
 
-func TestMeterRates(t *testing.T) {
-	r := NewRegistry()
-	r.MeterAdd("reqs", 1)
-	r.MeterAdd("reqs", 1)
-	rates := r.MeterRates("reqs")
-	if rates.N() < 1 || rates.Sum() <= 0 {
-		t.Fatalf("rates n=%d sum=%g", rates.N(), rates.Sum())
-	}
-	if r.MeterRates("missing").N() != 0 {
-		t.Fatal("missing meter not empty")
-	}
-}
-
 func TestWriteTextDeterministicAndSorted(t *testing.T) {
 	r := NewRegistry()
 	r.Inc("z-count")

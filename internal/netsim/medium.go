@@ -119,9 +119,6 @@ func NewMedium(eng *sim.Engine, capacityBps, perFlowCapBps float64) *Medium {
 	return m
 }
 
-// Capacity returns the aggregate capacity in bytes/s.
-func (m *Medium) Capacity() float64 { return m.capacity }
-
 // SetCapacity rescales the medium (used by the scalability experiments,
 // which "scale up the network links proportionately"). Active flows
 // adopt the new rate immediately.

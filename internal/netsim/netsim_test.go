@@ -211,15 +211,16 @@ func TestNetworkEdgeToCloudBreakdown(t *testing.T) {
 }
 
 func TestNetworkAccelReducesProcessing(t *testing.T) {
-	e := sim.NewEngine(1)
-	cfg := DefaultConfig()
-	n := NewNetwork(e, cfg)
-	var sw, hw TransferInfo
-	n.CloudToCloud(64, func(ti TransferInfo) { sw = ti })
-	e.Run()
-	n.SetRPCAccel(true)
-	n.CloudToCloud(64, func(ti TransferInfo) { hw = ti })
-	e.Run()
+	transfer := func(accel bool) TransferInfo {
+		e := sim.NewEngine(1)
+		cfg := DefaultConfig()
+		cfg.RPCAccel = accel
+		var info TransferInfo
+		NewNetwork(e, cfg).EdgeToCloud(64, func(ti TransferInfo) { info = ti })
+		e.Run()
+		return info
+	}
+	sw, hw := transfer(false), transfer(true)
 	if hw.ProcS >= sw.ProcS/100 {
 		t.Fatalf("accel proc %g not ≪ software proc %g", hw.ProcS, sw.ProcS)
 	}
@@ -228,29 +229,13 @@ func TestNetworkAccelReducesProcessing(t *testing.T) {
 	}
 }
 
-func TestRPCRoundTripCalibration(t *testing.T) {
-	e := sim.NewEngine(1)
-	cfg := DefaultConfig()
-	cfg.RPCAccel = true
-	n := NewNetwork(e, cfg)
-	rtt := n.RPCRoundTrip(64, 64)
-	// §4.5: 2.1us RTT between servers on the same ToR for 64B RPCs.
-	if rtt < 1.5e-6 || rtt > 3.0e-6 {
-		t.Fatalf("accelerated 64B RTT = %g s, want ~2.1µs", rtt)
-	}
-	n.SetRPCAccel(false)
-	if sw := n.RPCRoundTrip(64, 64); sw < 100*rtt {
-		t.Fatalf("software RTT %g should be ≫ accelerated %g", sw, rtt)
-	}
-}
-
 func TestScaleWireless(t *testing.T) {
 	e := sim.NewEngine(1)
 	n := NewNetwork(e, DefaultConfig())
-	base := n.Wireless.Capacity()
+	base := n.Wireless.capacity
 	n.ScaleWireless(4)
-	if n.Wireless.Capacity() != base*4 {
-		t.Fatalf("scaled capacity = %g", n.Wireless.Capacity())
+	if n.Wireless.capacity != base*4 {
+		t.Fatalf("scaled capacity = %g", n.Wireless.capacity)
 	}
 }
 

@@ -13,14 +13,8 @@ type Config struct {
 	// PerDeviceBps caps a single device's radio rate (MU-MIMO per-client
 	// rate), bytes/s.
 	PerDeviceBps float64
-	// CloudBps is the intra-cluster fabric capacity in bytes/s
-	// (12 servers × 10 GbE into a 40 Gbps ToR; the ToR is the binding
-	// constraint for cross-server traffic).
-	CloudBps float64
 	// WirelessPropS is the one-way edge<->cloud propagation + MAC delay.
 	WirelessPropS float64
-	// CloudPropS is the one-way server<->server delay (software stack).
-	CloudPropS float64
 
 	// Software protocol processing costs (host network stack + RPC
 	// marshalling), removed by the FPGA offload:
@@ -28,36 +22,30 @@ type Config struct {
 	ProcPerMBS  float64 // size-dependent cost, seconds per MB
 
 	// RPCAccel enables the FPGA RPC/NIC offload of §4.5: per-message
-	// processing drops to AccelPerMsgS and cloud propagation to
-	// AccelCloudPropS (2.1 µs RTT → ~1.05 µs one-way).
-	RPCAccel        bool
-	AccelPerMsgS    float64
-	AccelCloudPropS float64
+	// processing drops to AccelPerMsgS.
+	RPCAccel     bool
+	AccelPerMsgS float64
 }
 
 // DefaultConfig returns the testbed calibration.
 func DefaultConfig() Config {
 	return Config{
-		WirelessBps:     216.75e6, // 2 × 867 Mbps in bytes/s
-		PerDeviceBps:    50e6,     // single-client MU-MIMO share
-		CloudBps:        5e9,      // 40 Gbps ToR
-		WirelessPropS:   0.004,    // WiFi MAC + air
-		CloudPropS:      25e-6,    // kernel TCP stack, same ToR
-		ProcPerMsgS:     0.0012,   // socket + RPC marshalling per message
-		ProcPerMBS:      0.0004,   // copies, checksums
-		AccelPerMsgS:    3e-7,     // FPGA pipeline per message
-		AccelCloudPropS: 4.3e-7,   // UPI + wire, same ToR
+		WirelessBps:   216.75e6, // 2 × 867 Mbps in bytes/s
+		PerDeviceBps:  50e6,     // single-client MU-MIMO share
+		WirelessPropS: 0.004,    // WiFi MAC + air
+		ProcPerMsgS:   0.0012,   // socket + RPC marshalling per message
+		ProcPerMBS:    0.0004,   // copies, checksums
+		AccelPerMsgS:  3e-7,     // FPGA pipeline per message
 	}
 }
 
-// Network combines the wireless access medium and the cloud fabric and
-// applies protocol processing overheads. It reports per-transfer
+// Network is the wireless access medium plus protocol processing
+// overheads. It reports per-transfer
 // breakdowns so experiments can attribute latency to the network stage.
 type Network struct {
 	eng      *sim.Engine
 	cfg      Config
 	Wireless *Medium
-	Cloud    *Medium
 }
 
 // NewNetwork builds the network substrate.
@@ -66,15 +54,11 @@ func NewNetwork(eng *sim.Engine, cfg Config) *Network {
 		eng:      eng,
 		cfg:      cfg,
 		Wireless: NewMedium(eng, cfg.WirelessBps, cfg.PerDeviceBps),
-		Cloud:    NewMedium(eng, cfg.CloudBps, 1.25e9/2), // ~10GbE NIC cap per flow
 	}
 }
 
 // Config returns the active configuration.
 func (n *Network) Config() Config { return n.cfg }
-
-// SetRPCAccel toggles the FPGA RPC offload at runtime.
-func (n *Network) SetRPCAccel(on bool) { n.cfg.RPCAccel = on }
 
 // ScaleWireless multiplies the wireless capacity (scalability sweeps
 // scale links proportionately to swarm size).
@@ -122,44 +106,4 @@ func (n *Network) EdgeToCloud(bytes float64, done func(TransferInfo)) {
 			})
 		})
 	})
-}
-
-// CloudToCloud moves bytes between two servers through the ToR.
-func (n *Network) CloudToCloud(bytes float64, done func(TransferInfo)) {
-	start := n.eng.Now()
-	proc := n.procCost(bytes) * 2
-	prop := n.cfg.CloudPropS
-	if n.cfg.RPCAccel {
-		prop = n.cfg.AccelCloudPropS
-	}
-	n.eng.Defer(proc, func() {
-		n.Cloud.Transfer(bytes, func(f *Flow) {
-			n.eng.Defer(prop, func() {
-				info := TransferInfo{
-					Bytes:     bytes,
-					QueueingS: f.Duration(),
-					ProcS:     proc,
-					PropS:     prop,
-					TotalS:    n.eng.Now() - start,
-				}
-				if done != nil {
-					done(info)
-				}
-			})
-		})
-	})
-}
-
-// RPCRoundTrip models a small request/response pair between cloud
-// servers and returns its modelled latency synchronously (no queueing:
-// used for microbenchmark calibration, §4.5).
-func (n *Network) RPCRoundTrip(reqBytes, respBytes float64) sim.Time {
-	oneWay := func(b float64) sim.Time {
-		prop := n.cfg.CloudPropS
-		if n.cfg.RPCAccel {
-			prop = n.cfg.AccelCloudPropS
-		}
-		return n.procCost(b)*2 + prop + b/n.Cloud.Capacity()
-	}
-	return oneWay(reqBytes) + oneWay(respBytes)
 }

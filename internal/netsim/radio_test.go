@@ -262,7 +262,7 @@ func TestRadioBroadcastDelivers(t *testing.T) {
 	if len(want) == 0 {
 		t.Fatal("source has no neighbours; layout too sparse for the test")
 	}
-	srcCell := se.Cell(cix.CellOf(src))
+	srcCell := se.Cell(cix.CellOwners()[src])
 	srcCell.Engine().DeferAt(1.0, func() { radio.Broadcast(src, msg) })
 	se.Run(2)
 	if len(got) != len(want) {
@@ -274,7 +274,7 @@ func TestRadioBroadcastDelivers(t *testing.T) {
 		}
 	}
 	for dst, eng := range on {
-		if eng != se.Cell(cix.CellOf(dst)).Engine() {
+		if eng != se.Cell(cix.CellOwners()[dst]).Engine() {
 			t.Fatalf("neighbour %d served by another cell's engine", dst)
 		}
 	}
@@ -297,7 +297,7 @@ func TestRadioParityAcrossWorkers(t *testing.T) {
 		se, radio, cix, _ := buildRadio(t, workers, 0.004, func(_ *sim.Engine, _, dst int, _ int32) { heard[dst]++ })
 		for d := 0; d < 200; d++ {
 			d := d
-			cell := se.Cell(cix.CellOf(d))
+			cell := se.Cell(cix.CellOwners()[d])
 			var loop func()
 			loop = func() {
 				radio.Broadcast(d, 0)

@@ -21,11 +21,11 @@ type Adapter struct {
 	current   TierPlacement
 	window    *stats.Sample
 	minWindow int
-	switches  []AdaptSwitch
+	switches  []adaptSwitch // the adaptation history
 }
 
-// AdaptSwitch records one placement change.
-type AdaptSwitch struct {
+// adaptSwitch records one placement change.
+type adaptSwitch struct {
 	AtS      float64
 	From, To TierPlacement
 	P95      float64
@@ -44,9 +44,6 @@ func NewAdapter(sys *System, p apps.Profile, goalS float64) *Adapter {
 
 // Placement returns the placement currently in force.
 func (a *Adapter) Placement() TierPlacement { return a.current }
-
-// Switches returns the adaptation history.
-func (a *Adapter) Switches() []AdaptSwitch { return a.switches }
 
 // Submit runs one task under the adapter's current placement and feeds
 // the observation back into the adaptation loop.
@@ -96,7 +93,7 @@ func (a *Adapter) maybeAdapt() {
 	default:
 		return
 	}
-	a.switches = append(a.switches, AdaptSwitch{
+	a.switches = append(a.switches, adaptSwitch{
 		AtS: a.sys.Eng.Now(), From: a.current, To: next, P95: p95,
 	})
 	a.current = next

@@ -50,12 +50,12 @@ func TestAdapterLeavesCloudUnderCongestion(t *testing.T) {
 		t.Fatal("no completions")
 	}
 	if a.Placement() == TierCloud {
-		t.Fatalf("adapter never left the congested cloud placement (switches: %v)", a.Switches())
+		t.Fatalf("adapter never left the congested cloud placement (switches: %v)", a.switches)
 	}
-	if len(a.Switches()) == 0 {
+	if len(a.switches) == 0 {
 		t.Fatal("no switches recorded")
 	}
-	first := a.Switches()[0]
+	first := a.switches[0]
 	if first.From != TierCloud || first.P95 <= 1.0 {
 		t.Fatalf("first switch = %+v", first)
 	}
@@ -79,8 +79,8 @@ func TestAdapterStableWhenGoalMet(t *testing.T) {
 	weather := mustProfile(t, apps.S7Weather)
 	a := NewAdapter(sys, weather, 2.0) // generous goal
 	driveAdapter(t, a, sys, weather, 40)
-	if len(a.Switches()) != 0 {
-		t.Fatalf("adapter churned despite meeting its goal: %v", a.Switches())
+	if len(a.switches) != 0 {
+		t.Fatalf("adapter churned despite meeting its goal: %v", a.switches)
 	}
 	if a.Placement() != sys.PlaceFor(weather) {
 		t.Fatal("placement drifted from the static decision")
@@ -92,7 +92,7 @@ func TestAdapterNoGoalNeverAdapts(t *testing.T) {
 	face := mustProfile(t, apps.S1FaceRecognition)
 	a := NewAdapter(sys, face, 0)
 	driveAdapter(t, a, sys, face, 20)
-	if len(a.Switches()) != 0 {
+	if len(a.switches) != 0 {
 		t.Fatal("goal-less adapter switched")
 	}
 }

@@ -173,7 +173,6 @@ type System struct {
 	Fleet   device.Fleet
 
 	regions []geo.Rect
-	failed  int
 }
 
 // NewSystem builds and wires a system.
@@ -224,7 +223,6 @@ func NewSystem(o Options) *System {
 	s.Cluster = cluster.New(eng, clsCfg)
 	s.Faas = faas.New(eng, s.Cluster, faasCfg)
 	s.Fleet = device.NewFleet(eng, o.Devices, o.DeviceCfg, func(d *device.Device) {
-		s.failed++
 		if o.Trace != nil {
 			o.Trace.Mark(trace.Instant{
 				Name: "device-failure", Track: fmt.Sprintf("device-%d", d.ID),
@@ -242,9 +240,6 @@ func NewSystem(o Options) *System {
 	}
 	return s
 }
-
-// FailedDevices returns how many devices have failed so far.
-func (s *System) FailedDevices() int { return s.failed }
 
 // Regions returns the current field partition (one region per device).
 func (s *System) Regions() []geo.Rect { return s.regions }
@@ -532,63 +527,6 @@ func (s *System) RunJob(p apps.Profile, durationS float64) JobResult {
 	res.BWMeanMBps = bw.Mean() / 1e6
 	res.BWp99MBps = bw.Percentile(99) / 1e6
 	return res
-}
-
-// RunJobs drives several applications concurrently on one system (the
-// platform "supports multi-tenancy", §2.1) and returns per-job results
-// in input order. Shared resources — wireless, cores, warm pools — are
-// contended across the jobs.
-func (s *System) RunJobs(profiles []apps.Profile, durationS float64) []JobResult {
-	results := make([]JobResult, len(profiles))
-	rng := s.Eng.Rand()
-	for ji := range profiles {
-		p := profiles[ji]
-		res := &results[ji]
-		res.App = p.ID
-		res.Latency = &stats.Sample{}
-		res.Breakdown = stats.NewBreakdown()
-		period := 1.0 / p.TaskRatePerDevice
-		for _, d := range s.Fleet {
-			d := d
-			start := rng.Float64() * period
-			var submit func()
-			submit = func() {
-				if s.Eng.Now() >= durationS {
-					return
-				}
-				res.Submitted++
-				s.SubmitTask(p, d, SubmitOpts{}, func(m TaskMetrics) {
-					if m.Dropped {
-						res.Dropped++
-						return
-					}
-					res.Completed++
-					res.Latency.Add(m.TotalS())
-					res.Breakdown.Record(map[stats.Stage]float64{
-						stats.StageNetwork:    m.Network,
-						stats.StageManagement: m.Mgmt,
-						stats.StageDataIO:     m.DataIO,
-						stats.StageExecution:  m.Exec,
-					})
-				})
-				s.Eng.Defer(period*(0.8+0.4*rng.Float64()), submit)
-			}
-			s.Eng.DeferAt(start, submit)
-		}
-	}
-	s.Eng.RunUntil(durationS)
-	s.Eng.RunUntil(durationS + 60)
-	s.Fleet.Settle()
-	s.Fleet.StopAll()
-	s.Eng.Run()
-	bw := s.Net.Wireless.Meter().RateSample(durationS)
-	for ji := range results {
-		results[ji].BatteryMean = s.Fleet.MeanBatteryConsumed()
-		results[ji].BatteryMax = s.Fleet.MaxBatteryConsumed()
-		results[ji].BWMeanMBps = bw.Mean() / 1e6
-		results[ji].BWp99MBps = bw.Percentile(99) / 1e6
-	}
-	return results
 }
 
 // ReservedJob runs a job on a statically provisioned pool (the

@@ -60,7 +60,7 @@ func TestResponseWriteFailureDoesNotWedgeServer(t *testing.T) {
 	}
 }
 
-// TestWorkerPoolBoundsConcurrency asserts SetWorkers caps how many
+// TestWorkerPoolBoundsConcurrency asserts the worker bound caps how many
 // handlers run at once: concurrent slow calls against a 4-worker server
 // must never observe more than 4 handlers in flight. The callers stay
 // within what the pool runs plus what one stream may queue (2 ×
@@ -68,7 +68,7 @@ func TestResponseWriteFailureDoesNotWedgeServer(t *testing.T) {
 func TestWorkerPoolBoundsConcurrency(t *testing.T) {
 	const workers, callers = 4, 6
 	srv := NewServer()
-	srv.SetWorkers(workers)
+	srv.workers = workers
 	var inflight, peak atomic.Int64
 	srv.Register("slow", func(p []byte) ([]byte, error) {
 		n := inflight.Add(1)

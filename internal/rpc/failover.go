@@ -175,16 +175,6 @@ func DialFailover(addrs []string, opts FailoverOptions) *FailoverClient {
 // Leader returns the endpoint index calls currently route to.
 func (f *FailoverClient) Leader() int { return int(f.cur.Load()) }
 
-// Endpoint returns the transport endpoint idx currently holds (nil
-// before its first build) — e.g. the *runtime.Link whose Kind says
-// which fast path the endpoint rides.
-func (f *FailoverClient) Endpoint(idx int) Transport {
-	if lt := f.eps[idx].live.Load(); lt != nil {
-		return lt.Transport
-	}
-	return nil
-}
-
 // Stats returns a snapshot of the recovery counters.
 func (f *FailoverClient) Stats() FailoverStats {
 	return FailoverStats{

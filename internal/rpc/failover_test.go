@@ -240,7 +240,7 @@ func TestFailoverCloseMeansClosed(t *testing.T) {
 	if _, err := fc.Call(context.Background(), "echo", nil); err != nil {
 		t.Fatal(err)
 	}
-	held := fc.Endpoint(0)
+	held := heldTransport(fc, 0)
 	fc.Close()
 	if held.Healthy() {
 		t.Fatal("Close left the endpoint's transport up")
@@ -251,7 +251,7 @@ func TestFailoverCloseMeansClosed(t *testing.T) {
 	if n := builds.Load(); n != 1 {
 		t.Fatalf("factory invoked %d times, want 1: a closed client re-dialled", n)
 	}
-	if fc.Endpoint(0) != nil {
+	if heldTransport(fc, 0) != nil {
 		t.Fatal("closed client still holds a transport")
 	}
 }
@@ -322,9 +322,9 @@ func TestDialFailoverStreamOwnsItsConnection(t *testing.T) {
 		if out, err := fc.Call(context.Background(), "echo", []byte("x")); err != nil || string(out) != "x" {
 			t.Fatalf("call %d: %q, %v", i, out, err)
 		}
-		s, ok := fc.Endpoint(0).(*Client)
+		s, ok := heldTransport(fc, 0).(*Client)
 		if !ok {
-			t.Fatalf("endpoint 0 is %T, want a *Client", fc.Endpoint(0))
+			t.Fatalf("endpoint 0 is %T, want a *Client", heldTransport(fc, 0))
 		}
 		if i < rebuilds {
 			s.Close() // force the next call to rebuild
@@ -347,4 +347,13 @@ func TestDialFailoverStreamOwnsItsConnection(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
+}
+
+// heldTransport returns the transport endpoint idx currently holds (nil
+// before its first build).
+func heldTransport(f *FailoverClient, idx int) Transport {
+	if lt := f.eps[idx].live.Load(); lt != nil {
+		return lt.Transport
+	}
+	return nil
 }

@@ -29,27 +29,3 @@ func IsFenced(err error) bool {
 	var se ServerError
 	return errors.As(err, &se) && strings.HasPrefix(string(se), fencedPrefix)
 }
-
-// FencedTerms extracts the writer's term and the store's fence term
-// from a fence rejection. ok is false for every other error.
-func FencedTerms(err error) (token, fence uint64, ok bool) {
-	var se ServerError
-	if !errors.As(err, &se) {
-		return 0, 0, false
-	}
-	s := string(se)
-	if !strings.HasPrefix(s, fencedPrefix) {
-		return 0, 0, false
-	}
-	rest := s[len(fencedPrefix):]
-	tokStr, fenceStr, found := strings.Cut(rest, " fence=")
-	if !found {
-		return 0, 0, false
-	}
-	token, err1 := strconv.ParseUint(tokStr, 10, 64)
-	fence, err2 := strconv.ParseUint(fenceStr, 10, 64)
-	if err1 != nil || err2 != nil {
-		return 0, 0, false
-	}
-	return token, fence, true
-}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 )
@@ -34,6 +35,8 @@ func FuzzRedirectTarget(f *testing.F) {
 	})
 }
 
+// FuzzFencedTerms: a fence rejection is recognised by its prefix alone,
+// wrapped or bare, and its wire form carries both terms.
 func FuzzFencedTerms(f *testing.F) {
 	f.Add(string(FencedError(3, 7)), uint64(3), uint64(7))
 	f.Add(string(FencedError(2, 5)), uint64(2), uint64(5))
@@ -41,16 +44,16 @@ func FuzzFencedTerms(f *testing.F) {
 	f.Add("rpc: fenced; term=x fence=y", uint64(1), ^uint64(0))
 	f.Add(string(NotLeaderError(1)), uint64(0), uint64(1))
 	f.Fuzz(func(t *testing.T, s string, token, fence uint64) {
-		gt, gf, ok := FencedTerms(ServerError(s))
-		if ok && !IsFenced(ServerError(s)) {
-			t.Fatalf("%q has terms but is not fenced", s)
+		fenced := IsFenced(ServerError(s))
+		if fenced != strings.HasPrefix(s, fencedPrefix) {
+			t.Fatalf("IsFenced(%q) = %v", s, fenced)
 		}
-		if wt, wf, wok := FencedTerms(fmt.Errorf("wrapped: %w", ServerError(s))); wt != gt || wf != gf || wok != ok {
-			t.Fatalf("wrapped %q parsed (%d, %d, %v), bare (%d, %d, %v)", s, wt, wf, wok, gt, gf, ok)
+		if IsFenced(fmt.Errorf("wrapped: %w", ServerError(s))) != fenced {
+			t.Fatalf("wrapping %q changed IsFenced", s)
 		}
 		err := FencedError(token, fence)
-		if gt, gf, ok := FencedTerms(err); !ok || gt != token || gf != fence || !IsFenced(err) {
-			t.Fatalf("FencedTerms(FencedError(%d, %d)) = %d, %d, %v", token, fence, gt, gf, ok)
+		if want := fmt.Sprintf("%s%d fence=%d", fencedPrefix, token, fence); string(err) != want || !IsFenced(err) {
+			t.Fatalf("FencedError(%d, %d) = %q, want %q", token, fence, err, want)
 		}
 	})
 }

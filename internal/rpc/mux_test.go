@@ -14,7 +14,7 @@ func muxPair(t *testing.T, workers, callers int) (*Server, *Client) {
 	t.Helper()
 	srv := NewServer()
 	if workers > 0 {
-		srv.SetWorkers(workers)
+		srv.workers = workers
 	}
 	srv.Register("echo", func(p []byte) ([]byte, error) { return p, nil })
 	cc, sc := Pair()
@@ -55,7 +55,7 @@ func TestStreamBasicRoundTrip(t *testing.T) {
 func TestMuxNoHeadOfLineBlocking(t *testing.T) {
 	const slowDelay = 3 * time.Millisecond
 	srv := NewServer()
-	srv.SetWorkers(2)
+	srv.workers = 2
 	srv.Register("slow", func(p []byte) ([]byte, error) {
 		time.Sleep(slowDelay)
 		return p, nil
@@ -115,7 +115,7 @@ func TestMuxNoHeadOfLineBlocking(t *testing.T) {
 // working — no teardown, no stall.
 func TestMuxPerStreamDeadline(t *testing.T) {
 	srv := NewServer()
-	srv.SetWorkers(1)
+	srv.workers = 1
 	block := make(chan struct{})
 	entered := make(chan struct{}, 1)
 	srv.Register("hold", func(p []byte) ([]byte, error) {
@@ -183,7 +183,7 @@ func TestMuxStreamOverflowSheds(t *testing.T) {
 
 func testStreamOverflowSheds(t *testing.T, flood func(c *Client) Transport) {
 	srv := NewServer()
-	srv.SetWorkers(2)
+	srv.workers = 2
 	release := make(chan struct{})
 	srv.Register("gate", func(p []byte) ([]byte, error) {
 		<-release

@@ -103,7 +103,7 @@ func TestWireDeadlinePropagation(t *testing.T) {
 // answered with DeadlineExceededError without ever executing.
 func TestServerDropsExpiredQueuedWork(t *testing.T) {
 	srv := NewServer()
-	srv.SetWorkers(1)
+	srv.workers = 1
 	started := make(chan struct{})
 	release := make(chan struct{})
 	var executed atomic.Int64

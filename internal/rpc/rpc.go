@@ -173,7 +173,7 @@ type Server struct {
 	conns     map[net.Conn]struct{}
 	rings     []*Ring
 	closed    bool
-	workers   int
+	workers   int // per-connection handler pool bound; 0 means defaultWorkers
 	wg        sync.WaitGroup
 
 	// droppedExpired counts requests whose propagated deadline had
@@ -190,16 +190,6 @@ func (s *Server) DroppedExpired() uint64 { return s.droppedExpired.Load() }
 // NewServer returns an empty server.
 func NewServer() *Server {
 	return &Server{handlers: make(map[string]handlerEntry), conns: make(map[net.Conn]struct{})}
-}
-
-// SetWorkers bounds the per-connection handler worker pool for
-// connections served after the call (<=0 restores the default of 64,
-// matching the client caller pool). Cancel frames are handled outside
-// the pool regardless of its size.
-func (s *Server) SetWorkers(n int) {
-	s.lnMu.Lock()
-	defer s.lnMu.Unlock()
-	s.workers = n
 }
 
 // SetInterceptor installs a server-side interceptor wrapping every

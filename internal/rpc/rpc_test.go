@@ -396,8 +396,9 @@ func TestCancelPropagatesToServerHandler(t *testing.T) {
 
 func TestConnTeardownCancelsServerHandlers(t *testing.T) {
 	srv := NewServer()
-	handlerCancelled := make(chan struct{})
+	started, handlerCancelled := make(chan struct{}), make(chan struct{})
 	srv.RegisterCtx("watch", func(ctx context.Context, p []byte) ([]byte, error) {
+		close(started)
 		<-ctx.Done()
 		close(handlerCancelled)
 		return nil, ctx.Err()
@@ -407,7 +408,7 @@ func TestConnTeardownCancelsServerHandlers(t *testing.T) {
 	defer srv.Close()
 	c := NewClient(cc, 4)
 	go c.CallSync("watch", nil)
-	time.Sleep(10 * time.Millisecond)
+	<-started // the handler is in flight: there is something to cancel
 	c.Close() // dropping the conn must cancel the in-flight handler
 	select {
 	case <-handlerCancelled:

@@ -95,8 +95,8 @@ func transportContract(t *testing.T, build func(t *testing.T, srv *Server) Trans
 			t.Fatalf("expired-deadline drop = %v", err)
 		}
 		_, err = tr.CallSync("fenced", nil)
-		if token, fence, ok := FencedTerms(err); !IsFenced(err) || !ok || token != 3 || fence != 7 {
-			t.Fatalf("fenced = %v (terms %d/%d, %v)", err, token, fence, ok)
+		if se := ServerError(""); !errors.As(err, &se) || se != FencedError(3, 7) {
+			t.Fatalf("fenced = %v, want %v", err, FencedError(3, 7))
 		}
 		_, err = tr.CallSync("standby", nil)
 		if leader, ok := RedirectTarget(err); !ok || leader != 2 {

@@ -273,7 +273,7 @@ func TestGatewayDropsExpiredBeforeDispatch(t *testing.T) {
 		executed.Add(1)
 		return in, nil
 	})
-	g := NewGateway(rt, time.Second)
+	g := newGateway(rt, time.Second)
 	mon := metrics.NewRegistry()
 	g.SetMonitor(mon)
 	g.Expose("m", "f")

@@ -15,7 +15,7 @@ func TestGatewayExposeBatchFansOutAndPreservesEntryErrors(t *testing.T) {
 	rt.Register("upper", func(_ context.Context, in []byte) ([]byte, error) {
 		return bytes.ToUpper(in), nil
 	})
-	g := NewGateway(rt, time.Second)
+	g := newGateway(rt, time.Second)
 	g.Expose("ok", "upper")
 	g.Expose("broken", "unregistered")
 	g.ExposeBatch()
@@ -60,7 +60,7 @@ func TestGatewayExposeBatchFansOutAndPreservesEntryErrors(t *testing.T) {
 func TestGatewayExposeBatchRejectsJunkEnvelope(t *testing.T) {
 	rt := New(DefaultConfig(), nil)
 	defer rt.Close()
-	g := NewGateway(rt, time.Second)
+	g := newGateway(rt, time.Second)
 	g.ExposeBatch()
 	c := gatewayPair(t, g)
 	if _, err := c.CallSync(rpc.BatchMethod, []byte("garbage")); err == nil {

@@ -101,15 +101,6 @@ type Gateway struct {
 	bd   *stats.Breakdown
 }
 
-// NewGateway wraps a runtime with an RPC front door. timeout bounds
-// each invocation (0 = no deadline); other knobs take the
-// DefaultGatewayConfig values.
-func NewGateway(rt *Runtime, timeout time.Duration) *Gateway {
-	cfg := DefaultGatewayConfig()
-	cfg.Timeout = timeout
-	return NewGatewayConfig(rt, cfg)
-}
-
 // NewGatewayConfig wraps a runtime with a fully configured front door.
 func NewGatewayConfig(rt *Runtime, cfg GatewayConfig) *Gateway {
 	if cfg.StepRespawns < 0 {

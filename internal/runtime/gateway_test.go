@@ -23,13 +23,22 @@ func gatewayPair(t *testing.T, g *Gateway) *rpc.Client {
 	return c
 }
 
+// newGateway wraps rt with an RPC front door whose invocations time
+// out after timeout (0 = no deadline); other knobs take the
+// DefaultGatewayConfig values.
+func newGateway(rt *Runtime, timeout time.Duration) *Gateway {
+	cfg := DefaultGatewayConfig()
+	cfg.Timeout = timeout
+	return NewGatewayConfig(rt, cfg)
+}
+
 func TestGatewayExpose(t *testing.T) {
 	rt := New(DefaultConfig(), nil)
 	defer rt.Close()
 	rt.Register("upper", func(ctx context.Context, in []byte) ([]byte, error) {
 		return bytes.ToUpper(in), nil
 	})
-	g := NewGateway(rt, time.Second)
+	g := newGateway(rt, time.Second)
 	g.Expose("collectImage.recognize", "upper")
 	c := gatewayPair(t, g)
 
@@ -48,7 +57,7 @@ func TestGatewayExpose(t *testing.T) {
 func TestGatewayPropagatesErrors(t *testing.T) {
 	rt := New(DefaultConfig(), nil)
 	defer rt.Close()
-	g := NewGateway(rt, time.Second)
+	g := newGateway(rt, time.Second)
 	g.Expose("m", "unregistered")
 	c := gatewayPair(t, g)
 	if _, err := c.CallSync("m", nil); err == nil || !strings.Contains(err.Error(), "not registered") {
@@ -69,7 +78,7 @@ func TestGatewayTimeout(t *testing.T) {
 			return nil, nil
 		}
 	})
-	g := NewGateway(rt, 30*time.Millisecond)
+	g := newGateway(rt, 30*time.Millisecond)
 	g.Expose("m", "slow")
 	c := gatewayPair(t, g)
 	start := time.Now()
@@ -91,7 +100,7 @@ func TestGatewayChain(t *testing.T) {
 	rt.Register("upper", func(ctx context.Context, in []byte) ([]byte, error) {
 		return bytes.ToUpper(in), nil
 	})
-	g := NewGateway(rt, time.Second)
+	g := newGateway(rt, time.Second)
 	g.ExposeChain("pipeline", []string{"trim", "upper"})
 	c := gatewayPair(t, g)
 	out, err := c.CallSync("pipeline", []byte("  people  "))
@@ -208,7 +217,7 @@ func TestGatewayClientCancelPropagates(t *testing.T) {
 			return nil, errors.New("never cancelled")
 		}
 	})
-	g := NewGateway(rt, 0)
+	g := newGateway(rt, 0)
 	g.Expose("m", "watch")
 	c := gatewayPair(t, g)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -230,7 +239,7 @@ func TestGatewayClosedServerFailsCalls(t *testing.T) {
 	rt := New(DefaultConfig(), nil)
 	defer rt.Close()
 	rt.Register("echo", func(ctx context.Context, in []byte) ([]byte, error) { return in, nil })
-	g := NewGateway(rt, time.Second)
+	g := newGateway(rt, time.Second)
 	g.Expose("m", "echo")
 	cc, sc := rpc.Pair()
 	g.Server().ServeConn(sc)
@@ -303,7 +312,7 @@ func TestGatewayHandlerSeesCallerDeadline(t *testing.T) {
 		returned <- time.Now()
 		return nil, ctx.Err()
 	})
-	g := NewGateway(rt, 0)
+	g := newGateway(rt, 0)
 	defer g.Close()
 	g.Expose("m", "block")
 	l := NewLinker(LinkerOptions{Dial: func(string) (net.Conn, error) {

@@ -133,8 +133,7 @@ func (l *Linker) track(tr rpc.Transport, kind TransportKind) (*Link, error) {
 // when they turn unhealthy (a ring whose gateway died, a connection
 // that dropped), so a redirect that moves the primary from a co-located
 // replica to a remote one also moves the calls from the ring onto a
-// stream — and back. FailoverClient.Endpoint returns the *Link whose
-// Kind says which fast path an endpoint rides.
+// stream — and back.
 func (l *Linker) Failover(peers []Peer, opts rpc.FailoverOptions) *rpc.FailoverClient {
 	endpoints := make([]func() (rpc.Transport, error), len(peers))
 	for i, p := range peers {

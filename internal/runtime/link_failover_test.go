@@ -34,14 +34,17 @@ func leaderGateway(t *testing.T, id int, leader *atomic.Int32) *Gateway {
 	return g
 }
 
-// leaderKind reads which fast path calls currently ride off the *Link
-// the client holds for its believed leader.
-func leaderKind(fc *rpc.FailoverClient) (TransportKind, bool) {
-	lk, ok := fc.Endpoint(fc.Leader()).(*Link)
-	if !ok {
-		return 0, false
+// leaderKind reports the fast path calls to the client's believed
+// leader ride: every link a Linker's failover client holds for a
+// replica comes from Connect on that replica's Peer.
+func leaderKind(t *testing.T, l *Linker, peers []Peer, fc *rpc.FailoverClient) TransportKind {
+	t.Helper()
+	lk, err := l.Connect(peers[fc.Leader()])
+	if err != nil {
+		t.Fatal(err)
 	}
-	return lk.Kind, true
+	defer lk.Close()
+	return lk.Kind
 }
 
 // TestLinkerFailoverFlipsTransportOnLeaderChange is the acceptance test
@@ -65,10 +68,11 @@ func TestLinkerFailoverFlipsTransportOnLeaderChange(t *testing.T) {
 
 	l := NewLinker(LinkerOptions{})
 	defer l.Close()
-	fc := l.Failover([]Peer{
+	peers := []Peer{
 		{Gateway: local},
 		{Addr: ln.Addr().String()},
-	}, rpc.FailoverOptions{Attempts: 8, RetryBackoff: 5 * time.Millisecond})
+	}
+	fc := l.Failover(peers, rpc.FailoverOptions{Attempts: 8, RetryBackoff: 5 * time.Millisecond})
 	defer fc.Close()
 
 	out, err := fc.Call(context.Background(), "who", []byte("?"))
@@ -78,8 +82,8 @@ func TestLinkerFailoverFlipsTransportOnLeaderChange(t *testing.T) {
 	if string(out) != "0?" {
 		t.Fatalf("leader 0 answered %q", out)
 	}
-	if k, ok := leaderKind(fc); !ok || k != TransportRing {
-		t.Fatalf("co-located leader rides %v (built=%v), want ring", k, ok)
+	if k := leaderKind(t, l, peers, fc); k != TransportRing {
+		t.Fatalf("co-located leader rides %v, want ring", k)
 	}
 
 	// Leadership moves to the remote replica: the next call must follow
@@ -95,8 +99,8 @@ func TestLinkerFailoverFlipsTransportOnLeaderChange(t *testing.T) {
 	if fc.Leader() != 1 {
 		t.Fatalf("believed leader = %d, want 1", fc.Leader())
 	}
-	if k, ok := leaderKind(fc); !ok || k != TransportStream {
-		t.Fatalf("remote leader rides %v (built=%v), want stream", k, ok)
+	if k := leaderKind(t, l, peers, fc); k != TransportStream {
+		t.Fatalf("remote leader rides %v, want stream", k)
 	}
 
 	// And back: leadership returns to the co-located replica, calls
@@ -105,7 +109,7 @@ func TestLinkerFailoverFlipsTransportOnLeaderChange(t *testing.T) {
 	if _, err := fc.Call(context.Background(), "who", []byte("?")); err != nil {
 		t.Fatal(err)
 	}
-	if k, ok := leaderKind(fc); !ok || k != TransportRing {
-		t.Fatalf("restored co-located leader rides %v (built=%v), want ring", k, ok)
+	if k := leaderKind(t, l, peers, fc); k != TransportRing {
+		t.Fatalf("restored co-located leader rides %v, want ring", k)
 	}
 }

@@ -19,7 +19,7 @@ func echoGateway(t *testing.T) *Gateway {
 	rt.Register("upper", func(ctx context.Context, in []byte) ([]byte, error) {
 		return bytes.ToUpper(in), nil
 	})
-	g := NewGateway(rt, time.Second)
+	g := newGateway(rt, time.Second)
 	g.Expose("recognize", "upper")
 	t.Cleanup(g.Close)
 	return g
@@ -160,12 +160,20 @@ func TestLinkerFailoverRebuildsKeepOneLinkPerPeer(t *testing.T) {
 		fcs[i] = l.Failover([]Peer{p}, rpc.FailoverOptions{})
 		defer fcs[i].Close()
 	}
+	// closeLinks fails every link the Linker tracks: one per peer.
+	closeLinks := func() {
+		l.mu.Lock()
+		defer l.mu.Unlock()
+		for _, lk := range l.links {
+			lk.Close()
+		}
+	}
 	const rebuilds = 100
 	for i := 0; i <= rebuilds; i++ {
+		if i > 0 {
+			closeLinks() // force each peer's next call to rebuild
+		}
 		for _, fc := range fcs {
-			if i > 0 {
-				fc.Endpoint(0).Close() // force the next call to rebuild
-			}
 			if out, err := fc.Call(context.Background(), "recognize", []byte("hive")); err != nil || string(out) != "HIVE" {
 				t.Fatalf("call after %d rebuilds: %q, %v", i, out, err)
 			}
@@ -182,12 +190,15 @@ func TestLinkerFailoverRebuildsKeepOneLinkPerPeer(t *testing.T) {
 	if tracked > len(peers) {
 		t.Fatalf("Linker tracks %d links for %d peers after %d rebuilds", tracked, len(peers), rebuilds)
 	}
+	l.mu.Lock()
+	live := append([]rpc.Transport(nil), l.links...)
+	l.mu.Unlock()
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	for i, fc := range fcs {
-		if _, err := fc.Endpoint(0).CallSync("recognize", nil); !errors.Is(err, rpc.ErrClosed) {
-			t.Fatalf("peer %d's live link after Close: err = %v, want ErrClosed", i, err)
+	for i, lk := range live {
+		if _, err := lk.CallSync("recognize", nil); !errors.Is(err, rpc.ErrClosed) {
+			t.Fatalf("live link %d after Close: err = %v, want ErrClosed", i, err)
 		}
 	}
 }

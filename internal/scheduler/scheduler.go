@@ -1,101 +1,11 @@
-// Package scheduler implements the serverless cloud scheduler of §4.3
-// and its scalability mechanism of §5.6: per-server worker monitors
-// ("a lightweight process that periodically monitors the performance of
-// active functions and the server's utilization"), a placement policy
-// driven by those (slightly stale) views, and a sharded decision engine
-// — "multiple schedulers, each responsible for a subset of tasks, but
+// Package scheduler implements the scalability mechanism of the
+// serverless cloud scheduler (§4.3, §5.6): a sharded decision engine —
+// "multiple schedulers, each responsible for a subset of tasks, but
 // with global visibility into all cloud and edge resources" (a
 // shared-state design in the Omega tradition).
 package scheduler
 
-import (
-	"hivemind/internal/cluster"
-	"hivemind/internal/sim"
-)
-
-// WorkerMonitor samples one server's utilization on a period; the
-// scheduler reads the sampled (stale) view rather than instantaneous
-// truth, as a real monitor-based system would.
-type WorkerMonitor struct {
-	srv      *cluster.Server
-	view     float64
-	viewFree int
-	ticker   *sim.Ticker
-}
-
-// NewWorkerMonitor starts monitoring a server.
-func NewWorkerMonitor(eng *sim.Engine, srv *cluster.Server, periodS float64) *WorkerMonitor {
-	m := &WorkerMonitor{srv: srv, viewFree: srv.FreeCores()}
-	m.sample()
-	m.ticker = eng.Every(periodS, periodS/10, m.sample)
-	return m
-}
-
-func (m *WorkerMonitor) sample() {
-	m.view = m.srv.Utilization()
-	m.viewFree = m.srv.FreeCores()
-}
-
-// Utilization returns the last sampled utilization.
-func (m *WorkerMonitor) Utilization() float64 { return m.view }
-
-// FreeCores returns the last sampled free-core count.
-func (m *WorkerMonitor) FreeCores() int { return m.viewFree }
-
-// Server returns the monitored server.
-func (m *WorkerMonitor) Server() *cluster.Server { return m.srv }
-
-// Stop halts sampling.
-func (m *WorkerMonitor) Stop() { m.ticker.Stop() }
-
-// Placer picks servers for new functions from monitor views, skipping
-// probated servers: "the scheduler identifies nodes with sufficient
-// resources to host new functions".
-type Placer struct {
-	monitors []*WorkerMonitor
-}
-
-// NewPlacer builds a placer over a cluster with the given monitor
-// period.
-func NewPlacer(eng *sim.Engine, cls *cluster.Cluster, periodS float64) *Placer {
-	p := &Placer{}
-	for _, s := range cls.Servers() {
-		p.monitors = append(p.monitors, NewWorkerMonitor(eng, s, periodS))
-	}
-	return p
-}
-
-// Pick returns the server with the most free cores in the monitors'
-// view (ties to the lowest id), preferring non-probated servers.
-func (p *Placer) Pick() *cluster.Server {
-	var best *WorkerMonitor
-	for _, m := range p.monitors {
-		if m.srv.OnProbation() {
-			continue
-		}
-		if best == nil || m.FreeCores() > best.FreeCores() {
-			best = m
-		}
-	}
-	if best == nil {
-		for _, m := range p.monitors {
-			if best == nil || m.FreeCores() > best.FreeCores() {
-				best = m
-			}
-		}
-	}
-	if best == nil {
-		return nil
-	}
-	return best.srv
-}
-
-// Stop halts all monitors.
-func (p *Placer) Stop() {
-	for _, m := range p.monitors {
-		m.Stop()
-	}
-}
+import "hivemind/internal/sim"
 
 // Sharded is the scalable decision engine: each shard serialises its
 // own decisions (a single controller thread), so one shard saturates at
@@ -105,8 +15,6 @@ type Sharded struct {
 	eng       *sim.Engine
 	shards    []*sim.Resource
 	decisionS float64
-
-	decisions uint64
 }
 
 // NewSharded builds a decision engine with n shards, each taking
@@ -125,9 +33,6 @@ func NewSharded(eng *sim.Engine, n int, decisionS float64) *Sharded {
 // Shards returns the shard count.
 func (s *Sharded) Shards() int { return len(s.shards) }
 
-// Decisions returns the total decisions made.
-func (s *Sharded) Decisions() uint64 { return s.decisions }
-
 // Decide queues one scheduling decision for the task key on its shard
 // ("each responsible for a subset of tasks") and calls done with the
 // decision latency (queueing + service).
@@ -135,32 +40,8 @@ func (s *Sharded) Decide(key uint64, done func(latency sim.Time)) {
 	shard := s.shards[key%uint64(len(s.shards))]
 	start := s.eng.Now()
 	shard.Use(s.decisionS, func() {
-		s.decisions++
 		if done != nil {
 			done(s.eng.Now() - start)
 		}
 	})
-}
-
-// MeanQueueDelay reports the average decision wait across shards,
-// weighted by each shard's completed decisions: under a skewed key
-// distribution an idle shard contributes no decisions and must not
-// drag the reported wait toward zero. Returns 0 before any decision.
-func (s *Sharded) MeanQueueDelay() sim.Time {
-	var totalWait sim.Time
-	var grants uint64
-	for _, sh := range s.shards {
-		st := sh.Stats()
-		totalWait += st.MeanWait * sim.Time(st.Grants)
-		grants += st.Grants
-	}
-	if grants == 0 {
-		return 0
-	}
-	return totalWait / sim.Time(grants)
-}
-
-// CapacityDecisionsPerS returns the aggregate decision throughput.
-func (s *Sharded) CapacityDecisionsPerS() float64 {
-	return float64(len(s.shards)) / s.decisionS
 }

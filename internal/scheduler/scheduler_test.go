@@ -3,51 +3,8 @@ package scheduler
 import (
 	"testing"
 
-	"hivemind/internal/cluster"
 	"hivemind/internal/sim"
 )
-
-func TestWorkerMonitorSamplesPeriodically(t *testing.T) {
-	eng := sim.NewEngine(1)
-	cls := cluster.New(eng, cluster.Config{Servers: 1, CoresPerServer: 4, MemGBPerServer: 8})
-	m := NewWorkerMonitor(eng, cls.Server(0), 1.0)
-	if m.Utilization() != 0 || m.FreeCores() != 4 {
-		t.Fatalf("initial view: %g, %d", m.Utilization(), m.FreeCores())
-	}
-	// Load the server; the view updates only after the next sample.
-	eng.At(0.1, func() {
-		cls.Server(0).Cores().Use(10, nil)
-		cls.Server(0).Cores().Use(10, nil)
-		if m.FreeCores() != 4 {
-			t.Error("view updated without a sample (should be stale)")
-		}
-	})
-	eng.RunUntil(2)
-	if m.FreeCores() != 2 || m.Utilization() != 0.5 {
-		t.Fatalf("post-sample view: %g, %d", m.Utilization(), m.FreeCores())
-	}
-	if m.Server() != cls.Server(0) {
-		t.Fatal("server accessor")
-	}
-	m.Stop()
-}
-
-func TestPlacerPrefersFreeCoresAndSkipsProbation(t *testing.T) {
-	eng := sim.NewEngine(1)
-	cls := cluster.New(eng, cluster.Config{Servers: 3, CoresPerServer: 4, MemGBPerServer: 8})
-	p := NewPlacer(eng, cls, 0.5)
-	defer p.Stop()
-	cls.Server(2).Cores().Use(100, nil)
-	eng.RunUntil(1) // let monitors sample
-	if got := p.Pick(); got.ID == 2 {
-		t.Fatalf("picked loaded server %d", got.ID)
-	}
-	cls.Server(0).Probation(100)
-	cls.Server(1).Probation(100)
-	if got := p.Pick(); got == nil {
-		t.Fatal("no server picked with all probated")
-	}
-}
 
 func TestShardedSerializesPerShard(t *testing.T) {
 	eng := sim.NewEngine(1)
@@ -60,9 +17,6 @@ func TestShardedSerializesPerShard(t *testing.T) {
 	// 100 decisions × 1ms on one shard: the last waited ~99ms.
 	if last < 0.09 {
 		t.Fatalf("last decision latency %g, want ~0.099", last)
-	}
-	if s.Decisions() != 100 {
-		t.Fatalf("decisions = %d", s.Decisions())
 	}
 }
 
@@ -83,24 +37,6 @@ func TestShardingScalesThroughput(t *testing.T) {
 	one, four := run(1), run(4)
 	if four >= one/3 {
 		t.Fatalf("4 shards (%.3gs) not ~4x faster than 1 (%.3gs)", four, one)
-	}
-}
-
-func TestShardedCapacityAndQueueDelay(t *testing.T) {
-	eng := sim.NewEngine(1)
-	s := NewSharded(eng, 2, 0.002)
-	if got := s.CapacityDecisionsPerS(); got != 1000 {
-		t.Fatalf("capacity = %g", got)
-	}
-	if s.Shards() != 2 {
-		t.Fatalf("shards = %d", s.Shards())
-	}
-	for i := 0; i < 50; i++ {
-		s.Decide(uint64(i), nil)
-	}
-	eng.Run()
-	if s.MeanQueueDelay() <= 0 {
-		t.Fatal("no queueing recorded under burst")
 	}
 }
 
@@ -140,32 +76,5 @@ func TestCentralizedBottleneckRelievedBySharding(t *testing.T) {
 	sharded := decisionLatency(4, 8000)
 	if sharded >= saturated/5 {
 		t.Fatalf("sharding did not relieve bottleneck: %g vs %g", sharded, saturated)
-	}
-}
-
-// TestMeanQueueDelayWeightsBusyShards is the regression test for the
-// unweighted per-shard average: with every key landing on shard 0
-// (key%2 == 0), the idle shard must not drag the reported decision
-// wait toward zero.
-func TestMeanQueueDelayWeightsBusyShards(t *testing.T) {
-	eng := sim.NewEngine(1)
-	s := NewSharded(eng, 2, 0.01)
-	for i := 0; i < 10; i++ {
-		s.Decide(uint64(2*i), nil) // deliberately skewed: all on shard 0
-	}
-	eng.Run()
-	// Shard 0 waits are 0, 10ms, ..., 90ms -> mean 45ms; shard 1 made
-	// no decisions and contributes no weight.
-	got := s.MeanQueueDelay()
-	want := sim.Time(0.045)
-	if got < want*0.999 || got > want*1.001 {
-		t.Fatalf("mean queue delay = %g, want %g (decision-weighted)", got, want)
-	}
-}
-
-func TestMeanQueueDelayZeroDecisions(t *testing.T) {
-	s := NewSharded(sim.NewEngine(1), 4, 0.01)
-	if got := s.MeanQueueDelay(); got != 0 {
-		t.Fatalf("mean queue delay with no decisions = %g, want 0", got)
 	}
 }

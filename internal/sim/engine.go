@@ -219,9 +219,6 @@ func (t *Timer) Cancel() bool {
 	return true
 }
 
-// Stopped reports whether the timer has been cancelled.
-func (t *Timer) Stopped() bool { return t == nil || t.ev == nil || t.cancelled }
-
 // At schedules fn to run at absolute time t. Scheduling in the past
 // panics: it indicates a model bug that would silently corrupt causality.
 func (e *Engine) At(t Time, fn func()) *Timer {

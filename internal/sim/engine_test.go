@@ -133,8 +133,8 @@ func TestTimerCancel(t *testing.T) {
 	if fired {
 		t.Fatal("cancelled timer fired")
 	}
-	if !tm.Stopped() {
-		t.Fatal("Stopped() = false after cancel")
+	if !tm.cancelled {
+		t.Fatal("timer not marked cancelled")
 	}
 }
 

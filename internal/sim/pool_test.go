@@ -34,8 +34,8 @@ func TestCancelledTimerEventIsReused(t *testing.T) {
 	if tm.Cancel() {
 		t.Fatal("stale Timer cancelled a recycled event")
 	}
-	if !tm.Stopped() {
-		t.Fatal("cancelled timer lost its Stopped state")
+	if !tm.cancelled {
+		t.Fatal("cancelled timer lost its cancelled state")
 	}
 	e.RunUntil(4)
 	if !fired {

@@ -11,11 +11,7 @@ type Resource struct {
 	capacity int
 	busy     int
 	queue    []*request
-	// freeReqs recycles request structs from the no-handle Grab path.
-	// Requests wrapped in an Acquisition are never pooled: the handle
-	// may outlive the grant, and a recycled struct under a live handle
-	// would let a stale Cancel hit an unrelated request.
-	freeReqs []*request
+	freeReqs []*request // recycled request structs
 
 	// statistics
 	totalWait    Time
@@ -27,11 +23,8 @@ type Resource struct {
 }
 
 type request struct {
-	enqueued  Time
-	n         int
-	fn        func()
-	cancelled bool
-	pooled    bool // recycle into freeReqs after dispatch
+	enqueued Time
+	fn       func()
 }
 
 // NewResource creates a resource with the given concurrent capacity.
@@ -43,22 +36,11 @@ func NewResource(eng *Engine, capacity int) *Resource {
 	return &Resource{eng: eng, capacity: capacity, lastStamp: eng.Now()}
 }
 
-// Capacity returns the configured number of servers.
-func (r *Resource) Capacity() int { return r.capacity }
-
 // InUse returns how many units are currently held.
 func (r *Resource) InUse() int { return r.busy }
 
 // QueueLen returns how many requests are waiting.
-func (r *Resource) QueueLen() int {
-	n := 0
-	for _, q := range r.queue {
-		if !q.cancelled {
-			n++
-		}
-	}
-	return n
-}
+func (r *Resource) QueueLen() int { return len(r.queue) }
 
 func (r *Resource) stamp() {
 	now := r.eng.Now()
@@ -70,18 +52,11 @@ func (r *Resource) stamp() {
 	}
 }
 
-// Acquire requests one unit and calls fn when it is granted (possibly
-// synchronously, if a unit is free). The returned handle can cancel a
-// still-queued request.
-func (r *Resource) Acquire(fn func()) *Acquisition {
-	return r.AcquireN(1, fn)
-}
-
-// Grab requests one unit like Acquire but returns no handle, which
-// keeps the hot acquire/release cycle allocation-free: an immediate
-// grant touches no request struct at all, and a queued request comes
-// from (and returns to) the resource's free list. Use it wherever the
-// request is never cancelled — which is every production call site.
+// Grab requests one unit and calls fn when it is granted (possibly
+// synchronously, if a unit is free). The hot acquire/release cycle is
+// allocation-free: an immediate grant touches no request struct at
+// all, and a queued request comes from (and returns to) the resource's
+// free list.
 func (r *Resource) Grab(fn func()) {
 	r.stamp()
 	if len(r.queue) == 0 && r.busy+1 <= r.capacity {
@@ -98,76 +73,31 @@ func (r *Resource) Grab(fn func()) {
 	} else {
 		req = new(request)
 	}
-	*req = request{enqueued: r.eng.Now(), n: 1, fn: fn, pooled: true}
-	r.enqueue(req)
-}
-
-// AcquireN requests n units granted atomically.
-func (r *Resource) AcquireN(n int, fn func()) *Acquisition {
-	if n <= 0 || n > r.capacity {
-		panic("sim: invalid acquire count")
-	}
-	r.stamp()
-	req := &request{enqueued: r.eng.Now(), n: n, fn: fn}
-	if len(r.queue) == 0 && r.busy+n <= r.capacity {
-		r.busy += n
-		r.grants++
-		fn()
-		return &Acquisition{res: r, req: req, granted: true}
-	}
-	r.enqueue(req)
-	return &Acquisition{res: r, req: req}
-}
-
-func (r *Resource) enqueue(req *request) {
+	*req = request{enqueued: r.eng.Now(), fn: fn}
 	r.queue = append(r.queue, req)
 	if len(r.queue) > r.maxQueue {
 		r.maxQueue = len(r.queue)
 	}
 }
 
-// Release returns n units and dispatches queued requests that now fit.
-func (r *Resource) ReleaseN(n int) {
+// Release returns one unit and dispatches queued requests that now fit.
+func (r *Resource) Release() {
 	r.stamp()
-	r.busy -= n
+	r.busy--
 	if r.busy < 0 {
 		panic("sim: resource released more than acquired")
 	}
-	r.dispatch()
-}
-
-// Release returns one unit.
-func (r *Resource) Release() { r.ReleaseN(1) }
-
-func (r *Resource) dispatch() {
-	for len(r.queue) > 0 {
+	for len(r.queue) > 0 && r.busy < r.capacity {
 		head := r.queue[0]
-		if head.cancelled {
-			r.queue = r.queue[1:]
-			r.recycle(head)
-			continue
-		}
-		if r.busy+head.n > r.capacity {
-			return
-		}
 		r.queue = r.queue[1:]
-		r.busy += head.n
+		r.busy++
 		r.grants++
 		r.totalWait += r.eng.Now() - head.enqueued
 		fn := head.fn
-		r.recycle(head)
+		head.fn = nil
+		r.freeReqs = append(r.freeReqs, head)
 		fn()
 	}
-}
-
-// recycle returns a Grab-path request to the free list. Handle-backed
-// requests are left to the garbage collector (see freeReqs).
-func (r *Resource) recycle(req *request) {
-	if !req.pooled {
-		return
-	}
-	req.fn = nil
-	r.freeReqs = append(r.freeReqs, req)
 }
 
 // Use acquires one unit, holds it for service seconds, releases it, and
@@ -182,23 +112,6 @@ func (r *Resource) Use(service Time, done func()) {
 			}
 		})
 	})
-}
-
-// Acquisition is a handle to a pending or granted acquire request.
-type Acquisition struct {
-	res     *Resource
-	req     *request
-	granted bool
-}
-
-// Cancel withdraws a still-queued request. It reports whether the request
-// was actually cancelled (false if it had already been granted).
-func (a *Acquisition) Cancel() bool {
-	if a.granted || a.req.cancelled {
-		return false
-	}
-	a.req.cancelled = true
-	return true
 }
 
 // Stats summarises a resource's queueing behaviour so far.

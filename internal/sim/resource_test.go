@@ -10,8 +10,8 @@ func TestResourceGrantsImmediatelyWhenFree(t *testing.T) {
 	e := NewEngine(1)
 	r := NewResource(e, 2)
 	granted := 0
-	r.Acquire(func() { granted++ })
-	r.Acquire(func() { granted++ })
+	r.Grab(func() { granted++ })
+	r.Grab(func() { granted++ })
 	if granted != 2 || r.InUse() != 2 {
 		t.Fatalf("granted=%d inuse=%d", granted, r.InUse())
 	}
@@ -23,7 +23,7 @@ func TestResourceQueuesFIFO(t *testing.T) {
 	var order []int
 	for i := 0; i < 5; i++ {
 		i := i
-		r.Acquire(func() {
+		r.Grab(func() {
 			order = append(order, i)
 			e.After(1, r.Release)
 		})
@@ -45,58 +45,6 @@ func TestResourceUseHoldsForServiceTime(t *testing.T) {
 	e.Run()
 	if done1 != 2.0 || done2 != 5.0 {
 		t.Fatalf("done1=%g done2=%g, want 2 and 5", done1, done2)
-	}
-}
-
-func TestResourceAcquireNAtomic(t *testing.T) {
-	e := NewEngine(1)
-	r := NewResource(e, 4)
-	var got []string
-	r.AcquireN(3, func() {
-		got = append(got, "big1")
-		e.After(1, func() { r.ReleaseN(3) })
-	})
-	// Needs 3 units: must wait even though 1 is free. A later small request
-	// must not jump the queue (strict FIFO, no starvation of the big one).
-	r.AcquireN(3, func() {
-		got = append(got, "big2")
-		e.After(1, func() { r.ReleaseN(3) })
-	})
-	r.Acquire(func() {
-		got = append(got, "small")
-		r.Release()
-	})
-	e.Run()
-	want := []string{"big1", "big2", "small"}
-	if len(got) != 3 || got[0] != want[0] || got[1] != want[1] || got[2] != want[2] {
-		t.Fatalf("order = %v, want %v", got, want)
-	}
-}
-
-func TestResourceCancelQueuedRequest(t *testing.T) {
-	e := NewEngine(1)
-	r := NewResource(e, 1)
-	r.Use(5, nil)
-	fired := false
-	acq := r.Acquire(func() { fired = true })
-	if !acq.Cancel() {
-		t.Fatal("Cancel on queued request returned false")
-	}
-	e.Run()
-	if fired {
-		t.Fatal("cancelled request was granted")
-	}
-	if r.InUse() != 0 {
-		t.Fatalf("leaked units: %d", r.InUse())
-	}
-}
-
-func TestResourceCancelGrantedIsNoop(t *testing.T) {
-	e := NewEngine(1)
-	r := NewResource(e, 1)
-	acq := r.Acquire(func() {})
-	if acq.Cancel() {
-		t.Fatal("Cancel on granted request returned true")
 	}
 }
 

@@ -57,15 +57,6 @@ func (m *Meter) AddSpread(t0, t1, amount float64) {
 // Total returns the sum of everything recorded.
 func (m *Meter) Total() float64 { return m.total }
 
-// Rates returns the per-second rate in each bucket.
-func (m *Meter) Rates() []float64 {
-	out := make([]float64, len(m.buckets))
-	for i, v := range m.buckets {
-		out[i] = v / m.bucket
-	}
-	return out
-}
-
 // RateSample returns the bucket rates as a Sample, for percentile
 // queries (e.g. p99 bandwidth in Fig. 14b). Buckets after `until`
 // seconds are ignored if until > 0; the bucket straddling `until` is
@@ -87,14 +78,6 @@ func (m *Meter) RateSample(until float64) *Sample {
 	return s
 }
 
-// MeanRate returns total/duration for duration > 0.
-func (m *Meter) MeanRate(duration float64) float64 {
-	if duration <= 0 {
-		return 0
-	}
-	return m.total / duration
-}
-
 // Gauge tracks a level that steps up and down over time (active tasks,
 // live containers) and reports the time series of its value.
 type Gauge struct {
@@ -108,7 +91,7 @@ type Gauge struct {
 func NewGauge() *Gauge { return &Gauge{} }
 
 // Set records the level v at time t. Times must be non-decreasing: a
-// regression would silently corrupt At/TimeAverage (both assume sorted
+// regression would silently corrupt At (a binary search over the
 // times), so it panics instead.
 func (g *Gauge) Set(t, v float64) {
 	if n := len(g.times); n > 0 && t < g.times[n-1] {
@@ -125,9 +108,6 @@ func (g *Gauge) Set(t, v float64) {
 // Inc adjusts the level by delta at time t.
 func (g *Gauge) Inc(t, delta float64) { g.Set(t, g.cur+delta) }
 
-// Current returns the latest level.
-func (g *Gauge) Current() float64 { return g.cur }
-
 // Max returns the highest level ever recorded.
 func (g *Gauge) Max() float64 { return g.max }
 
@@ -140,43 +120,4 @@ func (g *Gauge) At(t float64) float64 {
 		return 0
 	}
 	return g.values[idx-1]
-}
-
-// Series resamples the gauge at the given interval over [0, until),
-// returning one value per step — the "active tasks over time" curves of
-// Fig. 5c.
-func (g *Gauge) Series(interval, until float64) []float64 {
-	if interval <= 0 || until <= 0 {
-		return nil
-	}
-	n := int(math.Ceil(until / interval))
-	out := make([]float64, n)
-	idx := 0
-	v := 0.0
-	for i := 0; i < n; i++ {
-		t := float64(i) * interval
-		for idx < len(g.times) && g.times[idx] <= t {
-			v = g.values[idx]
-			idx++
-		}
-		out[i] = v
-	}
-	return out
-}
-
-// TimeAverage returns the time-weighted mean level over [0, until).
-func (g *Gauge) TimeAverage(until float64) float64 {
-	if until <= 0 {
-		return 0
-	}
-	var integral, prevT, prevV float64
-	for i, t := range g.times {
-		if t > until {
-			break
-		}
-		integral += prevV * (t - prevT)
-		prevT, prevV = t, g.values[i]
-	}
-	integral += prevV * (until - prevT)
-	return integral / until
 }

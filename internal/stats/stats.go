@@ -37,9 +37,6 @@ func (s *Sample) AddAll(xs ...float64) {
 // N returns the number of observations.
 func (s *Sample) N() int { return len(s.xs) }
 
-// Sum returns the sum of all observations.
-func (s *Sample) Sum() float64 { return s.sum }
-
 // Mean returns the arithmetic mean, or 0 for an empty sample.
 func (s *Sample) Mean() float64 {
 	if len(s.xs) == 0 {
@@ -56,7 +53,7 @@ func (s *Sample) ensureSorted() {
 }
 
 // Freeze pre-sorts the observations so every subsequent read-only query
-// (percentiles, min/max, values, PDF) is safe for concurrent readers.
+// (percentiles, min/max, values) is safe for concurrent readers.
 // Call it before sharing a Sample across goroutines — e.g. when a result
 // is published through the experiment runner's memoized cache. Adding
 // observations after Freeze un-freezes the sample.
@@ -162,42 +159,4 @@ func (s *Sample) Summarize() Summary {
 func (sm Summary) String() string {
 	return fmt.Sprintf("n=%d mean=%.4g p50=%.4g p95=%.4g p99=%.4g cv=%.3f",
 		sm.N, sm.Mean, sm.P50, sm.P95, sm.P99, sm.CV)
-}
-
-// PDF estimates a probability density over nBins equal-width bins,
-// spanning [min, max] of the sample — the data behind the paper's violin
-// plots. Densities integrate to ~1. Empty samples return nil.
-func (s *Sample) PDF(nBins int) []PDFBin {
-	if len(s.xs) == 0 || nBins <= 0 {
-		return nil
-	}
-	s.ensureSorted()
-	lo, hi := s.xs[0], s.xs[len(s.xs)-1]
-	if hi == lo {
-		return []PDFBin{{Center: lo, Density: 1, Count: len(s.xs)}}
-	}
-	width := (hi - lo) / float64(nBins)
-	bins := make([]PDFBin, nBins)
-	for i := range bins {
-		bins[i].Center = lo + (float64(i)+0.5)*width
-	}
-	for _, x := range s.xs {
-		idx := int((x - lo) / width)
-		if idx >= nBins {
-			idx = nBins - 1
-		}
-		bins[idx].Count++
-	}
-	norm := 1.0 / (float64(len(s.xs)) * width)
-	for i := range bins {
-		bins[i].Density = float64(bins[i].Count) * norm
-	}
-	return bins
-}
-
-// PDFBin is one bin of a density estimate.
-type PDFBin struct {
-	Center  float64
-	Density float64
-	Count   int
 }

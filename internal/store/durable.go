@@ -55,10 +55,10 @@ const (
 	snapshotTmpName  = "snapshot.db.tmp"
 )
 
-// record opcodes (first payload byte of every WAL/snapshot record).
+// record opcodes (first payload byte of every WAL/snapshot record;
+// 2 is unassigned).
 const (
 	recSet    = 1 // post-state of a created/updated document
-	recDel    = 2 // document removal
 	recFence  = 3 // fence raised without a document write (promotion)
 	recHeader = 4 // snapshot header: seq + fence at snapshot time
 )
@@ -168,16 +168,6 @@ func (db *DB) applyRecord(rec []byte) error {
 		if token > db.fenceTerm {
 			db.fenceTerm = token
 		}
-	case recDel:
-		id, token, err := decodeDel(rec)
-		if err != nil {
-			return err
-		}
-		delete(db.docs, id)
-		db.seq++
-		if token > db.fenceTerm {
-			db.fenceTerm = token
-		}
 	case recFence:
 		if len(rec) != 9 {
 			return fmt.Errorf("%w: fence record length %d", ErrCorruptRecord, len(rec))
@@ -234,26 +224,6 @@ func decodeSet(rec []byte) (Doc, uint64, error) {
 	}
 	return Doc{ID: string(id), Rev: string(rev), Body: append([]byte(nil), body...)},
 		binary.BigEndian.Uint64(p), nil
-}
-
-// encodeDel builds a removal record.
-func encodeDel(id string, token uint64) []byte {
-	rec := make([]byte, 0, 1+4+len(id)+8)
-	rec = append(rec, recDel)
-	rec = appendBytes(rec, []byte(id))
-	return binary.BigEndian.AppendUint64(rec, token)
-}
-
-// decodeDel parses a removal record.
-func decodeDel(rec []byte) (string, uint64, error) {
-	id, p, err := takeBytes(rec[1:])
-	if err != nil {
-		return "", 0, err
-	}
-	if len(p) != 8 {
-		return "", 0, fmt.Errorf("%w: del record trailer", ErrCorruptRecord)
-	}
-	return string(id), binary.BigEndian.Uint64(p), nil
 }
 
 // encodeFence builds a fence-raise record (a promotion with no write).

@@ -36,10 +36,6 @@ func TestDurableRecoverRoundTrip(t *testing.T) {
 	if _, err := db.Force("b", []byte("bee")); err != nil {
 		t.Fatal(err)
 	}
-	revC, _ := db.Put("c", "", []byte("gone"))
-	if err := db.Delete("c", revC); err != nil {
-		t.Fatal(err)
-	}
 	seq, fence := db.Seq(), db.Fence()
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
@@ -50,8 +46,8 @@ func TestDurableRecoverRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db2.Close()
-	if st2.WALRecords != 5 || st2.SnapshotDocs != 0 || st2.TruncatedTail {
-		t.Fatalf("recover stats = %+v, want 5 wal records, no snapshot, no truncation", st2)
+	if st2.WALRecords != 3 || st2.SnapshotDocs != 0 || st2.TruncatedTail {
+		t.Fatalf("recover stats = %+v, want 3 wal records, no snapshot, no truncation", st2)
 	}
 	if db2.Seq() != seq || db2.Fence() != fence {
 		t.Fatalf("seq/fence = %d/%d, want %d/%d", db2.Seq(), db2.Fence(), seq, fence)
@@ -62,9 +58,6 @@ func TestDurableRecoverRoundTrip(t *testing.T) {
 	docA, err := db2.Get("a")
 	if err != nil || string(docA.Body) != "v2" || RevGen(docA.Rev) != 2 {
 		t.Fatalf("doc a = %+v err=%v, want v2 at gen 2", docA, err)
-	}
-	if _, err := db2.Get("c"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("deleted doc resurrected: %v", err)
 	}
 }
 
@@ -293,13 +286,9 @@ func TestFencedWritesRejectStaleTerms(t *testing.T) {
 	if _, err := db.Force("doc", []byte("unfenced")); err != nil {
 		t.Fatalf("unfenced write rejected: %v", err)
 	}
-	// Stale Put and Delete are fenced too.
+	// A stale Put is fenced too.
 	if _, err := db.PutFenced(1, "new", "", []byte("x")); !errors.Is(err, ErrFenced) {
 		t.Fatalf("stale PutFenced error = %v", err)
-	}
-	doc, _ := db.Get("doc")
-	if err := db.DeleteFenced(1, "doc", doc.Rev); !errors.Is(err, ErrFenced) {
-		t.Fatalf("stale DeleteFenced error = %v", err)
 	}
 }
 
@@ -367,7 +356,7 @@ func TestDurableSnapshotThenStaleWALReplayIsIdempotent(t *testing.T) {
 	}
 	db.Force("a", []byte("1"))
 	rev, _ := db.Put("b", "", []byte("2"))
-	db.Delete("b", rev)
+	db.Put("b", rev, []byte("3"))
 
 	// Simulate the torn compaction: save the pre-compaction WAL, let
 	// compaction truncate it, then put the stale WAL back.
@@ -393,14 +382,14 @@ func TestDurableSnapshotThenStaleWALReplayIsIdempotent(t *testing.T) {
 	if st.WALRecords != 3 {
 		t.Fatalf("replayed %d stale records, want 3", st.WALRecords)
 	}
-	if db2.Len() != 1 {
-		t.Fatalf("len = %d, want 1 (a only)", db2.Len())
+	if db2.Len() != 2 {
+		t.Fatalf("len = %d, want 2", db2.Len())
 	}
 	if doc, _ := db2.Get("a"); string(doc.Body) != "1" {
 		t.Fatalf("a = %q", doc.Body)
 	}
-	if _, err := db2.Get("b"); !errors.Is(err, ErrNotFound) {
-		t.Fatal("deleted doc resurrected by stale replay")
+	if doc, _ := db2.Get("b"); string(doc.Body) != "3" || RevGen(doc.Rev) != 2 {
+		t.Fatalf("b = %q at gen %d, want 3 at gen 2: stale replay rewound it", doc.Body, RevGen(doc.Rev))
 	}
 }
 
@@ -430,7 +419,6 @@ func TestDurableClosedRejectsWrites(t *testing.T) {
 		{"Put", func() error { _, err := db.Put("new", "", []byte("x")); return err }},
 		{"ForceFenced", func() error { _, err := db.ForceFenced(5, "k", []byte("x")); return err }},
 		{"Force", func() error { _, err := db.Force("k", []byte("x")); return err }},
-		{"DeleteFenced", func() error { return db.DeleteFenced(6, "doc", rev) }},
 		{"RaiseFence", func() error { return db.RaiseFence(9) }},
 		{"RaiseFence below the fence", func() error { return db.RaiseFence(1) }},
 		{"CompactNow", db.CompactNow},

@@ -59,15 +59,6 @@ func (e *FencedError) Error() string {
 // Is makes errors.Is(err, ErrFenced) true for FencedError values.
 func (e *FencedError) Is(target error) bool { return target == ErrFenced }
 
-// Injector is the fault-injection hook consulted before each store
-// operation (ops "put/<id>", "force/<id>", "get/<id>", "delete/<id>"):
-// a non-nil error stands in for an unavailable or refusing database
-// node, so the live data plane can be chaos-tested. chaos.Injector
-// satisfies it.
-type Injector interface {
-	Fault(op string) error
-}
-
 // Doc is a stored document.
 type Doc struct {
 	ID   string
@@ -95,10 +86,9 @@ type DB struct {
 	sinceCompact int
 	closed       bool // a durable store after Close
 
-	// injMu guards the aux hooks (fault injector, metrics sink), which
-	// are consulted both under and outside the main mutex.
+	// injMu guards the metrics sink, which is consulted both under and
+	// outside the main mutex.
 	injMu sync.RWMutex
-	inj   Injector
 	mon   *metrics.Registry
 }
 
@@ -120,24 +110,6 @@ func (db *DB) monitor() *metrics.Registry {
 	db.injMu.RLock()
 	defer db.injMu.RUnlock()
 	return db.mon
-}
-
-// SetInjector installs (or, with nil, removes) a fault injector.
-func (db *DB) SetInjector(inj Injector) {
-	db.injMu.Lock()
-	defer db.injMu.Unlock()
-	db.inj = inj
-}
-
-// fault consults the injector for one operation.
-func (db *DB) fault(op string) error {
-	db.injMu.RLock()
-	inj := db.inj
-	db.injMu.RUnlock()
-	if inj == nil {
-		return nil
-	}
-	return inj.Fault(op)
 }
 
 func revToken(gen int, body []byte) string {
@@ -223,9 +195,6 @@ func (db *DB) PutFenced(token uint64, id string, rev string, body []byte) (strin
 	if id == "" {
 		return "", errors.New("store: empty document id")
 	}
-	if err := db.fault("put/" + id); err != nil {
-		return "", err
-	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if err := db.checkFenceLocked(token); err != nil {
@@ -267,9 +236,6 @@ func (db *DB) Force(id string, body []byte) (string, error) {
 
 // ForceFenced is Force with a fence token; see PutFenced.
 func (db *DB) ForceFenced(token uint64, id string, body []byte) (string, error) {
-	if err := db.fault("force/" + id); err != nil {
-		return "", err
-	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if err := db.checkFenceLocked(token); err != nil {
@@ -296,9 +262,6 @@ func (db *DB) ForceFenced(token uint64, id string, body []byte) (string, error) 
 
 // Get fetches a document by id.
 func (db *DB) Get(id string) (Doc, error) {
-	if err := db.fault("get/" + id); err != nil {
-		return Doc{}, err
-	}
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	d, ok := db.docs[id]
@@ -309,36 +272,6 @@ func (db *DB) Get(id string) (Doc, error) {
 	copy(body, d.Body)
 	d.Body = body
 	return d, nil
-}
-
-// Delete removes a document; rev must match.
-func (db *DB) Delete(id, rev string) error {
-	return db.DeleteFenced(0, id, rev)
-}
-
-// DeleteFenced is Delete with a fence token; see PutFenced.
-func (db *DB) DeleteFenced(token uint64, id, rev string) error {
-	if err := db.fault("delete/" + id); err != nil {
-		return err
-	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if err := db.checkFenceLocked(token); err != nil {
-		return err
-	}
-	cur, ok := db.docs[id]
-	if !ok {
-		return ErrNotFound
-	}
-	if rev != cur.Rev {
-		return ErrConflict
-	}
-	if err := db.appendRecordLocked(encodeDel(id, token)); err != nil {
-		return err
-	}
-	delete(db.docs, id)
-	db.seq++
-	return db.maybeCompactLocked()
 }
 
 // Len returns the number of stored documents.

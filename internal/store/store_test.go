@@ -68,23 +68,6 @@ func TestCreateWithRevRejected(t *testing.T) {
 	}
 }
 
-func TestDelete(t *testing.T) {
-	db := NewDB()
-	rev, _ := db.Put("d", "", []byte("v"))
-	if err := db.Delete("d", "wrong"); !errors.Is(err, ErrConflict) {
-		t.Fatalf("err = %v", err)
-	}
-	if err := db.Delete("d", rev); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Delete("d", rev); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("double delete err = %v", err)
-	}
-	if db.Len() != 0 {
-		t.Fatalf("len = %d", db.Len())
-	}
-}
-
 func TestForceAlwaysWins(t *testing.T) {
 	db := NewDB()
 	db.Put("d", "", []byte("v1"))
@@ -127,7 +110,7 @@ func TestSeqAdvances(t *testing.T) {
 	db := NewDB()
 	rev, _ := db.Put("a", "", nil)
 	db.Put("b", "", nil)
-	db.Delete("a", rev)
+	db.Put("a", rev, nil)
 	if db.Seq() != 3 {
 		t.Fatalf("seq = %d", db.Seq())
 	}
@@ -271,61 +254,4 @@ func TestLatencyModelUnknownProtocolPanics(t *testing.T) {
 		}
 	}()
 	DefaultLatencyModel().ExchangeS(Protocol(42), 1)
-}
-
-// scriptedInjector fails operations per a fixed decision list, standing
-// in for chaos.Injector without importing it.
-type scriptedInjector struct {
-	mu        sync.Mutex
-	decisions []bool
-	count     int
-}
-
-var errFault = errors.New("injected store fault")
-
-func (s *scriptedInjector) Fault(op string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(s.decisions) == 0 {
-		return nil
-	}
-	d := s.decisions[0]
-	s.decisions = s.decisions[1:]
-	if d {
-		s.count++
-		return fmt.Errorf("%w: %s", errFault, op)
-	}
-	return nil
-}
-
-func TestInjectorFaultsStoreOperations(t *testing.T) {
-	db := NewDB()
-	inj := &scriptedInjector{decisions: []bool{true, false, true, false, true, false}}
-	db.SetInjector(inj)
-
-	if _, err := db.Put("d", "", []byte("v")); !errors.Is(err, errFault) {
-		t.Fatalf("put fault = %v", err)
-	}
-	rev, err := db.Put("d", "", []byte("v"))
-	if err != nil {
-		t.Fatalf("second put = %v", err)
-	}
-	if _, err := db.Get("d"); !errors.Is(err, errFault) {
-		t.Fatalf("get fault = %v", err)
-	}
-	if _, err := db.Get("d"); err != nil {
-		t.Fatalf("second get = %v", err)
-	}
-	if _, err := db.Force("d", []byte("w")); !errors.Is(err, errFault) {
-		t.Fatalf("force fault = %v", err)
-	}
-	if err := db.Delete("d", rev); err != nil {
-		t.Fatalf("delete after faults = %v", err)
-	}
-
-	// Removing the injector restores the happy path.
-	db.SetInjector(nil)
-	if _, err := db.Put("e", "", []byte("v")); err != nil {
-		t.Fatal(err)
-	}
 }

@@ -91,7 +91,7 @@ func BenchmarkEnumerate(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Enumerate(g, costs); err != nil {
+		if _, err := newModel(g, costs).enumerate(); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -10,11 +10,12 @@ import (
 
 func streamGraph(t *testing.T) (*dsl.TaskGraph, map[string]TaskCost) {
 	t.Helper()
-	g, err := dsl.NewGraph("s").
-		Stream("cameraFeed", 8, 2).
-		Task("collect", dsl.WithIO("", "cameraFeed")).
-		Task("recognize", dsl.WithParents("collect"), dsl.WithIO("cameraFeed", "stats")).
-		Build()
+	g, err := dsl.ParseAndAnalyze(`
+Stream(cameraFeed, rate='8Hz', item='2MB')
+TaskGraph(list=['collect', 'recognize'])
+Task(collect, None, cameraFeed, 'code/collect', childTask=['recognize'])
+Task(recognize, cameraFeed, stats, 'code/rec')
+`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,16 +77,15 @@ func TestExploreConcurrentSharedCosts(t *testing.T) {
 // bits held constant.
 func TestEnumerateOrderMatchesMaskScan(t *testing.T) {
 	g := scenarioB(t)
-	cands, err := Enumerate(g, scenarioBCosts())
+	all, err := newModel(g, scenarioBCosts()).enumerate()
 	if err != nil {
 		t.Fatal(err)
 	}
-	topo := g.TopoOrder()
 	prev := -1
-	for _, c := range cands {
+	for _, locs := range all {
 		mask := 0
-		for i, task := range topo {
-			if c.Assignment[task.Name] == LocEdge {
+		for i, loc := range locs {
+			if loc == LocEdge {
 				mask |= 1 << i
 			}
 		}
@@ -114,7 +114,7 @@ func TestExploreParallelEstimationDeterministic(t *testing.T) {
 	}
 	b = b.Task("sink", dsl.WithParents(mids...))
 	costs["sink"] = TaskCost{CloudExecS: 0.05, EdgeExecS: 0.2, Parallelism: 4, InputMB: 1, OutputMB: 0.01, RatePerDev: 0.5}
-	g := b.MustBuild()
+	g := mustBuild(t, b)
 
 	env := DefaultEnv(16)
 	first, err := Explore(g, costs, env)

@@ -403,37 +403,6 @@ func (m *model) estimateAll(locsList [][]Loc, env Env, metrics []Metrics) {
 	wg.Wait()
 }
 
-// Enumerate generates all meaningful candidates for the graph.
-// Meaningful (§4.2): Place pins are honoured, sensing tasks never run
-// in the cloud.
-func Enumerate(g *dsl.TaskGraph, costs map[string]TaskCost) ([]Candidate, error) {
-	m := newModel(g, costs)
-	if err := m.validate(costs); err != nil {
-		return nil, err
-	}
-	locsList, err := m.enumerate()
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Candidate, len(locsList))
-	for i, locs := range locsList {
-		out[i] = m.candidate(locs, Metrics{})
-	}
-	return out, nil
-}
-
-// Estimate fills in a candidate's predicted metrics.
-func Estimate(g *dsl.TaskGraph, c *Candidate, costs map[string]TaskCost, env Env) Metrics {
-	m := newModel(g, costs)
-	locs := make([]Loc, len(m.tasks))
-	for i, t := range m.tasks {
-		locs[i] = c.Assignment[t.Name]
-	}
-	mtr := m.estimate(locs, env, make([]float64, len(m.tasks)))
-	c.Metrics = mtr
-	return mtr
-}
-
 // Explore enumerates, estimates and ranks all candidates. Tasks fed by
 // a declared data stream inherit its rate (and item size, when the cost
 // profile leaves them unset).

@@ -27,6 +27,15 @@ func scenarioB(t *testing.T) *dsl.TaskGraph {
 	return g
 }
 
+func mustBuild(t *testing.T, b *dsl.Builder) *dsl.TaskGraph {
+	t.Helper()
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
 func scenarioBCosts() map[string]TaskCost {
 	return map[string]TaskCost{
 		"createRoute":       {CloudExecS: 0.05, EdgeExecS: 0.2, Parallelism: 1, OutputMB: 0.01, RatePerDev: 0.02},
@@ -39,7 +48,7 @@ func scenarioBCosts() map[string]TaskCost {
 
 func TestEnumerateRespectsPins(t *testing.T) {
 	g := scenarioB(t)
-	cands, err := Enumerate(g, scenarioBCosts())
+	cands, err := Explore(g, scenarioBCosts(), DefaultEnv(16))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,12 +69,12 @@ func TestEnumerateRespectsPins(t *testing.T) {
 
 func TestEnumerateSimpleGraphMatchesPaperExample(t *testing.T) {
 	// §4.2: a 2-tier graph A→B without constraints yields 4 models.
-	g := dsl.NewGraph("ab").Task("A").Task("B", dsl.WithParents("A")).MustBuild()
+	g := mustBuild(t, dsl.NewGraph("ab").Task("A").Task("B", dsl.WithParents("A")))
 	costs := map[string]TaskCost{
 		"A": {CloudExecS: 0.1, EdgeExecS: 0.3, Parallelism: 1, OutputMB: 1, RatePerDev: 1},
 		"B": {CloudExecS: 0.1, EdgeExecS: 0.3, Parallelism: 1, InputMB: 1, OutputMB: 0.1, RatePerDev: 1},
 	}
-	cands, err := Enumerate(g, costs)
+	cands, err := Explore(g, costs, DefaultEnv(16))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,20 +91,20 @@ func TestEnumerateSimpleGraphMatchesPaperExample(t *testing.T) {
 }
 
 func TestEnumerateErrors(t *testing.T) {
-	g := dsl.NewGraph("g").Task("a").MustBuild()
-	if _, err := Enumerate(g, map[string]TaskCost{}); err == nil {
+	g := mustBuild(t, dsl.NewGraph("g").Task("a"))
+	if _, err := Explore(g, map[string]TaskCost{}, DefaultEnv(16)); err == nil {
 		t.Fatal("missing cost accepted")
 	}
 	// Contradiction: sensor task pinned to cloud.
-	g2 := dsl.NewGraph("g").Task("a").Place("a", dsl.PlaceCloud, false).MustBuild()
-	if _, err := Enumerate(g2, map[string]TaskCost{"a": {Sensor: true, CloudExecS: 1, EdgeExecS: 1, RatePerDev: 1}}); err == nil {
+	g2 := mustBuild(t, dsl.NewGraph("g").Task("a").Place("a", dsl.PlaceCloud, false))
+	if _, err := Explore(g2, map[string]TaskCost{"a": {Sensor: true, CloudExecS: 1, EdgeExecS: 1, RatePerDev: 1}}, DefaultEnv(16)); err == nil {
 		t.Fatal("impossible constraints accepted")
 	}
 }
 
 func TestBindingKindsFollowPlacement(t *testing.T) {
 	g := scenarioB(t)
-	cands, _ := Enumerate(g, scenarioBCosts())
+	cands, _ := Explore(g, scenarioBCosts(), DefaultEnv(16))
 	for _, c := range cands {
 		for _, b := range c.Bindings {
 			from, to := c.Assignment[b.From], c.Assignment[b.To]
@@ -193,7 +202,7 @@ func TestEstimateTradeoffShape(t *testing.T) {
 	g := scenarioB(t)
 	costs := scenarioBCosts()
 	env := DefaultEnv(16)
-	cands, _ := Enumerate(g, costs)
+	cands, _ := Explore(g, costs, env)
 	var allCloud, faceEdge *Candidate
 	for i := range cands {
 		c := &cands[i]
@@ -207,8 +216,7 @@ func TestEstimateTradeoffShape(t *testing.T) {
 	if allCloud == nil || faceEdge == nil {
 		t.Fatal("candidates missing")
 	}
-	mc := Estimate(g, allCloud, costs, env)
-	me := Estimate(g, faceEdge, costs, env)
+	mc, me := allCloud.Metrics, faceEdge.Metrics
 	// Offloading recognition transfers the sensor payload: more network,
 	// less device power; running it on-device is the reverse.
 	if mc.NetworkMBps <= me.NetworkMBps {
@@ -307,15 +315,7 @@ func TestGeneratedCodeIsValidGo(t *testing.T) {
 func TestExploreUsesStreamRates(t *testing.T) {
 	// A task fed by an 8 Hz × 2 MB stream inherits that load when its
 	// cost profile leaves rate/input unset.
-	g := dsl.NewGraph("s").
-		Stream("cameraFeed", 8, 2).
-		Task("collect", dsl.WithIO("", "cameraFeed")).
-		Task("recognize", dsl.WithParents("collect"), dsl.WithIO("cameraFeed", "stats")).
-		MustBuild()
-	costs := map[string]TaskCost{
-		"collect":   {CloudExecS: 0.001, EdgeExecS: 0.001, Parallelism: 1, OutputMB: 16, RatePerDev: 8, Sensor: true},
-		"recognize": {CloudExecS: 0.1, EdgeExecS: 0.45, Parallelism: 2, OutputMB: 0.01},
-	}
+	g, costs := streamGraph(t)
 	cands, err := Explore(g, costs, DefaultEnv(16))
 	if err != nil {
 		t.Fatal(err)

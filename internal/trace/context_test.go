@@ -115,8 +115,8 @@ func TestLiveSharedRecorderConcurrent(t *testing.T) {
 	if r.Len() != 8*50*2 {
 		t.Fatalf("spans = %d, want %d", r.Len(), 8*50*2)
 	}
-	if r.InstantsLen() != 8*50 {
-		t.Fatalf("instants = %d, want %d", r.InstantsLen(), 8*50)
+	if len(r.instants) != 8*50 {
+		t.Fatalf("instants = %d, want %d", len(r.instants), 8*50)
 	}
 	// Unique span ids across goroutines.
 	seen := map[string]bool{}

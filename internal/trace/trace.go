@@ -48,27 +48,19 @@ type Recorder struct {
 	mu              sync.Mutex
 	spans           []Span
 	instants        []Instant
-	enabled         bool
 	dropped         int
 	droppedInstants int
 	limit           int
 }
 
-// NewRecorder returns an enabled recorder. limit bounds retained spans
+// NewRecorder returns a recorder. limit bounds retained spans
 // and instants independently (0 = 1<<20); beyond it entries are counted
 // as dropped rather than growing without bound.
 func NewRecorder(limit int) *Recorder {
 	if limit <= 0 {
 		limit = 1 << 20
 	}
-	return &Recorder{enabled: true, limit: limit}
-}
-
-// SetEnabled toggles collection.
-func (r *Recorder) SetEnabled(on bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.enabled = on
+	return &Recorder{limit: limit}
 }
 
 // Add records a span.
@@ -78,9 +70,6 @@ func (r *Recorder) Add(s Span) {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if !r.enabled {
-		return
-	}
 	if len(r.spans) >= r.limit {
 		r.dropped++
 		return
@@ -97,9 +86,6 @@ func (r *Recorder) Mark(i Instant) {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if !r.enabled {
-		return
-	}
 	if len(r.instants) >= r.limit {
 		r.droppedInstants++
 		return
@@ -114,26 +100,11 @@ func (r *Recorder) Len() int {
 	return len(r.spans)
 }
 
-// InstantsLen returns the number of retained instants.
-func (r *Recorder) InstantsLen() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.instants)
-}
-
 // Dropped returns how many spans exceeded the retention limit.
 func (r *Recorder) Dropped() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.dropped
-}
-
-// DroppedInstants returns how many instants exceeded the retention
-// limit.
-func (r *Recorder) DroppedInstants() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.droppedInstants
 }
 
 // Spans returns a copy of retained spans, ordered by start time.
