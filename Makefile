@@ -48,7 +48,7 @@ race-sim:
 # seeds baked into the tests), so this run is deterministic. Then each
 # Fuzz target runs for a few seconds: the rpc error parsers and frame
 # decoder, the ingress /then flag, the runtime task envelope, WAL
-# replay and the DSL front end.
+# replay, snapshot loading and the DSL front end.
 chaos:
 	$(GO) test -race -count=1 ./internal/chaos/ ./internal/fleet/
 	$(GO) test -race -count=1 \
@@ -59,7 +59,9 @@ chaos:
 	done
 	$(GO) test -run '^$$' -fuzz '^FuzzThenFlag$$' -fuzztime 4s ./internal/ingress/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeTaskEnvelope$$' -fuzztime 4s ./internal/runtime/
-	$(GO) test -run '^$$' -fuzz '^FuzzWALReplay$$' -fuzztime 4s ./internal/store/
+	for t in FuzzWALReplay FuzzSnapshotLoad; do \
+		$(GO) test -run '^$$' -fuzz "^$$t\$$" -fuzztime 4s ./internal/store/ || exit 1; \
+	done
 	$(GO) test -run '^$$' -fuzz '^FuzzParseAndAnalyze$$' -fuzztime 4s ./internal/dsl/
 
 # Observability smoke run: a real TCP fleet with traced requests and a

@@ -87,10 +87,6 @@ type Injector struct {
 	// timed holds one-shot faults armed by At: op -> earliest fire time.
 	timed map[string]time.Time
 
-	faults   int
-	delays   int
-	drops    int
-	truncs   int
 	faultsOp map[string]int
 }
 
@@ -182,21 +178,6 @@ func (in *Injector) PartitionPair(a, b string) {
 	in.pairParts[pairKey(a, b)] = true
 }
 
-// Stats reports how many faults of each kind were injected.
-type Stats struct {
-	Faults    int // Fault(op) errors
-	Delays    int
-	Drops     int
-	Truncates int
-}
-
-// Stats returns a snapshot of the injected-fault counters.
-func (in *Injector) Stats() Stats {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return Stats{Faults: in.faults, Delays: in.delays, Drops: in.drops, Truncates: in.truncs}
-}
-
 // FaultCount returns how many faults were injected for a given op.
 func (in *Injector) FaultCount(op string) int {
 	in.mu.Lock()
@@ -224,7 +205,6 @@ func (in *Injector) Fault(op string) error {
 	if !inject {
 		return nil
 	}
-	in.faults++
 	in.faultsOp[op]++
 	return fmt.Errorf("%w: %s", ErrInjected, op)
 }
@@ -240,14 +220,11 @@ func (in *Injector) decide() (drop, truncate bool, delay time.Duration, part Dir
 			d += time.Duration(in.rng.Int63n(int64(span)))
 		}
 		delay = d
-		in.delays++
 	}
 	if in.cfg.TruncateProb > 0 && in.rng.Float64() < in.cfg.TruncateProb {
 		truncate = true
-		in.truncs++
 	} else if in.cfg.DropProb > 0 && in.rng.Float64() < in.cfg.DropProb {
 		drop = true
-		in.drops++
 	}
 	return drop, truncate, delay, in.partition, in.partCh
 }

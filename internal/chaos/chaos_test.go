@@ -29,8 +29,8 @@ func TestScriptedFaultsAreExact(t *testing.T) {
 	if err := in.Fault("op"); err != nil {
 		t.Fatalf("drained script should fall back to prob 0, got %v", err)
 	}
-	if in.FaultCount("op") != 2 || in.Stats().Faults != 2 {
-		t.Fatalf("fault counters = %d/%d, want 2/2", in.FaultCount("op"), in.Stats().Faults)
+	if in.FaultCount("op") != 2 {
+		t.Fatalf("fault count = %d, want 2", in.FaultCount("op"))
 	}
 }
 
@@ -58,9 +58,6 @@ func TestDropClosesConnection(t *testing.T) {
 	go func() { io.Copy(io.Discard, peer) }()
 	if _, err := cw.Write([]byte("hello")); !errors.Is(err, ErrInjected) {
 		t.Fatalf("write on dropping conn = %v, want injected", err)
-	}
-	if in.Stats().Drops == 0 {
-		t.Fatal("drop not counted")
 	}
 }
 
@@ -138,9 +135,6 @@ func TestDelayInjectsLatency(t *testing.T) {
 	}
 	if d := time.Since(start); d < 25*time.Millisecond {
 		t.Fatalf("delay spike not applied: write took %v", d)
-	}
-	if in.Stats().Delays == 0 {
-		t.Fatal("delay not counted")
 	}
 }
 

@@ -165,8 +165,7 @@ func TestFailoverE2EOrphanRedispatchAfterPrimaryKill(t *testing.T) {
 	fo := controller.Failover(mon)
 	if fo.Failovers < 1 {
 		for _, nd := range f.Nodes {
-			lid, term := nd.Replica.Leader()
-			t.Logf("node %d: state=%v leader=%d term=%d", nd.ID, nd.Replica.State(), lid, term)
+			t.Logf("node %d: state=%v won term=%d", nd.ID, nd.Replica.State(), nd.Replica.LeaderTerm())
 		}
 		t.Fatalf("failovers = %d (elections %d), want >= 1", fo.Failovers, fo.Elections)
 	}

@@ -152,41 +152,33 @@ func TestPartitionE2EMinorityLeaderFenced(t *testing.T) {
 	// Still exactly-once after the fenced attempt: nothing re-committed.
 	assertExactlyOnce(t, db, "task-fence")
 
-	// Heal. The cluster must converge on ONE leader and one term — the
-	// healed minority either rejoins as follower or re-wins cleanly; it
-	// cannot keep a parallel leadership.
+	// Heal. The cluster must converge on ONE leader, holding the newest
+	// won term — the healed minority either rejoins as follower or
+	// re-wins cleanly; it cannot keep a parallel leadership.
 	inj.Heal()
 	deadline = time.Now().Add(5 * time.Second)
 	for {
 		leaders, followers := 0, 0
-		var maxTerm uint64
+		var leaderTerm, maxWon uint64
 		for _, nd := range f.Nodes {
+			won := nd.Replica.LeaderTerm()
 			switch nd.Replica.State() {
 			case controller.Leader:
 				leaders++
+				leaderTerm = won
 			case controller.Follower:
 				followers++
 			}
-			if term := nd.Replica.Term(); term > maxTerm {
-				maxTerm = term
+			if won > maxWon {
+				maxWon = won
 			}
 		}
-		allConverged := leaders == 1 && followers == len(f.Nodes)-1
-		if allConverged {
-			same := true
-			for _, nd := range f.Nodes {
-				if nd.Replica.Term() != maxTerm {
-					same = false
-				}
-			}
-			if same {
-				break
-			}
+		if leaders == 1 && followers == len(f.Nodes)-1 && leaderTerm == maxWon {
+			break
 		}
 		if time.Now().After(deadline) {
 			for _, nd := range f.Nodes {
-				lid, term := nd.Replica.Leader()
-				t.Logf("node %d: state=%v leader=%d term=%d", nd.ID, nd.Replica.State(), lid, term)
+				t.Logf("node %d: state=%v won term=%d", nd.ID, nd.Replica.State(), nd.Replica.LeaderTerm())
 			}
 			t.Fatal("cluster never converged on a single leader after heal")
 		}

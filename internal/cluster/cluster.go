@@ -31,8 +31,6 @@ func DefaultConfig() Config {
 
 // Cluster is a set of servers.
 type Cluster struct {
-	eng     *sim.Engine
-	cfg     Config
 	servers []*Server
 }
 
@@ -54,7 +52,7 @@ func New(eng *sim.Engine, cfg Config) *Cluster {
 	if cfg.Servers <= 0 || cfg.CoresPerServer <= 0 {
 		panic("cluster: invalid config")
 	}
-	c := &Cluster{eng: eng, cfg: cfg}
+	c := &Cluster{}
 	for i := 0; i < cfg.Servers; i++ {
 		usable := cfg.CoresPerServer - cfg.NetStackCoresPerServer
 		if usable < 1 {
@@ -71,14 +69,8 @@ func New(eng *sim.Engine, cfg Config) *Cluster {
 	return c
 }
 
-// Config returns the cluster configuration.
-func (c *Cluster) Config() Config { return c.cfg }
-
 // Servers returns all servers.
 func (c *Cluster) Servers() []*Server { return c.servers }
-
-// Server returns server i.
-func (c *Cluster) Server(i int) *Server { return c.servers[i] }
 
 // LeastLoaded returns the eligible server with the most free cores
 // (ties: lowest ID), skipping servers on probation. If every server is
@@ -160,6 +152,3 @@ func (p *ReservedPool) Size() int { return p.size }
 
 // Cores exposes the pool's queue.
 func (p *ReservedPool) Cores() *sim.Resource { return p.cores }
-
-// QueueLen returns the number of waiting tasks.
-func (p *ReservedPool) QueueLen() int { return p.cores.QueueLen() }

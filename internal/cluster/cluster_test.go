@@ -25,8 +25,8 @@ func TestNewClusterSizing(t *testing.T) {
 	if totalCores(c) != 12*36 {
 		t.Fatalf("total cores = %d", totalCores(c))
 	}
-	if c.Server(0).FreeMemGB() != 192 {
-		t.Fatalf("free mem = %g", c.Server(0).FreeMemGB())
+	if c.Servers()[0].FreeMemGB() != 192 {
+		t.Fatalf("free mem = %g", c.Servers()[0].FreeMemGB())
 	}
 }
 
@@ -54,9 +54,9 @@ func TestLeastLoadedPrefersFreeCores(t *testing.T) {
 	c := New(e, Config{Servers: 3, CoresPerServer: 4, MemGBPerServer: 8})
 	// Load server 0 fully, server 1 partially.
 	for i := 0; i < 4; i++ {
-		c.Server(0).Cores().Use(100, nil)
+		c.Servers()[0].Cores().Use(100, nil)
 	}
-	c.Server(1).Cores().Use(100, nil)
+	c.Servers()[1].Cores().Use(100, nil)
 	if got := c.LeastLoaded(); got.ID != 2 {
 		t.Fatalf("least loaded = %d, want 2", got.ID)
 	}
@@ -65,18 +65,18 @@ func TestLeastLoadedPrefersFreeCores(t *testing.T) {
 func TestLeastLoadedSkipsProbation(t *testing.T) {
 	e := sim.NewEngine(1)
 	c := New(e, Config{Servers: 2, CoresPerServer: 4, MemGBPerServer: 8})
-	c.Server(0).Probation(60)
+	c.Servers()[0].Probation(60)
 	if got := c.LeastLoaded(); got.ID != 1 {
 		t.Fatalf("picked probated server %d", got.ID)
 	}
 	// All probated: fall back rather than fail.
-	c.Server(1).Probation(60)
+	c.Servers()[1].Probation(60)
 	if got := c.LeastLoaded(); got == nil {
 		t.Fatal("no server returned when all on probation")
 	}
 	// Probation expires with time.
 	e.RunUntil(61)
-	if c.Server(0).OnProbation() {
+	if c.Servers()[0].OnProbation() {
 		t.Fatal("probation did not expire")
 	}
 }
@@ -84,7 +84,7 @@ func TestLeastLoadedSkipsProbation(t *testing.T) {
 func TestMemoryReservation(t *testing.T) {
 	e := sim.NewEngine(1)
 	c := New(e, Config{Servers: 1, CoresPerServer: 2, MemGBPerServer: 10})
-	s := c.Server(0)
+	s := c.Servers()[0]
 	if !s.ReserveMemGB(6) {
 		t.Fatal("first reservation failed")
 	}
@@ -105,18 +105,18 @@ func TestMemoryOverReleasePanics(t *testing.T) {
 			t.Error("no panic on over-release")
 		}
 	}()
-	c.Server(0).ReleaseMemGB(1)
+	c.Servers()[0].ReleaseMemGB(1)
 }
 
 func TestUtilizationAndMean(t *testing.T) {
 	e := sim.NewEngine(1)
 	c := New(e, Config{Servers: 2, CoresPerServer: 4, MemGBPerServer: 8})
-	c.Server(0).Cores().Use(10, nil)
-	c.Server(0).Cores().Use(10, nil)
-	if got := c.Server(0).Utilization(); got != 0.5 {
+	c.Servers()[0].Cores().Use(10, nil)
+	c.Servers()[0].Cores().Use(10, nil)
+	if got := c.Servers()[0].Utilization(); got != 0.5 {
 		t.Fatalf("utilization = %g", got)
 	}
-	if got := c.Server(1).Utilization(); got != 0 {
+	if got := c.Servers()[1].Utilization(); got != 0 {
 		t.Fatalf("idle server utilization = %g", got)
 	}
 }
@@ -131,8 +131,8 @@ func TestReservedPoolQueues(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		p.Cores().Use(1, func() { done++ })
 	}
-	if p.QueueLen() != 3 {
-		t.Fatalf("queue = %d, want 3", p.QueueLen())
+	if p.Cores().InUse() != 2 {
+		t.Fatalf("in use = %d, want 2 (three jobs queued)", p.Cores().InUse())
 	}
 	e.Run()
 	if done != 5 {

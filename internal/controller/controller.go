@@ -111,10 +111,6 @@ func New(eng *sim.Engine, cfg Config, fleet device.Fleet, regions []geo.Rect, on
 // Monitor returns the controller's metrics registry.
 func (c *Controller) Monitor() *metrics.Registry { return c.monitor }
 
-// Regions returns the current region assignment (failed devices hold
-// zero regions).
-func (c *Controller) Regions() []geo.Rect { return c.regs }
-
 // Available reports whether a controller replica is serving (false only
 // during a failover window).
 func (c *Controller) Available() bool {

@@ -59,10 +59,10 @@ func TestRepartitionConservesCoverage(t *testing.T) {
 	eng.At(5, func() { fleet[5].Fail() })
 	eng.RunUntil(15)
 	c.Stop()
-	if got := totalArea(c.Regions()); math.Abs(got-total) > 1e-6*total {
+	if got := totalArea(c.regs); math.Abs(got-total) > 1e-6*total {
 		t.Fatalf("coverage area %g != %g after repartition", got, total)
 	}
-	if c.Regions()[5].Valid() {
+	if c.regs[5].Valid() {
 		t.Fatal("failed device still owns a region")
 	}
 	// Gainers received updated (larger) regions.

@@ -344,20 +344,6 @@ func (r *Replica) State() ReplicaState {
 // IsLeader reports whether this replica is the serving primary.
 func (r *Replica) IsLeader() bool { return r.State() == Leader }
 
-// Leader returns the believed leader id (-1 mid-election) and term.
-func (r *Replica) Leader() (int, uint64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.leaderID, r.term
-}
-
-// Term returns the replica's current term.
-func (r *Replica) Term() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.term
-}
-
 // LeaderTerm returns the term of the last election this replica WON —
 // the fence token every store mutation issued on its behalf should
 // carry (wire it into store.NewFencedCheckpointLog's FenceSource). It
@@ -444,18 +430,6 @@ func (r *Replica) Tasks() map[string]TaskRecord {
 	for k, v := range r.tasks {
 		out[k] = v
 	}
-	return out
-}
-
-// Members snapshots the device registry, sorted by id.
-func (r *Replica) Members() []Member {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]Member, 0, len(r.members))
-	for _, m := range r.members {
-		out = append(out, *m)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
 

@@ -55,7 +55,7 @@ func TestHandleLeaseRejectsStaleTerm(t *testing.T) {
 	if tk, ok := tasks["t1"]; !ok || tk.Step != 2 {
 		t.Fatalf("replicated task state lost: %+v", tasks)
 	}
-	if lid, term := r.Leader(); lid != 1 || term != 5 {
+	if lid, term := leaderOf(r); lid != 1 || term != 5 {
 		t.Fatalf("leader/term = %d/%d after stale lease, want 1/5", lid, term)
 	}
 }
@@ -84,7 +84,7 @@ func TestHandleLeaseHigherTermDemotesLeader(t *testing.T) {
 	if r.State() != Follower {
 		t.Fatalf("state after higher-term lease = %v, want follower", r.State())
 	}
-	if lid, term := r.Leader(); lid != 1 || term != wonTerm+10 {
+	if lid, term := leaderOf(r); lid != 1 || term != wonTerm+10 {
 		t.Fatalf("leader/term = %d/%d, want 1/%d", lid, term, wonTerm+10)
 	}
 	// LeaderTerm stays at the term this replica actually WON: its fence

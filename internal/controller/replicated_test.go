@@ -109,7 +109,7 @@ func TestReplicaClusterElectsSingleLeader(t *testing.T) {
 	for time.Now().Before(deadline) {
 		agreed := 0
 		for _, r := range c.replicas {
-			if id, _ := r.Leader(); id == leader.cfg.ID {
+			if id, _ := leaderOf(r); id == leader.cfg.ID {
 				agreed++
 			}
 		}
@@ -294,10 +294,8 @@ func TestReplicaBeatReRegistersAfterFailoverLostRegistration(t *testing.T) {
 		bcancel()
 		for _, r := range c.replicas {
 			if r != old && r.State() == Leader {
-				for _, m := range r.Members() {
-					if m.ID == 4 && m.Region == region && !m.Failed {
-						return
-					}
+				if m, ok := member(r, 4); ok && m.Region == region && !m.Failed {
+					return
 				}
 			}
 		}
@@ -410,4 +408,23 @@ func (mc *memberClient) Region() geo.Rect {
 	mc.mu.Lock()
 	defer mc.mu.Unlock()
 	return mc.region
+}
+
+// leaderOf reads the replica's believed leader id (-1 mid-election)
+// and its current term.
+func leaderOf(r *Replica) (int, uint64) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.leaderID, r.term
+}
+
+// member snapshots the replica's registry entry for device id.
+func member(r *Replica, id int) (Member, bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	m, ok := r.members[id]
+	if !ok {
+		return Member{}, false
+	}
+	return *m, true
 }

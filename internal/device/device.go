@@ -118,9 +118,8 @@ type Device struct {
 	queueLimit  int
 	heartbeatS  float64
 
-	cpu     *sim.Resource // made by the first RunTask
-	queued  int
-	dropped int
+	cpu    *sim.Resource // made by the first RunTask
+	queued int
 
 	region geo.Rect
 	pos    geo.Point
@@ -166,9 +165,6 @@ func (d *Device) Failed() bool { return d.failed }
 
 // LastHeartbeat returns when the device last emitted a heartbeat.
 func (d *Device) LastHeartbeat() sim.Time { return d.lastBeat }
-
-// Region returns the device's assigned coverage region.
-func (d *Device) Region() geo.Rect { return d.region }
 
 // AssignRegion gives the device a coverage region and starts it moving.
 func (d *Device) AssignRegion(r geo.Rect) {
@@ -224,7 +220,6 @@ func (d *Device) RunTask(execS float64, done func(TaskOutcome)) {
 		return
 	}
 	if d.queued >= d.queueLimit {
-		d.dropped++
 		done(TaskOutcome{Dropped: true})
 		return
 	}
@@ -252,9 +247,6 @@ func (d *Device) RunTask(execS float64, done func(TaskOutcome)) {
 		})
 	})
 }
-
-// Dropped returns how many tasks overflowed the on-board queue.
-func (d *Device) Dropped() int { return d.dropped }
 
 // Transmit accounts radio energy for sending megabytes to the cloud.
 func (d *Device) Transmit(mb float64) {
@@ -302,17 +294,6 @@ func NewFleet(eng *sim.Engine, n int, cfg Config, onFailed func(*Device)) Fleet 
 		fleet[i] = &slab[i]
 	}
 	return fleet
-}
-
-// Alive returns the number of working devices.
-func (f Fleet) Alive() int {
-	n := 0
-	for _, d := range f {
-		if !d.Failed() {
-			n++
-		}
-	}
-	return n
 }
 
 // Settle settles all devices' energy accounts.

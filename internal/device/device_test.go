@@ -77,8 +77,8 @@ func TestRunTaskQueuesAndDrops(t *testing.T) {
 			dropped++
 		}
 	}
-	if dropped != 2 || d.Dropped() != 2 {
-		t.Fatalf("dropped = %d (device says %d), want 2", dropped, d.Dropped())
+	if dropped != 2 {
+		t.Fatalf("dropped = %d, want 2", dropped)
 	}
 	// Second accepted task queued behind the first.
 	var queued bool
@@ -149,7 +149,7 @@ func TestAssignRegionAndSweepTime(t *testing.T) {
 	if d.SweepTimeS() <= 0 {
 		t.Fatal("sweep time should be positive")
 	}
-	if !d.Region().Valid() {
+	if !d.region.Valid() {
 		t.Fatal("region not stored")
 	}
 	// Moving for the sweep duration consumes motion energy.
@@ -216,12 +216,9 @@ func TestDistributedDrainsFasterThanCentralizedShape(t *testing.T) {
 func TestFleetHelpers(t *testing.T) {
 	e := sim.NewEngine(1)
 	f := NewFleet(e, 4, DroneConfig(), nil)
-	if f.Alive() != 4 {
-		t.Fatalf("alive = %d", f.Alive())
-	}
 	f[1].Fail()
-	if f.Alive() != 3 {
-		t.Fatalf("alive after failure = %d", f.Alive())
+	if !f[1].Failed() || f[0].Failed() {
+		t.Fatalf("failed = %v, %v; want only device 1", f[0].Failed(), f[1].Failed())
 	}
 	f[0].Transmit(100)
 	f.Settle()

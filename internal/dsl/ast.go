@@ -181,12 +181,6 @@ func (g *TaskGraph) StreamFor(t *Task) (Stream, bool) {
 	return st, ok
 }
 
-// Task returns a task by name.
-func (g *TaskGraph) Task(name string) (*Task, bool) {
-	t, ok := g.byName[name]
-	return t, ok
-}
-
 // Names returns task names in declaration order.
 func (g *TaskGraph) Names() []string {
 	out := make([]string, len(g.Tasks))

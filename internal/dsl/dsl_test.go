@@ -51,7 +51,7 @@ func TestParseListing3(t *testing.T) {
 	if g.Constraints.ExecTimeS != 10 {
 		t.Fatalf("execTime = %g", g.Constraints.ExecTimeS)
 	}
-	face, ok := g.Task("faceRecognition")
+	face, ok := g.byName["faceRecognition"]
 	if !ok {
 		t.Fatal("faceRecognition missing")
 	}
@@ -61,11 +61,11 @@ func TestParseListing3(t *testing.T) {
 	if face.Params["algorithm"] != "tensorflow_zoo" {
 		t.Fatalf("params = %v", face.Params)
 	}
-	oa, _ := g.Task("obstacleAvoidance")
+	oa := g.byName["obstacleAvoidance"]
 	if oa.Pin != PlaceEdge || !oa.PinAll {
 		t.Fatalf("obstacle avoidance pin = %v all=%v", oa.Pin, oa.PinAll)
 	}
-	dedup, _ := g.Task("deduplication")
+	dedup := g.byName["deduplication"]
 	if dedup.SyncCond != "all" {
 		t.Fatalf("sync = %q", dedup.SyncCond)
 	}
@@ -129,7 +129,7 @@ Task(b, out, None, 'y')
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _ := g.Task("b")
+	b := g.byName["b"]
 	if len(b.Parents) != 1 || b.Parents[0] != "a" {
 		t.Fatalf("parent link not completed: %v", b.Parents)
 	}
@@ -203,15 +203,12 @@ func TestCommentsAndWhitespace(t *testing.T) {
 
 func TestBuilderEquivalentToText(t *testing.T) {
 	g, err := NewGraph("scenarioB").
-		Constraints(Constraints{ExecTimeS: 10}).
 		Task("createRoute").
 		Task("collectImage", WithParents("createRoute")).
 		Task("obstacleAvoidance", WithParents("collectImage")).
 		Task("faceRecognition", WithParents("collectImage")).
-		Task("deduplication", WithParents("faceRecognition"), Colocatable()).
-		Learn("faceRecognition", "Global").
+		Task("deduplication", WithParents("faceRecognition")).
 		Place("obstacleAvoidance", PlaceEdge, true).
-		Persist("deduplication").
 		Build()
 	if err != nil {
 		t.Fatal(err)
@@ -222,10 +219,6 @@ func TestBuilderEquivalentToText(t *testing.T) {
 	}
 	if strings.Join(namesOf(g.TopoOrder()), ",") != strings.Join(namesOf(ref.TopoOrder()), ",") {
 		t.Fatalf("builder topo %v != text topo %v", namesOf(g.TopoOrder()), namesOf(ref.TopoOrder()))
-	}
-	dd, _ := g.Task("deduplication")
-	if !dd.Colocatable {
-		t.Fatal("colocatable lost")
 	}
 }
 
@@ -246,9 +239,6 @@ func TestBuilderErrors(t *testing.T) {
 	}
 	if _, err := NewGraph("g").Task("a").Place("ghost", PlaceEdge, false).Build(); err == nil {
 		t.Fatal("directive on unknown task built")
-	}
-	if _, err := NewGraph("g").Task("a").Learn("a", "Maybe").Build(); err == nil {
-		t.Fatal("bad learn mode built")
 	}
 	if _, err := NewGraph("g").Task("a", WithParents("a")).Build(); err == nil {
 		t.Fatal("self-parent built")
@@ -293,7 +283,7 @@ Restore(a, 'checkpoint')
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, _ := g.Task("a")
+	a := g.byName["a"]
 	if a.Params["speed"] != "4" || a.Params["resolution"] != "1024p" {
 		t.Fatalf("params = %v", a.Params)
 	}
@@ -309,7 +299,7 @@ func TestLexerEdgeCases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, _ := g.Task("a")
+	a := g.byName["a"]
 	if !strings.Contains(a.CodePath, "\t") || !strings.Contains(a.CodePath, "\n") ||
 		!strings.Contains(a.CodePath, `\`) || !strings.Contains(a.CodePath, "'") {
 		t.Fatalf("escapes lost: %q", a.CodePath)
@@ -324,7 +314,7 @@ func TestLexerEdgeCases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a2, _ := g2.Task("a")
+	a2 := g2.byName["a"]
 	if a2.Params["bias"] != "-2.5" || a2.Params["scale"] != "1000" {
 		t.Fatalf("numeric params = %v", a2.Params)
 	}
@@ -353,7 +343,7 @@ Isolate(a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, _ := g.Task("a")
+	a := g.byName["a"]
 	if len(a.Children) != 1 || a.Children[0] != "b" {
 		t.Fatalf("children = %v", a.Children)
 	}
@@ -363,18 +353,12 @@ func TestBuilderRemainingDirectives(t *testing.T) {
 	g, err := NewGraph("g").
 		Task("a").
 		Task("b", WithParents("a")).
-		Restore("b", "checkpoint").
-		Priority("a", 5).
+		Place("b", PlaceCloud, false).
 		Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, _ := g.Task("a")
-	b, _ := g.Task("b")
-	if a.Priority != 5 {
-		t.Fatalf("a = %+v", a)
-	}
-	if b.Restore != "checkpoint" {
+	if b := g.byName["b"]; b.Pin != PlaceCloud || b.PinAll {
 		t.Fatalf("b = %+v", b)
 	}
 	// Names helper.
@@ -451,7 +435,7 @@ Task(recognize, cameraFeed, stats, 'code/rec')
 	if !ok || st.RateHz != 8 || st.ItemMB != 2 {
 		t.Fatalf("stream = %+v ok=%v", st, ok)
 	}
-	rec, _ := g.Task("recognize")
+	rec := g.byName["recognize"]
 	if got, ok := g.StreamFor(rec); !ok || got.Name != "cameraFeed" {
 		t.Fatal("StreamFor did not resolve the task's input stream")
 	}
@@ -478,11 +462,5 @@ func TestStreamErrors(t *testing.T) {
 		if _, err := ParseAndAnalyze(src); err == nil {
 			t.Fatalf("bad stream %d accepted", i)
 		}
-	}
-	if _, err := NewGraph("g").Stream("", 1, 1).Task("a").Build(); err == nil {
-		t.Fatal("builder accepted empty stream name")
-	}
-	if _, err := NewGraph("g").Stream("s", 1, 1).Stream("s", 1, 1).Task("a").Build(); err == nil {
-		t.Fatal("builder accepted duplicate stream")
 	}
 }

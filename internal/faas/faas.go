@@ -148,14 +148,6 @@ type Handle struct {
 // Alive reports whether the container still exists (kept alive).
 func (h *Handle) Alive() bool { return h != nil && h.c != nil && !h.c.dead }
 
-// Server returns the container's server id, or -1.
-func (h *Handle) Server() int {
-	if !h.Alive() {
-		return -1
-	}
-	return h.c.server.ID
-}
-
 // Result reports one task's outcome and latency decomposition.
 type Result struct {
 	Fn        string
@@ -172,9 +164,6 @@ type Result struct {
 	Container *Handle // last branch's container, for colocation chains
 }
 
-// TotalS returns end-to-end task latency.
-func (r Result) TotalS() float64 { return r.End - r.Start }
-
 // Platform is the simulated serverless cloud.
 type Platform struct {
 	eng *sim.Engine
@@ -187,7 +176,7 @@ type Platform struct {
 	admitSeq int
 	pending  map[int]int // server id -> placed-but-not-yet-running branches
 
-	active  *stats.Gauge // running functions over time (Fig. 5c)
+	active  stats.Gauge // running functions and their peak (Fig. 5c)
 	history map[string]*stats.Sample
 
 	invocations int
@@ -208,7 +197,6 @@ func New(eng *sim.Engine, cls *cluster.Cluster, cfg Config) *Platform {
 		cls:     cls,
 		cfg:     cfg,
 		warm:    newWarmPool(eng, cfg.KeepAliveS),
-		active:  stats.NewGauge(),
 		history: make(map[string]*stats.Sample),
 		pending: make(map[int]int),
 	}
@@ -217,11 +205,8 @@ func New(eng *sim.Engine, cls *cluster.Cluster, cfg Config) *Platform {
 // Config returns the platform configuration.
 func (p *Platform) Config() Config { return p.cfg }
 
-// ActiveGauge returns the running-function time series.
-func (p *Platform) ActiveGauge() *stats.Gauge { return p.active }
-
-// Invocations returns the number of tasks submitted.
-func (p *Platform) Invocations() int { return p.invocations }
+// ActiveGauge returns the running-function gauge.
+func (p *Platform) ActiveGauge() *stats.Gauge { return &p.active }
 
 // sampleExec draws a service time for one branch.
 func (p *Platform) sampleExec(base, cv float64, srv *cluster.Server) (t float64, straggler bool) {
@@ -498,7 +483,7 @@ func (p *Platform) executeOn(c *container, spec FunctionSpec, execBase float64, 
 	srv.Cores().Grab(func() {
 		queueS := p.eng.Now() - enq
 		execS, straggler := p.sampleExec(execBase, spec.ExecCV, srv)
-		p.active.Inc(p.eng.Now(), 1)
+		p.active.Inc(1)
 
 		// Failure injection: the function dies partway and is respawned —
 		// unless the task's Restore policy says to fail fast, in which
@@ -510,7 +495,7 @@ func (p *Platform) executeOn(c *container, spec FunctionSpec, execBase float64, 
 				failAt := execS * p.eng.Rand().Float64()
 				p.eng.Defer(failAt, func() {
 					srv.Cores().Release()
-					p.active.Inc(p.eng.Now(), -1)
+					p.active.Inc(-1)
 					done(failAt, queueS)
 				})
 				return
@@ -519,7 +504,7 @@ func (p *Platform) executeOn(c *container, spec FunctionSpec, execBase float64, 
 			failAt := execS * p.eng.Rand().Float64()
 			p.eng.Defer(failAt, func() {
 				srv.Cores().Release()
-				p.active.Inc(p.eng.Now(), -1)
+				p.active.Inc(-1)
 				p.eng.Defer(p.cfg.RespawnDelayS, func() {
 					p.executeOn(c, spec, execBase, res, attempt+1, func(e2, q2 float64) {
 						res.Respawns++
@@ -560,10 +545,10 @@ func (p *Platform) executeOn(c *container, spec FunctionSpec, execBase float64, 
 							dup.server.Cores().Grab(func() {
 								dupQ := p.eng.Now() - dupEnq
 								dupExec, _ := p.sampleExec(execBase, spec.ExecCV, dup.server)
-								p.active.Inc(p.eng.Now(), 1)
+								p.active.Inc(1)
 								p.eng.Defer(dupExec, func() {
 									dup.server.Cores().Release()
-									p.active.Inc(p.eng.Now(), -1)
+									p.active.Inc(-1)
 									finish(threshold + p.cfg.ColdStartS + dupQ + dupExec)
 								})
 							})
@@ -575,7 +560,7 @@ func (p *Platform) executeOn(c *container, spec FunctionSpec, execBase float64, 
 
 		p.eng.Defer(execS, func() {
 			srv.Cores().Release()
-			p.active.Inc(p.eng.Now(), -1)
+			p.active.Inc(-1)
 			finish(execS)
 		})
 	})
@@ -593,9 +578,6 @@ type Reserved struct {
 func NewReserved(eng *sim.Engine, n int, cfg Config) *Reserved {
 	return &Reserved{eng: eng, pool: cluster.NewReservedPool(eng, n), cfg: cfg}
 }
-
-// Pool exposes the core pool.
-func (r *Reserved) Pool() *cluster.ReservedPool { return r.pool }
 
 // Invoke runs a task on the reserved pool. Parallelism is bounded by
 // the pool size; data sharing is in-process (the long-lived service

@@ -4,15 +4,12 @@ package geo
 // is cut along: the field is partitioned into cells (Partition computes
 // the equal-area cut, exactly as it does for per-drone regions), each
 // device is bound at time zero to the cell containing its position, and
-// the index answers both directions — which cell owns a device, and
-// which devices a cell owns — in O(1). The assignment is deliberately
-// static: shard ownership must not migrate mid-run, or the conservative
-// window protocol's "cells interact only through the declared-lookahead
-// medium" invariant would silently break.
+// the index answers which cell owns a device in O(1). The assignment is
+// deliberately static: shard ownership must not migrate mid-run, or the
+// conservative window protocol's "cells interact only through the
+// declared-lookahead medium" invariant would silently break.
 type CellIndex struct {
-	cells  []Rect
-	cellOf []int   // device -> cell
-	byCell [][]int // cell -> device ids, ascending
+	cellOf []int // device -> cell
 }
 
 // BuildCellIndex assigns every position to the cell containing it.
@@ -20,11 +17,7 @@ type CellIndex struct {
 // devices may start slightly off-grid) fall back to the nearest cell by
 // center distance, so the assignment is total.
 func BuildCellIndex(cells []Rect, pts []Point) *CellIndex {
-	ix := &CellIndex{
-		cells:  cells,
-		cellOf: make([]int, len(pts)),
-		byCell: make([][]int, len(cells)),
-	}
+	ix := &CellIndex{cellOf: make([]int, len(pts))}
 	for d, p := range pts {
 		c := -1
 		for i, r := range cells {
@@ -42,17 +35,9 @@ func BuildCellIndex(cells []Rect, pts []Point) *CellIndex {
 			}
 		}
 		ix.cellOf[d] = c
-		ix.byCell[c] = append(ix.byCell[c], d)
 	}
 	return ix
 }
 
-// Cell returns cell c's rectangle.
-func (ix *CellIndex) Cell(c int) Rect { return ix.cells[c] }
-
 // CellOwners returns the full device→cell slice (read-only; shared).
 func (ix *CellIndex) CellOwners() []int { return ix.cellOf }
-
-// Devices returns the ids owned by cell c, ascending (read-only;
-// shared).
-func (ix *CellIndex) Devices(c int) []int { return ix.byCell[c] }

@@ -21,9 +21,6 @@ func (p Point) Dist(q Point) float64 {
 	return math.Sqrt(dx*dx + dy*dy)
 }
 
-// Add returns p + q componentwise.
-func (p Point) Add(q Point) Point { return Point{p.X + q.X, p.Y + q.Y} }
-
 // String implements fmt.Stringer.
 func (p Point) String() string { return fmt.Sprintf("(%.1f,%.1f)", p.X, p.Y) }
 

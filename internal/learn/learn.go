@@ -116,9 +116,6 @@ func (c *Classifier) Update(x []float64, label int) {
 	}
 }
 
-// Classes returns the number of known classes.
-func (c *Classifier) Classes() int { return len(c.centroids) }
-
 // Accuracy aggregates detection quality as the paper reports it.
 type Accuracy struct {
 	Correct        float64 // fraction of observations classified correctly

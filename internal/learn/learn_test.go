@@ -16,8 +16,8 @@ func TestClassifierPredictNearest(t *testing.T) {
 	if got := c.Predict([]float64{9, 9}); got != 1 {
 		t.Fatalf("predict = %d", got)
 	}
-	if c.Classes() != 2 {
-		t.Fatalf("classes = %d", c.Classes())
+	if len(c.centroids) != 2 {
+		t.Fatalf("classes = %d", len(c.centroids))
 	}
 }
 
@@ -52,7 +52,7 @@ func TestCloneIsIndependent(t *testing.T) {
 		b.Update([]float64{10}, 0)
 	}
 	a.Seed(1, []float64{100}, 1)
-	if b.Classes() != 1 {
+	if len(b.centroids) != 1 {
 		t.Fatal("clone shares class map")
 	}
 	// a's class-0 centroid must be unmoved.

@@ -93,17 +93,6 @@ func (r *Registry) GaugeFunc(name string, fn func() float64) {
 	r.mu.Unlock()
 }
 
-// Gauge returns a gauge's last level (0 if never set), sampling lazy
-// gauges registered via GaugeFunc.
-func (r *Registry) Gauge(name string) float64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if fn, ok := r.gaugeFuncs[name]; ok {
-		return fn()
-	}
-	return r.gauges[name]
-}
-
 // Observe adds one observation to a named histogram.
 func (r *Registry) Observe(name string, v float64) {
 	if r == nil {

@@ -19,10 +19,10 @@ func TestCountersAndGauges(t *testing.T) {
 	if got := r.Counter("a"); got != 4 {
 		t.Fatalf("counter = %g, want 4", got)
 	}
-	if got := r.Gauge("q"); got != 1.5 {
+	if got := gauge(r, "q"); got != 1.5 {
 		t.Fatalf("gauge = %g, want 1.5", got)
 	}
-	if r.Counter("missing") != 0 || r.Gauge("missing") != 0 {
+	if r.Counter("missing") != 0 || gauge(r, "missing") != 0 {
 		t.Fatal("missing metrics not zero")
 	}
 }
@@ -175,7 +175,7 @@ func TestGaugeFunc(t *testing.T) {
 	r := NewRegistry()
 	depth := 3
 	r.GaugeFunc("queue-depth", func() float64 { return float64(depth) })
-	if got := r.Gauge("queue-depth"); got != 3 {
+	if got := gauge(r, "queue-depth"); got != 3 {
 		t.Fatalf("lazy gauge = %g, want 3", got)
 	}
 	depth = 7
@@ -189,7 +189,18 @@ func TestGaugeFunc(t *testing.T) {
 	// SetGauge under the same name replaces the lazy sampler.
 	r.SetGauge("queue-depth", 1)
 	depth = 99
-	if got := r.Gauge("queue-depth"); got != 1 {
+	if got := gauge(r, "queue-depth"); got != 1 {
 		t.Fatalf("replaced gauge = %g, want 1", got)
 	}
+}
+
+// gauge returns a gauge's last level (0 if never set), sampling lazy
+// gauges registered via GaugeFunc.
+func gauge(r *Registry, name string) float64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if fn, ok := r.gaugeFuncs[name]; ok {
+		return fn()
+	}
+	return r.gauges[name]
 }

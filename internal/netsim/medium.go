@@ -51,16 +51,12 @@ type Medium struct {
 
 // Flow is an in-flight transfer on a medium.
 type Flow struct {
-	medium    *Medium
-	vfinish   float64 // drain value at which the flow completes
-	size      float64
-	started   sim.Time
-	done      func(f *Flow)
-	cancelled bool
-	finished  sim.Time
-	completed bool
-	seq       uint64
-	index     int // heap index, -1 once popped
+	vfinish  float64 // drain value at which the flow completes
+	size     float64
+	started  sim.Time
+	done     func(f *Flow)
+	finished sim.Time
+	seq      uint64
 }
 
 type flowHeap []*Flow
@@ -72,28 +68,16 @@ func (h flowHeap) Less(i, j int) bool {
 	}
 	return h[i].seq < h[j].seq
 }
-func (h flowHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *flowHeap) Push(x any) {
-	f := x.(*Flow)
-	f.index = len(*h)
-	*h = append(*h, f)
-}
+func (h flowHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *flowHeap) Push(x any)   { *h = append(*h, x.(*Flow)) }
 func (h *flowHeap) Pop() any {
 	old := *h
 	n := len(old)
 	f := old[n-1]
 	old[n-1] = nil
-	f.index = -1
 	*h = old[:n-1]
 	return f
 }
-
-// Size returns the flow's total size in bytes.
-func (f *Flow) Size() float64 { return f.size }
 
 // Duration returns how long the transfer took (valid after completion).
 func (f *Flow) Duration() sim.Time { return f.finished - f.started }
@@ -131,9 +115,6 @@ func (m *Medium) SetCapacity(capacityBps float64) {
 	m.reschedule()
 }
 
-// ActiveFlows returns the number of in-flight transfers.
-func (m *Medium) ActiveFlows() int { return len(m.flows) }
-
 // Meter exposes the delivered-bytes meter (1 s buckets).
 func (m *Medium) Meter() *stats.Meter { return m.meter }
 
@@ -170,9 +151,8 @@ func (m *Medium) advance() {
 		if over := m.drain - f.vfinish; over > 0 {
 			m.meter.Add(now, -math.Min(over, f.size))
 		}
-		f.completed = true
 		f.finished = now
-		if !f.cancelled && f.done != nil {
+		if f.done != nil {
 			f.done(f)
 		}
 	}
@@ -195,15 +175,14 @@ func (m *Medium) reschedule() {
 
 // Transfer starts a flow of the given size. done (may be nil) fires when
 // the last byte is delivered. Zero-size transfers complete immediately.
-func (m *Medium) Transfer(bytes float64, done func(*Flow)) *Flow {
-	f := &Flow{medium: m, size: bytes, started: m.eng.Now(), done: done, index: -1}
+func (m *Medium) Transfer(bytes float64, done func(*Flow)) {
+	f := &Flow{size: bytes, started: m.eng.Now(), done: done}
 	if bytes <= 0 {
-		f.completed = true
 		f.finished = m.eng.Now()
 		if done != nil {
 			done(f)
 		}
-		return f
+		return
 	}
 	m.advance()
 	f.vfinish = m.drain + bytes
@@ -211,24 +190,4 @@ func (m *Medium) Transfer(bytes float64, done func(*Flow)) *Flow {
 	m.seq++
 	heap.Push(&m.flows, f)
 	m.reschedule()
-	return f
-}
-
-// Cancel aborts an in-flight flow; its callback will not fire. Reports
-// whether the flow was still active.
-func (f *Flow) Cancel() bool {
-	if f.cancelled || f.completed {
-		return false
-	}
-	m := f.medium
-	m.advance()
-	if f.completed || f.index < 0 {
-		return false
-	}
-	f.cancelled = true
-	// No meter adjustment: the flow consumed its fair share of the
-	// medium until this instant, and only that consumption was metered.
-	heap.Remove(&m.flows, f.index)
-	m.reschedule()
-	return true
 }

@@ -84,35 +84,6 @@ func TestMediumZeroSizeCompletesImmediately(t *testing.T) {
 	}
 }
 
-func TestMediumCancel(t *testing.T) {
-	e := sim.NewEngine(1)
-	m := NewMedium(e, 100, 0)
-	var tA sim.Time
-	fired := false
-	m.Transfer(400, func(f *Flow) { tA = e.Now() })
-	var fB *Flow
-	fB = m.Transfer(400, func(f *Flow) { fired = true })
-	e.At(2, func() {
-		if !fB.Cancel() {
-			t.Error("cancel returned false on active flow")
-		}
-		if fB.Cancel() {
-			t.Error("second cancel returned true")
-		}
-	})
-	e.Run()
-	if fired {
-		t.Fatal("cancelled flow callback fired")
-	}
-	// A: shared 0-2s (100B), alone after: 300B at 100B/s → done at 5.
-	if math.Abs(tA-5) > 1e-4 {
-		t.Fatalf("tA=%g, want 5", tA)
-	}
-	if m.ActiveFlows() != 0 {
-		t.Fatalf("active flows = %d", m.ActiveFlows())
-	}
-}
-
 func TestMediumSetCapacityMidFlow(t *testing.T) {
 	e := sim.NewEngine(1)
 	m := NewMedium(e, 100, 0)

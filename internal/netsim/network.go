@@ -57,9 +57,6 @@ func NewNetwork(eng *sim.Engine, cfg Config) *Network {
 	}
 }
 
-// Config returns the active configuration.
-func (n *Network) Config() Config { return n.cfg }
-
 // ScaleWireless multiplies the wireless capacity (scalability sweeps
 // scale links proportionately to swarm size).
 func (n *Network) ScaleWireless(factor float64) {

@@ -42,9 +42,6 @@ func NewAdapter(sys *System, p apps.Profile, goalS float64) *Adapter {
 	}
 }
 
-// Placement returns the placement currently in force.
-func (a *Adapter) Placement() TierPlacement { return a.current }
-
 // Submit runs one task under the adapter's current placement and feeds
 // the observation back into the adaptation loop.
 func (a *Adapter) Submit(dev *device.Device, done func(TaskMetrics)) {

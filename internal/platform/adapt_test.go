@@ -49,7 +49,7 @@ func TestAdapterLeavesCloudUnderCongestion(t *testing.T) {
 	if completed == 0 {
 		t.Fatal("no completions")
 	}
-	if a.Placement() == TierCloud {
+	if a.current == TierCloud {
 		t.Fatalf("adapter never left the congested cloud placement (switches: %v)", a.switches)
 	}
 	if len(a.switches) == 0 {
@@ -69,7 +69,7 @@ func TestAdapterLeavesOverloadedEdge(t *testing.T) {
 	a := NewAdapter(sys, face, 1.5)
 	a.current = TierEdge
 	completed, dropped := driveAdapter(t, a, sys, face, 60)
-	if a.Placement() == TierEdge {
+	if a.current == TierEdge {
 		t.Fatalf("adapter stayed on the overloaded edge (completed=%d dropped=%d)", completed, dropped)
 	}
 }
@@ -82,7 +82,7 @@ func TestAdapterStableWhenGoalMet(t *testing.T) {
 	if len(a.switches) != 0 {
 		t.Fatalf("adapter churned despite meeting its goal: %v", a.switches)
 	}
-	if a.Placement() != sys.PlaceFor(weather) {
+	if a.current != sys.PlaceFor(weather) {
 		t.Fatal("placement drifted from the static decision")
 	}
 }

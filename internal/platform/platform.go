@@ -335,9 +335,6 @@ type SubmitOpts struct {
 	Parallelism int
 	// InputScale scales the sensor payload (resolution sweeps).
 	InputScale float64
-	// Device selects the submitting device (default: by round-robin —
-	// pass -1 for automatic).
-	Device int
 }
 
 // SubmitTask runs one task of the given application through the system

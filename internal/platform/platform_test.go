@@ -7,6 +7,7 @@ import (
 	"hivemind/internal/apps"
 	"hivemind/internal/dsl"
 	"hivemind/internal/netsim"
+	"hivemind/internal/sim"
 	"hivemind/internal/stats"
 	"hivemind/internal/synth"
 )
@@ -336,8 +337,16 @@ func TestPublicCloudDisablesHardwareFeatures(t *testing.T) {
 	if freeCores(s) != 12*36 {
 		t.Fatalf("cores = %d, want 432 (no offload)", freeCores(s))
 	}
-	if s.Net.Config().RPCAccel {
-		t.Fatal("RPC accel should be off in public cloud mode")
+	// Without RPC acceleration a message pays the software protocol
+	// stack: more processing than on the accelerated HiveMind fabric.
+	procS := func(s *System) sim.Time {
+		var proc sim.Time
+		s.Net.EdgeToCloud(1e6, func(info netsim.TransferInfo) { proc = info.ProcS })
+		s.Eng.Run()
+		return proc
+	}
+	if pub, acc := procS(s), procS(NewSystem(Preset(HiveMind, 4, 1))); pub <= acc {
+		t.Fatalf("public-cloud processing %g s, accelerated %g s: RPC accel should be off", pub, acc)
 	}
 }
 

@@ -64,19 +64,6 @@ type FailoverOptions struct {
 	Observer CallObserver
 }
 
-// FailoverStats counts the hardened caller's recovery actions.
-type FailoverStats struct {
-	// Retries counts re-attempts after transport failures.
-	Retries uint64
-	// Reconnects counts endpoint transports rebuilt after turning
-	// unhealthy.
-	Reconnects uint64
-	// Shed counts server-side shed responses (rpc.IsShed): the server
-	// refused the work to protect its SLO. Not a failure, and never
-	// retried in the same call.
-	Shed uint64
-}
-
 // FailoverClient is the one hardened caller over Transport: it routes
 // calls to the current primary of a replicated service (e.g. the
 // ReplicatedController's fronting gateways). Standbys answer
@@ -94,8 +81,6 @@ type FailoverClient struct {
 	eps    []endpoint
 	cur    atomic.Int32 // endpoint index calls currently route to
 	closed atomic.Bool
-
-	retries, reconnects, shed atomic.Uint64
 }
 
 // endpoint is one replica's redial state: the transport it last built,
@@ -175,15 +160,6 @@ func DialFailover(addrs []string, opts FailoverOptions) *FailoverClient {
 // Leader returns the endpoint index calls currently route to.
 func (f *FailoverClient) Leader() int { return int(f.cur.Load()) }
 
-// Stats returns a snapshot of the recovery counters.
-func (f *FailoverClient) Stats() FailoverStats {
-	return FailoverStats{
-		Retries:    f.retries.Load(),
-		Reconnects: f.reconnects.Load(),
-		Shed:       f.shed.Load(),
-	}
-}
-
 // transport returns ep's healthy transport, rebuilding it through the
 // endpoint's factory if needed — the client's one redial site.
 func (f *FailoverClient) transport(ctx context.Context, ep *endpoint) (Transport, error) {
@@ -225,7 +201,6 @@ func (f *FailoverClient) transport(ctx context.Context, ep *endpoint) (Transport
 	installed := ep.live.CompareAndSwap(old, lt)
 	if installed && old != nil {
 		old.Close()
-		f.reconnects.Add(1)
 	}
 	if f.closed.Load() {
 		// Close raced the build: whichever side still finds lt in the
@@ -299,7 +274,6 @@ func (f *FailoverClient) Call(ctx context.Context, method string, payload []byte
 			// executed, and the server is alive. Retrying inside this call
 			// would amplify the very overload being shed; the retry-after
 			// hint is for the caller's next offer.
-			f.shed.Add(1)
 			return nil, err
 		case errors.As(err, &se):
 			// The handler executed and replied: the endpoint is healthy,
@@ -309,9 +283,6 @@ func (f *FailoverClient) Call(ctx context.Context, method string, payload []byte
 			return nil, ctxStopped(ctx.Err(), err)
 		}
 		f.route(idx, -1)
-		if attempt+1 < f.opts.Attempts {
-			f.retries.Add(1)
-		}
 	}
 	return nil, fmt.Errorf("rpc: no endpoint served %s after %d attempts: %w", method, f.opts.Attempts, lastErr)
 }

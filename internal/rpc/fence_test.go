@@ -52,9 +52,9 @@ func TestFailoverClientReroutesOnFenced(t *testing.T) {
 		defer srv.Close()
 	}
 
-	fc := DialFailover([]string{lns[0].Addr().String(), lns[1].Addr().String()}, FailoverOptions{
-		RetryBackoff: time.Millisecond,
-	})
+	opts := FailoverOptions{RetryBackoff: time.Millisecond}
+	attempts := countAttempts(&opts)
+	fc := DialFailover([]string{lns[0].Addr().String(), lns[1].Addr().String()}, opts)
 	defer fc.Close()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -69,8 +69,8 @@ func TestFailoverClientReroutesOnFenced(t *testing.T) {
 	if fc.Leader() != 1 {
 		t.Fatalf("client still routed at %d, want the healthy endpoint 1", fc.Leader())
 	}
-	// Routing around the fence is not a retry.
-	if r := fc.Stats().Retries; r != 0 {
-		t.Fatalf("fenced reroute counted %d retries, want 0", r)
+	// One fenced attempt, then one on the healthy endpoint.
+	if n := attempts.Load(); n != 2 {
+		t.Fatalf("fenced reroute took %d attempts, want 2", n)
 	}
 }

@@ -30,8 +30,8 @@ func TestStreamBasicRoundTrip(t *testing.T) {
 	_, c := muxPair(t, 0, 4)
 	s1 := c.Stream(4)
 	s2 := c.Stream(4)
-	if s1.ID() == s2.ID() || s1.ID() == 0 || s2.ID() == 0 {
-		t.Fatalf("stream ids not distinct/nonzero: %d %d", s1.ID(), s2.ID())
+	if s1.id == s2.id || s1.id == 0 || s2.id == 0 {
+		t.Fatalf("stream ids not distinct/nonzero: %d %d", s1.id, s2.id)
 	}
 	for i := 0; i < 50; i++ {
 		w1, w2 := fmt.Sprintf("s1-%d", i), fmt.Sprintf("s2-%d", i)

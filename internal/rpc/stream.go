@@ -43,9 +43,6 @@ func (c *Client) Stream(callers int) *Stream {
 	return &Stream{c: c, id: uint16(id), sem: make(chan struct{}, callers)}
 }
 
-// ID returns the stream's logical id on its connection.
-func (s *Stream) ID() uint16 { return s.id }
-
 // start sends one request on the stream's id, drawing from its pool.
 func (s *Stream) start(ctx context.Context, method string, payload []byte) *pendingCall {
 	call := getCall(method)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -189,12 +190,12 @@ func TestAdmissionCancelRepublishesDepthGauge(t *testing.T) {
 	go func() {
 		done <- a.admit(ctx)
 	}()
-	waitCond(t, func() bool { return mon.Gauge("gateway-queue-depth") == 1 })
+	waitCond(t, func() bool { return showsGauge(mon, "gateway-queue-depth 1") })
 	cancel()
 	if err := <-done; !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled waiter err = %v", err)
 	}
-	waitCond(t, func() bool { return mon.Gauge("gateway-queue-depth") == 0 })
+	waitCond(t, func() bool { return showsGauge(mon, "gateway-queue-depth 0") })
 	a.release()
 }
 
@@ -301,4 +302,12 @@ func waitCond(t *testing.T, cond func() bool) {
 		time.Sleep(200 * time.Microsecond)
 	}
 	t.Fatal("condition never held")
+}
+
+// showsGauge reports whether mon's text exposition carries the line
+// "gauge <nameValue>".
+func showsGauge(mon *metrics.Registry, nameValue string) bool {
+	var b strings.Builder
+	mon.WriteText(&b)
+	return strings.Contains(b.String(), "gauge "+nameValue+"\n")
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -156,8 +157,13 @@ func TestLinkerFailoverRebuildsKeepOneLinkPerPeer(t *testing.T) {
 	})
 	peers := []Peer{{Gateway: g}, {Addr: "tier-b:9000"}}
 	fcs := make([]*rpc.FailoverClient, len(peers))
+	attempts := make([]atomic.Int64, len(peers))
 	for i, p := range peers {
-		fcs[i] = l.Failover([]Peer{p}, rpc.FailoverOptions{})
+		n := &attempts[i]
+		fcs[i] = l.Failover([]Peer{p}, rpc.FailoverOptions{Observer: func(string, []byte) func(error) {
+			n.Add(1)
+			return nil
+		}})
 		defer fcs[i].Close()
 	}
 	// closeLinks fails every link the Linker tracks: one per peer.
@@ -179,9 +185,11 @@ func TestLinkerFailoverRebuildsKeepOneLinkPerPeer(t *testing.T) {
 			}
 		}
 	}
-	for i, fc := range fcs {
-		if n := fc.Stats().Reconnects; n != rebuilds {
-			t.Fatalf("peer %d rebuilt %d times, want %d", i, n, rebuilds)
+	// One attempt per call: every call after a close ran on a rebuilt
+	// link, never on the closed one.
+	for i := range attempts {
+		if n := attempts[i].Load(); n != rebuilds+1 {
+			t.Fatalf("peer %d made %d attempts for %d calls", i, n, rebuilds+1)
 		}
 	}
 	l.mu.Lock()

@@ -34,7 +34,7 @@ func TestTaskEnvelopeAcceptsV1(t *testing.T) {
 	if !ok || env.ID != "legacy" || string(body) != "data" {
 		t.Fatalf("untraced decode: ok=%v env=%+v body=%q", ok, env, body)
 	}
-	if env.Trace.Valid() || env.SentAtNS != 0 {
+	if env.Trace.TraceID != "" || env.SentAtNS != 0 {
 		t.Fatalf("untraced envelope grew trace state: %+v", env)
 	}
 }

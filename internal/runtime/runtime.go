@@ -50,7 +50,8 @@ type Config struct {
 	// the error is surfaced (§3.2: OpenWhisk respawns failed tasks).
 	Retries int
 	// StragglerAfter, if positive, spawns a duplicate execution when the
-	// original has run this long; the first finisher wins (§4.6).
+	// original has run this long and an in-flight slot is free; the
+	// first finisher wins (§4.6).
 	StragglerAfter time.Duration
 	// Injector, if non-nil, is consulted before every execution attempt
 	// and store exchange so chaos tests can kill live invocations.
@@ -297,8 +298,19 @@ func (r *Runtime) execute(ctx context.Context, fn Function, input []byte) ([]byt
 	}
 	go launch()
 	dup := time.AfterFunc(r.cfg.StragglerAfter, func() {
+		// The duplicate is one more execution under MaxInFlight: it
+		// holds a slot of its own until it returns, and with none free
+		// the original runs alone.
+		select {
+		case r.sem <- struct{}{}:
+		default:
+			return
+		}
 		r.stats.duplicates.Add(1)
-		go launch()
+		go func() {
+			defer func() { <-r.sem }()
+			launch()
+		}()
 	})
 	defer dup.Stop()
 	select {

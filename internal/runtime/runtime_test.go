@@ -216,6 +216,41 @@ func TestStragglerDuplicateWins(t *testing.T) {
 	}
 }
 
+// A straggler duplicate is an execution like any other: with every
+// in-flight slot taken by the original, none is launched.
+func TestStragglerDuplicateRespectsMaxInFlight(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.MaxInFlight = 1
+	cfg.StragglerAfter = 5 * time.Millisecond
+	r := New(cfg, nil)
+	defer r.Close()
+	var running, peak atomic.Int32
+	r.Register("slow", func(ctx context.Context, in []byte) ([]byte, error) {
+		n := running.Add(1)
+		defer running.Add(-1)
+		for {
+			p := peak.Load()
+			if n <= p || peak.CompareAndSwap(p, n) {
+				break
+			}
+		}
+		select {
+		case <-ctx.Done():
+		case <-time.After(40 * time.Millisecond):
+		}
+		return []byte("done"), nil
+	})
+	if _, err := r.Invoke(context.Background(), "slow", nil); err != nil {
+		t.Fatal(err)
+	}
+	if got := peak.Load(); got != 1 {
+		t.Fatalf("peak concurrent executions = %d with MaxInFlight 1", got)
+	}
+	if n := r.Stats().Duplicates; n != 0 {
+		t.Fatalf("duplicates = %d, want 0 with no free slot", n)
+	}
+}
+
 func TestChainThroughStore(t *testing.T) {
 	r := echoRuntime(DefaultConfig())
 	defer r.Close()

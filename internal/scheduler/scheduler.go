@@ -30,9 +30,6 @@ func NewSharded(eng *sim.Engine, n int, decisionS float64) *Sharded {
 	return s
 }
 
-// Shards returns the shard count.
-func (s *Sharded) Shards() int { return len(s.shards) }
-
 // Decide queues one scheduling decision for the task key on its shard
 // ("each responsible for a subset of tasks") and calls done with the
 // decision latency (queueing + service).

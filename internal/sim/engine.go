@@ -290,10 +290,6 @@ func (a *Alarm) Stop() { a.tm.Cancel() }
 // event completes. Pending events remain queued.
 func (e *Engine) Stop() { e.stopped = true }
 
-// Pending reports the number of events still queued (including cancelled
-// ones that have not yet been popped).
-func (e *Engine) Pending() int { return len(e.events) }
-
 // Run executes events until the queue is empty or Stop is called.
 func (e *Engine) Run() { e.RunUntil(Infinity) }
 

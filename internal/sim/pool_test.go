@@ -22,8 +22,8 @@ func TestCancelledTimerEventIsReused(t *testing.T) {
 	}
 	// Pop (and recycle) the cancelled event.
 	e.RunUntil(2)
-	if e.Pending() != 0 {
-		t.Fatalf("Pending() = %d after drain, want 0", e.Pending())
+	if len(e.events) != 0 {
+		t.Fatalf("Pending() = %d after drain, want 0", len(e.events))
 	}
 
 	// Schedule new work; with a single-threaded engine the pool hands
@@ -72,23 +72,23 @@ func TestPendingAccountsCancelledEvents(t *testing.T) {
 	for i := 1; i <= 5; i++ {
 		tms = append(tms, e.At(Time(i), func() {}))
 	}
-	if e.Pending() != 5 {
-		t.Fatalf("Pending() = %d, want 5", e.Pending())
+	if len(e.events) != 5 {
+		t.Fatalf("Pending() = %d, want 5", len(e.events))
 	}
 	tms[1].Cancel()
 	tms[3].Cancel()
-	if e.Pending() != 5 {
-		t.Fatalf("Pending() = %d after cancels, want 5 (cancelled events stay queued)", e.Pending())
+	if len(e.events) != 5 {
+		t.Fatalf("Pending() = %d after cancels, want 5 (cancelled events stay queued)", len(e.events))
 	}
 	if n := e.RunUntil(3); n != 2 {
 		t.Fatalf("executed %d events to t=3, want 2 (one cancelled)", n)
 	}
-	if e.Pending() != 2 {
-		t.Fatalf("Pending() = %d at t=3, want 2", e.Pending())
+	if len(e.events) != 2 {
+		t.Fatalf("Pending() = %d at t=3, want 2", len(e.events))
 	}
 	e.Run()
-	if e.Pending() != 0 {
-		t.Fatalf("Pending() = %d after drain, want 0", e.Pending())
+	if len(e.events) != 0 {
+		t.Fatalf("Pending() = %d after drain, want 0", len(e.events))
 	}
 }
 

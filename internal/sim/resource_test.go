@@ -72,33 +72,48 @@ func TestResourceInvalidCapacityPanics(t *testing.T) {
 func TestResourceUtilizationStats(t *testing.T) {
 	e := NewEngine(1)
 	r := NewResource(e, 2)
-	// Hold both units for 5s out of a 10s window: utilization = 0.5.
+	// Both units are held together for 5s of a 10s window.
 	r.Use(5, nil)
 	r.Use(5, nil)
+	var mid, end int
+	e.At(4.9, func() { mid = r.InUse() })
+	e.At(9, func() { end = r.InUse() })
 	e.RunUntil(10)
-	st := r.Stats()
-	if math.Abs(st.Utilization-0.5) > 1e-9 {
-		t.Fatalf("utilization = %g, want 0.5", st.Utilization)
-	}
-	if st.Grants != 2 {
-		t.Fatalf("grants = %d, want 2", st.Grants)
+	if mid != 2 || end != 0 {
+		t.Fatalf("in use = %d at 4.9s and %d at 9s, want 2 and 0", mid, end)
 	}
 }
 
 func TestResourceMeanWaitStats(t *testing.T) {
 	e := NewEngine(1)
 	r := NewResource(e, 1)
-	r.Use(4, nil)                     // waits 0
-	r.Use(4, nil)                     // waits 4
-	e.At(2, func() { r.Use(4, nil) }) // enqueued at 2, granted at 8: waits 6
-	e.Run()
-	st := r.Stats()
-	want := (0.0 + 4.0 + 6.0) / 3.0
-	if math.Abs(st.MeanWait-want) > 1e-9 {
-		t.Fatalf("mean wait = %g, want %g", st.MeanWait, want)
+	var waits []Time
+	maxQueue := 0
+	use := func() {
+		asked := e.Now()
+		r.Grab(func() {
+			waits = append(waits, e.Now()-asked)
+			e.After(4, r.Release)
+		})
+		if len(r.queue) > maxQueue {
+			maxQueue = len(r.queue)
+		}
 	}
-	if st.MaxQueueLen != 2 {
-		t.Fatalf("max queue = %d, want 2", st.MaxQueueLen)
+	use()        // waits 0
+	use()        // waits 4
+	e.At(2, use) // asks at 2, granted at 8: waits 6
+	e.Run()
+	want := []Time{0, 4, 6}
+	if len(waits) != len(want) {
+		t.Fatalf("waits = %v, want %v", waits, want)
+	}
+	for i := range want {
+		if math.Abs(waits[i]-want[i]) > 1e-9 {
+			t.Fatalf("waits = %v, want %v", waits, want)
+		}
+	}
+	if maxQueue != 2 {
+		t.Fatalf("max queue = %d, want 2", maxQueue)
 	}
 }
 

@@ -205,10 +205,6 @@ func (s *ShardedEngine) Steps() uint64 {
 	return n
 }
 
-// Now returns the synchronized virtual time. Between Run calls every
-// cell's clock sits on the same window boundary.
-func (s *ShardedEngine) Now() Time { return s.cells[0].eng.Now() }
-
 // minNext returns the earliest pending event time across all cells
 // (Infinity when every queue is empty). Cancelled events still count —
 // a too-early window is merely a shorter safe window, never an unsafe

@@ -220,12 +220,12 @@ func TestShardRepeatedRunWindows(t *testing.T) {
 		c.Engine().DeferAt(0.1, loop)
 	}
 	se.Run(1)
-	if now := se.Now(); now != 1 {
+	if now := se.Cell(0).Engine().Now(); now != 1 {
 		t.Fatalf("after Run(1): now %g", now)
 	}
 	mid := count()
 	se.Run(2)
-	if now := se.Now(); now != 2 {
+	if now := se.Cell(0).Engine().Now(); now != 2 {
 		t.Fatalf("after Run(2): now %g", now)
 	}
 	if count() <= mid {

@@ -1,10 +1,6 @@
 package stats
 
-import (
-	"fmt"
-	"math"
-	"sort"
-)
+import "math"
 
 // Meter accumulates a quantity (bytes, tasks, joules) into fixed-width
 // time buckets, producing the rate time-series behind the paper's
@@ -78,46 +74,21 @@ func (m *Meter) RateSample(until float64) *Sample {
 	return s
 }
 
-// Gauge tracks a level that steps up and down over time (active tasks,
-// live containers) and reports the time series of its value.
+// Gauge tracks a level that steps up and down (active tasks, live
+// containers) and remembers its peak. The zero value is a gauge at
+// level zero.
 type Gauge struct {
-	times  []float64
-	values []float64
-	cur    float64
-	max    float64
+	cur float64
+	max float64
 }
 
-// NewGauge returns a gauge at level zero.
-func NewGauge() *Gauge { return &Gauge{} }
-
-// Set records the level v at time t. Times must be non-decreasing: a
-// regression would silently corrupt At (a binary search over the
-// times), so it panics instead.
-func (g *Gauge) Set(t, v float64) {
-	if n := len(g.times); n > 0 && t < g.times[n-1] {
-		panic(fmt.Sprintf("stats: gauge time regression: %g after %g", t, g.times[n-1]))
-	}
-	g.times = append(g.times, t)
-	g.values = append(g.values, v)
-	g.cur = v
-	if v > g.max {
-		g.max = v
+// Inc adjusts the level by delta.
+func (g *Gauge) Inc(delta float64) {
+	g.cur += delta
+	if g.cur > g.max {
+		g.max = g.cur
 	}
 }
 
-// Inc adjusts the level by delta at time t.
-func (g *Gauge) Inc(t, delta float64) { g.Set(t, g.cur+delta) }
-
-// Max returns the highest level ever recorded.
+// Max returns the highest level ever reached.
 func (g *Gauge) Max() float64 { return g.max }
-
-// At returns the level in effect at time t (0 before the first
-// sample). Binary search over the non-decreasing times keeps At inside
-// a resampling loop at O(log n) per query instead of O(n).
-func (g *Gauge) At(t float64) float64 {
-	idx := sort.Search(len(g.times), func(i int) bool { return g.times[i] > t })
-	if idx == 0 {
-		return 0
-	}
-	return g.values[idx-1]
-}

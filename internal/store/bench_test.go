@@ -12,7 +12,7 @@ func BenchmarkPut(b *testing.B) {
 	body := make([]byte, 1024)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := db.Put(fmt.Sprintf("doc-%d", i), "", body); err != nil {
+		if _, err := db.PutFenced(0, fmt.Sprintf("doc-%d", i), "", body); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -22,7 +22,7 @@ func BenchmarkPut(b *testing.B) {
 func BenchmarkGet(b *testing.B) {
 	db := NewDB()
 	body := make([]byte, 1024)
-	db.Put("doc", "", body)
+	db.PutFenced(0, "doc", "", body)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := db.Get("doc"); err != nil {
@@ -34,11 +34,11 @@ func BenchmarkGet(b *testing.B) {
 // BenchmarkUpdateChain measures revisioned update throughput.
 func BenchmarkUpdateChain(b *testing.B) {
 	db := NewDB()
-	rev, _ := db.Put("doc", "", []byte("v"))
+	rev, _ := db.PutFenced(0, "doc", "", []byte("v"))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var err error
-		rev, err = db.Put("doc", rev, []byte("v"))
+		rev, err = db.PutFenced(0, "doc", rev, []byte("v"))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -48,7 +48,7 @@ func BenchmarkUpdateChain(b *testing.B) {
 // BenchmarkConcurrentReaders measures RWMutex read scaling.
 func BenchmarkConcurrentReaders(b *testing.B) {
 	db := NewDB()
-	db.Put("doc", "", make([]byte, 256))
+	db.PutFenced(0, "doc", "", make([]byte, 256))
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
 			db.Get("doc")

@@ -69,9 +69,6 @@ func NewFencedCheckpointLog(db *DB, src FenceSource) *CheckpointLog {
 	return &CheckpointLog{db: db, fence: src}
 }
 
-// DB returns the underlying store.
-func (l *CheckpointLog) DB() *DB { return l.db }
-
 // token draws the current fence token (0 when unfenced).
 func (l *CheckpointLog) token() uint64 {
 	if l.fence == nil {

@@ -298,6 +298,11 @@ func (db *DB) loadSnapshot(path string) (int, error) {
 			sawHeader = true
 			return nil
 		}
+		// After its header a snapshot holds only document records; an
+		// empty frame or any other opcode is damage, not a document.
+		if len(rec) == 0 || rec[0] != recSet {
+			return fmt.Errorf("%w: snapshot record is not a document", ErrCorruptRecord)
+		}
 		doc, _, derr := decodeSet(rec)
 		if derr != nil {
 			return derr
@@ -403,17 +408,6 @@ func (db *DB) appendRecordLocked(rec []byte) error {
 	return nil
 }
 
-// WALRecords returns how many records the WAL holds since the last
-// compaction (0 for an in-memory store).
-func (db *DB) WALRecords() int {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.wal == nil {
-		return 0
-	}
-	return db.wal.Records()
-}
-
 // WALSize returns the WAL's byte length (0 for an in-memory store).
 func (db *DB) WALSize() int64 {
 	db.mu.Lock()
@@ -422,20 +416,6 @@ func (db *DB) WALSize() int64 {
 		return 0
 	}
 	return db.wal.Size()
-}
-
-// Dir returns the durable directory ("" for an in-memory store).
-func (db *DB) Dir() string { return db.dir }
-
-// Sync forces outstanding WAL appends to stable storage regardless of
-// the fsync policy.
-func (db *DB) Sync() error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.wal == nil {
-		return nil
-	}
-	return db.wal.Sync()
 }
 
 // Close syncs and closes the WAL (no-op for an in-memory store). Every

@@ -26,11 +26,11 @@ func TestDurableRecoverRoundTrip(t *testing.T) {
 	if st.SnapshotDocs != 0 || st.WALRecords != 0 {
 		t.Fatalf("fresh dir stats = %+v", st)
 	}
-	rev1, err := db.Put("a", "", []byte("v1"))
+	rev1, err := db.PutFenced(0, "a", "", []byte("v1"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.Put("a", rev1, []byte("v2")); err != nil {
+	if _, err := db.PutFenced(0, "a", rev1, []byte("v2")); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := db.Force("b", []byte("bee")); err != nil {
@@ -76,8 +76,8 @@ func TestDurableCompactionBoundsRecoveryByLiveState(t *testing.T) {
 	if err := db.CompactNow(); err != nil {
 		t.Fatal(err)
 	}
-	if db.WALRecords() != 0 {
-		t.Fatalf("wal records after compaction = %d, want 0", db.WALRecords())
+	if db.wal.Records() != 0 {
+		t.Fatalf("wal records after compaction = %d, want 0", db.wal.Records())
 	}
 	// A small post-compaction tail.
 	db.Force("k0", []byte("tail"))
@@ -177,8 +177,8 @@ func TestDurableAutoCompactionTriggers(t *testing.T) {
 	if got := mon.Counter(MetricSnapshot); got < 5 {
 		t.Fatalf("snapshots after 100 writes at CompactEvery=16: %g, want >= 5", got)
 	}
-	if db.WALRecords() >= 16 {
-		t.Fatalf("wal records = %d, want < CompactEvery", db.WALRecords())
+	if db.wal.Records() >= 16 {
+		t.Fatalf("wal records = %d, want < CompactEvery", db.wal.Records())
 	}
 }
 
@@ -355,13 +355,13 @@ func TestDurableSnapshotThenStaleWALReplayIsIdempotent(t *testing.T) {
 		t.Fatal(err)
 	}
 	db.Force("a", []byte("1"))
-	rev, _ := db.Put("b", "", []byte("2"))
-	db.Put("b", rev, []byte("3"))
+	rev, _ := db.PutFenced(0, "b", "", []byte("2"))
+	db.PutFenced(0, "b", rev, []byte("3"))
 
 	// Simulate the torn compaction: save the pre-compaction WAL, let
 	// compaction truncate it, then put the stale WAL back.
 	walPath := filepath.Join(dir, walFileName)
-	db.Sync()
+	db.wal.Sync()
 	staleWAL, err := os.ReadFile(walPath)
 	if err != nil {
 		t.Fatal(err)
@@ -416,7 +416,7 @@ func TestDurableClosedRejectsWrites(t *testing.T) {
 		write func() error
 	}{
 		{"PutFenced", func() error { _, err := db.PutFenced(4, "doc", rev, []byte("v2")); return err }},
-		{"Put", func() error { _, err := db.Put("new", "", []byte("x")); return err }},
+		{"Put", func() error { _, err := db.PutFenced(0, "new", "", []byte("x")); return err }},
 		{"ForceFenced", func() error { _, err := db.ForceFenced(5, "k", []byte("x")); return err }},
 		{"Force", func() error { _, err := db.Force("k", []byte("x")); return err }},
 		{"RaiseFence", func() error { return db.RaiseFence(9) }},
@@ -450,4 +450,79 @@ func TestDurableClosedRejectsWrites(t *testing.T) {
 	if _, err := mem.Force("k", []byte("x")); err != nil {
 		t.Fatalf("in-memory store after Close: %v", err)
 	}
+}
+
+// compactedSnapshot returns the snapshot file of a store compacted over
+// two documents and a raised fence.
+func compactedSnapshot(tb testing.TB, dir string) []byte {
+	tb.Helper()
+	db, _, err := OpenDurable(dir, memOpts())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	db.Force("a", []byte("1"))
+	if _, err := db.PutFenced(3, "b", "", []byte("2")); err != nil {
+		tb.Fatal(err)
+	}
+	if err := db.CompactNow(); err != nil {
+		tb.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		tb.Fatal(err)
+	}
+	snap, err := os.ReadFile(filepath.Join(dir, snapshotFileName))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return snap
+}
+
+// A snapshot whose valid header is followed by a well-framed record
+// that is not a document (an empty frame, a fence, a second header)
+// is corrupt: Recover reports ErrCorruptRecord instead of panicking on
+// the empty frame or loading a fence as a document.
+func TestRecoverRejectsNonDocumentSnapshotRecords(t *testing.T) {
+	snap := compactedSnapshot(t, t.TempDir())
+	for name, rec := range map[string][]byte{
+		"empty frame":   nil,
+		"fence":         encodeFence(9),
+		"second header": encodeHeader(1, 1),
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			data := append(append([]byte(nil), snap...), frame(rec)...)
+			if err := os.WriteFile(filepath.Join(dir, snapshotFileName), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := Recover(dir); !errors.Is(err, ErrCorruptRecord) {
+				t.Fatalf("Recover = %v, want ErrCorruptRecord", err)
+			}
+		})
+	}
+}
+
+// FuzzSnapshotLoad recovers a directory whose snapshot holds arbitrary
+// bytes. Recover must never panic: it either fails with
+// ErrCorruptRecord or returns a store.
+func FuzzSnapshotLoad(f *testing.F) {
+	snap := compactedSnapshot(f, f.TempDir())
+	f.Add(snap)
+	f.Add(append(append([]byte(nil), snap...), make([]byte, walHeaderSize)...))
+	f.Add([]byte(nil))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, snapshotFileName), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		db, _, err := Recover(dir)
+		if err != nil {
+			if !errors.Is(err, ErrCorruptRecord) {
+				t.Fatalf("Recover = %v, want nil or ErrCorruptRecord", err)
+			}
+			return
+		}
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+	})
 }

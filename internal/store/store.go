@@ -181,16 +181,11 @@ func (db *DB) RaiseFence(term uint64) error {
 	return db.maybeCompactLocked()
 }
 
-// Put creates or updates a document. For updates, rev must match the
-// stored revision or ErrConflict is returned; for creates, rev must be
-// empty. It returns the new revision.
-func (db *DB) Put(id string, rev string, body []byte) (string, error) {
-	return db.PutFenced(0, id, rev, body)
-}
-
-// PutFenced is Put with a fence token (the writer's controller term):
-// a token behind the store's fence fails with FencedError before any
-// state changes. Token 0 bypasses fencing.
+// PutFenced creates or updates a document. For updates, rev must match
+// the stored revision or ErrConflict is returned; for creates, rev must
+// be empty. It returns the new revision. token is the writer's fence
+// token (its controller term): a token behind the store's fence fails
+// with FencedError before any state changes. Token 0 bypasses fencing.
 func (db *DB) PutFenced(token uint64, id string, rev string, body []byte) (string, error) {
 	if id == "" {
 		return "", errors.New("store: empty document id")

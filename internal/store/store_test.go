@@ -10,7 +10,7 @@ import (
 
 func TestPutGetRoundTrip(t *testing.T) {
 	db := NewDB()
-	rev, err := db.Put("doc1", "", []byte("hello"))
+	rev, err := db.PutFenced(0, "doc1", "", []byte("hello"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +28,7 @@ func TestPutGetRoundTrip(t *testing.T) {
 
 func TestPutEmptyIDRejected(t *testing.T) {
 	db := NewDB()
-	if _, err := db.Put("", "", nil); err == nil {
+	if _, err := db.PutFenced(0, "", "", nil); err == nil {
 		t.Fatal("empty id accepted")
 	}
 }
@@ -42,14 +42,14 @@ func TestGetMissing(t *testing.T) {
 
 func TestUpdateRequiresMatchingRev(t *testing.T) {
 	db := NewDB()
-	rev1, _ := db.Put("d", "", []byte("v1"))
-	if _, err := db.Put("d", "bogus", []byte("v2")); !errors.Is(err, ErrConflict) {
+	rev1, _ := db.PutFenced(0, "d", "", []byte("v1"))
+	if _, err := db.PutFenced(0, "d", "bogus", []byte("v2")); !errors.Is(err, ErrConflict) {
 		t.Fatalf("stale rev err = %v", err)
 	}
-	if _, err := db.Put("d", "", []byte("v2")); !errors.Is(err, ErrConflict) {
+	if _, err := db.PutFenced(0, "d", "", []byte("v2")); !errors.Is(err, ErrConflict) {
 		t.Fatalf("create-over-existing err = %v", err)
 	}
-	rev2, err := db.Put("d", rev1, []byte("v2"))
+	rev2, err := db.PutFenced(0, "d", rev1, []byte("v2"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,14 +63,14 @@ func TestUpdateRequiresMatchingRev(t *testing.T) {
 
 func TestCreateWithRevRejected(t *testing.T) {
 	db := NewDB()
-	if _, err := db.Put("new", "1-abc", []byte("x")); !errors.Is(err, ErrConflict) {
+	if _, err := db.PutFenced(0, "new", "1-abc", []byte("x")); !errors.Is(err, ErrConflict) {
 		t.Fatalf("err = %v", err)
 	}
 }
 
 func TestForceAlwaysWins(t *testing.T) {
 	db := NewDB()
-	db.Put("d", "", []byte("v1"))
+	db.PutFenced(0, "d", "", []byte("v1"))
 	rev, err := db.Force("d", []byte("v2"))
 	if err != nil {
 		t.Fatal(err)
@@ -86,7 +86,7 @@ func TestForceAlwaysWins(t *testing.T) {
 
 func TestGetReturnsCopy(t *testing.T) {
 	db := NewDB()
-	db.Put("d", "", []byte("abc"))
+	db.PutFenced(0, "d", "", []byte("abc"))
 	d, _ := db.Get("d")
 	d.Body[0] = 'X'
 	d2, _ := db.Get("d")
@@ -98,7 +98,7 @@ func TestGetReturnsCopy(t *testing.T) {
 func TestPutCopiesInput(t *testing.T) {
 	db := NewDB()
 	buf := []byte("abc")
-	db.Put("d", "", buf)
+	db.PutFenced(0, "d", "", buf)
 	buf[0] = 'X'
 	d, _ := db.Get("d")
 	if string(d.Body) != "abc" {
@@ -108,9 +108,9 @@ func TestPutCopiesInput(t *testing.T) {
 
 func TestSeqAdvances(t *testing.T) {
 	db := NewDB()
-	rev, _ := db.Put("a", "", nil)
-	db.Put("b", "", nil)
-	db.Put("a", rev, nil)
+	rev, _ := db.PutFenced(0, "a", "", nil)
+	db.PutFenced(0, "b", "", nil)
+	db.PutFenced(0, "a", rev, nil)
 	if db.Seq() != 3 {
 		t.Fatalf("seq = %d", db.Seq())
 	}
@@ -118,8 +118,8 @@ func TestSeqAdvances(t *testing.T) {
 
 func TestKeys(t *testing.T) {
 	db := NewDB()
-	db.Put("a", "", nil)
-	db.Put("b", "", nil)
+	db.PutFenced(0, "a", "", nil)
+	db.PutFenced(0, "b", "", nil)
 	keys := db.Keys()
 	if len(keys) != 2 {
 		t.Fatalf("keys = %v", keys)
@@ -128,7 +128,7 @@ func TestKeys(t *testing.T) {
 
 func TestConcurrentWritersOneWinnerPerRound(t *testing.T) {
 	db := NewDB()
-	rev, _ := db.Put("shared", "", []byte("base"))
+	rev, _ := db.PutFenced(0, "shared", "", []byte("base"))
 	const writers = 16
 	var wg sync.WaitGroup
 	wins := make(chan int, writers)
@@ -137,7 +137,7 @@ func TestConcurrentWritersOneWinnerPerRound(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := db.Put("shared", rev, []byte(fmt.Sprintf("w%d", i))); err == nil {
+			if _, err := db.PutFenced(0, "shared", rev, []byte(fmt.Sprintf("w%d", i))); err == nil {
 				wins <- i
 			}
 		}()
@@ -162,12 +162,12 @@ func TestConcurrentDistinctDocs(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			id := fmt.Sprintf("doc-%d", i)
-			rev, err := db.Put(id, "", []byte{byte(i)})
+			rev, err := db.PutFenced(0, id, "", []byte{byte(i)})
 			if err != nil {
 				t.Error(err)
 				return
 			}
-			if _, err := db.Put(id, rev, []byte{byte(i), 2}); err != nil {
+			if _, err := db.PutFenced(0, id, rev, []byte{byte(i), 2}); err != nil {
 				t.Error(err)
 			}
 		}()
@@ -186,7 +186,7 @@ func TestRevisionGenerationProperty(t *testing.T) {
 		rev := ""
 		lastGen := 0
 		for _, b := range bodies {
-			newRev, err := db.Put("d", rev, b)
+			newRev, err := db.PutFenced(0, "d", rev, b)
 			if err != nil {
 				return false
 			}

@@ -18,9 +18,6 @@ type SpanContext struct {
 	Parent uint64
 }
 
-// Valid reports whether the context carries a trace id.
-func (sc SpanContext) Valid() bool { return sc.TraceID != "" }
-
 // Live adapts a Recorder to wall-clock instrumentation: the sim side
 // records spans at virtual timestamps, the live substrate records them
 // at seconds-since-epoch so both land in the same Chrome trace format.
@@ -36,14 +33,6 @@ type Live struct {
 // shared with other tracers and with direct Recorder users.
 func NewLive(rec *Recorder) *Live {
 	return &Live{rec: rec, epoch: time.Now()}
-}
-
-// Recorder returns the underlying recorder (nil for a nil tracer).
-func (l *Live) Recorder() *Recorder {
-	if l == nil {
-		return nil
-	}
-	return l.rec
 }
 
 // Now returns seconds since the tracer's epoch.
@@ -97,14 +86,6 @@ func (s *LiveSpan) ID() uint64 {
 		return 0
 	}
 	return s.id
-}
-
-// Context returns the SpanContext children of this span should carry.
-func (s *LiveSpan) Context(traceID string) SpanContext {
-	if s == nil {
-		return SpanContext{TraceID: traceID}
-	}
-	return SpanContext{TraceID: traceID, Parent: s.id}
 }
 
 // SetArg attaches a key/value shown in the trace viewer.

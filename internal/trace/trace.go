@@ -100,13 +100,6 @@ func (r *Recorder) Len() int {
 	return len(r.spans)
 }
 
-// Dropped returns how many spans exceeded the retention limit.
-func (r *Recorder) Dropped() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.dropped
-}
-
 // Spans returns a copy of retained spans, ordered by start time.
 func (r *Recorder) Spans() []Span {
 	r.mu.Lock()

@@ -37,8 +37,8 @@ func TestRecorderLimitAndDrops(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		r.Add(Span{Name: "s", Track: "t", StartS: float64(i), EndS: float64(i) + 1})
 	}
-	if r.Len() != 2 || r.Dropped() != 3 {
-		t.Fatalf("len=%d dropped=%d", r.Len(), r.Dropped())
+	if r.Len() != 2 || r.dropped != 3 {
+		t.Fatalf("len=%d dropped=%d", r.Len(), r.dropped)
 	}
 }
 
@@ -55,8 +55,8 @@ func TestRecorderInstantLimitAndDrops(t *testing.T) {
 	}
 	// Spans and instants are limited independently.
 	r.Add(Span{Name: "s", Track: "t", StartS: 0, EndS: 1})
-	if r.Len() != 1 || r.Dropped() != 0 {
-		t.Fatalf("span accounting disturbed: len=%d dropped=%d", r.Len(), r.Dropped())
+	if r.Len() != 1 || r.dropped != 0 {
+		t.Fatalf("span accounting disturbed: len=%d dropped=%d", r.Len(), r.dropped)
 	}
 }
 
