@@ -131,7 +131,7 @@ func main() {
 		all = append(all, s)
 	}
 	blob, _ := json.Marshal(all)
-	res, err := rt.Invoke(ctx, "dedup", blob)
+	unique, err := rt.Invoke(ctx, "dedup", blob)
 	if err != nil {
 		panic(err)
 	}
@@ -140,7 +140,7 @@ func main() {
 	st := rt.Stats()
 	fmt.Printf("processed %d frames from 16 drones in %v (real execution)\n", len(frames), elapsed.Round(time.Millisecond))
 	fmt.Printf("on-board obstacle adjustments: %d\n", adjustments)
-	fmt.Printf("unique people counted: %s (ground truth: %d)\n", res.Output, len(people))
+	fmt.Printf("unique people counted: %s (ground truth: %d)\n", unique, len(people))
 	fmt.Printf("runtime: %d invocations, %d cold starts, %d warm reuses, %d retries\n",
 		st.Invocations, st.ColdStarts, st.WarmStarts, st.Retries)
 	fmt.Printf("store: %d documents, %d updates\n", rt.Store().Len(), rt.Store().Seq())

@@ -53,9 +53,6 @@ type Profile struct {
 	InputMB float64
 	// OutputMB is the result size shipped onward.
 	OutputMB float64
-	// IntermediateMB is the data exchanged between dependent functions
-	// when the task is split (drives Fig. 6c data-sharing costs).
-	IntermediateMB float64
 	// TaskRatePerDevice is tasks/s each device generates at default
 	// load.
 	TaskRatePerDevice float64
@@ -68,8 +65,6 @@ type Profile struct {
 	// search (obstacle avoidance "always runs on-board to avoid
 	// catastrophic failures due to long network delays", §2.1).
 	PinEdge bool
-	// Learnable marks apps with a retrainable recognition model.
-	Learnable bool
 }
 
 // EdgeUtilization returns the offered load on a single on-board core at
@@ -92,22 +87,22 @@ func All() []Profile {
 			// Fig. 4a/11).
 			ID: S1FaceRecognition, Name: "Face Recognition (FaceNet)",
 			CloudExecS: 0.80, EdgeExecS: 3.5, Parallelism: 8,
-			InputMB: 8, OutputMB: 0.05, IntermediateMB: 1.0,
-			TaskRatePerDevice: 1.0, MemGB: 2, ExecCV: 0.15, Learnable: true,
+			InputMB: 8, OutputMB: 0.05,
+			TaskRatePerDevice: 1.0, MemGB: 2, ExecCV: 0.15,
 		},
 		{
 			ID: S2TreeRecognition, Name: "Tree Recognition (Model Zoo CNN)",
 			CloudExecS: 0.70, EdgeExecS: 3.0, Parallelism: 8,
-			InputMB: 8, OutputMB: 0.05, IntermediateMB: 1.0,
-			TaskRatePerDevice: 1.0, MemGB: 2, ExecCV: 0.15, Learnable: true,
+			InputMB: 8, OutputMB: 0.05,
+			TaskRatePerDevice: 1.0, MemGB: 2, ExecCV: 0.15,
 		},
 		{
 			// Light SVM on small tagged crops: "behaves comparably on the
 			// cloud and edge due to modest resource needs" (§2.3).
 			ID: S3DroneDetection, Name: "Drone Detection (SVM)",
 			CloudExecS: 0.10, EdgeExecS: 0.18, Parallelism: 2,
-			InputMB: 0.5, OutputMB: 0.01, IntermediateMB: 0.1,
-			TaskRatePerDevice: 2.0, MemGB: 0.5, ExecCV: 0.10, Learnable: true,
+			InputMB: 0.5, OutputMB: 0.01,
+			TaskRatePerDevice: 2.0, MemGB: 0.5, ExecCV: 0.10,
 		},
 		{
 			// Must stay on-board; "achieves better performance at the
@@ -115,15 +110,15 @@ func All() []Profile {
 			// in-place" (§2.3).
 			ID: S4ObstacleAvoid, Name: "Obstacle Avoidance (ardrone-autonomy)",
 			CloudExecS: 0.06, EdgeExecS: 0.10, Parallelism: 1,
-			InputMB: 0.4, OutputMB: 0.005, IntermediateMB: 0.05,
+			InputMB: 0.4, OutputMB: 0.005,
 			TaskRatePerDevice: 4.0, MemGB: 0.3, ExecCV: 0.10, PinEdge: true,
 		},
 		{
 			// FaceNet embedding comparison across sightings.
 			ID: S5Deduplication, Name: "People Deduplication (FaceNet)",
 			CloudExecS: 1.0, EdgeExecS: 4.5, Parallelism: 8,
-			InputMB: 4, OutputMB: 0.1, IntermediateMB: 0.8,
-			TaskRatePerDevice: 0.5, MemGB: 2, ExecCV: 0.18, Learnable: true,
+			InputMB: 4, OutputMB: 0.1,
+			TaskRatePerDevice: 0.5, MemGB: 2, ExecCV: 0.18,
 		},
 		{
 			// Few tasks/s ("drones move slowly in the maze") but each is
@@ -132,7 +127,7 @@ func All() []Profile {
 			// (Fig. 5a).
 			ID: S6Maze, Name: "Maze Traversal (Wall Follower)",
 			CloudExecS: 1.6, EdgeExecS: 4.0, Parallelism: 2,
-			InputMB: 0.3, OutputMB: 0.01, IntermediateMB: 0.1,
+			InputMB: 0.3, OutputMB: 0.01,
 			TaskRatePerDevice: 0.2, MemGB: 0.5, ExecCV: 0.12,
 		},
 		{
@@ -141,13 +136,13 @@ func All() []Profile {
 			// cloud/edge gap nearly vanishes (§2.3).
 			ID: S7Weather, Name: "Weather Analytics",
 			CloudExecS: 0.04, EdgeExecS: 0.06, Parallelism: 1,
-			InputMB: 0.05, OutputMB: 0.01, IntermediateMB: 0.02,
+			InputMB: 0.05, OutputMB: 0.01,
 			TaskRatePerDevice: 1.0, MemGB: 0.2, ExecCV: 0.08,
 		},
 		{
 			ID: S8SoilAnalytics, Name: "Soil Analytics",
 			CloudExecS: 0.35, EdgeExecS: 1.4, Parallelism: 4,
-			InputMB: 2, OutputMB: 0.02, IntermediateMB: 0.3,
+			InputMB: 2, OutputMB: 0.02,
 			TaskRatePerDevice: 1.0, MemGB: 1, ExecCV: 0.12,
 		},
 		{
@@ -156,13 +151,13 @@ func All() []Profile {
 			// (§3.2): wide fan-out, CPU- and memory-intensive.
 			ID: S9TextRecognition, Name: "Text Recognition (OCR)",
 			CloudExecS: 1.2, EdgeExecS: 5.0, Parallelism: 16,
-			InputMB: 4, OutputMB: 0.02, IntermediateMB: 0.5,
+			InputMB: 4, OutputMB: 0.02,
 			TaskRatePerDevice: 0.8, MemGB: 1.5, ExecCV: 0.15,
 		},
 		{
 			ID: S10SLAM, Name: "SLAM (ORB-SLAM)",
 			CloudExecS: 2.0, EdgeExecS: 7.0, Parallelism: 16,
-			InputMB: 6, OutputMB: 0.5, IntermediateMB: 1.5,
+			InputMB: 6, OutputMB: 0.5,
 			TaskRatePerDevice: 0.6, MemGB: 3, ExecCV: 0.20,
 		},
 	}

@@ -97,12 +97,6 @@ func TestPaperShapeConstraints(t *testing.T) {
 	if get(S6Maze).CloudExecS < 1.0 {
 		t.Fatal("maze tasks should be long")
 	}
-	// Fig. 15 retrains recognition models.
-	for _, id := range []ID{S1FaceRecognition, S5Deduplication} {
-		if !get(id).Learnable {
-			t.Fatalf("%s should be learnable", id)
-		}
-	}
 	// §2.2: offered network load at default settings must not saturate
 	// the 216.75 MB/s wireless aggregate for a 16-drone swarm on any
 	// single job ("services are not running at max load here").

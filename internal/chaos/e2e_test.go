@@ -76,6 +76,16 @@ func fastRetry(max int) rpc.FailoverOptions {
 	}
 }
 
+// dialFailover is rpc.DialFailover with a caller pool of callers on
+// each endpoint's connection instead of the default 8.
+func dialFailover(addrs []string, callers int, opts rpc.FailoverOptions) *rpc.FailoverClient {
+	endpoints := make([]func() (rpc.Transport, error), len(addrs))
+	for i, addr := range addrs {
+		endpoints[i] = rpc.ConnEndpoint(func() (net.Conn, error) { return net.Dial("tcp", addr) }, callers)
+	}
+	return rpc.NewFailover(endpoints, opts)
+}
+
 // hardened builds the one-endpoint hardened client over a dial function
 // (the chaos tests wrap its conns in an injector). failed counts the
 // attempts that ended in an error, each of which the client re-attempts
@@ -212,8 +222,10 @@ func TestChaosKilledFunctionMidChainRespawns(t *testing.T) {
 	cfg.Injector = inj
 	rt := runtime.New(cfg, nil)
 	defer rt.Close()
+	var ran atomic.Int64 // function bodies that ran
 	for _, name := range []string{"head", "mid", "tail"} {
 		rt.Register(name, func(ctx context.Context, in []byte) ([]byte, error) {
+			ran.Add(1)
 			return append(in, '|'), nil
 		})
 	}
@@ -228,9 +240,7 @@ func TestChaosKilledFunctionMidChainRespawns(t *testing.T) {
 	defer g.Close()
 	addr := serveTCP(t, g.Server())
 
-	opts := fastRetry(2)
-	opts.Callers = 4
-	rc := rpc.DialFailover([]string{addr}, opts)
+	rc := dialFailover([]string{addr}, 4, fastRetry(2))
 	defer rc.Close()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -242,8 +252,9 @@ func TestChaosKilledFunctionMidChainRespawns(t *testing.T) {
 	if string(out) != "x|||" {
 		t.Fatalf("out = %q", out)
 	}
-	if rt.Stats().Killed != 1 {
-		t.Fatalf("killed = %d, want 1", rt.Stats().Killed)
+	// Four invocations, one of them killed before its body ran.
+	if inv := rt.Stats().Invocations; inv != 4 || ran.Load() != 3 {
+		t.Fatalf("invocations = %d, bodies run = %d, want 4 and 3", inv, ran.Load())
 	}
 	if mon.Counter("gateway-respawn") != 1 {
 		t.Fatalf("gateway-respawn = %g, want 1", mon.Counter("gateway-respawn"))

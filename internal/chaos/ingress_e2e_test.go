@@ -120,8 +120,7 @@ func TestIngressE2EAsyncJobsSurvivePrimaryKill(t *testing.T) {
 	}
 	nodes := make([]front, replicas)
 	for i, nd := range f.Nodes {
-		fc := rpc.DialFailover(f.Addrs(), rpc.FailoverOptions{
-			Callers:      1024,
+		fc := dialFailover(f.Addrs(), 1024, rpc.FailoverOptions{
 			Attempts:     12,
 			RetryBackoff: 10 * time.Millisecond,
 			CallTimeout:  3 * time.Second,
@@ -246,7 +245,7 @@ func TestIngressE2EAsyncJobsSurvivePrimaryKill(t *testing.T) {
 	for {
 		pending := 0
 		for _, nd := range nodes {
-			pending += nd.ing.Stats().Pending
+			pending += nd.ing.Depth()
 		}
 		if pending == 0 {
 			break

@@ -61,8 +61,7 @@ func TestObservabilityE2ETraceAndBreakdown(t *testing.T) {
 	// the gateway respawns the step, the chain completes.
 	inj.At("invoke/plan", 0)
 
-	cl := rpc.DialFailover([]string{primary.Addr}, rpc.FailoverOptions{
-		Callers:  4,
+	cl := dialFailover([]string{primary.Addr}, 4, rpc.FailoverOptions{
 		Attempts: 1,
 		Observer: runtime.TraceCallObserver(live),
 	})

@@ -169,8 +169,7 @@ func runOverload(t *testing.T, admission, viaHTTP bool) overloadResult {
 			addrs = append(addrs, nd.Addr)
 		}
 	}
-	fc := rpc.DialFailover(addrs, rpc.FailoverOptions{
-		Callers:      1024,
+	fc := dialFailover(addrs, 1024, rpc.FailoverOptions{
 		Attempts:     12,
 		RetryBackoff: 10 * time.Millisecond,
 		CallTimeout:  2 * time.Second,

@@ -119,9 +119,6 @@ type ReplicaConfig struct {
 	// before any recovered work writes — a healed old primary's stale
 	// writes then bounce with store.FencedError.
 	OnPromote func(term uint64)
-	// OnRepartition, if non-nil, fires after a live repartition with the
-	// failed device id and the gaining device ids.
-	OnRepartition func(failed int, gainers []int)
 }
 
 // DefaultReplicaConfig mirrors the sim-side DefaultConfig at live-wire
@@ -150,7 +147,6 @@ type TaskRecord struct {
 
 // Member is one live-registered device's controller-side state.
 type Member struct {
-	ID       int
 	Region   geo.Rect
 	LastBeat time.Time
 	Failed   bool
@@ -745,7 +741,7 @@ func (r *Replica) handleLease(payload []byte) ([]byte, error) {
 	// not corrupt staleness decisions after a takeover.
 	members := make(map[int]*Member, len(msg.Members))
 	for id, wm := range msg.Members {
-		members[id] = &Member{ID: id, Region: wm.Region, LastBeat: now.Add(-time.Duration(wm.AgoNS)), Failed: wm.Failed}
+		members[id] = &Member{Region: wm.Region, LastBeat: now.Add(-time.Duration(wm.AgoNS)), Failed: wm.Failed}
 	}
 	r.members = members
 	tasks := make(map[string]TaskRecord, len(msg.Tasks))
@@ -770,7 +766,7 @@ func (r *Replica) handleRegister(payload []byte) ([]byte, error) {
 	}
 	m, ok := r.members[req.ID]
 	if !ok {
-		m = &Member{ID: req.ID}
+		m = &Member{}
 		r.members[req.ID] = m
 	}
 	m.Region = req.Region
@@ -852,16 +848,11 @@ func (r *Replica) failMemberLocked(ids []int, failedID int) {
 		}
 	}
 	newRegs, gainers := geo.Repartition(regions, alive, failedIdx)
-	gainerIDs := make([]int, 0, len(gainers))
 	for i, id := range ids {
 		r.members[id].Region = newRegs[i]
 	}
-	for _, gi := range gainers {
-		gainerIDs = append(gainerIDs, ids[gi])
+	for range gainers {
 		r.mon.CountEvent(EventRouteUpdate)
-	}
-	if r.cfg.OnRepartition != nil {
-		r.cfg.OnRepartition(failedID, gainerIDs)
 	}
 }
 

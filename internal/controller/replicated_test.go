@@ -188,20 +188,9 @@ func TestReplicaReplicatesTaskTable(t *testing.T) {
 
 func TestReplicaMembershipFailureTriggersLiveRepartition(t *testing.T) {
 	mon := metrics.NewRegistry()
-	repart := make(chan int, 1)
 	c := startCluster(t, 3, 17, mon, func(cfg *ReplicaConfig) {
 		cfg.HeartbeatTimeout = 150 * time.Millisecond
 		cfg.CheckPeriod = 30 * time.Millisecond
-		onRepart := cfg.OnRepartition
-		cfg.OnRepartition = func(failed int, gainers []int) {
-			if onRepart != nil {
-				onRepart(failed, gainers)
-			}
-			select {
-			case repart <- failed:
-			default:
-			}
-		}
 	})
 	c.waitLeader(t, 3*time.Second)
 
@@ -239,13 +228,12 @@ func TestReplicaMembershipFailureTriggersLiveRepartition(t *testing.T) {
 		}
 	}()
 
-	select {
-	case failed := <-repart:
-		if failed != 0 {
-			t.Fatalf("repartition fired for device %d, want 0", failed)
+	// Device 0's failure repartitions the field: device 1 gains its
+	// region and the primary counts the route update.
+	for deadline := time.Now().Add(5 * time.Second); mon.Counter(EventRouteUpdate) < 1; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("no repartition after silencing device 0")
 		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("no repartition after silencing device 0")
 	}
 	if mon.Counter(EventHeartbeatMissed) < 1 || mon.Counter(EventDeviceFailure) < 1 {
 		t.Fatalf("missed/failure counters not incremented: %g/%g",

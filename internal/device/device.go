@@ -122,7 +122,6 @@ type Device struct {
 	queued int
 
 	region geo.Rect
-	pos    geo.Point
 
 	onFailed func(*Device)
 
@@ -170,7 +169,6 @@ func (d *Device) LastHeartbeat() sim.Time { return d.lastBeat }
 func (d *Device) AssignRegion(r geo.Rect) {
 	d.integ.Advance(d.eng.Now())
 	d.region = r
-	d.pos = r.Center()
 	d.integ.Moving = r.Valid()
 	d.integ.Hovering = !r.Valid() && d.kind == Drone
 }

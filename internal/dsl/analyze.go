@@ -157,7 +157,9 @@ func parseStream(st Statement) (Stream, error) {
 }
 
 func parseTask(st Statement) (*Task, error) {
-	t := &Task{Params: map[string]string{}}
+	// Positional arguments are name, input, output and code path; of
+	// the keyed ones only the edges are kept.
+	t := &Task{}
 	positional := 0
 	for _, a := range st.Args {
 		if a.Key == "" {
@@ -168,12 +170,7 @@ func parseTask(st Statement) (*Task, error) {
 				if !a.Value.IsNone {
 					t.DataIn = a.Value.Text()
 				}
-			case 2:
-				if !a.Value.IsNone {
-					t.DataOut = a.Value.Text()
-				}
-			case 3:
-				t.CodePath = a.Value.Text()
+			case 2, 3:
 			default:
 				return nil, fmt.Errorf("line %d: too many positional Task arguments", st.Line)
 			}
@@ -188,16 +185,6 @@ func parseTask(st Statement) (*Task, error) {
 		case "childTask":
 			if !a.Value.IsNone {
 				t.Children = a.Value.Strings()
-			}
-		case "sync":
-			t.SyncCond = a.Value.Text()
-		case "colocatable":
-			t.Colocatable = a.Value.Text() == "true" || a.Value.Num == 1
-		default:
-			if a.Value.Kind == ValNumber {
-				t.Params[a.Key] = strconv.FormatFloat(a.Value.Num, 'g', -1, 64)
-			} else {
-				t.Params[a.Key] = a.Value.Text()
 			}
 		}
 	}
@@ -258,8 +245,10 @@ func applyDirectives(g *TaskGraph, prog *Program) error {
 			if len(st.Args) < 2 {
 				return fmt.Errorf("line %d: Place requires a location", st.Line)
 			}
+			// An ':all' suffix changes nothing: every device runs an
+			// edge-pinned task.
 			loc := st.Args[1].Value.Text()
-			base, _, found := strings.Cut(loc, ":")
+			base, _, _ := strings.Cut(loc, ":")
 			switch strings.ToLower(base) {
 			case "edge":
 				t.Pin = PlaceEdge
@@ -268,69 +257,30 @@ func applyDirectives(g *TaskGraph, prog *Program) error {
 			default:
 				return fmt.Errorf("line %d: Place location %q must be Edge or Cloud (optionally ':all')", st.Line, loc)
 			}
-			if found {
-				t.PinAll = true
-			}
 		case "Learn":
-			t, err := taskArg(st)
-			if err != nil {
+			if _, err := taskArg(st); err != nil {
 				return err
 			}
-			mode := "Global"
 			if len(st.Args) >= 2 {
-				mode = st.Args[1].Value.Text()
-			}
-			switch mode {
-			case "Global", "Self", "Off":
-				t.Learn = mode
-			default:
-				return fmt.Errorf("line %d: Learn mode %q must be Global, Self or Off", st.Line, mode)
-			}
-		case "Persist":
-			t, err := taskArg(st)
-			if err != nil {
-				return err
-			}
-			t.Persist = true
-		case "Isolate":
-			t, err := taskArg(st)
-			if err != nil {
-				return err
-			}
-			t.Isolated = true
-		case "Restore":
-			t, err := taskArg(st)
-			if err != nil {
-				return err
-			}
-			policy := "respawn"
-			if len(st.Args) >= 2 {
-				policy = st.Args[1].Value.Text()
-			}
-			t.Restore = policy
-		case "Schedule":
-			t, err := taskArg(st)
-			if err != nil {
-				return err
-			}
-			for _, a := range st.Args[1:] {
-				if a.Key == "priority" {
-					t.Priority = int(a.Value.Num)
+				switch mode := st.Args[1].Value.Text(); mode {
+				case "Global", "Self", "Off":
+				default:
+					return fmt.Errorf("line %d: Learn mode %q must be Global, Self or Off", st.Line, mode)
 				}
 			}
 		case "Synchronize":
-			t, err := taskArg(st)
-			if err != nil {
+			if _, err := taskArg(st); err != nil {
 				return err
 			}
-			cond := "all"
 			if len(st.Args) >= 2 {
-				cond = st.Args[1].Value.Text()
+				if cond := st.Args[1].Value.Text(); cond != "all" && cond != "any" {
+					return fmt.Errorf("line %d: Synchronize condition %q must be all or any", st.Line, cond)
+				}
 			}
-			if cond != "all" && cond != "any" {
-				return fmt.Errorf("line %d: Synchronize condition %q must be all or any", st.Line, cond)
+		case "Persist", "Isolate", "Restore", "Schedule":
+			if _, err := taskArg(st); err != nil {
+				return err
 			}
-			t.SyncCond = cond
 		}
 	}
 	return nil
@@ -398,11 +348,9 @@ func parseConstraints(v Value, c *Constraints) error {
 			}
 			c.LatencyS = d
 		case "throughput":
-			n, err := strconv.ParseFloat(val, 64)
-			if err != nil {
+			if _, err := strconv.ParseFloat(val, 64); err != nil {
 				return fmt.Errorf("bad throughput %q", val)
 			}
-			c.ThroughputTps = n
 		case "cost":
 			n, err := strconv.ParseFloat(strings.TrimPrefix(val, "$"), 64)
 			if err != nil {

@@ -49,8 +49,7 @@ const (
 // Value is a literal: string, identifier, number, list, or None.
 type Value struct {
 	Kind   ValueKind
-	Str    string  // ValString, ValIdent
-	Num    float64 // ValNumber
+	Str    string  // ValString, ValIdent, and ValNumber's literal
 	List   []Value // ValList
 	IsNone bool
 }
@@ -95,36 +94,27 @@ func (p Placement) String() string {
 	}
 }
 
-// Task is one computation tier of the application.
+// Task is one computation tier of the application. It keeps what
+// synthesis reads: the task's input, its edges and its placement pin.
+// The other Task arguments and the Isolate, Persist, Learn, Restore,
+// Schedule and Synchronize directives are parsed and checked, but
+// nothing downstream models them, so they are not stored.
 type Task struct {
 	Name     string
 	DataIn   string
-	DataOut  string
-	CodePath string
-	Params   map[string]string // free-form task arguments (speed=, algorithm=, ...)
 	Parents  []string
 	Children []string
 
-	// Directives.
-	Pin         Placement // Place(task, 'Edge'/'Cloud'); zero = free
-	PinAll      bool      // 'Edge:all' — every device runs it
-	Isolated    bool      // Isolate(task): dedicated container
-	Persist     bool      // Persist(task): durable output
-	Learn       string    // Learn(task, 'Global'|'Self'|'Off')
-	Restore     string    // Restore(task): fault-tolerance policy
-	Priority    int       // Schedule(task, priority=)
-	SyncCond    string    // Synchronize(task, 'all'|'any')
-	Colocatable bool      // same runtime deps as parent (API synthesis hint)
+	Pin Placement // Place(task, 'Edge'/'Cloud'); zero = free
 }
 
 // Constraints are the user's performance/cost targets (§4.1: execution
 // time, latency, throughput, and a cloud-cost ceiling).
 type Constraints struct {
-	ExecTimeS     float64
-	LatencyS      float64
-	ThroughputTps float64
-	MaxCostUSD    float64
-	MaxPowerW     float64
+	ExecTimeS  float64
+	LatencyS   float64
+	MaxCostUSD float64
+	MaxPowerW  float64
 }
 
 // Relation kinds between task pairs (Listing 1).

@@ -8,7 +8,6 @@ import "fmt"
 // first one, so call chains stay clean.
 type Builder struct {
 	graph *TaskGraph
-	prog  *Program
 	err   error
 }
 
@@ -16,7 +15,6 @@ type Builder struct {
 func NewGraph(name string) *Builder {
 	return &Builder{
 		graph: &TaskGraph{Name: name, byName: make(map[string]*Task), Streams: map[string]Stream{}},
-		prog:  &Program{},
 	}
 }
 
@@ -46,7 +44,7 @@ func (b *Builder) Task(name string, opts ...TaskOption) *Builder {
 	if _, dup := b.graph.byName[name]; dup {
 		return b.fail("dsl: task %q declared twice", name)
 	}
-	t := &Task{Name: name, Params: map[string]string{}}
+	t := &Task{Name: name}
 	for _, o := range opts {
 		o(t)
 	}
@@ -64,11 +62,12 @@ func (b *Builder) task(name, op string) *Task {
 	return t
 }
 
-// Place pins a task to the edge or cloud; all=true replicates it on
-// every device.
+// Place pins a task to the edge or cloud. all mirrors the DSL's
+// 'Edge:all' and changes nothing: every device runs an edge-pinned
+// task.
 func (b *Builder) Place(name string, p Placement, all bool) *Builder {
 	if t := b.task(name, "Place"); t != nil {
-		t.Pin, t.PinAll = p, all
+		t.Pin = p
 	}
 	return b
 }

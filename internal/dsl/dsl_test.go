@@ -55,20 +55,28 @@ func TestParseListing3(t *testing.T) {
 	if !ok {
 		t.Fatal("faceRecognition missing")
 	}
-	if face.Learn != "Global" || !face.Persist {
-		t.Fatalf("face directives: learn=%q persist=%v", face.Learn, face.Persist)
+	if face.DataIn != "sensorData" || face.Pin != 0 {
+		t.Fatalf("faceRecognition = %+v", face)
 	}
-	if face.Params["algorithm"] != "tensorflow_zoo" {
-		t.Fatalf("params = %v", face.Params)
+	// Every Listing-3 directive parses; Place is the one synthesis reads.
+	ops := map[string]bool{}
+	prog, err := Parse(listing3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, st := range prog.Statements {
+		ops[st.Op] = true
+	}
+	for _, op := range []string{"Parallel", "Serial", "Learn", "Place", "Persist"} {
+		if !ops[op] {
+			t.Errorf("directive %s not parsed", op)
+		}
 	}
 	oa := g.byName["obstacleAvoidance"]
-	if oa.Pin != PlaceEdge || !oa.PinAll {
-		t.Fatalf("obstacle avoidance pin = %v all=%v", oa.Pin, oa.PinAll)
+	if oa.Pin != PlaceEdge {
+		t.Fatalf("obstacle avoidance pin = %v", oa.Pin)
 	}
 	dedup := g.byName["deduplication"]
-	if dedup.SyncCond != "all" {
-		t.Fatalf("sync = %q", dedup.SyncCond)
-	}
 	if len(dedup.Parents) != 1 || dedup.Parents[0] != "faceRecognition" {
 		t.Fatalf("dedup parents = %v", dedup.Parents)
 	}
@@ -188,8 +196,7 @@ Task(a, None, None, 'x')
 		t.Fatal(err)
 	}
 	c := g.Constraints
-	if c.ExecTimeS != 90 || c.LatencyS != 0.25 || c.ThroughputTps != 40 ||
-		c.MaxCostUSD != 3.5 || c.MaxPowerW != 25 {
+	if c.ExecTimeS != 90 || c.LatencyS != 0.25 || c.MaxCostUSD != 3.5 || c.MaxPowerW != 25 {
 		t.Fatalf("constraints = %+v", c)
 	}
 }
@@ -279,30 +286,40 @@ Schedule(a, priority=7)
 Isolate(a)
 Restore(a, 'checkpoint')
 `
-	g, err := ParseAndAnalyze(src)
+	prog, err := Parse(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := g.byName["a"]
-	if a.Params["speed"] != "4" || a.Params["resolution"] != "1024p" {
-		t.Fatalf("params = %v", a.Params)
+	if _, err := Analyze(prog); err != nil {
+		t.Fatal(err)
 	}
-	if a.Priority != 7 || !a.Isolated || a.Restore != "checkpoint" {
-		t.Fatalf("directives = %+v", a)
+	// The numeric and string arguments and the directives reach the
+	// analyzer with their values.
+	task := prog.Statements[1].Args
+	if task[4].Key != "speed" || task[4].Value.Kind != ValNumber || task[4].Value.Text() != "4" ||
+		task[5].Key != "resolution" || task[5].Value.Text() != "1024p" {
+		t.Fatalf("task args = %+v", task)
+	}
+	var ops []string
+	for _, st := range prog.Statements[2:] {
+		ops = append(ops, st.Op)
+	}
+	if strings.Join(ops, ",") != "Schedule,Isolate,Restore" {
+		t.Fatalf("directives = %v", ops)
+	}
+	if prio := prog.Statements[2].Args[1]; prio.Key != "priority" || prio.Value.Text() != "7" {
+		t.Fatalf("priority = %+v", prio)
 	}
 }
 
 func TestLexerEdgeCases(t *testing.T) {
 	// Escapes inside strings.
-	src := "TaskGraph(list=['a'])\nTask(a, None, None, 'path\\twith\\nescapes\\\\and\\'quote')\n"
-	g, err := ParseAndAnalyze(src)
+	toks, err := lexAll(`'path\twith\nescapes\\and\'quote'`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := g.byName["a"]
-	if !strings.Contains(a.CodePath, "\t") || !strings.Contains(a.CodePath, "\n") ||
-		!strings.Contains(a.CodePath, `\`) || !strings.Contains(a.CodePath, "'") {
-		t.Fatalf("escapes lost: %q", a.CodePath)
+	if len(toks) != 2 || toks[0].kind != tokString || toks[0].text != "path\twith\nescapes\\and'quote" {
+		t.Fatalf("escapes lost: %v", toks)
 	}
 	// Bad escape rejected.
 	if _, err := ParseAndAnalyze("TaskGraph(list=['a'])\nTask(a, None, None, 'bad\\q')"); err == nil {
@@ -310,16 +327,18 @@ func TestLexerEdgeCases(t *testing.T) {
 	}
 	// Negative and scientific numbers.
 	src2 := "TaskGraph(list=['a'])\nTask(a, None, None, 'x', bias=-2.5, scale=1e3)\nSchedule(a, priority=-3)\n"
-	g2, err := ParseAndAnalyze(src2)
+	prog2, err := Parse(src2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a2 := g2.byName["a"]
-	if a2.Params["bias"] != "-2.5" || a2.Params["scale"] != "1000" {
-		t.Fatalf("numeric params = %v", a2.Params)
+	if _, err := Analyze(prog2); err != nil {
+		t.Fatal(err)
 	}
-	if a2.Priority != -3 {
-		t.Fatalf("priority = %d", a2.Priority)
+	if args := prog2.Statements[1].Args; args[4].Value.Text() != "-2.5" || args[5].Value.Text() != "1e3" {
+		t.Fatalf("numeric args = %+v", args)
+	}
+	if prio := prog2.Statements[2].Args[1]; prio.Value.Text() != "-3" {
+		t.Fatalf("priority = %+v", prio)
 	}
 	// Double-quoted strings work too.
 	if _, err := ParseAndAnalyze("TaskGraph(list=[\"a\"])\nTask(a, None, None, \"x\")"); err != nil {
@@ -358,7 +377,7 @@ func TestBuilderRemainingDirectives(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b := g.byName["b"]; b.Pin != PlaceCloud || b.PinAll {
+	if b := g.byName["b"]; b.Pin != PlaceCloud {
 		t.Fatalf("b = %+v", b)
 	}
 	// Names helper.

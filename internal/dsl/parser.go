@@ -122,7 +122,7 @@ func (p *parser) value() (Value, error) {
 	case tokString:
 		return Value{Kind: ValString, Str: t.text}, nil
 	case tokNumber:
-		return Value{Kind: ValNumber, Num: t.num, Str: t.text}, nil
+		return Value{Kind: ValNumber, Str: t.text}, nil
 	case tokIdent:
 		if t.text == "None" {
 			return Value{Kind: ValNone, IsNone: true}, nil

@@ -86,7 +86,7 @@ func fig03b(cfg RunConfig) *Report {
 		prof := apps.Profile{
 			ID: "S1", Name: "Face Recognition per-frame",
 			CloudExecS: 0.1, EdgeExecS: 0.45, Parallelism: 2,
-			InputMB: frameMB, OutputMB: 0.01, IntermediateMB: frameMB / 8,
+			InputMB: frameMB, OutputMB: 0.01,
 			TaskRatePerDevice: 8, MemGB: 2, ExecCV: 0.15,
 		}
 		sys := platform.NewSystem(platform.Preset(platform.CentralizedFaaS, n, cfg.Seed))

@@ -78,7 +78,7 @@ func poissonCloudJob(cfg RunConfig, p apps.Profile, duration float64, reserved b
 		if cores < 1 {
 			cores = 1
 		}
-		pool = faas.NewReserved(eng, cores, sys.Faas.Config())
+		pool = faas.NewReserved(eng, cores)
 	}
 	var pump func()
 	pump = func() {
@@ -154,7 +154,7 @@ func fig05b(cfg RunConfig) *Report {
 	runReserved := func(cores int) func() *stats.Sample {
 		return func() *stats.Sample {
 			sys := platform.NewSystem(platform.Preset(platform.CentralizedIaaS, defaultDevices, cfg.Seed))
-			pool := faas.NewReserved(sys.Eng, cores, sys.Faas.Config())
+			pool := faas.NewReserved(sys.Eng, cores)
 			return driveFluctuating(sys, pool, p, duration, peakRate)
 		}
 	}

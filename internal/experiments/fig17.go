@@ -20,7 +20,7 @@ func scanProfile(frameMB, fps float64) apps.Profile {
 	return apps.Profile{
 		ID: "scan", Name: "scenario scanning",
 		CloudExecS: 0.7, EdgeExecS: 3.0, Parallelism: 8,
-		InputMB: frameMB * fps, OutputMB: 0.05, IntermediateMB: 1,
+		InputMB: frameMB * fps, OutputMB: 0.05,
 		TaskRatePerDevice: 1.0, MemGB: 2, ExecCV: 0.15,
 	}
 }

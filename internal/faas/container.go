@@ -16,8 +16,6 @@ type container struct {
 	// re-armed allocation-free on every park thereafter.
 	idle *sim.Alarm
 	dead bool
-	born sim.Time
-	uses int
 }
 
 // warmPool tracks idle containers per function name, with keep-alive
@@ -52,33 +50,11 @@ func (w *warmPool) take(fn string) *container {
 		}
 		w.idle[fn] = list
 		w.hits++
-		c.uses++
 		return c
 	}
 	w.idle[fn] = list
 	w.misses++
 	return nil
-}
-
-// takeSpecific removes a particular idle container from the pool,
-// reporting success. Used for parent-container colocation.
-func (w *warmPool) takeSpecific(c *container) bool {
-	if c == nil || c.dead {
-		return false
-	}
-	list := w.idle[c.fn]
-	for i, cand := range list {
-		if cand == c {
-			w.idle[c.fn] = append(list[:i], list[i+1:]...)
-			if c.idle != nil {
-				c.idle.Stop()
-			}
-			w.hits++
-			c.uses++
-			return true
-		}
-	}
-	return false
 }
 
 // put parks a container as idle; it self-terminates (releasing memory)

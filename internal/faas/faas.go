@@ -38,11 +38,6 @@ type Config struct {
 	// accesses from the calibrated accelerator model instead.
 	Fabric *accel.Fabric
 
-	// Colocate makes the scheduler place child functions in their
-	// parent's container when it is still alive (HiveMind §4.3),
-	// degrading to the configured Protocol otherwise.
-	Colocate bool
-
 	// InterferenceCoef scales execution slowdown with server core
 	// utilization (function interference, §3.3). 0 disables.
 	InterferenceCoef float64
@@ -59,7 +54,6 @@ type Config struct {
 	Mitigate           bool
 	ProbationS         float64
 	MitigationMinObs   int     // history needed before the p90 rule arms
-	MitigationPctl     float64 // percentile that flags a straggler (90)
 	AggregationBaseS   float64 // fan-in sync cost for intra-task parallelism
 	SchedulerExtraS    float64 // HiveMind's richer scheduler costs slightly more (§5.1)
 	MonitoringOverhead float64 // fractional slowdown from the worker monitors (§4.7, ~0.001)
@@ -70,6 +64,10 @@ type Config struct {
 	// bottleneck at scale and extra shards relieve it (§5.6).
 	Scheduler *scheduler.Sharded
 }
+
+// mitigationPctl is the percentile of a function's execution history
+// that straggler mitigation measures against (§4.6: the job's p90).
+const mitigationPctl = 90
 
 // DefaultConfig returns the OpenWhisk-like baseline calibration.
 func DefaultConfig() Config {
@@ -88,18 +86,16 @@ func DefaultConfig() Config {
 		RespawnDelayS:    0.120,
 		ProbationS:       120,
 		MitigationMinObs: 20,
-		MitigationPctl:   90,
 		AggregationBaseS: 0.006,
 	}
 }
 
 // HiveMindConfig returns the platform tuned as §4.3–4.4 describe:
-// keep-alive reuse, colocation, remote-memory data sharing, straggler
-// mitigation.
+// keep-alive reuse, remote-memory data sharing, straggler mitigation.
+// The paper's parent/child colocation (§4.3) is not modelled.
 func HiveMindConfig(fabric *accel.Fabric) Config {
 	c := DefaultConfig()
 	c.KeepAliveS = 20 // empirically set between 10 and 30 s
-	c.Colocate = true
 	c.Protocol = store.ProtoRemoteMem
 	c.Fabric = fabric
 	c.Mitigate = true
@@ -118,50 +114,15 @@ type FunctionSpec struct {
 	// ParentDataMB is intermediate data pulled from the parent function
 	// (0 for root tasks).
 	ParentDataMB float64
-	// ParentContainer, if non-nil and alive, allows in-memory sharing
-	// when Colocate is on.
-	ParentContainer *Handle
-	// Colocatable marks the child as runnable inside the parent's
-	// container (same software dependencies, §4.3: colocation "is not
-	// always possible... because the child requires different software
-	// dependencies than the parent").
-	Colocatable bool
-	// Isolated gives the task dedicated containers (the DSL's
-	// Isolate(task) directive): no warm-pool reuse, no colocation, and
-	// its containers are torn down immediately after execution.
-	Isolated bool
-	// Priority orders admission when the platform is at its concurrency
-	// limit (the DSL's Schedule(task, priority=...) directive); higher
-	// runs first, ties FIFO.
-	Priority int
-	// Restore selects the fault-tolerance policy (the DSL's
-	// Restore(task, policy) directive): "respawn" (default) retries a
-	// failed function; "ignore" fails fast and reports the failure.
-	Restore string
 }
 
-// Handle identifies a completed invocation's container for colocation.
-type Handle struct {
-	c *container
-}
-
-// Alive reports whether the container still exists (kept alive).
-func (h *Handle) Alive() bool { return h != nil && h.c != nil && !h.c.dead }
-
-// Result reports one task's outcome and latency decomposition.
+// Result reports one task's latency decomposition.
 type Result struct {
-	Fn        string
-	Start     sim.Time
-	End       sim.Time
-	MgmtS     float64 // auth + scheduling + instantiation
-	DataIOS   float64 // inter-function data sharing
-	ExecS     float64 // computation (max over parallel branches)
-	QueueS    float64 // waiting for cores / concurrency slots
-	Cold      int     // cold starts among the branches
-	Respawns  int     // failure respawns
-	Failed    int     // branches that died without respawn (Restore "ignore")
-	Mitigated int     // straggler duplicates launched
-	Container *Handle // last branch's container, for colocation chains
+	MgmtS    float64 // auth + scheduling + instantiation
+	DataIOS  float64 // inter-function data sharing
+	ExecS    float64 // computation (max over parallel branches)
+	QueueS   float64 // waiting for cores / concurrency slots
+	Respawns int     // failure respawns
 }
 
 // Platform is the simulated serverless cloud.
@@ -172,8 +133,7 @@ type Platform struct {
 
 	warm     *warmPool
 	inFlight int
-	waiting  []waiter
-	admitSeq int
+	waiting  []func()
 	pending  map[int]int // server id -> placed-but-not-yet-running branches
 
 	active  stats.Gauge // running functions and their peak (Fig. 5c)
@@ -189,9 +149,6 @@ func New(eng *sim.Engine, cls *cluster.Cluster, cfg Config) *Platform {
 	if cfg.MaxInFlight <= 0 {
 		cfg.MaxInFlight = 1000
 	}
-	if cfg.MitigationPctl <= 0 {
-		cfg.MitigationPctl = 90
-	}
 	return &Platform{
 		eng:     eng,
 		cls:     cls,
@@ -201,9 +158,6 @@ func New(eng *sim.Engine, cls *cluster.Cluster, cfg Config) *Platform {
 		pending: make(map[int]int),
 	}
 }
-
-// Config returns the platform configuration.
-func (p *Platform) Config() Config { return p.cfg }
 
 // ActiveGauge returns the running-function gauge.
 func (p *Platform) ActiveGauge() *stats.Gauge { return &p.active }
@@ -235,12 +189,9 @@ func (p *Platform) sampleExec(base, cv float64, srv *cluster.Server) (t float64,
 }
 
 // dataShareS prices fetching the parent's output for one branch.
-func (p *Platform) dataShareS(spec FunctionSpec, colocated bool) float64 {
+func (p *Platform) dataShareS(spec FunctionSpec) float64 {
 	if spec.ParentDataMB <= 0 {
 		return 0
-	}
-	if colocated {
-		return p.cfg.LatModel.ExchangeS(store.ProtoInMemory, spec.ParentDataMB)
 	}
 	if p.cfg.Protocol == store.ProtoRemoteMem && p.cfg.Fabric != nil {
 		if s := p.cfg.Fabric.RemoteMemAccessS(spec.ParentDataMB); s > 0 {
@@ -252,34 +203,14 @@ func (p *Platform) dataShareS(spec FunctionSpec, colocated bool) float64 {
 	return p.cfg.LatModel.ExchangeS(p.cfg.Protocol, spec.ParentDataMB)
 }
 
-// waiter is a queued admission request.
-type waiter struct {
-	fn       func()
-	priority int
-	seq      int
-}
-
-// admit runs fn when a concurrency slot is free; higher-priority tasks
-// are admitted first, FIFO within a priority level.
-func (p *Platform) admit(priority int, fn func()) {
+// admit runs fn when a concurrency slot is free, in arrival order.
+func (p *Platform) admit(fn func()) {
 	if p.inFlight < p.cfg.MaxInFlight {
 		p.inFlight++
 		fn()
 		return
 	}
-	p.admitSeq++
-	w := waiter{fn: fn, priority: priority, seq: p.admitSeq}
-	// Insert before the first strictly-lower-priority waiter (stable).
-	at := len(p.waiting)
-	for i, other := range p.waiting {
-		if other.priority < priority {
-			at = i
-			break
-		}
-	}
-	p.waiting = append(p.waiting, waiter{})
-	copy(p.waiting[at+1:], p.waiting[at:])
-	p.waiting[at] = w
+	p.waiting = append(p.waiting, fn)
 }
 
 func (p *Platform) release() {
@@ -288,7 +219,7 @@ func (p *Platform) release() {
 		next := p.waiting[0]
 		p.waiting = p.waiting[1:]
 		p.inFlight++
-		next.fn()
+		next()
 	}
 }
 
@@ -299,8 +230,7 @@ func (p *Platform) Invoke(spec FunctionSpec, done func(Result)) {
 		spec.Parallelism = 1
 	}
 	p.invocations++
-	start := p.eng.Now()
-	res := &Result{Fn: spec.Name, Start: start}
+	res := &Result{}
 
 	mgmtFixed := p.cfg.AuthS + p.cfg.SchedS + p.cfg.SchedulerExtraS
 	seq := uint64(p.invocations)
@@ -321,11 +251,10 @@ func (p *Platform) Invoke(spec FunctionSpec, done func(Result)) {
 			res.MgmtS += extraMgmt
 		}
 		admitAt = p.eng.Now()
-		p.admit(spec.Priority, func() {
+		p.admit(func() {
 			res.QueueS += p.eng.Now() - admitAt
 			p.runBranches(spec, res, func() {
 				p.release()
-				res.End = p.eng.Now()
 				res.MgmtS += mgmtFixed
 				if s, ok := p.history[spec.Name]; ok {
 					s.Add(res.ExecS)
@@ -384,48 +313,25 @@ func (p *Platform) runBranches(spec FunctionSpec, res *Result, done func()) {
 // runOne executes a single branch: container acquisition, data pull,
 // core execution, failure respawn, straggler duplicate.
 func (p *Platform) runOne(spec FunctionSpec, execBase float64, res *Result, done func(execS, mgmtS, dataS, queueS float64)) {
-	// Container: colocate with parent > warm pool > cold start.
-	// Isolated tasks (Isolate directive) always get a dedicated cold
-	// container and never enter the shared pool.
-	var c *container
-	instS := 0.0
-	colocated := false
-	if !spec.Isolated && p.cfg.Colocate && spec.Colocatable && spec.ParentContainer.Alive() &&
-		p.warm.takeSpecific(spec.ParentContainer.c) {
-		// Run inside the parent's still-alive container: the parent's
-		// output is already in its memory (§4.3).
-		c = spec.ParentContainer.c
-		colocated = true
-		instS = p.cfg.WarmStartS
-	}
-	if c == nil && !spec.Isolated {
-		c = p.warm.take(spec.Name)
-		if c != nil {
-			instS = p.cfg.WarmStartS
-		}
-	}
+	// Container: warm pool > cold start.
+	instS := p.cfg.WarmStartS
+	c := p.warm.take(spec.Name)
 	if c == nil {
 		srv := p.placeServer(spec.MemGB)
 		memGB := spec.MemGB
 		if !srv.ReserveMemGB(memGB) {
 			memGB = 0 // cluster-wide memory pressure: over-commit, untracked
 		}
-		c = &container{fn: spec.Name, server: srv, memGB: memGB, born: p.eng.Now()}
+		c = &container{fn: spec.Name, server: srv, memGB: memGB}
 		instS = p.cfg.ColdStartS
-		res.Cold++
 	}
-	dataS := p.dataShareS(spec, colocated)
+	dataS := p.dataShareS(spec)
 
 	p.pending[c.server.ID]++
 	p.eng.Defer(instS+dataS, func() {
 		p.pending[c.server.ID]--
 		p.executeOn(c, spec, execBase, res, 0, func(execS float64, queueS float64) {
-			res.Container = &Handle{c: c}
-			if spec.Isolated {
-				p.warm.kill(c)
-			} else {
-				p.warm.put(c)
-			}
+			p.warm.put(c)
 			done(execS, instS, dataS, queueS)
 		})
 	})
@@ -485,13 +391,11 @@ func (p *Platform) executeOn(c *container, spec FunctionSpec, execBase float64, 
 		execS, straggler := p.sampleExec(execBase, spec.ExecCV, srv)
 		p.active.Inc(1)
 
-		// Failure injection: the function dies partway and is respawned —
-		// unless the task's Restore policy says to fail fast, in which
-		// case the branch ends at the failure point and is reported.
+		// Failure injection: the function dies partway and is respawned,
+		// up to three times; then the branch ends at the failure point.
 		if p.cfg.FailureProb > 0 && p.eng.Rand().Float64() < p.cfg.FailureProb {
-			if spec.Restore == "ignore" || attempt >= 3 {
+			if attempt >= 3 {
 				p.failures++
-				res.Failed++
 				failAt := execS * p.eng.Rand().Float64()
 				p.eng.Defer(failAt, func() {
 					srv.Cores().Release()
@@ -528,15 +432,14 @@ func (p *Platform) executeOn(c *container, spec FunctionSpec, execBase float64, 
 		// p90, respawn a duplicate elsewhere and take the first result.
 		if p.cfg.Mitigate && straggler {
 			if hist, ok := p.history[spec.Name]; ok && hist.N() >= p.cfg.MitigationMinObs {
-				threshold := hist.Percentile(p.cfg.MitigationPctl) * 1.2
+				threshold := hist.Percentile(mitigationPctl) * 1.2
 				if threshold > 0 && threshold < execS {
 					p.eng.Defer(threshold, func() {
 						if finished {
 							return
 						}
-						res.Mitigated++
 						srv.Probation(p.cfg.ProbationS)
-						dup := &container{fn: spec.Name, server: p.cls.LeastLoaded(), memGB: spec.MemGB, born: p.eng.Now()}
+						dup := &container{fn: spec.Name, server: p.cls.LeastLoaded(), memGB: spec.MemGB}
 						p.eng.Defer(p.cfg.ColdStartS, func() {
 							if finished {
 								return
@@ -571,12 +474,11 @@ func (p *Platform) executeOn(c *container, spec FunctionSpec, execBase float64, 
 type Reserved struct {
 	eng  *sim.Engine
 	pool *cluster.ReservedPool
-	cfg  Config
 }
 
 // NewReserved builds a reserved deployment of n cores.
-func NewReserved(eng *sim.Engine, n int, cfg Config) *Reserved {
-	return &Reserved{eng: eng, pool: cluster.NewReservedPool(eng, n), cfg: cfg}
+func NewReserved(eng *sim.Engine, n int) *Reserved {
+	return &Reserved{eng: eng, pool: cluster.NewReservedPool(eng, n)}
 }
 
 // Invoke runs a task on the reserved pool. Parallelism is bounded by
@@ -590,8 +492,7 @@ func (r *Reserved) Invoke(spec FunctionSpec, done func(Result)) {
 	if k > r.pool.Size() {
 		k = r.pool.Size()
 	}
-	start := r.eng.Now()
-	res := &Result{Fn: spec.Name, Start: start}
+	res := &Result{}
 	perBranch := spec.ExecS / float64(k)
 	remaining := k
 	var maxExec, maxQueue float64
@@ -617,7 +518,6 @@ func (r *Reserved) Invoke(spec FunctionSpec, done func(Result)) {
 				if remaining == 0 {
 					res.ExecS = maxExec
 					res.QueueS = maxQueue
-					res.End = r.eng.Now()
 					done(*res)
 				}
 			})

@@ -1,6 +1,7 @@
 package faas
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -34,9 +35,10 @@ func TestInvokeBasicLatencyComposition(t *testing.T) {
 	e := sim.NewEngine(1)
 	p := New(e, testCluster(e), quietConfig())
 	var res Result
-	p.Invoke(spec("face", 0.5), func(r Result) { res = r })
+	var total float64
+	p.Invoke(spec("face", 0.5), timed(e, func(r Result, s float64) { res, total = r, s }))
 	e.Run()
-	cfg := p.Config()
+	cfg := quietConfig()
 	wantMgmt := cfg.AuthS + cfg.SchedS + cfg.ColdStartS
 	if math.Abs(res.MgmtS-wantMgmt) > 1e-9 {
 		t.Fatalf("mgmt = %g, want %g", res.MgmtS, wantMgmt)
@@ -44,11 +46,11 @@ func TestInvokeBasicLatencyComposition(t *testing.T) {
 	if math.Abs(res.ExecS-0.5) > 1e-9 {
 		t.Fatalf("exec = %g", res.ExecS)
 	}
-	if res.Cold != 1 || res.Respawns != 0 {
-		t.Fatalf("cold=%d respawns=%d", res.Cold, res.Respawns)
+	if coldStarts(p) != 1 || res.Respawns != 0 {
+		t.Fatalf("cold=%d respawns=%d", coldStarts(p), res.Respawns)
 	}
-	if math.Abs(totalS(res)-(wantMgmt+0.5)) > 1e-9 {
-		t.Fatalf("total = %g", totalS(res))
+	if math.Abs(total-(wantMgmt+0.5)) > 1e-9 {
+		t.Fatalf("total = %g", total)
 	}
 	if p.invocations != 1 {
 		t.Fatalf("invocations = %d", p.invocations)
@@ -60,20 +62,16 @@ func TestKeepAliveWarmReuse(t *testing.T) {
 	cfg := quietConfig()
 	cfg.KeepAliveS = 20
 	p := New(e, testCluster(e), cfg)
-	var first, second Result
-	p.Invoke(spec("face", 0.1), func(r Result) {
-		first = r
+	var second Result
+	p.Invoke(spec("face", 0.1), func(Result) {
 		// Invoke again 5s later: inside the keep-alive window.
 		e.After(5, func() {
 			p.Invoke(spec("face", 0.1), func(r2 Result) { second = r2 })
 		})
 	})
 	e.Run()
-	if first.Cold != 1 {
-		t.Fatalf("first cold = %d", first.Cold)
-	}
-	if second.Cold != 0 {
-		t.Fatalf("second invocation cold-started despite keep-alive")
+	if coldStarts(p) != 1 {
+		t.Fatalf("cold starts = %d: the second invocation cold-started despite keep-alive", coldStarts(p))
 	}
 	wantWarmMgmt := cfg.AuthS + cfg.SchedS + cfg.WarmStartS
 	if math.Abs(second.MgmtS-wantWarmMgmt) > 1e-9 {
@@ -90,14 +88,13 @@ func TestKeepAliveExpiry(t *testing.T) {
 	cfg := quietConfig()
 	cfg.KeepAliveS = 10
 	p := New(e, testCluster(e), cfg)
-	var second Result
-	p.Invoke(spec("face", 0.1), func(r Result) {
+	p.Invoke(spec("face", 0.1), func(Result) {
 		e.After(30, func() { // past the keep-alive window
-			p.Invoke(spec("face", 0.1), func(r2 Result) { second = r2 })
+			p.Invoke(spec("face", 0.1), func(Result) {})
 		})
 	})
 	e.Run()
-	if second.Cold != 1 {
+	if coldStarts(p) != 2 {
 		t.Fatal("expired container was reused")
 	}
 	// Both containers (the expired one and the second cold-started one)
@@ -111,15 +108,14 @@ func TestKeepAliveExpiry(t *testing.T) {
 func TestZeroKeepAliveAlwaysCold(t *testing.T) {
 	e := sim.NewEngine(1)
 	p := New(e, testCluster(e), quietConfig()) // stock OpenWhisk
-	colds := 0
 	for i := 0; i < 3; i++ {
 		at := float64(i)
 		e.At(at, func() {
-			p.Invoke(spec("face", 0.1), func(r Result) { colds += r.Cold })
+			p.Invoke(spec("face", 0.1), func(Result) {})
 		})
 	}
 	e.Run()
-	if colds != 3 {
+	if colds := coldStarts(p); colds != 3 {
 		t.Fatalf("colds = %d, want 3", colds)
 	}
 }
@@ -128,20 +124,22 @@ func TestIntraTaskParallelismSpeedsExecution(t *testing.T) {
 	e := sim.NewEngine(1)
 	p := New(e, testCluster(e), quietConfig())
 	var serial, parallel Result
-	p.Invoke(spec("slam", 2.0), func(r Result) { serial = r })
+	var serialS, parallelS float64
+	p.Invoke(spec("slam", 2.0), timed(e, func(r Result, s float64) { serial, serialS = r, s }))
 	e.Run()
+	serialColds := coldStarts(p)
 	sp := spec("slam2", 2.0)
 	sp.Parallelism = 8
-	p.Invoke(sp, func(r Result) { parallel = r })
+	p.Invoke(sp, timed(e, func(r Result, s float64) { parallel, parallelS = r, s }))
 	e.Run()
 	if parallel.ExecS >= serial.ExecS/4 {
 		t.Fatalf("parallel exec %g not ≪ serial %g", parallel.ExecS, serial.ExecS)
 	}
-	if totalS(parallel) >= totalS(serial) {
+	if parallelS >= serialS {
 		t.Fatal("intra-task parallelism did not reduce latency")
 	}
-	if parallel.Cold != 8 {
-		t.Fatalf("parallel branches cold = %d, want 8", parallel.Cold)
+	if colds := coldStarts(p) - serialColds; colds != 8 {
+		t.Fatalf("parallel branches cold = %d, want 8", colds)
 	}
 }
 
@@ -193,7 +191,6 @@ func TestRemoteMemFallsBackWithoutEngine(t *testing.T) {
 	}
 	cfg := HiveMindConfig(fab)
 	cfg.InterferenceCoef, cfg.StragglerProb, cfg.FailureProb, cfg.MonitoringOverhead = 0, 0, 0, 0
-	cfg.Colocate = false
 	p := New(e, testCluster(e), cfg)
 	sp := spec("child", 0.1)
 	sp.ParentDataMB = 2
@@ -203,56 +200,6 @@ func TestRemoteMemFallsBackWithoutEngine(t *testing.T) {
 	couch := cfg.LatModel.ExchangeS(store.ProtoCouchDB, 2)
 	if math.Abs(res.DataIOS-couch) > 1e-9 {
 		t.Fatalf("fallback data IO = %g, want CouchDB %g", res.DataIOS, couch)
-	}
-}
-
-func TestColocationSkipsDataExchange(t *testing.T) {
-	e := sim.NewEngine(1)
-	cfg := quietConfig()
-	cfg.KeepAliveS = 30
-	cfg.Colocate = true
-	p := New(e, testCluster(e), cfg)
-	var child Result
-	parentAlive := false
-	p.Invoke(spec("tier", 0.2), func(r Result) {
-		parentAlive = r.Container.Alive()
-		sp := spec("tier", 0.2)
-		sp.ParentDataMB = 4
-		sp.ParentContainer = r.Container
-		sp.Colocatable = true
-		p.Invoke(sp, func(r2 Result) { child = r2 })
-	})
-	e.Run()
-	if !parentAlive {
-		t.Fatal("parent container should be kept alive at child launch")
-	}
-	if child.Cold != 0 {
-		t.Fatal("colocated child cold-started")
-	}
-	inMem := cfg.LatModel.ExchangeS(store.ProtoInMemory, 4)
-	if math.Abs(child.DataIOS-inMem) > 1e-9 {
-		t.Fatalf("colocated data IO = %g, want in-memory %g", child.DataIOS, inMem)
-	}
-}
-
-func TestColocationDegradesWhenNotColocatable(t *testing.T) {
-	e := sim.NewEngine(1)
-	cfg := quietConfig()
-	cfg.KeepAliveS = 30
-	cfg.Colocate = true
-	p := New(e, testCluster(e), cfg)
-	var child Result
-	p.Invoke(spec("parent", 0.2), func(r Result) {
-		sp := spec("child", 0.2) // different image
-		sp.ParentDataMB = 4
-		sp.ParentContainer = r.Container
-		sp.Colocatable = false
-		p.Invoke(sp, func(r2 Result) { child = r2 })
-	})
-	e.Run()
-	couch := cfg.LatModel.ExchangeS(store.ProtoCouchDB, 4)
-	if math.Abs(child.DataIOS-couch) > 1e-9 {
-		t.Fatalf("data IO = %g, want CouchDB %g", child.DataIOS, couch)
 	}
 }
 
@@ -289,9 +236,7 @@ func TestFailureRespawnCompletesTask(t *testing.T) {
 	if res.Respawns != 3 {
 		t.Fatalf("respawns = %d, want 3 (attempt cap)", res.Respawns)
 	}
-	if res.Failed != 1 {
-		t.Fatalf("failed = %d, want 1 (fourth attempt fails fast)", res.Failed)
-	}
+	// The fourth attempt fails fast: no fourth respawn, four failures.
 	if p.failures != 4 {
 		t.Fatalf("failures = %d", p.failures)
 	}
@@ -332,7 +277,7 @@ func TestStragglerMitigationCutsTail(t *testing.T) {
 		for i := 0; i < 400; i++ {
 			at := float64(i) * 0.05
 			e.At(at, func() {
-				p.Invoke(spec("job", 0.3), func(r Result) { lat.Add(totalS(r)) })
+				p.Invoke(spec("job", 0.3), timed(e, func(_ Result, s float64) { lat.Add(s) }))
 			})
 		}
 		e.Run()
@@ -354,9 +299,10 @@ func TestInterferenceInflatesBusyServers(t *testing.T) {
 		p.Invoke(spec("bg", 50), func(Result) {})
 	}
 	var res Result
-	e.At(1, func() { p.Invoke(spec("probe", 1.0), func(r Result) { res = r }) })
+	done := false
+	e.At(1, func() { p.Invoke(spec("probe", 1.0), func(r Result) { res, done = r, true }) })
 	e.RunUntil(60)
-	if res.End == 0 {
+	if !done {
 		t.Skip("probe did not finish within window")
 	}
 	if res.ExecS <= 1.0 {
@@ -387,7 +333,7 @@ func TestActiveGaugeTracksLoad(t *testing.T) {
 
 func TestReservedPoolBaseline(t *testing.T) {
 	e := sim.NewEngine(1)
-	r := NewReserved(e, 2, quietConfig())
+	r := NewReserved(e, 2)
 	var last Result
 	finished := 0
 	for i := 0; i < 6; i++ {
@@ -404,14 +350,14 @@ func TestReservedPoolBaseline(t *testing.T) {
 	if last.QueueS <= 0 {
 		t.Fatal("reserved tasks should queue when pool is full")
 	}
-	if last.MgmtS != 0 || last.Cold != 0 {
+	if last.MgmtS != 0 {
 		t.Fatal("reserved pool must not pay instantiation")
 	}
 }
 
 func TestReservedParallelismBoundedByPool(t *testing.T) {
 	e := sim.NewEngine(1)
-	r := NewReserved(e, 4, quietConfig())
+	r := NewReserved(e, 4)
 	sp := spec("f", 4.0)
 	sp.Parallelism = 16 // only 4 cores exist
 	var res Result
@@ -445,7 +391,7 @@ func TestServerlessVsReservedShape(t *testing.T) {
 				e.At(at, func() {
 					sp := spec("face", taskS)
 					sp.Parallelism = par
-					p.Invoke(sp, func(r Result) { lat.Add(totalS(r)) })
+					p.Invoke(sp, timed(e, func(_ Result, s float64) { lat.Add(s) }))
 				})
 			}
 		}
@@ -455,13 +401,13 @@ func TestServerlessVsReservedShape(t *testing.T) {
 	reserved := func() float64 {
 		e := sim.NewEngine(2)
 		// Equal average CPU: 16 tasks/s × 0.8 core-s ≈ 13 cores.
-		r := NewReserved(e, 13, quietConfig())
+		r := NewReserved(e, 13)
 		var lat stats.Sample
 		for round := 0; round < rounds; round++ {
 			at := float64(round) * period
 			for d := 0; d < devices; d++ {
 				e.At(at, func() {
-					r.Invoke(spec("face", taskS), func(res Result) { lat.Add(totalS(res)) })
+					r.Invoke(spec("face", taskS), timed(e, func(_ Result, s float64) { lat.Add(s) }))
 				})
 			}
 		}
@@ -491,7 +437,7 @@ func TestDeterministicReplay(t *testing.T) {
 		for i := 0; i < 100; i++ {
 			at := float64(i) * 0.05
 			e.At(at, func() {
-				p.Invoke(spec("f", 0.3), func(r Result) { lats = append(lats, totalS(r)) })
+				p.Invoke(spec("f", 0.3), timed(e, func(_ Result, s float64) { lats = append(lats, s) }))
 			})
 		}
 		e.Run()
@@ -538,132 +484,31 @@ func TestShardedSchedulerQueuesDecisions(t *testing.T) {
 	}
 }
 
-func TestMultiTierColocationChain(t *testing.T) {
-	// Three tiers of the same image chained through colocation: every
-	// hop after the first shares the container, so data IO stays at the
-	// in-memory cost throughout.
-	e := sim.NewEngine(1)
-	cfg := quietConfig()
-	cfg.KeepAliveS = 30
-	cfg.Colocate = true
-	p := New(e, testCluster(e), cfg)
-	inMem := cfg.LatModel.ExchangeS(store.ProtoInMemory, 2)
-	var tiers []Result
-	var invoke func(parent *Handle, depth int)
-	invoke = func(parent *Handle, depth int) {
-		if depth == 3 {
-			return
-		}
-		sp := spec("tier", 0.1)
-		if parent != nil {
-			sp.ParentDataMB = 2
-			sp.ParentContainer = parent
-			sp.Colocatable = true
-		}
-		p.Invoke(sp, func(r Result) {
-			tiers = append(tiers, r)
-			invoke(r.Container, depth+1)
-		})
-	}
-	invoke(nil, 0)
-	e.Run()
-	if len(tiers) != 3 {
-		t.Fatalf("tiers = %d", len(tiers))
-	}
-	for i, r := range tiers[1:] {
-		if r.Cold != 0 {
-			t.Fatalf("tier %d cold-started", i+1)
-		}
-		if math.Abs(r.DataIOS-inMem) > 1e-9 {
-			t.Fatalf("tier %d data IO = %g, want in-memory %g", i+1, r.DataIOS, inMem)
-		}
-	}
-}
-
-func TestIsolatedTasksNeverShareContainers(t *testing.T) {
-	e := sim.NewEngine(1)
-	cfg := quietConfig()
-	cfg.KeepAliveS = 30
-	cfg.Colocate = true
-	p := New(e, testCluster(e), cfg)
-	colds := 0
-	var run func(n int)
-	run = func(n int) {
-		if n == 0 {
-			return
-		}
-		sp := spec("secure", 0.1)
-		sp.Isolated = true
-		p.Invoke(sp, func(r Result) {
-			colds += r.Cold
-			if r.Container.Alive() {
-				t.Error("isolated container survived execution")
-			}
-			run(n - 1)
-		})
-	}
-	run(3)
-	e.Run()
-	if colds != 3 {
-		t.Fatalf("colds = %d, want 3 (no reuse for isolated tasks)", colds)
-	}
-}
-
-func TestPriorityAdmissionOrder(t *testing.T) {
+func TestAdmissionIsFIFO(t *testing.T) {
 	e := sim.NewEngine(1)
 	cfg := quietConfig()
 	cfg.MaxInFlight = 1
 	p := New(e, testCluster(e), cfg)
 	var order []string
-	mk := func(name string, prio int) {
-		sp := spec(name, 0.5)
-		sp.Priority = prio
-		p.Invoke(sp, func(r Result) { order = append(order, name) })
+	for _, name := range []string{"first", "a", "b", "c"} { // first occupies the only slot
+		p.Invoke(spec(name, 0.5), func(Result) { order = append(order, name) })
 	}
-	mk("first", 0) // occupies the only slot
-	mk("low-a", 0)
-	mk("low-b", 0)
-	mk("high", 5) // queued last but jumps the low-priority waiters
 	e.Run()
-	if len(order) != 4 {
-		t.Fatalf("order = %v", order)
-	}
-	if order[1] != "high" {
-		t.Fatalf("priority ignored: %v", order)
-	}
-	if order[2] != "low-a" || order[3] != "low-b" {
-		t.Fatalf("FIFO within priority broken: %v", order)
+	if fmt.Sprint(order) != "[first a b c]" {
+		t.Fatalf("admission order = %v, want arrival order", order)
 	}
 }
 
-func TestRestoreIgnoreFailsFast(t *testing.T) {
-	e := sim.NewEngine(7)
-	cfg := quietConfig()
-	cfg.FailureProb = 1.0
-	p := New(e, testCluster(e), cfg)
-	sp := spec("besteffort", 0.5)
-	sp.Restore = "ignore"
-	var res Result
-	p.Invoke(sp, func(r Result) { res = r })
-	e.Run()
-	if res.Respawns != 0 {
-		t.Fatalf("respawns = %d under ignore policy", res.Respawns)
-	}
-	if res.Failed == 0 {
-		t.Fatal("ignore policy did not report the failed branch")
-	}
-	// The failed branch ends early: latency below the full service time.
-	if res.ExecS >= 0.5 {
-		t.Fatalf("failed branch ran to completion: exec=%g", res.ExecS)
-	}
-	// Default policy still respawns.
-	var def Result
-	p.Invoke(spec("normal", 0.5), func(r Result) { def = r })
-	e.Run()
-	if def.Respawns == 0 {
-		t.Fatal("default policy did not respawn")
-	}
+// coldStarts counts the platform's cold starts so far: every branch
+// that finds no warm container starts one.
+func coldStarts(p *Platform) int {
+	_, misses, _ := p.warm.stats()
+	return misses
 }
 
-// totalS is a task's end-to-end latency.
-func totalS(r Result) float64 { return r.End - r.Start }
+// timed wraps done for one Invoke call, passing the task's end-to-end
+// latency: the engine time from the call to its completion.
+func timed(e *sim.Engine, done func(r Result, totalS float64)) func(Result) {
+	start := e.Now()
+	return func(r Result) { done(r, e.Now()-start) }
+}

@@ -10,6 +10,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"hivemind/internal/metrics"
 )
 
 // thenQuery is the url.Values reading thenFlag must agree with.
@@ -115,7 +117,9 @@ func TestIngressCoalescingConfirmsPayload(t *testing.T) {
 func TestIngressThenTrueClientGone(t *testing.T) {
 	ids := make(chan string, 1)
 	release := make(chan struct{})
+	reg := metrics.NewRegistry()
 	s, err := NewServer(Options{
+		Monitor: reg,
 		Dispatcher: DispatchFunc(func(_ context.Context, _ string, payload []byte) ([]byte, error) {
 			<-release
 			return append([]byte("r:"), payload...), nil
@@ -155,7 +159,7 @@ func TestIngressThenTrueClientGone(t *testing.T) {
 	}
 	free()
 	deadline := time.Now().Add(5 * time.Second)
-	for s.Stats().Done != 1 {
+	for reg.Counter("ingress-ok") != 1 {
 		if time.Now().After(deadline) {
 			t.Fatalf("job did not complete after its client left: %+v", s.Stats())
 		}

@@ -79,8 +79,6 @@ type Stats struct {
 	Dispatched uint64 // RPCs actually issued
 	Shed       uint64 // jobs rejected by admission control
 	Failed     uint64 // jobs failed for any other reason
-	Done       uint64 // jobs completed successfully
-	Pending    int    // jobs in flight right now
 }
 
 type job struct {
@@ -104,7 +102,7 @@ type Server struct {
 	idSeq    atomic.Uint64
 
 	posted, coalesced, dispatched uint64
-	shed, failed, done            uint64
+	shed, failed                  uint64
 
 	mu        sync.Mutex
 	jobs      map[string]*job      // result id → job (pending + TTL'd results)
@@ -156,8 +154,6 @@ func (s *Server) Stats() Stats {
 		Dispatched: atomic.LoadUint64(&s.dispatched),
 		Shed:       atomic.LoadUint64(&s.shed),
 		Failed:     atomic.LoadUint64(&s.failed),
-		Done:       atomic.LoadUint64(&s.done),
-		Pending:    s.Depth(),
 	}
 }
 
@@ -322,7 +318,6 @@ func (s *Server) complete(j *job, body []byte, err error) {
 	close(j.done)
 	switch {
 	case err == nil:
-		atomic.AddUint64(&s.done, 1)
 		s.opts.Monitor.Inc("ingress-ok")
 	case rpc.IsShed(err):
 		atomic.AddUint64(&s.shed, 1)

@@ -51,12 +51,10 @@ type Medium struct {
 
 // Flow is an in-flight transfer on a medium.
 type Flow struct {
-	vfinish  float64 // drain value at which the flow completes
-	size     float64
-	started  sim.Time
-	done     func(f *Flow)
-	finished sim.Time
-	seq      uint64
+	vfinish float64 // drain value at which the flow completes
+	size    float64
+	done    func(f *Flow)
+	seq     uint64
 }
 
 type flowHeap []*Flow
@@ -78,9 +76,6 @@ func (h *flowHeap) Pop() any {
 	*h = old[:n-1]
 	return f
 }
-
-// Duration returns how long the transfer took (valid after completion).
-func (f *Flow) Duration() sim.Time { return f.finished - f.started }
 
 // NewMedium creates a medium with aggregate capacity capacityBps
 // (bytes/s) and optional per-flow cap (0 disables). Bandwidth is metered
@@ -151,7 +146,6 @@ func (m *Medium) advance() {
 		if over := m.drain - f.vfinish; over > 0 {
 			m.meter.Add(now, -math.Min(over, f.size))
 		}
-		f.finished = now
 		if f.done != nil {
 			f.done(f)
 		}
@@ -176,9 +170,8 @@ func (m *Medium) reschedule() {
 // Transfer starts a flow of the given size. done (may be nil) fires when
 // the last byte is delivered. Zero-size transfers complete immediately.
 func (m *Medium) Transfer(bytes float64, done func(*Flow)) {
-	f := &Flow{size: bytes, started: m.eng.Now(), done: done}
+	f := &Flow{size: bytes, done: done}
 	if bytes <= 0 {
-		f.finished = m.eng.Now()
 		if done != nil {
 			done(f)
 		}

@@ -63,15 +63,6 @@ func (n *Network) ScaleWireless(factor float64) {
 	n.Wireless.SetCapacity(n.cfg.WirelessBps * factor)
 }
 
-// TransferInfo reports where a transfer's time went.
-type TransferInfo struct {
-	Bytes     float64
-	QueueingS sim.Time // time on the shared medium (serialization + congestion)
-	ProcS     sim.Time // protocol processing at both endpoints
-	PropS     sim.Time // propagation
-	TotalS    sim.Time
-}
-
 // procCost returns the protocol-processing time for one message of the
 // given size, honouring acceleration.
 func (n *Network) procCost(bytes float64) sim.Time {
@@ -82,23 +73,18 @@ func (n *Network) procCost(bytes float64) sim.Time {
 }
 
 // EdgeToCloud moves bytes from a device to the cluster (or back — the
-// wireless hop is symmetric). done receives the latency breakdown.
-func (n *Network) EdgeToCloud(bytes float64, done func(TransferInfo)) {
+// wireless hop is symmetric). done receives the transfer's latency:
+// protocol processing at both endpoints, time on the shared medium
+// (serialization and congestion) and propagation.
+func (n *Network) EdgeToCloud(bytes float64, done func(totalS sim.Time)) {
 	start := n.eng.Now()
 	proc := n.procCost(bytes) * 2 // sender + receiver stacks
 	prop := n.cfg.WirelessPropS
 	n.eng.Defer(proc, func() {
-		n.Wireless.Transfer(bytes, func(f *Flow) {
+		n.Wireless.Transfer(bytes, func(*Flow) {
 			n.eng.Defer(prop, func() {
-				info := TransferInfo{
-					Bytes:     bytes,
-					QueueingS: f.Duration(),
-					ProcS:     proc,
-					PropS:     prop,
-					TotalS:    n.eng.Now() - start,
-				}
 				if done != nil {
-					done(info)
+					done(n.eng.Now() - start)
 				}
 			})
 		})

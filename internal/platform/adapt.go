@@ -21,14 +21,6 @@ type Adapter struct {
 	current   TierPlacement
 	window    *stats.Sample
 	minWindow int
-	switches  []adaptSwitch // the adaptation history
-}
-
-// adaptSwitch records one placement change.
-type adaptSwitch struct {
-	AtS      float64
-	From, To TierPlacement
-	P95      float64
 }
 
 // NewAdapter starts adaptive placement for one application with a p95
@@ -90,9 +82,6 @@ func (a *Adapter) maybeAdapt() {
 	default:
 		return
 	}
-	a.switches = append(a.switches, adaptSwitch{
-		AtS: a.sys.Eng.Now(), From: a.current, To: next, P95: p95,
-	})
 	a.current = next
 	a.window = &stats.Sample{} // fresh observation window after a switch
 }

@@ -38,7 +38,7 @@ const (
 	// outputs reach the cloud.
 	DistributedEdge
 	// HiveMind is the full system: hybrid placement, serverless backend
-	// with keep-alive/colocation/straggler mitigation, FPGA RPC and
+	// with keep-alive reuse and straggler mitigation, FPGA RPC and
 	// remote-memory acceleration.
 	HiveMind
 )
@@ -99,22 +99,10 @@ type Options struct {
 	// scale links proportionately to swarm size).
 	WirelessScale float64
 
-	// SchedulerShards sets the number of controller decision shards
-	// (0 = auto: one shard, plus extra shards under HiveMind once the
-	// swarm's decision rate would saturate a single controller thread,
-	// §5.6).
-	SchedulerShards int
-
 	// Trace, if non-nil, records a span per completed task (with its
 	// stage decomposition) and instants for device failures — exported
 	// as a Chrome trace via internal/trace.
 	Trace *trace.Recorder
-
-	// PublicCloud models the §4.8 deployment where HiveMind does not
-	// control physical machines: no parent/child colocation, no FPGA
-	// fabrics, and co-tenant interference is higher. HiveMind retains
-	// its programmability and hybrid-placement benefits.
-	PublicCloud bool
 }
 
 // Preset returns the paper-faithful configuration for a system kind.
@@ -188,14 +176,6 @@ func NewSystem(o Options) *System {
 		clsCfg.NetStackCoresPerServer = 0 // offload frees the stack cores
 	}
 	faasCfg := o.FaasCfg
-	if o.PublicCloud {
-		o.NetAccel = false
-		o.RemoteMemAccel = false
-		netCfg.RPCAccel = false
-		clsCfg.NetStackCoresPerServer = cluster.DefaultConfig().NetStackCoresPerServer
-		faasCfg.Colocate = false
-		faasCfg.InterferenceCoef *= 1.5 // unknown co-tenants
-	}
 	if !o.RemoteMemAccel && faasCfg.Protocol == store.ProtoRemoteMem {
 		faasCfg.Protocol = store.ProtoCouchDB
 		faasCfg.Fabric = nil
@@ -205,13 +185,10 @@ func NewSystem(o Options) *System {
 	// rate would saturate it (§5.6: "multiple schedulers, each
 	// responsible for a subset of tasks").
 	const decisionS = 0.0002
-	shards := o.SchedulerShards
-	if shards <= 0 {
-		shards = 1
-		if o.Kind == HiveMind {
-			// ~2 tasks/s/device headroom against the 5000/s shard limit.
-			shards = 1 + o.Devices*2/int(1/decisionS)
-		}
+	shards := 1
+	if o.Kind == HiveMind {
+		// ~2 tasks/s/device headroom against the 5000/s shard limit.
+		shards = 1 + o.Devices*2/int(1/decisionS)
 	}
 	faasCfg.Scheduler = scheduler.NewSharded(eng, shards, decisionS)
 
@@ -294,17 +271,14 @@ func (s *System) PlaceFor(p apps.Profile) TierPlacement {
 
 // TaskMetrics is one completed task's accounting.
 type TaskMetrics struct {
-	App       apps.ID
-	Placement TierPlacement
-	Start     sim.Time
-	End       sim.Time
-	Network   float64
-	Mgmt      float64
-	DataIO    float64
-	Exec      float64
-	Dropped   bool
-	Cold      int
-	Respawns  int
+	Start    sim.Time
+	End      sim.Time
+	Network  float64
+	Mgmt     float64
+	DataIO   float64
+	Exec     float64
+	Dropped  bool
+	Respawns int
 }
 
 // TotalS returns end-to-end latency.
@@ -331,8 +305,6 @@ func (s *System) sampleEdgeExec(base, cv float64) float64 {
 type SubmitOpts struct {
 	// ForcePlacement overrides the system's placement decision.
 	ForcePlacement *TierPlacement
-	// Parallelism overrides the profile fan-out (0 = per system config).
-	Parallelism int
 	// InputScale scales the sensor payload (resolution sweeps).
 	InputScale float64
 }
@@ -347,7 +319,7 @@ func (s *System) SubmitTask(p apps.Profile, dev *device.Device, opts SubmitOpts,
 	if opts.ForcePlacement != nil {
 		placement = *opts.ForcePlacement
 	}
-	m := TaskMetrics{App: p.ID, Placement: placement, Start: s.Eng.Now()}
+	m := TaskMetrics{Start: s.Eng.Now()}
 	finish := func() {
 		m.End = s.Eng.Now()
 		if tr := s.Opts.Trace; tr != nil {
@@ -410,8 +382,8 @@ func (s *System) runEdge(p apps.Profile, dev *device.Device, m *TaskMetrics, opt
 		// Ship the final output to the backend.
 		outMB := p.OutputMB
 		dev.Transmit(outMB)
-		s.Net.EdgeToCloud(outMB*1e6, func(ti netsim.TransferInfo) {
-			m.Network += ti.TotalS
+		s.Net.EdgeToCloud(outMB*1e6, func(netS sim.Time) {
+			m.Network += netS
 			finish()
 		})
 	})
@@ -423,14 +395,11 @@ func (s *System) runEdge(p apps.Profile, dev *device.Device, m *TaskMetrics, opt
 func (s *System) runCloud(p apps.Profile, dev *device.Device, m *TaskMetrics, opts SubmitOpts, uploadFrac, workDone float64, finish func()) {
 	inMB := p.InputMB * opts.InputScale * uploadFrac
 	dev.Transmit(inMB)
-	s.Net.EdgeToCloud(inMB*1e6, func(up netsim.TransferInfo) {
-		m.Network += up.TotalS
+	s.Net.EdgeToCloud(inMB*1e6, func(upS sim.Time) {
+		m.Network += upS
 		par := p.Parallelism
 		if !s.Opts.IntraTaskPar {
 			par = 1
-		}
-		if opts.Parallelism > 0 {
-			par = opts.Parallelism
 		}
 		spec := faas.FunctionSpec{
 			Name:         string(p.ID),
@@ -444,12 +413,11 @@ func (s *System) runCloud(p apps.Profile, dev *device.Device, m *TaskMetrics, op
 			m.Mgmt += r.MgmtS + r.QueueS
 			m.DataIO += r.DataIOS
 			m.Exec += r.ExecS
-			m.Cold += r.Cold
 			m.Respawns += r.Respawns
 			// Response back to the device.
 			dev.Receive(p.OutputMB)
-			s.Net.EdgeToCloud(p.OutputMB*1e6, func(down netsim.TransferInfo) {
-				m.Network += down.TotalS
+			s.Net.EdgeToCloud(p.OutputMB*1e6, func(downS sim.Time) {
+				m.Network += downS
 				finish()
 			})
 		})
@@ -459,17 +427,14 @@ func (s *System) runCloud(p apps.Profile, dev *device.Device, m *TaskMetrics, op
 // JobResult aggregates a single-tier job run (one application, all
 // devices, fixed duration).
 type JobResult struct {
-	App         apps.ID
 	Latency     *stats.Sample
 	Breakdown   *stats.Breakdown
 	Submitted   int
 	Completed   int
-	Dropped     int
 	BatteryMean float64 // mean consumed fraction across devices
 	BatteryMax  float64
 	BWMeanMBps  float64 // wireless bandwidth over the run
 	BWp99MBps   float64
-	ColdStarts  int
 	Respawns    int
 }
 
@@ -477,7 +442,7 @@ type JobResult struct {
 // durationS seconds, then drains in-flight tasks, and reports
 // aggregate metrics (the paper runs each job for 120 s).
 func (s *System) RunJob(p apps.Profile, durationS float64) JobResult {
-	res := JobResult{App: p.ID, Latency: &stats.Sample{}, Breakdown: stats.NewBreakdown()}
+	res := JobResult{Latency: &stats.Sample{}, Breakdown: stats.NewBreakdown()}
 	period := 1.0 / p.TaskRatePerDevice
 	rng := s.Eng.Rand()
 	for _, d := range s.Fleet {
@@ -492,7 +457,6 @@ func (s *System) RunJob(p apps.Profile, durationS float64) JobResult {
 			res.Submitted++
 			s.SubmitTask(p, d, SubmitOpts{}, func(m TaskMetrics) {
 				if m.Dropped {
-					res.Dropped++
 					return
 				}
 				res.Completed++
@@ -503,7 +467,6 @@ func (s *System) RunJob(p apps.Profile, durationS float64) JobResult {
 					stats.StageDataIO:     m.DataIO,
 					stats.StageExecution:  m.Exec,
 				})
-				res.ColdStarts += m.Cold
 				res.Respawns += m.Respawns
 			})
 			next := period * (0.8 + 0.4*rng.Float64())
@@ -539,8 +502,8 @@ func (s *System) ReservedJob(p apps.Profile, durationS float64, sizeCores int) J
 			sizeCores = 1
 		}
 	}
-	pool := faas.NewReserved(s.Eng, sizeCores, s.Faas.Config())
-	res := JobResult{App: p.ID, Latency: &stats.Sample{}, Breakdown: stats.NewBreakdown()}
+	pool := faas.NewReserved(s.Eng, sizeCores)
+	res := JobResult{Latency: &stats.Sample{}, Breakdown: stats.NewBreakdown()}
 	period := 1.0 / p.TaskRatePerDevice
 	rng := s.Eng.Rand()
 	for _, d := range s.Fleet {
@@ -556,7 +519,7 @@ func (s *System) ReservedJob(p apps.Profile, durationS float64, sizeCores int) J
 			inMB := p.InputMB
 			dev := d
 			dev.Transmit(inMB)
-			s.Net.EdgeToCloud(inMB*1e6, func(up netsim.TransferInfo) {
+			s.Net.EdgeToCloud(inMB*1e6, func(upS sim.Time) {
 				// Fixed deployments run each task as a single process;
 				// intra-task fan-out is a serverless benefit (§3.2).
 				pool.Invoke(faas.FunctionSpec{
@@ -564,11 +527,11 @@ func (s *System) ReservedJob(p apps.Profile, durationS float64, sizeCores int) J
 					MemGB: p.MemGB, ExecCV: p.ExecCV,
 				}, func(r faas.Result) {
 					dev.Receive(p.OutputMB)
-					s.Net.EdgeToCloud(p.OutputMB*1e6, func(down netsim.TransferInfo) {
+					s.Net.EdgeToCloud(p.OutputMB*1e6, func(downS sim.Time) {
 						res.Completed++
 						res.Latency.Add(s.Eng.Now() - taskStart)
 						res.Breakdown.Record(map[stats.Stage]float64{
-							stats.StageNetwork:   up.TotalS + down.TotalS,
+							stats.StageNetwork:   upS + downS,
 							stats.StageExecution: r.ExecS + r.QueueS,
 						})
 					})

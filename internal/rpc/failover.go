@@ -45,9 +45,6 @@ func RedirectTarget(err error) (leader int, ok bool) {
 // FailoverOptions tunes the hardened caller. The zero value is the plain
 // leader-following client with a fixed 25 ms pause between attempts.
 type FailoverOptions struct {
-	// Callers sizes the caller pool of the connection each DialFailover
-	// endpoint rides (<=0: 8).
-	Callers int
 	// Attempts bounds call attempts across endpoints and sweeps, the
 	// first one included (<=0: 4 × the endpoint count; 1: never retry).
 	Attempts int
@@ -147,12 +144,12 @@ func ConnEndpoint(dial func() (net.Conn, error), callers int) func() (Transport,
 }
 
 // DialFailover builds the hardened caller over TCP addresses, one
-// ConnEndpoint connection per endpoint.
+// ConnEndpoint connection (8 callers) per endpoint.
 func DialFailover(addrs []string, opts FailoverOptions) *FailoverClient {
 	endpoints := make([]func() (Transport, error), len(addrs))
 	for i, addr := range addrs {
 		addr := addr
-		endpoints[i] = ConnEndpoint(func() (net.Conn, error) { return net.Dial("tcp", addr) }, opts.Callers)
+		endpoints[i] = ConnEndpoint(func() (net.Conn, error) { return net.Dial("tcp", addr) }, 0)
 	}
 	return NewFailover(endpoints, opts)
 }

@@ -186,7 +186,7 @@ func TestTransportContract(t *testing.T) {
 				t.Fatal(err)
 			}
 			go srv.Serve(ln)
-			fc := DialFailover([]string{ln.Addr().String()}, FailoverOptions{Attempts: 1, Callers: 1})
+			fc := DialFailover([]string{ln.Addr().String()}, FailoverOptions{Attempts: 1})
 			t.Cleanup(fc.Close)
 			return callOnly{fc}
 		},

@@ -148,7 +148,7 @@ func (q *streamQ) size() int { return len(q.tasks) - q.head }
 // stream already has max tasks queued is shed with a typed ShedError —
 // the same vocabulary the admission layer uses, so IsShed handling
 // applies unchanged. A stream whose caller pool exceeds the worker
-// bound can reach it (a DialFailover caller with Callers: 1024);
+// bound can reach it (a FailoverClient whose ConnEndpoint pools 1024 callers);
 // FailoverStats.Shed counts every shed the caller sees.
 //
 // Cancel frames are never routed through the pool — the read loop

@@ -179,8 +179,6 @@ type AdmissionStats struct {
 	// stays only because the benchmark ledger still reads it
 	// (runtime.shed_codel); it goes when the ledger stops.
 	ShedCoDel uint64
-	Active    int // currently running
-	Queued    int // currently waiting
 }
 
 // AdmissionStats snapshots the gateway's overload counters; zero-valued
@@ -189,14 +187,8 @@ func (g *Gateway) AdmissionStats() AdmissionStats {
 	if g.adm == nil {
 		return AdmissionStats{}
 	}
-	a := g.adm
-	a.mu.Lock()
-	active, queued := a.active, a.queued
-	a.mu.Unlock()
 	return AdmissionStats{
-		Admitted: a.admitted.Load(),
-		ShedFull: a.shedFull.Load(),
-		Active:   active,
-		Queued:   queued,
+		Admitted: g.adm.admitted.Load(),
+		ShedFull: g.adm.shedFull.Load(),
 	}
 }

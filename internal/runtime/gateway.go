@@ -200,7 +200,7 @@ func (g *Gateway) Expose(method, function string) {
 		ctx, cancel := g.callCtx(ctx)
 		defer cancel()
 		octx, obs := g.observeTask(ctx, method, env.Trace.TraceID, env, start)
-		res, err := g.rt.Invoke(octx, function, body)
+		out, err := g.rt.Invoke(octx, function, body)
 		obs.finish(err)
 		g.monitor.Observe("gateway-latency", time.Since(start).Seconds())
 		if err != nil {
@@ -208,7 +208,7 @@ func (g *Gateway) Expose(method, function string) {
 			return nil, err
 		}
 		g.monitor.Inc("gateway-ok")
-		return res.Output, nil
+		return out, nil
 	})
 }
 
@@ -535,9 +535,9 @@ func (g *Gateway) runStep(ctx context.Context, method, fn string, input []byte) 
 			}
 			return nil, err
 		}
-		res, err := g.rt.Invoke(ctx, fn, input)
+		out, err := g.rt.Invoke(ctx, fn, input)
 		if err == nil {
-			return res.Output, nil
+			return out, nil
 		}
 		lastErr = err
 	}

@@ -8,36 +8,15 @@ import (
 	"hivemind/internal/rpc"
 )
 
-// TransportKind names which fast path a link selected.
-type TransportKind int
-
-const (
-	// TransportRing is the in-process shared-memory ring: no frames, no
-	// serialization, no syscalls. Selected for co-located tiers.
-	TransportRing TransportKind = iota
-	// TransportStream is a framed TCP connection of the link's own
-	// (rpc.ConnEndpoint): frames coalesce into writev batches, and a
-	// full server queue sheds the overflow with rpc.ShedError instead of
-	// blocking. Selected for remote tiers.
-	TransportStream
-)
-
-func (k TransportKind) String() string {
-	switch k {
-	case TransportRing:
-		return "ring"
-	case TransportStream:
-		return "stream"
-	default:
-		return fmt.Sprintf("TransportKind(%d)", int(k))
-	}
-}
-
 // Link is a selected per-peer transport: the rpc.Transport the caller
-// issues calls on, tagged with which fast path it rides.
+// issues calls on. A co-located tier's is an *rpc.Ring, the in-process
+// shared-memory ring (no frames, no serialization, no syscalls); a
+// remote tier's is an *rpc.Client on a framed TCP connection of the
+// link's own (rpc.ConnEndpoint), whose frames coalesce into writev
+// batches and whose full server queue sheds the overflow with
+// rpc.ShedError instead of blocking.
 type Link struct {
 	rpc.Transport
-	Kind TransportKind
 }
 
 // Peer describes where a neighbouring tier lives. Exactly one field is
@@ -91,14 +70,14 @@ func (l *Linker) Connect(p Peer) (*Link, error) {
 		if err != nil {
 			return nil, fmt.Errorf("runtime: ring to co-located gateway: %w", err)
 		}
-		return l.track(r, TransportRing)
+		return l.track(r)
 	case p.Addr != "":
 		dial := func() (net.Conn, error) { return l.opts.Dial(p.Addr) }
 		s, err := rpc.ConnEndpoint(dial, linkCallers)()
 		if err != nil {
 			return nil, fmt.Errorf("runtime: dialling %s: %w", p.Addr, err)
 		}
-		return l.track(s, TransportStream)
+		return l.track(s)
 	default:
 		return nil, fmt.Errorf("runtime: empty peer")
 	}
@@ -108,7 +87,7 @@ func (l *Linker) Connect(p Peer) (*Link, error) {
 // the links that have turned unhealthy since (a ring whose gateway
 // died, a stream whose connection dropped), so the list holds live
 // links only however often Failover rebuilds.
-func (l *Linker) track(tr rpc.Transport, kind TransportKind) (*Link, error) {
+func (l *Linker) track(tr rpc.Transport) (*Link, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
@@ -124,7 +103,7 @@ func (l *Linker) track(tr rpc.Transport, kind TransportKind) (*Link, error) {
 		}
 	}
 	l.links = append(live, tr)
-	return &Link{Transport: tr, Kind: kind}, nil
+	return &Link{Transport: tr}, nil
 }
 
 // Failover builds the hardened caller over one Peer per replica (the

@@ -37,14 +37,14 @@ func leaderGateway(t *testing.T, id int, leader *atomic.Int32) *Gateway {
 // leaderKind reports the fast path calls to the client's believed
 // leader ride: every link a Linker's failover client holds for a
 // replica comes from Connect on that replica's Peer.
-func leaderKind(t *testing.T, l *Linker, peers []Peer, fc *rpc.FailoverClient) TransportKind {
+func leaderKind(t *testing.T, l *Linker, peers []Peer, fc *rpc.FailoverClient) string {
 	t.Helper()
 	lk, err := l.Connect(peers[fc.Leader()])
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer lk.Close()
-	return lk.Kind
+	return kindOf(lk)
 }
 
 // TestLinkerFailoverFlipsTransportOnLeaderChange is the acceptance test
@@ -82,7 +82,7 @@ func TestLinkerFailoverFlipsTransportOnLeaderChange(t *testing.T) {
 	if string(out) != "0?" {
 		t.Fatalf("leader 0 answered %q", out)
 	}
-	if k := leaderKind(t, l, peers, fc); k != TransportRing {
+	if k := leaderKind(t, l, peers, fc); k != "ring" {
 		t.Fatalf("co-located leader rides %v, want ring", k)
 	}
 
@@ -99,7 +99,7 @@ func TestLinkerFailoverFlipsTransportOnLeaderChange(t *testing.T) {
 	if fc.Leader() != 1 {
 		t.Fatalf("believed leader = %d, want 1", fc.Leader())
 	}
-	if k := leaderKind(t, l, peers, fc); k != TransportStream {
+	if k := leaderKind(t, l, peers, fc); k != "stream" {
 		t.Fatalf("remote leader rides %v, want stream", k)
 	}
 
@@ -109,7 +109,7 @@ func TestLinkerFailoverFlipsTransportOnLeaderChange(t *testing.T) {
 	if _, err := fc.Call(context.Background(), "who", []byte("?")); err != nil {
 		t.Fatal(err)
 	}
-	if k := leaderKind(t, l, peers, fc); k != TransportRing {
+	if k := leaderKind(t, l, peers, fc); k != "ring" {
 		t.Fatalf("restored co-located leader rides %v, want ring", k)
 	}
 }

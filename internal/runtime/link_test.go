@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -26,6 +27,18 @@ func echoGateway(t *testing.T) *Gateway {
 	return g
 }
 
+// kindOf names the fast path a link rides: "ring" for the shared-memory
+// ring, "stream" for a TCP client.
+func kindOf(link *Link) string {
+	switch link.Transport.(type) {
+	case *rpc.Ring:
+		return "ring"
+	case *rpc.Client:
+		return "stream"
+	}
+	return fmt.Sprintf("%T", link.Transport)
+}
+
 func TestLinkerSelectsRingForCoLocatedGateway(t *testing.T) {
 	g := echoGateway(t)
 	l := NewLinker(LinkerOptions{})
@@ -35,8 +48,8 @@ func TestLinkerSelectsRingForCoLocatedGateway(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if link.Kind != TransportRing {
-		t.Fatalf("co-located peer selected %v, want ring", link.Kind)
+	if k := kindOf(link); k != "ring" {
+		t.Fatalf("co-located peer selected %v, want ring", k)
 	}
 	out, err := link.CallSync("recognize", []byte("swarm"))
 	if err != nil {
@@ -69,8 +82,8 @@ func TestLinkerSelectsStreamForRemotePeer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Kind != TransportStream || b.Kind != TransportStream {
-		t.Fatalf("remote peers selected %v/%v, want streams", a.Kind, b.Kind)
+	if kindOf(a) != "stream" || kindOf(b) != "stream" {
+		t.Fatalf("remote peers selected %v/%v, want streams", kindOf(a), kindOf(b))
 	}
 
 	// Both links serve calls concurrently.

@@ -73,13 +73,6 @@ type Stats struct {
 	ColdStarts  uint64
 	WarmStarts  uint64
 	Retries     uint64
-	Duplicates  uint64
-	// Killed counts executions the fault injector crashed.
-	Killed uint64
-	// StoreDegraded counts chain handoffs that fell back to in-memory
-	// data because the document store refused the write (graceful
-	// degradation under store faults).
-	StoreDegraded uint64
 }
 
 // Runtime executes registered functions.
@@ -92,13 +85,10 @@ type Runtime struct {
 	sem   chan struct{}
 	db    *store.DB
 	stats struct {
-		invocations   atomic.Uint64
-		cold          atomic.Uint64
-		warmHits      atomic.Uint64
-		retries       atomic.Uint64
-		duplicates    atomic.Uint64
-		killed        atomic.Uint64
-		storeDegraded atomic.Uint64
+		invocations atomic.Uint64
+		cold        atomic.Uint64
+		warmHits    atomic.Uint64
+		retries     atomic.Uint64
 	}
 	closed atomic.Bool
 }
@@ -143,22 +133,11 @@ func (r *Runtime) Register(name string, f Function) {
 // Stats returns a snapshot of the counters.
 func (r *Runtime) Stats() Stats {
 	return Stats{
-		Invocations:   r.stats.invocations.Load(),
-		ColdStarts:    r.stats.cold.Load(),
-		WarmStarts:    r.stats.warmHits.Load(),
-		Retries:       r.stats.retries.Load(),
-		Duplicates:    r.stats.duplicates.Load(),
-		Killed:        r.stats.killed.Load(),
-		StoreDegraded: r.stats.storeDegraded.Load(),
+		Invocations: r.stats.invocations.Load(),
+		ColdStarts:  r.stats.cold.Load(),
+		WarmStarts:  r.stats.warmHits.Load(),
+		Retries:     r.stats.retries.Load(),
 	}
-}
-
-// Result reports one invocation.
-type Result struct {
-	Output  []byte
-	Cold    bool
-	Retries int
-	Latency time.Duration
 }
 
 // ErrClosed is returned after Close.
@@ -195,19 +174,18 @@ func (r *Runtime) releaseInstance(inst *instance) {
 }
 
 // Invoke runs a function synchronously with retries and optional
-// straggler duplication.
-func (r *Runtime) Invoke(ctx context.Context, name string, input []byte) (Result, error) {
+// straggler duplication, and returns its output.
+func (r *Runtime) Invoke(ctx context.Context, name string, input []byte) ([]byte, error) {
 	if r.closed.Load() {
-		return Result{}, ErrClosed
+		return nil, ErrClosed
 	}
 	r.mu.RLock()
 	fn, ok := r.fns[name]
 	r.mu.RUnlock()
 	if !ok {
-		return Result{}, fmt.Errorf("runtime: function %q not registered", name)
+		return nil, fmt.Errorf("runtime: function %q not registered", name)
 	}
 
-	start := time.Now()
 	r.stats.invocations.Add(1)
 
 	// The runtime layer's span covers the whole invocation — admission
@@ -225,12 +203,11 @@ func (r *Runtime) Invoke(ctx context.Context, name string, input []byte) (Result
 		select {
 		case r.sem <- struct{}{}:
 		case <-ctx.Done():
-			return Result{}, ctx.Err()
+			return nil, ctx.Err()
 		}
 	}
 	defer func() { <-r.sem }()
 
-	var res Result
 	attempts := r.cfg.Retries + 1
 	var lastErr error
 	for attempt := 0; attempt < attempts; attempt++ {
@@ -239,17 +216,13 @@ func (r *Runtime) Invoke(ctx context.Context, name string, input []byte) (Result
 			r.stats.warmHits.Add(1)
 		} else {
 			r.stats.cold.Add(1)
-			res.Cold = true
 		}
 		var out []byte
 		var err error
 		if r.cfg.Injector != nil {
 			// A consulted fault stands in for a crashed container: the
 			// attempt dies before the body runs (§3.2 failure mode).
-			if ferr := r.cfg.Injector.Fault("invoke/" + name); ferr != nil {
-				r.stats.killed.Add(1)
-				err = ferr
-			}
+			err = r.cfg.Injector.Fault("invoke/" + name)
 		}
 		if err == nil {
 			// Only the function body counts as the execution stage;
@@ -260,10 +233,7 @@ func (r *Runtime) Invoke(ctx context.Context, name string, input []byte) (Result
 		}
 		r.releaseInstance(inst)
 		if err == nil {
-			res.Output = out
-			res.Latency = time.Since(start)
-			res.Retries = attempt
-			return res, nil
+			return out, nil
 		}
 		lastErr = err
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
@@ -273,8 +243,7 @@ func (r *Runtime) Invoke(ctx context.Context, name string, input []byte) (Result
 			r.stats.retries.Add(1)
 		}
 	}
-	res.Latency = time.Since(start)
-	return res, fmt.Errorf("runtime: %s failed after %d attempts: %w", name, attempts, lastErr)
+	return nil, fmt.Errorf("runtime: %s failed after %d attempts: %w", name, attempts, lastErr)
 }
 
 // execute runs one attempt, racing a straggler duplicate if configured.
@@ -306,7 +275,6 @@ func (r *Runtime) execute(ctx context.Context, fn Function, input []byte) ([]byt
 		default:
 			return
 		}
-		r.stats.duplicates.Add(1)
 		go func() {
 			defer func() { <-r.sem }()
 			launch()
@@ -345,12 +313,12 @@ func (r *Runtime) Chain(ctx context.Context, chainID string, names []string, inp
 	}
 	data := input
 	for _, name := range names {
-		res, err := r.Invoke(ctx, name, data)
+		out, err := r.Invoke(ctx, name, data)
 		if err != nil {
 			return nil, fmt.Errorf("chain %s at tier %s: %w", chainID, name, err)
 		}
 		key := fmt.Sprintf("out/%s/%s", name, chainID)
-		data, err = r.exchange(ctx, key, res.Output)
+		data, err = r.exchange(ctx, key, out)
 		if err != nil {
 			return nil, fmt.Errorf("chain %s: persisting %s: %w", chainID, key, err)
 		}
@@ -384,7 +352,6 @@ func (r *Runtime) exchange(ctx context.Context, key string, output []byte) ([]by
 	}
 	// The store stayed faulty: hand the data off in memory rather than
 	// failing a chain whose compute already succeeded.
-	r.stats.storeDegraded.Add(1)
 	return output, nil
 }
 
@@ -399,8 +366,7 @@ func (r *Runtime) FanOut(ctx context.Context, name string, inputs [][]byte) ([][
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			res, err := r.Invoke(ctx, name, in)
-			outs[i], errs[i] = res.Output, err
+			outs[i], errs[i] = r.Invoke(ctx, name, in)
 		}()
 	}
 	wg.Wait()

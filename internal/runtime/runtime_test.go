@@ -28,12 +28,12 @@ func echoRuntime(cfg Config) *Runtime {
 func TestInvokeBasic(t *testing.T) {
 	r := echoRuntime(DefaultConfig())
 	defer r.Close()
-	res, err := r.Invoke(context.Background(), "echo", []byte("hi"))
+	out, err := r.Invoke(context.Background(), "echo", []byte("hi"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(res.Output) != "hi" || !res.Cold {
-		t.Fatalf("result = %+v", res)
+	if string(out) != "hi" {
+		t.Fatalf("output = %q", out)
 	}
 	st := r.Stats()
 	if st.Invocations != 1 || st.ColdStarts != 1 {
@@ -56,11 +56,10 @@ func TestWarmReuse(t *testing.T) {
 	defer r.Close()
 	ctx := context.Background()
 	r.Invoke(ctx, "echo", nil)
-	res, err := r.Invoke(ctx, "echo", nil)
-	if err != nil {
+	if _, err := r.Invoke(ctx, "echo", nil); err != nil {
 		t.Fatal(err)
 	}
-	if res.Cold {
+	if st := r.Stats(); st.ColdStarts != 1 {
 		t.Fatal("second invocation cold-started despite keep-alive")
 	}
 	if st := r.Stats(); st.WarmStarts != 1 {
@@ -75,8 +74,8 @@ func TestZeroKeepAliveAlwaysCold(t *testing.T) {
 	defer r.Close()
 	ctx := context.Background()
 	r.Invoke(ctx, "echo", nil)
-	res, _ := r.Invoke(ctx, "echo", nil)
-	if !res.Cold {
+	r.Invoke(ctx, "echo", nil)
+	if st := r.Stats(); st.ColdStarts != 2 {
 		t.Fatal("instance reused with zero keep-alive")
 	}
 }
@@ -93,12 +92,12 @@ func TestRetriesOnFailure(t *testing.T) {
 		}
 		return []byte("ok"), nil
 	})
-	res, err := r.Invoke(context.Background(), "flaky", nil)
+	out, err := r.Invoke(context.Background(), "flaky", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(res.Output) != "ok" || res.Retries != 2 {
-		t.Fatalf("result = %+v", res)
+	if string(out) != "ok" || calls.Load() != 3 {
+		t.Fatalf("output = %q after %d calls", out, calls.Load())
 	}
 	if st := r.Stats(); st.Retries != 2 {
 		t.Fatalf("retry count = %d", st.Retries)
@@ -201,18 +200,18 @@ func TestStragglerDuplicateWins(t *testing.T) {
 		return []byte("fast"), nil
 	})
 	start := time.Now()
-	res, err := r.Invoke(context.Background(), "mixed", nil)
+	out, err := r.Invoke(context.Background(), "mixed", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(res.Output) != "fast" {
-		t.Fatalf("output = %q", res.Output)
+	if string(out) != "fast" {
+		t.Fatalf("output = %q", out)
 	}
 	if time.Since(start) > time.Second {
 		t.Fatal("duplicate did not cut the straggler short")
 	}
-	if r.Stats().Duplicates == 0 {
-		t.Fatal("duplicate not recorded")
+	if n := calls.Load(); n != 2 {
+		t.Fatalf("executions = %d, want the original and one duplicate", n)
 	}
 }
 
@@ -224,8 +223,9 @@ func TestStragglerDuplicateRespectsMaxInFlight(t *testing.T) {
 	cfg.StragglerAfter = 5 * time.Millisecond
 	r := New(cfg, nil)
 	defer r.Close()
-	var running, peak atomic.Int32
+	var running, peak, calls atomic.Int32
 	r.Register("slow", func(ctx context.Context, in []byte) ([]byte, error) {
+		calls.Add(1)
 		n := running.Add(1)
 		defer running.Add(-1)
 		for {
@@ -246,8 +246,8 @@ func TestStragglerDuplicateRespectsMaxInFlight(t *testing.T) {
 	if got := peak.Load(); got != 1 {
 		t.Fatalf("peak concurrent executions = %d with MaxInFlight 1", got)
 	}
-	if n := r.Stats().Duplicates; n != 0 {
-		t.Fatalf("duplicates = %d, want 0 with no free slot", n)
+	if n := calls.Load(); n != 1 {
+		t.Fatalf("executions = %d, want 1: no duplicate without a free slot", n)
 	}
 }
 
@@ -327,15 +327,14 @@ func TestKeepAliveExpiresIdleInstance(t *testing.T) {
 		t.Fatal(err)
 	}
 	time.Sleep(60 * time.Millisecond)
-	res, err := r.Invoke(ctx, "echo", nil)
-	if err != nil {
+	if _, err := r.Invoke(ctx, "echo", nil); err != nil {
 		t.Fatal(err)
 	}
-	if !res.Cold {
+	if r.Stats().ColdStarts != 2 {
 		t.Fatal("instance idle past KeepAlive was reused")
 	}
 	time.Sleep(time.Millisecond)
-	if res, _ = r.Invoke(ctx, "echo", nil); res.Cold {
+	if r.Invoke(ctx, "echo", nil); r.Stats().ColdStarts != 2 {
 		t.Fatal("instance idle within KeepAlive cold-started")
 	}
 }

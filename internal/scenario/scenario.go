@@ -60,13 +60,6 @@ type Config struct {
 	// DetectProb is the per-pass probability a device spots a person in
 	// its region (Scenario B).
 	DetectProb float64
-	// FailDeviceID, if >= 0, injects a device failure at FailAtS seconds
-	// (the §4.6 / Fig. 10 fault-tolerance scenario). Under HiveMind the
-	// centralized controller detects the missing heartbeats and
-	// repartitions the lost region to battery-sufficient neighbours;
-	// the baselines lose the region's coverage.
-	FailDeviceID int
-	FailAtS      float64
 	// KillControllerAtS, if >= 0, crashes the active controller replica
 	// at that simulated second (§4.7): a hot standby takes over after the
 	// configured failover delay, and the run's Result.Failover reports
@@ -76,8 +69,7 @@ type Config struct {
 
 // DefaultConfig builds a mission config over a system preset.
 func DefaultConfig(kind Kind, sys platform.Options) Config {
-	c := Config{System: sys, MaxDurationS: 400, DetectProb: 0.75, FailDeviceID: -1,
-		KillControllerAtS: -1}
+	c := Config{System: sys, MaxDurationS: 400, DetectProb: 0.75, KillControllerAtS: -1}
 	switch kind {
 	case ScenarioA:
 		c.Items = 15
@@ -97,19 +89,17 @@ func DefaultConfig(kind Kind, sys platform.Options) Config {
 
 // Result reports a mission run.
 type Result struct {
-	Kind         Kind
-	System       platform.SystemKind
-	CompletionS  float64 // wall-clock mission time (extrapolated if capped)
-	Completed    bool    // finished within the cap without extrapolation
-	Found        int     // items/people found within the cap
-	BatteryMean  float64
-	BatteryMax   float64
-	BatteryDead  int // devices that ran out of battery
-	BWMeanMBps   float64
-	BWp99MBps    float64
-	TaskLatency  *stats.Sample    // per-pipeline-instance latency
-	Breakdown    *stats.Breakdown // stage decomposition of pipeline latency
-	Repartitions int
+	Kind        Kind
+	System      platform.SystemKind
+	CompletionS float64 // wall-clock mission time (extrapolated if capped)
+	Completed   bool    // finished within the cap without extrapolation
+	Found       int     // items/people found within the cap
+	BatteryMean float64
+	BatteryMax  float64
+	BWMeanMBps  float64
+	BWp99MBps   float64
+	TaskLatency *stats.Sample    // per-pipeline-instance latency
+	Breakdown   *stats.Breakdown // stage decomposition of pipeline latency
 	// Failover snapshots the controller-replication counters (elections,
 	// takeovers, failover latency) when the mission ran a controller.
 	Failover *controller.FailoverStats
@@ -131,14 +121,14 @@ func frameBatchProfile(k Kind, frameMB, fps float64) apps.Profile {
 		return apps.Profile{
 			ID: "ScA-rec", Name: "item recognition",
 			CloudExecS: 0.7, EdgeExecS: 3.0, Parallelism: 8,
-			InputMB: batchMB, OutputMB: 0.05, IntermediateMB: 1,
+			InputMB: batchMB, OutputMB: 0.05,
 			TaskRatePerDevice: 1.0, MemGB: 2, ExecCV: 0.15,
 		}
 	case ScenarioB:
 		return apps.Profile{
 			ID: "ScB-rec", Name: "people recognition",
 			CloudExecS: 0.8, EdgeExecS: 3.5, Parallelism: 8,
-			InputMB: batchMB, OutputMB: 0.2, IntermediateMB: 1,
+			InputMB: batchMB, OutputMB: 0.2,
 			TaskRatePerDevice: 1.0, MemGB: 2, ExecCV: 0.15,
 		}
 	case TreasureHunt:
@@ -146,14 +136,14 @@ func frameBatchProfile(k Kind, frameMB, fps float64) apps.Profile {
 		return apps.Profile{
 			ID: "TH-ocr", Name: "panel OCR",
 			CloudExecS: 1.2, EdgeExecS: 5.0, Parallelism: 16,
-			InputMB: 4, OutputMB: 0.02, IntermediateMB: 0.5,
+			InputMB: 4, OutputMB: 0.02,
 			TaskRatePerDevice: 0.3, MemGB: 1.5, ExecCV: 0.15,
 		}
 	default: // Maze
 		return apps.Profile{
 			ID: "MZ-step", Name: "maze step planning",
 			CloudExecS: 0.5, EdgeExecS: 1.4, Parallelism: 2,
-			InputMB: 0.8, OutputMB: 0.01, IntermediateMB: 0.1,
+			InputMB: 0.8, OutputMB: 0.01,
 			TaskRatePerDevice: 0.5, MemGB: 0.5, ExecCV: 0.12,
 		}
 	}
@@ -166,7 +156,7 @@ func dedupProfile() apps.Profile {
 	return apps.Profile{
 		ID: "ScB-dedup", Name: "people deduplication",
 		CloudExecS: 1.0, EdgeExecS: 4.5, Parallelism: 8,
-		InputMB: 0.2, OutputMB: 0.05, IntermediateMB: 0.2,
+		InputMB: 0.2, OutputMB: 0.05,
 		TaskRatePerDevice: 0.5, MemGB: 2, ExecCV: 0.18,
 	}
 }
@@ -175,9 +165,9 @@ func dedupProfile() apps.Profile {
 func Run(kind Kind, cfg Config) Result {
 	switch kind {
 	case ScenarioA:
-		return runSearch(kind, cfg, false)
+		return runSearch(kind, cfg, platform.NewSystem(cfg.System), false)
 	case ScenarioB:
-		return runSearch(kind, cfg, true)
+		return runSearch(kind, cfg, platform.NewSystem(cfg.System), true)
 	case TreasureHunt, Maze:
 		return runRoverMission(kind, cfg)
 	default:
@@ -185,9 +175,9 @@ func Run(kind Kind, cfg Config) Result {
 	}
 }
 
-// runSearch covers Scenario A (dedup=false) and B (dedup=true).
-func runSearch(kind Kind, cfg Config, dedup bool) Result {
-	sys := platform.NewSystem(cfg.System)
+// runSearch covers Scenario A (dedup=false) and B (dedup=true) on sys,
+// a fresh system built from cfg.System.
+func runSearch(kind Kind, cfg Config, sys *platform.System, dedup bool) Result {
 	eng := sys.Eng
 	rng := eng.Rand()
 	res := Result{Kind: kind, System: cfg.System.Kind,
@@ -206,20 +196,13 @@ func runSearch(kind Kind, cfg Config, dedup bool) Result {
 			ccfg = controller.DefaultConfig()
 		}
 		ctl = controller.New(eng, ccfg, sys.Fleet, sys.Regions(),
-			func(failed int, gainers []int) {
-				res.Repartitions++
-				repartitioned = true
-			})
+			func(failed int, gainers []int) { repartitioned = true })
 		defer ctl.Stop()
 		if cfg.KillControllerAtS >= 0 {
 			// §4.7 controller-crash drill: the active replica dies
 			// mid-mission and a hot standby takes over.
 			eng.DeferAt(cfg.KillControllerAtS, func() { ctl.KillActiveReplica() })
 		}
-	}
-	if cfg.FailDeviceID >= 0 && cfg.FailDeviceID < len(sys.Fleet) {
-		id := cfg.FailDeviceID
-		eng.DeferAt(cfg.FailAtS, func() { sys.Fleet[id].Fail() })
 	}
 
 	found := make([]bool, cfg.Items)
@@ -379,7 +362,6 @@ func runSearch(kind Kind, cfg Config, dedup bool) Result {
 	sys.Fleet.Settle()
 	res.BatteryMean = sys.Fleet.MeanBatteryConsumed()
 	res.BatteryMax = sys.Fleet.MaxBatteryConsumed()
-	res.BatteryDead = countDead(sys.Fleet)
 	window := math.Min(cfg.MaxDurationS, math.Max(res.CompletionS, 1))
 	bw := sys.Net.Wireless.Meter().RateSample(window)
 	res.BWMeanMBps = bw.Mean() / 1e6
@@ -461,7 +443,6 @@ func runRoverMission(kind Kind, cfg Config) Result {
 	sys.Fleet.Settle()
 	res.BatteryMean = sys.Fleet.MeanBatteryConsumed()
 	res.BatteryMax = sys.Fleet.MaxBatteryConsumed()
-	res.BatteryDead = countDead(sys.Fleet)
 	bw := sys.Net.Wireless.Meter().RateSample(math.Min(res.CompletionS, cfg.MaxDurationS))
 	res.BWMeanMBps = bw.Mean() / 1e6
 	res.BWp99MBps = bw.Percentile(99) / 1e6
@@ -487,16 +468,6 @@ func aliveDevice(sys *platform.System, rng interface{ Intn(int) int }) *device.D
 		}
 	}
 	return nil
-}
-
-func countDead(f device.Fleet) int {
-	n := 0
-	for _, d := range f {
-		if d.Failed() {
-			n++
-		}
-	}
-	return n
 }
 
 // extrapolate estimates completion time from the discovery rate when a

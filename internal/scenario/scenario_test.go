@@ -170,27 +170,32 @@ func TestDefaultConfigsPerKind(t *testing.T) {
 	}
 }
 
+// runFailing runs Scenario A with device id failing at simulated second
+// atS.
+func runFailing(cfg Config, id int, atS float64) Result {
+	sys := platform.NewSystem(cfg.System)
+	sys.Eng.DeferAt(atS, func() { sys.Fleet[id].Fail() })
+	return runSearch(ScenarioA, cfg, sys, false)
+}
+
 func TestDeviceFailureRecoveryWithController(t *testing.T) {
 	// Fig. 10 end to end: a drone dies mid-mission. HiveMind's
 	// controller detects the missing heartbeats, repartitions the lost
 	// region, and the mission still completes; the centralized baseline
 	// loses the region's items.
 	mk := func(sysKind platform.SystemKind) Config {
-		cfg := DefaultConfig(ScenarioA, platform.Preset(sysKind, 16, 31))
-		cfg.FailDeviceID = 5
-		cfg.FailAtS = 8
-		return cfg
+		return DefaultConfig(ScenarioA, platform.Preset(sysKind, 16, 31))
 	}
-	hm := Run(ScenarioA, mk(platform.HiveMind))
+	hm := runFailing(mk(platform.HiveMind), 5, 8)
 	if !hm.Completed {
 		t.Fatalf("hivemind mission incomplete despite repartitioning: %s", hm)
 	}
-	if hm.Repartitions == 0 {
-		t.Fatal("controller never repartitioned")
+	if hm.Failover == nil || hm.Failover.DeviceFailures == 0 || hm.Failover.RouteUpdates == 0 {
+		t.Fatalf("controller never repartitioned: %+v", hm.Failover)
 	}
-	cen := Run(ScenarioA, mk(platform.CentralizedFaaS))
-	if cen.Repartitions != 0 {
-		t.Fatal("baseline should have no controller repartitions")
+	cen := runFailing(mk(platform.CentralizedFaaS), 5, 8)
+	if cen.Failover != nil {
+		t.Fatal("baseline should run no controller")
 	}
 	// The baseline either fails to find everything or takes far longer.
 	if cen.Completed && cen.CompletionS < hm.CompletionS {
@@ -199,10 +204,7 @@ func TestDeviceFailureRecoveryWithController(t *testing.T) {
 }
 
 func TestFailureWithoutItemsInRegionIsHarmless(t *testing.T) {
-	cfg := DefaultConfig(ScenarioA, platform.Preset(platform.HiveMind, 16, 33))
-	cfg.FailDeviceID = 15
-	cfg.FailAtS = 1
-	r := Run(ScenarioA, cfg)
+	r := runFailing(DefaultConfig(ScenarioA, platform.Preset(platform.HiveMind, 16, 33)), 15, 1)
 	if r.Found == 0 {
 		t.Fatalf("mission collapsed from one failure: %s", r)
 	}

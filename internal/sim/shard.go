@@ -89,9 +89,6 @@ type Cell struct {
 	id  int
 	eng *Engine
 	out []crossEvent
-	// executed accumulates events run by this cell; written only by
-	// whichever worker holds the cell during a window.
-	executed uint64
 }
 
 // ID returns the cell's index.
@@ -232,7 +229,7 @@ func (s *ShardedEngine) sweep() {
 			return
 		}
 		c := s.cells[i]
-		c.executed += c.eng.RunUntil(end)
+		c.eng.RunUntil(end)
 	}
 }
 

@@ -85,15 +85,6 @@ func (s *Sample) Percentile(p float64) float64 {
 // Median is Percentile(50).
 func (s *Sample) Median() float64 { return s.Percentile(50) }
 
-// Min returns the smallest observation, or 0 for an empty sample.
-func (s *Sample) Min() float64 {
-	if len(s.xs) == 0 {
-		return 0
-	}
-	s.ensureSorted()
-	return s.xs[0]
-}
-
 // Max returns the largest observation, or 0 for an empty sample.
 func (s *Sample) Max() float64 {
 	if len(s.xs) == 0 {
@@ -139,19 +130,19 @@ func (s *Sample) Values() []float64 {
 // Summary is the five-number-plus summary used by the paper's box and
 // violin plots.
 type Summary struct {
-	N                      int
-	Mean, Min, Max         float64
-	P5, P25, P50, P75, P95 float64
-	P99, StdDev, CV        float64
+	N                  int
+	Mean               float64
+	P25, P50, P75, P95 float64
+	P99, CV            float64
 }
 
 // Summarize computes a Summary of the sample.
 func (s *Sample) Summarize() Summary {
 	return Summary{
-		N: s.N(), Mean: s.Mean(), Min: s.Min(), Max: s.Max(),
-		P5: s.Percentile(5), P25: s.Percentile(25), P50: s.Percentile(50),
+		N: s.N(), Mean: s.Mean(),
+		P25: s.Percentile(25), P50: s.Percentile(50),
 		P75: s.Percentile(75), P95: s.Percentile(95), P99: s.Percentile(99),
-		StdDev: s.StdDev(), CV: s.CV(),
+		CV: s.CV(),
 	}
 }
 

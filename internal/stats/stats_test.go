@@ -11,7 +11,7 @@ func almostEqual(a, b, eps float64) bool { return math.Abs(a-b) <= eps }
 
 func TestSampleEmpty(t *testing.T) {
 	var s Sample
-	if s.N() != 0 || s.Mean() != 0 || s.Median() != 0 || s.Min() != 0 || s.Max() != 0 {
+	if s.N() != 0 || s.Mean() != 0 || s.Median() != 0 || s.Percentile(0) != 0 || s.Max() != 0 {
 		t.Fatal("empty sample should report zeros")
 	}
 }
@@ -28,8 +28,8 @@ func TestSampleBasicStats(t *testing.T) {
 	if s.Median() != 3 {
 		t.Fatalf("median = %g", s.Median())
 	}
-	if s.Min() != 1 || s.Max() != 5 {
-		t.Fatalf("min/max = %g/%g", s.Min(), s.Max())
+	if s.Percentile(0) != 1 || s.Max() != 5 {
+		t.Fatalf("min/max = %g/%g", s.Percentile(0), s.Max())
 	}
 	if !almostEqual(s.StdDev(), math.Sqrt(2), 1e-12) {
 		t.Fatalf("stddev = %g", s.StdDev())
@@ -110,7 +110,7 @@ func TestPercentileMonotoneProperty(t *testing.T) {
 		prev := math.Inf(-1)
 		for p := 0.0; p <= 100; p += 5 {
 			v := s.Percentile(p)
-			if v < prev || v < s.Min() || v > s.Max() {
+			if v < prev || v < s.Percentile(0) || v > s.Max() {
 				return false
 			}
 			prev = v

@@ -78,7 +78,7 @@ func BenchmarkDurablePutFsyncNever(b *testing.B) {
 // appends — the durability policy a live deployment would run.
 func BenchmarkDurablePutFsyncBatch(b *testing.B) {
 	db, _, err := OpenDurable(b.TempDir(), DurableOptions{
-		Fsync: FsyncBatch, SyncEvery: 64, CompactEvery: NoAutoCompact,
+		Fsync: FsyncBatch, CompactEvery: NoAutoCompact,
 	})
 	if err != nil {
 		b.Fatal(err)

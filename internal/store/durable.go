@@ -70,8 +70,6 @@ var snapshotMagic = []byte("HMSNAP1")
 type DurableOptions struct {
 	// Fsync is the WAL durability policy (default FsyncAlways).
 	Fsync FsyncPolicy
-	// SyncEvery is the FsyncBatch batch size (<=0: 64).
-	SyncEvery int
 	// CompactEvery triggers snapshot+compaction after this many WAL
 	// records (<=0: 4096; negative via NoAutoCompact for manual-only).
 	CompactEvery int
@@ -128,9 +126,8 @@ func OpenDurable(dir string, opts DurableOptions) (*DB, RecoverStats, error) {
 	stats.SnapshotDocs = n
 
 	wal, truncated, err := OpenWAL(filepath.Join(dir, walFileName), WALOptions{
-		Fsync:     opts.Fsync,
-		SyncEvery: opts.SyncEvery,
-		Monitor:   opts.Monitor,
+		Fsync:   opts.Fsync,
+		Monitor: opts.Monitor,
 	}, db.applyRecord)
 	if err != nil {
 		return nil, RecoverStats{}, err

@@ -35,7 +35,7 @@ const (
 	// FsyncAlways fsyncs after every append: an acknowledged write
 	// survives a machine crash. The safest and slowest policy.
 	FsyncAlways FsyncPolicy = iota
-	// FsyncBatch fsyncs every WALOptions.SyncEvery appends (and on
+	// FsyncBatch fsyncs every walSyncEvery appends (and on
 	// Sync/Close): a machine crash loses at most the unsynced batch, a
 	// process crash loses nothing (the OS holds the pages).
 	FsyncBatch
@@ -62,12 +62,13 @@ func (p FsyncPolicy) String() string {
 type WALOptions struct {
 	// Fsync is the durability policy for appends.
 	Fsync FsyncPolicy
-	// SyncEvery is the FsyncBatch batch size (<=0: 64).
-	SyncEvery int
 	// Monitor, when non-nil, receives wal-append/fsync/truncated-tail
 	// counters.
 	Monitor *metrics.Registry
 }
+
+// walSyncEvery is the FsyncBatch batch size.
+const walSyncEvery = 64
 
 // walHeaderSize is the per-record framing overhead.
 const walHeaderSize = 8
@@ -95,7 +96,6 @@ func (e *RecordTooLargeError) Error() string {
 // internally locked — the owning DB serializes them under its mutex.
 type WAL struct {
 	f        *os.File
-	path     string
 	opts     WALOptions
 	size     int64
 	records  int
@@ -107,14 +107,11 @@ type WAL struct {
 // corrupt tail, and returns the WAL positioned for appending.
 // truncated reports whether a tail had to be cut.
 func OpenWAL(path string, opts WALOptions, apply func(rec []byte) error) (w *WAL, truncated bool, err error) {
-	if opts.SyncEvery <= 0 {
-		opts.SyncEvery = 64
-	}
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, false, err
 	}
-	w = &WAL{f: f, path: path, opts: opts}
+	w = &WAL{f: f, opts: opts}
 	valid, records, truncated, err := scanWAL(f, apply)
 	if err != nil {
 		f.Close()
@@ -223,7 +220,7 @@ func (w *WAL) Append(rec []byte) error {
 	case FsyncAlways:
 		return w.Sync()
 	case FsyncBatch:
-		if w.unsynced >= w.opts.SyncEvery {
+		if w.unsynced >= walSyncEvery {
 			return w.Sync()
 		}
 	}

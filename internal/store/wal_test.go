@@ -172,29 +172,30 @@ func TestWALResetEmptiesLog(t *testing.T) {
 	}
 }
 
-// FsyncBatch syncs every SyncEvery appends; the fsync counter proves
-// the policy held.
+// FsyncBatch syncs every walSyncEvery appends; the fsync counter
+// proves the policy held.
 func TestWALFsyncBatchPolicy(t *testing.T) {
 	mon := metrics.NewRegistry()
 	path := filepath.Join(t.TempDir(), "wal.log")
-	w, _, err := OpenWAL(path, WALOptions{Fsync: FsyncBatch, SyncEvery: 4, Monitor: mon}, nil)
+	w, _, err := OpenWAL(path, WALOptions{Fsync: FsyncBatch, Monitor: mon}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 10; i++ {
+	const appends = 2*walSyncEvery + 2
+	for i := 0; i < appends; i++ {
 		if err := w.Append([]byte("r")); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if got := mon.Counter(MetricWALFsync); got != 2 {
-		t.Fatalf("fsyncs after 10 appends at batch 4 = %g, want 2", got)
+		t.Fatalf("fsyncs after %d appends at batch %d = %g, want 2", appends, walSyncEvery, got)
 	}
 	w.Close() // flushes the remaining 2
 	if got := mon.Counter(MetricWALFsync); got != 3 {
 		t.Fatalf("fsyncs after close = %g, want 3", got)
 	}
-	if got := mon.Counter(MetricWALAppend); got != 10 {
-		t.Fatalf("appends = %g, want 10", got)
+	if got := mon.Counter(MetricWALAppend); got != appends {
+		t.Fatalf("appends = %g, want %d", got, appends)
 	}
 }
 
