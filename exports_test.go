@@ -3,6 +3,7 @@ package hivemind
 import (
 	"fmt"
 	"go/ast"
+	"go/constant"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -54,16 +55,18 @@ type exportScan struct {
 	files map[string]int
 	// exports and fields count the exported declarations (methods
 	// included) and the exported struct fields under internal/ that the
-	// scan checked.
-	exports, fields int
+	// scan checked; settable counts the fields of those whose struct
+	// type's name ends in Config or Options, and seams the fields that
+	// would be one-value but that a test sets.
+	exports, fields, settable, seams int
 	// unused lists the exported declarations under internal/ that no
 	// non-test file uses, as "<dir>.<Name>" or "<dir>.<Recv>.<Method>",
 	// sorted.
 	unused []string
 	// deadFields lists the exported struct fields under internal/ that
-	// no non-test file reads, or that none sets, as
-	// "<dir>.<Type>.<Field> <kind>" with kind write-only, never-set or
-	// unused, sorted.
+	// no non-test file reads, that none sets, or that non-test code only
+	// ever sets to one value, as "<dir>.<Type>.<Field> <kind>" with kind
+	// write-only, never-set, unused or one-value, sorted.
 	deadFields []string
 }
 
@@ -85,8 +88,9 @@ type exportLoader struct {
 	fsys    fs.FS
 	modules map[string]string // module path -> module root dir
 	files   map[string][]string
+	tests   map[string][]string       // _test.go files by dir
 	pkgs    map[string]*types.Package // by dir
-	asts    []*ast.File
+	asts    map[string][]*ast.File    // by dir
 	info    *types.Info
 }
 
@@ -102,18 +106,25 @@ type exportLoader struct {
 //
 // It also reports the exported fields of the struct types declared
 // under internal/ that no non-test file reads or that none sets; see
-// fieldAccess for what counts as which.
+// fieldAccess for what counts as which. A field that non-test code
+// reads and sets is one-value when every set is a plain store or
+// literal element inside a default site and all store the same value,
+// unless a test sets it: a test seam stays settable. A default site is
+// a function of the struct's own package whose results include the
+// struct type or a pointer to it (DefaultConfig, Preset, withDefaults),
+// and a value is a constant expression or a call without arguments to
+// a package-level function; a field a default site's literal leaves
+// out stores its zero value.
 func scanExports(fsys fs.FS) (exportScan, error) {
 	scan := exportScan{files: map[string]int{}}
 	l := &exportLoader{
 		fsys:    fsys,
 		modules: map[string]string{},
 		files:   map[string][]string{},
+		tests:   map[string][]string{},
 		pkgs:    map[string]*types.Package{},
-		info: &types.Info{
-			Types: map[ast.Expr]types.TypeAndValue{},
-			Uses:  map[*ast.Ident]types.Object{},
-		},
+		asts:    map[string][]*ast.File{},
+		info:    newInfo(),
 	}
 	err := fs.WalkDir(fsys, ".", func(p string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -135,7 +146,9 @@ func scanExports(fsys fs.FS) (exportScan, error) {
 					l.modules[strings.TrimSpace(mod)] = path.Dir(p)
 				}
 			}
-		case strings.HasSuffix(name, ".go") && !strings.HasSuffix(name, "_test.go"):
+		case strings.HasSuffix(name, "_test.go"):
+			l.tests[path.Dir(p)] = append(l.tests[path.Dir(p)], p)
+		case strings.HasSuffix(name, ".go"):
 			dir := path.Dir(p)
 			l.files[dir] = append(l.files[dir], p)
 			scan.files[strings.SplitN(dir, "/", 2)[0]]++
@@ -157,7 +170,15 @@ func scanExports(fsys fs.FS) (exportScan, error) {
 	for _, obj := range l.info.Uses {
 		used[origin(obj)] = true
 	}
-	read, set, exempt := l.fieldAccess()
+	var files []*ast.File
+	for _, fs := range l.asts {
+		files = append(files, fs...)
+	}
+	read, set, values, exempt := l.fieldAccess(files, l.info)
+	seams, err := l.testSets()
+	if err != nil {
+		return scan, err
+	}
 	ifaces := l.interfaces()
 	errType := types.Universe.Lookup("error").Type().Underlying().(*types.Interface)
 	implements := func(t types.Type, iface *types.Interface) bool {
@@ -187,6 +208,10 @@ func scanExports(fsys fs.FS) (exportScan, error) {
 						continue
 					}
 					scan.fields++
+					if strings.HasSuffix(name, "Config") || strings.HasSuffix(name, "Options") {
+						scan.settable++
+					}
+					key := dir + "." + name + "." + f.Name()
 					kind := ""
 					switch {
 					case !read[f] && !set[f]:
@@ -195,10 +220,15 @@ func scanExports(fsys fs.FS) (exportScan, error) {
 						kind = "write-only"
 					case !set[f]:
 						kind = "never-set"
-					default:
+					case len(values[f]) != 1 || values[f][""]:
 						continue
+					case seams[key]:
+						scan.seams++
+						continue
+					default:
+						kind = "one-value"
 					}
-					scan.deadFields = append(scan.deadFields, dir+"."+name+"."+f.Name()+" "+kind)
+					scan.deadFields = append(scan.deadFields, key+" "+kind)
 				}
 			}
 		methods:
@@ -232,9 +262,10 @@ func scanExports(fsys fs.FS) (exportScan, error) {
 	return scan, nil
 }
 
-// fieldAccess walks every non-test file and reports which struct fields
-// some file reads and which some file sets, and which struct types are
-// exempt because reflection reads or fills them.
+// fieldAccess walks files, type-checked into info, and reports which
+// struct fields they read and which they set, the values each set
+// stores (see scanExports), and which struct types are exempt because
+// reflection reads or fills them.
 //
 // A field is set by an assignment, an op-assignment or ++/-- to it, by
 // a key of a composite literal or a positional one, by taking its
@@ -246,10 +277,16 @@ func scanExports(fsys fs.FS) (exportScan, error) {
 // passed to reflect.DeepEqual has all its fields read. A struct with a
 // tagged field, or reachable from a value passed to encoding/json, is
 // exempt.
-func (l *exportLoader) fieldAccess() (read, set map[*types.Var]bool, exempt map[*types.Struct]bool) {
+//
+// values maps each set field to the values its sets store, keyed as
+// valueKey does; a set that is not a plain store or literal element
+// inside a default site of the field's struct stores "", a value that
+// varies.
+func (l *exportLoader) fieldAccess(files []*ast.File, info *types.Info) (read, set map[*types.Var]bool, values map[*types.Var]map[string]bool, exempt map[*types.Struct]bool) {
 	read, set, exempt = map[*types.Var]bool{}, map[*types.Var]bool{}, map[*types.Struct]bool{}
+	values = map[*types.Var]map[string]bool{}
 	field := func(id *ast.Ident) *types.Var {
-		if v, ok := l.info.Uses[id].(*types.Var); ok && v.IsField() {
+		if v, ok := info.Uses[id].(*types.Var); ok && v.IsField() {
 			return v.Origin()
 		}
 		return nil
@@ -298,23 +335,73 @@ func (l *exportLoader) fieldAccess() (read, set map[*types.Var]bool, exempt map[
 			read[st.Field(i).Origin()] = true
 		}
 	}
-	calls := func(call *ast.CallExpr, pkg, name string) bool {
-		var id *ast.Ident
+	callee := func(call *ast.CallExpr) types.Object {
 		switch fn := call.Fun.(type) {
 		case *ast.Ident:
-			id = fn
+			return info.Uses[fn]
 		case *ast.SelectorExpr:
-			id = fn.Sel
-		default:
-			return false
+			return info.Uses[fn.Sel]
 		}
-		switch obj := l.info.Uses[id].(type) {
+		return nil
+	}
+	calls := func(call *ast.CallExpr, pkg, name string) bool {
+		switch obj := callee(call).(type) {
 		case *types.Builtin:
 			return pkg == "" && obj.Name() == name
 		case *types.Func:
 			return obj.Pkg() != nil && obj.Pkg().Path() == pkg && (name == "" || obj.Name() == name)
 		}
 		return false
+	}
+	// valueKey names the value e stores when it is a constant or a call
+	// without arguments to a package-level function, and is "" when the
+	// value varies.
+	valueKey := func(e ast.Expr) string {
+		if tv := info.Types[e]; tv.Value != nil {
+			return constKey(tv.Value)
+		}
+		call, ok := ast.Unparen(e).(*ast.CallExpr)
+		if !ok || len(call.Args) > 0 || info.TypeOf(call) == nil {
+			return ""
+		}
+		// A call that returns a pointer, map, slice, channel, func or
+		// interface makes a new object each time, not one value.
+		switch info.TypeOf(call).Underlying().(type) {
+		case *types.Pointer, *types.Map, *types.Slice, *types.Chan, *types.Signature, *types.Interface:
+			return ""
+		}
+		if fn, ok := callee(call).(*types.Func); ok && fn.Pkg() != nil && fn.Parent() == fn.Pkg().Scope() {
+			return "call " + fn.FullName()
+		}
+		return ""
+	}
+	// owner maps each field of a package-level struct type to the type.
+	owner := map[*types.Var]*types.TypeName{}
+	for _, pkg := range l.pkgs {
+		for _, name := range pkg.Scope().Names() {
+			if tn, ok := pkg.Scope().Lookup(name).(*types.TypeName); ok {
+				if st, ok := tn.Type().Underlying().(*types.Struct); ok {
+					for i := 0; i < st.NumFields(); i++ {
+						owner[st.Field(i)] = tn
+					}
+				}
+			}
+		}
+	}
+	// sites holds the struct types the function being walked is a
+	// default site of.
+	var sites map[*types.TypeName]bool
+	write := func(v *types.Var, key string) {
+		if v == nil {
+			return
+		}
+		if tn := owner[v]; tn == nil || !sites[tn] {
+			key = ""
+		}
+		if values[v] == nil {
+			values[v] = map[string]bool{}
+		}
+		values[v][key] = true
 	}
 	// chain calls fn on the field selected at each step of a store
 	// target: the C and the B of a.B.C, a.B[i].C or (*a.B).C.
@@ -335,77 +422,130 @@ func (l *exportLoader) fieldAccess() (read, set map[*types.Var]bool, exempt map[
 		}
 	}
 	stored, unread := map[*ast.Ident]bool{}, map[*ast.Ident]bool{}
-	store := func(id *ast.Ident) { stored[id], unread[id] = true, true }
-	for _, f := range l.asts {
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.AssignStmt:
-				for i, lhs := range n.Lhs {
-					chain(lhs, store)
-					if len(n.Rhs) != len(n.Lhs) {
-						continue
+	// store records a store of the value keyed key into id's field.
+	store := func(id *ast.Ident, key string) {
+		stored[id], unread[id] = true, true
+		write(field(id), key)
+	}
+	varies := func(id *ast.Ident) { store(id, "") }
+	visit := func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.AssignStmt:
+			for i, lhs := range n.Lhs {
+				if len(n.Rhs) != len(n.Lhs) {
+					chain(lhs, varies)
+					continue
+				}
+				// Only a plain store into x.f itself stores a value.
+				sel, direct := ast.Unparen(lhs).(*ast.SelectorExpr)
+				chain(lhs, func(id *ast.Ident) {
+					key := ""
+					if direct && id == sel.Sel && n.Tok == token.ASSIGN {
+						key = valueKey(n.Rhs[i])
 					}
-					if call, ok := n.Rhs[i].(*ast.CallExpr); ok && len(call.Args) > 0 && calls(call, "", "append") &&
-						types.ExprString(call.Args[0]) == types.ExprString(lhs) {
-						chain(call.Args[0], func(id *ast.Ident) { unread[id] = true })
-					}
+					store(id, key)
+				})
+				if call, ok := n.Rhs[i].(*ast.CallExpr); ok && len(call.Args) > 0 && calls(call, "", "append") &&
+					types.ExprString(call.Args[0]) == types.ExprString(lhs) {
+					chain(call.Args[0], func(id *ast.Ident) { unread[id] = true })
 				}
-			case *ast.IncDecStmt:
-				chain(n.X, store)
-			case *ast.RangeStmt:
-				if n.Tok == token.ASSIGN {
-					for _, e := range []ast.Expr{n.Key, n.Value} {
-						chain(e, store)
-					}
+			}
+		case *ast.IncDecStmt:
+			chain(n.X, varies)
+		case *ast.RangeStmt:
+			if n.Tok == token.ASSIGN {
+				for _, e := range []ast.Expr{n.Key, n.Value} {
+					chain(e, varies)
 				}
-			case *ast.UnaryExpr:
-				if n.Op == token.AND {
-					chain(n.X, func(id *ast.Ident) { stored[id] = true })
+			}
+		case *ast.UnaryExpr:
+			if n.Op == token.AND {
+				chain(n.X, func(id *ast.Ident) {
+					stored[id] = true
+					write(field(id), "")
+				})
+			}
+		case *ast.CallExpr:
+			switch {
+			case (calls(n, "", "delete") || calls(n, "", "clear")) && len(n.Args) > 0:
+				chain(n.Args[0], varies)
+			case calls(n, "encoding/json", ""):
+				for _, arg := range n.Args {
+					structs(info.TypeOf(arg), true, func(st *types.Struct) { exempt[st] = true })
 				}
-			case *ast.CallExpr:
-				switch {
-				case (calls(n, "", "delete") || calls(n, "", "clear")) && len(n.Args) > 0:
-					chain(n.Args[0], store)
-				case calls(n, "encoding/json", ""):
-					for _, arg := range n.Args {
-						structs(l.info.TypeOf(arg), true, func(st *types.Struct) { exempt[st] = true })
-					}
-				case calls(n, "reflect", "DeepEqual"):
-					for _, arg := range n.Args {
-						structs(l.info.TypeOf(arg), true, readAll)
-					}
+			case calls(n, "reflect", "DeepEqual"):
+				for _, arg := range n.Args {
+					structs(info.TypeOf(arg), true, readAll)
 				}
-			case *ast.BinaryExpr:
-				if n.Op == token.EQL || n.Op == token.NEQ {
-					structs(l.info.TypeOf(n.X), false, readAll)
+			}
+		case *ast.BinaryExpr:
+			if n.Op == token.EQL || n.Op == token.NEQ {
+				structs(info.TypeOf(n.X), false, readAll)
+			}
+		case *ast.CompositeLit:
+			// A test file's type errors can leave a literal untyped.
+			t := info.TypeOf(n)
+			if t == nil {
+				break
+			}
+			if p, ok := t.Underlying().(*types.Pointer); ok {
+				t = p.Elem()
+			}
+			st, ok := t.Underlying().(*types.Struct)
+			if !ok {
+				break
+			}
+			given := map[*types.Var]bool{}
+			for i, elt := range n.Elts {
+				if kv, ok := elt.(*ast.KeyValueExpr); ok {
+					id := kv.Key.(*ast.Ident)
+					store(id, valueKey(kv.Value))
+					given[field(id)] = true
+				} else {
+					set[st.Field(i).Origin()] = true
+					write(st.Field(i).Origin(), valueKey(elt))
 				}
-			case *ast.CompositeLit:
-				t := l.info.TypeOf(n)
-				if p, ok := t.Underlying().(*types.Pointer); ok {
-					t = p.Elem()
-				}
-				st, ok := t.Underlying().(*types.Struct)
-				if !ok {
-					break
-				}
-				for i, elt := range n.Elts {
-					if kv, ok := elt.(*ast.KeyValueExpr); ok {
-						store(kv.Key.(*ast.Ident))
-					} else {
-						set[st.Field(i).Origin()] = true
+			}
+			// A default site's keyed literal stores the zero value into
+			// each field it leaves out.
+			if named, ok := t.(*types.Named); ok && sites[named.Origin().Obj()] && len(n.Elts) < st.NumFields() {
+				for i := 0; i < st.NumFields(); i++ {
+					if v := st.Field(i).Origin(); !given[v] {
+						write(v, zeroKey(v.Type()))
 					}
 				}
 			}
-			return true
-		})
+		}
+		return true
 	}
-	for id := range l.info.Uses {
+	for _, f := range files {
+		pkg := l.pkgs[path.Dir(stdFset.File(f.Pos()).Name())]
+		for _, decl := range f.Decls {
+			sites = nil
+			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Type.Results != nil {
+				for _, res := range fd.Type.Results.List {
+					t := info.TypeOf(res.Type)
+					if p, ok := t.(*types.Pointer); ok {
+						t = p.Elem()
+					}
+					if named, ok := t.(*types.Named); ok && named.Obj().Pkg() == pkg {
+						if sites == nil {
+							sites = map[*types.TypeName]bool{}
+						}
+						sites[named.Origin().Obj()] = true
+					}
+				}
+			}
+			ast.Inspect(decl, visit)
+		}
+	}
+	for id := range info.Uses {
 		if v := field(id); v != nil {
 			set[v] = set[v] || stored[id]
 			read[v] = read[v] || !unread[id]
 		}
 	}
-	for _, tv := range l.info.Types {
+	for _, tv := range info.Types {
 		if tv.Type == nil {
 			continue
 		}
@@ -424,7 +564,30 @@ func (l *exportLoader) fieldAccess() (read, set map[*types.Var]bool, exempt map[
 			}
 		}
 	}
-	return read, set, exempt
+	return read, set, values, exempt
+}
+
+// constKey keys a constant so that equal numbers of any kind match.
+func constKey(v constant.Value) string {
+	if v.Kind() == constant.Int {
+		v = constant.ToFloat(v)
+	}
+	return v.ExactString()
+}
+
+// zeroKey keys the zero value of t as constKey and valueKey do.
+func zeroKey(t types.Type) string {
+	if b, ok := t.Underlying().(*types.Basic); ok {
+		switch {
+		case b.Info()&types.IsNumeric != 0:
+			return constKey(constant.MakeInt64(0))
+		case b.Info()&types.IsString != 0:
+			return constKey(constant.MakeString(""))
+		case b.Info()&types.IsBoolean != 0:
+			return constKey(constant.MakeBool(false))
+		}
+	}
+	return "zero"
 }
 
 // origin maps a field or method of an instantiated generic type to its
@@ -474,9 +637,23 @@ func (l *exportLoader) load(dir string) (*types.Package, error) {
 		}
 		files = append(files, f)
 	}
-	l.asts = append(l.asts, files...)
-	// dir's import path: the path of the innermost module holding it,
-	// joined with dir relative to that module's root.
+	l.asts[dir] = files
+	importPath, err := l.importPath(dir)
+	if err != nil {
+		return nil, err
+	}
+	conf := types.Config{Importer: l}
+	pkg, err := conf.Check(importPath, stdFset, files, l.info)
+	if err != nil {
+		return nil, err
+	}
+	l.pkgs[dir] = pkg
+	return pkg, nil
+}
+
+// importPath is dir's import path: the path of the innermost module
+// holding it, joined with dir relative to that module's root.
+func (l *exportLoader) importPath(dir string) (string, error) {
 	mod, rel := "", ""
 	for m, root := range l.modules {
 		r, ok := dir, root == "."
@@ -488,15 +665,84 @@ func (l *exportLoader) load(dir string) (*types.Package, error) {
 		}
 	}
 	if mod == "" {
-		return nil, fmt.Errorf("%s is in no module", dir)
+		return "", fmt.Errorf("%s is in no module", dir)
 	}
-	conf := types.Config{Importer: l}
-	pkg, err := conf.Check(path.Join(mod, rel), stdFset, files, l.info)
-	if err != nil {
-		return nil, err
+	return path.Join(mod, rel), nil
+}
+
+// testSets type-checks the _test.go files of every directory, each
+// in-package test file with its package's other files and each
+// external test package against the non-test packages, and reports as
+// "<dir>.<Type>.<Field>" the fields of the loaded packages that some
+// test sets. Type errors are ignored: build constraints are not
+// evaluated, so a package's race_on and race_off test files both load
+// and declare the same names.
+func (l *exportLoader) testSets() (map[string]bool, error) {
+	info := newInfo()
+	// key names each struct field of the loaded packages and of their
+	// test variants.
+	key := map[*types.Var]string{}
+	keys := func(dir string, pkg *types.Package) {
+		for _, name := range pkg.Scope().Names() {
+			if st, ok := pkg.Scope().Lookup(name).Type().Underlying().(*types.Struct); ok {
+				for i := 0; i < st.NumFields(); i++ {
+					key[st.Field(i)] = dir + "." + name + "." + st.Field(i).Name()
+				}
+			}
+		}
 	}
-	l.pkgs[dir] = pkg
-	return pkg, nil
+	for dir, pkg := range l.pkgs {
+		keys(dir, pkg)
+	}
+	var tests []*ast.File
+	for dir, paths := range l.tests {
+		byPkg := map[string][]*ast.File{}
+		for _, p := range paths {
+			src, err := fs.ReadFile(l.fsys, p)
+			if err != nil {
+				return nil, err
+			}
+			f, err := parser.ParseFile(stdFset, p, src, parser.SkipObjectResolution)
+			if err != nil {
+				return nil, err
+			}
+			byPkg[f.Name.Name] = append(byPkg[f.Name.Name], f)
+			tests = append(tests, f)
+		}
+		importPath, err := l.importPath(dir)
+		if err != nil {
+			return nil, err
+		}
+		for name, files := range byPkg {
+			p := importPath
+			if strings.HasSuffix(name, "_test") {
+				p += "_test"
+			} else {
+				files = append(files, l.asts[dir]...)
+			}
+			conf := types.Config{Importer: l, Error: func(error) {}}
+			pkg, _ := conf.Check(p, stdFset, files, info)
+			keys(dir, pkg)
+		}
+	}
+	_, set, _, _ := l.fieldAccess(tests, info)
+	seams := map[string]bool{}
+	for v, ok := range set {
+		if ok && key[v] != "" {
+			seams[key[v]] = true
+		}
+	}
+	return seams, nil
+}
+
+// newInfo records what the gate reads of a type-check: each
+// expression's type and constant value, and the object each identifier
+// and selector resolves to.
+func newInfo() *types.Info {
+	return &types.Info{
+		Types: map[ast.Expr]types.TypeAndValue{},
+		Uses:  map[*ast.Ident]types.Object{},
+	}
 }
 
 // interfaces indexes by method name every interface the loaded program
@@ -550,8 +796,9 @@ func (l *exportLoader) interfaces() map[string][]*types.Interface {
 
 // TestExportedMeansCalled fails on exported API under internal/ that
 // nothing outside tests runs: delete it with its tests, or add it to
-// exportAllowlist with the reason it must stay. The root package is
-// public surface and exempt.
+// exportAllowlist with the reason it must stay. It also fails on an
+// exported field that only its package's defaults set, to one value:
+// make it a constant. The root package is public surface and exempt.
 func TestExportedMeansCalled(t *testing.T) {
 	scan, err := scanExports(os.DirFS("."))
 	if err != nil {
@@ -577,8 +824,16 @@ func TestExportedMeansCalled(t *testing.T) {
 		}
 		t.Errorf("%s is exported but no non-test file uses it: delete it or allowlist it with a reason", key)
 	}
+	oneValue := 0
 	for _, dead := range scan.deadFields {
 		key, kind, _ := strings.Cut(dead, " ")
+		if kind == "one-value" {
+			// The allowlist keeps no constant: a test that sets the
+			// field shows it is a seam.
+			oneValue++
+			t.Errorf("field %s holds one value in non-test code, stored only by its package's defaults: make it a constant", key)
+			continue
+		}
 		typ := key[:strings.LastIndex(key, ".")]
 		_, ok := exportAllowlist[key]
 		if _, whole := exportAllowlist[typ]; whole {
@@ -593,6 +848,8 @@ func TestExportedMeansCalled(t *testing.T) {
 	}
 	t.Logf("scanned %d exports and %d exported struct fields under internal/: flagged %d and %d, %d of them allowlisted",
 		scan.exports, scan.fields, len(scan.unused), len(scan.deadFields), allowed)
+	t.Logf("settable values (fields of *Config/*Options structs): %d; fields flagged one-value: %d; test seams: %d",
+		scan.settable, oneValue, scan.seams)
 	for key, why := range exportAllowlist {
 		if why == "" {
 			t.Errorf("allowlist entry %s has no reason", key)
@@ -821,20 +1078,168 @@ func main() {
 
 type R struct{ F, G int }
 
-func New() R { return R{F: 1, G: 2} }
+func New(f int) R { return R{F: f, G: 2} }
 `),
 			"internal/lib/lib_test.go": file(`package lib
 
-func TestG() { _ = New().G }
+func TestG() { _ = New(1).G }
 `),
 			"benchmark/go.mod": file("module x/benchmark\n\ngo 1.22\n\nrequire x v0.0.0\n\nreplace x => ../\n"),
 			"benchmark/live.go": file(`package main
 
 import "x/internal/lib"
 
-func main() { _ = lib.New().F }
+func main() { _ = lib.New(1).F }
 `),
 		}, []string{"internal/lib.R.G write-only"}},
+		{"one constructor sets a constant", fstest.MapFS{
+			"go.mod": goMod,
+			"internal/lib/lib.go": file(`package lib
+
+type Lat struct{ BaseS float64 }
+
+func DefaultLat() Lat { return Lat{BaseS: 2} }
+
+type Config struct {
+	Rate float64
+	Lat  Lat
+}
+
+func DefaultConfig() Config { return Config{Rate: 0.5, Lat: DefaultLat()} }
+`),
+			"cmd/x/main.go": file(`package main
+
+import "x/internal/lib"
+
+func main() {
+	cfg := lib.DefaultConfig()
+	_ = cfg.Rate + cfg.Lat.BaseS
+}
+`),
+		}, []string{"internal/lib.Config.Lat one-value", "internal/lib.Config.Rate one-value", "internal/lib.Lat.BaseS one-value"}},
+		{"two constructors set different constants", fstest.MapFS{
+			"go.mod": goMod,
+			"internal/lib/lib.go": file(`package lib
+
+type Config struct{ Speed, Range, Mass float64 }
+
+func DroneConfig() Config { return Config{Speed: 5, Range: 3, Mass: 1} }
+
+func RoverConfig() Config { return Config{Speed: 1, Mass: 1.0} }
+`),
+			"cmd/x/main.go": file(`package main
+
+import "x/internal/lib"
+
+func main() {
+	d, r := lib.DroneConfig(), lib.RoverConfig()
+	_ = d.Speed + d.Range + d.Mass + r.Speed + r.Range + r.Mass
+}
+`),
+		}, []string{"internal/lib.Config.Mass one-value"}},
+		{"a constructor copies a parameter", fstest.MapFS{
+			"go.mod": goMod,
+			"internal/lib/lib.go": file(`package lib
+
+type Env struct{ Devices, Cores int }
+
+func DefaultEnv(devices int) Env { return Env{Devices: devices, Cores: 480} }
+`),
+			"cmd/x/main.go": file(`package main
+
+import "x/internal/lib"
+
+func main() {
+	env := lib.DefaultEnv(16)
+	_ = env.Devices * env.Cores
+}
+`),
+		}, []string{"internal/lib.Env.Cores one-value"}},
+		{"a caller outside the package sets the field", fstest.MapFS{
+			"go.mod": goMod,
+			"internal/lib/lib.go": file(`package lib
+
+type Config struct{ Timeout, Retries int }
+
+func DefaultConfig() Config { return Config{Timeout: 3, Retries: 2} }
+`),
+			"cmd/x/main.go": file(`package main
+
+import "x/internal/lib"
+
+func main() {
+	cfg := lib.DefaultConfig()
+	cfg.Timeout = 3
+	_ = cfg.Timeout + cfg.Retries
+}
+`),
+		}, []string{"internal/lib.Config.Retries one-value"}},
+		{"result fields counted or made fresh", fstest.MapFS{
+			"go.mod": goMod,
+			"internal/lib/lib.go": file(`package lib
+
+type Log struct{ n int }
+
+func NewLog() *Log { return &Log{} }
+
+type Result struct {
+	Done  int
+	Total float64
+	Log   *Log
+	Kind  int
+}
+
+func Run(n int) Result {
+	r := Result{Log: NewLog(), Kind: 1}
+	for i := 0; i < n; i++ {
+		r.Done++
+		r.Total += 0.5
+	}
+	return r
+}
+`),
+			"cmd/x/main.go": file(`package main
+
+import "x/internal/lib"
+
+func main() {
+	r := lib.Run(3)
+	_, _ = float64(r.Done+r.Kind)+r.Total, r.Log
+}
+`),
+		}, []string{"internal/lib.Result.Kind one-value"}},
+		{"a field a test sets is a seam", fstest.MapFS{
+			"go.mod": goMod,
+			"internal/lib/lib.go": file(`package lib
+
+type Config struct{ KeepAlive, Workers, Depth int }
+
+func DefaultConfig() Config { return Config{KeepAlive: 20, Workers: 4, Depth: 8} }
+`),
+			"internal/lib/lib_test.go": file(`package lib
+
+func TestShortKeepAlive() {
+	c := DefaultConfig()
+	c.KeepAlive = 1
+	_ = c
+}
+`),
+			"internal/lib/x_test.go": file(`package lib_test
+
+import "x/internal/lib"
+
+func TestOneWorker() { _ = lib.Config{Workers: 1} }
+`),
+			"cmd/x/main.go": file(`package main
+
+import "x/internal/lib"
+
+func main() {
+	c := lib.DefaultConfig()
+	_ = c.KeepAlive + c.Workers + c.Depth
+}
+`),
+		}, []string{"internal/lib.Config.Depth one-value"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			scan, err := scanExports(tc.fsys)

@@ -19,30 +19,21 @@ import (
 	"hivemind/internal/stats"
 )
 
-// Config tunes the controller.
-type Config struct {
-	HeartbeatTimeoutS float64 // beats older than this mark the device failed (3 s)
-	CheckPeriodS      float64 // detector scan period
-	// MinBatteryFrac is the remaining-battery fraction a neighbour needs
+// The controller's timings and thresholds (§4.6/§4.7).
+const (
+	// heartbeatTimeoutS: beats older than this mark the device failed.
+	heartbeatTimeoutS float64 = 3
+	// checkPeriodS is the failure detector's scan period.
+	checkPeriodS float64 = 1
+	// minBatteryFrac is the remaining-battery fraction a neighbour needs
 	// to absorb repartitioned load ("assuming they have sufficient
 	// battery").
-	MinBatteryFrac float64
-	// Standbys is the number of hot standby controller replicas.
-	Standbys int
-	// FailoverS is the takeover delay when the active replica dies.
-	FailoverS float64
-}
-
-// DefaultConfig matches §4.6/§4.7.
-func DefaultConfig() Config {
-	return Config{
-		HeartbeatTimeoutS: 3,
-		CheckPeriodS:      1,
-		MinBatteryFrac:    0.15,
-		Standbys:          2,
-		FailoverS:         0.5,
-	}
-}
+	minBatteryFrac float64 = 0.15
+	// standbys is the number of hot standby controller replicas.
+	standbys int = 2
+	// failoverS is the takeover delay when the active replica dies.
+	failoverS float64 = 0.5
+)
 
 // Metric names shared by the simulated Controller and the live Replica,
 // so Fig. 10-style failover experiments read the same counters on
@@ -75,7 +66,6 @@ const (
 // Controller coordinates a fleet.
 type Controller struct {
 	eng  *sim.Engine
-	cfg  Config
 	flt  device.Fleet
 	regs []geo.Rect
 
@@ -93,18 +83,18 @@ type Controller struct {
 
 // New builds a controller over a fleet with its initial region
 // assignment.
-func New(eng *sim.Engine, cfg Config, fleet device.Fleet, regions []geo.Rect, onRepartition func(failed int, gainers []int)) *Controller {
+func New(eng *sim.Engine, fleet device.Fleet, regions []geo.Rect, onRepartition func(failed int, gainers []int)) *Controller {
 	if len(fleet) != len(regions) {
 		panic("controller: fleet/regions size mismatch")
 	}
 	c := &Controller{
-		eng: eng, cfg: cfg, flt: fleet, regs: append([]geo.Rect(nil), regions...),
+		eng: eng, flt: fleet, regs: append([]geo.Rect(nil), regions...),
 		handled:       make(map[int]bool),
 		onRepartition: onRepartition,
-		replicas:      1 + cfg.Standbys,
+		replicas:      1 + standbys,
 		monitor:       metrics.NewRegistry(),
 	}
-	c.detector = eng.Every(cfg.CheckPeriodS, 0.05, c.scan)
+	c.detector = eng.Every(checkPeriodS, 0.05, c.scan)
 	return c
 }
 
@@ -124,10 +114,10 @@ func (c *Controller) KillActiveReplica() bool {
 	if c.replicas <= 0 {
 		return false
 	}
-	c.downUntil = c.eng.Now() + c.cfg.FailoverS
+	c.downUntil = c.eng.Now() + failoverS
 	c.monitor.CountEvent(EventElection)
 	c.monitor.CountEvent(EventFailover)
-	c.monitor.Observe(SampleFailoverLatency, c.cfg.FailoverS)
+	c.monitor.Observe(SampleFailoverLatency, failoverS)
 	return true
 }
 
@@ -141,7 +131,7 @@ func (c *Controller) scan() {
 		if c.handled[i] {
 			continue
 		}
-		stale := now-d.LastHeartbeat() > c.cfg.HeartbeatTimeoutS
+		stale := now-d.LastHeartbeat() > heartbeatTimeoutS
 		if stale {
 			c.monitor.CountEvent(EventHeartbeatMissed)
 		}
@@ -163,7 +153,7 @@ func (c *Controller) handleFailure(failed int) {
 	alive := make([]bool, len(c.flt))
 	for i, d := range c.flt {
 		alive[i] = !d.Failed() && !c.handled[i] &&
-			d.Battery.ConsumedFraction() < 1-c.cfg.MinBatteryFrac
+			d.Battery.ConsumedFraction() < 1-minBatteryFrac
 	}
 	newRegs, gainers := geo.Repartition(c.regs, alive, failed)
 	c.regs = newRegs

@@ -34,7 +34,7 @@ func TestFailureDetectionWithin3s(t *testing.T) {
 	eng := sim.NewEngine(1)
 	fleet, regions := fleetWithRegions(eng, 9)
 	var failedID int = -1
-	c := New(eng, DefaultConfig(), fleet, regions, func(failed int, gainers []int) {
+	c := New(eng, fleet, regions, func(failed int, gainers []int) {
 		failedID = failed
 		if len(gainers) == 0 {
 			t.Error("no gainers")
@@ -55,7 +55,7 @@ func TestRepartitionConservesCoverage(t *testing.T) {
 	eng := sim.NewEngine(1)
 	fleet, regions := fleetWithRegions(eng, 16)
 	total := totalArea(regions)
-	c := New(eng, DefaultConfig(), fleet, regions, nil)
+	c := New(eng, fleet, regions, nil)
 	eng.At(5, func() { fleet[5].Fail() })
 	eng.RunUntil(15)
 	c.Stop()
@@ -77,7 +77,7 @@ func TestLowBatteryNeighboursSkipped(t *testing.T) {
 	// Drain device 1 to below the battery threshold.
 	fleet[1].Battery.Consume(energy.LoadMotion, device.DroneConfig().Power.CapacityJ*0.9)
 	var gainers []int
-	c := New(eng, DefaultConfig(), fleet, regions, func(f int, g []int) { gainers = g })
+	c := New(eng, fleet, regions, func(f int, g []int) { gainers = g })
 	eng.At(2, func() { fleet[0].Fail() })
 	eng.RunUntil(10)
 	c.Stop()
@@ -95,7 +95,7 @@ func TestMultipleFailuresHandledOnce(t *testing.T) {
 	eng := sim.NewEngine(1)
 	fleet, regions := fleetWithRegions(eng, 9)
 	events := 0
-	c := New(eng, DefaultConfig(), fleet, regions, func(int, []int) { events++ })
+	c := New(eng, fleet, regions, func(int, []int) { events++ })
 	eng.At(3, func() { fleet[0].Fail() })
 	eng.At(6, func() { fleet[8].Fail() })
 	eng.RunUntil(30)
@@ -111,7 +111,7 @@ func TestStaleHeartbeatDetectedWithoutExplicitFailure(t *testing.T) {
 	eng := sim.NewEngine(1)
 	fleet, regions := fleetWithRegions(eng, 4)
 	detected := sim.Time(0)
-	c := New(eng, DefaultConfig(), fleet, regions, func(f int, g []int) { detected = eng.Now() })
+	c := New(eng, fleet, regions, func(f int, g []int) { detected = eng.Now() })
 	// Fail() stops the beat ticker; use it as the crash, but verify the
 	// detector reacts to staleness: set a custom timeout shorter than
 	// the scan interval to exercise the stale path.
@@ -121,7 +121,7 @@ func TestStaleHeartbeatDetectedWithoutExplicitFailure(t *testing.T) {
 	if detected == 0 {
 		t.Fatal("stale device never detected")
 	}
-	if detected < 10 || detected > 10+DefaultConfig().HeartbeatTimeoutS+2 {
+	if detected < 10 || detected > 10+heartbeatTimeoutS+2 {
 		t.Fatalf("detected at %g, want shortly after 10", detected)
 	}
 }
@@ -129,7 +129,7 @@ func TestStaleHeartbeatDetectedWithoutExplicitFailure(t *testing.T) {
 func TestHotStandbyFailover(t *testing.T) {
 	eng := sim.NewEngine(1)
 	fleet, regions := fleetWithRegions(eng, 4)
-	c := New(eng, DefaultConfig(), fleet, regions, nil)
+	c := New(eng, fleet, regions, nil)
 	if !c.Available() {
 		t.Fatal("controller should start available")
 	}
@@ -162,5 +162,5 @@ func TestMismatchedRegionsPanics(t *testing.T) {
 			t.Error("no panic")
 		}
 	}()
-	New(eng, DefaultConfig(), fleet, make([]geo.Rect, 2), nil)
+	New(eng, fleet, make([]geo.Rect, 2), nil)
 }

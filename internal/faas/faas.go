@@ -23,17 +23,13 @@ import (
 
 // Config tunes the platform. Times are seconds.
 type Config struct {
-	AuthS       float64 // front-end + CouchDB auth lookup
-	SchedS      float64 // controller invoker-selection + Kafka publish
-	ColdStartS  float64 // container pull + start
 	WarmStartS  float64 // reuse of a kept-alive container
 	KeepAliveS  float64 // idle container lifetime (0: terminate at once)
 	MaxInFlight int     // user concurrent-function limit (AWS default 1000)
 
-	// Protocol is the inter-function data-sharing mechanism.
+	// Protocol is the inter-function data-sharing mechanism, priced
+	// by store.ExchangeS.
 	Protocol store.Protocol
-	// LatModel prices each protocol.
-	LatModel store.LatencyModel
 	// Fabric, if non-nil and Protocol is ProtoRemoteMem, prices fabric
 	// accesses from the calibrated accelerator model instead.
 	Fabric *accel.Fabric
@@ -45,16 +41,14 @@ type Config struct {
 	StragglerProb   float64
 	StragglerFactor float64
 	// FailureProb fails a function mid-run; the platform respawns it
-	// after RespawnDelayS (§3.2, Fig. 5c).
-	FailureProb   float64
-	RespawnDelayS float64
+	// after respawnDelayS (§3.2, Fig. 5c).
+	FailureProb float64
 	// Mitigate enables HiveMind's straggler mitigation: functions
 	// running past the job's p90 are respawned on another server and the
-	// first finisher wins; repeat offenders put servers on probation.
+	// first finisher wins; repeat offenders go on probation for
+	// probationS.
 	Mitigate           bool
-	ProbationS         float64
 	MitigationMinObs   int     // history needed before the p90 rule arms
-	AggregationBaseS   float64 // fan-in sync cost for intra-task parallelism
 	SchedulerExtraS    float64 // HiveMind's richer scheduler costs slightly more (§5.1)
 	MonitoringOverhead float64 // fractional slowdown from the worker monitors (§4.7, ~0.001)
 
@@ -65,6 +59,21 @@ type Config struct {
 	Scheduler *scheduler.Sharded
 }
 
+// The OpenWhisk calibration's fixed costs, in seconds.
+const (
+	authS      float64 = 0.006 // front-end + CouchDB auth lookup
+	schedS     float64 = 0.004 // controller invoker-selection + Kafka publish
+	coldStartS float64 = 0.160 // container pull + start: "millisecond-level overheads" vs seconds for IaaS
+	// respawnDelayS is the wait before a failed function is respawned
+	// (§3.2).
+	respawnDelayS float64 = 0.120
+	// probationS is how long a server that ran a straggler is avoided.
+	probationS float64 = 120
+	// aggregationBaseS is the fan-in sync cost for intra-task
+	// parallelism.
+	aggregationBaseS float64 = 0.006
+)
+
 // mitigationPctl is the percentile of a function's execution history
 // that straggler mitigation measures against (§4.6: the job's p90).
 const mitigationPctl = 90
@@ -72,21 +81,14 @@ const mitigationPctl = 90
 // DefaultConfig returns the OpenWhisk-like baseline calibration.
 func DefaultConfig() Config {
 	return Config{
-		AuthS:            0.006,
-		SchedS:           0.004,
-		ColdStartS:       0.160, // "millisecond-level overheads" vs seconds for IaaS
 		WarmStartS:       0.009,
 		KeepAliveS:       0, // stock OpenWhisk terminates shortly after completion
 		MaxInFlight:      1000,
 		Protocol:         store.ProtoCouchDB,
-		LatModel:         store.DefaultLatencyModel(),
 		InterferenceCoef: 0.9,
 		StragglerProb:    0.02,
 		StragglerFactor:  4.0,
-		RespawnDelayS:    0.120,
-		ProbationS:       120,
 		MitigationMinObs: 20,
-		AggregationBaseS: 0.006,
 	}
 }
 
@@ -198,9 +200,9 @@ func (p *Platform) dataShareS(spec FunctionSpec) float64 {
 			return s
 		}
 		// Engine absent from the bitstream: fall back to CouchDB.
-		return p.cfg.LatModel.ExchangeS(store.ProtoCouchDB, spec.ParentDataMB)
+		return store.ExchangeS(store.ProtoCouchDB, spec.ParentDataMB)
 	}
-	return p.cfg.LatModel.ExchangeS(p.cfg.Protocol, spec.ParentDataMB)
+	return store.ExchangeS(p.cfg.Protocol, spec.ParentDataMB)
 }
 
 // admit runs fn when a concurrency slot is free, in arrival order.
@@ -232,7 +234,7 @@ func (p *Platform) Invoke(spec FunctionSpec, done func(Result)) {
 	p.invocations++
 	res := &Result{}
 
-	mgmtFixed := p.cfg.AuthS + p.cfg.SchedS + p.cfg.SchedulerExtraS
+	mgmtFixed := authS + schedS + p.cfg.SchedulerExtraS
 	seq := uint64(p.invocations)
 	schedule := func(fn func(extraMgmt float64)) {
 		if p.cfg.Scheduler == nil {
@@ -241,8 +243,8 @@ func (p *Platform) Invoke(spec FunctionSpec, done func(Result)) {
 		}
 		// Auth first, then queue on the controller shard responsible for
 		// this task.
-		p.eng.Defer(p.cfg.AuthS+p.cfg.SchedulerExtraS, func() {
-			p.cfg.Scheduler.Decide(seq, func(lat sim.Time) { fn(lat - p.cfg.SchedS) })
+		p.eng.Defer(authS+p.cfg.SchedulerExtraS, func() {
+			p.cfg.Scheduler.Decide(seq, func(lat sim.Time) { fn(lat - schedS) })
 		})
 	}
 	admitAt := sim.Time(0)
@@ -297,7 +299,7 @@ func (p *Platform) runBranches(spec FunctionSpec, res *Result, done func()) {
 			res.QueueS += maxQueue
 			if k > 1 {
 				// Fan-in: aggregate partial results.
-				agg := p.cfg.AggregationBaseS + p.cfg.LatModel.ExchangeS(p.cfg.Protocol, spec.ParentDataMB/float64(k))/4
+				agg := aggregationBaseS + store.ExchangeS(p.cfg.Protocol, spec.ParentDataMB/float64(k))/4
 				res.DataIOS += agg
 				p.eng.Defer(agg, done)
 				return
@@ -323,7 +325,7 @@ func (p *Platform) runOne(spec FunctionSpec, execBase float64, res *Result, done
 			memGB = 0 // cluster-wide memory pressure: over-commit, untracked
 		}
 		c = &container{fn: spec.Name, server: srv, memGB: memGB}
-		instS = p.cfg.ColdStartS
+		instS = coldStartS
 	}
 	dataS := p.dataShareS(spec)
 
@@ -409,10 +411,10 @@ func (p *Platform) executeOn(c *container, spec FunctionSpec, execBase float64, 
 			p.eng.Defer(failAt, func() {
 				srv.Cores().Release()
 				p.active.Inc(-1)
-				p.eng.Defer(p.cfg.RespawnDelayS, func() {
+				p.eng.Defer(respawnDelayS, func() {
 					p.executeOn(c, spec, execBase, res, attempt+1, func(e2, q2 float64) {
 						res.Respawns++
-						done(failAt+p.cfg.RespawnDelayS+e2, queueS+q2)
+						done(failAt+respawnDelayS+e2, queueS+q2)
 					})
 				})
 			})
@@ -438,9 +440,9 @@ func (p *Platform) executeOn(c *container, spec FunctionSpec, execBase float64, 
 						if finished {
 							return
 						}
-						srv.Probation(p.cfg.ProbationS)
+						srv.Probation(probationS)
 						dup := &container{fn: spec.Name, server: p.cls.LeastLoaded(), memGB: spec.MemGB}
-						p.eng.Defer(p.cfg.ColdStartS, func() {
+						p.eng.Defer(coldStartS, func() {
 							if finished {
 								return
 							}
@@ -452,7 +454,7 @@ func (p *Platform) executeOn(c *container, spec FunctionSpec, execBase float64, 
 								p.eng.Defer(dupExec, func() {
 									dup.server.Cores().Release()
 									p.active.Inc(-1)
-									finish(threshold + p.cfg.ColdStartS + dupQ + dupExec)
+									finish(threshold + coldStartS + dupQ + dupExec)
 								})
 							})
 						})

@@ -38,8 +38,7 @@ func TestInvokeBasicLatencyComposition(t *testing.T) {
 	var total float64
 	p.Invoke(spec("face", 0.5), timed(e, func(r Result, s float64) { res, total = r, s }))
 	e.Run()
-	cfg := quietConfig()
-	wantMgmt := cfg.AuthS + cfg.SchedS + cfg.ColdStartS
+	wantMgmt := authS + schedS + coldStartS
 	if math.Abs(res.MgmtS-wantMgmt) > 1e-9 {
 		t.Fatalf("mgmt = %g, want %g", res.MgmtS, wantMgmt)
 	}
@@ -73,7 +72,7 @@ func TestKeepAliveWarmReuse(t *testing.T) {
 	if coldStarts(p) != 1 {
 		t.Fatalf("cold starts = %d: the second invocation cold-started despite keep-alive", coldStarts(p))
 	}
-	wantWarmMgmt := cfg.AuthS + cfg.SchedS + cfg.WarmStartS
+	wantWarmMgmt := authS + schedS + cfg.WarmStartS
 	if math.Abs(second.MgmtS-wantWarmMgmt) > 1e-9 {
 		t.Fatalf("warm mgmt = %g, want %g", second.MgmtS, wantWarmMgmt)
 	}
@@ -197,7 +196,7 @@ func TestRemoteMemFallsBackWithoutEngine(t *testing.T) {
 	var res Result
 	p.Invoke(sp, func(r Result) { res = r })
 	e.Run()
-	couch := cfg.LatModel.ExchangeS(store.ProtoCouchDB, 2)
+	couch := store.ExchangeS(store.ProtoCouchDB, 2)
 	if math.Abs(res.DataIOS-couch) > 1e-9 {
 		t.Fatalf("fallback data IO = %g, want CouchDB %g", res.DataIOS, couch)
 	}

@@ -190,23 +190,26 @@ func (d *Domain) Observe(rng *rand.Rand, label int) []float64 {
 
 // TrialConfig configures a Fig. 15 retraining trial.
 type TrialConfig struct {
-	Devices    int
-	Rounds     int     // retraining rounds over the mission
-	ObsPerDev  int     // observations per device per round
-	TargetFrac float64 // fraction of observations that are true targets
-	Dim        int
-	Separation float64
-	Shift      float64
-	Noise      float64
-	Seed       int64
+	Devices   int
+	Rounds    int // retraining rounds over the mission
+	ObsPerDev int // observations per device per round
+	Noise     float64
+	Seed      int64
 }
+
+// The detection domain every trial runs in: see NewDomain.
+const (
+	trialTargetFrac float64 = 0.4 // fraction of observations that are true targets
+	trialDim        int     = 8
+	trialSeparation float64 = 5.0
+	trialShift      float64 = 5.0
+)
 
 // DefaultTrial matches the scenario scale (16 drones, 25 moving
 // people).
 func DefaultTrial(devices int, seed int64) TrialConfig {
 	return TrialConfig{
-		Devices: devices, Rounds: 12, ObsPerDev: 24, TargetFrac: 0.4,
-		Dim: 8, Separation: 5.0, Shift: 5.0, Noise: 1.0, Seed: seed,
+		Devices: devices, Rounds: 12, ObsPerDev: 24, Noise: 1.0, Seed: seed,
 	}
 }
 
@@ -214,7 +217,7 @@ func DefaultTrial(devices int, seed int64) TrialConfig {
 // final-round accuracy plus the per-round accuracy trajectory.
 func RunTrial(mode Mode, cfg TrialConfig) (Accuracy, []Accuracy) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	domain, pretrained := NewDomain(cfg.Dim, cfg.Separation, cfg.Shift, cfg.Noise)
+	domain, pretrained := NewDomain(trialDim, trialSeparation, trialShift, cfg.Noise)
 
 	// Per-device models for Self; one shared model for Swarm; the
 	// frozen pretrained model for None.
@@ -229,7 +232,7 @@ func RunTrial(mode Mode, cfg TrialConfig) (Accuracy, []Accuracy) {
 	// its own — the coverage gap that swarm-pooled retraining closes.
 	targetFrac := make([]float64, cfg.Devices)
 	for i := range targetFrac {
-		targetFrac[i] = cfg.TargetFrac * (0.06 + 1.88*rng.Float64())
+		targetFrac[i] = trialTargetFrac * (0.06 + 1.88*rng.Float64())
 		if targetFrac[i] > 0.85 {
 			targetFrac[i] = 0.85
 		}

@@ -160,14 +160,13 @@ func TestMediumDeterministic(t *testing.T) {
 
 func TestNetworkEdgeToCloudBreakdown(t *testing.T) {
 	e := sim.NewEngine(1)
-	cfg := DefaultConfig()
-	n := NewNetwork(e, cfg)
+	n := NewNetwork(e, DefaultConfig())
 	var total sim.Time
 	n.EdgeToCloud(2e6, func(s sim.Time) { total = s }) // 2MB frame
 	e.Run()
 	// Protocol processing at both ends, then 2MB uncontended at the
 	// 50MB/s per-device cap = 40ms on the medium, then propagation.
-	want := (cfg.ProcPerMsgS+cfg.ProcPerMBS*2)*2 + 0.04 + cfg.WirelessPropS
+	want := (procPerMsgS+procPerMBS*2)*2 + 0.04 + wirelessPropS
 	if math.Abs(total-want) > 1e-4 {
 		t.Fatalf("total = %g, want %g", total, want)
 	}
@@ -185,7 +184,7 @@ func TestNetworkAccelReducesProcessing(t *testing.T) {
 	}
 	// A 64 B message: the totals differ by the two endpoints' processing.
 	sw, hw := transfer(false), transfer(true)
-	swProc := (cfg.ProcPerMsgS + cfg.ProcPerMBS*64/1e6) * 2
+	swProc := (procPerMsgS + procPerMBS*64/1e6) * 2
 	if hwProc := swProc - (sw - hw); hwProc >= swProc/100 {
 		t.Fatalf("accel proc %g not ≪ software proc %g", hwProc, swProc)
 	}

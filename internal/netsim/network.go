@@ -4,40 +4,41 @@ import (
 	"hivemind/internal/sim"
 )
 
-// Config captures the testbed's network parameters (§2.1) plus the
+// Config captures the testbed's wireless capacity (§2.1) plus the
 // acceleration state.
 type Config struct {
 	// WirelessBps is the aggregate edge<->cloud wireless capacity in
 	// bytes/s. The paper's two 867 Mbps routers give ~216.75 MB/s.
 	WirelessBps float64
-	// PerDeviceBps caps a single device's radio rate (MU-MIMO per-client
-	// rate), bytes/s.
-	PerDeviceBps float64
-	// WirelessPropS is the one-way edge<->cloud propagation + MAC delay.
-	WirelessPropS float64
-
-	// Software protocol processing costs (host network stack + RPC
-	// marshalling), removed by the FPGA offload:
-	ProcPerMsgS float64 // fixed per-message cost, seconds
-	ProcPerMBS  float64 // size-dependent cost, seconds per MB
 
 	// RPCAccel enables the FPGA RPC/NIC offload of §4.5: per-message
-	// processing drops to AccelPerMsgS.
-	RPCAccel     bool
-	AccelPerMsgS float64
+	// processing drops to accelPerMsgS.
+	RPCAccel bool
 }
 
 // DefaultConfig returns the testbed calibration.
 func DefaultConfig() Config {
 	return Config{
-		WirelessBps:   216.75e6, // 2 × 867 Mbps in bytes/s
-		PerDeviceBps:  50e6,     // single-client MU-MIMO share
-		WirelessPropS: 0.004,    // WiFi MAC + air
-		ProcPerMsgS:   0.0012,   // socket + RPC marshalling per message
-		ProcPerMBS:    0.0004,   // copies, checksums
-		AccelPerMsgS:  3e-7,     // FPGA pipeline per message
+		WirelessBps: 216.75e6, // 2 × 867 Mbps in bytes/s
 	}
 }
+
+// The testbed's fixed network costs (§2.1, §4.5).
+const (
+	// perDeviceBps caps a single device's radio rate (MU-MIMO
+	// per-client share), bytes/s.
+	perDeviceBps float64 = 50e6
+	// wirelessPropS is the one-way edge<->cloud propagation + MAC delay
+	// (WiFi MAC + air).
+	wirelessPropS float64 = 0.004
+
+	// Software protocol processing costs (host network stack + RPC
+	// marshalling), removed by the FPGA offload:
+	procPerMsgS float64 = 0.0012 // socket + RPC marshalling per message, seconds
+	procPerMBS  float64 = 0.0004 // copies, checksums: seconds per MB
+	// accelPerMsgS is the FPGA pipeline's cost per message.
+	accelPerMsgS float64 = 3e-7
+)
 
 // Network is the wireless access medium plus protocol processing
 // overheads. It reports per-transfer
@@ -53,7 +54,7 @@ func NewNetwork(eng *sim.Engine, cfg Config) *Network {
 	return &Network{
 		eng:      eng,
 		cfg:      cfg,
-		Wireless: NewMedium(eng, cfg.WirelessBps, cfg.PerDeviceBps),
+		Wireless: NewMedium(eng, cfg.WirelessBps, perDeviceBps),
 	}
 }
 
@@ -67,9 +68,9 @@ func (n *Network) ScaleWireless(factor float64) {
 // given size, honouring acceleration.
 func (n *Network) procCost(bytes float64) sim.Time {
 	if n.cfg.RPCAccel {
-		return n.cfg.AccelPerMsgS
+		return accelPerMsgS
 	}
-	return n.cfg.ProcPerMsgS + n.cfg.ProcPerMBS*bytes/1e6
+	return procPerMsgS + procPerMBS*bytes/1e6
 }
 
 // EdgeToCloud moves bytes from a device to the cluster (or back — the
@@ -79,10 +80,9 @@ func (n *Network) procCost(bytes float64) sim.Time {
 func (n *Network) EdgeToCloud(bytes float64, done func(totalS sim.Time)) {
 	start := n.eng.Now()
 	proc := n.procCost(bytes) * 2 // sender + receiver stacks
-	prop := n.cfg.WirelessPropS
 	n.eng.Defer(proc, func() {
 		n.Wireless.Transfer(bytes, func(*Flow) {
-			n.eng.Defer(prop, func() {
+			n.eng.Defer(wirelessPropS, func() {
 				if done != nil {
 					done(n.eng.Now() - start)
 				}

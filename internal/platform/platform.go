@@ -12,7 +12,6 @@ import (
 	"hivemind/internal/accel"
 	"hivemind/internal/apps"
 	"hivemind/internal/cluster"
-	"hivemind/internal/controller"
 	"hivemind/internal/device"
 	"hivemind/internal/faas"
 	"hivemind/internal/geo"
@@ -68,26 +67,18 @@ type Options struct {
 	NetCfg    netsim.Config
 	ClusterCf cluster.Config
 	FaasCfg   faas.Config
-	// CtrlCfg tunes the centralized controller a HiveMind mission runs:
-	// heartbeat detection, hot-standby count, failover delay (§4.6,
-	// §4.7). Preset fills in controller.DefaultConfig().
-	CtrlCfg controller.Config
-	Seed    int64
+	Seed      int64
 
 	// Feature toggles (pre-set per Kind; the Fig. 13 ablations flip
-	// them individually).
+	// them).
 	NetAccel        bool // FPGA RPC/NIC offload for edge<->cloud and intra-cloud traffic
 	RemoteMemAccel  bool // FPGA remote-memory inter-function data sharing
 	HybridPlacement bool // per-tier edge/cloud placement (HiveMind synthesis outcome)
-	IntraTaskPar    bool // split tasks across parallel functions
 
 	// HybridUploadFrac is the fraction of sensor data HiveMind ships to
 	// the cloud after on-board preprocessing (hybrid execution, §4.2);
 	// the rest is consumed on-device.
 	HybridUploadFrac float64
-	// HybridEdgeWorkFrac is the fraction of the task's recognition work
-	// subsumed by on-board preprocessing (reduces cloud execution).
-	HybridEdgeWorkFrac float64
 	// PreprocSPerMB is the on-board cost of the hybrid preprocessing
 	// pass (ROI extraction / frame filtering) per MB of sensor data.
 	PreprocSPerMB float64
@@ -108,25 +99,22 @@ type Options struct {
 // Preset returns the paper-faithful configuration for a system kind.
 func Preset(kind SystemKind, devices int, seed int64) Options {
 	o := Options{
-		Kind:               kind,
-		Devices:            devices,
-		DeviceCfg:          device.DroneConfig(),
-		NetCfg:             netsim.DefaultConfig(),
-		ClusterCf:          cluster.DefaultConfig(),
-		CtrlCfg:            controller.DefaultConfig(),
-		Seed:               seed,
-		HybridUploadFrac:   0.45,
-		HybridEdgeWorkFrac: 0.05,
-		PreprocSPerMB:      0.012, // ~80 MB/s ROI extraction on-board
-		FieldM:             120,
-		WirelessScale:      1,
+		Kind:             kind,
+		Devices:          devices,
+		DeviceCfg:        device.DroneConfig(),
+		NetCfg:           netsim.DefaultConfig(),
+		ClusterCf:        cluster.DefaultConfig(),
+		Seed:             seed,
+		HybridUploadFrac: 0.45,
+		PreprocSPerMB:    0.012, // ~80 MB/s ROI extraction on-board
+		FieldM:           120,
+		WirelessScale:    1,
 	}
 	switch kind {
 	case CentralizedIaaS:
 		o.FaasCfg = faas.DefaultConfig()
 	case CentralizedFaaS:
 		o.FaasCfg = openWhiskConfig()
-		o.IntraTaskPar = true
 	case DistributedEdge:
 		o.FaasCfg = openWhiskConfig()
 	case HiveMind:
@@ -135,7 +123,6 @@ func Preset(kind SystemKind, devices int, seed int64) Options {
 		o.NetAccel = true
 		o.RemoteMemAccel = true
 		o.HybridPlacement = true
-		o.IntraTaskPar = true
 	}
 	return o
 }
@@ -363,7 +350,7 @@ func (s *System) SubmitTask(p apps.Profile, dev *device.Device, opts SubmitOpts,
 				return
 			}
 			m.Exec += out.ExecS + out.QueueS
-			s.runCloud(p, dev, &m, opts, s.Opts.HybridUploadFrac, s.Opts.HybridEdgeWorkFrac, finish)
+			s.runCloud(p, dev, &m, opts, s.Opts.HybridUploadFrac, hybridEdgeWorkFrac, finish)
 		})
 	}
 }
@@ -389,6 +376,10 @@ func (s *System) runEdge(p apps.Profile, dev *device.Device, m *TaskMetrics, opt
 	})
 }
 
+// hybridEdgeWorkFrac is the fraction of a hybrid task's recognition
+// work that on-board preprocessing subsumes (reduces cloud execution).
+const hybridEdgeWorkFrac float64 = 0.05
+
 // runCloud ships the (possibly reduced) input, executes on the backend
 // and returns the result. uploadFrac scales the payload; workDone is
 // the fraction of the task already executed on-board.
@@ -397,9 +388,12 @@ func (s *System) runCloud(p apps.Profile, dev *device.Device, m *TaskMetrics, op
 	dev.Transmit(inMB)
 	s.Net.EdgeToCloud(inMB*1e6, func(upS sim.Time) {
 		m.Network += upS
-		par := p.Parallelism
-		if !s.Opts.IntraTaskPar {
-			par = 1
+		// Serverless systems split a task across parallel functions;
+		// reserved IaaS, and an edge swarm forced to the cloud, run it
+		// whole.
+		par := 1
+		if s.Opts.Kind == CentralizedFaaS || s.Opts.Kind == HiveMind {
+			par = p.Parallelism
 		}
 		spec := faas.FunctionSpec{
 			Name:         string(p.ID),

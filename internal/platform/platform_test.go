@@ -47,7 +47,7 @@ func TestPresetKinds(t *testing.T) {
 
 func TestHiveMindPresetEnablesStack(t *testing.T) {
 	o := Preset(HiveMind, 16, 1)
-	if !o.NetAccel || !o.RemoteMemAccel || !o.HybridPlacement || !o.IntraTaskPar {
+	if !o.NetAccel || !o.RemoteMemAccel || !o.HybridPlacement {
 		t.Fatalf("hivemind preset incomplete: %+v", o)
 	}
 	s := NewSystem(o)

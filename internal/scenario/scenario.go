@@ -57,19 +57,20 @@ type Config struct {
 	// MaxDurationS caps simulated time; incomplete missions are
 	// extrapolated from the discovery rate beyond the cap.
 	MaxDurationS float64
-	// DetectProb is the per-pass probability a device spots a person in
-	// its region (Scenario B).
-	DetectProb float64
 	// KillControllerAtS, if >= 0, crashes the active controller replica
 	// at that simulated second (§4.7): a hot standby takes over after the
-	// configured failover delay, and the run's Result.Failover reports
-	// the election/failover counters. Only meaningful under HiveMind.
+	// failover delay, and the run's Result.Failover reports the
+	// election/failover counters. Only meaningful under HiveMind.
 	KillControllerAtS float64
 }
 
+// detectProb is the per-pass probability a device spots a person in
+// its region (Scenario B).
+const detectProb float64 = 0.75
+
 // DefaultConfig builds a mission config over a system preset.
 func DefaultConfig(kind Kind, sys platform.Options) Config {
-	c := Config{System: sys, MaxDurationS: 400, DetectProb: 0.75, KillControllerAtS: -1}
+	c := Config{System: sys, MaxDurationS: 400, KillControllerAtS: -1}
 	switch kind {
 	case ScenarioA:
 		c.Items = 15
@@ -191,11 +192,7 @@ func runSearch(kind Kind, cfg Config, sys *platform.System, dedup bool) Result {
 	repartitioned := false
 	var ctl *controller.Controller
 	if cfg.System.Kind == platform.HiveMind {
-		ccfg := cfg.System.CtrlCfg
-		if ccfg.HeartbeatTimeoutS <= 0 { // hand-built Options without Preset
-			ccfg = controller.DefaultConfig()
-		}
-		ctl = controller.New(eng, ccfg, sys.Fleet, sys.Regions(),
+		ctl = controller.New(eng, sys.Fleet, sys.Regions(),
 			func(failed int, gainers []int) { repartitioned = true })
 		defer ctl.Stop()
 		if cfg.KillControllerAtS >= 0 {
@@ -319,7 +316,7 @@ func runSearch(kind Kind, cfg Config, sys *platform.System, dedup bool) Result {
 		}
 	} else {
 		// Scenario B: people move; every sweep pass each device spots
-		// each person currently in its region with DetectProb.
+		// each person currently in its region with detectProb.
 		pass := func() float64 { return math.Max(20, sys.Fleet[0].SweepTimeS()) }
 		var round func()
 		round = func() {
@@ -336,7 +333,7 @@ func runSearch(kind Kind, cfg Config, sys *platform.System, dedup bool) Result {
 				if d.Failed() {
 					continue
 				}
-				if rng.Float64() < cfg.DetectProb {
+				if rng.Float64() < detectProb {
 					p := p
 					at := rng.Float64() * pass() * 0.8
 					eng.Defer(at, func() {

@@ -73,9 +73,6 @@ type SwarmConfig struct {
 	// latency or RunSwarm reports a *sim.LookaheadError.
 	RadioLatencyS float64
 	LookaheadS    float64
-	// AnchorFrac is the fraction of devices with known positions
-	// (GPS/surveyed; default 0.05).
-	AnchorFrac float64
 	// Rumors is how many gossip sources to seed (≤64; default 8).
 	Rumors int
 	// Mix is the fleet composition (default DefaultMix).
@@ -85,6 +82,10 @@ type SwarmConfig struct {
 	// deterministic under sharding.
 	FailProb float64
 }
+
+// anchorFrac is the fraction of devices with known positions
+// (GPS/surveyed).
+const anchorFrac float64 = 0.05
 
 func (c SwarmConfig) withDefaults() SwarmConfig {
 	if c.Devices <= 0 {
@@ -110,9 +111,6 @@ func (c SwarmConfig) withDefaults() SwarmConfig {
 	}
 	if c.LookaheadS == 0 {
 		c.LookaheadS = c.RadioLatencyS
-	}
-	if c.AnchorFrac <= 0 {
-		c.AnchorFrac = 0.05
 	}
 	if c.Rumors <= 0 {
 		c.Rumors = 8
@@ -386,7 +384,7 @@ func RunSwarm(cfg SwarmConfig) (SwarmResult, error) {
 	})
 	heartbeat := se.Handle(func(*sim.Cell) sim.Handler { return func(a, _ int32) { devs[a].dev.Beat() } })
 
-	anchorEvery := int(math.Max(1, math.Round(1/cfg.AnchorFrac)))
+	anchorEvery := int(math.Max(1, math.Round(1/anchorFrac)))
 	anchors := 0
 	for d := 0; d < n; d++ {
 		s := &devs[d]

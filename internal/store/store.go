@@ -7,7 +7,7 @@
 //   - DB: a real, embedded, revisioned document store with CouchDB-style
 //     optimistic concurrency (revision tokens, conflict errors), used by
 //     the in-process function runtime and directly testable; and
-//   - LatencyModel: the access-cost model the simulator charges for each
+//   - ExchangeS: the access-cost model the simulator charges for each
 //     protocol in Fig. 6c (CouchDB vs direct RPC vs in-memory), plus the
 //     FPGA remote-memory fast path of §4.4.
 package store
@@ -328,54 +328,39 @@ func (p Protocol) String() string {
 	}
 }
 
-// LatencyModel gives the one-way data-exchange cost charged by the
-// simulator for a transfer of a given size under each protocol.
-// Calibrated so the Fig. 6c ordering holds: CouchDB ≫ RPC > in-memory,
-// with the remote-memory fabric close to in-memory.
-type LatencyModel struct {
-	// CouchDB: controller round-trip for the handle + two DB operations
-	// (write by parent amortised into read path's contention) + payload
-	// at DB throughput.
-	CouchBaseS   float64 // controller + auth + handle
-	CouchPerOpS  float64 // per database operation
-	CouchMBps    float64 // payload bandwidth
-	RPCBaseS     float64 // direct RPC setup + call overhead
-	RPCMBps      float64 // kernel TCP payload bandwidth
-	RemoteBaseS  float64 // fabric access setup (§4.4)
-	RemoteMBps   float64 // UPI-attached FPGA payload bandwidth
-	InMemoryBase float64 // same-container handoff
-}
-
-// DefaultLatencyModel returns the calibrated model.
-func DefaultLatencyModel() LatencyModel {
-	return LatencyModel{
-		CouchBaseS:   0.018, // controller hop + auth + handle lookup
-		CouchPerOpS:  0.006,
-		CouchMBps:    180,
-		RPCBaseS:     0.0014,
-		RPCMBps:      1100,
-		RemoteBaseS:  25e-6,
-		RemoteMBps:   9600, // UPI-attached fabric
-		InMemoryBase: 2e-6, // pointer handoff in a shared region
-	}
-}
+// The one-way data-exchange costs the simulator charges per protocol,
+// calibrated so the Fig. 6c ordering holds: CouchDB ≫ RPC > in-memory,
+// with the remote-memory fabric close to in-memory. A CouchDB exchange
+// pays a controller round-trip for the handle, two database operations
+// (the parent's write amortised into the read path's contention) and
+// the payload at database throughput.
+const (
+	couchBaseS   float64 = 0.018  // controller hop + auth + handle lookup
+	couchPerOpS  float64 = 0.006  // per database operation
+	couchMBps    float64 = 180    // payload bandwidth
+	rpcBaseS     float64 = 0.0014 // direct RPC setup + call overhead
+	rpcMBps      float64 = 1100   // kernel TCP payload bandwidth
+	remoteBaseS  float64 = 25e-6  // fabric access setup (§4.4)
+	remoteMBps   float64 = 9600   // UPI-attached FPGA payload bandwidth
+	inMemoryBase float64 = 2e-6   // pointer handoff in a shared region
+)
 
 // ExchangeS returns the data-sharing latency in seconds for moving
 // sizeMB between dependent functions under the protocol.
-func (m LatencyModel) ExchangeS(p Protocol, sizeMB float64) float64 {
+func ExchangeS(p Protocol, sizeMB float64) float64 {
 	if sizeMB < 0 {
 		sizeMB = 0
 	}
 	switch p {
 	case ProtoCouchDB:
 		// handle + write op + read op + 2 payload moves (in and out).
-		return m.CouchBaseS + 2*m.CouchPerOpS + 2*sizeMB/m.CouchMBps
+		return couchBaseS + 2*couchPerOpS + 2*sizeMB/couchMBps
 	case ProtoDirectRPC:
-		return m.RPCBaseS + sizeMB/m.RPCMBps
+		return rpcBaseS + sizeMB/rpcMBps
 	case ProtoRemoteMem:
-		return m.RemoteBaseS + sizeMB/m.RemoteMBps
+		return remoteBaseS + sizeMB/remoteMBps
 	case ProtoInMemory:
-		return m.InMemoryBase
+		return inMemoryBase
 	default:
 		panic("store: unknown protocol")
 	}

@@ -222,12 +222,11 @@ func TestProtocolString(t *testing.T) {
 }
 
 func TestLatencyModelOrderingMatchesFig6c(t *testing.T) {
-	m := DefaultLatencyModel()
 	for _, sizeMB := range []float64{0.01, 0.5, 2, 16} {
-		couch := m.ExchangeS(ProtoCouchDB, sizeMB)
-		rpc := m.ExchangeS(ProtoDirectRPC, sizeMB)
-		remote := m.ExchangeS(ProtoRemoteMem, sizeMB)
-		inmem := m.ExchangeS(ProtoInMemory, sizeMB)
+		couch := ExchangeS(ProtoCouchDB, sizeMB)
+		rpc := ExchangeS(ProtoDirectRPC, sizeMB)
+		remote := ExchangeS(ProtoRemoteMem, sizeMB)
+		inmem := ExchangeS(ProtoInMemory, sizeMB)
 		if !(couch > rpc && rpc > remote && remote > inmem) {
 			t.Fatalf("size %g: ordering violated: couch=%g rpc=%g remote=%g inmem=%g",
 				sizeMB, couch, rpc, remote, inmem)
@@ -235,14 +234,13 @@ func TestLatencyModelOrderingMatchesFig6c(t *testing.T) {
 	}
 	// CouchDB should be roughly an order of magnitude above direct RPC
 	// for small objects (Fig. 6c shows a dramatic gap).
-	if m.ExchangeS(ProtoCouchDB, 0.1) < 5*m.ExchangeS(ProtoDirectRPC, 0.1) {
+	if ExchangeS(ProtoCouchDB, 0.1) < 5*ExchangeS(ProtoDirectRPC, 0.1) {
 		t.Fatal("CouchDB gap vs RPC too small")
 	}
 }
 
 func TestLatencyModelNegativeSizeClamped(t *testing.T) {
-	m := DefaultLatencyModel()
-	if m.ExchangeS(ProtoCouchDB, -5) != m.ExchangeS(ProtoCouchDB, 0) {
+	if ExchangeS(ProtoCouchDB, -5) != ExchangeS(ProtoCouchDB, 0) {
 		t.Fatal("negative size not clamped")
 	}
 }
@@ -253,5 +251,5 @@ func TestLatencyModelUnknownProtocolPanics(t *testing.T) {
 			t.Error("no panic")
 		}
 	}()
-	DefaultLatencyModel().ExchangeS(Protocol(42), 1)
+	ExchangeS(Protocol(42), 1)
 }

@@ -50,33 +50,28 @@ type TaskCost struct {
 	Sensor      bool    // collects device sensor data (must run on-device)
 }
 
-// Env describes the deployment the candidates are scored against.
+// Env describes the deployment the candidates are scored against: a
+// swarm of Devices on the paper's testbed.
 type Env struct {
-	Devices        int
-	WirelessMBps   float64 // aggregate edge<->cloud bandwidth
-	CloudCores     int
-	EdgePowerW     float64 // device busy-compute watts
-	RadioJPerMB    float64
-	CloudUSDPerCPU float64 // $ per core-second (FaaS pricing)
-	FaaSOverheadS  float64 // per-invocation management cost
-	ExchangeCloudS float64 // intra-cloud data-sharing base cost
-	RPCBaseS       float64 // edge<->cloud RPC base cost
+	Devices int
 }
 
 // DefaultEnv matches the paper's testbed scale.
 func DefaultEnv(devices int) Env {
-	return Env{
-		Devices:        devices,
-		WirelessMBps:   216.75,
-		CloudCores:     480,
-		EdgePowerW:     30,
-		RadioJPerMB:    1.5,
-		CloudUSDPerCPU: 2.4e-5, // ~AWS Lambda GB-s pricing ballpark
-		FaaSOverheadS:  0.05,
-		ExchangeCloudS: 0.03,
-		RPCBaseS:       0.006,
-	}
+	return Env{Devices: devices}
 }
+
+// The testbed the candidates are scored against.
+const (
+	wirelessMBps   float64 = 216.75 // aggregate edge<->cloud bandwidth
+	cloudCores     int     = 480
+	edgePowerW     float64 = 30 // device busy-compute watts
+	radioJPerMB    float64 = 1.5
+	cloudUSDPerCPU float64 = 2.4e-5 // $ per core-second (FaaS pricing): ~AWS Lambda GB-s ballpark
+	faasOverheadS  float64 = 0.05   // per-invocation management cost
+	exchangeCloudS float64 = 0.03   // intra-cloud data-sharing base cost
+	rpcBaseS       float64 = 0.006  // edge<->cloud RPC base cost
+)
 
 // BindingKind is the API flavour synthesized for one graph edge.
 type BindingKind int
@@ -307,7 +302,7 @@ func (m *model) estimate(locs []Loc, env Env, lat []float64) Metrics {
 			}
 		} else {
 			par := math.Max(1, float64(cost.Parallelism))
-			taskLat = cost.CloudExecS/par + env.FaaSOverheadS
+			taskLat = cost.CloudExecS/par + faasOverheadS
 			cloudCoreS += cost.RatePerDev * devs * cost.CloudExecS
 		}
 		// Binding (incoming edge) costs: charged on the child.
@@ -316,10 +311,10 @@ func (m *model) estimate(locs []Loc, env Env, lat []float64) Metrics {
 			parentOut := m.cost[p].OutputMB
 			switch bindKind(locs[p], locs[i]) {
 			case BindRPC:
-				bindLat = math.Max(bindLat, env.RPCBaseS+parentOut/(env.WirelessMBps/devs))
+				bindLat = math.Max(bindLat, rpcBaseS+parentOut/(wirelessMBps/devs))
 				netMBps += m.cost[p].RatePerDev * devs * parentOut
 			case BindFaaS:
-				bindLat = math.Max(bindLat, env.ExchangeCloudS)
+				bindLat = math.Max(bindLat, exchangeCloudS)
 			case BindLocal:
 				bindLat = math.Max(bindLat, 0.0005)
 			}
@@ -327,7 +322,7 @@ func (m *model) estimate(locs []Loc, env Env, lat []float64) Metrics {
 		// Sensor input arriving at a cloud task crosses the wireless hop.
 		if locs[i] == LocCloud && cost.InputMB > 0 && len(m.inEdges[i]) == 0 {
 			netMBps += cost.RatePerDev * devs * cost.InputMB
-			bindLat = math.Max(bindLat, cost.InputMB/(env.WirelessMBps/devs))
+			bindLat = math.Max(bindLat, cost.InputMB/(wirelessMBps/devs))
 		}
 		best := 0.0
 		for _, p := range m.parents[i] {
@@ -345,15 +340,15 @@ func (m *model) estimate(locs []Loc, env Env, lat []float64) Metrics {
 	if edgeUtil >= 1 {
 		mtr.Feasible = false
 	}
-	if netMBps >= env.WirelessMBps {
+	if netMBps >= wirelessMBps {
 		mtr.Feasible = false
 	}
-	if cloudCoreS > float64(env.CloudCores) {
+	if cloudCoreS > float64(cloudCores) {
 		mtr.Feasible = false
 	}
 	mtr.NetworkMBps = netMBps
-	mtr.DevicePowerW = edgeUtil*env.EdgePowerW + (netMBps/devs)*env.RadioJPerMB
-	mtr.CloudUSDps = cloudCoreS * env.CloudUSDPerCPU
+	mtr.DevicePowerW = edgeUtil*edgePowerW + (netMBps/devs)*radioJPerMB
+	mtr.CloudUSDps = cloudCoreS * cloudUSDPerCPU
 	return mtr
 }
 
