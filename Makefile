@@ -66,11 +66,13 @@ chaos:
 
 # Observability smoke run: a real TCP fleet with traced requests and a
 # chaos-killed primary must emit a non-empty, valid Chrome trace whose
-# lanes cover every layer of the stack, and a metrics dump that counts
-# the controller's election and the failover the kill forced.
+# lanes cover every layer of the stack, a metrics dump that counts the
+# controller's election and the failover the kill forced, and the
+# deployed: line proving the demo DSL program ran through synthesis.
 live-smoke:
 	$(GO) run ./cmd/hivemind-live -replicas 3 -requests 10 -kill -trace live.json > live.txt; \
 		s=$$?; cat live.txt; exit $$s
+	grep -q '^deployed: edge \[sense\], cloud chains \[plan->act\]$$' live.txt
 	grep -q '^counter ctrl-election ' live.txt
 	grep -q '^counter ctrl-failover ' live.txt
 	$(GO) run ./cmd/hivemind-tracecheck -in live.json \

@@ -1,11 +1,11 @@
 // Command hivemind-dslc is the HiveMind DSL compiler: it parses and
 // validates a task-graph program, runs the placement synthesizer over
-// it, reports the explored execution models, and (optionally) emits the
-// generated cross-tier API bindings.
+// it, and reports the explored execution models and the one selected
+// under the program's constraints.
 //
 // Usage:
 //
-//	hivemind-dslc -in app.hm [-devices 16] [-gen outdir] [-costs costs.json]
+//	hivemind-dslc -in app.hm [-devices 16] [-costs costs.json]
 //
 // Task cost profiles default to S1-like values for recognition-looking
 // tasks and lightweight values otherwise; provide -costs for real
@@ -16,8 +16,8 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"path/filepath"
 	"strings"
 
 	"hivemind/internal/dsl"
@@ -38,7 +38,6 @@ func main() {
 	var (
 		in      = flag.String("in", "", "DSL source file (default: stdin)")
 		devices = flag.Int("devices", 16, "swarm size for placement scoring")
-		gen     = flag.String("gen", "", "directory to write generated API bindings into")
 		costsFn = flag.String("costs", "", "JSON task cost profiles")
 		top     = flag.Int("top", 8, "candidates to print")
 	)
@@ -75,34 +74,12 @@ func main() {
 
 	best, ok := synth.Select(cands, g.Constraints, 0)
 	fmt.Printf("\nselected: %s (meets constraints: %v)\n", best.Name(), ok)
-
-	if *gen != "" {
-		files := synth.GenerateAPIs(g, best, filepath.Base(*gen))
-		if err := os.MkdirAll(*gen, 0o755); err != nil {
-			fatal(err)
-		}
-		for name, content := range files {
-			path := filepath.Join(*gen, name)
-			if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
-				fatal(err)
-			}
-			fmt.Printf("wrote %s (%d bytes)\n", path, len(content))
-		}
-	}
 }
 
 func readSource(path string) (string, error) {
 	if path == "" {
-		var sb strings.Builder
-		buf := make([]byte, 4096)
-		for {
-			n, err := os.Stdin.Read(buf)
-			sb.Write(buf[:n])
-			if err != nil {
-				break
-			}
-		}
-		return sb.String(), nil
+		b, err := io.ReadAll(os.Stdin)
+		return string(b), err
 	}
 	b, err := os.ReadFile(path)
 	return string(b), err

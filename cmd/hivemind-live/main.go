@@ -1,9 +1,11 @@
 // Command hivemind-live boots a real (non-simulated) replica fleet on
 // loopback TCP — controller replicas fronting serverless gateways over
-// a shared durable store — drives traced chain requests through it, and
-// reports what the observability layer saw: a Chrome trace with spans
-// from every layer (gateway, controller, RPC hop, runtime), the paper's
-// four-stage latency decomposition, and the metrics registry.
+// a shared durable store — deploys a DSL program on it through
+// synthesis (Explore, Select, synth.Deploy), drives traced requests
+// through the program's edge half, and reports what the observability
+// layer saw: a Chrome trace with spans from every layer (gateway,
+// controller, RPC hop, runtime), the paper's four-stage latency
+// decomposition, and the metrics registry.
 //
 // Usage:
 //
@@ -14,9 +16,12 @@
 //
 // With -ingress the fleet stays up serving the job API:
 //
-//	curl -d 'ping' 'http://127.0.0.1:8081/do/pipeline'            # → {"resultId":"..."}
-//	curl 'http://127.0.0.1:8081/then/<resultId>'                  # → ping.sense.plan.act
-//	curl -d 'ping' 'http://127.0.0.1:8081/do/pipeline?then=true'  # block for the result
+//	curl -d 'ping' 'http://127.0.0.1:8081/do/plan'            # → {"resultId":"..."}
+//	curl 'http://127.0.0.1:8081/then/<resultId>'              # → ping.plan.act
+//	curl -d 'ping' 'http://127.0.0.1:8081/do/plan?then=true'  # block for the result
+//
+// The job name is the deployed cloud chain's head: the program's
+// plan → act component.
 package main
 
 import (
@@ -29,6 +34,7 @@ import (
 
 	"hivemind/internal/chaos"
 	"hivemind/internal/controller"
+	"hivemind/internal/dsl"
 	"hivemind/internal/fleet"
 	"hivemind/internal/ingress"
 	"hivemind/internal/metrics"
@@ -36,8 +42,26 @@ import (
 	"hivemind/internal/runtime"
 	"hivemind/internal/stats"
 	"hivemind/internal/store"
+	"hivemind/internal/synth"
 	"hivemind/internal/trace"
 )
+
+// program is the demo application: sensing pinned to the device, then
+// plan → act, which synthesis offloads to the cloud as one chain under
+// costs.
+const program = `
+TaskGraph(list=['sense','plan','act'])
+Task(sense, None, frames, 'tasks/sense', childTask=['plan'])
+Task(plan, frames, route, 'tasks/plan', childTask=['act'])
+Task(act, route, commands, 'tasks/act')
+Place(sense, 'Edge')
+`
+
+var costs = map[string]synth.TaskCost{
+	"sense": {CloudExecS: 0.004, EdgeExecS: 0.004, Parallelism: 1, OutputMB: 0.01, RatePerDev: 1, Sensor: true},
+	"plan":  {CloudExecS: 0.008, EdgeExecS: 0.5, Parallelism: 1, InputMB: 0.01, OutputMB: 0.01, RatePerDev: 1},
+	"act":   {CloudExecS: 0.004, EdgeExecS: 0.2, Parallelism: 1, InputMB: 0.01, OutputMB: 0.01, RatePerDev: 1},
+}
 
 func main() {
 	var (
@@ -61,6 +85,11 @@ func main() {
 }
 
 func run(replicas, requests int, kill bool, seed int64, traceFn, walDir, httpAddr, ingressAddr string) error {
+	dep, err := deploy()
+	if err != nil {
+		return err
+	}
+	fmt.Printf("deployed: %v\n", dep)
 	rec := trace.NewRecorder(0)
 	live := trace.NewLive(rec)
 	reg := metrics.NewRegistry()
@@ -83,11 +112,10 @@ func run(replicas, requests int, kill bool, seed int64, traceFn, walDir, httpAdd
 		db.SetMonitor(reg)
 	}
 
-	// Every replica and gateway reports into the one metrics registry;
-	// every gateway serves the demo sense→plan→act chain behind the
-	// admission front door; the fleet wires tracer, breakdowns and the
-	// RPC server interceptor.
-	chain, fns := demoChain()
+	// Every gateway serves the program's cloud half behind the admission
+	// front door. Every replica and gateway reports into the one metrics
+	// registry; the fleet wires tracer, breakdowns and the RPC server
+	// interceptor.
 	f, err := fleet.Start(fleet.Config{
 		Replicas: replicas,
 		Seed:     seed,
@@ -101,12 +129,7 @@ func run(replicas, requests int, kill bool, seed int64, traceFn, walDir, httpAdd
 			StepRespawns: 1,
 			Overload:     &runtime.AdmissionConfig{},
 		},
-		Setup: func(nd *fleet.Node) {
-			for name, fn := range fns {
-				nd.Runtime.Register(name, fn)
-			}
-			nd.Gateway.ExposeChain("pipeline", chain)
-		},
+		Setup: func(nd *fleet.Node) { dep.Setup(nd.Runtime, nd.Gateway) },
 	})
 	if err != nil {
 		db.Close()
@@ -144,10 +167,9 @@ func run(replicas, requests int, kill bool, seed int64, traceFn, walDir, httpAdd
 			}
 		}
 		id := fmt.Sprintf("task-%03d", i)
-		payload := runtime.EncodeTaskTraced(id, trace.SpanContext{TraceID: id}, time.Now(), []byte("ping"))
 		start := time.Now()
 		ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
-		_, cerr := fc.Call(ctx, "pipeline", payload)
+		_, cerr := dep.Run(ctx, fc.Call, id, []byte("ping"))
 		cancel()
 		reg.Observe("request-latency-s", time.Since(start).Seconds())
 		reg.MeterAdd("requests", 1)
@@ -207,7 +229,9 @@ func run(replicas, requests int, kill bool, seed int64, traceFn, walDir, httpAdd
 		if httpAddr != "" {
 			go func() {
 				fmt.Printf("serving /metrics /trace /debug/pprof on %s\n", httpAddr)
-				http.ListenAndServe(httpAddr, metrics.DebugMux(reg, rec))
+				if err := http.ListenAndServe(httpAddr, metrics.DebugMux(reg, rec)); err != nil {
+					fmt.Fprintln(os.Stderr, "debug server:", err)
+				}
 			}()
 		}
 		fmt.Printf("serving job API (POST /do/:job, GET /then/:id) on %s (Ctrl-C to stop)\n", ingressAddr)
@@ -220,10 +244,19 @@ func run(replicas, requests int, kill bool, seed int64, traceFn, walDir, httpAdd
 	return nil
 }
 
-// demoChain is the standard swarm pipeline: sense → plan → act, each
-// tier doing a few milliseconds of "work" so the execution stage is
-// visible in the breakdown.
-func demoChain() (chain []string, fns map[string]runtime.Function) {
+// deploy places program under costs and wires the chosen candidate
+// with the demo's tiers, each doing a few milliseconds of "work" so the
+// execution stage is visible in the breakdown.
+func deploy() (*synth.Deployment, error) {
+	g, err := dsl.ParseAndAnalyze(program)
+	if err != nil {
+		return nil, err
+	}
+	cands, err := synth.Explore(g, costs, synth.DefaultEnv(16))
+	if err != nil {
+		return nil, err
+	}
+	best, _ := synth.Select(cands, g.Constraints, 0)
 	tier := func(tag string, d time.Duration) runtime.Function {
 		return func(ctx context.Context, in []byte) ([]byte, error) {
 			select {
@@ -234,12 +267,11 @@ func demoChain() (chain []string, fns map[string]runtime.Function) {
 			return append(append([]byte{}, in...), tag...), nil
 		}
 	}
-	fns = map[string]runtime.Function{
+	return synth.Deploy(g, best, map[string]runtime.Function{
 		"sense": tier(".sense", 4*time.Millisecond),
 		"plan":  tier(".plan", 8*time.Millisecond),
 		"act":   tier(".act", 4*time.Millisecond),
-	}
-	return []string{"sense", "plan", "act"}, fns
+	})
 }
 
 // stageTable renders the four-stage latency decomposition (the paper's

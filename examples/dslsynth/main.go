@@ -1,13 +1,13 @@
 // DSL + synthesis walkthrough: express the paper's Listing 3
 // application (people recognition and deduplication) in the HiveMind
 // DSL, explore every meaningful cloud/edge placement with the program
-// synthesizer, pick one under constraints, and print the generated
-// cross-tier API bindings — the compiler pipeline of §4.1–4.2.
+// synthesizer, pick one under constraints, and print the cross-tier
+// bindings it needs — the compiler pipeline of §4.1–4.2. synth.Deploy
+// wires those bindings onto a live fleet (see cmd/hivemind-live).
 package main
 
 import (
 	"fmt"
-	"sort"
 
 	"hivemind"
 )
@@ -67,14 +67,8 @@ func main() {
 	}
 
 	best := cands[0]
-	fmt.Printf("\nselected placement: %s\n\n", best.Name())
-	files := hivemind.GenerateAPIs(g, best, "peoplecount")
-	var names []string
-	for name := range files {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		fmt.Printf("---- generated %s ----\n%s\n", name, files[name])
+	fmt.Printf("\nselected placement: %s\nbindings:\n", best.Name())
+	for _, b := range best.Bindings {
+		fmt.Printf("  %-17s -> %-17s %s\n", b.From, b.To, b.Kind)
 	}
 }

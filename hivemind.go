@@ -155,12 +155,6 @@ func ExplorePlacements(g *dsl.TaskGraph, costs map[string]synth.TaskCost, device
 	return synth.Explore(g, costs, synth.DefaultEnv(devices))
 }
 
-// GenerateAPIs emits the Go source for a candidate's cross-tier APIs
-// (the paper's Thrift/OpenWhisk binding synthesis, §4.1).
-func GenerateAPIs(g *dsl.TaskGraph, c synth.Candidate, pkg string) map[string]string {
-	return synth.GenerateAPIs(g, c, pkg)
-}
-
 // RetrainingModes for continuous learning (§4.6, Fig. 15).
 const (
 	LearnNone  = learn.ModeNone

@@ -1,7 +1,6 @@
 package hivemind
 
 import (
-	"strings"
 	"testing"
 
 	"hivemind/internal/platform"
@@ -75,12 +74,8 @@ Task(recognize, frames, stats, 'code/recognize')
 	if len(cands) != 2 { // collect pinned edge; recognize either side
 		t.Fatalf("candidates = %d", len(cands))
 	}
-	files := GenerateAPIs(g, cands[0], "demo")
-	if len(files) == 0 {
-		t.Fatal("no API files generated")
-	}
-	if !strings.Contains(files["placement.go"], "recognize") {
-		t.Fatal("placement file incomplete")
+	if b := cands[0].Bindings; len(b) != 1 || b[0].From != "collect" || b[0].To != "recognize" {
+		t.Fatalf("bindings = %v, want the one collect -> recognize edge", b)
 	}
 }
 

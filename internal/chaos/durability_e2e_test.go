@@ -47,12 +47,15 @@ func waitNoOrphans(t *testing.T, log *store.CheckpointLog, timeout time.Duration
 	}
 }
 
+// chainSteps is the step-output lineage of the 3-tier chain run on
+// input "x".
+var chainSteps = []string{"x.h", "x.h.m", "x.h.m.t"}
+
 // assertExactlyOnce checks every step output of a task committed at
-// generation 1 with the expected lineage.
-func assertExactlyOnce(t *testing.T, db *store.DB, taskID string) {
+// generation 1 with the expected lineage want.
+func assertExactlyOnce(t *testing.T, db *store.DB, taskID string, want []string) {
 	t.Helper()
-	want := []string{"x.h", "x.h.m", "x.h.m.t"}
-	for step := 0; step < 3; step++ {
+	for step := range want {
 		doc, err := db.Get(store.StepOutputKey(taskID, step))
 		if err != nil {
 			t.Fatalf("task %s step %d output missing: %v", taskID, step, err)
@@ -143,7 +146,7 @@ func TestCrashRestartE2ERecoversFromWAL(t *testing.T) {
 		Setup: pipeline(plainChain()),
 	})
 	waitNoOrphans(t, store.NewCheckpointLog(db2), 10*time.Second)
-	assertExactlyOnce(t, db2, "task-crash")
+	assertExactlyOnce(t, db2, "task-crash", chainSteps)
 
 	if db2.Fence() == 0 {
 		t.Fatal("recovered cluster's promotion never raised the store fence")
@@ -209,7 +212,7 @@ func TestSnapshotMidTrafficE2EBoundedRecovery(t *testing.T) {
 		t.Fatal("recovery loaded no snapshot")
 	}
 	for i := 0; i < tasks; i++ {
-		assertExactlyOnce(t, db2, fmt.Sprintf("bulk-%d", i))
+		assertExactlyOnce(t, db2, fmt.Sprintf("bulk-%d", i), chainSteps)
 	}
 	orphans, err := store.NewCheckpointLog(db2).Orphans()
 	if err != nil {

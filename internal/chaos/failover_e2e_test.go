@@ -159,7 +159,7 @@ func TestFailoverE2EOrphanRedispatchAfterPrimaryKill(t *testing.T) {
 	// with the expected lineage.
 	waitNoOrphans(t, store.NewCheckpointLog(db), 5*time.Second)
 	completedIn := time.Since(killAt)
-	assertExactlyOnce(t, db, "task-e2e")
+	assertExactlyOnce(t, db, "task-e2e", chainSteps)
 
 	// The shared monitor saw the whole story.
 	fo := controller.Failover(mon)
@@ -245,7 +245,7 @@ func TestFailoverE2EClientRetryDeduplicatesAgainstRecovery(t *testing.T) {
 	if string(out) != "x.h.m.t" {
 		t.Fatalf("client output = %q, want x.h.m.t", out)
 	}
-	assertExactlyOnce(t, db, "task-retry")
+	assertExactlyOnce(t, db, "task-retry", chainSteps)
 	if mon.Counter(controller.EventFailover) < 1 {
 		t.Fatal("monitor recorded no failover")
 	}

@@ -110,7 +110,7 @@ func TestFailoverE2EMuxedStreamsAcrossPrimaryKill(t *testing.T) {
 	// The hostage chain completes through the standby's Recover.
 	waitNoOrphans(t, store.NewCheckpointLog(db), 5*time.Second)
 	completedIn := time.Since(killAt)
-	assertExactlyOnce(t, db, "task-mux-e2e")
+	assertExactlyOnce(t, db, "task-mux-e2e", chainSteps)
 	if fo := controller.Failover(mon); fo.Failovers < 1 {
 		t.Fatalf("failovers = %d, want >= 1", fo.Failovers)
 	}

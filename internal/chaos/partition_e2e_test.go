@@ -122,7 +122,7 @@ func TestPartitionE2EMinorityLeaderFenced(t *testing.T) {
 	// majority side (the shared store stands in for the replicated DB,
 	// which both sides can still reach).
 	waitNoOrphans(t, store.NewCheckpointLog(db), 10*time.Second)
-	assertExactlyOnce(t, db, "task-fence")
+	assertExactlyOnce(t, db, "task-fence", chainSteps)
 
 	// Release the hostage: the deposed primary's commit now carries a
 	// stale term and must be fenced, not adopted.
@@ -150,7 +150,7 @@ func TestPartitionE2EMinorityLeaderFenced(t *testing.T) {
 		t.Fatal("gateway recorded no fenced chain")
 	}
 	// Still exactly-once after the fenced attempt: nothing re-committed.
-	assertExactlyOnce(t, db, "task-fence")
+	assertExactlyOnce(t, db, "task-fence", chainSteps)
 
 	// Heal. The cluster must converge on ONE leader, holding the newest
 	// won term — the healed minority either rejoins as follower or

@@ -171,15 +171,6 @@ func (g *TaskGraph) StreamFor(t *Task) (Stream, bool) {
 	return st, ok
 }
 
-// Names returns task names in declaration order.
-func (g *TaskGraph) Names() []string {
-	out := make([]string, len(g.Tasks))
-	for i, t := range g.Tasks {
-		out[i] = t.Name
-	}
-	return out
-}
-
 // TopoOrder returns tasks in a topological order (parents first). The
 // graph is guaranteed acyclic after Validate.
 func (g *TaskGraph) TopoOrder() []*Task {

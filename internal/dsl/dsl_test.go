@@ -380,9 +380,8 @@ func TestBuilderRemainingDirectives(t *testing.T) {
 	if b := g.byName["b"]; b.Pin != PlaceCloud {
 		t.Fatalf("b = %+v", b)
 	}
-	// Names helper.
-	if names := g.Names(); len(names) != 2 || names[0] != "a" {
-		t.Fatalf("names = %v", names)
+	if len(g.Tasks) != 2 || g.Tasks[0].Name != "a" {
+		t.Fatalf("tasks = %v", g.Tasks)
 	}
 }
 

@@ -1,10 +1,6 @@
 package synth
 
 import (
-	"go/format"
-	"go/parser"
-	"go/token"
-	"strings"
 	"testing"
 
 	"hivemind/internal/dsl"
@@ -230,54 +226,6 @@ func TestEstimateTradeoffShape(t *testing.T) {
 	}
 }
 
-func TestGenerateAPIs(t *testing.T) {
-	g := scenarioB(t)
-	cands, _ := Explore(g, scenarioBCosts(), DefaultEnv(16))
-	best := cands[0]
-	files := GenerateAPIs(g, best, "scenariob")
-	if _, ok := files["placement.go"]; !ok {
-		t.Fatal("placement file missing")
-	}
-	var rpcSeen, faasSeen bool
-	for name, src := range files {
-		if !strings.HasPrefix(src, "// Code generated") {
-			t.Fatalf("%s missing generation header", name)
-		}
-		if !strings.Contains(src, "package scenariob") {
-			t.Fatalf("%s wrong package", name)
-		}
-		if name == "rpc_bindings.go" {
-			rpcSeen = true
-			if !strings.Contains(src, "rpc.Client") || !strings.Contains(src, "Register") {
-				t.Fatalf("rpc bindings incomplete:\n%s", src)
-			}
-		}
-		if name == "faas_bindings.go" {
-			faasSeen = true
-			if !strings.Contains(src, "FaaSChain") {
-				t.Fatalf("faas bindings incomplete:\n%s", src)
-			}
-		}
-	}
-	// Best placement mixes edge (collect, obstacle) and cloud (face,
-	// dedup), so both binding kinds must be generated.
-	if !rpcSeen || !faasSeen {
-		t.Fatalf("bindings missing: rpc=%v faas=%v", rpcSeen, faasSeen)
-	}
-	// API count grows with the number of phases (§4.1): every graph
-	// edge appears in exactly one generated file.
-	edges := 0
-	for _, task := range g.Tasks {
-		edges += len(task.Children)
-	}
-	if len(best.Bindings) != edges {
-		t.Fatalf("bindings = %d, edges = %d", len(best.Bindings), edges)
-	}
-	if files["placement.go"] == "" || !strings.Contains(files["placement.go"], "faceRecognition") {
-		t.Fatal("placement map incomplete")
-	}
-}
-
 func TestCandidateName(t *testing.T) {
 	c := Candidate{Assignment: map[string]Loc{"b": LocEdge, "a": LocCloud}}
 	if c.Name() != "a=cloud,b=edge" {
@@ -288,27 +236,6 @@ func TestCandidateName(t *testing.T) {
 	}
 	if BindLocal.String() != "local" || BindRPC.String() != "rpc" || BindFaaS.String() != "faas" {
 		t.Fatal("binding strings")
-	}
-}
-
-func TestGeneratedCodeIsValidGo(t *testing.T) {
-	g := scenarioB(t)
-	cands, _ := Explore(g, scenarioBCosts(), DefaultEnv(16))
-	for i := range cands {
-		files := GenerateAPIs(g, cands[i], "bindings")
-		for name, src := range files {
-			fset := token.NewFileSet()
-			if _, err := parser.ParseFile(fset, name, src, parser.AllErrors); err != nil {
-				t.Fatalf("candidate %d: %s does not parse: %v\n%s", i, name, err, src)
-			}
-			formatted, err := format.Source([]byte(src))
-			if err != nil {
-				t.Fatalf("%s does not format: %v", name, err)
-			}
-			if string(formatted) != src {
-				t.Errorf("%s is not gofmt-clean", name)
-			}
-		}
 	}
 }
 
