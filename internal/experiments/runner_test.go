@@ -1,6 +1,10 @@
 package experiments
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"os"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -17,14 +21,30 @@ func sweepOutput(parallelism int) string {
 	return sb.String()
 }
 
+// goldenSweep holds the SHA-256 of the serial quick sweep at seed 1.
+const goldenSweep = "testdata/quick_sweep_seed1.sha256"
+
 // TestParallelSweepByteIdentical is the contract the parallel runner
 // must keep: a sweep at Parallelism 8 renders byte-for-byte the same
-// reports as a serial sweep at the same seed.
+// reports as a serial sweep at the same seed. On amd64 the serial sweep
+// must also hash to the recorded golden value, so a change meant to keep
+// every figure as it was proves it did (other architectures may fuse
+// floating-point operations differently).
 func TestParallelSweepByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full quick sweep")
 	}
 	serial := sweepOutput(1)
+	if runtime.GOARCH == "amd64" {
+		want, err := os.ReadFile(goldenSweep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256([]byte(serial))
+		if got := hex.EncodeToString(sum[:]); got != strings.TrimSpace(string(want)) {
+			t.Fatalf("quick sweep at seed 1 hashes to %s, %s records %s: a change that moves a figure on purpose rewrites that file with the new hash", got, goldenSweep, strings.TrimSpace(string(want)))
+		}
+	}
 	par := sweepOutput(8)
 	if serial != par {
 		a, b := strings.Split(serial, "\n"), strings.Split(par, "\n")
