@@ -118,8 +118,7 @@ type Device struct {
 	queueLimit  int
 	heartbeatS  float64
 
-	cpu    *sim.Resource // made by the first RunTask
-	queued int
+	tasks *taskQueue // made by the first RunTask
 
 	region geo.Rect
 
@@ -128,6 +127,7 @@ type Device struct {
 	lastBeat sim.Time
 	beat     sim.Timer // the pending heartbeat: record beatKind, a = ID
 	beatKind uint8
+	taskKind uint8 // the running task's end: record taskKind, a = ID
 }
 
 // Init sets d up in place as device id on eng, so a fleet can live in
@@ -209,41 +209,71 @@ type TaskOutcome struct {
 	ExecS   float64
 }
 
-// RunTask executes a task on the on-board core. If the bounded queue is
-// full the task is dropped (sensor batches are skipped when the device
-// cannot keep up) and done is called immediately with Dropped=true.
-func (d *Device) RunTask(execS float64, done func(TaskOutcome)) {
-	if d.failed {
-		done(TaskOutcome{Dropped: true})
+// taskQueue is the on-board core's FIFO: the head runs, the rest wait.
+type taskQueue struct {
+	q   []task
+	out TaskOutcome // of the task whose record is running
+}
+
+// task is one on-board task and the record its end runs.
+type task struct {
+	execS, enq, start float64
+	kind              uint8
+	a, b              int32
+}
+
+// RunTask executes a task on the on-board core of a NewFleet device and
+// runs record (kind, a, b) inline when it ends; Outcome reports the
+// task while that handler runs. If the bounded queue is full the task
+// is dropped (sensor batches are skipped when the device cannot keep
+// up) and the record runs at once with Dropped=true.
+func (d *Device) RunTask(execS float64, kind uint8, a, b int32) {
+	if d.tasks == nil {
+		d.tasks = &taskQueue{}
+	}
+	t := task{execS: execS, enq: d.eng.Now(), kind: kind, a: a, b: b}
+	if d.failed || len(d.tasks.q) >= d.queueLimit {
+		d.tasks.out = TaskOutcome{Dropped: true}
+		d.eng.Fire(kind, a, b)
+	} else if d.tasks.q = append(d.tasks.q, t); len(d.tasks.q) == 1 {
+		d.start()
+	}
+}
+
+// Outcome reports the task whose end record is running.
+func (d *Device) Outcome() TaskOutcome { return d.tasks.out }
+
+// start runs the head task or, if the device failed while it waited,
+// drops it.
+func (d *Device) start() {
+	t := &d.tasks.q[0]
+	if t.start = d.eng.Now(); d.failed {
+		d.next(TaskOutcome{Dropped: true, QueueS: t.start - t.enq})
 		return
 	}
-	if d.queued >= d.queueLimit {
-		done(TaskOutcome{Dropped: true})
-		return
+	d.integ.Advance(t.start)
+	d.integ.CPUBusy = true
+	d.eng.PostIn(t.execS, d.taskKind, int32(d.ID), 0)
+}
+
+// finish ends the running task: record taskKind.
+func (d *Device) finish() {
+	d.integ.Advance(d.eng.Now())
+	t := &d.tasks.q[0]
+	d.next(TaskOutcome{QueueS: t.start - t.enq, ExecS: t.execS})
+}
+
+// next removes the head task, starts the one after and then hands the
+// head's outcome to the record it named.
+func (d *Device) next(out TaskOutcome) {
+	q := d.tasks.q
+	t := q[0]
+	if d.tasks.q = q[:copy(q, q[1:])]; len(d.tasks.q) > 0 {
+		d.start()
 	}
-	d.queued++
-	if d.cpu == nil {
-		d.cpu = sim.NewResource(d.eng, 1)
-	}
-	enq := d.eng.Now()
-	d.cpu.Grab(func() {
-		start := d.eng.Now()
-		if d.failed {
-			d.queued--
-			d.cpu.Release()
-			done(TaskOutcome{Dropped: true, QueueS: start - enq})
-			return
-		}
-		d.integ.Advance(start)
-		d.integ.CPUBusy = true
-		d.eng.Defer(execS, func() {
-			d.integ.Advance(d.eng.Now())
-			d.queued--
-			d.cpu.Release() // may synchronously start the next queued task
-			d.integ.CPUBusy = d.cpu.InUse() > 0
-			done(TaskOutcome{QueueS: start - enq, ExecS: execS})
-		})
-	})
+	d.integ.CPUBusy = len(d.tasks.q) > 0
+	d.tasks.out = out
+	d.eng.Fire(t.kind, t.a, t.b)
 }
 
 // Transmit accounts radio energy for sending megabytes to the cloud.
@@ -282,13 +312,16 @@ func (d *Device) String() string {
 // Fleet is a convenience collection.
 type Fleet []*Device
 
-// NewFleet builds n devices, ids 0..n-1, in one slab with one heartbeat kind.
+// NewFleet builds n devices, ids 0..n-1, in one slab with one heartbeat
+// kind and one task kind.
 func NewFleet(eng *sim.Engine, n int, cfg Config, onFailed func(*Device)) Fleet {
 	slab := make([]Device, n)
 	beat := eng.Handle(func(a, _ int32) { slab[a].Beat() })
+	ran := eng.Handle(func(a, _ int32) { slab[a].finish() })
 	fleet := make(Fleet, n)
 	for i := range fleet {
 		slab[i].Init(eng, i, cfg, onFailed, beat)
+		slab[i].taskKind = ran
 		fleet[i] = &slab[i]
 	}
 	return fleet

@@ -12,10 +12,7 @@ type container struct {
 	fn     string
 	server *cluster.Server
 	memGB  float64
-	// idle is the keep-alive expiry, bound once on the first put and
-	// re-armed allocation-free on every park thereafter.
-	idle *sim.Alarm
-	dead bool
+	idle   sim.Timer // the pending keep-alive expiry, while parked
 }
 
 // warmPool tracks idle containers per function name, with keep-alive
@@ -24,7 +21,9 @@ type container struct {
 type warmPool struct {
 	eng       *sim.Engine
 	keepAlive sim.Time
-	idle      map[string][]*container
+	idle      map[string][]int32 // parked containers per function, oldest first
+	all       sim.Slab[container]
+	expire    uint8 // record kind of a keep-alive expiry, a = container
 
 	// counters
 	hits    int
@@ -33,57 +32,53 @@ type warmPool struct {
 }
 
 func newWarmPool(eng *sim.Engine, keepAlive sim.Time) *warmPool {
-	return &warmPool{eng: eng, keepAlive: keepAlive, idle: make(map[string][]*container)}
+	w := &warmPool{eng: eng, keepAlive: keepAlive, idle: make(map[string][]int32)}
+	w.expire = eng.Handle(func(c, _ int32) {
+		// Keep-alive is one constant, so the container that expires is
+		// the one parked longest.
+		fn := w.all.At(c).fn
+		list := w.idle[fn]
+		if list[0] != c {
+			panic("faas: keep-alive expired a container other than the oldest")
+		}
+		w.idle[fn] = list[1:]
+		w.expired++
+		w.kill(c)
+	})
+	return w
 }
 
-// take returns a warm container for fn, or nil.
-func (w *warmPool) take(fn string) *container {
+// take returns a warm container for fn, or -1.
+func (w *warmPool) take(fn string) int32 {
 	list := w.idle[fn]
-	for len(list) > 0 {
-		c := list[len(list)-1]
-		list = list[:len(list)-1]
-		if c.dead {
-			continue
-		}
-		if c.idle != nil {
-			c.idle.Stop()
-		}
-		w.idle[fn] = list
-		w.hits++
-		return c
+	if len(list) == 0 {
+		w.misses++
+		return -1
 	}
-	w.idle[fn] = list
-	w.misses++
-	return nil
+	c := list[len(list)-1]
+	w.idle[fn] = list[:len(list)-1]
+	w.all.At(c).idle.Cancel()
+	w.hits++
+	return c
 }
 
 // put parks a container as idle; it self-terminates (releasing memory)
 // after the keep-alive window unless taken first. A keep-alive of zero
 // terminates immediately (OpenWhisk's default short-lived behaviour).
-func (w *warmPool) put(c *container) {
-	if c.dead {
-		return
-	}
+func (w *warmPool) put(c int32) {
 	if w.keepAlive <= 0 {
 		w.kill(c)
 		return
 	}
-	w.idle[c.fn] = append(w.idle[c.fn], c)
-	if c.idle == nil {
-		c.idle = w.eng.NewAlarm(func() {
-			w.expired++
-			w.kill(c)
-		})
-	}
-	c.idle.Set(w.keepAlive)
+	ct := w.all.At(c)
+	w.idle[ct.fn] = append(w.idle[ct.fn], c)
+	ct.idle = w.eng.PostIn(w.keepAlive, w.expire, c, 0)
 }
 
-func (w *warmPool) kill(c *container) {
-	if c.dead {
-		return
-	}
-	c.dead = true
-	c.server.ReleaseMemGB(c.memGB)
+func (w *warmPool) kill(c int32) {
+	ct := w.all.At(c)
+	ct.server.ReleaseMemGB(ct.memGB)
+	w.all.Free(c)
 }
 
 // stats returns (hits, misses, expired).

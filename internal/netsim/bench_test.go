@@ -13,7 +13,7 @@ func BenchmarkMediumConcurrentFlows(b *testing.B) {
 	m := NewMedium(e, 216.75e6, 50e6)
 	for i := 0; i < b.N; i++ {
 		at := float64(i%1000) * 0.001
-		e.At(at, func() { m.Transfer(2e6, nil) })
+		e.At(at, func() { m.Transfer(2e6, 0, 0, 0) })
 	}
 	b.ResetTimer()
 	e.Run()
@@ -26,7 +26,7 @@ func BenchmarkEdgeToCloudTransfer(b *testing.B) {
 	n := NewNetwork(e, DefaultConfig())
 	for i := 0; i < b.N; i++ {
 		at := float64(i) * 0.0005
-		e.At(at, func() { n.EdgeToCloud(2e6, nil) })
+		e.At(at, func() { n.EdgeToCloud(2e6, 0, 0, 0) })
 	}
 	b.ResetTimer()
 	e.Run()

@@ -44,20 +44,24 @@ type Medium struct {
 	flows      flowHeap
 	seq        uint64
 	lastUpdate sim.Time
-	alarm      *sim.Alarm // next-completion timer, re-armed allocation-free
+	next       sim.Timer // the next completion: record kind, re-posted
+	kind       uint8
 
 	meter *stats.Meter // bytes delivered, for bandwidth reporting
 }
 
-// Flow is an in-flight transfer on a medium.
-type Flow struct {
+// flow is an in-flight transfer and the record its completion runs.
+type flow struct {
 	vfinish float64 // drain value at which the flow completes
 	size    float64
-	done    func(f *Flow)
 	seq     uint64
+	kind    uint8
+	a, b    int32
 }
 
-type flowHeap []*Flow
+// flowHeap orders flows by (vfinish, seq) for container/heap, through
+// Fix only: Push and Pop would box a flow.
+type flowHeap []flow
 
 func (h flowHeap) Len() int { return len(h) }
 func (h flowHeap) Less(i, j int) bool {
@@ -67,15 +71,8 @@ func (h flowHeap) Less(i, j int) bool {
 	return h[i].seq < h[j].seq
 }
 func (h flowHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *flowHeap) Push(x any)   { *h = append(*h, x.(*Flow)) }
-func (h *flowHeap) Pop() any {
-	old := *h
-	n := len(old)
-	f := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return f
-}
+func (h *flowHeap) Push(any)     { panic("netsim: flowHeap.Push") }
+func (h *flowHeap) Pop() any     { panic("netsim: flowHeap.Pop") }
 
 // NewMedium creates a medium with aggregate capacity capacityBps
 // (bytes/s) and optional per-flow cap (0 disables). Bandwidth is metered
@@ -91,7 +88,7 @@ func NewMedium(eng *sim.Engine, capacityBps, perFlowCapBps float64) *Medium {
 		meter:      stats.NewMeter(1.0),
 		lastUpdate: eng.Now(),
 	}
-	m.alarm = eng.NewAlarm(func() {
+	m.kind = eng.Handle(func(_, _ int32) {
 		m.advance()
 		m.reschedule()
 	})
@@ -141,21 +138,23 @@ func (m *Medium) advance() {
 		m.meter.AddSpread(now-dt, now, perFlow*float64(len(m.flows)))
 	}
 	for len(m.flows) > 0 && m.flows[0].vfinish <= m.drain+completionSlackBytes {
-		f := heap.Pop(&m.flows).(*Flow)
+		n := len(m.flows) - 1
+		m.flows.Swap(0, n)
+		f := m.flows[n]
+		m.flows = m.flows[:n]
+		heap.Fix(&m.flows, 0)
 		// Clamp the meter: bytes past the flow's size were never real.
 		if over := m.drain - f.vfinish; over > 0 {
 			m.meter.Add(now, -math.Min(over, f.size))
 		}
-		if f.done != nil {
-			f.done(f)
-		}
+		m.eng.Fire(f.kind, f.a, f.b)
 	}
 }
 
-// reschedule arms the completion alarm for the next flow.
+// reschedule re-posts the completion record for the next flow.
 func (m *Medium) reschedule() {
+	m.next.Cancel()
 	if len(m.flows) == 0 {
-		m.alarm.Stop()
 		return
 	}
 	// Aim slightly past the exact completion instant so floating-point
@@ -164,23 +163,20 @@ func (m *Medium) reschedule() {
 	if eta < 0 {
 		eta = 0
 	}
-	m.alarm.Set(eta)
+	m.next = m.eng.PostIn(eta, m.kind, 0, 0)
 }
 
-// Transfer starts a flow of the given size. done (may be nil) fires when
-// the last byte is delivered. Zero-size transfers complete immediately.
-func (m *Medium) Transfer(bytes float64, done func(*Flow)) {
-	f := &Flow{size: bytes, done: done}
+// Transfer starts a flow of the given size and runs record (kind, a, b)
+// inline when the last byte is delivered (kind 0: nothing). Zero-size
+// transfers complete immediately.
+func (m *Medium) Transfer(bytes float64, kind uint8, a, b int32) {
 	if bytes <= 0 {
-		if done != nil {
-			done(f)
-		}
+		m.eng.Fire(kind, a, b)
 		return
 	}
 	m.advance()
-	f.vfinish = m.drain + bytes
-	f.seq = m.seq
+	m.flows = append(m.flows, flow{vfinish: m.drain + bytes, size: bytes, seq: m.seq, kind: kind, a: a, b: b})
+	heap.Fix(&m.flows, len(m.flows)-1)
 	m.seq++
-	heap.Push(&m.flows, f)
 	m.reschedule()
 }

@@ -8,11 +8,30 @@ import (
 	"hivemind/internal/sim"
 )
 
+// calls runs test closures as records: kind, with a = the closure's index.
+type calls struct {
+	fns  []func()
+	kind uint8
+}
+
+func newCalls(e *sim.Engine) *calls {
+	c := &calls{}
+	c.kind = e.Handle(func(a, _ int32) { c.fns[a]() })
+	return c
+}
+
+// add registers fn and returns the record argument that runs it.
+func (c *calls) add(fn func()) int32 {
+	c.fns = append(c.fns, fn)
+	return int32(len(c.fns) - 1)
+}
+
 func TestMediumSingleFlowRate(t *testing.T) {
 	e := sim.NewEngine(1)
+	c := newCalls(e)
 	m := NewMedium(e, 100, 0) // 100 B/s
 	var done sim.Time
-	m.Transfer(500, func(f *Flow) { done = e.Now() })
+	m.Transfer(500, c.kind, c.add(func() { done = e.Now() }), 0)
 	e.Run()
 	if math.Abs(done-5.0) > 1e-4 {
 		t.Fatalf("500B at 100B/s finished at %g, want 5", done)
@@ -21,10 +40,11 @@ func TestMediumSingleFlowRate(t *testing.T) {
 
 func TestMediumFairSharing(t *testing.T) {
 	e := sim.NewEngine(1)
+	c := newCalls(e)
 	m := NewMedium(e, 100, 0)
 	var t1, t2 sim.Time
-	m.Transfer(300, func(f *Flow) { t1 = e.Now() })
-	m.Transfer(300, func(f *Flow) { t2 = e.Now() })
+	m.Transfer(300, c.kind, c.add(func() { t1 = e.Now() }), 0)
+	m.Transfer(300, c.kind, c.add(func() { t2 = e.Now() }), 0)
 	e.Run()
 	// Two equal flows at 50 B/s each: both finish at 6s.
 	if math.Abs(t1-6) > 1e-4 || math.Abs(t2-6) > 1e-4 {
@@ -34,10 +54,11 @@ func TestMediumFairSharing(t *testing.T) {
 
 func TestMediumShortFlowFinishesFirstThenLongSpeedsUp(t *testing.T) {
 	e := sim.NewEngine(1)
+	c := newCalls(e)
 	m := NewMedium(e, 100, 0)
 	var tShort, tLong sim.Time
-	m.Transfer(100, func(f *Flow) { tShort = e.Now() })
-	m.Transfer(300, func(f *Flow) { tLong = e.Now() })
+	m.Transfer(100, c.kind, c.add(func() { tShort = e.Now() }), 0)
+	m.Transfer(300, c.kind, c.add(func() { tLong = e.Now() }), 0)
 	e.Run()
 	// Shared at 50B/s until short (100B) done at t=2; long has 200B left
 	// at full 100B/s: done at t=4.
@@ -51,9 +72,10 @@ func TestMediumShortFlowFinishesFirstThenLongSpeedsUp(t *testing.T) {
 
 func TestMediumPerFlowCap(t *testing.T) {
 	e := sim.NewEngine(1)
+	c := newCalls(e)
 	m := NewMedium(e, 1000, 10) // huge capacity, 10 B/s per flow
 	var done sim.Time
-	m.Transfer(100, func(f *Flow) { done = e.Now() })
+	m.Transfer(100, c.kind, c.add(func() { done = e.Now() }), 0)
 	e.Run()
 	if math.Abs(done-10) > 1e-4 {
 		t.Fatalf("capped flow finished at %g, want 10", done)
@@ -62,10 +84,11 @@ func TestMediumPerFlowCap(t *testing.T) {
 
 func TestMediumLateArrival(t *testing.T) {
 	e := sim.NewEngine(1)
+	c := newCalls(e)
 	m := NewMedium(e, 100, 0)
 	var tA, tB sim.Time
-	m.Transfer(400, func(f *Flow) { tA = e.Now() })
-	e.At(2, func() { m.Transfer(100, func(f *Flow) { tB = e.Now() }) })
+	m.Transfer(400, c.kind, c.add(func() { tA = e.Now() }), 0)
+	e.At(2, func() { m.Transfer(100, c.kind, c.add(func() { tB = e.Now() }), 0) })
 	e.Run()
 	// A alone 0-2s: 200B done. Then sharing at 50B/s: B(100B) done at t=4.
 	// A has 200-100=100B left at t=4, alone again: done at t=5.
@@ -76,9 +99,10 @@ func TestMediumLateArrival(t *testing.T) {
 
 func TestMediumZeroSizeCompletesImmediately(t *testing.T) {
 	e := sim.NewEngine(1)
+	c := newCalls(e)
 	m := NewMedium(e, 100, 0)
 	fired := false
-	m.Transfer(0, func(f *Flow) { fired = true })
+	m.Transfer(0, c.kind, c.add(func() { fired = true }), 0)
 	if !fired {
 		t.Fatal("zero-size transfer did not complete synchronously")
 	}
@@ -86,9 +110,10 @@ func TestMediumZeroSizeCompletesImmediately(t *testing.T) {
 
 func TestMediumSetCapacityMidFlow(t *testing.T) {
 	e := sim.NewEngine(1)
+	c := newCalls(e)
 	m := NewMedium(e, 100, 0)
 	var done sim.Time
-	m.Transfer(400, func(f *Flow) { done = e.Now() })
+	m.Transfer(400, c.kind, c.add(func() { done = e.Now() }), 0)
 	e.At(2, func() { m.SetCapacity(200) }) // 200B left, now at 200B/s
 	e.Run()
 	if math.Abs(done-3) > 1e-4 {
@@ -102,7 +127,7 @@ func TestMediumMeterConservation(t *testing.T) {
 	total := 0.0
 	for _, sz := range []float64{100, 250, 300} {
 		sz := sz
-		m.Transfer(sz, nil)
+		m.Transfer(sz, 0, 0, 0)
 		total += sz
 	}
 	e.Run()
@@ -118,10 +143,11 @@ func TestMediumWorkConservationProperty(t *testing.T) {
 		n := int(nRaw%10) + 1
 		size := float64(szRaw%100+1) * 10
 		e := sim.NewEngine(1)
+		c := newCalls(e)
 		m := NewMedium(e, 100, 0)
 		var last sim.Time
 		for i := 0; i < n; i++ {
-			m.Transfer(size, func(f *Flow) { last = e.Now() })
+			m.Transfer(size, c.kind, c.add(func() { last = e.Now() }), 0)
 		}
 		e.Run()
 		want := float64(n) * size / 100
@@ -135,13 +161,14 @@ func TestMediumWorkConservationProperty(t *testing.T) {
 func TestMediumDeterministic(t *testing.T) {
 	run := func() []sim.Time {
 		e := sim.NewEngine(9)
+		c := newCalls(e)
 		m := NewMedium(e, 1000, 0)
 		var finishes []sim.Time
 		for i := 0; i < 50; i++ {
 			at := e.Rand().Float64() * 5
 			size := e.Rand().Float64()*1000 + 1
 			e.At(at, func() {
-				m.Transfer(size, func(f *Flow) { finishes = append(finishes, e.Now()) })
+				m.Transfer(size, c.kind, c.add(func() { finishes = append(finishes, e.Now()) }), 0)
 			})
 		}
 		e.Run()
@@ -160,9 +187,10 @@ func TestMediumDeterministic(t *testing.T) {
 
 func TestNetworkEdgeToCloudBreakdown(t *testing.T) {
 	e := sim.NewEngine(1)
+	c := newCalls(e)
 	n := NewNetwork(e, DefaultConfig())
 	var total sim.Time
-	n.EdgeToCloud(2e6, func(s sim.Time) { total = s }) // 2MB frame
+	n.EdgeToCloud(2e6, c.kind, c.add(func() { total = e.Now() }), 0) // 2MB frame
 	e.Run()
 	// Protocol processing at both ends, then 2MB uncontended at the
 	// 50MB/s per-device cap = 40ms on the medium, then propagation.
@@ -176,9 +204,10 @@ func TestNetworkAccelReducesProcessing(t *testing.T) {
 	cfg := DefaultConfig()
 	transfer := func(accel bool) sim.Time {
 		e := sim.NewEngine(1)
+		c := newCalls(e)
 		cfg.RPCAccel = accel
 		var total sim.Time
-		NewNetwork(e, cfg).EdgeToCloud(64, func(s sim.Time) { total = s })
+		NewNetwork(e, cfg).EdgeToCloud(64, c.kind, c.add(func() { total = e.Now() }), 0)
 		e.Run()
 		return total
 	}
@@ -205,6 +234,7 @@ func TestWirelessSaturationKnee(t *testing.T) {
 	// load beyond the shared capacity should inflate transfer latency.
 	latency := func(devices int) float64 {
 		e := sim.NewEngine(1)
+		c := newCalls(e)
 		n := NewNetwork(e, DefaultConfig())
 		var worst sim.Time
 		for d := 0; d < devices; d++ {
@@ -212,11 +242,11 @@ func TestWirelessSaturationKnee(t *testing.T) {
 				at := float64(i) * 0.125 // 8 fps
 				e.At(at, func() {
 					start := e.Now()
-					n.EdgeToCloud(8e6, func(sim.Time) { // 8MB frames
+					n.EdgeToCloud(8e6, c.kind, c.add(func() { // 8MB frames
 						if l := e.Now() - start; l > worst {
 							worst = l
 						}
-					})
+					}), 0)
 				})
 			}
 		}
@@ -226,5 +256,28 @@ func TestWirelessSaturationKnee(t *testing.T) {
 	low, high := latency(2), latency(16)
 	if high < 5*low {
 		t.Fatalf("no saturation knee: 2 drones %.3gs vs 16 drones %.3gs", low, high)
+	}
+}
+
+// TestEdgeToCloudAllocFree: once the slabs are warm, a transfer's
+// stages are records on slab state and allocate nothing.
+func TestEdgeToCloudAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	e := sim.NewEngine(1)
+	n := NewNetwork(e, DefaultConfig())
+	arrived := 0
+	kind := e.Handle(func(int32, int32) { arrived++ })
+	send := func() {
+		n.EdgeToCloud(2e6, kind, 0, 0)
+		e.RunUntil(e.Now() + 0.1)
+	}
+	send()
+	if allocs := testing.AllocsPerRun(200, send); allocs != 0 {
+		t.Fatalf("a warm EdgeToCloud allocates %.2f, want 0", allocs)
+	}
+	if arrived != 202 {
+		t.Fatalf("%d transfers arrived, want 202", arrived)
 	}
 }

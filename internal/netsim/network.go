@@ -47,15 +47,35 @@ type Network struct {
 	eng      *sim.Engine
 	cfg      Config
 	Wireless *Medium
+
+	hops sim.Slab[hop]
+	// Record kinds of a transfer's stages, a = its hop: protocol
+	// processing done, last byte off the medium, propagation done.
+	processed, moved, arrived uint8
+}
+
+// hop is one EdgeToCloud transfer in flight.
+type hop struct {
+	bytes float64
+	kind  uint8 // the record its arrival runs
+	a, b  int32
 }
 
 // NewNetwork builds the network substrate.
 func NewNetwork(eng *sim.Engine, cfg Config) *Network {
-	return &Network{
+	n := &Network{
 		eng:      eng,
 		cfg:      cfg,
 		Wireless: NewMedium(eng, cfg.WirelessBps, perDeviceBps),
 	}
+	n.processed = eng.Handle(func(i, _ int32) { n.Wireless.Transfer(n.hops.At(i).bytes, n.moved, i, 0) })
+	n.moved = eng.Handle(func(i, _ int32) { eng.PostIn(wirelessPropS, n.arrived, i, 0) })
+	n.arrived = eng.Handle(func(i, _ int32) {
+		h := *n.hops.At(i)
+		n.hops.Free(i)
+		eng.Fire(h.kind, h.a, h.b)
+	})
+	return n
 }
 
 // ScaleWireless multiplies the wireless capacity (scalability sweeps
@@ -74,19 +94,12 @@ func (n *Network) procCost(bytes float64) sim.Time {
 }
 
 // EdgeToCloud moves bytes from a device to the cluster (or back — the
-// wireless hop is symmetric). done receives the transfer's latency:
-// protocol processing at both endpoints, time on the shared medium
-// (serialization and congestion) and propagation.
-func (n *Network) EdgeToCloud(bytes float64, done func(totalS sim.Time)) {
-	start := n.eng.Now()
-	proc := n.procCost(bytes) * 2 // sender + receiver stacks
-	n.eng.Defer(proc, func() {
-		n.Wireless.Transfer(bytes, func(*Flow) {
-			n.eng.Defer(wirelessPropS, func() {
-				if done != nil {
-					done(n.eng.Now() - start)
-				}
-			})
-		})
-	})
+// wireless hop is symmetric) and runs record (kind, a, b) inline when
+// they arrive (kind 0: nothing). The latency, which the caller reads off
+// the clock, is protocol processing at both endpoints, time on the
+// shared medium (serialization and congestion) and propagation.
+func (n *Network) EdgeToCloud(bytes float64, kind uint8, a, b int32) {
+	i, h := n.hops.New()
+	h.bytes, h.kind, h.a, h.b = bytes, kind, a, b
+	n.eng.PostIn(n.procCost(bytes)*2, n.processed, i, 0) // sender + receiver stacks
 }

@@ -148,6 +148,13 @@ type System struct {
 	Fleet   device.Fleet
 
 	regions []geo.Rect
+
+	tasks sim.Slab[task]
+	job   *job
+	// Record kinds: a task's stage (a = task, b = stage), its result from
+	// Faas or a ReservedJob pool (b = invocation), and a job's next
+	// submission (a = device).
+	stage, invoked, pooled, submit uint8
 }
 
 // NewSystem builds and wires a system.
@@ -180,6 +187,10 @@ func NewSystem(o Options) *System {
 	faasCfg.Scheduler = scheduler.NewSharded(eng, shards, decisionS)
 
 	s := &System{Opts: o, Eng: eng}
+	s.stage = eng.Handle(s.onStage)
+	s.invoked = eng.Handle(s.onInvoked)
+	s.pooled = eng.Handle(s.onPooled)
+	s.submit = eng.Handle(s.onSubmit)
 	s.Net = netsim.NewNetwork(eng, netCfg)
 	if o.WirelessScale != 1 && o.WirelessScale > 0 {
 		s.Net.ScaleWireless(o.WirelessScale)
@@ -296,6 +307,28 @@ type SubmitOpts struct {
 	InputScale float64
 }
 
+// task is one submitted task in flight.
+type task struct {
+	p          apps.Profile
+	dev        *device.Device
+	placement  TierPlacement
+	inputScale float64
+	inMB       float64 // the input shipped to the cloud
+	netStart   sim.Time
+	m          TaskMetrics
+	done       func(TaskMetrics)
+}
+
+// Task stages (b of record kind stage).
+const (
+	edgeRan     int32 = iota // the on-board run of an edge task ended
+	preRan                   // a hybrid task's on-board preprocessing ended
+	uploaded                 // the input reached the cloud
+	shipped                  // the output reached its destination
+	resUploaded              // ReservedJob: the input reached the pool
+	resShipped               // ReservedJob: the result reached the device
+)
+
 // SubmitTask runs one task of the given application through the system
 // and reports metrics. done may be nil.
 func (s *System) SubmitTask(p apps.Profile, dev *device.Device, opts SubmitOpts, done func(TaskMetrics)) {
@@ -306,116 +339,158 @@ func (s *System) SubmitTask(p apps.Profile, dev *device.Device, opts SubmitOpts,
 	if opts.ForcePlacement != nil {
 		placement = *opts.ForcePlacement
 	}
-	m := TaskMetrics{Start: s.Eng.Now()}
-	finish := func() {
-		m.End = s.Eng.Now()
-		if tr := s.Opts.Trace; tr != nil {
-			tr.Add(trace.Span{
-				Name:     string(p.ID),
-				Category: placement.String(),
-				Track:    fmt.Sprintf("device-%d", dev.ID),
-				StartS:   m.Start,
-				EndS:     m.End,
-				Args: map[string]string{
-					"network": fmt.Sprintf("%.4f", m.Network),
-					"mgmt":    fmt.Sprintf("%.4f", m.Mgmt),
-					"dataio":  fmt.Sprintf("%.4f", m.DataIO),
-					"exec":    fmt.Sprintf("%.4f", m.Exec),
-					"dropped": fmt.Sprintf("%v", m.Dropped),
-				},
-			})
-		}
-		if done != nil {
-			done(m)
-		}
-	}
+	i, t := s.tasks.New()
+	t.p, t.dev, t.placement, t.inputScale, t.done = p, dev, placement, opts.InputScale, done
+	t.m.Start = s.Eng.Now()
 	if dev.Failed() {
-		m.Dropped = true
-		finish()
+		t.m.Dropped = true
+		s.finish(i, t)
 		return
 	}
 	switch placement {
 	case TierEdge:
-		s.runEdge(p, dev, &m, opts, finish)
+		// Edge devices show ~2x the cloud's intrinsic variability (thermal
+		// and I/O effects on a passively-cooled ARM board).
+		dev.RunTask(s.sampleEdgeExec(p.EdgeExecS, 2*p.ExecCV), s.stage, i, edgeRan)
 	case TierCloud:
-		s.runCloud(p, dev, &m, opts, 1.0, 0, finish)
+		s.upload(i, t)
 	case TierHybrid:
 		// Preprocess on-board (cheap, data-proportional ROI extraction),
 		// ship the reduced payload, finish in the cloud.
-		pre := s.sampleEdgeExec(p.InputMB*s.Opts.PreprocSPerMB, p.ExecCV)
-		dev.RunTask(pre, func(out device.TaskOutcome) {
-			if out.Dropped {
-				m.Dropped = true
-				finish()
-				return
-			}
-			m.Exec += out.ExecS + out.QueueS
-			s.runCloud(p, dev, &m, opts, s.Opts.HybridUploadFrac, hybridEdgeWorkFrac, finish)
-		})
+		dev.RunTask(s.sampleEdgeExec(p.InputMB*s.Opts.PreprocSPerMB, p.ExecCV), s.stage, i, preRan)
 	}
-}
-
-// runEdge executes fully on-board; only the small output is shipped.
-func (s *System) runEdge(p apps.Profile, dev *device.Device, m *TaskMetrics, opts SubmitOpts, finish func()) {
-	// Edge devices show ~2x the cloud's intrinsic variability (thermal
-	// and I/O effects on a passively-cooled ARM board).
-	dev.RunTask(s.sampleEdgeExec(p.EdgeExecS, 2*p.ExecCV), func(out device.TaskOutcome) {
-		if out.Dropped {
-			m.Dropped = true
-			finish()
-			return
-		}
-		m.Exec += out.ExecS + out.QueueS
-		// Ship the final output to the backend.
-		outMB := p.OutputMB
-		dev.Transmit(outMB)
-		s.Net.EdgeToCloud(outMB*1e6, func(netS sim.Time) {
-			m.Network += netS
-			finish()
-		})
-	})
 }
 
 // hybridEdgeWorkFrac is the fraction of a hybrid task's recognition
 // work that on-board preprocessing subsumes (reduces cloud execution).
 const hybridEdgeWorkFrac float64 = 0.05
 
-// runCloud ships the (possibly reduced) input, executes on the backend
-// and returns the result. uploadFrac scales the payload; workDone is
-// the fraction of the task already executed on-board.
-func (s *System) runCloud(p apps.Profile, dev *device.Device, m *TaskMetrics, opts SubmitOpts, uploadFrac, workDone float64, finish func()) {
-	inMB := p.InputMB * opts.InputScale * uploadFrac
-	dev.Transmit(inMB)
-	s.Net.EdgeToCloud(inMB*1e6, func(upS sim.Time) {
-		m.Network += upS
+// upload ships the task's input, reduced for a hybrid task, to the
+// cloud.
+func (s *System) upload(i int32, t *task) {
+	frac := 1.0
+	if t.placement == TierHybrid {
+		frac = s.Opts.HybridUploadFrac
+	}
+	t.inMB = t.p.InputMB * t.inputScale * frac
+	t.dev.Transmit(t.inMB)
+	s.ship(i, t, t.inMB, uploaded)
+}
+
+// ship moves mb over the wireless hop; stage runs when it arrives.
+func (s *System) ship(i int32, t *task, mb float64, stage int32) {
+	t.netStart = s.Eng.Now()
+	s.Net.EdgeToCloud(mb*1e6, s.stage, i, stage)
+}
+
+func (s *System) onStage(i, stage int32) {
+	t := s.tasks.At(i)
+	switch stage {
+	case edgeRan, preRan:
+		out := t.dev.Outcome()
+		if out.Dropped {
+			t.m.Dropped = true
+			s.finish(i, t)
+			return
+		}
+		t.m.Exec += out.ExecS + out.QueueS
+		if stage == preRan {
+			s.upload(i, t)
+			return
+		}
+		// Ship the final output to the backend.
+		t.dev.Transmit(t.p.OutputMB)
+		s.ship(i, t, t.p.OutputMB, shipped)
+	case uploaded:
+		t.m.Network += s.Eng.Now() - t.netStart
 		// Serverless systems split a task across parallel functions;
 		// reserved IaaS, and an edge swarm forced to the cloud, run it
-		// whole.
-		par := 1
+		// whole. A hybrid task's preprocessing did part of the work.
+		par, workDone := 1, 0.0
 		if s.Opts.Kind == CentralizedFaaS || s.Opts.Kind == HiveMind {
-			par = p.Parallelism
+			par = t.p.Parallelism
 		}
-		spec := faas.FunctionSpec{
-			Name:         string(p.ID),
-			ExecS:        p.CloudExecS * (1 - workDone),
+		if t.placement == TierHybrid {
+			workDone = hybridEdgeWorkFrac
+		}
+		s.Faas.Call(faas.FunctionSpec{
+			Name:         string(t.p.ID),
+			ExecS:        t.p.CloudExecS * (1 - workDone),
 			Parallelism:  par,
-			MemGB:        p.MemGB,
-			ExecCV:       p.ExecCV,
-			ParentDataMB: inMB, // functions fetch sensor data from the store
-		}
-		s.Faas.Invoke(spec, func(r faas.Result) {
-			m.Mgmt += r.MgmtS + r.QueueS
-			m.DataIO += r.DataIOS
-			m.Exec += r.ExecS
-			m.Respawns += r.Respawns
-			// Response back to the device.
-			dev.Receive(p.OutputMB)
-			s.Net.EdgeToCloud(p.OutputMB*1e6, func(downS sim.Time) {
-				m.Network += downS
-				finish()
-			})
+			MemGB:        t.p.MemGB,
+			ExecCV:       t.p.ExecCV,
+			ParentDataMB: t.inMB, // functions fetch sensor data from the store
+		}, s.invoked, i)
+	case shipped:
+		t.m.Network += s.Eng.Now() - t.netStart
+		s.finish(i, t)
+	case resUploaded:
+		t.m.Network = s.Eng.Now() - t.netStart
+		// Fixed deployments run each task as a single process;
+		// intra-task fan-out is a serverless benefit (§3.2).
+		s.job.pool.Call(faas.FunctionSpec{
+			Name: string(t.p.ID), ExecS: t.p.CloudExecS, Parallelism: 1,
+			MemGB: t.p.MemGB, ExecCV: t.p.ExecCV,
+		}, s.pooled, i)
+	case resShipped:
+		res := s.job.res
+		res.Completed++
+		res.Latency.Add(s.Eng.Now() - t.m.Start)
+		res.Breakdown.Record(map[stats.Stage]float64{
+			stats.StageNetwork:   t.m.Network + (s.Eng.Now() - t.netStart),
+			stats.StageExecution: t.m.Exec,
 		})
-	})
+		s.tasks.Free(i)
+	}
+}
+
+// onInvoked books task i's result from Faas invocation inv and sends
+// the response back to the device.
+func (s *System) onInvoked(i, inv int32) {
+	t := s.tasks.At(i)
+	r := s.Faas.Result(inv)
+	t.m.Mgmt += r.MgmtS + r.QueueS
+	t.m.DataIO += r.DataIOS
+	t.m.Exec += r.ExecS
+	t.m.Respawns += r.Respawns
+	t.dev.Receive(t.p.OutputMB)
+	s.ship(i, t, t.p.OutputMB, shipped)
+}
+
+// onPooled is onInvoked for a ReservedJob task, run by the job's pool.
+func (s *System) onPooled(i, inv int32) {
+	t := s.tasks.At(i)
+	r := s.job.pool.Result(inv)
+	t.m.Exec = r.ExecS + r.QueueS
+	t.dev.Receive(t.p.OutputMB)
+	s.ship(i, t, t.p.OutputMB, resShipped)
+}
+
+// finish records a task's end and hands its metrics to the submitter.
+func (s *System) finish(i int32, t *task) {
+	m, done := &t.m, t.done
+	m.End = s.Eng.Now()
+	if tr := s.Opts.Trace; tr != nil {
+		tr.Add(trace.Span{
+			Name:     string(t.p.ID),
+			Category: t.placement.String(),
+			Track:    fmt.Sprintf("device-%d", t.dev.ID),
+			StartS:   m.Start,
+			EndS:     m.End,
+			Args: map[string]string{
+				"network": fmt.Sprintf("%.4f", m.Network),
+				"mgmt":    fmt.Sprintf("%.4f", m.Mgmt),
+				"dataio":  fmt.Sprintf("%.4f", m.DataIO),
+				"exec":    fmt.Sprintf("%.4f", m.Exec),
+				"dropped": fmt.Sprintf("%v", m.Dropped),
+			},
+		})
+	}
+	metrics := *m
+	s.tasks.Free(i)
+	if done != nil {
+		done(metrics)
+	}
 }
 
 // JobResult aggregates a single-tier job run (one application, all
@@ -432,55 +507,81 @@ type JobResult struct {
 	Respawns    int
 }
 
+// job is the single-tier job RunJob or ReservedJob drives: every device
+// submits a task of p each period, jittered ±20%, until durationS.
+type job struct {
+	p         apps.Profile
+	durationS float64
+	period    float64
+	res       *JobResult
+	done      func(TaskMetrics) // RunJob's accounting
+	pool      *faas.Reserved    // ReservedJob's pool
+}
+
+// onSubmit submits device d's next task and schedules the one after.
+func (s *System) onSubmit(d, _ int32) {
+	j := s.job
+	if s.Eng.Now() >= j.durationS {
+		return
+	}
+	j.res.Submitted++
+	dev := s.Fleet[d]
+	if j.pool == nil {
+		s.SubmitTask(j.p, dev, SubmitOpts{}, j.done)
+	} else {
+		i, t := s.tasks.New()
+		t.p, t.dev, t.inMB = j.p, dev, j.p.InputMB
+		t.m.Start = s.Eng.Now()
+		dev.Transmit(t.inMB)
+		s.ship(i, t, t.inMB, resUploaded)
+	}
+	s.Eng.PostIn(j.period*(0.8+0.4*s.Eng.Rand().Float64()), s.submit, d, 0)
+}
+
+// run drives j: it staggers each device's first submission across one
+// period, runs the job, drains in-flight tasks for drainS (bounded),
+// then lets keep-alive timers and residual events drain.
+func (s *System) run(j *job, drainS float64) JobResult {
+	s.job = j
+	j.period = 1.0 / j.p.TaskRatePerDevice
+	rng := s.Eng.Rand()
+	for d := range s.Fleet {
+		s.Eng.Post(rng.Float64()*j.period, s.submit, int32(d), 0)
+	}
+	s.Eng.RunUntil(j.durationS)
+	s.Eng.RunUntil(j.durationS + drainS)
+	s.Fleet.Settle()
+	s.Fleet.StopAll()
+	s.Eng.Run()
+
+	res := j.res
+	res.BatteryMean = s.Fleet.MeanBatteryConsumed()
+	res.BatteryMax = s.Fleet.MaxBatteryConsumed()
+	bw := s.Net.Wireless.Meter().RateSample(j.durationS)
+	res.BWMeanMBps = bw.Mean() / 1e6
+	res.BWp99MBps = bw.Percentile(99) / 1e6
+	return *res
+}
+
 // RunJob drives one application at its default per-device rate for
 // durationS seconds, then drains in-flight tasks, and reports
 // aggregate metrics (the paper runs each job for 120 s).
 func (s *System) RunJob(p apps.Profile, durationS float64) JobResult {
-	res := JobResult{Latency: &stats.Sample{}, Breakdown: stats.NewBreakdown()}
-	period := 1.0 / p.TaskRatePerDevice
-	rng := s.Eng.Rand()
-	for _, d := range s.Fleet {
-		d := d
-		// Stagger device phase and jitter arrivals ±20%.
-		start := rng.Float64() * period
-		var submit func()
-		submit = func() {
-			if s.Eng.Now() >= durationS {
-				return
-			}
-			res.Submitted++
-			s.SubmitTask(p, d, SubmitOpts{}, func(m TaskMetrics) {
-				if m.Dropped {
-					return
-				}
-				res.Completed++
-				res.Latency.Add(m.TotalS())
-				res.Breakdown.Record(map[stats.Stage]float64{
-					stats.StageNetwork:    m.Network,
-					stats.StageManagement: m.Mgmt,
-					stats.StageDataIO:     m.DataIO,
-					stats.StageExecution:  m.Exec,
-				})
-				res.Respawns += m.Respawns
-			})
-			next := period * (0.8 + 0.4*rng.Float64())
-			s.Eng.Defer(next, submit)
+	res := &JobResult{Latency: &stats.Sample{}, Breakdown: stats.NewBreakdown()}
+	return s.run(&job{p: p, durationS: durationS, res: res, done: func(m TaskMetrics) {
+		if m.Dropped {
+			return
 		}
-		s.Eng.DeferAt(start, submit)
-	}
-	s.Eng.RunUntil(durationS)
-	// Drain stragglers (bounded).
-	s.Eng.RunUntil(durationS + 60)
-	s.Fleet.Settle()
-	s.Fleet.StopAll()
-	s.Eng.Run() // let keep-alive timers and residual events drain
-
-	res.BatteryMean = s.Fleet.MeanBatteryConsumed()
-	res.BatteryMax = s.Fleet.MaxBatteryConsumed()
-	bw := s.Net.Wireless.Meter().RateSample(durationS)
-	res.BWMeanMBps = bw.Mean() / 1e6
-	res.BWp99MBps = bw.Percentile(99) / 1e6
-	return res
+		res.Completed++
+		res.Latency.Add(m.TotalS())
+		res.Breakdown.Record(map[stats.Stage]float64{
+			stats.StageNetwork:    m.Network,
+			stats.StageManagement: m.Mgmt,
+			stats.StageDataIO:     m.DataIO,
+			stats.StageExecution:  m.Exec,
+		})
+		res.Respawns += m.Respawns
+	}}, 60)
 }
 
 // ReservedJob runs a job on a statically provisioned pool (the
@@ -496,54 +597,6 @@ func (s *System) ReservedJob(p apps.Profile, durationS float64, sizeCores int) J
 			sizeCores = 1
 		}
 	}
-	pool := faas.NewReserved(s.Eng, sizeCores)
-	res := JobResult{Latency: &stats.Sample{}, Breakdown: stats.NewBreakdown()}
-	period := 1.0 / p.TaskRatePerDevice
-	rng := s.Eng.Rand()
-	for _, d := range s.Fleet {
-		d := d
-		start := rng.Float64() * period
-		var submit func()
-		submit = func() {
-			if s.Eng.Now() >= durationS {
-				return
-			}
-			res.Submitted++
-			taskStart := s.Eng.Now()
-			inMB := p.InputMB
-			dev := d
-			dev.Transmit(inMB)
-			s.Net.EdgeToCloud(inMB*1e6, func(upS sim.Time) {
-				// Fixed deployments run each task as a single process;
-				// intra-task fan-out is a serverless benefit (§3.2).
-				pool.Invoke(faas.FunctionSpec{
-					Name: string(p.ID), ExecS: p.CloudExecS, Parallelism: 1,
-					MemGB: p.MemGB, ExecCV: p.ExecCV,
-				}, func(r faas.Result) {
-					dev.Receive(p.OutputMB)
-					s.Net.EdgeToCloud(p.OutputMB*1e6, func(downS sim.Time) {
-						res.Completed++
-						res.Latency.Add(s.Eng.Now() - taskStart)
-						res.Breakdown.Record(map[stats.Stage]float64{
-							stats.StageNetwork:   upS + downS,
-							stats.StageExecution: r.ExecS + r.QueueS,
-						})
-					})
-				})
-			})
-			s.Eng.Defer(period*(0.8+0.4*rng.Float64()), submit)
-		}
-		s.Eng.DeferAt(start, submit)
-	}
-	s.Eng.RunUntil(durationS)
-	s.Eng.RunUntil(durationS + 120)
-	s.Fleet.Settle()
-	s.Fleet.StopAll()
-	s.Eng.Run()
-	res.BatteryMean = s.Fleet.MeanBatteryConsumed()
-	res.BatteryMax = s.Fleet.MaxBatteryConsumed()
-	bw := s.Net.Wireless.Meter().RateSample(durationS)
-	res.BWMeanMBps = bw.Mean() / 1e6
-	res.BWp99MBps = bw.Percentile(99) / 1e6
-	return res
+	res := &JobResult{Latency: &stats.Sample{}, Breakdown: stats.NewBreakdown()}
+	return s.run(&job{p: p, durationS: durationS, res: res, pool: faas.NewReserved(s.Eng, sizeCores)}, 120)
 }

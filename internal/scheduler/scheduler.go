@@ -15,6 +15,9 @@ type Sharded struct {
 	eng       *sim.Engine
 	shards    []*sim.Resource
 	decisionS float64
+	// Record kinds of one decision, a = the caller's a and b = shard<<8 |
+	// the caller's kind: the shard is granted, the decision is made.
+	granted, decided uint8
 }
 
 // NewSharded builds a decision engine with n shards, each taking
@@ -27,18 +30,19 @@ func NewSharded(eng *sim.Engine, n int, decisionS float64) *Sharded {
 	for i := 0; i < n; i++ {
 		s.shards = append(s.shards, sim.NewResource(eng, 1))
 	}
+	s.granted = eng.Handle(func(a, b int32) { eng.PostIn(decisionS, s.decided, a, b) })
+	s.decided = eng.Handle(func(a, b int32) {
+		s.shards[b>>8].Release()
+		eng.Fire(uint8(b), a, 0)
+	})
 	return s
 }
 
 // Decide queues one scheduling decision for the task key on its shard
-// ("each responsible for a subset of tasks") and calls done with the
-// decision latency (queueing + service).
-func (s *Sharded) Decide(key uint64, done func(latency sim.Time)) {
-	shard := s.shards[key%uint64(len(s.shards))]
-	start := s.eng.Now()
-	shard.Use(s.decisionS, func() {
-		if done != nil {
-			done(s.eng.Now() - start)
-		}
-	})
+// ("each responsible for a subset of tasks") and runs record (kind, a,
+// 0) inline once it is made; the caller reads the decision latency
+// (queueing + service) off the clock.
+func (s *Sharded) Decide(key uint64, kind uint8, a int32) {
+	shard := int32(key % uint64(len(s.shards)))
+	s.shards[shard].Grab(s.granted, a, shard<<8|int32(kind))
 }

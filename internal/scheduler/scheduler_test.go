@@ -6,12 +6,25 @@ import (
 	"hivemind/internal/sim"
 )
 
+// decider returns a Decide that calls done with the decision latency,
+// read off the clock.
+func decider(eng *sim.Engine, s *Sharded) func(key uint64, done func(sim.Time)) {
+	var dones []func()
+	kind := eng.Handle(func(a, _ int32) { dones[a]() })
+	return func(key uint64, done func(sim.Time)) {
+		start := eng.Now()
+		dones = append(dones, func() { done(eng.Now() - start) })
+		s.Decide(key, kind, int32(len(dones)-1))
+	}
+}
+
 func TestShardedSerializesPerShard(t *testing.T) {
 	eng := sim.NewEngine(1)
 	s := NewSharded(eng, 1, 0.001)
+	decide := decider(eng, s)
 	var last sim.Time
 	for i := 0; i < 100; i++ {
-		s.Decide(uint64(i), func(l sim.Time) { last = l })
+		decide(uint64(i), func(l sim.Time) { last = l })
 	}
 	eng.Run()
 	// 100 decisions × 1ms on one shard: the last waited ~99ms.
@@ -24,9 +37,10 @@ func TestShardingScalesThroughput(t *testing.T) {
 	run := func(shards int) sim.Time {
 		eng := sim.NewEngine(1)
 		s := NewSharded(eng, shards, 0.001)
+		decide := decider(eng, s)
 		done := 0
 		for i := 0; i < 1000; i++ {
-			s.Decide(uint64(i), func(sim.Time) { done++ })
+			decide(uint64(i), func(sim.Time) { done++ })
 		}
 		eng.Run()
 		if done != 1000 {
@@ -55,13 +69,14 @@ func TestCentralizedBottleneckRelievedBySharding(t *testing.T) {
 	decisionLatency := func(shards int, ratePerS float64) sim.Time {
 		eng := sim.NewEngine(3)
 		s := NewSharded(eng, shards, 0.0002) // 5000 decisions/s/shard
+		decide := decider(eng, s)
 		var worst sim.Time
 		n := int(ratePerS * 2)
 		for i := 0; i < n; i++ {
 			at := float64(i) / ratePerS
 			key := uint64(i)
 			eng.At(at, func() {
-				s.Decide(key, func(l sim.Time) {
+				decide(key, func(l sim.Time) {
 					if l > worst {
 						worst = l
 					}
