@@ -263,7 +263,7 @@ func TestRadioBroadcastDelivers(t *testing.T) {
 		t.Fatal("source has no neighbours; layout too sparse for the test")
 	}
 	srcCell := se.Cell(cix.CellOwners()[src])
-	srcCell.Engine().DeferAt(1.0, func() { radio.Broadcast(src, msg) })
+	srcCell.Engine().At(1.0, func() { radio.Broadcast(src, msg) })
 	se.Run(2)
 	if len(got) != len(want) {
 		t.Fatalf("delivered to %d receivers, want %d", len(got), len(want))
@@ -301,9 +301,9 @@ func TestRadioParityAcrossWorkers(t *testing.T) {
 			var loop func()
 			loop = func() {
 				radio.Broadcast(d, 0)
-				cell.Engine().Defer(0.05+cell.Engine().Rand().Float64()*0.01, loop)
+				cell.Engine().At(cell.Engine().Now()+(0.05+cell.Engine().Rand().Float64()*0.01), loop)
 			}
-			cell.Engine().DeferAt(float64(d%7)*0.001, loop)
+			cell.Engine().At(float64(d%7)*0.001, loop)
 		}
 		se.Run(1)
 		return heard, radio.Stats()

@@ -31,7 +31,7 @@ func driveAdapter(t *testing.T, a *Adapter, sys *System, p apps.Profile, duratio
 					switches = append(switches, a.current)
 				}
 			})
-			sys.Eng.After(period*(0.8+0.4*rng.Float64()), submit)
+			sys.Eng.At(sys.Eng.Now()+period*(0.8+0.4*rng.Float64()), submit)
 		}
 		sys.Eng.At(rng.Float64()*period, submit)
 	}

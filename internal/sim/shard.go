@@ -206,7 +206,10 @@ func (s *ShardedEngine) Steps() uint64 {
 // (Infinity when every queue is empty). Cancelled events still count —
 // a too-early window is merely a shorter safe window, never an unsafe
 // one — and an empty cell contributes nothing, so it can never stall
-// the protocol.
+// the protocol. A purge drops a cell's cancelled events, so it can move
+// a window bound later, but only in a cell with more than 64 cancelled
+// events pending that outnumber its live ones; the swarm mission
+// cancels none.
 func (s *ShardedEngine) minNext() Time {
 	min := Infinity
 	for _, c := range s.cells {
