@@ -98,7 +98,7 @@ func poissonCloudJob(cfg RunConfig, p apps.Profile, duration float64, reserved b
 		} else {
 			sys.Faas.Invoke(spec, func(faas.Result) { done() })
 		}
-		eng.After(rng.ExpFloat64()/rate, pump)
+		eng.Defer(rng.ExpFloat64()/rate, pump)
 	}
 	eng.At(0, pump)
 	eng.RunUntil(duration + 120)
@@ -213,7 +213,7 @@ func driveFluctuating(sys *platform.System, pool *faas.Reserved, p apps.Profile,
 				MemGB: p.MemGB, ExecCV: p.ExecCV,
 			}, func(faas.Result) { lat.Add(eng.Now() - start) })
 		}
-		eng.After(gap, pump)
+		eng.Defer(gap, pump)
 	}
 	eng.At(0, pump)
 	eng.RunUntil(duration + 60)

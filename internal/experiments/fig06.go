@@ -85,7 +85,7 @@ func fig06b(cfg RunConfig) *Report {
 					dataio.Add(r.DataIOS)
 					exec.Add(r.ExecS)
 				})
-				eng.After(period*(0.8+0.4*rng.Float64()), submit)
+				eng.Defer(period*(0.8+0.4*rng.Float64()), submit)
 			}
 			eng.At(rng.Float64()*period, submit)
 		}
@@ -154,7 +154,7 @@ func fig06c(cfg RunConfig) *Report {
 					Name: string(p.ID), ExecS: p.CloudExecS, Parallelism: p.Parallelism,
 					MemGB: p.MemGB, ExecCV: p.ExecCV, ParentDataMB: p.InputMB,
 				}, func(r faas.Result) { lat.Add(eng.Now() - start) })
-				eng.After(period*(0.8+0.4*rng.Float64()), submit)
+				eng.Defer(period*(0.8+0.4*rng.Float64()), submit)
 			}
 			eng.At(rng.Float64()*period, submit)
 		}

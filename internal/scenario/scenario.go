@@ -198,7 +198,7 @@ func runSearch(kind Kind, cfg Config, sys *platform.System, dedup bool) Result {
 		if cfg.KillControllerAtS >= 0 {
 			// §4.7 controller-crash drill: the active replica dies
 			// mid-mission and a hot standby takes over.
-			eng.DeferAt(cfg.KillControllerAtS, func() { ctl.KillActiveReplica() })
+			eng.At(cfg.KillControllerAtS, func() { ctl.KillActiveReplica() })
 		}
 	}
 
@@ -269,7 +269,7 @@ func runSearch(kind Kind, cfg Config, sys *platform.System, dedup bool) Result {
 			sys.SubmitTask(rec, d, platform.SubmitOpts{}, func(platform.TaskMetrics) {})
 			eng.Defer(1.0*(0.9+0.2*rng.Float64()), scan)
 		}
-		eng.DeferAt(rng.Float64(), scan)
+		eng.At(rng.Float64(), scan)
 	}
 
 	// Sighting schedule.
@@ -311,7 +311,7 @@ func runSearch(kind Kind, cfg Config, sys *platform.System, dedup bool) Result {
 						}
 					})
 				}
-				eng.DeferAt(at, try)
+				eng.At(at, try)
 			}
 		}
 	} else {
@@ -345,7 +345,7 @@ func runSearch(kind Kind, cfg Config, sys *platform.System, dedup bool) Result {
 			}
 			eng.Defer(pass(), round)
 		}
-		eng.DeferAt(0.5, round)
+		eng.At(0.5, round)
 	}
 
 	eng.RunUntil(cfg.MaxDurationS)
@@ -427,7 +427,7 @@ func runRoverMission(kind Kind, cfg Config) Result {
 				})
 			})
 		}
-		eng.DeferAt(rng.Float64(), advance)
+		eng.At(rng.Float64(), advance)
 	}
 	eng.RunUntil(cfg.MaxDurationS)
 	res.Found = finished

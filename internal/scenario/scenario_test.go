@@ -174,7 +174,7 @@ func TestDefaultConfigsPerKind(t *testing.T) {
 // atS.
 func runFailing(cfg Config, id int, atS float64) Result {
 	sys := platform.NewSystem(cfg.System)
-	sys.Eng.DeferAt(atS, func() { sys.Fleet[id].Fail() })
+	sys.Eng.At(atS, func() { sys.Fleet[id].Fail() })
 	return runSearch(ScenarioA, cfg, sys, false)
 }
 

@@ -40,7 +40,7 @@ func TestEngineAfterIsRelative(t *testing.T) {
 	e := NewEngine(1)
 	var at Time
 	e.At(10, func() {
-		e.After(2.5, func() { at = e.Now() })
+		e.Defer(2.5, func() { at = e.Now() })
 	})
 	e.Run()
 	if at != 12.5 {
@@ -64,7 +64,7 @@ func TestEngineSchedulePastPanics(t *testing.T) {
 func TestEngineNegativeAfterClamps(t *testing.T) {
 	e := NewEngine(1)
 	fired := false
-	e.At(4, func() { e.After(-1, func() { fired = true }) })
+	e.At(4, func() { e.Defer(-1, func() { fired = true }) })
 	e.Run()
 	if !fired || e.Now() != 4 {
 		t.Fatalf("fired=%v now=%g", fired, e.Now())
@@ -117,10 +117,17 @@ func TestEngineStop(t *testing.T) {
 	}
 }
 
+// timerAt schedules a cancellable closure event: model code cancels
+// records only, but the cancel path is the same for both.
+func timerAt(e *Engine, t Time, fn func()) *Timer {
+	tm := e.schedule(t, fn, 0, 0, 0)
+	return &tm
+}
+
 func TestTimerCancel(t *testing.T) {
 	e := NewEngine(1)
 	fired := false
-	tm := e.At(5, func() { fired = true })
+	tm := timerAt(e, 5, func() { fired = true })
 	e.At(1, func() {
 		if !tm.Cancel() {
 			t.Error("first Cancel reported false")
@@ -246,7 +253,7 @@ func TestRunUntilClockSemantics(t *testing.T) {
 // popped, so Cancel must drop the fn reference immediately.
 func TestTimerCancelReleasesClosure(t *testing.T) {
 	e := NewEngine(1)
-	tm := e.At(1000, func() {})
+	tm := timerAt(e, 1000, func() {})
 	if !tm.Cancel() {
 		t.Fatal("Cancel reported false for a pending timer")
 	}
@@ -267,7 +274,7 @@ func TestEngineDeterminism(t *testing.T) {
 		rec = func() {
 			out = append(out, e.Now())
 			if len(out) < 200 {
-				e.After(e.Rand().Float64(), rec)
+				e.Defer(e.Rand().Float64(), rec)
 			}
 		}
 		e.At(0, rec)

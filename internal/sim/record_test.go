@@ -67,7 +67,7 @@ func TestShardRecordCrossCell(t *testing.T) {
 		return func(a, b int32) { got[c.ID()] = append(got[c.ID()], a, b) }
 	})
 	c0 := se.Cell(0)
-	c0.Engine().DeferAt(1, func() {
+	c0.Engine().At(1, func() {
 		c0.Post(1, c0.Engine().Now()+0.01, kind, 4, 5)
 		c0.Post(0, c0.Engine().Now(), kind, 6, 7)
 	})

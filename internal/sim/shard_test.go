@@ -64,7 +64,7 @@ func TestShardEmptyCellNeverStalls(t *testing.T) {
 			se.Cell(0).Engine().Defer(0.05, tick)
 		}
 	}
-	se.Cell(0).Engine().DeferAt(0, tick)
+	se.Cell(0).Engine().At(0, tick)
 	se.Run(10)
 	if fired != 100 {
 		t.Fatalf("fired %d events, want 100", fired)
@@ -96,9 +96,9 @@ func TestShardBoundaryExactDelivery(t *testing.T) {
 			order = append(order, "x@1.5")
 		}
 	})
-	c1.Engine().DeferAt(1.2, func() { order = append(order, "c1@1.2") })
-	c1.Engine().DeferAt(1.8, func() { order = append(order, "c1@1.8") })
-	c0.Engine().DeferAt(1.0, func() {
+	c1.Engine().At(1.2, func() { order = append(order, "c1@1.2") })
+	c1.Engine().At(1.8, func() { order = append(order, "c1@1.8") })
+	c0.Engine().At(1.0, func() {
 		// Stamped exactly at now+lookahead: the earliest legal delivery.
 		c0.Post(1, c0.Engine().Now()+lookahead, x, 0, 0)
 	})
@@ -119,7 +119,7 @@ func TestShardLookaheadViolationPanics(t *testing.T) {
 	}
 	c0 := se.Cell(0)
 	nop := se.Handle(func(*Cell) Handler { return func(int32, int32) {} })
-	c0.Engine().DeferAt(1, func() {
+	c0.Engine().At(1, func() {
 		defer func() {
 			if recover() == nil {
 				t.Error("expected panic for sub-lookahead cross-cell send")
@@ -161,7 +161,7 @@ func shardTrace(t *testing.T, workers int) ([][]string, []float64) {
 	}
 	for i := 0; i < cells; i++ {
 		c := se.Cell(i)
-		c.Engine().DeferAt(float64(i)*0.001, func() { arm(c, 0) })
+		c.Engine().At(float64(i)*0.001, func() { arm(c, 0) })
 	}
 	se.Run(3)
 	finals := make([]float64, cells)
@@ -217,7 +217,7 @@ func TestShardRepeatedRunWindows(t *testing.T) {
 			counts[i]++
 			c.Engine().Defer(0.3, loop)
 		}
-		c.Engine().DeferAt(0.1, loop)
+		c.Engine().At(0.1, loop)
 	}
 	se.Run(1)
 	if now := se.Cell(0).Engine().Now(); now != 1 {
@@ -246,7 +246,7 @@ func TestShardCrossMessageCounts(t *testing.T) {
 	ran := 0
 	c0 := se.Cell(0)
 	count := se.Handle(func(*Cell) Handler { return func(int32, int32) { ran++ } })
-	c0.Engine().DeferAt(0.5, func() {
+	c0.Engine().At(0.5, func() {
 		c0.Post(1, c0.Engine().Now()+0.1, count, 0, 0)
 		c0.Post(0, c0.Engine().Now()+0.001, count, 0, 0) // local: no lookahead bound
 	})
