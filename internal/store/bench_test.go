@@ -2,6 +2,7 @@ package store
 
 import (
 	"fmt"
+	"os"
 	"path/filepath"
 	"testing"
 )
@@ -159,5 +160,48 @@ func BenchmarkRecoverHistory10kCompacted(b *testing.B) {
 			b.Fatal(err)
 		}
 		db.Close()
+	}
+}
+
+// BenchmarkCompact snapshots a store shaped like fleet-chain-wal's
+// after 20 000 completed chains: per task a 1 KiB input, three ~1 KiB
+// step outputs and the checkpoint JSON. MB/s is snapshot bytes written.
+func BenchmarkCompact(b *testing.B) {
+	dir := b.TempDir()
+	db, _, err := OpenDurable(dir, DurableOptions{Fsync: FsyncNever, CompactEvery: NoAutoCompact})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer db.Close()
+	ckpt := NewCheckpointLog(db)
+	in := make([]byte, 1024)
+	for i := 0; i < 20000; i++ {
+		task := fmt.Sprintf("task-%d", i)
+		if _, _, err := ckpt.Begin(task, "chain3", in); err != nil {
+			b.Fatal(err)
+		}
+		for step := 0; step < 3; step++ {
+			if _, err := ckpt.CommitStep(task, step, in[:1024+step-2]); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := ckpt.Complete(task); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := db.CompactNow(); err != nil {
+		b.Fatal(err)
+	}
+	fi, err := os.Stat(filepath.Join(dir, snapshotFileName))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(fi.Size())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := db.CompactNow(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -61,6 +61,7 @@ const (
 	recSet    = 1 // post-state of a created/updated document
 	recFence  = 3 // fence raised without a document write (promotion)
 	recHeader = 4 // snapshot header: seq + fence at snapshot time
+	fenceLen  = 9 // length of a recFence record: opcode + token
 )
 
 // snapshotMagic guards the snapshot header record.
@@ -166,7 +167,7 @@ func (db *DB) applyRecord(rec []byte) error {
 			db.fenceTerm = token
 		}
 	case recFence:
-		if len(rec) != 9 {
+		if len(rec) != fenceLen {
 			return fmt.Errorf("%w: fence record length %d", ErrCorruptRecord, len(rec))
 		}
 		if token := binary.BigEndian.Uint64(rec[1:9]); token > db.fenceTerm {
@@ -191,14 +192,19 @@ func (db *DB) applyRecord(rec []byte) error {
 	return nil
 }
 
-// encodeSet builds a post-state set record.
-func encodeSet(doc Doc, token uint64) []byte {
-	rec := make([]byte, 0, 1+4+len(doc.ID)+4+len(doc.Rev)+4+len(doc.Body)+8)
-	rec = append(rec, recSet)
-	rec = appendBytes(rec, []byte(doc.ID))
-	rec = appendBytes(rec, []byte(doc.Rev))
-	rec = appendBytes(rec, doc.Body)
-	return binary.BigEndian.AppendUint64(rec, token)
+// setLen is the length of doc's set record, before it is encoded.
+func setLen(doc Doc) int {
+	return 1 + 4 + len(doc.ID) + 4 + len(doc.Rev) + 4 + len(doc.Body) + 8
+}
+
+// appendSetFrame appends the framed post-state record of doc.
+func appendSetFrame(dst []byte, doc Doc, token uint64) []byte {
+	dst, start := openFrame(dst)
+	dst = append(dst, recSet)
+	dst = appendField(dst, doc.ID)
+	dst = appendField(dst, doc.Rev)
+	dst = appendField(dst, doc.Body)
+	return sealFrame(binary.BigEndian.AppendUint64(dst, token), start)
 }
 
 // decodeSet parses a set record into the stored document and token.
@@ -223,21 +229,21 @@ func decodeSet(rec []byte) (Doc, uint64, error) {
 		binary.BigEndian.Uint64(p), nil
 }
 
-// encodeFence builds a fence-raise record (a promotion with no write).
-func encodeFence(token uint64) []byte {
-	rec := make([]byte, 9)
-	rec[0] = recFence
-	binary.BigEndian.PutUint64(rec[1:9], token)
-	return rec
+// appendFenceFrame appends a framed fence-raise record (a promotion
+// with no write).
+func appendFenceFrame(dst []byte, token uint64) []byte {
+	dst, start := openFrame(dst)
+	dst = append(dst, recFence)
+	return sealFrame(binary.BigEndian.AppendUint64(dst, token), start)
 }
 
-// encodeHeader builds the snapshot header record.
-func encodeHeader(seq, fence uint64) []byte {
-	rec := make([]byte, 0, 1+len(snapshotMagic)+16)
-	rec = append(rec, recHeader)
-	rec = append(rec, snapshotMagic...)
-	rec = binary.BigEndian.AppendUint64(rec, seq)
-	return binary.BigEndian.AppendUint64(rec, fence)
+// appendHeaderFrame appends the framed snapshot header record.
+func appendHeaderFrame(dst []byte, seq, fence uint64) []byte {
+	dst, start := openFrame(dst)
+	dst = append(dst, recHeader)
+	dst = append(dst, snapshotMagic...)
+	dst = binary.BigEndian.AppendUint64(dst, seq)
+	return sealFrame(binary.BigEndian.AppendUint64(dst, fence), start)
 }
 
 // decodeHeader parses the snapshot header record.
@@ -250,8 +256,8 @@ func decodeHeader(rec []byte) (seq, fence uint64, err error) {
 	return binary.BigEndian.Uint64(p[:8]), binary.BigEndian.Uint64(p[8:16]), nil
 }
 
-// appendBytes appends a u32 length prefix + bytes.
-func appendBytes(dst, b []byte) []byte {
+// appendField appends a u32 length prefix + bytes.
+func appendField[T string | []byte](dst []byte, b T) []byte {
 	dst = binary.BigEndian.AppendUint32(dst, uint32(len(b)))
 	return append(dst, b...)
 }
@@ -343,19 +349,21 @@ func (db *DB) compactLocked() error {
 	if err != nil {
 		return err
 	}
-	write := func(rec []byte) error {
-		_, werr := f.Write(frame(rec))
-		return werr
+	// Stream the frames through one buffer: one write per full buffer.
+	buf := appendHeaderFrame(make([]byte, 0, walBufSize), db.seq, db.fenceTerm)
+	for _, doc := range db.docs {
+		if len(buf)+walHeaderSize+setLen(doc) > walBufSize {
+			if _, err := f.Write(buf); err != nil {
+				f.Close()
+				return err
+			}
+			buf = buf[:0]
+		}
+		buf = appendSetFrame(buf, doc, 0)
 	}
-	if err := write(encodeHeader(db.seq, db.fenceTerm)); err != nil {
+	if _, err := f.Write(buf); err != nil {
 		f.Close()
 		return err
-	}
-	for _, doc := range db.docs {
-		if err := write(encodeSet(doc, 0)); err != nil {
-			f.Close()
-			return err
-		}
 	}
 	if err := f.Sync(); err != nil {
 		f.Close()
@@ -392,13 +400,13 @@ func (db *DB) maybeCompactLocked() error {
 	return db.compactLocked()
 }
 
-// appendRecordLocked writes one record ahead of the in-memory apply.
-// Caller holds db.mu; a nil WAL (pure in-memory store) is a no-op.
-func (db *DB) appendRecordLocked(rec []byte) error {
+// appendRecordLocked logs the n-byte record enc frames, before the apply.
+// Caller holds db.mu; an in-memory store (nil WAL) encodes nothing.
+func (db *DB) appendRecordLocked(n int, enc func(dst []byte) []byte) error {
 	if db.wal == nil {
 		return nil
 	}
-	if err := db.wal.Append(rec); err != nil {
+	if err := db.wal.writeFrame(n, enc); err != nil {
 		return err
 	}
 	db.sinceCompact++

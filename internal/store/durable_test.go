@@ -483,14 +483,14 @@ func compactedSnapshot(tb testing.TB, dir string) []byte {
 // the empty frame or loading a fence as a document.
 func TestRecoverRejectsNonDocumentSnapshotRecords(t *testing.T) {
 	snap := compactedSnapshot(t, t.TempDir())
-	for name, rec := range map[string][]byte{
-		"empty frame":   nil,
-		"fence":         encodeFence(9),
-		"second header": encodeHeader(1, 1),
+	for name, frame := range map[string][]byte{
+		"empty frame":   appendFrame(nil, nil),
+		"fence":         appendFenceFrame(nil, 9),
+		"second header": appendHeaderFrame(nil, 1, 1),
 	} {
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
-			data := append(append([]byte(nil), snap...), frame(rec)...)
+			data := append(append([]byte(nil), snap...), frame...)
 			if err := os.WriteFile(filepath.Join(dir, snapshotFileName), data, 0o644); err != nil {
 				t.Fatal(err)
 			}
@@ -509,6 +509,7 @@ func FuzzSnapshotLoad(f *testing.F) {
 	f.Add(snap)
 	f.Add(append(append([]byte(nil), snap...), make([]byte, walHeaderSize)...))
 	f.Add([]byte(nil))
+	f.Add(bigSnapshot()) // frames that cross the read buffer
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()
 		if err := os.WriteFile(filepath.Join(dir, snapshotFileName), data, 0o644); err != nil {

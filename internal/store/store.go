@@ -112,9 +112,11 @@ func (db *DB) monitor() *metrics.Registry {
 	return db.mon
 }
 
+// revToken returns "<gen>-<12 hex of sha256(body)>", allocating only the string.
 func revToken(gen int, body []byte) string {
 	h := sha256.Sum256(body)
-	return fmt.Sprintf("%d-%s", gen, hex.EncodeToString(h[:6]))
+	t := append(strconv.AppendInt(make([]byte, 0, 32), int64(gen), 10), '-')
+	return string(hex.AppendEncode(t, h[:6]))
 }
 
 func revGen(rev string) int {
@@ -174,7 +176,7 @@ func (db *DB) RaiseFence(term uint64) error {
 	if term <= db.fenceTerm {
 		return nil
 	}
-	if err := db.appendRecordLocked(encodeFence(term)); err != nil {
+	if err := db.appendRecordLocked(fenceLen, func(dst []byte) []byte { return appendFenceFrame(dst, term) }); err != nil {
 		return err
 	}
 	db.fenceTerm = term
@@ -211,7 +213,7 @@ func (db *DB) PutFenced(token uint64, id string, rev string, body []byte) (strin
 	copy(bodyCopy, body)
 	newRev := revToken(gen, bodyCopy)
 	doc := Doc{ID: id, Rev: newRev, Body: bodyCopy}
-	if err := db.appendRecordLocked(encodeSet(doc, token)); err != nil {
+	if err := db.appendRecordLocked(setLen(doc), func(dst []byte) []byte { return appendSetFrame(dst, doc, token) }); err != nil {
 		return "", err
 	}
 	db.docs[id] = doc
@@ -244,7 +246,7 @@ func (db *DB) ForceFenced(token uint64, id string, body []byte) (string, error) 
 	copy(bodyCopy, body)
 	rev := revToken(gen, bodyCopy)
 	doc := Doc{ID: id, Rev: rev, Body: bodyCopy}
-	if err := db.appendRecordLocked(encodeSet(doc, token)); err != nil {
+	if err := db.appendRecordLocked(setLen(doc), func(dst []byte) []byte { return appendSetFrame(dst, doc, token) }); err != nil {
 		return "", err
 	}
 	db.docs[id] = doc

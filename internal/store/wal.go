@@ -1,12 +1,14 @@
 package store
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"os"
+	"slices"
 
 	"hivemind/internal/metrics"
 )
@@ -73,6 +75,11 @@ const walSyncEvery = 64
 // walHeaderSize is the per-record framing overhead.
 const walHeaderSize = 8
 
+const (
+	walBufSize = 64 << 10 // recovery reads and snapshots write through one such buffer
+	walKeepBuf = 1 << 20  // a larger append buffer is dropped, not kept for the next append
+)
+
 // maxWALRecord bounds a single record (a length prefix beyond this is
 // treated as a corrupt tail, not an allocation request).
 const maxWALRecord = 64 << 20
@@ -97,6 +104,7 @@ func (e *RecordTooLargeError) Error() string {
 type WAL struct {
 	f        *os.File
 	opts     WALOptions
+	buf      []byte // the frame being appended, reused across appends
 	size     int64
 	records  int
 	unsynced int
@@ -105,7 +113,7 @@ type WAL struct {
 // OpenWAL opens (creating if absent) the log at path, replays every
 // valid record through apply in append order, truncates any torn or
 // corrupt tail, and returns the WAL positioned for appending.
-// truncated reports whether a tail had to be cut.
+// truncated reports whether a tail had to be cut; apply must not keep rec.
 func OpenWAL(path string, opts WALOptions, apply func(rec []byte) error) (w *WAL, truncated bool, err error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
@@ -138,7 +146,7 @@ func OpenWAL(path string, opts WALOptions, apply func(rec []byte) error) (w *WAL
 // frame — short header, absurd length, short payload, checksum
 // mismatch — marks the tail torn; everything before it is kept. A
 // length longer than the rest of the file is torn before any buffer is
-// allocated for it.
+// allocated for it. Payloads reuse one slice, read through one buffer.
 func scanWAL(f *os.File, apply func(rec []byte) error) (valid int64, records int, truncated bool, err error) {
 	fi, err := f.Stat()
 	if err != nil {
@@ -147,8 +155,10 @@ func scanWAL(f *os.File, apply func(rec []byte) error) (valid int64, records int
 	if _, err := f.Seek(0, io.SeekStart); err != nil {
 		return 0, 0, false, err
 	}
-	r := newByteCounter(f)
+	// Count bytes consumed from the buffer, never its read-ahead.
+	r := &byteCounter{r: bufio.NewReaderSize(f, walBufSize)}
 	var hdr [walHeaderSize]byte
+	var payload []byte
 	for {
 		if _, rerr := io.ReadFull(r, hdr[:]); rerr != nil {
 			// Clean EOF ends the scan; a partial header is a torn tail.
@@ -159,7 +169,7 @@ func scanWAL(f *os.File, apply func(rec []byte) error) (valid int64, records int
 		if n > maxWALRecord || int64(n) > fi.Size()-r.n {
 			return valid, records, true, nil
 		}
-		payload := make([]byte, n)
+		payload = slices.Grow(payload[:0], int(n))[:n]
 		if _, rerr := io.ReadFull(r, payload); rerr != nil {
 			return valid, records, true, nil
 		}
@@ -183,21 +193,31 @@ type byteCounter struct {
 	n int64
 }
 
-func newByteCounter(r io.Reader) *byteCounter { return &byteCounter{r: r} }
-
 func (b *byteCounter) Read(p []byte) (int, error) {
 	n, err := b.r.Read(p)
 	b.n += int64(n)
 	return n, err
 }
 
-// frame wraps a record payload in the length+CRC32C header.
-func frame(rec []byte) []byte {
-	buf := make([]byte, walHeaderSize+len(rec))
-	binary.BigEndian.PutUint32(buf[0:4], uint32(len(rec)))
-	binary.BigEndian.PutUint32(buf[4:8], crc32.Checksum(rec, crcTable))
-	copy(buf[walHeaderSize:], rec)
+// openFrame reserves a frame header at the end of dst. The caller
+// appends one record after it and passes start to sealFrame.
+func openFrame(dst []byte) (buf []byte, start int) {
+	return append(dst, make([]byte, walHeaderSize)...), len(dst)
+}
+
+// sealFrame fills in the header reserved at start with the length and
+// CRC32C of everything appended after it.
+func sealFrame(buf []byte, start int) []byte {
+	rec := buf[start+walHeaderSize:]
+	binary.BigEndian.PutUint32(buf[start:], uint32(len(rec)))
+	binary.BigEndian.PutUint32(buf[start+4:], crc32.Checksum(rec, crcTable))
 	return buf
+}
+
+// appendFrame appends rec in its length+CRC32C frame.
+func appendFrame(dst, rec []byte) []byte {
+	dst, start := openFrame(dst)
+	return sealFrame(append(dst, rec...), start)
 }
 
 // Append frames rec and writes it to the log, syncing per the policy.
@@ -205,14 +225,24 @@ func frame(rec []byte) []byte {
 // returns. A record longer than maxWALRecord is refused with a
 // *RecordTooLargeError before anything is written.
 func (w *WAL) Append(rec []byte) error {
-	if len(rec) > maxWALRecord {
-		return &RecordTooLargeError{Len: len(rec)}
+	return w.writeFrame(len(rec), func(dst []byte) []byte { return appendFrame(dst, rec) })
+}
+
+// writeFrame writes the one frame enc appends to the WAL's reused
+// buffer. n is the record's length, checked before anything is encoded.
+func (w *WAL) writeFrame(n int, enc func(dst []byte) []byte) error {
+	if n > maxWALRecord {
+		return &RecordTooLargeError{Len: n}
 	}
-	buf := frame(rec)
-	if _, err := w.f.Write(buf); err != nil {
+	w.buf = enc(w.buf[:0])
+	wrote, err := w.f.Write(w.buf)
+	if cap(w.buf) > walKeepBuf {
+		w.buf = nil
+	}
+	if err != nil {
 		return fmt.Errorf("store: wal append: %w", err)
 	}
-	w.size += int64(len(buf))
+	w.size += int64(wrote)
 	w.records++
 	w.unsynced++
 	w.opts.Monitor.Inc(MetricWALAppend)

@@ -204,9 +204,9 @@ func TestWALFsyncBatchPolicy(t *testing.T) {
 // must report a cut tail exactly when it dropped bytes, and must leave
 // a log that reopens to the same records with nothing left to cut.
 func FuzzWALReplay(f *testing.F) {
-	valid := append(frame([]byte("alpha")), frame(nil)...)
-	valid = append(valid, frame(bytes.Repeat([]byte{0xAB}, 300))...)
-	badCRC := frame([]byte("beta"))
+	valid := appendFrame(appendFrame(nil, []byte("alpha")), nil)
+	valid = appendFrame(valid, bytes.Repeat([]byte{0xAB}, 300))
+	badCRC := appendFrame(nil, []byte("beta"))
 	badCRC[walHeaderSize] ^= 0xFF
 	oversized := []byte{0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0, 'x'}
 	for _, seed := range [][]byte{
@@ -214,7 +214,8 @@ func FuzzWALReplay(f *testing.F) {
 		valid,
 		append(append([]byte(nil), valid...), 0x00, 0x00, 0x01), // torn header
 		append(append([]byte(nil), valid...), badCRC...),
-		append(frame([]byte("gamma")), oversized...),
+		append(appendFrame(nil, []byte("gamma")), oversized...),
+		pastReadBuffer(), // a valid prefix longer than the read buffer, torn mid-frame
 	} {
 		f.Add(seed)
 	}
@@ -230,7 +231,7 @@ func FuzzWALReplay(f *testing.F) {
 		}
 		var reframed []byte
 		for _, rec := range recs {
-			reframed = append(reframed, frame(rec)...)
+			reframed = appendFrame(reframed, rec)
 		}
 		if size > int64(len(data)) || !bytes.Equal(reframed, data[:size]) {
 			t.Fatalf("kept %d of %d bytes, but the replayed records re-frame to %d bytes that differ",
